@@ -1,9 +1,12 @@
 """Tape-based reverse-mode automatic differentiation over dense float64 arrays.
 
-The operation catalogue is fixed and small: exactly the primitives the
-generator / discriminator / recognition networks and their losses need.
-Every op has a forward rule and a closure-free backward rule selected by
-operation id, so each rule can be audited and gradient-checked on its own.
+The operation catalogue is fixed and small: exactly the 15 ops that training
+and evaluation run. Loss terms are fused into single ops (``softplus``,
+``clip``, ``scale`` with its constant as an attribute, ``gaussian_log_q``)
+rather than assembled from elementwise pieces. Each op is one ``_OPS``
+entry pairing a forward rule with a closure-free backward rule, so every
+rule can be audited and gradient-checked on its own, and adding or
+removing an op is a single edit.
 
 Usage:
 
@@ -33,26 +36,22 @@ __all__ = [
     "grad_check",
     "OP_CATALOGUE",
     "const",
-    "zeros",
     "ones",
-    "full",
     "matmul",
     "add",
     "mul",
+    "scale",
     "relu",
     "lrelu",
-    "tanh",
+    "clip",
     "sigmoid",
-    "exp",
-    "log",
-    "softmax",
+    "softplus",
     "log_softmax",
+    "gaussian_log_q",
     "reduce_mean",
     "reduce_sum",
-    "reshape",
     "concat",
     "batchnorm",
-    "gaussian_reparam",
 ]
 
 
@@ -61,7 +60,7 @@ class ShapeError(ValueError):
 
 
 class DomainError(ValueError):
-    """An op was evaluated outside its numeric domain (log <= 0, exp overflow)."""
+    """An op was evaluated outside its numeric domain (gaussian_log_q's exp(-2*log_sigma) overflows)."""
 
 
 class UsageError(RuntimeError):
@@ -120,16 +119,8 @@ def const(values) -> Tensor:
     return Tensor(values)
 
 
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
-
-
 def ones(shape) -> Tensor:
     return Tensor(np.ones(shape))
-
-
-def full(shape, value: float) -> Tensor:
-    return Tensor(np.full(shape, float(value)))
 
 
 class BatchNormState:
@@ -232,7 +223,7 @@ class Tape:
             node = self.nodes[nid]
             if node.op == "leaf":
                 continue
-            input_grads = _BACKWARD[node.op](g, node)
+            input_grads = _OPS[node.op][1](g, node)
             for iid, gi in zip(node.input_ids, input_grads):
                 if gi is None:
                     continue
@@ -251,8 +242,11 @@ class Tape:
 
 
 # ---------------------------------------------------------------------------
-# forward rules
+# op rules: forward(arrays, attrs) -> array; backward(g, node) -> input grads
 # ---------------------------------------------------------------------------
+
+_LN_2PI = float(np.log(2.0 * np.pi))
+
 
 def _require(cond: bool, op: str, msg: str) -> None:
     if not cond:
@@ -264,6 +258,11 @@ def _f_matmul(arrs, attrs):
     _require(a.ndim == 2 and b.ndim == 2, "matmul", f"needs two matrices, got {a.shape} and {b.shape}")
     _require(a.shape[1] == b.shape[0], "matmul", f"inner dims differ: {a.shape} @ {b.shape}")
     return a @ b
+
+
+def _b_matmul(g, node):
+    a, b = node.input_values
+    return [g @ b.T, a.T @ g]
 
 
 def _f_add(arrs, attrs):
@@ -279,14 +278,38 @@ def _f_add(arrs, attrs):
     return a + b[None, :]
 
 
+def _b_add(g, node):
+    a, b = node.input_values
+    if a.shape == b.shape:
+        return [g, g]
+    return [g, g.sum(axis=0)]
+
+
 def _f_mul(arrs, attrs):
     a, b = arrs
     _require(a.shape == b.shape, "mul", f"elementwise shapes differ: {a.shape} vs {b.shape}")
     return a * b
 
 
+def _b_mul(g, node):
+    a, b = node.input_values
+    return [g * b, g * a]
+
+
+def _f_scale(arrs, attrs):
+    return arrs[0] * attrs["c"]
+
+
+def _b_scale(g, node):
+    return [g * node.attrs["c"]]
+
+
 def _f_relu(arrs, attrs):
     return np.maximum(arrs[0], 0.0)
+
+
+def _b_relu(g, node):
+    return [g * (node.input_values[0] > 0.0)]
 
 
 def _f_lrelu(arrs, attrs):
@@ -295,63 +318,96 @@ def _f_lrelu(arrs, attrs):
     return np.where(x > 0.0, x, rate * x)
 
 
-def _f_tanh(arrs, attrs):
-    return np.tanh(arrs[0])
+def _b_lrelu(g, node):
+    rate = float(node.attrs["rate"])
+    x = node.input_values[0]
+    return [g * np.where(x > 0.0, 1.0, rate)]
+
+
+def _f_clip(arrs, attrs):
+    return np.clip(arrs[0], attrs["lo"], attrs["hi"])
+
+
+def _b_clip(g, node):
+    x = node.input_values[0]
+    return [g * ((x > node.attrs["lo"]) & (x < node.attrs["hi"]))]
 
 
 def _f_sigmoid(arrs, attrs):
     return expit(arrs[0])
 
 
-def _f_exp(arrs, attrs):
-    with np.errstate(over="ignore"):
-        out = np.exp(arrs[0])
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"exp: overflow (max input {arrs[0].max():g})")
-    return out
+def _b_sigmoid(g, node):
+    y = node.value
+    return [g * y * (1.0 - y)]
 
 
-def _f_log(arrs, attrs):
-    x = arrs[0]
-    if np.any(x <= 0.0):
-        raise DomainError(f"log: non-positive input (min {x.min():g})")
-    return np.log(x)
+def _f_softplus(arrs, attrs):
+    # log(1 + exp(x)) without overflow: finite for logits of either sign
+    return np.logaddexp(0.0, arrs[0])
 
 
-def _rowwise(x, op: str):
-    _require(x.ndim == 2, op, f"needs a 2-D batch of rows, got {x.shape}")
-    return x - x.max(axis=1, keepdims=True)
-
-
-def _f_softmax(arrs, attrs):
-    shifted = _rowwise(arrs[0], "softmax")
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _b_softplus(g, node):
+    return [g * expit(node.input_values[0])]
 
 
 def _f_log_softmax(arrs, attrs):
     # fused and max-shifted: never -inf for sane logits
-    shifted = _rowwise(arrs[0], "log_softmax")
+    x = arrs[0]
+    _require(x.ndim == 2, "log_softmax", f"needs a 2-D batch of rows, got {x.shape}")
+    shifted = x - x.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _b_log_softmax(g, node):
+    p = np.exp(node.value)
+    return [g - p * g.sum(axis=1, keepdims=True)]
+
+
+def _gaussian_inv_var(log_sigma):
+    with np.errstate(over="ignore"):
+        inv_var = np.exp(-2.0 * log_sigma)
+    if not np.all(np.isfinite(inv_var)):
+        raise DomainError(f"gaussian_log_q: exp(-2*log_sigma) overflow (min log_sigma {log_sigma.min():g})")
+    return inv_var
+
+
+def _f_gaussian_log_q(arrs, attrs):
+    # per-row sum over dims of log N(c; mu, exp(log_sigma)^2), shape (B,1)
+    c, mu, log_sigma = arrs
+    _require(
+        c.ndim == 2 and c.shape == mu.shape == log_sigma.shape,
+        "gaussian_log_q",
+        f"c, mu and log_sigma must share one (B,D) shape, got {c.shape}, {mu.shape} and {log_sigma.shape}",
+    )
+    diff = c - mu
+    elem = -0.5 * _LN_2PI - log_sigma - 0.5 * (diff * diff) * _gaussian_inv_var(log_sigma)
+    return elem.sum(axis=1, keepdims=True)
+
+
+def _b_gaussian_log_q(g, node):
+    c, mu, log_sigma = node.input_values
+    diff = c - mu
+    scaled = diff * _gaussian_inv_var(log_sigma)
+    return [-g * scaled, g * scaled, g * (diff * scaled - 1.0)]
 
 
 def _f_reduce_mean(arrs, attrs):
     return np.asarray(arrs[0].mean())
 
 
+def _b_reduce_mean(g, node):
+    x = node.input_values[0]
+    return [np.full(x.shape, float(g) / x.size)]
+
+
 def _f_reduce_sum(arrs, attrs):
     return np.asarray(arrs[0].sum())
 
 
-def _f_reshape(arrs, attrs):
-    x = arrs[0]
-    shape = tuple(int(d) for d in attrs["shape"])
-    _require(
-        int(np.prod(shape, dtype=np.int64)) == x.size,
-        "reshape",
-        f"cannot reshape {x.shape} to {shape}",
-    )
-    return x.reshape(shape)
+def _b_reduce_sum(g, node):
+    x = node.input_values[0]
+    return [np.full(x.shape, float(g))]
 
 
 def _f_concat(arrs, attrs):
@@ -366,6 +422,12 @@ def _f_concat(arrs, attrs):
                 f"non-axis dims differ: {base.shape} vs {other.shape} (axis {axis})",
             )
     return np.concatenate(arrs, axis=axis)
+
+
+def _b_concat(g, node):
+    axis = int(node.attrs["axis"])
+    sizes = [v.shape[axis] for v in node.input_values]
+    return np.split(g, np.cumsum(sizes)[:-1], axis=axis)
 
 
 def _batch_moments(x, eps):
@@ -394,96 +456,6 @@ def _f_batchnorm(arrs, attrs):
     return gamma * ((x - mean) * inv_std) + beta
 
 
-def _f_gaussian_reparam(arrs, attrs):
-    mu, log_sigma = arrs
-    eps = attrs["eps"]
-    _require(mu.shape == log_sigma.shape, "gaussian_reparam", f"mu/log_sigma shapes differ: {mu.shape} vs {log_sigma.shape}")
-    _require(np.shape(eps) == mu.shape, "gaussian_reparam", f"eps shape {np.shape(eps)} must match mu {mu.shape}")
-    scale = np.exp(log_sigma)
-    if not np.all(np.isfinite(scale)):
-        raise DomainError("gaussian_reparam: exp(log_sigma) overflow")
-    return mu + scale * eps
-
-
-# ---------------------------------------------------------------------------
-# backward rules (one per op id; inputs' gradients in input order)
-# ---------------------------------------------------------------------------
-
-def _b_matmul(g, node):
-    a, b = node.input_values
-    return [g @ b.T, a.T @ g]
-
-
-def _b_add(g, node):
-    a, b = node.input_values
-    if a.shape == b.shape:
-        return [g, g]
-    return [g, g.sum(axis=0)]
-
-
-def _b_mul(g, node):
-    a, b = node.input_values
-    return [g * b, g * a]
-
-
-def _b_relu(g, node):
-    return [g * (node.input_values[0] > 0.0)]
-
-
-def _b_lrelu(g, node):
-    rate = float(node.attrs["rate"])
-    x = node.input_values[0]
-    return [g * np.where(x > 0.0, 1.0, rate)]
-
-
-def _b_tanh(g, node):
-    y = node.value
-    return [g * (1.0 - y * y)]
-
-
-def _b_sigmoid(g, node):
-    y = node.value
-    return [g * y * (1.0 - y)]
-
-
-def _b_exp(g, node):
-    return [g * node.value]
-
-
-def _b_log(g, node):
-    return [g / node.input_values[0]]
-
-
-def _b_softmax(g, node):
-    y = node.value
-    return [y * (g - (g * y).sum(axis=1, keepdims=True))]
-
-
-def _b_log_softmax(g, node):
-    p = np.exp(node.value)
-    return [g - p * g.sum(axis=1, keepdims=True)]
-
-
-def _b_reduce_mean(g, node):
-    x = node.input_values[0]
-    return [np.full(x.shape, float(g) / x.size)]
-
-
-def _b_reduce_sum(g, node):
-    x = node.input_values[0]
-    return [np.full(x.shape, float(g))]
-
-
-def _b_reshape(g, node):
-    return [g.reshape(node.input_values[0].shape)]
-
-
-def _b_concat(g, node):
-    axis = int(node.attrs["axis"])
-    sizes = [v.shape[axis] for v in node.input_values]
-    return np.split(g, np.cumsum(sizes)[:-1], axis=axis)
-
-
 def _b_batchnorm(g, node):
     x, gamma, _ = node.input_values
     state: BatchNormState = node.attrs["state"]
@@ -503,61 +475,33 @@ def _b_batchnorm(g, node):
     return [dx, (g * xhat).sum(axis=0), g.sum(axis=0)]
 
 
-def _b_gaussian_reparam(g, node):
-    _, log_sigma = node.input_values
-    eps = node.attrs["eps"]
-    return [g, g * np.exp(log_sigma) * eps]
-
-
-_FORWARD = {
-    "matmul": _f_matmul,
-    "add": _f_add,
-    "mul": _f_mul,
-    "relu": _f_relu,
-    "lrelu": _f_lrelu,
-    "tanh": _f_tanh,
-    "sigmoid": _f_sigmoid,
-    "exp": _f_exp,
-    "log": _f_log,
-    "softmax": _f_softmax,
-    "log_softmax": _f_log_softmax,
-    "reduce_mean": _f_reduce_mean,
-    "reduce_sum": _f_reduce_sum,
-    "reshape": _f_reshape,
-    "concat": _f_concat,
-    "batchnorm": _f_batchnorm,
-    "gaussian_reparam": _f_gaussian_reparam,
+_OPS = {
+    "matmul": (_f_matmul, _b_matmul),
+    "add": (_f_add, _b_add),
+    "mul": (_f_mul, _b_mul),
+    "scale": (_f_scale, _b_scale),
+    "relu": (_f_relu, _b_relu),
+    "lrelu": (_f_lrelu, _b_lrelu),
+    "clip": (_f_clip, _b_clip),
+    "sigmoid": (_f_sigmoid, _b_sigmoid),
+    "softplus": (_f_softplus, _b_softplus),
+    "log_softmax": (_f_log_softmax, _b_log_softmax),
+    "gaussian_log_q": (_f_gaussian_log_q, _b_gaussian_log_q),
+    "reduce_mean": (_f_reduce_mean, _b_reduce_mean),
+    "reduce_sum": (_f_reduce_sum, _b_reduce_sum),
+    "concat": (_f_concat, _b_concat),
+    "batchnorm": (_f_batchnorm, _b_batchnorm),
 }
 
-_BACKWARD = {
-    "matmul": _b_matmul,
-    "add": _b_add,
-    "mul": _b_mul,
-    "relu": _b_relu,
-    "lrelu": _b_lrelu,
-    "tanh": _b_tanh,
-    "sigmoid": _b_sigmoid,
-    "exp": _b_exp,
-    "log": _b_log,
-    "softmax": _b_softmax,
-    "log_softmax": _b_log_softmax,
-    "reduce_mean": _b_reduce_mean,
-    "reduce_sum": _b_reduce_sum,
-    "reshape": _b_reshape,
-    "concat": _b_concat,
-    "batchnorm": _b_batchnorm,
-    "gaussian_reparam": _b_gaussian_reparam,
-}
-
-OP_CATALOGUE = tuple(sorted(_FORWARD))
+OP_CATALOGUE = tuple(sorted(_OPS))
 
 
 def forward_op(name: str, inputs: list[Tensor], attrs: dict | None = None) -> Tensor:
     """Run one catalogue op; records a tape node when a tape is active."""
-    rule = _FORWARD.get(name)
-    if rule is None:
+    rules = _OPS.get(name)
+    if rules is None:
         raise UsageError(f"unknown op '{name}' (catalogue: {', '.join(OP_CATALOGUE)})")
-    out = Tensor(rule(tuple(t.data for t in inputs), attrs or {}))
+    out = Tensor(rules[0](tuple(t.data for t in inputs), attrs or {}))
     if _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE.record(name, inputs, attrs or {}, out)
     return out
@@ -577,6 +521,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return forward_op("mul", [a, b])
 
 
+def scale(x: Tensor, c: float) -> Tensor:
+    """x * c for a constant c held as an attribute (no constant tensor on the tape)."""
+    return forward_op("scale", [x], {"c": float(c)})
+
+
 def relu(x: Tensor) -> Tensor:
     return forward_op("relu", [x])
 
@@ -585,28 +534,26 @@ def lrelu(x: Tensor, rate: float = 0.1) -> Tensor:
     return forward_op("lrelu", [x], {"rate": rate})
 
 
-def tanh(x: Tensor) -> Tensor:
-    return forward_op("tanh", [x])
+def clip(x: Tensor, lo: float, hi: float) -> Tensor:
+    """min(max(x, lo), hi); the gradient is zero where a bound is active."""
+    return forward_op("clip", [x], {"lo": float(lo), "hi": float(hi)})
 
 
 def sigmoid(x: Tensor) -> Tensor:
     return forward_op("sigmoid", [x])
 
 
-def exp(x: Tensor) -> Tensor:
-    return forward_op("exp", [x])
-
-
-def log(x: Tensor) -> Tensor:
-    return forward_op("log", [x])
-
-
-def softmax(x: Tensor) -> Tensor:
-    return forward_op("softmax", [x])
+def softplus(x: Tensor) -> Tensor:
+    return forward_op("softplus", [x])
 
 
 def log_softmax(x: Tensor) -> Tensor:
     return forward_op("log_softmax", [x])
+
+
+def gaussian_log_q(c: Tensor, mu: Tensor, log_sigma: Tensor) -> Tensor:
+    """(B,1) diagonal-Gaussian log-density of each row of c under N(mu, exp(log_sigma)^2)."""
+    return forward_op("gaussian_log_q", [c, mu, log_sigma])
 
 
 def reduce_mean(x: Tensor) -> Tensor:
@@ -617,20 +564,12 @@ def reduce_sum(x: Tensor) -> Tensor:
     return forward_op("reduce_sum", [x])
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    return forward_op("reshape", [x], {"shape": tuple(shape)})
-
-
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     return forward_op("concat", list(tensors), {"axis": axis})
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool) -> Tensor:
     return forward_op("batchnorm", [x, gamma, beta], {"state": state, "training": training})
-
-
-def gaussian_reparam(mu: Tensor, log_sigma: Tensor, eps: np.ndarray) -> Tensor:
-    return forward_op("gaussian_reparam", [mu, log_sigma], {"eps": np.asarray(eps, dtype=np.float64)})
 
 
 def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6) -> float:

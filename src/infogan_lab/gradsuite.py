@@ -18,11 +18,6 @@ from .objectives import gan_losses, infogan_losses, mi_lower_bound
 DEFAULT_STEP = 1e-6
 
 
-def _weighted_sum(out: Tensor, rng: np.random.Generator) -> Tensor:
-    w = ad.const(rng.normal(0.0, 1.0, out.shape))
-    return ad.reduce_sum(ad.mul(out, w))
-
-
 def _case_matmul(rng):
     a = Tensor(rng.normal(0, 1, (3, 4)))
     b = Tensor(rng.normal(0, 1, (4, 2)))
@@ -52,22 +47,42 @@ def _case_mul(rng):
     return [a, b], lambda p: ad.reduce_sum(ad.mul(ad.mul(p[0], p[1]), ad.const(w)))
 
 
-def _elementwise_case(fn, rng, scale=1.0, shift=0.0):
-    x = Tensor(shift + scale * rng.normal(0, 1, (3, 4)))
-    w = rng.normal(0, 1, (3, 4))
-    return [x], lambda p: ad.reduce_sum(ad.mul(fn(p[0]), ad.const(w)))
+def _weighted_case(fn, x: np.ndarray, rng):
+    """Inputs ``x`` through ``fn``, then a fixed random weighting to a scalar."""
+    w = rng.normal(0, 1, x.shape)
+    return [Tensor(x)], lambda p: ad.reduce_sum(ad.mul(fn(p[0]), ad.const(w)))
 
 
-def _case_log(rng):
-    x = Tensor(np.abs(rng.normal(0, 1, (3, 4))) + 0.5)
-    w = rng.normal(0, 1, (3, 4))
-    return [x], lambda p: ad.reduce_sum(ad.mul(ad.log(p[0]), ad.const(w)))
+def _elementwise_case(fn, rng):
+    return _weighted_case(fn, rng.normal(0, 1, (3, 4)), rng)
 
 
-def _rowwise_case(fn, rng):
-    x = Tensor(2.0 * rng.normal(0, 1, (3, 5)))
-    w = rng.normal(0, 1, (3, 5))
-    return [x], lambda p: ad.reduce_sum(ad.mul(fn(p[0]), ad.const(w)))
+def _case_softplus(rng):
+    # logits of both signs in every draw, large enough to reach both tails
+    signs = np.array([1.0, -1.0, 1.0, -1.0])
+    return _weighted_case(ad.softplus, signs * np.abs(rng.normal(0, 5, (3, 4))), rng)
+
+
+def _case_clip(rng):
+    # columns inside (-1, 2), below -1 and above 2, each clear of the bounds
+    x = np.concatenate(
+        [rng.uniform(-0.9, 1.9, (3, 2)), rng.uniform(-3.0, -1.1, (3, 1)), rng.uniform(2.1, 4.0, (3, 1))],
+        axis=1,
+    )
+    return _weighted_case(lambda t: ad.clip(t, -1.0, 2.0), x, rng)
+
+
+def _case_log_softmax(rng):
+    return _weighted_case(ad.log_softmax, 2.0 * rng.normal(0, 1, (3, 5)), rng)
+
+
+def _case_gaussian_log_q(rng):
+    """Gradient with respect to the code sample c as well as mu and log_sigma."""
+    c = Tensor(rng.normal(0, 1, (3, 2)))
+    mu = Tensor(rng.normal(0, 1, (3, 2)))
+    log_sigma = Tensor(0.3 * rng.normal(0, 1, (3, 2)))
+    w = rng.normal(0, 1, (3, 1))
+    return [c, mu, log_sigma], lambda p: ad.reduce_sum(ad.mul(ad.gaussian_log_q(p[0], p[1], p[2]), ad.const(w)))
 
 
 def _case_reduce_mean(rng):
@@ -78,12 +93,6 @@ def _case_reduce_mean(rng):
 def _case_reduce_sum(rng):
     x = Tensor(rng.normal(0, 1, (3, 4)))
     return [x], lambda p: ad.reduce_sum(ad.mul(p[0], p[0]))
-
-
-def _case_reshape(rng):
-    x = Tensor(rng.normal(0, 1, (3, 4)))
-    w = rng.normal(0, 1, (2, 6))
-    return [x], lambda p: ad.reduce_sum(ad.mul(ad.reshape(p[0], (2, 6)), ad.const(w)))
 
 
 def _case_concat(rng):
@@ -109,56 +118,25 @@ def _case_batchnorm(rng, training):
     return [x, gamma, beta], loss
 
 
-def _case_gaussian_reparam(rng):
-    mu = Tensor(rng.normal(0, 1, (3, 4)))
-    log_sigma = Tensor(0.3 * rng.normal(0, 1, (3, 4)))
-    eps = rng.normal(0, 1, (3, 4))
-    w = rng.normal(0, 1, (3, 4))
-    return [mu, log_sigma], lambda p: ad.reduce_sum(
-        ad.mul(ad.gaussian_reparam(p[0], p[1], eps), ad.const(w))
-    )
-
-
-def _case_gaussian_q_li(rng):
-    """Gradient through mu, log_sigma AND the reparametrized sample itself."""
-    mu = Tensor(rng.normal(0, 1, (3, 2)))
-    log_sigma = Tensor(0.3 * rng.normal(0, 1, (3, 2)))
-    q_mu = Tensor(rng.normal(0, 1, (3, 2)))
-    q_s = Tensor(0.3 * rng.normal(0, 1, (3, 2)))
-    eps = rng.normal(0, 1, (3, 2))
-
-    def loss(p):
-        c = ad.gaussian_reparam(p[0], p[1], eps)
-        shape = c.shape
-        diff = ad.add(c, ad.mul(p[2], ad.full(shape, -1.0)))
-        sq = ad.mul(diff, diff)
-        half_inv_var = ad.mul(ad.exp(ad.mul(p[3], ad.full(shape, -2.0))), ad.full(shape, 0.5))
-        elem = ad.add(ad.mul(p[3], ad.full(shape, -1.0)), ad.mul(ad.mul(sq, half_inv_var), ad.full(shape, -1.0)))
-        return ad.reduce_mean(elem)
-
-    return [mu, log_sigma, q_mu, q_s], loss
-
-
+# keyed by catalogue op; an op whose modes have separate rules gets one
+# case per mode, suffixed _train / _eval
 _OP_CASES = {
     "matmul": _case_matmul,
     "add": _case_add,
     "mul": _case_mul,
+    "scale": lambda rng: _elementwise_case(lambda x: ad.scale(x, -2.5), rng),
     "relu": lambda rng: _elementwise_case(ad.relu, rng),
     "lrelu": lambda rng: _elementwise_case(lambda x: ad.lrelu(x, 0.1), rng),
-    "tanh": lambda rng: _elementwise_case(ad.tanh, rng),
+    "clip": _case_clip,
     "sigmoid": lambda rng: _elementwise_case(ad.sigmoid, rng),
-    "exp": lambda rng: _elementwise_case(ad.exp, rng, scale=0.5),
-    "log": _case_log,
-    "softmax": lambda rng: _rowwise_case(ad.softmax, rng),
-    "log_softmax": lambda rng: _rowwise_case(ad.log_softmax, rng),
+    "softplus": _case_softplus,
+    "log_softmax": _case_log_softmax,
+    "gaussian_log_q": _case_gaussian_log_q,
     "reduce_mean": _case_reduce_mean,
     "reduce_sum": _case_reduce_sum,
-    "reshape": _case_reshape,
     "concat": _case_concat,
     "batchnorm_train": lambda rng: _case_batchnorm(rng, True),
     "batchnorm_eval": lambda rng: _case_batchnorm(rng, False),
-    "gaussian_reparam": _case_gaussian_reparam,
-    "gaussian_q_li": _case_gaussian_q_li,
 }
 
 
@@ -199,7 +177,7 @@ def full_loss_graph_check(n_seeds: int = 100, step: float = DEFAULT_STEP, base_s
             loss_d, loss_g = gan_losses(d_real, d_fake, "nonsaturating")
             li_disc, li_cont = mi_lower_bound(q_post, lat, spec)
             bundle = infogan_losses(loss_d, loss_g, li_disc, li_cont, 1.0, 0.1)
-            return ad.add(bundle.d_objective, bundle.gq_objective)
+            return ad.add(bundle.loss_d, bundle.gq_objective)
 
         params = list(model.params.values())
         worst = max(worst, grad_check(loss, params, step))

@@ -15,9 +15,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, UsageError
 
-LN_2PI = float(np.log(2.0 * np.pi))
-
-
 class SpecError(ValueError):
     """Invalid latent specification."""
 
@@ -274,8 +271,9 @@ def log_q(params: QPosteriorParams, batch: LatentBatch) -> tuple[Tensor | None, 
     """Per-sample log Q(c|x), split into (discrete, continuous) columns of shape (B,1).
 
     Discrete part: log-softmax of the block logits at the sampled category,
-    summed over categorical blocks. Continuous part: diagonal Gaussian
-    log-density sum(-0.5*ln(2pi) - s - (c-mu)^2 / (2*exp(2s))) over dims.
+    summed over categorical blocks. Continuous part: the fused
+    ``gaussian_log_q`` op, the diagonal Gaussian log-density
+    sum(-0.5*ln(2pi) - s - (c-mu)^2 / (2*exp(2s))) over dims.
     Differentiable w.r.t. logits, mu and log_sigma (and through them x).
     """
     params.check_against(batch.spec)
@@ -292,18 +290,8 @@ def log_q(params: QPosteriorParams, batch: LatentBatch) -> tuple[Tensor | None, 
             per_sample = ad.matmul(picked, ad.ones((block.k, 1)))
             disc = per_sample if disc is None else ad.add(disc, per_sample)
         else:
-            mu = params.cont_mu[i_cont]
-            s = params.cont_log_sigma[i_cont]
-            i_cont += 1
             c = ad.const(np.asarray(batch.c_raw[i], dtype=np.float64).reshape(b, block.dim))
-            shape = mu.shape
-            diff = ad.add(c, ad.mul(mu, ad.full(shape, -1.0)))
-            sq = ad.mul(diff, diff)
-            half_inv_var = ad.mul(ad.exp(ad.mul(s, ad.full(shape, -2.0))), ad.full(shape, 0.5))
-            elem = ad.add(
-                ad.add(ad.full(shape, -0.5 * LN_2PI), ad.mul(s, ad.full(shape, -1.0))),
-                ad.mul(ad.mul(sq, half_inv_var), ad.full(shape, -1.0)),
-            )
-            per_sample = ad.matmul(elem, ad.ones((block.dim, 1)))
+            per_sample = ad.gaussian_log_q(c, params.cont_mu[i_cont], params.cont_log_sigma[i_cont])
+            i_cont += 1
             cont = per_sample if cont is None else ad.add(cont, per_sample)
     return disc, cont

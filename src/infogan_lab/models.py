@@ -169,15 +169,6 @@ def _activate(cfg: NetConfig, x: Tensor) -> Tensor:
     return ad.relu(x)
 
 
-def _clamp(x: Tensor, bound: float) -> Tensor:
-    # min(max(x, -b), b) composed from relu: -b + relu(x+b) - relu(x-b)
-    width = x.shape[1]
-    up = ad.relu(ad.add(x, ad.full((width,), bound)))
-    down = ad.relu(ad.add(x, ad.full((width,), -bound)))
-    shifted = ad.add(up, ad.mul(down, ad.full(x.shape, -1.0)))
-    return ad.add(shifted, ad.full((width,), -bound))
-
-
 def gen_forward(model: ModelPair, batch: LatentBatch, training: bool = True) -> Tensor:
     """G(z, c): concatenated noise and codes through the stack, sigmoid pixels in (0,1)."""
     if batch.spec.gen_input_dim != model.gen_cfg.widths[0]:
@@ -222,6 +213,6 @@ def disc_q_forward(model: ModelPair, x: Tensor, training: bool = True) -> tuple[
         else:
             q.cont_mu.append(_linear(model, f"q_head.cont{i_cont}.mu", hq))
             s_raw = _linear(model, f"q_head.cont{i_cont}.s", hq)
-            q.cont_log_sigma.append(_clamp(s_raw, LOG_SIGMA_BOUND))
+            q.cont_log_sigma.append(ad.clip(s_raw, -LOG_SIGMA_BOUND, LOG_SIGMA_BOUND))
             i_cont += 1
     return d_logit, q

@@ -1,8 +1,9 @@
 """Adversarial losses and the variational mutual-information lower bound.
 
-The sigmoid-cross-entropy terms are built from a softplus rewrite
-(softplus(x) = relu(x) + log(1 + exp(-|x|))), so log(1 - sigmoid(.)) is
-never evaluated literally and logits of either sign stay stable.
+The sigmoid-cross-entropy terms use the identities -log sigmoid(x) =
+softplus(-x) and -log(1 - sigmoid(x)) = softplus(x), with softplus one
+fused, overflow-free op, so log(1 - sigmoid(.)) is never evaluated
+literally and logits of either sign stay stable.
 """
 
 from __future__ import annotations
@@ -16,20 +17,12 @@ from .latent import LatentBatch, LatentSpec, QPosteriorParams, entropy, log_q
 GAN_MODES = ("minimax", "nonsaturating")
 
 
-def _softplus(x: Tensor) -> Tensor:
-    shape = x.shape
-    neg_x = ad.mul(x, ad.full(shape, -1.0))
-    abs_x = ad.add(ad.relu(x), ad.relu(neg_x))
-    tail = ad.log(ad.add(ad.exp(ad.mul(abs_x, ad.full(shape, -1.0))), ad.ones(shape)))
-    return ad.add(ad.relu(x), tail)
-
-
-def _neg(x: Tensor) -> Tensor:
-    return ad.mul(x, ad.full(x.shape, -1.0))
-
-
-def _scale(x: Tensor, c: float) -> Tensor:
-    return ad.mul(x, ad.full(x.shape, c))
+def discriminator_loss(d_real_logits: Tensor, d_fake_logits: Tensor) -> Tensor:
+    """loss_D = -mean log sigmoid(real) - mean log(1 - sigmoid(fake))."""
+    return ad.add(
+        ad.reduce_mean(ad.softplus(ad.scale(d_real_logits, -1.0))),
+        ad.reduce_mean(ad.softplus(d_fake_logits)),
+    )
 
 
 def generator_loss(d_fake_logits: Tensor, mode: str = "nonsaturating") -> Tensor:
@@ -37,24 +30,17 @@ def generator_loss(d_fake_logits: Tensor, mode: str = "nonsaturating") -> Tensor
     if mode not in GAN_MODES:
         raise UsageError(f"gan mode must be one of {GAN_MODES}, got '{mode}'")
     if mode == "minimax":
-        return _neg(ad.reduce_mean(_softplus(d_fake_logits)))
-    return ad.reduce_mean(_softplus(_neg(d_fake_logits)))
+        return ad.scale(ad.reduce_mean(ad.softplus(d_fake_logits)), -1.0)
+    return ad.reduce_mean(ad.softplus(ad.scale(d_fake_logits, -1.0)))
 
 
 def gan_losses(d_real_logits: Tensor, d_fake_logits: Tensor, mode: str = "nonsaturating") -> tuple[Tensor, Tensor]:
     """Discriminator and generator losses from raw logits.
 
-    loss_D = -mean log sigmoid(real) - mean log(1 - sigmoid(fake)).
-    loss_G: 'minimax' is mean log(1 - sigmoid(fake)); 'nonsaturating' is
-    -mean log sigmoid(fake).
+    loss_D is :func:`discriminator_loss`. loss_G: 'minimax' is
+    mean log(1 - sigmoid(fake)); 'nonsaturating' is -mean log sigmoid(fake).
     """
-    if mode not in GAN_MODES:
-        raise UsageError(f"gan mode must be one of {GAN_MODES}, got '{mode}'")
-    loss_d = ad.add(
-        ad.reduce_mean(_softplus(_neg(d_real_logits))),
-        ad.reduce_mean(_softplus(d_fake_logits)),
-    )
-    return loss_d, generator_loss(d_fake_logits, mode)
+    return discriminator_loss(d_real_logits, d_fake_logits), generator_loss(d_fake_logits, mode)
 
 
 def mi_lower_bound(q_params: QPosteriorParams, batch: LatentBatch, spec: LatentSpec) -> tuple[Tensor, Tensor]:
@@ -72,9 +58,9 @@ def mi_lower_bound(q_params: QPosteriorParams, batch: LatentBatch, spec: LatentS
 
 @dataclass
 class LossBundle:
-    """Scalar loss terms of one step, plus the combined objectives.
+    """Scalar loss terms of one step, plus the generator/recognition objective.
 
-    ``d_objective`` is what the discriminator step minimizes;
+    ``loss_d`` is what the discriminator step minimizes;
     ``gq_objective`` is loss_G - lambda_disc*L_I_disc - lambda_cont*L_I_cont.
     """
 
@@ -84,7 +70,6 @@ class LossBundle:
     li_cont: Tensor
     lambda_disc: float
     lambda_cont: float
-    d_objective: Tensor
     gq_objective: Tensor
 
     def as_floats(self) -> dict[str, float]:
@@ -107,7 +92,7 @@ def infogan_losses(
     """Combine plain GAN losses with the information terms (lambda >= 0)."""
     if lambda_disc < 0.0 or lambda_cont < 0.0:
         raise UsageError(f"lambda must be >= 0, got disc={lambda_disc}, cont={lambda_cont}")
-    gq = ad.add(ad.add(loss_g, _scale(li_disc, -lambda_disc)), _scale(li_cont, -lambda_cont))
+    gq = ad.add(ad.add(loss_g, ad.scale(li_disc, -lambda_disc)), ad.scale(li_cont, -lambda_cont))
     return LossBundle(
         loss_d=loss_d,
         loss_g=loss_g,
@@ -115,7 +100,6 @@ def infogan_losses(
         li_cont=li_cont,
         lambda_disc=lambda_disc,
         lambda_cont=lambda_cont,
-        d_objective=loss_d,
         gq_objective=gq,
     )
 

@@ -28,7 +28,7 @@ from .config import TrainingConfig
 from .data_io import Dataset, load_mnist_idx, save_checkpoint, synth_templates
 from .latent import sample_latent
 from .models import ModelPair, disc_q_forward, gen_forward, init_models
-from .objectives import LossBundle, gan_losses, generator_loss, infogan_losses, mi_lower_bound
+from .objectives import LossBundle, discriminator_loss, generator_loss, infogan_losses, mi_lower_bound
 
 STREAM_NAMES = ("init", "dataset", "batches", "latent")
 
@@ -135,7 +135,7 @@ def d_step(model: ModelPair, real_images: np.ndarray, cfg: TrainingConfig, laten
             tape.watch(p)
         d_real, _ = disc_q_forward(model, Tensor(real_images), training=True)
         d_fake, _ = disc_q_forward(model, fake, training=True)
-        loss_d, _ = gan_losses(d_real, d_fake, cfg.gan_mode)
+        loss_d = discriminator_loss(d_real, d_fake)
         tape.backward(loss_d)
         d_grads = {name: tape.grad(p).data for name, p in d_side.items()}
     adam_step(d_side, d_grads, adam_states, cfg.lr_d, cfg.beta1, cfg.beta2, cfg.adam_epsilon)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_softmax as scipy_log_softmax
+from scipy.stats import norm
 
 from infogan_lab import autodiff as ad
 from infogan_lab.autodiff import (
@@ -24,50 +26,59 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data, [[-0.1, 0.0, 2.0]])
 
     def test_softmax_uniform_row(self):
-        out = ad.softmax(Tensor(np.zeros((1, 10))))
-        np.testing.assert_allclose(out.data, np.full((1, 10), 0.1), atol=0)
+        out = ad.log_softmax(Tensor(np.zeros((1, 10))))
+        np.testing.assert_allclose(np.exp(out.data), np.full((1, 10), 0.1), rtol=1e-15)
 
     def test_matmul_identity(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         out = ad.matmul(a, Tensor(np.eye(2)))
         np.testing.assert_array_equal(out.data, a.data)
 
-    def test_gaussian_reparam_affine(self):
-        out = ad.gaussian_reparam(Tensor([[0.3]]), Tensor([[0.0]]), np.array([[0.5]]))
-        assert out.data[0, 0] == 0.3 + np.exp(0.0) * 0.5 == 0.8
+    def test_scale_is_exact_product(self):
+        x = np.random.default_rng(0).normal(0, 1, (4, 3))
+        np.testing.assert_array_equal(ad.scale(Tensor(x), -0.1).data, x * -0.1)
 
-    def test_reparam_exact_elementwise(self):
-        rng = np.random.default_rng(0)
-        mu = rng.normal(0, 1, (4, 3))
-        ls = rng.normal(0, 0.5, (4, 3))
-        eps = rng.normal(0, 1, (4, 3))
-        out = ad.gaussian_reparam(Tensor(mu), Tensor(ls), eps)
-        np.testing.assert_array_equal(out.data, mu + np.exp(ls) * eps)
+    def test_clip_example(self):
+        out = ad.clip(Tensor([[-9.0, -7.0, 0.5, 7.0, 50.0]]), -7.0, 7.0)
+        np.testing.assert_array_equal(out.data, [[-7.0, -7.0, 0.5, 7.0, 7.0]])
+
+    def test_softplus_matches_logaddexp_and_stays_finite(self):
+        x = np.concatenate([np.random.default_rng(1).normal(0, 10, 50), [-1000.0, 1000.0]])[None, :]
+        out = ad.softplus(Tensor(x)).data
+        np.testing.assert_allclose(out, np.logaddexp(0.0, x), rtol=1e-15, atol=0)
+        assert np.all(np.isfinite(out))
+        assert out[0, -1] == 1000.0 and 0.0 <= out[0, -2] < 1e-300
+
+    def test_gaussian_log_q_matches_norm_logpdf_row_sums(self):
+        rng = np.random.default_rng(2)
+        c, mu = rng.normal(0, 1, (5, 3)), rng.normal(0, 1, (5, 3))
+        log_sigma = rng.uniform(-7.0, 7.0, (5, 3))
+        out = ad.gaussian_log_q(Tensor(c), Tensor(mu), Tensor(log_sigma))
+        assert out.shape == (5, 1)
+        expected = norm.logpdf(c, loc=mu, scale=np.exp(log_sigma)).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
     def test_add_broadcast_bias(self):
         out = ad.add(Tensor(np.zeros((3, 2))), Tensor([1.0, 2.0]))
         np.testing.assert_array_equal(out.data, [[1, 2], [1, 2], [1, 2]])
 
-    def test_concat_and_reshape(self):
+    def test_concat_along_columns(self):
         a, b = Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 1)))
         out = ad.concat([a, b], axis=1)
-        assert out.shape == (2, 3)
-        back = ad.reshape(out, (3, 2))
-        assert back.shape == (3, 2)
+        np.testing.assert_array_equal(out.data, [[1, 1, 0], [1, 1, 0]])
 
     def test_shape_errors_name_op_and_shapes(self):
         with pytest.raises(ShapeError, match="matmul"):
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
         with pytest.raises(ShapeError, match=r"add.*\(2, 3\)"):
             ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
-        with pytest.raises(ShapeError, match="reshape"):
-            ad.reshape(Tensor(np.ones((2, 3))), (4, 2))
+        with pytest.raises(ShapeError, match=r"gaussian_log_q.*\(2, 3\).*\(2, 2\)"):
+            ad.gaussian_log_q(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))))
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError, match="log"):
-            ad.log(Tensor([[0.0, 1.0]]))
-        with pytest.raises(DomainError, match="exp"):
-            ad.exp(Tensor([[1000.0]]))
+        zeros = Tensor(np.zeros((1, 2)))
+        with pytest.raises(DomainError, match="gaussian_log_q.*overflow"):
+            ad.gaussian_log_q(zeros, zeros, Tensor([[0.0, -400.0]]))
 
     def test_unknown_op(self):
         with pytest.raises(UsageError, match="unknown op"):
@@ -79,7 +90,7 @@ class TestSoftmaxInvariants:
     @settings(max_examples=50, deadline=None)
     def test_rows_sum_to_one_and_positive(self, seed):
         x = np.random.default_rng(seed).uniform(-30, 30, (4, 7))
-        out = ad.softmax(Tensor(x)).data
+        out = np.exp(ad.log_softmax(Tensor(x)).data)
         assert np.all(out > 0.0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
@@ -88,7 +99,7 @@ class TestSoftmaxInvariants:
     def test_log_softmax_matches_log_of_softmax(self, seed):
         x = np.random.default_rng(seed).uniform(-30, 30, (4, 7))
         ls = ad.log_softmax(Tensor(x)).data
-        np.testing.assert_allclose(ls, np.log(ad.softmax(Tensor(x)).data), atol=1e-9)
+        np.testing.assert_allclose(ls, scipy_log_softmax(x, axis=1), atol=1e-12)
         assert np.all(np.isfinite(ls))
 
 
@@ -185,13 +196,14 @@ class TestGradCheck:
         assert err <= 1e-9
 
     def test_sigmoid_cross_entropy_disc_loss(self):
+        # log sigmoid(x) = -softplus(-x)
         rng = np.random.default_rng(7)
         logits = Tensor(rng.normal(0, 2, (8, 8)))
         w = rng.normal(0, 1, (8, 8))
 
         def loss(p):
-            s = ad.sigmoid(p[0])
-            return ad.reduce_mean(ad.mul(ad.log(s), ad.const(w)))
+            log_s = ad.scale(ad.softplus(ad.scale(p[0], -1.0)), -1.0)
+            return ad.reduce_mean(ad.mul(log_s, ad.const(w)))
 
         assert grad_check(loss, [logits], step=1e-6) <= 1e-5
 
@@ -220,7 +232,8 @@ def test_forward_determinism_same_seed():
     def run():
         rng = np.random.default_rng(123)
         x = Tensor(rng.normal(0, 1, (5, 5)))
-        y = ad.softmax(ad.matmul(ad.tanh(x), Tensor(rng.normal(0, 1, (5, 5)))))
+        h = ad.clip(ad.softplus(x), 0.0, 1.5)
+        y = ad.log_softmax(ad.matmul(ad.sigmoid(h), Tensor(rng.normal(0, 1, (5, 5)))))
         return y.data
 
     np.testing.assert_array_equal(run(), run())

@@ -8,6 +8,9 @@ def test_every_catalogue_op_has_a_case():
     cases = set(_OP_CASES)
     for op in OP_CATALOGUE:
         assert op in cases or f"{op}_train" in cases, f"no gradient case for '{op}'"
+    for case in cases:
+        op = case.removesuffix("_train").removesuffix("_eval")
+        assert op in OP_CATALOGUE, f"gradient case '{case}' names no catalogue op"
 
 
 def test_op_checks_pass_on_a_few_seeds():

@@ -10,6 +10,7 @@ from infogan_lab import autodiff as ad
 from infogan_lab.autodiff import DomainError, Tensor, UsageError, grad_check
 from infogan_lab.latent import CodeBlock, LatentSpec, QPosteriorParams, sample_latent
 from infogan_lab.objectives import (
+    discriminator_loss,
     gan_losses,
     generator_loss,
     infogan_losses,
@@ -36,6 +37,12 @@ class TestGanLossValues:
     def test_minimax_at_zero_is_minus_ln2(self):
         loss_g = generator_loss(_logits([0.0]), mode="minimax")
         assert abs(float(loss_g) + LN2) < 1e-12
+
+    def test_discriminator_loss_is_gan_losses_d_term(self):
+        rng = np.random.default_rng(5)
+        real, fake = _logits(rng.normal(0, 4, 16)), _logits(rng.normal(0, 4, 16))
+        for mode in ("minimax", "nonsaturating"):
+            assert float(discriminator_loss(real, fake)) == float(gan_losses(real, fake, mode)[0])
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(UsageError):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from infogan_lab import autodiff
 from infogan_lab.autodiff import Tensor
 from infogan_lab.config import ConfigError, TrainingConfig, parse_config, render_config
 from infogan_lab.latent import CodeBlock
@@ -148,6 +149,34 @@ class TestTrainStep:
         train_step(model, ds.images[:8], cfg, rngs["latent"], states)
         moved = sum(np.any(model.params[n].data != before[n]) for n in before)
         assert moved == len(before)
+
+    def test_default_step_graph_size(self, tmp_path, monkeypatch):
+        # pins the fused graph: any regrowth of the per-iteration tape fails here
+        from infogan_lab.data_io import synth_templates
+        from infogan_lab.models import init_models
+
+        cfg = TrainingConfig(toy_samples=256)
+        rngs = rng_streams(cfg.seed)
+        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
+        gen_cfg, dq_cfg = cfg.net_configs()
+        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
+        states = {n: AdamState(t.shape) for n, t in model.params.items()}
+
+        counts = {"ops": 0, "nodes": 0}
+        forward_op, tape_exit = autodiff.forward_op, autodiff.Tape.__exit__
+
+        def counting_forward_op(name, inputs, attrs=None):
+            counts["ops"] += 1
+            return forward_op(name, inputs, attrs)
+
+        def counting_exit(tape, *exc):
+            counts["nodes"] += len(tape.nodes)
+            return tape_exit(tape, *exc)
+
+        monkeypatch.setattr(autodiff, "forward_op", counting_forward_op)
+        monkeypatch.setattr(autodiff.Tape, "__exit__", counting_exit)
+        train_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], states)
+        assert counts == {"ops": 96, "nodes": 129}
 
 
 class TestTrainRun:
