@@ -18,14 +18,12 @@ b1 = Tensor(np.zeros(5))
 w2 = Tensor(rng.normal(0, 0.5, (5, 1)))
 
 with Tape() as tape:
-    for p in (w1, b1, w2):
-        tape.watch(p)
     h = ad.lrelu(ad.add(ad.matmul(x, w1), b1), rate=0.1)
     loss = ad.reduce_mean(ad.mul(ad.matmul(h, w2), ad.matmul(h, w2)))
-    tape.backward(loss)
-    print(f"loss = {float(loss):.6f}")
-    for name, p in [("w1", w1), ("b1", b1), ("w2", w2)]:
-        print(f"  d loss / d {name}: norm {np.linalg.norm(tape.grad(p).data):.6f}")
+    grads = tape.backward(loss, [w1, b1, w2])
+print(f"loss = {float(loss):.6f}")
+for name, g in zip(("w1", "b1", "w2"), grads):
+    print(f"  d loss / d {name}: norm {np.linalg.norm(g):.6f}")
 
 print()
 print("=== the same gradients, checked against central differences ===")

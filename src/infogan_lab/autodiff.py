@@ -11,10 +11,8 @@ removing an op is a single edit.
 Usage:
 
     with Tape() as tape:
-        tape.watch(w)
         y = reduce_sum(mul(w, w))
-        tape.backward(y)
-        g = tape.grad(w)          # dy/dw as a Tensor
+        (g,) = tape.backward(y, [w])   # dy/dw as an ndarray
 
 Outside a ``Tape`` context the same functions run as plain numpy and record
 nothing, which is the fast path used for evaluation and finite differences.
@@ -76,8 +74,8 @@ def _as_array(values) -> np.ndarray:
 class Tensor:
     """Dense float64 array plus the id of its node on the recording tape.
 
-    ``node`` is None unless the tensor has been touched by an op (or
-    ``Tape.watch``) while a tape was active.
+    ``node`` is None unless the tensor has been touched by an op while a
+    tape was active.
     """
 
     __slots__ = ("data", "node", "_tape")
@@ -90,20 +88,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def detach(self) -> "Tensor":
-        """Same values, not connected to any tape (shares the buffer)."""
-        return Tensor(self.data)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def item(self) -> float:
-        return float(self)
 
     def __float__(self) -> float:
         if self.data.size != 1:
@@ -162,14 +146,12 @@ class Tape:
 
     Nodes are stored in execution order, so every node's inputs precede it
     and a single reverse sweep implements the chain rule. ``backward`` may
-    be called several times with different scalar roots on the same tape;
-    each call recomputes the gradient map from scratch.
+    be called several times with different scalar roots and ``wrt`` lists
+    on the same tape; each call returns fresh gradients and stores nothing.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
-        self.gradients: dict[int, Tensor] = {}
-        self._leaf_ids: list[int] = []
         self._prev = None
 
     def __enter__(self) -> "Tape":
@@ -184,16 +166,11 @@ class Tape:
         self._prev = None
         return False
 
-    def watch(self, tensor: Tensor) -> None:
-        """Register a leaf so it is guaranteed a (possibly zero) gradient."""
-        self._register(tensor)
-
     def _register(self, tensor: Tensor) -> int:
         if tensor._tape is self and tensor.node is not None:
             return tensor.node
         nid = len(self.nodes)
         self.nodes.append(TapeNode("leaf", (), (), tensor.data, None))
-        self._leaf_ids.append(nid)
         tensor.node = nid
         tensor._tape = self
         return nid
@@ -205,17 +182,25 @@ class Tape:
         out.node = nid
         out._tape = self
 
-    def backward(self, root: Tensor) -> dict[int, Tensor]:
-        """Reverse sweep from a scalar root; returns node id -> gradient.
+    def backward(self, root: Tensor, wrt: list[Tensor]) -> list[np.ndarray]:
+        """Gradients of the scalar ``root`` with respect to each tensor of ``wrt``, in order.
 
-        Leaves not on any path to the root get zero gradients. Gradients
-        accumulate over fan-out.
+        Only nodes that depend on a ``wrt`` tensor are differentiated. A
+        ``wrt`` tensor not recorded on this tape, or on no path to the root,
+        gets zeros of its shape. Gradients accumulate over fan-out.
         """
         if root._tape is not self or root.node is None:
             raise UsageError("backward: root tensor was not recorded on this tape")
         if root.data.size != 1:
             raise UsageError(f"backward: root must be scalar, got shape {root.shape}")
-        grads: dict[int, np.ndarray] = {root.node: np.ones_like(self.nodes[root.node].value)}
+        # forward pass: mark every node that a wrt tensor feeds
+        live = {t.node for t in wrt if t._tape is self}
+        for nid in range(root.node + 1):
+            if not live.isdisjoint(self.nodes[nid].input_ids):
+                live.add(nid)
+        grads: dict[int, np.ndarray] = {}
+        if root.node in live:
+            grads[root.node] = np.ones_like(self.nodes[root.node].value)
         for nid in range(root.node, -1, -1):
             g = grads.get(nid)
             if g is None:
@@ -225,20 +210,14 @@ class Tape:
                 continue
             input_grads = _OPS[node.op][1](g, node)
             for iid, gi in zip(node.input_ids, input_grads):
-                if gi is None:
+                if iid not in live:
                     continue
                 acc = grads.get(iid)
                 grads[iid] = gi if acc is None else acc + gi
-        for nid in self._leaf_ids:
-            if nid not in grads:
-                grads[nid] = np.zeros_like(self.nodes[nid].value)
-        self.gradients = {nid: Tensor(g) for nid, g in grads.items()}
-        return self.gradients
-
-    def grad(self, tensor: Tensor) -> Tensor | None:
-        if tensor._tape is not self or tensor.node is None:
-            return None
-        return self.gradients.get(tensor.node)
+        return [
+            grads[t.node] if t._tape is self and t.node in grads else np.zeros_like(t.data)
+            for t in wrt
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +566,7 @@ def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6) -> float:
     if v1 != v2:
         raise UsageError("grad_check: loss_builder is not deterministic across forward passes")
     with Tape() as tape:
-        for p in params:
-            tape.watch(p)
-        loss = loss_builder(params)
-        tape.backward(loss)
-        analytic = [tape.grad(p).data.copy() for p in params]
+        analytic = tape.backward(loss_builder(params), params)
 
     max_err = 0.0
     for p, ga in zip(params, analytic):

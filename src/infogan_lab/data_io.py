@@ -68,6 +68,13 @@ class _Reader:
         self.pos += n
         return out
 
+    def text(self, n: int) -> str:
+        raw = self.take(n)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise FormatError(f"{self.what}: text at offset {self.pos - n} is not UTF-8 ({err.reason})") from None
+
     def u32_be(self) -> int:
         return struct.unpack(">I", self.take(4))[0]
 
@@ -195,13 +202,13 @@ def load_checkpoint(path: str) -> tuple[ModelPair, TrainingConfig]:
     version = r.u32_le()
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: format version {version} not supported (expected {CHECKPOINT_VERSION})")
-    config_text = r.take(r.u64_le()).decode("utf-8")
+    config_text = r.text(r.u64_le())
     cfg = parse_config(config_text)
 
     loaded: dict[str, np.ndarray] = {}
     n_entries = r.u64_le()
     for _ in range(n_entries):
-        name = r.take(r.u32_le()).decode("utf-8")
+        name = r.text(r.u32_le())
         ndim = r.u32_le()
         if ndim > 8:
             raise FormatError(f"{path}: implausible rank {ndim} for entry '{name}'")

@@ -68,8 +68,6 @@ class LossBundle:
     loss_g: Tensor
     li_disc: Tensor
     li_cont: Tensor
-    lambda_disc: float
-    lambda_cont: float
     gq_objective: Tensor
 
     def as_floats(self) -> dict[str, float]:
@@ -93,15 +91,7 @@ def infogan_losses(
     if lambda_disc < 0.0 or lambda_cont < 0.0:
         raise UsageError(f"lambda must be >= 0, got disc={lambda_disc}, cont={lambda_cont}")
     gq = ad.add(ad.add(loss_g, ad.scale(li_disc, -lambda_disc)), ad.scale(li_cont, -lambda_cont))
-    return LossBundle(
-        loss_d=loss_d,
-        loss_g=loss_g,
-        li_disc=li_disc,
-        li_cont=li_cont,
-        lambda_disc=lambda_disc,
-        lambda_cont=lambda_cont,
-        gq_objective=gq,
-    )
+    return LossBundle(loss_d=loss_d, loss_g=loss_g, li_disc=li_disc, li_cont=li_cont, gq_objective=gq)
 
 
 def optimal_discriminator(p_data: float, p_g: float) -> float:

@@ -11,6 +11,9 @@ Gradient routing per iteration:
                  lambda=0 baseline where the generator gets no code
                  incentive.
 
+The trunk's AdamState is shared by both steps, so its step count t advances
+twice per iteration, while the generator, D head and Q head advance once.
+
 All randomness comes from one seed, split into four named PCG64 streams
 (model init, dataset synthesis, minibatch indices, latent draws), so a run
 is bitwise reproducible.
@@ -62,7 +65,7 @@ def adam_step(
     beta1: float,
     beta2: float,
     epsilon: float,
-) -> tuple[dict[str, Tensor], dict[str, AdamState]]:
+) -> None:
     """In-place Adam update: theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)."""
     for name, p in params.items():
         g = grads[name]
@@ -75,7 +78,6 @@ def adam_step(
         m_hat = st.m / (1.0 - beta1**st.t)
         v_hat = st.v / (1.0 - beta2**st.t)
         p.data -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
-    return params, states
 
 
 @dataclass
@@ -110,10 +112,16 @@ class MetricsTrace:
         with open(path, "r", encoding="utf-8") as f:
             header = f.readline().strip()
             if header != MetricsTrace.CSV_HEADER:
-                raise TrainingError(f"unexpected metrics header '{header}'")
-            for line in f:
-                it, *vals = line.strip().split(",")
-                trace.append(int(it), *(float(v) for v in vals))
+                raise TrainingError(f"{path}: unexpected metrics header '{header}'")
+            for lineno, line in enumerate(f, start=2):
+                fields = line.strip().split(",")
+                try:
+                    if len(fields) != 5:
+                        raise ValueError(f"{len(fields)} fields, expected 5")
+                    row = (int(fields[0]), *(float(v) for v in fields[1:]))
+                except ValueError as err:
+                    raise TrainingError(f"{path} line {lineno}: bad metrics row {line.strip()!r} ({err})") from None
+                trace.append(*row)
         return trace
 
 
@@ -131,13 +139,10 @@ def d_step(model: ModelPair, real_images: np.ndarray, cfg: TrainingConfig, laten
     lat = sample_latent(model.spec, real_images.shape[0], latent_rng)
     fake = gen_forward(model, lat, training=True)
     with Tape() as tape:
-        for p in d_side.values():
-            tape.watch(p)
         d_real, _ = disc_q_forward(model, Tensor(real_images), training=True)
         d_fake, _ = disc_q_forward(model, fake, training=True)
         loss_d = discriminator_loss(d_real, d_fake)
-        tape.backward(loss_d)
-        d_grads = {name: tape.grad(p).data for name, p in d_side.items()}
+        d_grads = dict(zip(d_side, tape.backward(loss_d, list(d_side.values()))))
     adam_step(d_side, d_grads, adam_states, cfg.lr_d, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
     return loss_d
 
@@ -150,21 +155,15 @@ def gq_step(model: ModelPair, loss_d: Tensor, cfg: TrainingConfig, batch: int, l
     """
     _, gen, q_side = _param_groups(model)
     with Tape() as tape:
-        for p in gen.values():
-            tape.watch(p)
-        for p in q_side.values():
-            tape.watch(p)
         lat = sample_latent(model.spec, batch, latent_rng)
         fake = gen_forward(model, lat, training=True)
         d_fake, q_post = disc_q_forward(model, fake, training=True)
         loss_g = generator_loss(d_fake, cfg.gan_mode)
         li_disc, li_cont = mi_lower_bound(q_post, lat, model.spec)
         bundle = infogan_losses(loss_d, loss_g, li_disc, li_cont, cfg.lambda_disc, cfg.lambda_cont)
-        tape.backward(bundle.gq_objective)
-        gen_grads = {name: tape.grad(p).data for name, p in gen.items()}
+        gen_grads = dict(zip(gen, tape.backward(bundle.gq_objective, list(gen.values()))))
         li_total = ad.add(li_disc, li_cont)
-        tape.backward(li_total)
-        q_grads = {name: -tape.grad(p).data for name, p in q_side.items()}
+        q_grads = {name: -g for name, g in zip(q_side, tape.backward(li_total, list(q_side.values())))}
     adam_step(gen, gen_grads, adam_states, cfg.lr_g, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
     adam_step(q_side, q_grads, adam_states, cfg.lr_d, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
     return bundle

@@ -203,6 +203,21 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(str(wrong_version))
 
+    @pytest.mark.parametrize("field", ["config text", "entry name"])
+    def test_non_utf8_text_is_format_error(self, tmp_path, field):
+        model, cfg = small_model()
+        path = tmp_path / "m.igan"
+        save_checkpoint(model, cfg, str(path))
+        blob = bytearray(path.read_bytes())
+        config_len = struct.unpack("<Q", blob[12:20])[0]
+        # config text starts after magic, version and its u64 length; the first
+        # entry name after the config, the u64 entry count and the u32 name length
+        offset = 20 if field == "config text" else 20 + config_len + 8 + 4
+        blob[offset] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=rf"m\.igan: text at offset {offset} is not UTF-8"):
+            load_checkpoint(str(path))
+
     def test_random_models_round_trip(self, tmp_path):
         for seed in range(10):
             model, cfg = small_model(seed=seed, batchnorm=seed % 2 == 0)

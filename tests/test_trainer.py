@@ -150,8 +150,8 @@ class TestTrainStep:
         moved = sum(np.any(model.params[n].data != before[n]) for n in before)
         assert moved == len(before)
 
-    def test_default_step_graph_size(self, tmp_path, monkeypatch):
-        # pins the fused graph: any regrowth of the per-iteration tape fails here
+    @staticmethod
+    def _default_step_inputs():
         from infogan_lab.data_io import synth_templates
         from infogan_lab.models import init_models
 
@@ -161,8 +161,11 @@ class TestTrainStep:
         gen_cfg, dq_cfg = cfg.net_configs()
         model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
         states = {n: AdamState(t.shape) for n, t in model.params.items()}
+        return model, ds.images[: cfg.batch_size], cfg, rngs["latent"], states
 
-        counts = {"ops": 0, "nodes": 0}
+    def test_default_step_graph_size(self, monkeypatch):
+        # pins the fused graph and the pruned sweeps: any regrowth of the per-iteration work fails here
+        counts = {"ops": 0, "nodes": 0, "rules": 0}
         forward_op, tape_exit = autodiff.forward_op, autodiff.Tape.__exit__
 
         def counting_forward_op(name, inputs, attrs=None):
@@ -173,10 +176,26 @@ class TestTrainStep:
             counts["nodes"] += len(tape.nodes)
             return tape_exit(tape, *exc)
 
+        def counting_rule(rule):
+            def counted(g, node):
+                counts["rules"] += 1
+                return rule(g, node)
+            return counted
+
         monkeypatch.setattr(autodiff, "forward_op", counting_forward_op)
         monkeypatch.setattr(autodiff.Tape, "__exit__", counting_exit)
-        train_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], states)
-        assert counts == {"ops": 96, "nodes": 129}
+        monkeypatch.setattr(autodiff, "_OPS", {op: (f, counting_rule(b)) for op, (f, b) in autodiff._OPS.items()})
+        train_step(*self._default_step_inputs())
+        assert counts == {"ops": 96, "nodes": 129, "rules": 89}
+
+    def test_shared_trunk_adam_clock_ticks_twice(self):
+        # the D step and the Q update both step the trunk's AdamState
+        model, real, cfg, latent_rng, states = self._default_step_inputs()
+        train_step(model, real, cfg, latent_rng, states)
+        assert {name: st.t for name, st in states.items()} == {
+            **{name: 1 for name in {**model.gen_params(), **model.d_head_params(), **model.q_head_params()}},
+            **{name: 2 for name in model.trunk_params()},
+        }
 
 
 class TestTrainRun:
@@ -262,6 +281,13 @@ class TestMetricsTrace:
         trace = MetricsTrace()
         with pytest.raises(TrainingError):
             trace.append(1, float("nan"), 0, 0, 0)
+
+    @pytest.mark.parametrize("row", ["2,0.5", "", "2,0.5,x,0,0", "2,0.5,0,0,0,0"])
+    def test_malformed_row_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "m.csv"
+        path.write_text(MetricsTrace.CSV_HEADER + "\n1,0,0,0,0\n" + row + "\n")
+        with pytest.raises(TrainingError, match=r"m\.csv line 3: bad metrics row"):
+            MetricsTrace.from_csv(str(path))
 
 
 class TestConfig:
