@@ -13,6 +13,7 @@ Usage:
     with Tape() as tape:
         y = reduce_sum(mul(w, w))
         (g,) = tape.backward(y, [w])   # dy/dw as an ndarray
+    # the tape is closed here: its nodes are freed and backward raises
 
 Outside a ``Tape`` context the same functions run as plain numpy and record
 nothing, which is the fast path used for evaluation and finite differences.
@@ -148,14 +149,20 @@ class Tape:
     and a single reverse sweep implements the chain rule. ``backward`` may
     be called several times with different scalar roots and ``wrt`` lists
     on the same tape; each call returns fresh gradients and stores nothing.
+
+    A tape records once: leaving its ``with`` block closes it and drops its
+    nodes, so tensors that still point at it (the model's parameters) do not
+    keep the step's activations alive. ``nodes`` is None once closed.
     """
 
     def __init__(self):
-        self.nodes: list[TapeNode] = []
+        self.nodes: list[TapeNode] | None = []
         self._prev = None
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
+        if self.nodes is None:
+            raise UsageError("Tape: this tape is closed; record on a new Tape")
         self._prev = _ACTIVE_TAPE
         _ACTIVE_TAPE = self
         return self
@@ -164,6 +171,7 @@ class Tape:
         global _ACTIVE_TAPE
         _ACTIVE_TAPE = self._prev
         self._prev = None
+        self.nodes = None
         return False
 
     def _register(self, tensor: Tensor) -> int:
@@ -189,6 +197,8 @@ class Tape:
         ``wrt`` tensor not recorded on this tape, or on no path to the root,
         gets zeros of its shape. Gradients accumulate over fan-out.
         """
+        if self.nodes is None:
+            raise UsageError("backward: the tape is closed (its with block has exited)")
         if root._tape is not self or root.node is None:
             raise UsageError("backward: root tensor was not recorded on this tape")
         if root.data.size != 1:

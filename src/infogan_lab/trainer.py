@@ -11,8 +11,13 @@ Gradient routing per iteration:
                  lambda=0 baseline where the generator gets no code
                  incentive.
 
-The trunk's AdamState is shared by both steps, so its step count t advances
-twice per iteration, while the generator, D head and Q head advance once.
+Adam keeps one state per clock block, the parameters named by one prefix
+(``gen``, ``trunk``, ``d_head``, ``q_head``): flat ``m`` and ``v`` vectors
+over the block and a single step count ``t``, updated by a dozen whole-vector
+numpy calls whose results are bitwise-equal to the per-parameter formula.
+The trunk's block is stepped by both the D and the Q update, so its t
+advances twice per iteration, while the generator, D head and Q head advance
+once.
 
 All randomness comes from one seed, split into four named PCG64 streams
 (model init, dataset synthesis, minibatch indices, latent draws), so a run
@@ -47,14 +52,80 @@ def rng_streams(seed: int) -> dict[str, np.random.Generator]:
 
 
 class AdamState:
-    """First/second moment estimates and step count for one parameter."""
+    """Adam moments and step count for one clock block of parameters.
 
-    __slots__ = ("m", "v", "t")
+    ``AdamState(shape)`` is a fresh per-parameter state, the form callers
+    hand to ``adam_step``. The first step of a clock block folds its
+    per-parameter states into one state whose ``m`` and ``v`` are flat
+    vectors over the block's parameters (in ``names`` order, ``slices``
+    marking each one's span) and whose ``t`` is the block's single clock;
+    every name of the block then maps to that one object.
+    """
+
+    __slots__ = ("m", "v", "t", "names", "slices")
 
     def __init__(self, shape):
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
+        self.names: tuple[str, ...] = ()
+        self.slices: tuple[slice, ...] = ()
+
+
+def _clock_blocks(params: dict[str, Tensor]) -> dict[str, tuple[str, ...]]:
+    """Parameter names grouped by clock block, the prefix before the first '.'."""
+    blocks: dict[str, list[str]] = {}
+    for name in params:
+        blocks.setdefault(name.partition(".")[0], []).append(name)
+    return {block: tuple(names) for block, names in blocks.items()}
+
+
+def _names_mismatch(block: str, folded: AdamState, names: tuple[str, ...]) -> TrainingError:
+    return TrainingError(f"Adam block '{block}' was folded with {list(folded.names)} but is stepped with {list(names)}")
+
+
+def _fold(block: str, names: tuple[str, ...], params: dict[str, Tensor], states: dict[str, AdamState]) -> AdamState:
+    """Replace a block's fresh per-parameter states by one flat block state."""
+    for st in states.values():
+        if st.names and st.names[0].partition(".")[0] == block:
+            raise _names_mismatch(block, st, names)
+    parts = []
+    for name in names:
+        st = states.get(name)
+        if st is None or st.names or st.t:
+            raise TrainingError(f"no fresh Adam state for parameter '{name}'")
+        if st.m.shape != params[name].shape:
+            raise TrainingError(f"Adam state for '{name}' has shape {st.m.shape}, parameter has {params[name].shape}")
+        parts.append(st)
+    folded = AdamState(0)
+    folded.m = np.concatenate([st.m for st in parts], axis=None)
+    folded.v = np.concatenate([st.v for st in parts], axis=None)
+    folded.names = names
+    slices, start = [], 0
+    for st in parts:
+        slices.append(slice(start, start + st.m.size))
+        start += st.m.size
+    folded.slices = tuple(slices)
+    for name in names:
+        states[name] = folded
+    return folded
+
+
+def _block_gradient(names: tuple[str, ...], params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> np.ndarray:
+    """The block's gradients as one flat vector, checked for shape and finiteness."""
+    parts = []
+    for name in names:
+        g = grads.get(name)
+        if g is None:
+            raise TrainingError(f"no gradient for parameter '{name}'")
+        if g.shape != params[name].shape:
+            raise TrainingError(f"gradient for '{name}' has shape {g.shape}, parameter has {params[name].shape}")
+        parts.append(g)
+    flat = np.concatenate(parts, axis=None)
+    if not np.isfinite(flat).all():
+        bad = next(name for name, g in zip(names, parts) if not np.isfinite(g).all())
+        raise TrainingError(f"non-finite gradient for parameter '{bad}'")
+    return flat
 
 
 def adam_step(
@@ -66,18 +137,44 @@ def adam_step(
     beta2: float,
     epsilon: float,
 ) -> None:
-    """In-place Adam update: theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)."""
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter '{name}'")
-        st = states[name]
+    """In-place Adam update: theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
+
+    Works one clock block at a time over flat vectors, with the operations
+    of the per-parameter formula in the same order, so every result is
+    bitwise-equal to it. Every block is checked before any is updated, so a
+    missing, misshapen or non-finite gradient raises ``TrainingError``
+    before any parameter or clock moves.
+    """
+    work = []
+    for block, names in _clock_blocks(params).items():
+        st = states.get(names[0])
+        if st is None or not st.names:
+            st = _fold(block, names, params, states)
+        elif st.names != names:
+            raise _names_mismatch(block, st, names)
+        work.append((st, _block_gradient(names, params, grads)))
+    for st, g in work:
         st.t += 1
-        st.m = beta1 * st.m + (1.0 - beta1) * g
-        st.v = beta2 * st.v + (1.0 - beta2) * g * g
-        m_hat = st.m / (1.0 - beta1**st.t)
-        v_hat = st.v / (1.0 - beta2**st.t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
+        m, v, tmp = st.m, st.v, np.empty_like(g)
+        # m = beta1 * m + (1 - beta1) * g
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=tmp)
+        m += tmp
+        # v = beta2 * v + (1 - beta2) * g * g; g is dead afterwards and holds v_hat below
+        v *= beta2
+        np.multiply(g, 1.0 - beta2, out=tmp)
+        np.multiply(tmp, g, out=g)
+        v += g
+        # step = lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1.0 - beta1**st.t, out=tmp)
+        tmp *= lr
+        np.divide(v, 1.0 - beta2**st.t, out=g)
+        np.sqrt(g, out=g)
+        g += epsilon
+        tmp /= g
+        for name, sl in zip(st.names, st.slices):
+            p = params[name].data
+            p -= tmp[sl].reshape(p.shape)
 
 
 @dataclass

@@ -212,6 +212,27 @@ class TestBackward:
             np.testing.assert_array_equal(tape.backward(a, [x])[0], [6.0])
             np.testing.assert_array_equal(tape.backward(b, [x])[0], [1.0])
 
+    def test_exit_drops_nodes(self):
+        w = Tensor([1.0, 2.0])
+        with Tape() as tape:
+            ad.reduce_sum(ad.mul(w, w))
+            assert len(tape.nodes) == 3
+        assert w._tape is tape and tape.nodes is None
+
+    def test_backward_after_exit_raises(self):
+        w = Tensor([1.0, 2.0])
+        with Tape() as tape:
+            y = ad.reduce_sum(ad.mul(w, w))
+        with pytest.raises(UsageError, match="tape is closed"):
+            tape.backward(y, [w])
+
+    def test_closed_tape_cannot_record_again(self):
+        with Tape() as tape:
+            pass
+        with pytest.raises(UsageError, match="closed"):
+            with tape:
+                pass
+
     def test_no_recording_without_tape(self):
         out = ad.mul(Tensor([1.0]), Tensor([2.0]))
         assert out.node is None

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -37,6 +38,35 @@ def tiny_cfg(tmp_path, **kw):
     )
     defaults.update(kw)
     return TrainingConfig(**defaults)
+
+
+def reference_adam(moments):
+    """Per-parameter Adam written out: the formula the fused update must reproduce bit for bit.
+
+    ``moments`` holds the reference's own m, v and per-block clocks; the
+    returned function has ``adam_step``'s signature and ignores its states.
+    """
+
+    def step(params, grads, states, lr, beta1, beta2, epsilon):
+        for block in {name.partition(".")[0] for name in params}:
+            moments["t", block] += 1
+        for name, p in params.items():
+            g, t = grads[name], moments["t", name.partition(".")[0]]
+            moments["m", name] = beta1 * moments["m", name] + (1.0 - beta1) * g
+            moments["v", name] = beta2 * moments["v", name] + (1.0 - beta2) * g * g
+            m_hat = moments["m", name] / (1.0 - beta1**t)
+            v_hat = moments["v", name] / (1.0 - beta2**t)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
+
+    return step
+
+
+def _default_shaped_params():
+    from infogan_lab.models import init_models
+
+    cfg = TrainingConfig()
+    gen_cfg, dq_cfg = cfg.net_configs()
+    return init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rng_streams(cfg.seed)["init"])
 
 
 class TestAdam:
@@ -84,6 +114,89 @@ class TestAdam:
         st = {"gen.l0.w": AdamState((1,))}
         with pytest.raises(TrainingError, match="gen.l0.w"):
             adam_step(p, {"gen.l0.w": np.array([np.nan])}, st, 1e-3, 0.9, 0.999, 1e-8)
+
+    def test_bitwise_equal_to_per_parameter_reference(self):
+        # model-shaped blocks; the trunk is stepped twice per iteration, at two learning rates
+        model = _default_shaped_params()
+        fused = {n: Tensor(t.data.copy()) for n, t in model.params.items()}
+        ref = {n: Tensor(t.data.copy()) for n, t in model.params.items()}
+        states = {n: AdamState(t.shape) for n, t in fused.items()}
+        step_ref = reference_adam(defaultdict(float))
+        groups = [
+            ({**model.trunk_params(), **model.d_head_params()}, 2e-4),
+            (model.gen_params(), 1e-3),
+            ({**model.trunk_params(), **model.q_head_params()}, 3e-4),
+        ]
+        rng = np.random.default_rng(17)
+        for it in range(60):
+            for names, lr in groups:
+                # gradients spanning several magnitudes, with exact zeros mixed in
+                grads = {n: rng.normal(0, 1, fused[n].shape) * 10.0 ** rng.integers(-6, 3) for n in names}
+                if it % 7 == 0:
+                    grads[next(iter(names))][...] = 0.0
+                adam_step({n: fused[n] for n in names}, grads, states, lr, 0.5, 0.999, 1e-8)
+                step_ref({n: ref[n] for n in names}, grads, None, lr, 0.5, 0.999, 1e-8)
+            for n in fused:
+                assert fused[n].data.tobytes() == ref[n].data.tobytes(), (it, n)
+        assert {states[n].t for n in model.trunk_params()} == {120}
+        assert {states[n].t for n in model.gen_params()} == {60}
+
+    def test_nan_mid_block_names_that_parameter_and_moves_nothing(self):
+        p = {name: Tensor(np.ones(3)) for name in ("gen.a", "gen.b", "gen.c")}
+        st = {name: AdamState(3) for name in p}
+        adam_step(p, {name: np.ones(3) for name in p}, st, 1e-3, 0.9, 0.999, 1e-8)
+        before = {name: t.data.copy() for name, t in p.items()}
+        grads = {name: np.ones(3) for name in p}
+        grads["gen.b"][1] = np.inf
+        with pytest.raises(TrainingError, match="non-finite gradient for parameter 'gen.b'"):
+            adam_step(p, grads, st, 1e-3, 0.9, 0.999, 1e-8)
+        assert all(np.array_equal(p[name].data, before[name]) for name in p)
+        assert st["gen.a"].t == 1
+
+    @pytest.mark.parametrize("folded", [False, True])
+    def test_gradient_shape_mismatch_names_parameter(self, folded):
+        p = {"q_head.w": Tensor(np.zeros((2, 3))), "q_head.b": Tensor(np.zeros(3))}
+        st = {name: AdamState(t.shape) for name, t in p.items()}
+        if folded:
+            adam_step(p, {"q_head.w": np.ones((2, 3)), "q_head.b": np.ones(3)}, st, 1e-3, 0.9, 0.999, 1e-8)
+        # same size as the parameter, so a flat concatenation alone would not notice
+        bad = {"q_head.w": np.ones((3, 2)), "q_head.b": np.ones(3)}
+        with pytest.raises(TrainingError, match=r"gradient for 'q_head.w' has shape \(3, 2\), parameter has \(2, 3\)"):
+            adam_step(p, bad, st, 1e-3, 0.9, 0.999, 1e-8)
+
+    def test_missing_gradient_names_parameter(self):
+        p = {"gen.a": Tensor([1.0]), "gen.b": Tensor([2.0])}
+        st = {name: AdamState(1) for name in p}
+        with pytest.raises(TrainingError, match="no gradient for parameter 'gen.b'"):
+            adam_step(p, {"gen.a": np.array([0.5])}, st, 1e-3, 0.9, 0.999, 1e-8)
+        np.testing.assert_array_equal(p["gen.a"].data, [1.0])
+
+    @pytest.mark.parametrize(
+        "states, message",
+        [
+            ({"gen.a": AdamState(1)}, "no fresh Adam state for parameter 'gen.b'"),
+            ({"gen.a": AdamState(1), "gen.b": AdamState(2)}, r"Adam state for 'gen.b' has shape \(2,\), parameter has \(1,\)"),
+        ],
+    )
+    def test_bad_state_names_parameter(self, states, message):
+        p = {"gen.a": Tensor([1.0]), "gen.b": Tensor([2.0])}
+        with pytest.raises(TrainingError, match=message):
+            adam_step(p, {name: np.array([0.5]) for name in p}, states, 1e-3, 0.9, 0.999, 1e-8)
+
+    def test_block_stepped_with_other_names_is_named_and_never_refolded(self):
+        p = {name: Tensor([1.0]) for name in ("trunk.a", "trunk.b", "trunk.c")}
+        st = {name: AdamState(1) for name in p}
+        pair = {name: p[name] for name in ("trunk.a", "trunk.b")}
+        adam_step(pair, {name: np.array([0.5]) for name in pair}, st, 1e-3, 0.9, 0.999, 1e-8)
+        folded, fresh = st["trunk.a"], st["trunk.c"]
+        for names in (("trunk.a",), ("trunk.a", "trunk.b", "trunk.c"), ("trunk.c",)):
+            with pytest.raises(TrainingError) as err:
+                adam_step({n: p[n] for n in names}, {n: np.array([0.5]) for n in names}, st, 1e-3, 0.9, 0.999, 1e-8)
+            assert str(err.value) == (
+                f"Adam block 'trunk' was folded with ['trunk.a', 'trunk.b'] but is stepped with {list(names)}"
+            )
+        assert st["trunk.a"] is folded and st["trunk.b"] is folded and st["trunk.c"] is fresh
+        assert folded.t == 1 and fresh.t == 0
 
 
 def _param_hashes(model, prefix):
@@ -188,6 +301,35 @@ class TestTrainStep:
         train_step(*self._default_step_inputs())
         assert counts == {"ops": 96, "nodes": 129, "rules": 89}
 
+    def test_step_leaves_no_tape_alive(self):
+        # the parameters keep a link to the last tape they were recorded on; it must hold no nodes
+        model, real, cfg, latent_rng, states = self._default_step_inputs()
+        train_step(model, real, cfg, latent_rng, states)
+        assert any(p._tape is not None for p in model.params.values())
+        assert [n for n, p in model.params.items() if p._tape is not None and p._tape.nodes] == []
+
+    def test_batchnorm_gaussian_steps_match_per_parameter_adam(self, tmp_path, monkeypatch):
+        from infogan_lab import trainer
+        from infogan_lab.data_io import synth_templates
+        from infogan_lab.models import init_models
+
+        cfg = tiny_cfg(tmp_path, batchnorm=True, codes=(CodeBlock.categorical(4), CodeBlock.gaussian(0.0, 1.0)))
+
+        def run(step_fn):
+            monkeypatch.setattr(trainer, "adam_step", step_fn)
+            rngs = rng_streams(cfg.seed)
+            ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
+            gen_cfg, dq_cfg = cfg.net_configs()
+            model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
+            states = {n: AdamState(t.shape) for n, t in model.params.items()}
+            for i in range(3):
+                train_step(model, ds.images[8 * i : 8 * i + 8], cfg, rngs["latent"], states)
+            return {n: t.data.tobytes() for n, t in model.params.items()}
+
+        fused = run(adam_step)
+        assert any(".bn" in n for n in fused)
+        assert fused == run(reference_adam(defaultdict(float)))
+
     def test_shared_trunk_adam_clock_ticks_twice(self):
         # the D step and the Q update both step the trunk's AdamState
         model, real, cfg, latent_rng, states = self._default_step_inputs()
@@ -208,6 +350,18 @@ class TestTrainRun:
         a_csv = open(tmp_path / "a.csv", "rb").read()
         b_csv = open(tmp_path / "b.csv", "rb").read()
         assert a_csv == b_csv
+
+    def test_short_run_fingerprint(self, tmp_path):
+        # sha256 of the metrics CSV of a 200-iteration default run: pins the exact arithmetic of the hot path
+        cfg = TrainingConfig(
+            iterations=200,
+            log_every=1,
+            checkpoint_out=str(tmp_path / "ckpt.igan"),
+            metrics_out=str(tmp_path / "metrics.csv"),
+        )
+        train_run(cfg)
+        digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+        assert digest == "b846089c566c0d9ecc203fb0e7b1b78cd5ab706db942e5d4d2daecb847aa4ae1"
 
     def test_logs_at_requested_cadence(self, tmp_path):
         cfg = tiny_cfg(tmp_path, iterations=7, log_every=3)
