@@ -16,13 +16,16 @@ x = Tensor(rng.normal(0, 1, (4, 3)))
 w1 = Tensor(rng.normal(0, 0.5, (3, 5)))
 b1 = Tensor(np.zeros(5))
 w2 = Tensor(rng.normal(0, 0.5, (5, 1)))
+b2 = Tensor(np.zeros(1))
 
+# each layer is one linear op: x @ w + b, a single tape node
 with Tape() as tape:
-    h = ad.lrelu(ad.add(ad.matmul(x, w1), b1), rate=0.1)
-    loss = ad.reduce_mean(ad.mul(ad.matmul(h, w2), ad.matmul(h, w2)))
-    grads = tape.backward(loss, [w1, b1, w2])
+    h = ad.lrelu(ad.linear(x, w1, b1), rate=0.1)
+    out = ad.linear(h, w2, b2)
+    loss = ad.reduce_mean(ad.mul(out, out))
+    grads = tape.backward(loss, [w1, b1, w2, b2])
 print(f"loss = {float(loss):.6f}")
-for name, g in zip(("w1", "b1", "w2"), grads):
+for name, g in zip(("w1", "b1", "w2", "b2"), grads):
     print(f"  d loss / d {name}: norm {np.linalg.norm(g):.6f}")
 
 print()
@@ -30,13 +33,12 @@ print("=== the same gradients, checked against central differences ===")
 
 
 def loss_fn(params):
-    w1_, b1_, w2_ = params
-    h_ = ad.lrelu(ad.add(ad.matmul(x, w1_), b1_), rate=0.1)
-    out = ad.matmul(h_, w2_)
-    return ad.reduce_mean(ad.mul(out, out))
+    w1_, b1_, w2_, b2_ = params
+    out_ = ad.linear(ad.lrelu(ad.linear(x, w1_, b1_), rate=0.1), w2_, b2_)
+    return ad.reduce_mean(ad.mul(out_, out_))
 
 
-err = grad_check(loss_fn, [w1, b1, w2], step=1e-6)
+err = grad_check(loss_fn, [w1, b1, w2, b2], step=1e-6)
 print(f"max relative error: {err:.3e}")
 
 print()

@@ -46,17 +46,15 @@ from .latent import (
     entropy,
     log_q,
     one_hot,
-    one_hot_decode,
     sample_latent,
 )
-from .models import ModelPair, NetConfig, disc_q_forward, gen_forward, init_models
+from .models import ModelPair, NetConfig, disc_forward, disc_q_forward, gen_forward, init_models, q_forward
 from .objectives import (
     LossBundle,
     gan_losses,
     generator_loss,
     infogan_losses,
     mi_lower_bound,
-    optimal_discriminator,
 )
 from .trainer import (
     AdamState,

@@ -1,12 +1,13 @@
 """Tape-based reverse-mode automatic differentiation over dense float64 arrays.
 
 The operation catalogue is fixed and small: exactly the 15 ops that training
-and evaluation run. Loss terms are fused into single ops (``softplus``,
-``clip``, ``scale`` with its constant as an attribute, ``gaussian_log_q``)
-rather than assembled from elementwise pieces. Each op is one ``_OPS``
-entry pairing a forward rule with a closure-free backward rule, so every
-rule can be audited and gradient-checked on its own, and adding or
-removing an op is a single edit.
+and evaluation run. A dense layer is one ``linear`` op (``x @ w + b``), and
+loss terms are fused into single ops (``softplus``, ``clip``, ``scale`` with
+its constant as an attribute, ``gaussian_log_q``, ``categorical_log_q`` with
+its category indices as an attribute) rather than assembled from elementwise
+pieces. Each op is one ``_OPS`` entry pairing a forward rule with a
+closure-free backward rule, so every rule can be audited and
+gradient-checked on its own, and adding or removing an op is a single edit.
 
 Usage:
 
@@ -35,8 +36,7 @@ __all__ = [
     "grad_check",
     "OP_CATALOGUE",
     "const",
-    "ones",
-    "matmul",
+    "linear",
     "add",
     "mul",
     "scale",
@@ -45,7 +45,7 @@ __all__ = [
     "clip",
     "sigmoid",
     "softplus",
-    "log_softmax",
+    "categorical_log_q",
     "gaussian_log_q",
     "reduce_mean",
     "reduce_sum",
@@ -59,7 +59,11 @@ class ShapeError(ValueError):
 
 
 class DomainError(ValueError):
-    """An op was evaluated outside its numeric domain (gaussian_log_q's exp(-2*log_sigma) overflows)."""
+    """An op was evaluated outside its numeric domain.
+
+    gaussian_log_q's exp(-2*log_sigma) overflows, an lrelu rate lies outside
+    (0, 1), or a categorical_log_q index lies outside [0, K).
+    """
 
 
 class UsageError(RuntimeError):
@@ -102,10 +106,6 @@ class Tensor:
 def const(values) -> Tensor:
     """Tensor from array-like; alias documenting 'this carries no gradient of interest'."""
     return Tensor(values)
-
-
-def ones(shape) -> Tensor:
-    return Tensor(np.ones(shape))
 
 
 class BatchNormState:
@@ -242,36 +242,29 @@ def _require(cond: bool, op: str, msg: str) -> None:
         raise ShapeError(f"{op}: {msg}")
 
 
-def _f_matmul(arrs, attrs):
-    a, b = arrs
-    _require(a.ndim == 2 and b.ndim == 2, "matmul", f"needs two matrices, got {a.shape} and {b.shape}")
-    _require(a.shape[1] == b.shape[0], "matmul", f"inner dims differ: {a.shape} @ {b.shape}")
-    return a @ b
+def _f_linear(arrs, attrs):
+    x, w, b = arrs
+    _require(
+        x.ndim == 2 and w.ndim == 2 and x.shape[1] == w.shape[0] and b.shape == (w.shape[1],),
+        "linear",
+        f"needs (B,I) @ (I,O) + (O,), got {x.shape} @ {w.shape} + {b.shape}",
+    )
+    return x @ w + b
 
 
-def _b_matmul(g, node):
-    a, b = node.input_values
-    return [g @ b.T, a.T @ g]
+def _b_linear(g, node):
+    x, w, _ = node.input_values
+    return [g @ w.T, x.T @ g, g.sum(axis=0)]
 
 
 def _f_add(arrs, attrs):
     a, b = arrs
-    if a.shape == b.shape:
-        return a + b
-    # only supported broadcast: bias vector over the batch axis
-    _require(
-        a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0],
-        "add",
-        f"shapes must match or be (B,F)+(F,), got {a.shape} + {b.shape}",
-    )
-    return a + b[None, :]
+    _require(a.shape == b.shape, "add", f"shapes must match, got {a.shape} + {b.shape}")
+    return a + b
 
 
 def _b_add(g, node):
-    a, b = node.input_values
-    if a.shape == b.shape:
-        return [g, g]
-    return [g, g.sum(axis=0)]
+    return [g, g]
 
 
 def _f_mul(arrs, attrs):
@@ -301,16 +294,19 @@ def _b_relu(g, node):
     return [g * (node.input_values[0] > 0.0)]
 
 
+# For 0 < rate < 1 both lrelu rules are bitwise-equal to the np.where forms
+# (x if x > 0 else rate*x, and 1 or rate), also at +-0, +-inf and NaN; at
+# rate 0, max(inf, 0*inf) would be NaN, hence the guard.
 def _f_lrelu(arrs, attrs):
     x = arrs[0]
-    rate = float(attrs["rate"])
-    return np.where(x > 0.0, x, rate * x)
+    rate = attrs["rate"]
+    if not 0.0 < rate < 1.0:
+        raise DomainError(f"lrelu: rate must lie in (0, 1), got {rate!r}")
+    return np.maximum(x, rate * x)
 
 
 def _b_lrelu(g, node):
-    rate = float(node.attrs["rate"])
-    x = node.input_values[0]
-    return [g * np.where(x > 0.0, 1.0, rate)]
+    return [g * np.maximum(node.input_values[0] > 0.0, node.attrs["rate"])]
 
 
 def _f_clip(arrs, attrs):
@@ -340,17 +336,35 @@ def _b_softplus(g, node):
     return [g * expit(node.input_values[0])]
 
 
-def _f_log_softmax(arrs, attrs):
-    # fused and max-shifted: never -inf for sane logits
-    x = arrs[0]
-    _require(x.ndim == 2, "log_softmax", f"needs a 2-D batch of rows, got {x.shape}")
+def _shifted_logsumexp(x):
+    # max-shifted rows and their log-sum-exp: never -inf for sane logits
     shifted = x - x.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted, np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _b_log_softmax(g, node):
-    p = np.exp(node.value)
-    return [g - p * g.sum(axis=1, keepdims=True)]
+def _f_categorical_log_q(arrs, attrs):
+    # log-softmax of each row of logits at that row's index, shape (B,1)
+    logits = arrs[0]
+    index = attrs["index"]
+    _require(
+        logits.ndim == 2 and index.shape == (logits.shape[0],) and index.dtype.kind in "iu",
+        "categorical_log_q",
+        f"needs (B,K) logits and B integer indices, got {logits.shape} and {index.dtype} {index.shape}",
+    )
+    if index.size and not (0 <= index.min() and index.max() < logits.shape[1]):
+        raise DomainError(f"categorical_log_q: index outside [0, {logits.shape[1]}) (min {index.min()}, max {index.max()})")
+    shifted, lse = _shifted_logsumexp(logits)
+    return shifted[np.arange(len(index)), index][:, None] - lse
+
+
+def _b_categorical_log_q(g, node):
+    logits = node.input_values[0]
+    index = node.attrs["index"]
+    shifted, lse = _shifted_logsumexp(logits)
+    # d log p[index] / d logits = onehot(index) - softmax(logits), per row
+    picked = np.zeros_like(logits)
+    picked[np.arange(len(index)), index] = g[:, 0]
+    return [picked - np.exp(shifted - lse) * g]
 
 
 def _gaussian_inv_var(log_sigma):
@@ -465,7 +479,7 @@ def _b_batchnorm(g, node):
 
 
 _OPS = {
-    "matmul": (_f_matmul, _b_matmul),
+    "linear": (_f_linear, _b_linear),
     "add": (_f_add, _b_add),
     "mul": (_f_mul, _b_mul),
     "scale": (_f_scale, _b_scale),
@@ -474,7 +488,7 @@ _OPS = {
     "clip": (_f_clip, _b_clip),
     "sigmoid": (_f_sigmoid, _b_sigmoid),
     "softplus": (_f_softplus, _b_softplus),
-    "log_softmax": (_f_log_softmax, _b_log_softmax),
+    "categorical_log_q": (_f_categorical_log_q, _b_categorical_log_q),
     "gaussian_log_q": (_f_gaussian_log_q, _b_gaussian_log_q),
     "reduce_mean": (_f_reduce_mean, _b_reduce_mean),
     "reduce_sum": (_f_reduce_sum, _b_reduce_sum),
@@ -498,8 +512,9 @@ def forward_op(name: str, inputs: list[Tensor], attrs: dict | None = None) -> Te
 
 # thin call-site sugar over forward_op
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return forward_op("matmul", [a, b])
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a (B,I) batch, (I,O) weights and an (O,) bias: one tape node per layer."""
+    return forward_op("linear", [x, w, b])
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -520,7 +535,8 @@ def relu(x: Tensor) -> Tensor:
 
 
 def lrelu(x: Tensor, rate: float = 0.1) -> Tensor:
-    return forward_op("lrelu", [x], {"rate": rate})
+    """max(x, rate*x) for a rate in (0, 1)."""
+    return forward_op("lrelu", [x], {"rate": float(rate)})
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -536,8 +552,9 @@ def softplus(x: Tensor) -> Tensor:
     return forward_op("softplus", [x])
 
 
-def log_softmax(x: Tensor) -> Tensor:
-    return forward_op("log_softmax", [x])
+def categorical_log_q(logits: Tensor, index) -> Tensor:
+    """(B,1) log-softmax of each row of logits at that row's category index (an attribute)."""
+    return forward_op("categorical_log_q", [logits], {"index": np.asarray(index)})
 
 
 def gaussian_log_q(c: Tensor, mu: Tensor, log_sigma: Tensor) -> Tensor:

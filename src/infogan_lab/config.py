@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .latent import CodeBlock, LatentSpec, parse_block_token
+from .latent import CodeBlock, LatentSpec, SpecError, parse_block_token
 from .models import NetConfig
 
 TOY_DIMS = (8, 8)
@@ -169,7 +169,10 @@ def parse_config(text: str) -> TrainingConfig:
         key = key.strip()
         value = value.strip()
         if key == "code":
-            codes.append(parse_block_token(value))
+            try:
+                codes.append(parse_block_token(value))
+            except SpecError as err:
+                raise ConfigError(f"line {lineno}: bad value for code: {err}") from err
         elif key in _SCALAR_KEYS:
             try:
                 kwargs[key] = _SCALAR_KEYS[key](value)

@@ -8,6 +8,7 @@ tensor bitwise.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ CHECKPOINT_MAGIC = b"IGAN0001"
 CHECKPOINT_VERSION = 1
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
+_INT64_MAX = 2**63 - 1  # numpy's limit on one dimension and on an array's element count
 
 
 class FormatError(ValueError):
@@ -213,7 +215,9 @@ def load_checkpoint(path: str) -> tuple[ModelPair, TrainingConfig]:
         if ndim > 8:
             raise FormatError(f"{path}: implausible rank {ndim} for entry '{name}'")
         shape = tuple(r.u64_le() for _ in range(ndim))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
+        if count > _INT64_MAX or max(shape, default=0) > _INT64_MAX:
+            raise FormatError(f"{path}: entry '{name}' shape {shape} overflows int64")
         arr = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape).copy()
         loaded[name] = arr
     r.expect_eof()

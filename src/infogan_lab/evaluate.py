@@ -15,7 +15,7 @@ from scipy.optimize import linear_sum_assignment
 from .autodiff import Tensor, UsageError
 from .data_io import Dataset, write_image_grid
 from .latent import LatentBatch, LatentSpec, entropy, log_q, one_hot, sample_latent
-from .models import ModelPair, disc_q_forward, gen_forward
+from .models import ModelPair, gen_forward, q_forward
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,7 @@ def estimate_mi_bound(
         b = min(chunk, remaining)
         lat = sample_latent(spec, b, rng)
         x = gen_forward(model, lat, training=False)
-        _, q_post = disc_q_forward(model, x, training=False)
+        q_post = q_forward(model, x, training=False)
         lq_disc, lq_cont = log_q(q_post, lat)
         if lq_disc is not None:
             disc_samples.append(lq_disc.data.ravel())
@@ -360,7 +360,7 @@ def categorical_classifier_eval(
     preds = np.empty(len(dataset), dtype=np.int64)
     for start in range(0, len(dataset), chunk):
         stop = min(start + chunk, len(dataset))
-        _, q_post = disc_q_forward(model, Tensor(dataset.images[start:stop]), training=False)
+        q_post = q_forward(model, Tensor(dataset.images[start:stop]), training=False)
         preds[start:stop] = np.argmax(q_post.cat_logits[cat_pos].data, axis=1)
 
     counts = np.zeros((k, n_classes))

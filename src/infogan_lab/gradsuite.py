@@ -12,32 +12,26 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor, grad_check
 from .latent import CodeBlock, LatentSpec, sample_latent
-from .models import NetConfig, disc_q_forward, gen_forward, init_models
+from .models import NetConfig, disc_forward, disc_q_forward, gen_forward, init_models
 from .objectives import gan_losses, infogan_losses, mi_lower_bound
 
 DEFAULT_STEP = 1e-6
 
 
-def _case_matmul(rng):
-    a = Tensor(rng.normal(0, 1, (3, 4)))
-    b = Tensor(rng.normal(0, 1, (4, 2)))
-    w = rng.normal(0, 1, (3, 2))
-    return [a, b], lambda p: ad.reduce_sum(ad.mul(ad.matmul(p[0], p[1]), ad.const(w)))
+def _case_linear(rng):
+    """Gradient with respect to the input batch as well as the weights and the bias."""
+    x = Tensor(rng.normal(0, 1, (3, 4)))
+    w = Tensor(rng.normal(0, 1, (4, 2)))
+    b = Tensor(rng.normal(0, 1, (2,)))
+    weights = rng.normal(0, 1, (3, 2))
+    return [x, w, b], lambda p: ad.reduce_sum(ad.mul(ad.linear(p[0], p[1], p[2]), ad.const(weights)))
 
 
 def _case_add(rng):
     a = Tensor(rng.normal(0, 1, (3, 4)))
     b = Tensor(rng.normal(0, 1, (3, 4)))
-    bias = Tensor(rng.normal(0, 1, (4,)))
-    w1 = rng.normal(0, 1, (3, 4))
-    w2 = rng.normal(0, 1, (3, 4))
-
-    def loss(p):
-        full = ad.mul(ad.add(p[0], p[1]), ad.const(w1))
-        biased = ad.mul(ad.add(p[0], p[2]), ad.const(w2))
-        return ad.add(ad.reduce_sum(full), ad.reduce_sum(biased))
-
-    return [a, b, bias], loss
+    w = rng.normal(0, 1, (3, 4))
+    return [a, b], lambda p: ad.reduce_sum(ad.mul(ad.add(p[0], p[1]), ad.const(w)))
 
 
 def _case_mul(rng):
@@ -72,8 +66,12 @@ def _case_clip(rng):
     return _weighted_case(lambda t: ad.clip(t, -1.0, 2.0), x, rng)
 
 
-def _case_log_softmax(rng):
-    return _weighted_case(ad.log_softmax, 2.0 * rng.normal(0, 1, (3, 5)), rng)
+def _case_categorical_log_q(rng):
+    """Every logit of a row moves the picked log-probability through the normalizer."""
+    logits = Tensor(2.0 * rng.normal(0, 1, (3, 5)))
+    index = rng.integers(0, 5, 3)
+    w = rng.normal(0, 1, (3, 1))
+    return [logits], lambda p: ad.reduce_sum(ad.mul(ad.categorical_log_q(p[0], index), ad.const(w)))
 
 
 def _case_gaussian_log_q(rng):
@@ -121,7 +119,7 @@ def _case_batchnorm(rng, training):
 # keyed by catalogue op; an op whose modes have separate rules gets one
 # case per mode, suffixed _train / _eval
 _OP_CASES = {
-    "matmul": _case_matmul,
+    "linear": _case_linear,
     "add": _case_add,
     "mul": _case_mul,
     "scale": lambda rng: _elementwise_case(lambda x: ad.scale(x, -2.5), rng),
@@ -130,7 +128,7 @@ _OP_CASES = {
     "clip": _case_clip,
     "sigmoid": lambda rng: _elementwise_case(ad.sigmoid, rng),
     "softplus": _case_softplus,
-    "log_softmax": _case_log_softmax,
+    "categorical_log_q": _case_categorical_log_q,
     "gaussian_log_q": _case_gaussian_log_q,
     "reduce_mean": _case_reduce_mean,
     "reduce_sum": _case_reduce_sum,
@@ -173,7 +171,7 @@ def full_loss_graph_check(n_seeds: int = 100, step: float = DEFAULT_STEP, base_s
         def loss(_params):
             fake = gen_forward(model, lat, training=True)
             d_fake, q_post = disc_q_forward(model, fake, training=True)
-            d_real, _ = disc_q_forward(model, Tensor(real), training=True)
+            d_real = disc_forward(model, Tensor(real), training=True)
             loss_d, loss_g = gan_losses(d_real, d_fake, "nonsaturating")
             li_disc, li_cont = mi_lower_bound(q_post, lat, spec)
             bundle = infogan_losses(loss_d, loss_g, li_disc, li_cont, 1.0, 0.1)

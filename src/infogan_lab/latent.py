@@ -190,10 +190,6 @@ def one_hot(indices: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def one_hot_decode(encoded: np.ndarray) -> np.ndarray:
-    return np.argmax(encoded, axis=1)
-
-
 @dataclass
 class LatentBatch:
     """One sampled batch: noise, raw block values, and the encoded matrix fed to G."""
@@ -206,9 +202,6 @@ class LatentBatch:
     @property
     def batch_size(self) -> int:
         return self.z.shape[0]
-
-    def encoded_block(self, i: int) -> np.ndarray:
-        return self.c_encoded.data[:, self.spec.encoded_slices()[i]]
 
 
 def sample_latent(spec: LatentSpec, batch: int, rng: np.random.Generator) -> LatentBatch:
@@ -252,9 +245,6 @@ class QPosteriorParams:
     cont_mu: list[Tensor] = field(default_factory=list)
     cont_log_sigma: list[Tensor] = field(default_factory=list)
 
-    def sigma(self, j: int) -> np.ndarray:
-        return np.exp(self.cont_log_sigma[j].data)
-
     def check_against(self, spec: LatentSpec) -> None:
         n_cat = sum(1 for b in spec.blocks if b.is_discrete)
         n_cont = len(spec.blocks) - n_cat
@@ -270,8 +260,9 @@ class QPosteriorParams:
 def log_q(params: QPosteriorParams, batch: LatentBatch) -> tuple[Tensor | None, Tensor | None]:
     """Per-sample log Q(c|x), split into (discrete, continuous) columns of shape (B,1).
 
-    Discrete part: log-softmax of the block logits at the sampled category,
-    summed over categorical blocks. Continuous part: the fused
+    Discrete part: the fused ``categorical_log_q`` op, the log-softmax of
+    the block logits at the sampled category, summed over categorical
+    blocks. Continuous part: the fused
     ``gaussian_log_q`` op, the diagonal Gaussian log-density
     sum(-0.5*ln(2pi) - s - (c-mu)^2 / (2*exp(2s))) over dims.
     Differentiable w.r.t. logits, mu and log_sigma (and through them x).
@@ -283,11 +274,8 @@ def log_q(params: QPosteriorParams, batch: LatentBatch) -> tuple[Tensor | None, 
     i_cat = i_cont = 0
     for i, block in enumerate(batch.spec.blocks):
         if block.is_discrete:
-            logits = params.cat_logits[i_cat]
+            per_sample = ad.categorical_log_q(params.cat_logits[i_cat], batch.c_raw[i])
             i_cat += 1
-            onehot = ad.const(one_hot(batch.c_raw[i], block.k))
-            picked = ad.mul(ad.log_softmax(logits), onehot)
-            per_sample = ad.matmul(picked, ad.ones((block.k, 1)))
             disc = per_sample if disc is None else ad.add(disc, per_sample)
         else:
             c = ad.const(np.asarray(batch.c_raw[i], dtype=np.float64).reshape(b, block.dim))

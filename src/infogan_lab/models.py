@@ -1,8 +1,11 @@
 """Generator and shared discriminator/recognition networks.
 
-Everything is a fully connected stack at desk scale. The discriminator
-head and the recognition head share one trunk: a single trunk pass feeds
-both, so the recognition model adds only its own head's cost.
+Everything is a fully connected stack at desk scale; each layer is one
+``linear`` op. The discriminator head and the recognition head share one
+trunk. ``disc_q_forward`` runs the trunk once and feeds both heads, so the
+recognition model adds only its own head's cost; ``disc_forward`` and
+``q_forward`` run the trunk and one head, for callers that read only the D
+logit (the discriminator step) or only Q (evaluation).
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ class NetConfig:
             raise ShapeError(f"net widths must be >= 1, got {self.widths}")
         if self.activation not in ("relu", "lrelu"):
             raise ShapeError(f"activation must be relu or lrelu, got '{self.activation}'")
+        if not 0.0 < self.lrelu_rate < 1.0:
+            raise ShapeError(f"lrelu_rate must lie in (0, 1), got {self.lrelu_rate!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
 
@@ -153,7 +158,7 @@ def init_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec, rng: np
 
 
 def _linear(model: ModelPair, name: str, x: Tensor) -> Tensor:
-    return ad.add(ad.matmul(x, model.params[f"{name}.w"]), model.params[f"{name}.b"])
+    return ad.linear(x, model.params[f"{name}.w"], model.params[f"{name}.b"])
 
 
 def _maybe_bn(model: ModelPair, name: str, x: Tensor, training: bool) -> Tensor:
@@ -184,12 +189,7 @@ def gen_forward(model: ModelPair, batch: LatentBatch, training: bool = True) -> 
     return ad.sigmoid(_linear(model, f"gen.l{n_layers - 1}", h))
 
 
-def disc_q_forward(model: ModelPair, x: Tensor, training: bool = True) -> tuple[Tensor, QPosteriorParams]:
-    """One shared trunk pass, then the D head (one logit) and the Q head.
-
-    Returns the (B,1) discriminator logit and the recognition posterior
-    parameters; log sigma is clamped to +/-7 before any exponentiation.
-    """
+def _trunk(model: ModelPair, x: Tensor, training: bool) -> Tensor:
     if x.shape[1] != model.dq_cfg.widths[0]:
         raise ShapeError(f"input dim {x.shape[1]} != trunk input {model.dq_cfg.widths[0]}")
     h = x
@@ -197,9 +197,10 @@ def disc_q_forward(model: ModelPair, x: Tensor, training: bool = True) -> tuple[
         h = _linear(model, f"trunk.l{i}", h)
         h = _maybe_bn(model, f"trunk.bn{i}", h, training)
         h = _activate(model.dq_cfg, h)
+    return h
 
-    d_logit = _linear(model, "d_head.out", h)
 
+def _q_head(model: ModelPair, h: Tensor, training: bool) -> QPosteriorParams:
     hq = _linear(model, "q_head.l0", h)
     hq = _maybe_bn(model, "q_head.bn0", hq, training)
     hq = ad.lrelu(hq, model.dq_cfg.lrelu_rate)
@@ -215,4 +216,24 @@ def disc_q_forward(model: ModelPair, x: Tensor, training: bool = True) -> tuple[
             s_raw = _linear(model, f"q_head.cont{i_cont}.s", hq)
             q.cont_log_sigma.append(ad.clip(s_raw, -LOG_SIGMA_BOUND, LOG_SIGMA_BOUND))
             i_cont += 1
-    return d_logit, q
+    return q
+
+
+def disc_forward(model: ModelPair, x: Tensor, training: bool = True) -> Tensor:
+    """The (B,1) discriminator logit alone: the trunk and the D head, no Q head."""
+    return _linear(model, "d_head.out", _trunk(model, x, training))
+
+
+def q_forward(model: ModelPair, x: Tensor, training: bool = True) -> QPosteriorParams:
+    """The recognition posterior parameters alone: the trunk and the Q head, no D head."""
+    return _q_head(model, _trunk(model, x, training), training)
+
+
+def disc_q_forward(model: ModelPair, x: Tensor, training: bool = True) -> tuple[Tensor, QPosteriorParams]:
+    """One shared trunk pass, then the D head (one logit) and the Q head.
+
+    Returns the (B,1) discriminator logit and the recognition posterior
+    parameters; log sigma is clamped to +/-7 before any exponentiation.
+    """
+    h = _trunk(model, x, training)
+    return _linear(model, "d_head.out", h), _q_head(model, h, training)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import autodiff as ad
-from .autodiff import DomainError, Tensor, UsageError
+from .autodiff import Tensor, UsageError
 from .latent import LatentBatch, LatentSpec, QPosteriorParams, entropy, log_q
 
 GAN_MODES = ("minimax", "nonsaturating")
@@ -93,11 +93,3 @@ def infogan_losses(
     gq = ad.add(ad.add(loss_g, ad.scale(li_disc, -lambda_disc)), ad.scale(li_cont, -lambda_cont))
     return LossBundle(loss_d=loss_d, loss_g=loss_g, li_disc=li_disc, li_cont=li_cont, gq_objective=gq)
 
-
-def optimal_discriminator(p_data: float, p_g: float) -> float:
-    """Pointwise optimum p_data / (p_data + p_g); test utility only."""
-    if p_data < 0.0 or p_g < 0.0:
-        raise DomainError(f"densities must be >= 0, got {p_data}, {p_g}")
-    if p_data == 0.0 and p_g == 0.0:
-        raise DomainError("optimal discriminator undefined where both densities are zero")
-    return p_data / (p_data + p_g)

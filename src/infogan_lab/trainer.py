@@ -35,7 +35,7 @@ from .autodiff import Tape, Tensor
 from .config import TrainingConfig
 from .data_io import Dataset, load_mnist_idx, save_checkpoint, synth_templates
 from .latent import sample_latent
-from .models import ModelPair, disc_q_forward, gen_forward, init_models
+from .models import ModelPair, disc_forward, disc_q_forward, gen_forward, init_models
 from .objectives import LossBundle, discriminator_loss, generator_loss, infogan_losses, mi_lower_bound
 
 STREAM_NAMES = ("init", "dataset", "batches", "latent")
@@ -230,14 +230,17 @@ def _param_groups(model: ModelPair) -> tuple[dict, dict, dict]:
 
 
 def d_step(model: ModelPair, real_images: np.ndarray, cfg: TrainingConfig, latent_rng, adam_states) -> Tensor:
-    """Discriminator update: loss_D moves the trunk and D head only."""
+    """Discriminator update: loss_D moves the trunk and D head only.
+
+    Both trunk passes run the D head alone; the Q head is not evaluated.
+    """
     d_side, _, _ = _param_groups(model)
     # fakes for the D step need no generator gradient: keep them off the tape
     lat = sample_latent(model.spec, real_images.shape[0], latent_rng)
     fake = gen_forward(model, lat, training=True)
     with Tape() as tape:
-        d_real, _ = disc_q_forward(model, Tensor(real_images), training=True)
-        d_fake, _ = disc_q_forward(model, fake, training=True)
+        d_real = disc_forward(model, Tensor(real_images), training=True)
+        d_fake = disc_forward(model, fake, training=True)
         loss_d = discriminator_loss(d_real, d_fake)
         d_grads = dict(zip(d_side, tape.backward(loss_d, list(d_side.values()))))
     adam_step(d_side, d_grads, adam_states, cfg.lr_d, cfg.beta1, cfg.beta2, cfg.adam_epsilon)

@@ -26,13 +26,22 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data, [[-0.1, 0.0, 2.0]])
 
     def test_softmax_uniform_row(self):
-        out = ad.log_softmax(Tensor(np.zeros((1, 10))))
-        np.testing.assert_allclose(np.exp(out.data), np.full((1, 10), 0.1), rtol=1e-15)
+        out = ad.categorical_log_q(Tensor(np.zeros((10, 10))), np.arange(10))
+        np.testing.assert_allclose(np.exp(out.data), np.full((10, 1), 0.1), rtol=1e-15)
 
-    def test_matmul_identity(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = ad.matmul(a, Tensor(np.eye(2)))
-        np.testing.assert_array_equal(out.data, a.data)
+    def test_categorical_log_q_picks_log_softmax_at_index(self):
+        rng = np.random.default_rng(4)
+        logits = np.concatenate([rng.normal(0, 3, (6, 5)), [[-1000.0, 0.0, 1000.0, 3.0, -2.0]]])
+        index = np.array([0, 1, 2, 3, 4, 0, 0])
+        out = ad.categorical_log_q(Tensor(logits), index)
+        assert out.shape == (7, 1)
+        expected = scipy_log_softmax(logits, axis=1)[np.arange(7), index][:, None]
+        np.testing.assert_allclose(out.data, expected, atol=1e-12, rtol=0)
+
+    def test_linear_is_matmul_plus_row_bias(self):
+        a = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        out = ad.linear(a, Tensor(np.eye(2)), Tensor([10.0, 20.0]))
+        np.testing.assert_array_equal(out.data, [[11.0, 22.0], [13.0, 24.0], [15.0, 26.0]])
 
     def test_scale_is_exact_product(self):
         x = np.random.default_rng(0).normal(0, 1, (4, 3))
@@ -58,20 +67,24 @@ class TestForwardValues:
         expected = norm.logpdf(c, loc=mu, scale=np.exp(log_sigma)).sum(axis=1, keepdims=True)
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
-    def test_add_broadcast_bias(self):
-        out = ad.add(Tensor(np.zeros((3, 2))), Tensor([1.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [[1, 2], [1, 2], [1, 2]])
-
     def test_concat_along_columns(self):
         a, b = Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 1)))
         out = ad.concat([a, b], axis=1)
         np.testing.assert_array_equal(out.data, [[1, 1, 0], [1, 1, 0]])
 
     def test_shape_errors_name_op_and_shapes(self):
-        with pytest.raises(ShapeError, match="matmul"):
-            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        with pytest.raises(ShapeError, match=r"linear.*\(2, 3\) @ \(2, 3\)"):
+            ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
+        with pytest.raises(ShapeError, match=r"linear.*\(3, 2\) \+ \(3,\)"):
+            ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
         with pytest.raises(ShapeError, match=r"add.*\(2, 3\)"):
             ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+        with pytest.raises(ShapeError, match=r"add.*\(3, 2\) \+ \(2,\)"):
+            ad.add(Tensor(np.ones((3, 2))), Tensor(np.ones(2)))
+        with pytest.raises(ShapeError, match=r"categorical_log_q.*\(2, 3\).*\(3,\)"):
+            ad.categorical_log_q(Tensor(np.ones((2, 3))), np.zeros(3, dtype=np.int64))
+        with pytest.raises(ShapeError, match=r"categorical_log_q.*float64"):
+            ad.categorical_log_q(Tensor(np.ones((2, 3))), np.zeros(2))
         with pytest.raises(ShapeError, match=r"gaussian_log_q.*\(2, 3\).*\(2, 2\)"):
             ad.gaussian_log_q(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))))
 
@@ -79,10 +92,20 @@ class TestForwardValues:
         zeros = Tensor(np.zeros((1, 2)))
         with pytest.raises(DomainError, match="gaussian_log_q.*overflow"):
             ad.gaussian_log_q(zeros, zeros, Tensor([[0.0, -400.0]]))
+        with pytest.raises(DomainError, match=r"categorical_log_q: index outside \[0, 2\) \(min 2, max 2\)"):
+            ad.categorical_log_q(zeros, [2])
+        with pytest.raises(DomainError, match=r"categorical_log_q: index outside \[0, 2\) \(min -1"):
+            ad.categorical_log_q(zeros, [-1])
 
     def test_unknown_op(self):
         with pytest.raises(UsageError, match="unknown op"):
             forward_op("convolve", [Tensor([1.0])])
+
+
+def _log_softmax_by_index(x):
+    """Every column of log-softmax(x), each from one categorical_log_q call."""
+    b, k = x.shape
+    return np.concatenate([ad.categorical_log_q(Tensor(x), np.full(b, j)).data for j in range(k)], axis=1)
 
 
 class TestSoftmaxInvariants:
@@ -90,7 +113,7 @@ class TestSoftmaxInvariants:
     @settings(max_examples=50, deadline=None)
     def test_rows_sum_to_one_and_positive(self, seed):
         x = np.random.default_rng(seed).uniform(-30, 30, (4, 7))
-        out = np.exp(ad.log_softmax(Tensor(x)).data)
+        out = np.exp(_log_softmax_by_index(x))
         assert np.all(out > 0.0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
@@ -98,9 +121,34 @@ class TestSoftmaxInvariants:
     @settings(max_examples=50, deadline=None)
     def test_log_softmax_matches_log_of_softmax(self, seed):
         x = np.random.default_rng(seed).uniform(-30, 30, (4, 7))
-        ls = ad.log_softmax(Tensor(x)).data
+        ls = _log_softmax_by_index(x)
         np.testing.assert_allclose(ls, scipy_log_softmax(x, axis=1), atol=1e-12)
         assert np.all(np.isfinite(ls))
+
+
+# inputs for the lrelu forms: signed zeros, infinities, NaN, subnormals and
+# the smallest normal, then random values of both signs
+_LRELU_EDGES = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308]
+)
+
+
+class TestLreluFastForms:
+    @pytest.mark.parametrize("rate", [0.01, 0.1, 0.2, 0.3, 0.7])
+    def test_bitwise_equal_to_where_forms(self, rate):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([_LRELU_EDGES, rng.normal(0, 3, 200), rng.normal(0, 1e-300, 20)]).reshape(1, -1)
+        g = rng.normal(0, 1, x.shape)
+        out = ad.lrelu(Tensor(x), rate).data
+        assert out.tobytes() == np.where(x > 0.0, x, rate * x).tobytes()
+        node = ad.TapeNode("lrelu", (0,), (x,), out, {"rate": rate})
+        (dx,) = ad._OPS["lrelu"][1](g, node)
+        assert dx.tobytes() == (g * np.where(x > 0.0, 1.0, rate)).tobytes()
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(DomainError, match=r"lrelu: rate must lie in \(0, 1\), got"):
+            ad.lrelu(Tensor(np.ones((2, 2))), rate)
 
 
 class TestBatchnorm:
@@ -164,10 +212,10 @@ class TestBackward:
 
     def test_pruned_gradient_is_bitwise_equal(self):
         rng = np.random.default_rng(5)
-        a, b = Tensor(rng.normal(0, 1, (4, 3))), Tensor(rng.normal(0, 1, (3, 2)))
+        a, b, c = Tensor(rng.normal(0, 1, (4, 3))), Tensor(rng.normal(0, 1, (3, 2))), Tensor(rng.normal(0, 1, 2))
         with Tape() as tape:
-            h = ad.softplus(ad.matmul(ad.sigmoid(a), b))
-            root = ad.reduce_mean(ad.mul(h, ad.matmul(a, b)))
+            h = ad.softplus(ad.linear(ad.sigmoid(a), b, c))
+            root = ad.reduce_mean(ad.mul(h, ad.linear(a, b, c)))
             (only_a,) = tape.backward(root, [a])
             both = tape.backward(root, [a, b])
         assert only_a.tobytes() == both[0].tobytes()
@@ -183,13 +231,13 @@ class TestBackward:
             return run
 
         monkeypatch.setattr(ad, "_OPS", {name: (f, logged(b)) for name, (f, b) in ad._OPS.items()})
-        x, w = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))
+        x, w, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))), Tensor(np.ones(2))
         with Tape() as tape:
             h = ad.relu(ad.sigmoid(x))
-            root = ad.reduce_sum(ad.matmul(h, w))
+            root = ad.reduce_sum(ad.linear(h, w, b))
             tape.backward(root, [w])
-        # sigmoid and relu depend on x only, so only matmul and reduce_sum run
-        assert calls == ["reduce_sum", "matmul"]
+        # sigmoid and relu depend on x only, so only linear and reduce_sum run
+        assert calls == ["reduce_sum", "linear"]
 
     def test_non_scalar_root_rejected(self):
         x = Tensor(np.ones((2, 2)))
@@ -282,7 +330,8 @@ def test_forward_determinism_same_seed():
         rng = np.random.default_rng(123)
         x = Tensor(rng.normal(0, 1, (5, 5)))
         h = ad.clip(ad.softplus(x), 0.0, 1.5)
-        y = ad.log_softmax(ad.matmul(ad.sigmoid(h), Tensor(rng.normal(0, 1, (5, 5)))))
+        logits = ad.linear(ad.sigmoid(h), Tensor(rng.normal(0, 1, (5, 5))), Tensor(rng.normal(0, 1, 5)))
+        y = ad.categorical_log_q(logits, rng.integers(0, 5, 5))
         return y.data
 
     np.testing.assert_array_equal(run(), run())

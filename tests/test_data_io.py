@@ -218,6 +218,23 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=rf"m\.igan: text at offset {offset} is not UTF-8"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("shape", [(2**62, 4), (2**64 - 1, 0)])
+    def test_shape_overflow_is_format_error(self, tmp_path, shape):
+        model, cfg = small_model()
+        path = tmp_path / "m.igan"
+        save_checkpoint(model, cfg, str(path))
+        blob = bytearray(path.read_bytes())
+        # the first entry: u32 name length, name, u32 rank, then one u64 per dim
+        at = 20 + struct.unpack("<Q", blob[12:20])[0] + 8
+        name_len = struct.unpack("<I", blob[at : at + 4])[0]
+        name = blob[at + 4 : at + 4 + name_len].decode()
+        at += 4 + name_len
+        assert struct.unpack("<I", blob[at : at + 4])[0] == len(shape)
+        blob[at + 4 : at + 4 + 8 * len(shape)] = struct.pack("<2Q", *shape)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=rf"m\.igan: entry '{name}' shape .* overflows int64"):
+            load_checkpoint(str(path))
+
     def test_random_models_round_trip(self, tmp_path):
         for seed in range(10):
             model, cfg = small_model(seed=seed, batchnorm=seed % 2 == 0)

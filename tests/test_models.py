@@ -10,9 +10,11 @@ from infogan_lab.models import (
     NetConfig,
     default_dq_config,
     default_gen_config,
+    disc_forward,
     disc_q_forward,
     gen_forward,
     init_models,
+    q_forward,
 )
 
 
@@ -100,17 +102,36 @@ class TestDiscQForward:
         x = Tensor(np.random.default_rng(5).uniform(0, 1, (4, 64)))
         with Tape() as tape:
             disc_q_forward(model, x, training=False)
-            matmuls = sum(1 for n in tape.nodes if n.op == "matmul")
+            layers = sum(1 for n in tape.nodes if n.op == "linear")
         # trunk layers once, plus D head, Q hidden, and per-block output layers
         n_trunk = len(model.dq_cfg.widths) - 1
         n_heads = 1 + 1 + 1 + 2  # d_head, q hidden, cat logits, cont mu and s
-        assert matmuls == n_trunk + n_heads
+        assert layers == n_trunk + n_heads
+
+    def test_single_head_passes_match_the_shared_pass_bitwise(self):
+        spec, model = small_setup(batchnorm=True)
+        x = Tensor(np.random.default_rng(10).uniform(0, 1, (8, 64)))
+        d_logit, q = disc_q_forward(model, x, training=False)
+        assert disc_forward(model, x, training=False).data.tobytes() == d_logit.data.tobytes()
+        q_only = q_forward(model, x, training=False)
+        for a, b in zip(q.cat_logits + q.cont_mu + q.cont_log_sigma,
+                        q_only.cat_logits + q_only.cont_mu + q_only.cont_log_sigma):
+            assert a.data.tobytes() == b.data.tobytes()
+
+    def test_single_head_passes_record_only_their_head(self):
+        spec, model = small_setup()
+        x = Tensor(np.random.default_rng(11).uniform(0, 1, (4, 64)))
+        n_trunk = len(model.dq_cfg.widths) - 1
+        for forward, n_head in ((disc_forward, 1), (q_forward, 1 + 1 + 2)):
+            with Tape() as tape:
+                forward(model, x, training=False)
+                assert sum(1 for n in tape.nodes if n.op == "linear") == n_trunk + n_head
 
     def test_sigma_strictly_positive_and_bounded(self):
         spec, model = small_setup()
         x = Tensor(np.random.default_rng(6).uniform(0, 1, (16, 64)))
         _, q = disc_q_forward(model, x, training=False)
-        sigma = q.sigma(0)
+        sigma = np.exp(q.cont_log_sigma[0].data)
         assert np.all(sigma > 0.0)
         assert np.all(np.abs(q.cont_log_sigma[0].data) <= 7.0)
 
@@ -138,8 +159,14 @@ class TestDiscQForward:
 
     def test_wrong_image_dim_rejected(self):
         spec, model = small_setup()
-        with pytest.raises(ShapeError):
-            disc_q_forward(model, Tensor(np.zeros((4, 63))), training=False)
+        for forward in (disc_q_forward, disc_forward, q_forward):
+            with pytest.raises(ShapeError):
+                forward(model, Tensor(np.zeros((4, 63))), training=False)
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0, -0.2, float("inf")])
+    def test_lrelu_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ShapeError, match=r"lrelu_rate must lie in \(0, 1\), got"):
+            NetConfig(widths=(4, 2), activation="lrelu", lrelu_rate=rate)
 
 
 class TestParamGroups:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from infogan_lab import autodiff as ad
-from infogan_lab.autodiff import DomainError, Tensor, UsageError, grad_check
+from infogan_lab.autodiff import Tensor, UsageError, grad_check
 from infogan_lab.latent import CodeBlock, LatentSpec, QPosteriorParams, sample_latent
 from infogan_lab.objectives import (
     discriminator_loss,
@@ -15,7 +15,6 @@ from infogan_lab.objectives import (
     generator_loss,
     infogan_losses,
     mi_lower_bound,
-    optimal_discriminator,
 )
 
 LN2 = math.log(2.0)
@@ -147,18 +146,3 @@ class TestInfoGanLosses:
     def test_negative_lambda_rejected(self):
         with pytest.raises(UsageError):
             self._bundle(-0.1, 0.0)
-
-
-class TestOptimalDiscriminator:
-    def test_equal_densities(self):
-        assert optimal_discriminator(0.2, 0.2) == 0.5
-
-    def test_direct_formula(self):
-        assert abs(optimal_discriminator(0.3, 0.1) - 0.75) < 1e-15
-
-    def test_boundary(self):
-        assert optimal_discriminator(0.5, 0.0) == 1.0
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(DomainError):
-            optimal_discriminator(0.0, 0.0)

@@ -299,7 +299,26 @@ class TestTrainStep:
         monkeypatch.setattr(autodiff.Tape, "__exit__", counting_exit)
         monkeypatch.setattr(autodiff, "_OPS", {op: (f, counting_rule(b)) for op, (f, b) in autodiff._OPS.items()})
         train_step(*self._default_step_inputs())
-        assert counts == {"ops": 96, "nodes": 129, "rules": 89}
+        assert counts == {"ops": 55, "nodes": 81, "rules": 63}
+
+    def test_d_step_records_no_q_head_parameter(self, tmp_path):
+        from infogan_lab.data_io import synth_templates
+        from infogan_lab.models import init_models
+        from infogan_lab.trainer import d_step
+
+        cfg = tiny_cfg(tmp_path, batchnorm=True)
+        rngs = rng_streams(cfg.seed)
+        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
+        gen_cfg, dq_cfg = cfg.net_configs()
+        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
+        states = {n: AdamState(t.shape) for n, t in model.params.items()}
+        d_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], states)
+        # a parameter points at the last tape that recorded it; these were never recorded before
+        recorded = {n for n, p in model.params.items() if p._tape is not None}
+        assert recorded == set(model.trunk_params()) | set(model.d_head_params())
+        q_bn = model.bn_states["q_head.bn0"]
+        np.testing.assert_array_equal(q_bn.running_mean, np.zeros(cfg.q_hidden))
+        np.testing.assert_array_equal(q_bn.running_var, np.ones(cfg.q_hidden))
 
     def test_step_leaves_no_tape_alive(self):
         # the parameters keep a link to the last tape they were recorded on; it must hold no nodes
@@ -482,6 +501,11 @@ class TestConfig:
         for text in ("batch_size = 1\n", "lr_d = 0\n", "beta1 = 1.0\n", "gan_mode = foo\n", "lambda_disc = -1\n"):
             with pytest.raises(ConfigError):
                 parse_config(text)
+
+    @pytest.mark.parametrize("token", ["cat:x", "cat:1", "unif:1:-1", "beta:2"])
+    def test_bad_code_token_names_its_line(self, token):
+        with pytest.raises(ConfigError, match=r"line 3: bad value for code: "):
+            parse_config(f"seed = 3\n# codes\ncode = {token}\n")
 
     def test_empty_config_is_valid(self):
         assert parse_config("") == TrainingConfig()
