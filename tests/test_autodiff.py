@@ -38,7 +38,12 @@ class TestForwardValues:
         expected = scipy_log_softmax(logits, axis=1)[np.arange(7), index][:, None]
         np.testing.assert_allclose(out.data, expected, atol=1e-12, rtol=0)
 
-    def test_linear_is_matmul_plus_row_bias(self):
+    def test_matmul_identity(self):
+        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        out = ad.linear(a, Tensor(np.eye(2)), Tensor(np.zeros(2)))
+        np.testing.assert_array_equal(out.data, a.data)
+
+    def test_add_broadcast_bias(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         out = ad.linear(a, Tensor(np.eye(2)), Tensor([10.0, 20.0]))
         np.testing.assert_array_equal(out.data, [[11.0, 22.0], [13.0, 24.0], [15.0, 26.0]])
