@@ -8,6 +8,9 @@ its category indices as an attribute) rather than assembled from elementwise
 pieces. Each op is one ``_OPS`` entry pairing a forward rule with a
 closure-free backward rule, so every rule can be audited and
 gradient-checked on its own, and adding or removing an op is a single edit.
+A backward rule is ``backward(g, node, need)``: ``need`` holds one bool per
+input, true where a ``wrt`` tensor of the sweep feeds that input, and the
+rule computes only those input gradients (``None`` for the rest).
 
 Usage:
 
@@ -193,9 +196,11 @@ class Tape:
     def backward(self, root: Tensor, wrt: list[Tensor]) -> list[np.ndarray]:
         """Gradients of the scalar ``root`` with respect to each tensor of ``wrt``, in order.
 
-        Only nodes that depend on a ``wrt`` tensor are differentiated. A
-        ``wrt`` tensor not recorded on this tape, or on no path to the root,
-        gets zeros of its shape. Gradients accumulate over fan-out.
+        Only nodes that depend on a ``wrt`` tensor are differentiated, and
+        each rule is told which of its inputs do (``need``), so it computes
+        only those input gradients. A ``wrt`` tensor not recorded on this
+        tape, or on no path to the root, gets zeros of its shape. Gradients
+        accumulate over fan-out.
         """
         if self.nodes is None:
             raise UsageError("backward: the tape is closed (its with block has exited)")
@@ -218,9 +223,10 @@ class Tape:
             node = self.nodes[nid]
             if node.op == "leaf":
                 continue
-            input_grads = _OPS[node.op][1](g, node)
-            for iid, gi in zip(node.input_ids, input_grads):
-                if iid not in live:
+            need = tuple(iid in live for iid in node.input_ids)
+            input_grads = _OPS[node.op][1](g, node, need)
+            for iid, needed, gi in zip(node.input_ids, need, input_grads):
+                if not needed:
                     continue
                 acc = grads.get(iid)
                 grads[iid] = gi if acc is None else acc + gi
@@ -231,7 +237,11 @@ class Tape:
 
 
 # ---------------------------------------------------------------------------
-# op rules: forward(arrays, attrs) -> array; backward(g, node) -> input grads
+# op rules: forward(arrays, attrs) -> array; backward(g, node, need) -> input
+# grads, where need holds one bool per input (is that input live in the sweep)
+# and a multi-input rule returns None for every input it is not asked for.
+# add and concat return g itself or views of it and ignore need; a
+# single-input rule only runs when its input is live.
 # ---------------------------------------------------------------------------
 
 _LN_2PI = float(np.log(2.0 * np.pi))
@@ -252,9 +262,13 @@ def _f_linear(arrs, attrs):
     return x @ w + b
 
 
-def _b_linear(g, node):
+def _b_linear(g, node, need):
     x, w, _ = node.input_values
-    return [g @ w.T, x.T @ g, g.sum(axis=0)]
+    return [
+        g @ w.T if need[0] else None,
+        x.T @ g if need[1] else None,
+        g.sum(axis=0) if need[2] else None,
+    ]
 
 
 def _f_add(arrs, attrs):
@@ -263,7 +277,7 @@ def _f_add(arrs, attrs):
     return a + b
 
 
-def _b_add(g, node):
+def _b_add(g, node, need):
     return [g, g]
 
 
@@ -273,16 +287,16 @@ def _f_mul(arrs, attrs):
     return a * b
 
 
-def _b_mul(g, node):
+def _b_mul(g, node, need):
     a, b = node.input_values
-    return [g * b, g * a]
+    return [g * b if need[0] else None, g * a if need[1] else None]
 
 
 def _f_scale(arrs, attrs):
     return arrs[0] * attrs["c"]
 
 
-def _b_scale(g, node):
+def _b_scale(g, node, need):
     return [g * node.attrs["c"]]
 
 
@@ -290,7 +304,7 @@ def _f_relu(arrs, attrs):
     return np.maximum(arrs[0], 0.0)
 
 
-def _b_relu(g, node):
+def _b_relu(g, node, need):
     return [g * (node.input_values[0] > 0.0)]
 
 
@@ -305,7 +319,7 @@ def _f_lrelu(arrs, attrs):
     return np.maximum(x, rate * x)
 
 
-def _b_lrelu(g, node):
+def _b_lrelu(g, node, need):
     return [g * np.maximum(node.input_values[0] > 0.0, node.attrs["rate"])]
 
 
@@ -313,7 +327,7 @@ def _f_clip(arrs, attrs):
     return np.clip(arrs[0], attrs["lo"], attrs["hi"])
 
 
-def _b_clip(g, node):
+def _b_clip(g, node, need):
     x = node.input_values[0]
     return [g * ((x > node.attrs["lo"]) & (x < node.attrs["hi"]))]
 
@@ -322,7 +336,7 @@ def _f_sigmoid(arrs, attrs):
     return expit(arrs[0])
 
 
-def _b_sigmoid(g, node):
+def _b_sigmoid(g, node, need):
     y = node.value
     return [g * y * (1.0 - y)]
 
@@ -332,7 +346,7 @@ def _f_softplus(arrs, attrs):
     return np.logaddexp(0.0, arrs[0])
 
 
-def _b_softplus(g, node):
+def _b_softplus(g, node, need):
     return [g * expit(node.input_values[0])]
 
 
@@ -357,7 +371,7 @@ def _f_categorical_log_q(arrs, attrs):
     return shifted[np.arange(len(index)), index][:, None] - lse
 
 
-def _b_categorical_log_q(g, node):
+def _b_categorical_log_q(g, node, need):
     logits = node.input_values[0]
     index = node.attrs["index"]
     shifted, lse = _shifted_logsumexp(logits)
@@ -388,18 +402,22 @@ def _f_gaussian_log_q(arrs, attrs):
     return elem.sum(axis=1, keepdims=True)
 
 
-def _b_gaussian_log_q(g, node):
+def _b_gaussian_log_q(g, node, need):
     c, mu, log_sigma = node.input_values
     diff = c - mu
     scaled = diff * _gaussian_inv_var(log_sigma)
-    return [-g * scaled, g * scaled, g * (diff * scaled - 1.0)]
+    return [
+        -g * scaled if need[0] else None,
+        g * scaled if need[1] else None,
+        g * (diff * scaled - 1.0) if need[2] else None,
+    ]
 
 
 def _f_reduce_mean(arrs, attrs):
     return np.asarray(arrs[0].mean())
 
 
-def _b_reduce_mean(g, node):
+def _b_reduce_mean(g, node, need):
     x = node.input_values[0]
     return [np.full(x.shape, float(g) / x.size)]
 
@@ -408,7 +426,7 @@ def _f_reduce_sum(arrs, attrs):
     return np.asarray(arrs[0].sum())
 
 
-def _b_reduce_sum(g, node):
+def _b_reduce_sum(g, node, need):
     x = node.input_values[0]
     return [np.full(x.shape, float(g))]
 
@@ -427,7 +445,7 @@ def _f_concat(arrs, attrs):
     return np.concatenate(arrs, axis=axis)
 
 
-def _b_concat(g, node):
+def _b_concat(g, node, need):
     axis = int(node.attrs["axis"])
     sizes = [v.shape[axis] for v in node.input_values]
     return np.split(g, np.cumsum(sizes)[:-1], axis=axis)
@@ -459,23 +477,30 @@ def _f_batchnorm(arrs, attrs):
     return gamma * ((x - mean) * inv_std) + beta
 
 
-def _b_batchnorm(g, node):
+def _b_batchnorm(g, node, need):
     x, gamma, _ = node.input_values
     state: BatchNormState = node.attrs["state"]
-    if node.attrs["training"]:
-        n = x.shape[0]
+    training: bool = node.attrs["training"]
+    if training:
         mean, _, inv_std = _batch_moments(x, state.eps)
-        centered = x - mean
-        xhat = centered * inv_std
+    else:
+        mean = state.running_mean
+        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+    centered = x - mean
+    dx = None
+    if need[0] and training:
+        n = x.shape[0]
         dxhat = g * gamma
         dvar = (dxhat * centered).sum(axis=0) * (-0.5) * inv_std**3
         dmean = -(dxhat.sum(axis=0)) * inv_std + dvar * (-2.0) * centered.sum(axis=0) / n
         dx = dxhat * inv_std + dvar * 2.0 * centered / n + dmean / n
-    else:
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (x - state.running_mean) * inv_std
+    elif need[0]:
         dx = g * gamma * inv_std
-    return [dx, (g * xhat).sum(axis=0), g.sum(axis=0)]
+    return [
+        dx,
+        (g * (centered * inv_std)).sum(axis=0) if need[1] else None,
+        g.sum(axis=0) if need[2] else None,
+    ]
 
 
 _OPS = {

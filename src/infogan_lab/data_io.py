@@ -8,14 +8,17 @@ tensor bitwise.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import secrets
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, UsageError
-from .config import TrainingConfig, parse_config, render_config
+from .config import ConfigError, TrainingConfig, parse_config, render_config
 from .models import ModelPair, init_models
 
 CHECKPOINT_MAGIC = b"IGAN0001"
@@ -27,6 +30,25 @@ _INT64_MAX = 2**63 - 1  # numpy's limit on one dimension and on an array's eleme
 
 class FormatError(ValueError):
     """A binary file does not match its declared format."""
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "wb", **kwargs):
+    """Write ``path`` through a fresh temp file beside it, then ``os.replace`` it into place.
+
+    If the block raises, the temp file is removed and whatever ``path`` held
+    before is left untouched, so no reader ever sees a half-written file.
+    """
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 @dataclass
@@ -178,7 +200,7 @@ def _checkpoint_entries(model: ModelPair) -> list[tuple[str, np.ndarray]]:
 def save_checkpoint(model: ModelPair, cfg: TrainingConfig, path: str) -> None:
     config_bytes = render_config(cfg).encode("utf-8")
     entries = _checkpoint_entries(model)
-    with open(path, "wb") as f:
+    with atomic_open(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<Q", len(config_bytes)))
@@ -205,7 +227,10 @@ def load_checkpoint(path: str) -> tuple[ModelPair, TrainingConfig]:
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: format version {version} not supported (expected {CHECKPOINT_VERSION})")
     config_text = r.text(r.u64_le())
-    cfg = parse_config(config_text)
+    try:
+        cfg = parse_config(config_text)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: embedded config: {err}") from None
 
     loaded: dict[str, np.ndarray] = {}
     n_entries = r.u64_le()
@@ -254,6 +279,6 @@ def write_image_grid(images: np.ndarray, rows: int, cols: int, dims: tuple[int, 
         raise UsageError("grid pixel values must lie in [0, 1]")
     grid = images.reshape(rows, cols, h, w).transpose(0, 2, 1, 3).reshape(rows * h, cols * w)
     payload = np.rint(grid * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
+    with atomic_open(path) as f:
         f.write(f"P5\n{cols * w} {rows * h}\n255\n".encode("ascii"))
         f.write(payload.tobytes())

@@ -33,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .config import TrainingConfig
-from .data_io import Dataset, load_mnist_idx, save_checkpoint, synth_templates
+from .data_io import Dataset, atomic_open, load_mnist_idx, save_checkpoint, synth_templates
 from .latent import sample_latent
 from .models import ModelPair, disc_forward, disc_q_forward, gen_forward, init_models
 from .objectives import LossBundle, discriminator_loss, generator_loss, infogan_losses, mi_lower_bound
@@ -198,7 +198,7 @@ class MetricsTrace:
         return np.array([row[i] for row in self.rows])
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
+        with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(self.CSV_HEADER + "\n")
             for it, *vals in self.rows:
                 f.write(str(it) + "," + ",".join(format(v, ".17g") for v in vals) + "\n")

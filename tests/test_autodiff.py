@@ -1,5 +1,7 @@
 """Tensor engine: forward values, backward rules, and the gradient checker."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,7 +149,7 @@ class TestLreluFastForms:
         out = ad.lrelu(Tensor(x), rate).data
         assert out.tobytes() == np.where(x > 0.0, x, rate * x).tobytes()
         node = ad.TapeNode("lrelu", (0,), (x,), out, {"rate": rate})
-        (dx,) = ad._OPS["lrelu"][1](g, node)
+        (dx,) = ad._OPS["lrelu"][1](g, node, (True,))
         assert dx.tobytes() == (g * np.where(x > 0.0, 1.0, rate)).tobytes()
 
     @pytest.mark.parametrize("rate", [0.0, 1.0, -0.1, 1.5, float("nan")])
@@ -230,9 +232,9 @@ class TestBackward:
         calls = []
 
         def logged(rule):
-            def run(g, node):
-                calls.append(node.op)
-                return rule(g, node)
+            def run(g, node, need):
+                calls.append((node.op, need))
+                return rule(g, node, need)
             return run
 
         monkeypatch.setattr(ad, "_OPS", {name: (f, logged(b)) for name, (f, b) in ad._OPS.items()})
@@ -241,8 +243,8 @@ class TestBackward:
             h = ad.relu(ad.sigmoid(x))
             root = ad.reduce_sum(ad.linear(h, w, b))
             tape.backward(root, [w])
-        # sigmoid and relu depend on x only, so only linear and reduce_sum run
-        assert calls == ["reduce_sum", "linear"]
+        # sigmoid and relu depend on x only, so only linear and reduce_sum run, and linear is asked for w alone
+        assert calls == [("reduce_sum", (True,)), ("linear", (False, True, False))]
 
     def test_non_scalar_root_rejected(self):
         x = Tensor(np.ones((2, 2)))
@@ -289,6 +291,48 @@ class TestBackward:
     def test_no_recording_without_tape(self):
         out = ad.mul(Tensor([1.0]), Tensor([2.0]))
         assert out.node is None
+
+
+def _masked_rule_cases():
+    rng = np.random.default_rng(9)
+
+    def bn(training):
+        state = BatchNormState(3)
+        state.running_mean, state.running_var = rng.normal(0, 1, 3), rng.uniform(0.5, 2.0, 3)
+        return lambda x, gamma, beta: ad.batchnorm(x, gamma, beta, state, training)
+
+    return {
+        "linear": (ad.linear, [(5, 4), (4, 3), (3,)]),
+        "mul": (ad.mul, [(5, 3), (5, 3)]),
+        "gaussian_log_q": (ad.gaussian_log_q, [(5, 3), (5, 3), (5, 3)]),
+        "batchnorm_train": (bn(True), [(5, 3), (3,), (3,)]),
+        "batchnorm_eval": (bn(False), [(5, 3), (3,), (3,)]),
+    }
+
+
+class TestMaskedRules:
+    """A multi-input rule computes exactly the input gradients ``need`` asks for."""
+
+    @pytest.mark.parametrize("case", sorted(_masked_rule_cases()))
+    def test_every_need_subset_matches_the_full_rule(self, case):
+        op, shapes = _masked_rule_cases()[case]
+        rng = np.random.default_rng(3)
+        inputs = [Tensor(rng.normal(0, 1, s)) for s in shapes]
+        with Tape() as tape:
+            out = op(*inputs)
+            node = tape.nodes[out.node]
+        rule = ad._OPS[node.op][1]
+        g = rng.normal(0, 1, out.shape)
+        full = rule(g, node, (True,) * len(inputs))
+        assert all(isinstance(gi, np.ndarray) for gi in full)
+        for need in itertools.product((False, True), repeat=len(inputs)):
+            got = rule(g, node, need)
+            assert len(got) == len(inputs)
+            for needed, gi, ref in zip(need, got, full):
+                if needed:
+                    assert gi.tobytes() == ref.tobytes()
+                else:
+                    assert gi is None
 
 
 class TestGradCheck:

@@ -5,8 +5,9 @@ import struct
 import numpy as np
 import pytest
 
+from infogan_lab import data_io
 from infogan_lab.autodiff import UsageError
-from infogan_lab.config import TrainingConfig
+from infogan_lab.config import ConfigError, TrainingConfig
 from infogan_lab.data_io import (
     FormatError,
     load_checkpoint,
@@ -234,6 +235,35 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=rf"m\.igan: entry '{name}' shape .* overflows int64"):
             load_checkpoint(str(path))
+
+    def test_bad_embedded_config_names_the_checkpoint(self, tmp_path):
+        model, cfg = small_model()
+        path = tmp_path / "m.igan"
+        save_checkpoint(model, cfg, str(path))
+        blob = path.read_bytes()
+        config_len = struct.unpack("<Q", blob[12:20])[0]
+        bad = b"code = cat:x\n"
+        path.write_bytes(blob[:12] + struct.pack("<Q", len(bad)) + bad + blob[20 + config_len :])
+        with pytest.raises(ConfigError, match=r"m\.igan: embedded config: line 1: bad value for code: .*'cat:x'"):
+            load_checkpoint(str(path))
+
+    def test_failed_save_keeps_the_earlier_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        model, cfg = small_model()
+        path = tmp_path / "m.igan"
+        save_checkpoint(model, cfg, str(path))
+        before = path.read_bytes()
+
+        class FailsAfterOneEntry(list):
+            def __iter__(self):
+                yield self[0]
+                raise OSError("disk full")
+
+        entries = data_io._checkpoint_entries
+        monkeypatch.setattr(data_io, "_checkpoint_entries", lambda m: FailsAfterOneEntry(entries(m)))
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(model, cfg, str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.igan"]
 
     def test_random_models_round_trip(self, tmp_path):
         for seed in range(10):

@@ -277,8 +277,9 @@ class TestTrainStep:
         return model, ds.images[: cfg.batch_size], cfg, rngs["latent"], states
 
     def test_default_step_graph_size(self, monkeypatch):
-        # pins the fused graph and the pruned sweeps: any regrowth of the per-iteration work fails here
-        counts = {"ops": 0, "nodes": 0, "rules": 0}
+        # pins the fused graph, the pruned sweeps and the linear products the masked rules skip:
+        # any regrowth of the per-iteration work fails here
+        counts = {"ops": 0, "nodes": 0, "rules": 0, "skipped g @ w.T": 0, "skipped x.T @ g": 0}
         forward_op, tape_exit = autodiff.forward_op, autodiff.Tape.__exit__
 
         def counting_forward_op(name, inputs, attrs=None):
@@ -290,16 +291,19 @@ class TestTrainStep:
             return tape_exit(tape, *exc)
 
         def counting_rule(rule):
-            def counted(g, node):
+            def counted(g, node, need):
                 counts["rules"] += 1
-                return rule(g, node)
+                if node.op == "linear":
+                    counts["skipped g @ w.T"] += not need[0]
+                    counts["skipped x.T @ g"] += not need[1]
+                return rule(g, node, need)
             return counted
 
         monkeypatch.setattr(autodiff, "forward_op", counting_forward_op)
         monkeypatch.setattr(autodiff.Tape, "__exit__", counting_exit)
         monkeypatch.setattr(autodiff, "_OPS", {op: (f, counting_rule(b)) for op, (f, b) in autodiff._OPS.items()})
         train_step(*self._default_step_inputs())
-        assert counts == {"ops": 55, "nodes": 81, "rules": 63}
+        assert counts == {"ops": 55, "nodes": 81, "rules": 63, "skipped g @ w.T": 4, "skipped x.T @ g": 7}
 
     def test_d_step_records_no_q_head_parameter(self, tmp_path):
         from infogan_lab.data_io import synth_templates
@@ -382,6 +386,28 @@ class TestTrainRun:
         digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
         assert digest == "b846089c566c0d9ecc203fb0e7b1b78cd5ab706db942e5d4d2daecb847aa4ae1"
 
+    def test_short_batchnorm_run_fingerprint(self, tmp_path):
+        # the same for a 100-iteration batchnorm run (default categorical and uniform codes), plus
+        # the final parameters and running statistics: pins the batchnorm backward rule's arithmetic
+        cfg = TrainingConfig(
+            iterations=100,
+            log_every=1,
+            batchnorm=True,
+            checkpoint_out=str(tmp_path / "ckpt.igan"),
+            metrics_out=str(tmp_path / "metrics.csv"),
+        )
+        model, _ = train_run(cfg)
+        digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+        assert digest == "f5065bd8afbc23d99e4395791f410fcce4e58f01f004b966e31e625174e3926e"
+        state = hashlib.sha256()
+        for name in sorted(model.params):
+            state.update(model.params[name].data.tobytes())
+        for name in sorted(model.bn_states):
+            state.update(model.bn_states[name].running_mean.tobytes())
+            state.update(model.bn_states[name].running_var.tobytes())
+        assert sorted(model.bn_states) == ["gen.bn0", "gen.bn1", "q_head.bn0", "trunk.bn1"]
+        assert state.hexdigest() == "78f9106afbbf62acd478567bdc87213c242ad78a2d228ee18f8c606ebad63e5e"
+
     def test_logs_at_requested_cadence(self, tmp_path):
         cfg = tiny_cfg(tmp_path, iterations=7, log_every=3)
         _, trace = train_run(cfg)
@@ -443,6 +469,19 @@ class TestMetricsTrace:
         path = str(tmp_path / "m.csv")
         trace.to_csv(path)
         assert open(path).readline().strip() == "iter,loss_d,loss_g,li_disc,li_cont"
+
+    def test_failed_write_keeps_the_earlier_file_and_leaves_no_temp(self, tmp_path):
+        trace = MetricsTrace()
+        trace.append(1, 0.5, 0.25, 0.125, 0.0625)
+        path = tmp_path / "m.csv"
+        trace.to_csv(str(path))
+        before = path.read_bytes()
+        trace.append(2, 1.0, 1.0, 1.0, 1.0)
+        trace.rows.append((3, "not a float", 0.0, 0.0, 0.0))  # formatting fails after two rows are written
+        with pytest.raises(ValueError):
+            trace.to_csv(str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
 
     def test_monotone_iterations_enforced(self):
         trace = MetricsTrace()
