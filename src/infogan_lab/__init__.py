@@ -51,7 +51,7 @@ from .latent import (
 from .models import ModelPair, NetConfig, disc_forward, disc_q_forward, gen_forward, init_models, q_forward
 from .objectives import (
     LossBundle,
-    gan_losses,
+    discriminator_loss,
     generator_loss,
     infogan_losses,
     mi_lower_bound,

@@ -1,6 +1,6 @@
 """Tape-based reverse-mode automatic differentiation over dense float64 arrays.
 
-The operation catalogue is fixed and small: exactly the 15 ops that training
+The operation catalogue is fixed and small: exactly the 14 ops that training
 and evaluation run. A dense layer is one ``linear`` op (``x @ w + b``), and
 loss terms are fused into single ops (``softplus``, ``clip``, ``scale`` with
 its constant as an attribute, ``gaussian_log_q``, ``categorical_log_q`` with
@@ -52,7 +52,6 @@ __all__ = [
     "gaussian_log_q",
     "reduce_mean",
     "reduce_sum",
-    "concat",
     "batchnorm",
 ]
 
@@ -240,8 +239,8 @@ class Tape:
 # op rules: forward(arrays, attrs) -> array; backward(g, node, need) -> input
 # grads, where need holds one bool per input (is that input live in the sweep)
 # and a multi-input rule returns None for every input it is not asked for.
-# add and concat return g itself or views of it and ignore need; a
-# single-input rule only runs when its input is live.
+# add returns g itself for both inputs and ignores need; a single-input
+# rule only runs when its input is live.
 # ---------------------------------------------------------------------------
 
 _LN_2PI = float(np.log(2.0 * np.pi))
@@ -431,26 +430,6 @@ def _b_reduce_sum(g, node, need):
     return [np.full(x.shape, float(g))]
 
 
-def _f_concat(arrs, attrs):
-    axis = int(attrs["axis"])
-    base = arrs[0]
-    for other in arrs[1:]:
-        _require(other.ndim == base.ndim, "concat", f"rank mismatch: {base.shape} vs {other.shape}")
-        for d in range(base.ndim):
-            _require(
-                d == axis or other.shape[d] == base.shape[d],
-                "concat",
-                f"non-axis dims differ: {base.shape} vs {other.shape} (axis {axis})",
-            )
-    return np.concatenate(arrs, axis=axis)
-
-
-def _b_concat(g, node, need):
-    axis = int(node.attrs["axis"])
-    sizes = [v.shape[axis] for v in node.input_values]
-    return np.split(g, np.cumsum(sizes)[:-1], axis=axis)
-
-
 def _batch_moments(x, eps):
     mean = x.mean(axis=0)
     var = x.var(axis=0)
@@ -517,7 +496,6 @@ _OPS = {
     "gaussian_log_q": (_f_gaussian_log_q, _b_gaussian_log_q),
     "reduce_mean": (_f_reduce_mean, _b_reduce_mean),
     "reduce_sum": (_f_reduce_sum, _b_reduce_sum),
-    "concat": (_f_concat, _b_concat),
     "batchnorm": (_f_batchnorm, _b_batchnorm),
 }
 
@@ -593,10 +571,6 @@ def reduce_mean(x: Tensor) -> Tensor:
 
 def reduce_sum(x: Tensor) -> Tensor:
     return forward_op("reduce_sum", [x])
-
-
-def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    return forward_op("concat", list(tensors), {"axis": axis})
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool) -> Tensor:

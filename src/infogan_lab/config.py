@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .autodiff import ShapeError
 from .latent import CodeBlock, LatentSpec, SpecError, parse_block_token
 from .models import NetConfig
 
@@ -82,6 +83,22 @@ class TrainingConfig:
         self.codes = tuple(self.codes)
         self.gen_layers = tuple(int(w) for w in self.gen_layers)
         self.trunk_layers = tuple(int(w) for w in self.trunk_layers)
+        for key in ("gen_layers", "trunk_layers"):
+            widths = getattr(self, key)
+            if not widths or min(widths) < 1:
+                raise ConfigError(f"{key} must list at least one width, each >= 1, got {widths}")
+        if self.toy_templates not in (2, 3, 4):
+            raise ConfigError(f"toy_templates must be 2, 3 or 4, got {self.toy_templates}")
+        if self.toy_samples < self.toy_templates:
+            raise ConfigError(f"toy_samples must be >= toy_templates ({self.toy_templates}), got {self.toy_samples}")
+        if not self.toy_noise_sigma >= 0.0:
+            raise ConfigError(f"toy_noise_sigma must be >= 0, got {self.toy_noise_sigma!r}")
+        if self.mnist_subset < 1:
+            raise ConfigError(f"mnist_subset must be >= 1, got {self.mnist_subset}")
+        try:  # noise_dim, noise_kind and q_hidden are checked where they are used; those errors name the key
+            self.net_configs()
+        except (SpecError, ShapeError) as err:
+            raise ConfigError(str(err)) from None
 
     @property
     def image_dims(self) -> tuple[int, int]:
@@ -97,17 +114,8 @@ class TrainingConfig:
 
     def net_configs(self) -> tuple[NetConfig, NetConfig]:
         spec = self.latent_spec()
-        gen = NetConfig(
-            widths=(spec.gen_input_dim, *self.gen_layers, self.image_dim),
-            activation="relu",
-            batchnorm=self.batchnorm,
-        )
-        dq = NetConfig(
-            widths=(self.image_dim, *self.trunk_layers),
-            activation="lrelu",
-            batchnorm=self.batchnorm,
-            q_hidden=self.q_hidden,
-        )
+        gen = NetConfig(widths=(spec.gen_input_dim, *self.gen_layers, self.image_dim), batchnorm=self.batchnorm)
+        dq = NetConfig(widths=(self.image_dim, *self.trunk_layers), batchnorm=self.batchnorm, q_hidden=self.q_hidden)
         return gen, dq
 
 

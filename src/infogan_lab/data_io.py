@@ -142,14 +142,17 @@ def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
 
 
 def write_idx_pair(images_u8: np.ndarray, labels_u8: np.ndarray, images_path: str, labels_path: str) -> None:
-    """Write a (N,H,W) uint8 stack and labels as a standard IDX pair (fixture helper)."""
+    """Write a (N,H,W) uint8 stack and labels as a standard IDX pair (fixture helper).
+
+    Both files are written atomically, and neither replaces its old version
+    unless both writes succeed.
+    """
     n, h, w = images_u8.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w))
-        f.write(np.ascontiguousarray(images_u8, dtype=np.uint8).tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
-        f.write(np.ascontiguousarray(labels_u8, dtype=np.uint8).tobytes())
+    with atomic_open(images_path) as fi, atomic_open(labels_path) as fl:
+        fi.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w))
+        fi.write(np.ascontiguousarray(images_u8, dtype=np.uint8).tobytes())
+        fl.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
+        fl.write(np.ascontiguousarray(labels_u8, dtype=np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -318,10 +318,9 @@ def traversal_grid(
 
     base = sample_latent(spec, rows, rng)
     s = len(values)
-    z = np.repeat(base.z.data, s, axis=0)
-    enc = np.repeat(base.c_encoded.data, s, axis=0)
-    enc[:, sl] = np.tile(sweep, (rows, 1))
-    batch = LatentBatch(spec=spec, z=Tensor(z), c_raw=[], c_encoded=Tensor(enc))
+    g_input = np.repeat(base.g_input.data, s, axis=0)
+    g_input[:, spec.noise_dim :][:, sl] = np.tile(sweep, (rows, 1))  # codes follow the noise columns
+    batch = LatentBatch(spec=spec, c_raw=[], g_input=Tensor(g_input))
     images = gen_forward(model, batch, training=False).data
     write_image_grid(images, rows, s, dims, path)
 
@@ -351,7 +350,6 @@ def categorical_classifier_eval(
     spec = model.spec
     if not 0 <= block < len(spec.blocks) or not spec.blocks[block].is_discrete:
         raise UsageError(f"block {block} is not a categorical block")
-    cat_pos = sum(1 for b in spec.blocks[:block] if b.is_discrete)
     k = spec.blocks[block].k
     n_classes = int(dataset.labels.max()) + 1
     if k < n_classes:
@@ -361,7 +359,7 @@ def categorical_classifier_eval(
     for start in range(0, len(dataset), chunk):
         stop = min(start + chunk, len(dataset))
         q_post = q_forward(model, Tensor(dataset.images[start:stop]), training=False)
-        preds[start:stop] = np.argmax(q_post.cat_logits[cat_pos].data, axis=1)
+        preds[start:stop] = np.argmax(q_post.blocks[block].data, axis=1)
 
     counts = np.zeros((k, n_classes))
     np.add.at(counts, (preds, dataset.labels), 1.0)

@@ -192,16 +192,19 @@ def one_hot(indices: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass
 class LatentBatch:
-    """One sampled batch: noise, raw block values, and the encoded matrix fed to G."""
+    """One sampled batch: raw block values, and the matrix fed to G.
+
+    ``g_input`` holds the noise z in its first ``noise_dim`` columns and the
+    encoded codes c after them, in block order (``encoded_slices``).
+    """
 
     spec: LatentSpec
-    z: Tensor                 # (B, noise_dim)
     c_raw: list[np.ndarray]   # per block: (B,) int indices or (B, dim) floats
-    c_encoded: Tensor         # (B, encoded_dim)
+    g_input: Tensor           # (B, noise_dim + encoded_dim)
 
     @property
     def batch_size(self) -> int:
-        return self.z.shape[0]
+        return self.g_input.shape[0]
 
 
 def sample_latent(spec: LatentSpec, batch: int, rng: np.random.Generator) -> LatentBatch:
@@ -227,33 +230,23 @@ def sample_latent(spec: LatentSpec, batch: int, rng: np.random.Generator) -> Lat
             v = block.mean + block.sigma * rng.standard_normal((batch, block.dim))
             raw.append(v)
             encoded.append(v)
-    c_encoded = np.concatenate(encoded, axis=1) if encoded else np.zeros((batch, 0))
-    return LatentBatch(spec=spec, z=Tensor(z), c_raw=raw, c_encoded=Tensor(c_encoded))
+    return LatentBatch(spec=spec, c_raw=raw, g_input=Tensor(np.concatenate([z, *encoded], axis=1)))
 
 
 @dataclass
 class QPosteriorParams:
-    """Recognition-head outputs, aligned with the spec's block order.
+    """Recognition-head outputs, one entry of ``blocks`` per code block in spec order.
 
-    Categorical blocks carry (B,K) logits; continuous blocks carry a
-    diagonal Gaussian's (mu, log_sigma), each (B,dim). Sigma is always
-    exp(log_sigma), hence strictly positive.
+    A categorical block's entry is its (B,K) logits; a continuous block's
+    entry is a diagonal Gaussian's (mu, log_sigma), each (B,dim). Sigma is
+    always exp(log_sigma), hence strictly positive.
     """
 
     spec: LatentSpec
-    cat_logits: list[Tensor] = field(default_factory=list)
-    cont_mu: list[Tensor] = field(default_factory=list)
-    cont_log_sigma: list[Tensor] = field(default_factory=list)
+    blocks: list[Tensor | tuple[Tensor, Tensor]] = field(default_factory=list)
 
     def check_against(self, spec: LatentSpec) -> None:
-        n_cat = sum(1 for b in spec.blocks if b.is_discrete)
-        n_cont = len(spec.blocks) - n_cat
-        if (
-            self.spec.signature() != spec.signature()
-            or len(self.cat_logits) != n_cat
-            or len(self.cont_mu) != n_cont
-            or len(self.cont_log_sigma) != n_cont
-        ):
+        if self.spec.signature() != spec.signature() or len(self.blocks) != len(spec.blocks):
             raise UsageError("QPosteriorParams does not match the latent spec structure")
 
 
@@ -271,15 +264,12 @@ def log_q(params: QPosteriorParams, batch: LatentBatch) -> tuple[Tensor | None, 
     b = batch.batch_size
     disc: Tensor | None = None
     cont: Tensor | None = None
-    i_cat = i_cont = 0
-    for i, block in enumerate(batch.spec.blocks):
+    for block, out, raw in zip(batch.spec.blocks, params.blocks, batch.c_raw, strict=True):
         if block.is_discrete:
-            per_sample = ad.categorical_log_q(params.cat_logits[i_cat], batch.c_raw[i])
-            i_cat += 1
+            per_sample = ad.categorical_log_q(out, raw)
             disc = per_sample if disc is None else ad.add(disc, per_sample)
         else:
-            c = ad.const(np.asarray(batch.c_raw[i], dtype=np.float64).reshape(b, block.dim))
-            per_sample = ad.gaussian_log_q(c, params.cont_mu[i_cont], params.cont_log_sigma[i_cont])
-            i_cont += 1
+            c = ad.const(np.asarray(raw, dtype=np.float64).reshape(b, block.dim))
+            per_sample = ad.gaussian_log_q(c, *out)
             cont = per_sample if cont is None else ad.add(cont, per_sample)
     return disc, cont

@@ -19,6 +19,7 @@ from .autodiff import BatchNormState, ShapeError, Tensor
 from .latent import LatentBatch, LatentSpec, QPosteriorParams
 
 LOG_SIGMA_BOUND = 7.0  # |log sigma| cap before exponentiation
+LRELU_RATE = 0.1  # leak of the trunk's and the Q head's lrelu; the generator uses relu
 
 # Gaussian init with variance 0.02. At these fully connected widths this
 # keeps layer gains near one; a 0.02 *standard deviation* shrinks
@@ -37,32 +38,15 @@ class NetConfig:
     """
 
     widths: tuple[int, ...]
-    activation: str = "relu"  # or "lrelu"
-    lrelu_rate: float = 0.1
     batchnorm: bool = False
     q_hidden: int = 64
 
     def __post_init__(self):
         if any(w < 1 for w in self.widths):
             raise ShapeError(f"net widths must be >= 1, got {self.widths}")
-        if self.activation not in ("relu", "lrelu"):
-            raise ShapeError(f"activation must be relu or lrelu, got '{self.activation}'")
-        if not 0.0 < self.lrelu_rate < 1.0:
-            raise ShapeError(f"lrelu_rate must lie in (0, 1), got {self.lrelu_rate!r}")
+        if self.q_hidden < 1:
+            raise ShapeError(f"q_hidden must be >= 1, got {self.q_hidden}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-
-
-def default_gen_config(spec: LatentSpec, image_dim: int, hidden=(128, 256), batchnorm=False) -> NetConfig:
-    return NetConfig(widths=(spec.gen_input_dim, *hidden, image_dim), activation="relu", batchnorm=batchnorm)
-
-
-def default_dq_config(image_dim: int, hidden=(256, 128), batchnorm=False, q_hidden=64) -> NetConfig:
-    return NetConfig(
-        widths=(image_dim, *hidden),
-        activation="lrelu",
-        batchnorm=batchnorm,
-        q_hidden=q_hidden,
-    )
 
 
 @dataclass
@@ -106,6 +90,12 @@ def _add_batchnorm(model: ModelPair, name: str, width: int) -> None:
     model.bn_states[name] = BatchNormState(width)
 
 
+def _q_block_names(spec: LatentSpec) -> list[str]:
+    """Q-head layer name per code block: ``q_head.cat{i}`` / ``q_head.cont{i}``, counted per family."""
+    families = ["cat" if b.is_discrete else "cont" for b in spec.blocks]
+    return [f"q_head.{f}{families[:i].count(f)}" for i, f in enumerate(families)]
+
+
 def init_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec, rng: np.random.Generator) -> ModelPair:
     """Build a ModelPair with weights ~ N(0, 0.02) and zero biases.
 
@@ -145,15 +135,12 @@ def init_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec, rng: np
     _add_linear(model, rng, "q_head.l0", feat, dq_cfg.q_hidden)
     if dq_cfg.batchnorm:
         _add_batchnorm(model, "q_head.bn0", dq_cfg.q_hidden)
-    i_cat = i_cont = 0
-    for block in spec.blocks:
+    for block, name in zip(spec.blocks, _q_block_names(spec)):
         if block.is_discrete:
-            _add_linear(model, rng, f"q_head.cat{i_cat}", dq_cfg.q_hidden, block.k)
-            i_cat += 1
+            _add_linear(model, rng, name, dq_cfg.q_hidden, block.k)
         else:
-            _add_linear(model, rng, f"q_head.cont{i_cont}.mu", dq_cfg.q_hidden, block.dim)
-            _add_linear(model, rng, f"q_head.cont{i_cont}.s", dq_cfg.q_hidden, block.dim)
-            i_cont += 1
+            _add_linear(model, rng, f"{name}.mu", dq_cfg.q_hidden, block.dim)
+            _add_linear(model, rng, f"{name}.s", dq_cfg.q_hidden, block.dim)
     return model
 
 
@@ -168,24 +155,18 @@ def _maybe_bn(model: ModelPair, name: str, x: Tensor, training: bool) -> Tensor:
     return ad.batchnorm(x, model.params[f"{name}.gamma"], model.params[f"{name}.beta"], state, training)
 
 
-def _activate(cfg: NetConfig, x: Tensor) -> Tensor:
-    if cfg.activation == "lrelu":
-        return ad.lrelu(x, cfg.lrelu_rate)
-    return ad.relu(x)
-
-
 def gen_forward(model: ModelPair, batch: LatentBatch, training: bool = True) -> Tensor:
-    """G(z, c): concatenated noise and codes through the stack, sigmoid pixels in (0,1)."""
+    """G(z, c): the batch's ``g_input`` matrix through the stack, sigmoid pixels in (0,1)."""
     if batch.spec.gen_input_dim != model.gen_cfg.widths[0]:
         raise ShapeError(
             f"latent batch input dim {batch.spec.gen_input_dim} != generator input {model.gen_cfg.widths[0]}"
         )
-    h = ad.concat([batch.z, batch.c_encoded], axis=1)
+    h = batch.g_input
     n_layers = len(model.gen_cfg.widths) - 1
     for i in range(n_layers - 1):
         h = _linear(model, f"gen.l{i}", h)
         h = _maybe_bn(model, f"gen.bn{i}", h, training)
-        h = _activate(model.gen_cfg, h)
+        h = ad.relu(h)
     return ad.sigmoid(_linear(model, f"gen.l{n_layers - 1}", h))
 
 
@@ -196,26 +177,23 @@ def _trunk(model: ModelPair, x: Tensor, training: bool) -> Tensor:
     for i in range(len(model.dq_cfg.widths) - 1):
         h = _linear(model, f"trunk.l{i}", h)
         h = _maybe_bn(model, f"trunk.bn{i}", h, training)
-        h = _activate(model.dq_cfg, h)
+        h = ad.lrelu(h, LRELU_RATE)
     return h
 
 
 def _q_head(model: ModelPair, h: Tensor, training: bool) -> QPosteriorParams:
     hq = _linear(model, "q_head.l0", h)
     hq = _maybe_bn(model, "q_head.bn0", hq, training)
-    hq = ad.lrelu(hq, model.dq_cfg.lrelu_rate)
+    hq = ad.lrelu(hq, LRELU_RATE)
 
     q = QPosteriorParams(spec=model.spec)
-    i_cat = i_cont = 0
-    for block in model.spec.blocks:
+    for block, name in zip(model.spec.blocks, _q_block_names(model.spec)):
         if block.is_discrete:
-            q.cat_logits.append(_linear(model, f"q_head.cat{i_cat}", hq))
-            i_cat += 1
+            q.blocks.append(_linear(model, name, hq))
         else:
-            q.cont_mu.append(_linear(model, f"q_head.cont{i_cont}.mu", hq))
-            s_raw = _linear(model, f"q_head.cont{i_cont}.s", hq)
-            q.cont_log_sigma.append(ad.clip(s_raw, -LOG_SIGMA_BOUND, LOG_SIGMA_BOUND))
-            i_cont += 1
+            mu = _linear(model, f"{name}.mu", hq)
+            s_raw = _linear(model, f"{name}.s", hq)
+            q.blocks.append((mu, ad.clip(s_raw, -LOG_SIGMA_BOUND, LOG_SIGMA_BOUND)))
     return q
 
 

@@ -26,21 +26,16 @@ def discriminator_loss(d_real_logits: Tensor, d_fake_logits: Tensor) -> Tensor:
 
 
 def generator_loss(d_fake_logits: Tensor, mode: str = "nonsaturating") -> Tensor:
-    """Generator-side loss from fake logits alone (see :func:`gan_losses`)."""
+    """Generator-side loss from fake logits alone.
+
+    'minimax' is mean log(1 - sigmoid(fake)); 'nonsaturating' is
+    -mean log sigmoid(fake).
+    """
     if mode not in GAN_MODES:
         raise UsageError(f"gan mode must be one of {GAN_MODES}, got '{mode}'")
     if mode == "minimax":
         return ad.scale(ad.reduce_mean(ad.softplus(d_fake_logits)), -1.0)
     return ad.reduce_mean(ad.softplus(ad.scale(d_fake_logits, -1.0)))
-
-
-def gan_losses(d_real_logits: Tensor, d_fake_logits: Tensor, mode: str = "nonsaturating") -> tuple[Tensor, Tensor]:
-    """Discriminator and generator losses from raw logits.
-
-    loss_D is :func:`discriminator_loss`. loss_G: 'minimax' is
-    mean log(1 - sigmoid(fake)); 'nonsaturating' is -mean log sigmoid(fake).
-    """
-    return discriminator_loss(d_real_logits, d_fake_logits), generator_loss(d_fake_logits, mode)
 
 
 def mi_lower_bound(q_params: QPosteriorParams, batch: LatentBatch, spec: LatentSpec) -> tuple[Tensor, Tensor]:

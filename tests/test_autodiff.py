@@ -74,11 +74,6 @@ class TestForwardValues:
         expected = norm.logpdf(c, loc=mu, scale=np.exp(log_sigma)).sum(axis=1, keepdims=True)
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
-    def test_concat_along_columns(self):
-        a, b = Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 1)))
-        out = ad.concat([a, b], axis=1)
-        np.testing.assert_array_equal(out.data, [[1, 1, 0], [1, 1, 0]])
-
     def test_shape_errors_name_op_and_shapes(self):
         with pytest.raises(ShapeError, match=r"linear.*\(2, 3\) @ \(2, 3\)"):
             ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones(3)))

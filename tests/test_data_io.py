@@ -82,6 +82,13 @@ class TestIdxLoader:
         with pytest.raises(FormatError, match="labels"):
             load_mnist_idx(ip, lp2)
 
+    def test_failed_write_keeps_both_earlier_files_and_leaves_no_temp(self, idx_pair, tmp_path):
+        images, _, ip, lp = idx_pair
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(OverflowError):
+            write_idx_pair(images[:2], [3, 300], ip, lp)   # 300 does not fit a uint8 label
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 class TestSynthTemplates:
     def test_noiseless_horizontal_bar_geometry(self):

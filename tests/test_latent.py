@@ -106,20 +106,29 @@ class TestSampling:
         spec = spec_cat_unif()
         a = sample_latent(spec, 32, np.random.default_rng(42))
         b = sample_latent(spec, 32, np.random.default_rng(42))
-        np.testing.assert_array_equal(a.z.data, b.z.data)
-        np.testing.assert_array_equal(a.c_encoded.data, b.c_encoded.data)
+        np.testing.assert_array_equal(a.g_input.data, b.g_input.data)
         for ra, rb in zip(a.c_raw, b.c_raw):
             np.testing.assert_array_equal(ra, rb)
 
     def test_onehot_rows_sum_to_one(self):
         spec = LatentSpec(blocks=(CodeBlock.categorical(7),), noise_dim=2)
         batch = sample_latent(spec, 50, np.random.default_rng(0))
-        np.testing.assert_array_equal(batch.c_encoded.data.sum(axis=1), np.ones(50))
+        np.testing.assert_array_equal(batch.g_input.data[:, 2:].sum(axis=1), np.ones(50))
+
+    def test_g_input_is_noise_then_encoded_codes(self):
+        spec = spec_cat_unif(noise_dim=3)
+        batch = sample_latent(spec, 20, np.random.default_rng(4))
+        assert batch.g_input.shape == (20, spec.gen_input_dim)
+        codes = batch.g_input.data[:, 3:]
+        cat, unif = spec.encoded_slices()
+        np.testing.assert_array_equal(np.argmax(codes[:, cat], axis=1), batch.c_raw[0])
+        np.testing.assert_array_equal(codes[:, unif], batch.c_raw[1])
 
     def test_uniform_noise_kind(self):
         spec = LatentSpec(blocks=(), noise_dim=8, noise_kind="uniform")
         batch = sample_latent(spec, 1000, np.random.default_rng(1))
-        assert batch.z.data.min() >= -1.0 and batch.z.data.max() <= 1.0
+        assert batch.g_input.shape == (1000, 8)
+        assert batch.g_input.data.min() >= -1.0 and batch.g_input.data.max() <= 1.0
 
 
 class TestOneHot:
@@ -134,10 +143,12 @@ def _q_params_for(spec, logits=None, mu=None, s=None, batch=1):
     q = QPosteriorParams(spec=spec)
     for block in spec.blocks:
         if block.is_discrete:
-            q.cat_logits.append(Tensor(logits if logits is not None else np.zeros((batch, block.k))))
+            q.blocks.append(Tensor(logits if logits is not None else np.zeros((batch, block.k))))
         else:
-            q.cont_mu.append(Tensor(mu if mu is not None else np.zeros((batch, block.dim))))
-            q.cont_log_sigma.append(Tensor(s if s is not None else np.zeros((batch, block.dim))))
+            q.blocks.append((
+                Tensor(mu if mu is not None else np.zeros((batch, block.dim))),
+                Tensor(s if s is not None else np.zeros((batch, block.dim))),
+            ))
     return q
 
 
@@ -181,6 +192,14 @@ class TestLogQ:
         with pytest.raises(UsageError):
             log_q(q, batch)
 
+    def test_missing_block_rejected(self):
+        spec = spec_cat_unif(noise_dim=0)
+        batch = sample_latent(spec, 2, np.random.default_rng(0))
+        q = _q_params_for(spec, batch=2)
+        q.blocks.pop()
+        with pytest.raises(UsageError):
+            log_q(q, batch)
+
     def test_mc_neg_log_q_at_prior_estimates_entropy(self):
         # with Q equal to the prior, E[-log Q] is exactly H(c)
         k = 6
@@ -198,12 +217,12 @@ class TestLogQ:
         rng = np.random.default_rng(2)
         batch = sample_latent(spec, 8, rng)
         with ad.Tape() as tape:
-            q = QPosteriorParams(spec=spec)
-            q.cat_logits.append(Tensor(rng.normal(0, 1, (8, 4))))
-            q.cont_mu.append(Tensor(rng.normal(0, 1, (8, 1))))
-            q.cont_log_sigma.append(Tensor(rng.normal(0, 0.3, (8, 1))))
+            logits = Tensor(rng.normal(0, 1, (8, 4)))
+            mu = Tensor(rng.normal(0, 1, (8, 1)))
+            log_sigma = Tensor(rng.normal(0, 0.3, (8, 1)))
+            q = QPosteriorParams(spec=spec, blocks=[logits, (mu, log_sigma)])
             disc, cont = log_q(q, batch)
             total = ad.add(ad.reduce_mean(disc), ad.reduce_mean(cont))
-            grads = tape.backward(total, [q.cat_logits[0], q.cont_mu[0], q.cont_log_sigma[0]])
+            grads = tape.backward(total, [logits, mu, log_sigma])
             for g in grads:
                 assert np.linalg.norm(g) > 0.0

@@ -5,11 +5,10 @@ import pytest
 
 from infogan_lab import autodiff as ad
 from infogan_lab.autodiff import ShapeError, Tape, Tensor, grad_check
+from infogan_lab.config import TrainingConfig
 from infogan_lab.latent import CodeBlock, LatentSpec, sample_latent
 from infogan_lab.models import (
     NetConfig,
-    default_dq_config,
-    default_gen_config,
     disc_forward,
     disc_q_forward,
     gen_forward,
@@ -20,8 +19,8 @@ from infogan_lab.models import (
 
 def small_setup(seed=0, batchnorm=False):
     spec = LatentSpec(blocks=(CodeBlock.categorical(4), CodeBlock.uniform(-1, 1)), noise_dim=16)
-    gen_cfg = default_gen_config(spec, 64, hidden=(32, 48), batchnorm=batchnorm)
-    dq_cfg = default_dq_config(64, hidden=(48, 32), batchnorm=batchnorm, q_hidden=16)
+    gen_cfg = NetConfig(widths=(spec.gen_input_dim, 32, 48, 64), batchnorm=batchnorm)
+    dq_cfg = NetConfig(widths=(64, 48, 32), batchnorm=batchnorm, q_hidden=16)
     model = init_models(gen_cfg, dq_cfg, spec, np.random.default_rng(seed))
     return spec, model
 
@@ -35,12 +34,13 @@ class TestInit:
             np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
 
     def test_mnist_style_input_width_74(self):
-        spec = LatentSpec(
-            blocks=(CodeBlock.categorical(10), CodeBlock.uniform(-1, 1), CodeBlock.uniform(-1, 1)),
+        cfg = TrainingConfig(
+            dataset="mnist",
+            codes=(CodeBlock.categorical(10), CodeBlock.uniform(-1, 1), CodeBlock.uniform(-1, 1)),
             noise_dim=62,
         )
-        assert spec.gen_input_dim == 74
-        gen_cfg = default_gen_config(spec, 784)
+        assert cfg.latent_spec().gen_input_dim == 74
+        gen_cfg, _ = cfg.net_configs()
         assert gen_cfg.widths[0] == 74
 
     def test_zero_hidden_layers_rejected(self):
@@ -48,7 +48,7 @@ class TestInit:
         with pytest.raises(ShapeError):
             init_models(
                 NetConfig(widths=(spec.gen_input_dim, 64)),  # input -> image, no hidden
-                default_dq_config(64),
+                NetConfig(widths=(64, 256, 128)),
                 spec,
                 np.random.default_rng(0),
             )
@@ -58,10 +58,29 @@ class TestInit:
         with pytest.raises(ShapeError):
             init_models(
                 NetConfig(widths=(99, 32, 64)),
-                default_dq_config(64),
+                NetConfig(widths=(64, 256, 128)),
                 spec,
                 np.random.default_rng(0),
             )
+
+    def test_q_head_names_count_each_family_in_spec_order(self):
+        # checkpoint entry names: interleaved families keep their own counters
+        spec = LatentSpec(
+            blocks=(CodeBlock.categorical(3), CodeBlock.uniform(-1, 1), CodeBlock.categorical(2), CodeBlock.gaussian(0, 1, 2)),
+            noise_dim=2,
+        )
+        model = init_models(NetConfig(widths=(spec.gen_input_dim, 4, 6)), NetConfig(widths=(6, 4), q_hidden=3), spec,
+                            np.random.default_rng(0))
+        heads = [n for n in model.q_head_params() if not n.startswith("q_head.l0")]
+        assert heads == [
+            "q_head.cat0.w", "q_head.cat0.b",
+            "q_head.cont0.mu.w", "q_head.cont0.mu.b", "q_head.cont0.s.w", "q_head.cont0.s.b",
+            "q_head.cat1.w", "q_head.cat1.b",
+            "q_head.cont1.mu.w", "q_head.cont1.mu.b", "q_head.cont1.s.w", "q_head.cont1.s.b",
+        ]
+        q = q_forward(model, Tensor(np.random.default_rng(1).uniform(0, 1, (5, 6))), training=False)
+        shapes = [b.shape if isinstance(b, Tensor) else tuple(t.shape for t in b) for b in q.blocks]
+        assert shapes == [(5, 3), ((5, 1), (5, 1)), (5, 2), ((5, 2), (5, 2))]
 
     def test_biases_zero_weights_spread(self):
         _, model = small_setup()
@@ -93,7 +112,8 @@ class TestGenForward:
             out = gen_forward(model, batch, training=False)
             return ad.reduce_sum(ad.mul(out, ad.const(w)))
 
-        assert grad_check(loss, [batch.c_encoded], step=1e-6) <= 1e-5
+        # every generator input column: the noise z and the encoded codes c
+        assert grad_check(loss, [batch.g_input], step=1e-6) <= 1e-5
 
 
 class TestDiscQForward:
@@ -114,8 +134,8 @@ class TestDiscQForward:
         d_logit, q = disc_q_forward(model, x, training=False)
         assert disc_forward(model, x, training=False).data.tobytes() == d_logit.data.tobytes()
         q_only = q_forward(model, x, training=False)
-        for a, b in zip(q.cat_logits + q.cont_mu + q.cont_log_sigma,
-                        q_only.cat_logits + q_only.cont_mu + q_only.cont_log_sigma):
+        (logits, (mu, s)), (logits_only, (mu_only, s_only)) = q.blocks, q_only.blocks
+        for a, b in ((logits, logits_only), (mu, mu_only), (s, s_only)):
             assert a.data.tobytes() == b.data.tobytes()
 
     def test_single_head_passes_record_only_their_head(self):
@@ -131,16 +151,17 @@ class TestDiscQForward:
         spec, model = small_setup()
         x = Tensor(np.random.default_rng(6).uniform(0, 1, (16, 64)))
         _, q = disc_q_forward(model, x, training=False)
-        sigma = np.exp(q.cont_log_sigma[0].data)
+        _, log_sigma = q.blocks[1]
+        sigma = np.exp(log_sigma.data)
         assert np.all(sigma > 0.0)
-        assert np.all(np.abs(q.cont_log_sigma[0].data) <= 7.0)
+        assert np.all(np.abs(log_sigma.data) <= 7.0)
 
     def test_log_sigma_clamp_engages(self):
         spec, model = small_setup()
         model.params["q_head.cont0.s.b"].data[:] = 50.0  # force raw output past the cap
         x = Tensor(np.random.default_rng(7).uniform(0, 1, (4, 64)))
         _, q = disc_q_forward(model, x, training=False)
-        np.testing.assert_allclose(q.cont_log_sigma[0].data, 7.0)
+        np.testing.assert_allclose(q.blocks[1][1].data, 7.0)
 
     def test_d_logit_finite_over_random_inputs(self):
         spec, model = small_setup()
@@ -154,19 +175,14 @@ class TestDiscQForward:
         x = np.random.default_rng(9).uniform(0, 1, (8, 64))
         _, qa = disc_q_forward(model, Tensor(x), training=False)
         _, qb = disc_q_forward(model, Tensor(x.copy()), training=False)
-        np.testing.assert_array_equal(qa.cat_logits[0].data, qb.cat_logits[0].data)
-        np.testing.assert_array_equal(qa.cont_mu[0].data, qb.cont_mu[0].data)
+        np.testing.assert_array_equal(qa.blocks[0].data, qb.blocks[0].data)
+        np.testing.assert_array_equal(qa.blocks[1][0].data, qb.blocks[1][0].data)
 
     def test_wrong_image_dim_rejected(self):
         spec, model = small_setup()
         for forward in (disc_q_forward, disc_forward, q_forward):
             with pytest.raises(ShapeError):
                 forward(model, Tensor(np.zeros((4, 63))), training=False)
-
-    @pytest.mark.parametrize("rate", [0.0, 1.0, -0.2, float("inf")])
-    def test_lrelu_rate_outside_unit_interval_rejected(self, rate):
-        with pytest.raises(ShapeError, match=r"lrelu_rate must lie in \(0, 1\), got"):
-            NetConfig(widths=(4, 2), activation="lrelu", lrelu_rate=rate)
 
 
 class TestParamGroups:

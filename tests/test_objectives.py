@@ -11,7 +11,6 @@ from infogan_lab.autodiff import Tensor, UsageError, grad_check
 from infogan_lab.latent import CodeBlock, LatentSpec, QPosteriorParams, sample_latent
 from infogan_lab.objectives import (
     discriminator_loss,
-    gan_losses,
     generator_loss,
     infogan_losses,
     mi_lower_bound,
@@ -26,26 +25,20 @@ def _logits(values):
 
 class TestGanLossValues:
     def test_zero_logits_give_two_ln2(self):
-        loss_d, _ = gan_losses(_logits([0.0, 0.0]), _logits([0.0, 0.0]))
+        loss_d = discriminator_loss(_logits([0.0, 0.0]), _logits([0.0, 0.0]))
         assert abs(float(loss_d) - 2 * LN2) < 1e-12
 
     def test_nonsaturating_at_zero_is_ln2(self):
-        _, loss_g = gan_losses(_logits([5.0]), _logits([0.0]), mode="nonsaturating")
+        loss_g = generator_loss(_logits([0.0]), mode="nonsaturating")
         assert abs(float(loss_g) - LN2) < 1e-12
 
     def test_minimax_at_zero_is_minus_ln2(self):
         loss_g = generator_loss(_logits([0.0]), mode="minimax")
         assert abs(float(loss_g) + LN2) < 1e-12
 
-    def test_discriminator_loss_is_gan_losses_d_term(self):
-        rng = np.random.default_rng(5)
-        real, fake = _logits(rng.normal(0, 4, 16)), _logits(rng.normal(0, 4, 16))
-        for mode in ("minimax", "nonsaturating"):
-            assert float(discriminator_loss(real, fake)) == float(gan_losses(real, fake, mode)[0])
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(UsageError):
-            gan_losses(_logits([0.0]), _logits([0.0]), mode="wasserstein")
+            generator_loss(_logits([0.0]), mode="wasserstein")
 
     def test_matches_high_precision_direct_evaluation(self):
         # softplus rewrite vs literal -log sigma / -log(1-sigma) at 50 digits
@@ -54,7 +47,8 @@ class TestGanLossValues:
         for _ in range(20):
             real = rng.uniform(-30, 30, 5)
             fake = rng.uniform(-30, 30, 5)
-            loss_d, loss_g = gan_losses(_logits(real), _logits(fake), mode="minimax")
+            loss_d = discriminator_loss(_logits(real), _logits(fake))
+            loss_g = generator_loss(_logits(fake), mode="minimax")
             sig = lambda v: 1 / (1 + mpmath.e ** (-mpmath.mpf(v)))
             ref_d = -sum(mpmath.log(sig(v)) for v in real) / 5 - sum(
                 mpmath.log(1 - sig(v)) for v in fake
@@ -70,8 +64,7 @@ class TestGanLossValues:
             fake = Tensor(rng.normal(0, 3, (6, 1)))
 
             def loss(p, mode=mode):
-                ld, lg = gan_losses(p[0], p[1], mode)
-                return ad.add(ld, lg)
+                return ad.add(discriminator_loss(p[0], p[1]), generator_loss(p[1], mode))
 
             assert grad_check(loss, [real, fake], step=1e-6) <= 1e-6
 
@@ -84,7 +77,7 @@ class TestMiLowerBound:
 
     def test_uniform_q_gives_zero(self):
         spec, lat = self._setup()
-        q = QPosteriorParams(spec=spec, cat_logits=[Tensor(np.zeros((32, 10)))])
+        q = QPosteriorParams(spec=spec, blocks=[Tensor(np.zeros((32, 10)))])
         li_disc, li_cont = mi_lower_bound(q, lat, spec)
         assert abs(float(li_disc)) < 1e-12
         assert float(li_cont) == 0.0
@@ -94,7 +87,7 @@ class TestMiLowerBound:
         onehot = np.zeros((32, 10))
         onehot[np.arange(32), lat.c_raw[0]] = 1.0
         # logits so large the softmax puts ~1-1e-9 on the sampled category
-        q = QPosteriorParams(spec=spec, cat_logits=[Tensor(onehot * 60.0)])
+        q = QPosteriorParams(spec=spec, blocks=[Tensor(onehot * 60.0)])
         li_disc, _ = mi_lower_bound(q, lat, spec)
         assert abs(float(li_disc) - math.log(10)) < 1e-9
 
@@ -102,7 +95,7 @@ class TestMiLowerBound:
         spec, lat = self._setup(k=4, batch=128, seed=5)
         rng = np.random.default_rng(6)
         for _ in range(25):
-            q = QPosteriorParams(spec=spec, cat_logits=[Tensor(rng.normal(0, 5, (128, 4)))])
+            q = QPosteriorParams(spec=spec, blocks=[Tensor(rng.normal(0, 5, (128, 4)))])
             li_disc, _ = mi_lower_bound(q, lat, spec)
             assert float(li_disc) <= math.log(4) + 1e-9
 
@@ -111,8 +104,7 @@ class TestMiLowerBound:
         lat = sample_latent(spec, 16, np.random.default_rng(2))
         q = QPosteriorParams(
             spec=spec,
-            cont_mu=[Tensor(np.asarray(lat.c_raw[0]))],
-            cont_log_sigma=[Tensor(np.zeros((16, 1)))],
+            blocks=[(Tensor(np.asarray(lat.c_raw[0])), Tensor(np.zeros((16, 1))))],
         )
         _, li_cont = mi_lower_bound(q, lat, spec)
         assert abs(float(li_cont) - (-0.918939 + LN2)) < 1e-5

@@ -303,7 +303,7 @@ class TestTrainStep:
         monkeypatch.setattr(autodiff.Tape, "__exit__", counting_exit)
         monkeypatch.setattr(autodiff, "_OPS", {op: (f, counting_rule(b)) for op, (f, b) in autodiff._OPS.items()})
         train_step(*self._default_step_inputs())
-        assert counts == {"ops": 55, "nodes": 81, "rules": 63, "skipped g @ w.T": 4, "skipped x.T @ g": 7}
+        assert counts == {"ops": 53, "nodes": 79, "rules": 63, "skipped g @ w.T": 4, "skipped x.T @ g": 7}
 
     def test_d_step_records_no_q_head_parameter(self, tmp_path):
         from infogan_lab.data_io import synth_templates
@@ -545,6 +545,22 @@ class TestConfig:
     def test_bad_code_token_names_its_line(self, token):
         with pytest.raises(ConfigError, match=r"line 3: bad value for code: "):
             parse_config(f"seed = 3\n# codes\ncode = {token}\n")
+
+    @pytest.mark.parametrize("line", [
+        "q_hidden = 0",
+        "toy_noise_sigma = -1",
+        "mnist_subset = -5",
+        "noise_dim = -1",
+        "noise_kind = laplace",
+        "gen_layers =",
+        "trunk_layers = 0",
+        "toy_templates = 7",
+        "toy_samples = 0",
+    ])
+    def test_bad_value_fails_at_parse_naming_its_key(self, line):
+        key = line.partition("=")[0].strip()
+        with pytest.raises(ConfigError, match=rf"^{key} must "):
+            parse_config(f"seed = 3\n{line}\n")
 
     def test_empty_config_is_valid(self):
         assert parse_config("") == TrainingConfig()
