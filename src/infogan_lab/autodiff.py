@@ -20,10 +20,17 @@ Usage:
     # the tape is closed here: its nodes are freed and backward raises
 
 Outside a ``Tape`` context the same functions run as plain numpy and record
-nothing, which is the fast path used for evaluation and finite differences.
+nothing, which is the fast path used for evaluation and finite differences:
+an op call there costs its numpy work plus one rule lookup. Every forward
+rule returns a fresh C-contiguous float64 array, so ``forward_op`` wraps it
+as returned instead of re-validating it, and shape-check messages are only
+formatted when a check fails.
 """
 
 from __future__ import annotations
+
+import math
+from types import MappingProxyType
 
 import numpy as np
 from scipy.special import expit
@@ -99,7 +106,7 @@ class Tensor:
     def __float__(self) -> float:
         if self.data.size != 1:
             raise TypeError(f"only size-1 tensors convert to float, got shape {self.shape}")
-        return float(self.data.reshape(()))
+        return self.data.item()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, node={self.node})"
@@ -185,10 +192,10 @@ class Tape:
         tensor._tape = self
         return nid
 
-    def record(self, op: str, inputs: list[Tensor], attrs, out: Tensor) -> None:
+    def record(self, op: str, inputs: list[Tensor], arrs: list[np.ndarray], attrs, out: Tensor) -> None:
         input_ids = tuple(self._register(t) for t in inputs)
         nid = len(self.nodes)
-        self.nodes.append(TapeNode(op, input_ids, tuple(t.data for t in inputs), out.data, attrs))
+        self.nodes.append(TapeNode(op, input_ids, arrs, out.data, attrs))
         out.node = nid
         out._tape = self
 
@@ -236,7 +243,8 @@ class Tape:
 
 
 # ---------------------------------------------------------------------------
-# op rules: forward(arrays, attrs) -> array; backward(g, node, need) -> input
+# op rules: forward(arrays, attrs) -> a fresh C-contiguous float64 array
+# (forward_op wraps it as returned); backward(g, node, need) -> input
 # grads, where need holds one bool per input (is that input live in the sweep)
 # and a multi-input rule returns None for every input it is not asked for.
 # add returns g itself for both inputs and ignores need; a single-input
@@ -246,18 +254,10 @@ class Tape:
 _LN_2PI = float(np.log(2.0 * np.pi))
 
 
-def _require(cond: bool, op: str, msg: str) -> None:
-    if not cond:
-        raise ShapeError(f"{op}: {msg}")
-
-
 def _f_linear(arrs, attrs):
     x, w, b = arrs
-    _require(
-        x.ndim == 2 and w.ndim == 2 and x.shape[1] == w.shape[0] and b.shape == (w.shape[1],),
-        "linear",
-        f"needs (B,I) @ (I,O) + (O,), got {x.shape} @ {w.shape} + {b.shape}",
-    )
+    if not (x.ndim == 2 and w.ndim == 2 and x.shape[1] == w.shape[0] and b.shape == (w.shape[1],)):
+        raise ShapeError(f"linear: needs (B,I) @ (I,O) + (O,), got {x.shape} @ {w.shape} + {b.shape}")
     return x @ w + b
 
 
@@ -272,7 +272,8 @@ def _b_linear(g, node, need):
 
 def _f_add(arrs, attrs):
     a, b = arrs
-    _require(a.shape == b.shape, "add", f"shapes must match, got {a.shape} + {b.shape}")
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes must match, got {a.shape} + {b.shape}")
     return a + b
 
 
@@ -282,7 +283,8 @@ def _b_add(g, node, need):
 
 def _f_mul(arrs, attrs):
     a, b = arrs
-    _require(a.shape == b.shape, "mul", f"elementwise shapes differ: {a.shape} vs {b.shape}")
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: elementwise shapes differ: {a.shape} vs {b.shape}")
     return a * b
 
 
@@ -359,11 +361,10 @@ def _f_categorical_log_q(arrs, attrs):
     # log-softmax of each row of logits at that row's index, shape (B,1)
     logits = arrs[0]
     index = attrs["index"]
-    _require(
-        logits.ndim == 2 and index.shape == (logits.shape[0],) and index.dtype.kind in "iu",
-        "categorical_log_q",
-        f"needs (B,K) logits and B integer indices, got {logits.shape} and {index.dtype} {index.shape}",
-    )
+    if not (logits.ndim == 2 and index.shape == (logits.shape[0],) and index.dtype.kind in "iu"):
+        raise ShapeError(
+            f"categorical_log_q: needs (B,K) logits and B integer indices, got {logits.shape} and {index.dtype} {index.shape}"
+        )
     if index.size and not (0 <= index.min() and index.max() < logits.shape[1]):
         raise DomainError(f"categorical_log_q: index outside [0, {logits.shape[1]}) (min {index.min()}, max {index.max()})")
     shifted, lse = _shifted_logsumexp(logits)
@@ -391,11 +392,10 @@ def _gaussian_inv_var(log_sigma):
 def _f_gaussian_log_q(arrs, attrs):
     # per-row sum over dims of log N(c; mu, exp(log_sigma)^2), shape (B,1)
     c, mu, log_sigma = arrs
-    _require(
-        c.ndim == 2 and c.shape == mu.shape == log_sigma.shape,
-        "gaussian_log_q",
-        f"c, mu and log_sigma must share one (B,D) shape, got {c.shape}, {mu.shape} and {log_sigma.shape}",
-    )
+    if not (c.ndim == 2 and c.shape == mu.shape == log_sigma.shape):
+        raise ShapeError(
+            f"gaussian_log_q: c, mu and log_sigma must share one (B,D) shape, got {c.shape}, {mu.shape} and {log_sigma.shape}"
+        )
     diff = c - mu
     elem = -0.5 * _LN_2PI - log_sigma - 0.5 * (diff * diff) * _gaussian_inv_var(log_sigma)
     return elem.sum(axis=1, keepdims=True)
@@ -412,8 +412,11 @@ def _b_gaussian_log_q(g, node, need):
     ]
 
 
+# np.add.reduce is what ndarray.sum and ndarray.mean run for float64, so
+# these are bitwise-equal to them without the methods' Python wrappers.
 def _f_reduce_mean(arrs, attrs):
-    return np.asarray(arrs[0].mean())
+    x = arrs[0]
+    return np.asarray(np.add.reduce(x, axis=None) / x.size)
 
 
 def _b_reduce_mean(g, node, need):
@@ -422,7 +425,7 @@ def _b_reduce_mean(g, node, need):
 
 
 def _f_reduce_sum(arrs, attrs):
-    return np.asarray(arrs[0].sum())
+    return np.asarray(np.add.reduce(arrs[0], axis=None))
 
 
 def _b_reduce_sum(g, node, need):
@@ -441,12 +444,10 @@ def _f_batchnorm(arrs, attrs):
     x, gamma, beta = arrs
     state: BatchNormState = attrs["state"]
     training: bool = attrs["training"]
-    _require(x.ndim == 2, "batchnorm", f"needs (B,F) input, got {x.shape}")
-    _require(
-        gamma.shape == (x.shape[1],) and beta.shape == (x.shape[1],),
-        "batchnorm",
-        f"scale/shift must be ({x.shape[1]},), got {gamma.shape} and {beta.shape}",
-    )
+    if x.ndim != 2:
+        raise ShapeError(f"batchnorm: needs (B,F) input, got {x.shape}")
+    if not (gamma.shape == (x.shape[1],) and beta.shape == (x.shape[1],)):
+        raise ShapeError(f"batchnorm: scale/shift must be ({x.shape[1]},), got {gamma.shape} and {beta.shape}")
     if training:
         mean, var, inv_std = _batch_moments(x, state.eps)
         state.update(mean, var)
@@ -502,14 +503,25 @@ _OPS = {
 OP_CATALOGUE = tuple(sorted(_OPS))
 
 
+_NO_ATTRS = MappingProxyType({})  # read-only, so every op called without attributes can share it
+_new_tensor = object.__new__
+
+
 def forward_op(name: str, inputs: list[Tensor], attrs: dict | None = None) -> Tensor:
     """Run one catalogue op; records a tape node when a tape is active."""
     rules = _OPS.get(name)
     if rules is None:
         raise UsageError(f"unknown op '{name}' (catalogue: {', '.join(OP_CATALOGUE)})")
-    out = Tensor(rules[0](tuple(t.data for t in inputs), attrs or {}))
+    if attrs is None:
+        attrs = _NO_ATTRS
+    arrs = [t.data for t in inputs]
+    # the rule's output is already a fresh C-contiguous float64 array: wrap it unchecked
+    out = _new_tensor(Tensor)
+    out.data = rules[0](arrs, attrs)
+    out.node = None
+    out._tape = None
     if _ACTIVE_TAPE is not None:
-        _ACTIVE_TAPE.record(name, inputs, attrs or {}, out)
+        _ACTIVE_TAPE.record(name, inputs, arrs, attrs, out)
     return out
 
 
@@ -583,7 +595,9 @@ def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6) -> float:
     ``loss_builder(params) -> scalar Tensor`` must be deterministic (freeze
     any random draws before calling); this is probed with two forward
     passes. The error metric per coordinate is
-    ``|analytic - numeric| / max(1, |analytic|, |numeric|)``.
+    ``|analytic - numeric| / max(1, |analytic|, |numeric|)``; a non-finite
+    analytic or numeric value makes it inf. Every probed coordinate is
+    restored, also when ``loss_builder`` raises.
     """
     if not (0.0 < step <= 1e-3):
         raise UsageError(f"grad_check: step must be in (0, 1e-3], got {step}")
@@ -597,17 +611,23 @@ def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6) -> float:
     max_err = 0.0
     for p, ga in zip(params, analytic):
         flat = p.data.ravel()
-        ga_flat = ga.ravel()
+        ga_flat = ga.ravel().tolist()  # Python floats: inf - inf is NaN without a numpy warning
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
-            f_plus = float(loss_builder(params))
-            flat[i] = orig - step
-            f_minus = float(loss_builder(params))
-            flat[i] = orig
+            try:
+                flat[i] = orig + step
+                f_plus = float(loss_builder(params))
+                flat[i] = orig - step
+                f_minus = float(loss_builder(params))
+            finally:
+                flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * step)
             a = ga_flat[i]
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+            # NaN or inf in a or numeric leaves err NaN or inf; NaN fails every
+            # comparison, so it would be dropped below
+            if not math.isfinite(err):
+                err = math.inf
             if err > max_err:
                 max_err = err
     return max_err

@@ -7,6 +7,7 @@ round-trips exactly (floats via repr); checkpoints embed that text.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .autodiff import ShapeError
@@ -68,14 +69,19 @@ class TrainingConfig:
             raise ConfigError(f"dataset must be toy or mnist, got '{self.dataset}'")
         if self.gan_mode not in ("minimax", "nonsaturating"):
             raise ConfigError(f"gan_mode must be minimax or nonsaturating, got '{self.gan_mode}'")
-        if self.lr_d <= 0.0 or self.lr_g <= 0.0:
-            raise ConfigError("learning rates must be > 0")
+        # written as "not (finite and in range)" so that NaN, which fails every comparison, is caught
+        for key in ("lr_d", "lr_g", "adam_epsilon"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{key} must be finite and > 0, got {value!r}")
+        for key in ("lambda_disc", "lambda_cont"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{key} must be finite and >= 0, got {value!r}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("adam betas must lie in [0, 1)")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.lambda_disc < 0.0 or self.lambda_cont < 0.0:
-            raise ConfigError("lambda values must be >= 0")
         if self.iterations < 1 or self.log_every < 1:
             raise ConfigError("iterations and log_every must be >= 1")
         if self.batchnorm is None:

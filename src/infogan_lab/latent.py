@@ -134,8 +134,21 @@ def parse_block_token(token: str) -> CodeBlock:
 
 
 @dataclass(frozen=True)
+class EntropyBreakdown:
+    per_block: tuple[float, ...]
+    discrete: float
+    continuous: float
+    total: float
+
+
+@dataclass(frozen=True)
 class LatentSpec:
-    """Ordered code blocks plus the unstructured noise dimension."""
+    """Ordered code blocks plus the unstructured noise dimension.
+
+    The constants every forward pass reads (``gen_input_dim``,
+    ``signature()`` and the :func:`entropy` breakdown) are computed once,
+    when the spec is built.
+    """
 
     blocks: tuple[CodeBlock, ...]
     noise_dim: int
@@ -146,15 +159,17 @@ class LatentSpec:
             raise SpecError(f"noise_dim must be >= 0, got {self.noise_dim}")
         if self.noise_kind not in ("normal", "uniform"):
             raise SpecError(f"noise_kind must be 'normal' or 'uniform', got '{self.noise_kind}'")
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-
-    @property
-    def encoded_dim(self) -> int:
-        return sum(b.encoded_dim for b in self.blocks)
-
-    @property
-    def gen_input_dim(self) -> int:
-        return self.noise_dim + self.encoded_dim
+        blocks = tuple(self.blocks)
+        per_block = tuple(b.entropy() for b in blocks)
+        disc = sum(h for b, h in zip(blocks, per_block) if b.is_discrete)
+        cont = sum(h for b, h in zip(blocks, per_block) if not b.is_discrete)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "encoded_dim", sum(b.encoded_dim for b in blocks))
+        object.__setattr__(self, "gen_input_dim", self.noise_dim + self.encoded_dim)
+        object.__setattr__(self, "_signature", tuple((b.kind, b.encoded_dim) for b in blocks))
+        object.__setattr__(
+            self, "_entropy", EntropyBreakdown(per_block=per_block, discrete=disc, continuous=cont, total=disc + cont)
+        )
 
     def encoded_slices(self) -> list[slice]:
         """Column ranges of each block inside the encoded code matrix."""
@@ -165,23 +180,13 @@ class LatentSpec:
         return out
 
     def signature(self) -> tuple:
-        return tuple((b.kind, b.encoded_dim) for b in self.blocks)
-
-
-@dataclass
-class EntropyBreakdown:
-    per_block: list[float]
-    discrete: float
-    continuous: float
-    total: float
+        """(kind, encoded width) per block: the structure Q's outputs must match."""
+        return self._signature
 
 
 def entropy(spec: LatentSpec) -> EntropyBreakdown:
-    """Closed-form H(c) per block plus family and grand totals (nats)."""
-    per_block = [b.entropy() for b in spec.blocks]
-    disc = sum(h for b, h in zip(spec.blocks, per_block) if b.is_discrete)
-    cont = sum(h for b, h in zip(spec.blocks, per_block) if not b.is_discrete)
-    return EntropyBreakdown(per_block=per_block, discrete=disc, continuous=cont, total=disc + cont)
+    """Closed-form H(c) per block plus family and grand totals (nats), as computed when ``spec`` was built."""
+    return spec._entropy
 
 
 def one_hot(indices: np.ndarray, k: int) -> np.ndarray:

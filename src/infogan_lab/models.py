@@ -58,6 +58,10 @@ class ModelPair:
     dq_cfg: NetConfig
     params: dict[str, Tensor] = field(default_factory=dict)
     bn_states: dict[str, BatchNormState] = field(default_factory=dict)
+    q_block_names: list[str] = field(init=False)  # per-spec constant, read by every Q head pass
+
+    def __post_init__(self):
+        self.q_block_names = _q_block_names(self.spec)
 
     @property
     def image_dim(self) -> int:
@@ -135,7 +139,7 @@ def init_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec, rng: np
     _add_linear(model, rng, "q_head.l0", feat, dq_cfg.q_hidden)
     if dq_cfg.batchnorm:
         _add_batchnorm(model, "q_head.bn0", dq_cfg.q_hidden)
-    for block, name in zip(spec.blocks, _q_block_names(spec)):
+    for block, name in zip(spec.blocks, model.q_block_names):
         if block.is_discrete:
             _add_linear(model, rng, name, dq_cfg.q_hidden, block.k)
         else:
@@ -187,7 +191,7 @@ def _q_head(model: ModelPair, h: Tensor, training: bool) -> QPosteriorParams:
     hq = ad.lrelu(hq, LRELU_RATE)
 
     q = QPosteriorParams(spec=model.spec)
-    for block, name in zip(model.spec.blocks, _q_block_names(model.spec)):
+    for block, name in zip(model.spec.blocks, model.q_block_names):
         if block.is_discrete:
             q.blocks.append(_linear(model, name, hq))
         else:

@@ -1,6 +1,7 @@
 """Tensor engine: forward values, backward rules, and the gradient checker."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.stats import norm
 
 from infogan_lab import autodiff as ad
 from infogan_lab.autodiff import (
+    OP_CATALOGUE,
     BatchNormState,
     DomainError,
     ShapeError,
@@ -20,6 +22,34 @@ from infogan_lab.autodiff import (
     forward_op,
     grad_check,
 )
+from infogan_lab.gradsuite import _OP_CASES
+
+
+def _ones(*shape):
+    return Tensor(np.ones(shape))
+
+
+_SHAPE_ERRORS = [
+    (lambda: ad.linear(_ones(2, 3), _ones(2, 3), _ones(3)),
+     "linear: needs (B,I) @ (I,O) + (O,), got (2, 3) @ (2, 3) + (3,)"),
+    (lambda: ad.linear(_ones(2, 3), _ones(3, 2), _ones(3)),
+     "linear: needs (B,I) @ (I,O) + (O,), got (2, 3) @ (3, 2) + (3,)"),
+    (lambda: ad.linear(_ones(3), _ones(3, 2), _ones(2)),
+     "linear: needs (B,I) @ (I,O) + (O,), got (3,) @ (3, 2) + (2,)"),
+    (lambda: ad.add(_ones(2, 3), _ones(3, 2)), "add: shapes must match, got (2, 3) + (3, 2)"),
+    (lambda: ad.add(_ones(3, 2), _ones(2)), "add: shapes must match, got (3, 2) + (2,)"),
+    (lambda: ad.mul(_ones(2, 3), _ones(2)), "mul: elementwise shapes differ: (2, 3) vs (2,)"),
+    (lambda: ad.categorical_log_q(_ones(2, 3), np.zeros(3, dtype=np.int64)),
+     "categorical_log_q: needs (B,K) logits and B integer indices, got (2, 3) and int64 (3,)"),
+    (lambda: ad.categorical_log_q(_ones(2, 3), np.zeros(2)),
+     "categorical_log_q: needs (B,K) logits and B integer indices, got (2, 3) and float64 (2,)"),
+    (lambda: ad.gaussian_log_q(_ones(2, 3), _ones(2, 2), _ones(2, 3)),
+     "gaussian_log_q: c, mu and log_sigma must share one (B,D) shape, got (2, 3), (2, 2) and (2, 3)"),
+    (lambda: ad.batchnorm(_ones(4), _ones(4), _ones(4), BatchNormState(4), True),
+     "batchnorm: needs (B,F) input, got (4,)"),
+    (lambda: ad.batchnorm(_ones(5, 3), _ones(2), _ones(3), BatchNormState(3), False),
+     "batchnorm: scale/shift must be (3,), got (2,) and (3,)"),
+]
 
 
 class TestForwardValues:
@@ -75,20 +105,11 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
     def test_shape_errors_name_op_and_shapes(self):
-        with pytest.raises(ShapeError, match=r"linear.*\(2, 3\) @ \(2, 3\)"):
-            ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
-        with pytest.raises(ShapeError, match=r"linear.*\(3, 2\) \+ \(3,\)"):
-            ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
-        with pytest.raises(ShapeError, match=r"add.*\(2, 3\)"):
-            ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
-        with pytest.raises(ShapeError, match=r"add.*\(3, 2\) \+ \(2,\)"):
-            ad.add(Tensor(np.ones((3, 2))), Tensor(np.ones(2)))
-        with pytest.raises(ShapeError, match=r"categorical_log_q.*\(2, 3\).*\(3,\)"):
-            ad.categorical_log_q(Tensor(np.ones((2, 3))), np.zeros(3, dtype=np.int64))
-        with pytest.raises(ShapeError, match=r"categorical_log_q.*float64"):
-            ad.categorical_log_q(Tensor(np.ones((2, 3))), np.zeros(2))
-        with pytest.raises(ShapeError, match=r"gaussian_log_q.*\(2, 3\).*\(2, 2\)"):
-            ad.gaussian_log_q(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))))
+        # each shape check builds its message only when it fails; the text is pinned verbatim
+        for call, message in _SHAPE_ERRORS:
+            with pytest.raises(ShapeError) as err:
+                call()
+            assert str(err.value) == message
 
     def test_domain_errors(self):
         zeros = Tensor(np.zeros((1, 2)))
@@ -102,6 +123,30 @@ class TestForwardValues:
     def test_unknown_op(self):
         with pytest.raises(UsageError, match="unknown op"):
             forward_op("convolve", [Tensor([1.0])])
+
+
+def test_forward_outputs_are_fresh_c_contiguous_float64(monkeypatch):
+    # forward_op wraps a rule's output unchecked, so every rule must return a
+    # new float64 ndarray in C order that shares no memory with its inputs
+    seen = set()
+    real_forward_op = ad.forward_op
+
+    def checked_forward_op(name, inputs, attrs=None):
+        out = real_forward_op(name, inputs, attrs)
+        seen.add(name)
+        assert type(out.data) is np.ndarray, name
+        assert out.data.dtype == np.float64, name
+        assert out.data.flags["C_CONTIGUOUS"] and out.data.flags["OWNDATA"], name
+        for t in inputs:
+            assert not np.shares_memory(out.data, t.data), name
+        return out
+
+    monkeypatch.setattr(ad, "forward_op", checked_forward_op)
+    for case in _OP_CASES.values():
+        for seed in range(3):
+            params, loss = case(np.random.default_rng(seed))
+            loss(params)
+    assert seen == set(OP_CATALOGUE)
 
 
 def _log_softmax_by_index(x):
@@ -367,6 +412,31 @@ class TestGradCheck:
         before = p.data.copy()
         grad_check(lambda ps: ad.reduce_sum(ad.mul(ps[0], ps[0])), [p])
         np.testing.assert_array_equal(p.data, before)
+
+    # calls 1-3 are the two determinism probes and the taped pass; 4 and 5
+    # are the +step and -step passes of the first coordinate
+    @pytest.mark.parametrize("failing_call", [4, 5])
+    def test_coordinate_restored_when_builder_raises(self, failing_call):
+        w = Tensor(np.array([0.0, 1.0]))
+        calls = {"n": 0}
+
+        def loss(p):
+            calls["n"] += 1
+            if calls["n"] == failing_call:
+                raise DomainError("probe failed")
+            return ad.reduce_sum(ad.mul(p[0], p[0]))
+
+        with pytest.raises(DomainError, match="probe failed"):
+            grad_check(loss, [w])
+        np.testing.assert_array_equal(w.data, [0.0, 1.0])
+
+    @pytest.mark.parametrize("op, bad", [("relu", np.nan), ("sigmoid", np.inf)])
+    def test_non_finite_analytic_gradient_fails_the_check(self, monkeypatch, op, bad):
+        # a NaN error fails every comparison, so it must be counted as inf rather than dropped
+        forward, _ = ad._OPS[op]
+        monkeypatch.setitem(ad._OPS, op, (forward, lambda g, node, need: [g * bad]))
+        params, loss = _OP_CASES[op](np.random.default_rng(0))
+        assert grad_check(loss, params) == math.inf
 
 
 def test_forward_determinism_same_seed():

@@ -89,6 +89,27 @@ class TestEntropy:
         assert abs(ent.continuous - LN2) < 1e-12
         assert abs(ent.total - ent.discrete - ent.continuous) < 1e-15
 
+    def test_spec_constants_match_a_fresh_computation(self):
+        # gen_input_dim, signature() and the entropy breakdown are computed once per spec
+        blocks = (
+            CodeBlock.categorical(3, [0.5, 0.25, 0.25]),
+            CodeBlock.uniform(-2.0, 1.0, dim=2),
+            CodeBlock.gaussian(0.5, 1.5, dim=3),
+            CodeBlock.categorical(10),
+        )
+        spec = LatentSpec(blocks=list(blocks), noise_dim=5)
+        per_block = tuple(b.entropy() for b in blocks)
+        assert spec.blocks == blocks
+        assert spec.encoded_dim == 3 + 2 + 3 + 10
+        assert spec.gen_input_dim == 5 + 3 + 2 + 3 + 10
+        assert spec.signature() == (("categorical", 3), ("uniform", 2), ("gaussian", 3), ("categorical", 10))
+        ent = entropy(spec)
+        assert ent.per_block == per_block
+        assert ent.discrete == per_block[0] + per_block[3]
+        assert ent.continuous == per_block[1] + per_block[2]
+        assert ent.total == ent.discrete + ent.continuous
+        assert entropy(spec) is ent
+
 
 class TestSampling:
     def test_categorical_frequencies(self):

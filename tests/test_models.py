@@ -71,6 +71,7 @@ class TestInit:
         )
         model = init_models(NetConfig(widths=(spec.gen_input_dim, 4, 6)), NetConfig(widths=(6, 4), q_hidden=3), spec,
                             np.random.default_rng(0))
+        assert model.q_block_names == ["q_head.cat0", "q_head.cont0", "q_head.cat1", "q_head.cont1"]
         heads = [n for n in model.q_head_params() if not n.startswith("q_head.l0")]
         assert heads == [
             "q_head.cat0.w", "q_head.cat0.b",

@@ -556,6 +556,18 @@ class TestConfig:
         "trunk_layers = 0",
         "toy_templates = 7",
         "toy_samples = 0",
+        # NaN fails every comparison, so a "<= 0" check alone would let it through
+        "lr_d = nan",
+        "lr_d = 0",
+        "lr_g = inf",
+        "lr_g = -1e-3",
+        "adam_epsilon = -1",
+        "adam_epsilon = 0",
+        "adam_epsilon = nan",
+        "lambda_disc = inf",
+        "lambda_disc = -1",
+        "lambda_cont = nan",
+        "lambda_cont = -inf",
     ])
     def test_bad_value_fails_at_parse_naming_its_key(self, line):
         key = line.partition("=")[0].strip()
