@@ -1,7 +1,8 @@
 """Tape-based reverse-mode automatic differentiation over dense float64 arrays.
 
-The operation catalogue is fixed and small: exactly the 14 ops that training
-and evaluation run. A dense layer is one ``linear`` op (``x @ w + b``), and
+The operation catalogue is fixed and small: 14 ops, the 12 that training and
+evaluation run plus ``mul`` and ``reduce_sum``, which the gradient-check cases
+use to weight an op's output into a scalar loss. A dense layer is one ``linear`` op (``x @ w + b``), and
 loss terms are fused into single ops (``softplus``, ``clip``, ``scale`` with
 its constant as an attribute, ``gaussian_log_q``, ``categorical_log_q`` with
 its category indices as an attribute) rather than assembled from elementwise

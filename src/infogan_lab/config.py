@@ -1,14 +1,18 @@
 """Run configuration: one ``key = value`` per line, UTF-8, '#' comments.
 
-Unknown keys are errors. Every key has a default, so the empty string is a
-valid config. ``render_config`` emits a canonical text whose parse
+A key is one ``TrainingConfig`` field, parsed and rendered by the format of
+its annotated type (``_FORMATS``), so adding a field adds its key. The one
+exception is ``codes``: each code block is a repeatable ``code = <token>``
+line, and ``codes`` itself is not a key. Unknown keys and a key given twice
+are errors. Every key has a default, so the empty string is a valid config.
+``render_config`` emits a canonical text in field order whose parse
 round-trips exactly (floats via repr); checkpoints embed that text.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .autodiff import ShapeError
 from .latent import CodeBlock, LatentSpec, SpecError, parse_block_token
@@ -74,12 +78,14 @@ class TrainingConfig:
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{key} must be finite and > 0, got {value!r}")
-        for key in ("lambda_disc", "lambda_cont"):
+        for key in ("lambda_disc", "lambda_cont", "toy_noise_sigma"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ConfigError(f"{key} must be finite and >= 0, got {value!r}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("adam betas must lie in [0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.iterations < 1 or self.log_every < 1:
@@ -97,8 +103,6 @@ class TrainingConfig:
             raise ConfigError(f"toy_templates must be 2, 3 or 4, got {self.toy_templates}")
         if self.toy_samples < self.toy_templates:
             raise ConfigError(f"toy_samples must be >= toy_templates ({self.toy_templates}), got {self.toy_samples}")
-        if not self.toy_noise_sigma >= 0.0:
-            raise ConfigError(f"toy_noise_sigma must be >= 0, got {self.toy_noise_sigma!r}")
         if self.mnist_subset < 1:
             raise ConfigError(f"mnist_subset must be >= 1, got {self.mnist_subset}")
         try:  # noise_dim, noise_kind and q_hidden are checked where they are used; those errors name the key
@@ -131,47 +135,32 @@ def _parse_bool(value: str) -> bool:
         return True
     if v in ("off", "false", "0", "no"):
         return False
-    raise ConfigError(f"expected on/off, got '{value}'")
+    raise ValueError(f"expected on/off, got '{value}'")
 
 
 def _parse_int_list(value: str) -> tuple[int, ...]:
     return tuple(int(p.strip()) for p in value.split(",") if p.strip())
 
 
-_SCALAR_KEYS = {
-    "seed": int,
-    "iterations": int,
-    "batch_size": int,
-    "lr_d": float,
-    "lr_g": float,
-    "beta1": float,
-    "beta2": float,
-    "adam_epsilon": float,
-    "lambda_disc": float,
-    "lambda_cont": float,
-    "gan_mode": str,
-    "dataset": str,
-    "noise_dim": int,
-    "noise_kind": str,
-    "gen_layers": _parse_int_list,
-    "trunk_layers": _parse_int_list,
-    "q_hidden": int,
-    "batchnorm": _parse_bool,
-    "log_every": int,
-    "toy_templates": int,
-    "toy_samples": int,
-    "toy_noise_sigma": float,
-    "mnist_images": str,
-    "mnist_labels": str,
-    "mnist_subset": int,
-    "checkpoint_out": str,
-    "metrics_out": str,
+# annotated field type -> (parse the value text, render the field value); a parse raises ValueError
+_FORMATS = {
+    "int": (int, str),
+    "float": (float, repr),
+    "str": (str, str),
+    "tuple[int, ...]": (_parse_int_list, lambda widths: ",".join(str(w) for w in widths)),
+    "bool | None": (_parse_bool, lambda flag: "on" if flag else "off"),
 }
 
 
+# field name -> (parse, render) in field order, built at import so that a field whose type has no
+# format fails here with a KeyError; ``codes`` maps to None, since its blocks are "code" lines
+_KEYS = {f.name: None if f.name == "codes" else _FORMATS[f.type] for f in fields(TrainingConfig)}
+
+
 def parse_config(text: str) -> TrainingConfig:
-    """Parse config text; raises ConfigError for unknown keys or bad values."""
+    """Parse config text; raises ConfigError for unknown, repeated or bad keys."""
     kwargs: dict = {}
+    key_lines: dict[str, int] = {}
     codes: list[CodeBlock] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -187,15 +176,17 @@ def parse_config(text: str) -> TrainingConfig:
                 codes.append(parse_block_token(value))
             except SpecError as err:
                 raise ConfigError(f"line {lineno}: bad value for code: {err}") from err
-        elif key in _SCALAR_KEYS:
-            try:
-                kwargs[key] = _SCALAR_KEYS[key](value)
-            except ConfigError:
-                raise
-            except ValueError as err:
-                raise ConfigError(f"line {lineno}: bad value for {key}: '{value}'") from err
-        else:
+            continue
+        fmt = _KEYS.get(key)
+        if fmt is None:  # also "codes", whose blocks are "code" lines
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        if key in key_lines:
+            raise ConfigError(f"line {lineno}: key '{key}' repeats line {key_lines[key]}")
+        key_lines[key] = lineno
+        try:
+            kwargs[key] = fmt[0](value)
+        except ValueError as err:
+            raise ConfigError(f"line {lineno}: bad value for {key}: '{value}'") from err
     if codes:
         kwargs["codes"] = tuple(codes)
     return TrainingConfig(**kwargs)
@@ -208,36 +199,10 @@ def load_config(path: str) -> TrainingConfig:
 
 def render_config(cfg: TrainingConfig) -> str:
     """Canonical text form; parse_config(render_config(cfg)) == cfg."""
-    lines = [
-        f"seed = {cfg.seed}",
-        f"iterations = {cfg.iterations}",
-        f"batch_size = {cfg.batch_size}",
-        f"lr_d = {cfg.lr_d!r}",
-        f"lr_g = {cfg.lr_g!r}",
-        f"beta1 = {cfg.beta1!r}",
-        f"beta2 = {cfg.beta2!r}",
-        f"adam_epsilon = {cfg.adam_epsilon!r}",
-        f"lambda_disc = {cfg.lambda_disc!r}",
-        f"lambda_cont = {cfg.lambda_cont!r}",
-        f"gan_mode = {cfg.gan_mode}",
-        f"dataset = {cfg.dataset}",
-        f"noise_dim = {cfg.noise_dim}",
-        f"noise_kind = {cfg.noise_kind}",
-    ]
-    lines += [f"code = {b.to_token()}" for b in cfg.codes]
-    lines += [
-        "gen_layers = " + ",".join(str(w) for w in cfg.gen_layers),
-        "trunk_layers = " + ",".join(str(w) for w in cfg.trunk_layers),
-        f"q_hidden = {cfg.q_hidden}",
-        f"batchnorm = {'on' if cfg.batchnorm else 'off'}",
-        f"log_every = {cfg.log_every}",
-        f"toy_templates = {cfg.toy_templates}",
-        f"toy_samples = {cfg.toy_samples}",
-        f"toy_noise_sigma = {cfg.toy_noise_sigma!r}",
-        f"mnist_images = {cfg.mnist_images}",
-        f"mnist_labels = {cfg.mnist_labels}",
-        f"mnist_subset = {cfg.mnist_subset}",
-        f"checkpoint_out = {cfg.checkpoint_out}",
-        f"metrics_out = {cfg.metrics_out}",
-    ]
+    lines = []
+    for key, fmt in _KEYS.items():
+        if fmt is None:
+            lines += [f"code = {b.to_token()}" for b in cfg.codes]
+        else:
+            lines.append(f"{key} = {fmt[1](getattr(cfg, key))}")
     return "\n".join(lines) + "\n"

@@ -3,7 +3,10 @@
 The checkpoint is a little-endian binary: the 8-byte magic ``IGAN0001``, a
 u32 format version, the run-config text, then named float64 entries for
 every parameter and batchnorm running statistic. Loading reproduces every
-tensor bitwise.
+tensor bitwise. The config text includes the run's output and MNIST paths
+(``checkpoint_out``, ``metrics_out``, ``mnist_images``, ``mnist_labels``), so
+a rerun gives a byte-identical checkpoint only when it writes to the same
+paths.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Adam updates, step isolation, determinism, config parsing, metrics CSV."""
 
+import dataclasses
 import hashlib
 import math
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -502,7 +504,120 @@ class TestMetricsTrace:
             MetricsTrace.from_csv(str(path))
 
 
+DEFAULT_CONFIG_TEXT = """\
+seed = 42
+iterations = 5000
+batch_size = 64
+lr_d = 0.0002
+lr_g = 0.001
+beta1 = 0.5
+beta2 = 0.999
+adam_epsilon = 1e-08
+lambda_disc = 1.0
+lambda_cont = 0.1
+gan_mode = nonsaturating
+dataset = toy
+noise_dim = 16
+noise_kind = normal
+code = cat:4
+code = unif:-1.0:1.0
+gen_layers = 128,256
+trunk_layers = 256,128
+q_hidden = 64
+batchnorm = off
+log_every = 50
+toy_templates = 4
+toy_samples = 8192
+toy_noise_sigma = 0.05
+mnist_images = data/mnist/train-images-idx3-ubyte
+mnist_labels = data/mnist/train-labels-idx1-ubyte
+mnist_subset = 10000
+checkpoint_out = checkpoint.igan
+metrics_out = metrics.csv
+"""
+
+# every field away from its default (for its dataset); FULL_MNIST_CFG flips dataset and batchnorm
+FULL_CFG = TrainingConfig(
+    seed=7,
+    iterations=123,
+    batch_size=16,
+    lr_d=3e-4,
+    lr_g=5e-4,
+    beta1=0.4,
+    beta2=0.99,
+    adam_epsilon=1e-7,
+    lambda_disc=0.5,
+    lambda_cont=0.25,
+    gan_mode="minimax",
+    noise_dim=5,
+    noise_kind="uniform",
+    codes=(CodeBlock.categorical(3, [0.2, 0.3, 0.5]), CodeBlock.gaussian(0.5, 2.0, 2), CodeBlock.uniform(-2.0, 2.0, 3)),
+    gen_layers=(32,),
+    trunk_layers=(48, 24, 12),
+    q_hidden=8,
+    batchnorm=True,
+    log_every=10,
+    toy_templates=3,
+    toy_samples=100,
+    toy_noise_sigma=0.1,
+    mnist_images="m/images-idx3",
+    mnist_labels="m/labels-idx1",
+    mnist_subset=500,
+    checkpoint_out="out/run.igan",
+    metrics_out="out/run.csv",
+)
+FULL_MNIST_CFG = dataclasses.replace(FULL_CFG, dataset="mnist", batchnorm=False)
+
+FULL_CONFIG_TEXT = """\
+seed = 7
+iterations = 123
+batch_size = 16
+lr_d = 0.0003
+lr_g = 0.0005
+beta1 = 0.4
+beta2 = 0.99
+adam_epsilon = 1e-07
+lambda_disc = 0.5
+lambda_cont = 0.25
+gan_mode = minimax
+dataset = toy
+noise_dim = 5
+noise_kind = uniform
+code = cat:3:0.2,0.3,0.5
+code = gauss:0.5:2.0:2
+code = unif:-2.0:2.0:3
+gen_layers = 32
+trunk_layers = 48,24,12
+q_hidden = 8
+batchnorm = on
+log_every = 10
+toy_templates = 3
+toy_samples = 100
+toy_noise_sigma = 0.1
+mnist_images = m/images-idx3
+mnist_labels = m/labels-idx1
+mnist_subset = 500
+checkpoint_out = out/run.igan
+metrics_out = out/run.csv
+"""
+
+
 class TestConfig:
+    def test_render_text_is_pinned(self):
+        # checkpoints embed this text, so any change to it changes every checkpoint's bytes
+        assert render_config(TrainingConfig()) == DEFAULT_CONFIG_TEXT
+        assert render_config(FULL_CFG) == FULL_CONFIG_TEXT
+        mnist_text = FULL_CONFIG_TEXT.replace("dataset = toy", "dataset = mnist").replace("batchnorm = on", "batchnorm = off")
+        assert render_config(FULL_MNIST_CFG) == mnist_text
+
+    @pytest.mark.parametrize("cfg", [FULL_CFG, FULL_MNIST_CFG], ids=["toy", "mnist"])
+    def test_every_field_round_trips(self, cfg):
+        # batchnorm's default depends on dataset, so compare with the defaults for the same dataset
+        defaults = TrainingConfig(dataset=cfg.dataset)
+        unchanged = [f.name for f in dataclasses.fields(cfg) if getattr(cfg, f.name) == getattr(defaults, f.name)]
+        assert unchanged == ["dataset"]
+        assert parse_config(render_config(cfg)) == cfg
+
     def test_defaults_match_documented_values(self):
         cfg = TrainingConfig()
         assert cfg.lr_d == 2e-4 and cfg.lr_g == 1e-3
@@ -568,11 +683,27 @@ class TestConfig:
         "lambda_disc = -1",
         "lambda_cont = nan",
         "lambda_cont = -inf",
+        "seed = -1",
+        "toy_noise_sigma = inf",
     ])
     def test_bad_value_fails_at_parse_naming_its_key(self, line):
         key = line.partition("=")[0].strip()
         with pytest.raises(ConfigError, match=rf"^{key} must "):
-            parse_config(f"seed = 3\n{line}\n")
+            parse_config(f"iterations = 3\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["batchnorm = maybe", "seed = 1.5", "gen_layers = 8,x"])
+    def test_unparsable_value_names_its_line_and_key(self, line):
+        key, _, value = (part.strip() for part in line.partition("="))
+        with pytest.raises(ConfigError, match=rf"^line 2: bad value for {key}: '{re.escape(value)}'$"):
+            parse_config(f"iterations = 3\n{line}\n")
+
+    def test_key_given_twice_names_both_lines(self):
+        with pytest.raises(ConfigError, match=r"^line 4: key 'seed' repeats line 1$"):
+            parse_config("seed = 1\ncode = cat:4\ncode = cat:2\nseed = 2\n")
+
+    def test_codes_is_not_a_key(self):
+        with pytest.raises(ConfigError, match=r"^line 1: unknown key 'codes'$"):
+            parse_config("codes = cat:4\n")
 
     def test_empty_config_is_valid(self):
         assert parse_config("") == TrainingConfig()
