@@ -1,8 +1,7 @@
 """Tape-based reverse-mode automatic differentiation over dense float64 arrays.
 
-The operation catalogue is fixed and small: 14 ops, the 12 that training and
-evaluation run plus ``mul`` and ``reduce_sum``, which the gradient-check cases
-use to weight an op's output into a scalar loss. A dense layer is one ``linear`` op (``x @ w + b``), and
+The operation catalogue is fixed and small: 12 ops, each run by training or
+evaluation. A dense layer is one ``linear`` op (``x @ w + b``), and
 loss terms are fused into single ops (``softplus``, ``clip``, ``scale`` with
 its constant as an attribute, ``gaussian_log_q``, ``categorical_log_q`` with
 its category indices as an attribute) rather than assembled from elementwise
@@ -16,9 +15,16 @@ rule computes only those input gradients (``None`` for the rest).
 Usage:
 
     with Tape() as tape:
-        y = reduce_sum(mul(w, w))
+        y = reduce_mean(scale(w, 2.0))
         (g,) = tape.backward(y, [w])   # dy/dw as an ndarray
+        h = linear(x, w, b)
+        (gw,) = tape.backward(h, [w], v)   # vector-Jacobian product v^T dh/dw
     # the tape is closed here: its nodes are freed and backward raises
+
+A root that is not scalar needs a cotangent ``v`` of its shape: the sweep
+then returns the gradient of ``sum(v * root)``, one reverse pass for one
+weighting of the output. ``grad_check`` uses this to check an op's rule
+against finite differences of that weighted sum, read outside the tape.
 
 Outside a ``Tape`` context the same functions run as plain numpy and record
 nothing, which is the fast path used for evaluation and finite differences:
@@ -49,7 +55,6 @@ __all__ = [
     "const",
     "linear",
     "add",
-    "mul",
     "scale",
     "relu",
     "lrelu",
@@ -59,7 +64,6 @@ __all__ = [
     "categorical_log_q",
     "gaussian_log_q",
     "reduce_mean",
-    "reduce_sum",
     "batchnorm",
 ]
 
@@ -157,7 +161,7 @@ class Tape:
 
     Nodes are stored in execution order, so every node's inputs precede it
     and a single reverse sweep implements the chain rule. ``backward`` may
-    be called several times with different scalar roots and ``wrt`` lists
+    be called several times with different roots, cotangents and ``wrt`` lists
     on the same tape; each call returns fresh gradients and stores nothing.
 
     A tape records once: leaving its ``with`` block closes it and drops its
@@ -200,8 +204,14 @@ class Tape:
         out.node = nid
         out._tape = self
 
-    def backward(self, root: Tensor, wrt: list[Tensor]) -> list[np.ndarray]:
-        """Gradients of the scalar ``root`` with respect to each tensor of ``wrt``, in order.
+    def backward(self, root: Tensor, wrt: list[Tensor], cotangent=None) -> list[np.ndarray]:
+        """Gradients of ``root`` with respect to each tensor of ``wrt``, in order.
+
+        Without a ``cotangent`` the root must be scalar and the result is its
+        gradient. With one, the cotangent must have the root's shape, and the
+        result is the vector-Jacobian product: the gradient of
+        ``sum(cotangent * root)``. The sweep starts from a float64 copy of
+        it, so the caller's array is never aliased by a returned gradient.
 
         Only nodes that depend on a ``wrt`` tensor are differentiated, and
         each rule is told which of its inputs do (``need``), so it computes
@@ -213,8 +223,14 @@ class Tape:
             raise UsageError("backward: the tape is closed (its with block has exited)")
         if root._tape is not self or root.node is None:
             raise UsageError("backward: root tensor was not recorded on this tape")
-        if root.data.size != 1:
-            raise UsageError(f"backward: root must be scalar, got shape {root.shape}")
+        if cotangent is None:
+            if root.data.size != 1:
+                raise UsageError(f"backward: root must be scalar, got shape {root.shape}")
+            seed = np.ones_like(root.data)
+        else:
+            seed = np.array(cotangent, dtype=np.float64)
+            if seed.shape != root.shape:
+                raise UsageError(f"backward: cotangent shape {seed.shape} does not match root shape {root.shape}")
         # forward pass: mark every node that a wrt tensor feeds
         live = {t.node for t in wrt if t._tape is self}
         for nid in range(root.node + 1):
@@ -222,7 +238,7 @@ class Tape:
                 live.add(nid)
         grads: dict[int, np.ndarray] = {}
         if root.node in live:
-            grads[root.node] = np.ones_like(self.nodes[root.node].value)
+            grads[root.node] = seed
         for nid in range(root.node, -1, -1):
             g = grads.get(nid)
             if g is None:
@@ -253,6 +269,7 @@ class Tape:
 # ---------------------------------------------------------------------------
 
 _LN_2PI = float(np.log(2.0 * np.pi))
+_min_reduce, _max_reduce = np.minimum.reduce, np.maximum.reduce  # skip ndarray.min/max's Python wrappers
 
 
 def _f_linear(arrs, attrs):
@@ -280,18 +297,6 @@ def _f_add(arrs, attrs):
 
 def _b_add(g, node, need):
     return [g, g]
-
-
-def _f_mul(arrs, attrs):
-    a, b = arrs
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: elementwise shapes differ: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def _b_mul(g, node, need):
-    a, b = node.input_values
-    return [g * b if need[0] else None, g * a if need[1] else None]
 
 
 def _f_scale(arrs, attrs):
@@ -366,7 +371,8 @@ def _f_categorical_log_q(arrs, attrs):
         raise ShapeError(
             f"categorical_log_q: needs (B,K) logits and B integer indices, got {logits.shape} and {index.dtype} {index.shape}"
         )
-    if index.size and not (0 <= index.min() and index.max() < logits.shape[1]):
+    # a negative index wraps to a huge unsigned value, so one max checks both ends
+    if index.size and _max_reduce(index.astype(np.uint64, copy=False)) >= logits.shape[1]:
         raise DomainError(f"categorical_log_q: index outside [0, {logits.shape[1]}) (min {index.min()}, max {index.max()})")
     shifted, lse = _shifted_logsumexp(logits)
     return shifted[np.arange(len(index)), index][:, None] - lse
@@ -383,11 +389,15 @@ def _b_categorical_log_q(g, node, need):
 
 
 def _gaussian_inv_var(log_sigma):
-    with np.errstate(over="ignore"):
-        inv_var = np.exp(-2.0 * log_sigma)
-    if not np.all(np.isfinite(inv_var)):
-        raise DomainError(f"gaussian_log_q: exp(-2*log_sigma) overflow (min log_sigma {log_sigma.min():g})")
-    return inv_var
+    # exp(-2*x) is finite for every x >= -354 (708 < log of the largest double),
+    # so only a smaller minimum, or a NaN (which fails the comparison), can fail
+    if not _min_reduce(log_sigma, axis=None, initial=np.inf) >= -354.0:
+        with np.errstate(over="ignore"):
+            inv_var = np.exp(-2.0 * log_sigma)
+        if not np.all(np.isfinite(inv_var)):
+            raise DomainError(f"gaussian_log_q: exp(-2*log_sigma) overflow (min log_sigma {log_sigma.min():g})")
+        return inv_var
+    return np.exp(-2.0 * log_sigma)
 
 
 def _f_gaussian_log_q(arrs, attrs):
@@ -423,15 +433,6 @@ def _f_reduce_mean(arrs, attrs):
 def _b_reduce_mean(g, node, need):
     x = node.input_values[0]
     return [np.full(x.shape, float(g) / x.size)]
-
-
-def _f_reduce_sum(arrs, attrs):
-    return np.asarray(np.add.reduce(arrs[0], axis=None))
-
-
-def _b_reduce_sum(g, node, need):
-    x = node.input_values[0]
-    return [np.full(x.shape, float(g))]
 
 
 def _batch_moments(x, eps):
@@ -487,7 +488,6 @@ def _b_batchnorm(g, node, need):
 _OPS = {
     "linear": (_f_linear, _b_linear),
     "add": (_f_add, _b_add),
-    "mul": (_f_mul, _b_mul),
     "scale": (_f_scale, _b_scale),
     "relu": (_f_relu, _b_relu),
     "lrelu": (_f_lrelu, _b_lrelu),
@@ -497,7 +497,6 @@ _OPS = {
     "categorical_log_q": (_f_categorical_log_q, _b_categorical_log_q),
     "gaussian_log_q": (_f_gaussian_log_q, _b_gaussian_log_q),
     "reduce_mean": (_f_reduce_mean, _b_reduce_mean),
-    "reduce_sum": (_f_reduce_sum, _b_reduce_sum),
     "batchnorm": (_f_batchnorm, _b_batchnorm),
 }
 
@@ -535,10 +534,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     return forward_op("add", [a, b])
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return forward_op("mul", [a, b])
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -582,32 +577,39 @@ def reduce_mean(x: Tensor) -> Tensor:
     return forward_op("reduce_mean", [x])
 
 
-def reduce_sum(x: Tensor) -> Tensor:
-    return forward_op("reduce_sum", [x])
-
-
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool) -> Tensor:
     return forward_op("batchnorm", [x, gamma, beta], {"state": state, "training": training})
 
 
-def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6) -> float:
+def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6, readout=None) -> float:
     """Max relative error between analytic gradients and central differences.
 
-    ``loss_builder(params) -> scalar Tensor`` must be deterministic (freeze
-    any random draws before calling); this is probed with two forward
-    passes. The error metric per coordinate is
-    ``|analytic - numeric| / max(1, |analytic|, |numeric|)``; a non-finite
-    analytic or numeric value makes it inf. Every probed coordinate is
-    restored, also when ``loss_builder`` raises.
+    ``loss_builder(params) -> Tensor`` must be deterministic (freeze any
+    random draws before calling); this is probed with two forward passes.
+    Without a ``readout`` its output must be scalar and is the checked
+    value. With a readout ``w`` of the output's shape, the checked value is
+    ``vdot(w, output)``, read outside the tape on every probe, and the
+    analytic side is one vector-Jacobian product with cotangent ``w``; a
+    random ``w`` checks every output entry's gradient at once. The error
+    metric per coordinate is ``|analytic - numeric| / max(1, |analytic|,
+    |numeric|)``; a non-finite analytic or numeric value makes it inf. Every
+    probed coordinate is restored, also when ``loss_builder`` raises.
     """
     if not (0.0 < step <= 1e-3):
         raise UsageError(f"grad_check: step must be in (0, 1e-3], got {step}")
-    v1 = float(loss_builder(params))
-    v2 = float(loss_builder(params))
-    if v1 != v2:
-        raise UsageError("grad_check: loss_builder is not deterministic across forward passes")
+    if readout is None:
+        def value() -> float:
+            return float(loss_builder(params))
+    else:
+        readout = np.asarray(readout, dtype=np.float64)
+
+        def value() -> float:
+            return float(np.vdot(readout, loss_builder(params).data))
+    # the taped pass first: backward rejects a readout not of the output's shape by name
     with Tape() as tape:
-        analytic = tape.backward(loss_builder(params), params)
+        analytic = tape.backward(loss_builder(params), params, readout)
+    if value() != value():
+        raise UsageError("grad_check: loss_builder is not deterministic across forward passes")
 
     max_err = 0.0
     for p, ga in zip(params, analytic):
@@ -617,9 +619,9 @@ def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6) -> float:
             orig = flat[i]
             try:
                 flat[i] = orig + step
-                f_plus = float(loss_builder(params))
+                f_plus = value()
                 flat[i] = orig - step
-                f_minus = float(loss_builder(params))
+                f_minus = value()
             finally:
                 flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * step)

@@ -105,6 +105,11 @@ class TrainingConfig:
             raise ConfigError(f"toy_samples must be >= toy_templates ({self.toy_templates}), got {self.toy_samples}")
         if self.mnist_subset < 1:
             raise ConfigError(f"mnist_subset must be >= 1, got {self.mnist_subset}")
+        # the embedded config strips each value and splits lines, so such a path would not read back
+        for key in ("mnist_images", "mnist_labels", "checkpoint_out", "metrics_out"):
+            path = getattr(self, key)
+            if path != path.strip() or len(path.splitlines()) > 1:
+                raise ConfigError(f"{key} must have no surrounding whitespace or line break, got {path!r}")
         try:  # noise_dim, noise_kind and q_hidden are checked where they are used; those errors name the key
             self.net_configs()
         except (SpecError, ShapeError) as err:

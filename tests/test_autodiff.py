@@ -38,7 +38,6 @@ _SHAPE_ERRORS = [
      "linear: needs (B,I) @ (I,O) + (O,), got (3,) @ (3, 2) + (2,)"),
     (lambda: ad.add(_ones(2, 3), _ones(3, 2)), "add: shapes must match, got (2, 3) + (3, 2)"),
     (lambda: ad.add(_ones(3, 2), _ones(2)), "add: shapes must match, got (3, 2) + (2,)"),
-    (lambda: ad.mul(_ones(2, 3), _ones(2)), "mul: elementwise shapes differ: (2, 3) vs (2,)"),
     (lambda: ad.categorical_log_q(_ones(2, 3), np.zeros(3, dtype=np.int64)),
      "categorical_log_q: needs (B,K) logits and B integer indices, got (2, 3) and int64 (3,)"),
     (lambda: ad.categorical_log_q(_ones(2, 3), np.zeros(2)),
@@ -125,6 +124,101 @@ class TestForwardValues:
             forward_op("convolve", [Tensor([1.0])])
 
 
+def _reference_gaussian_inv_var(log_sigma):
+    """The inverse-variance check as first written: errstate and isfinite on every call."""
+    with np.errstate(over="ignore"):
+        inv_var = np.exp(-2.0 * log_sigma)
+    if not np.all(np.isfinite(inv_var)):
+        raise DomainError(f"gaussian_log_q: exp(-2*log_sigma) overflow (min log_sigma {log_sigma.min():g})")
+    return inv_var
+
+
+def _reference_index_check(index, k):
+    """The categorical index range check as first written: index.min() and index.max()."""
+    if index.size and not (0 <= index.min() and index.max() < k):
+        raise DomainError(f"categorical_log_q: index outside [0, {k}) (min {index.min()}, max {index.max()})")
+
+
+def _outcome(call):
+    try:
+        return "ok", call().tobytes()
+    except DomainError as err:
+        return "raise", str(err)
+
+
+# the largest log sigma whose exp(-2*log_sigma) overflows; the next double up is finite
+_FIRST_OVERFLOW = -354.89135644669204
+
+
+class TestDomainCheckFastForms:
+    """The fast domain checks raise on exactly the inputs the reference forms do, with the same
+    message, and return bitwise-equal values everywhere else."""
+
+    def test_first_overflow_is_the_boundary(self):
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp(-2.0 * _FIRST_OVERFLOW))
+            assert np.isfinite(np.exp(-2.0 * np.nextafter(_FIRST_OVERFLOW, 0.0)))
+
+    @pytest.mark.parametrize(
+        "edge",
+        [-354.0, np.nextafter(-354.0, -np.inf), np.nextafter(_FIRST_OVERFLOW, 0.0), _FIRST_OVERFLOW,
+         -400.0, np.nan, np.inf, -np.inf, 0.0, 354.0, 1000.0],
+    )
+    def test_gaussian_inv_var_matches_reference(self, edge):
+        rng = np.random.default_rng(0)
+        for log_sigma in (np.array([[edge]]), np.array([[0.3, edge], [-1.0, 2.0]]), np.full((2, 3), edge)):
+            assert _outcome(lambda: ad._gaussian_inv_var(log_sigma)) == _outcome(
+                lambda: _reference_gaussian_inv_var(log_sigma)
+            )
+            c, mu = Tensor(rng.normal(0, 1, log_sigma.shape)), Tensor(rng.normal(0, 1, log_sigma.shape))
+            diff = c.data - mu.data
+
+            def reference():
+                # the forward rule's arithmetic around the reference check
+                elem = -0.5 * ad._LN_2PI - log_sigma - 0.5 * (diff * diff) * _reference_gaussian_inv_var(log_sigma)
+                return elem.sum(axis=1, keepdims=True)
+
+            # just inside the bound, inv_var * diff**2 may overflow to inf in both forms
+            with np.errstate(over="ignore"):
+                assert _outcome(lambda: ad.gaussian_log_q(c, mu, Tensor(log_sigma)).data) == _outcome(reference)
+
+    def test_gaussian_inv_var_empty_and_random(self):
+        empty = np.zeros((0, 2))
+        assert ad._gaussian_inv_var(empty).shape == (0, 2)
+        x = np.random.default_rng(1).uniform(-360.0, 360.0, (200, 3))
+        for row in x:
+            assert _outcome(lambda: ad._gaussian_inv_var(row)) == _outcome(lambda: _reference_gaussian_inv_var(row))
+
+    @pytest.mark.parametrize(
+        "dtype, index",
+        [
+            (dtype, index)
+            for dtype in (np.int8, np.int32, np.int64, np.uint8, np.uint64)
+            for index in ([0, 1, 2], [2, 2, 0], [3, 0, 1], [0, -1, 2], [-3, 0, 0], [255, 0, 0], [0, 100, 1])
+            if np.iinfo(dtype).min <= min(index) and max(index) <= np.iinfo(dtype).max
+        ],
+    )
+    def test_categorical_index_check_matches_reference(self, dtype, index):
+        index = np.array(index, dtype=dtype)
+        logits = np.random.default_rng(2).normal(0, 1, (3, 3))
+
+        def reference():
+            _reference_index_check(index, 3)
+            return scipy_log_softmax(logits, axis=1)[np.arange(3), index][:, None]
+
+        fast = _outcome(lambda: ad.categorical_log_q(Tensor(logits), index).data)
+        ref = _outcome(reference)
+        assert fast[0] == ref[0]
+        if fast[0] == "raise":
+            assert fast == ref
+        else:
+            np.testing.assert_allclose(np.frombuffer(fast[1]), np.frombuffer(ref[1]), atol=1e-12, rtol=0)
+
+    def test_categorical_empty_index(self):
+        out = ad.categorical_log_q(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.int64))
+        assert out.shape == (0, 1)
+
+
 def test_forward_outputs_are_fresh_c_contiguous_float64(monkeypatch):
     # forward_op wraps a rule's output unchecked, so every rule must return a
     # new float64 ndarray in C order that shares no memory with its inputs
@@ -144,8 +238,8 @@ def test_forward_outputs_are_fresh_c_contiguous_float64(monkeypatch):
     monkeypatch.setattr(ad, "forward_op", checked_forward_op)
     for case in _OP_CASES.values():
         for seed in range(3):
-            params, loss = case(np.random.default_rng(seed))
-            loss(params)
+            params, builder, _ = case(np.random.default_rng(seed))
+            builder(params)
     assert seen == set(OP_CATALOGUE)
 
 
@@ -225,10 +319,11 @@ class TestBatchnorm:
 
 class TestBackward:
     def test_square_sum(self):
-        w = Tensor([1.0, 2.0, 3.0])
+        # gaussian_log_q(0, w, 0) is -sum(w**2)/2 minus a constant, so its gradient is -w exactly
+        w, zeros = Tensor([[1.0, 2.0, 3.0]]), Tensor(np.zeros((1, 3)))
         with Tape() as tape:
-            (g,) = tape.backward(ad.reduce_sum(ad.mul(w, w)), [w])
-        np.testing.assert_array_equal(g, [2.0, 4.0, 6.0])
+            (g,) = tape.backward(ad.gaussian_log_q(zeros, w, zeros), [w])
+        np.testing.assert_array_equal(g, [[-1.0, -2.0, -3.0]])
 
     def test_mean_spreads_evenly(self):
         x = Tensor(np.arange(4.0))
@@ -239,22 +334,22 @@ class TestBackward:
     def test_fanout_accumulates(self):
         x = Tensor([2.0])
         with Tape() as tape:
-            y = ad.add(ad.mul(x, x), ad.mul(x, x))
-            (g,) = tape.backward(ad.reduce_sum(y), [x])
+            y = ad.add(ad.scale(x, 3.0), ad.scale(x, 5.0))
+            (g,) = tape.backward(y, [x])
         np.testing.assert_array_equal(g, [8.0])
 
     def test_unreached_leaf_gets_zeros(self):
         x, other = Tensor([1.0, 2.0]), Tensor(np.ones((3, 3)))
         with Tape() as tape:
-            ad.reduce_sum(other)
-            g_x, g_other = tape.backward(ad.reduce_sum(x), [x, other])
-        np.testing.assert_array_equal(g_x, [1.0, 1.0])
+            ad.reduce_mean(other)
+            g_x, g_other = tape.backward(ad.reduce_mean(x), [x, other])
+        np.testing.assert_array_equal(g_x, [0.5, 0.5])
         np.testing.assert_array_equal(g_other, np.zeros((3, 3)))
 
     def test_wrt_never_recorded_gets_zeros(self):
         x, stranger = Tensor([1.0, 2.0]), Tensor(np.ones((2, 3)))
         with Tape() as tape:
-            (g,) = tape.backward(ad.reduce_sum(x), [stranger])
+            (g,) = tape.backward(ad.reduce_mean(x), [stranger])
         np.testing.assert_array_equal(g, np.zeros((2, 3)))
 
     def test_pruned_gradient_is_bitwise_equal(self):
@@ -262,9 +357,10 @@ class TestBackward:
         a, b, c = Tensor(rng.normal(0, 1, (4, 3))), Tensor(rng.normal(0, 1, (3, 2))), Tensor(rng.normal(0, 1, 2))
         with Tape() as tape:
             h = ad.softplus(ad.linear(ad.sigmoid(a), b, c))
-            root = ad.reduce_mean(ad.mul(h, ad.linear(a, b, c)))
-            (only_a,) = tape.backward(root, [a])
-            both = tape.backward(root, [a, b])
+            root = ad.add(h, ad.linear(a, b, c))
+            v = rng.normal(0, 1, root.shape)
+            (only_a,) = tape.backward(root, [a], v)
+            both = tape.backward(root, [a, b], v)
         assert only_a.tobytes() == both[0].tobytes()
         assert both[1].shape == (3, 2) and np.any(both[1] != 0.0)
 
@@ -281,16 +377,16 @@ class TestBackward:
         x, w, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))), Tensor(np.ones(2))
         with Tape() as tape:
             h = ad.relu(ad.sigmoid(x))
-            root = ad.reduce_sum(ad.linear(h, w, b))
+            root = ad.reduce_mean(ad.linear(h, w, b))
             tape.backward(root, [w])
-        # sigmoid and relu depend on x only, so only linear and reduce_sum run, and linear is asked for w alone
-        assert calls == [("reduce_sum", (True,)), ("linear", (False, True, False))]
+        # sigmoid and relu depend on x only, so only linear and reduce_mean run, and linear is asked for w alone
+        assert calls == [("reduce_mean", (True,)), ("linear", (False, True, False))]
 
     def test_non_scalar_root_rejected(self):
         x = Tensor(np.ones((2, 2)))
         with Tape() as tape:
-            y = ad.mul(x, x)
-            with pytest.raises(UsageError, match="scalar"):
+            y = ad.add(x, x)
+            with pytest.raises(UsageError, match=r"root must be scalar, got shape \(2, 2\)"):
                 tape.backward(y, [x])
 
     def test_root_must_be_on_tape(self):
@@ -302,22 +398,22 @@ class TestBackward:
     def test_multiple_backward_roots_on_one_tape(self):
         x = Tensor([3.0])
         with Tape() as tape:
-            a = ad.reduce_sum(ad.mul(x, x))
-            b = ad.reduce_sum(x)
-            np.testing.assert_array_equal(tape.backward(a, [x])[0], [6.0])
-            np.testing.assert_array_equal(tape.backward(b, [x])[0], [1.0])
+            a = ad.scale(x, 2.0)
+            b = ad.add(a, x)
+            np.testing.assert_array_equal(tape.backward(a, [x])[0], [2.0])
+            np.testing.assert_array_equal(tape.backward(b, [x])[0], [3.0])
 
     def test_exit_drops_nodes(self):
         w = Tensor([1.0, 2.0])
         with Tape() as tape:
-            ad.reduce_sum(ad.mul(w, w))
+            ad.reduce_mean(ad.scale(w, 2.0))
             assert len(tape.nodes) == 3
         assert w._tape is tape and tape.nodes is None
 
     def test_backward_after_exit_raises(self):
         w = Tensor([1.0, 2.0])
         with Tape() as tape:
-            y = ad.reduce_sum(ad.mul(w, w))
+            y = ad.reduce_mean(ad.scale(w, 2.0))
         with pytest.raises(UsageError, match="tape is closed"):
             tape.backward(y, [w])
 
@@ -329,8 +425,45 @@ class TestBackward:
                 pass
 
     def test_no_recording_without_tape(self):
-        out = ad.mul(Tensor([1.0]), Tensor([2.0]))
+        out = ad.add(Tensor([1.0]), Tensor([2.0]))
         assert out.node is None
+
+    def test_cotangent_ones_on_scalar_root_matches_default(self):
+        rng = np.random.default_rng(6)
+        x, w, b = Tensor(rng.normal(0, 1, (4, 3))), Tensor(rng.normal(0, 1, (3, 2))), Tensor(rng.normal(0, 1, 2))
+        with Tape() as tape:
+            root = ad.reduce_mean(ad.softplus(ad.linear(x, w, b)))
+            default = tape.backward(root, [x, w, b])
+            seeded = tape.backward(root, [x, w, b], np.ones(()))
+        assert [g.tobytes() for g in seeded] == [g.tobytes() for g in default]
+
+    def test_cotangent_gives_the_vector_jacobian_product(self):
+        rng = np.random.default_rng(8)
+        x, w, b = Tensor(rng.normal(0, 1, (4, 3))), Tensor(rng.normal(0, 1, (3, 2))), Tensor(rng.normal(0, 1, 2))
+        v = rng.normal(0, 1, (4, 2))
+        with Tape() as tape:
+            root = ad.add(ad.linear(x, w, b), ad.linear(x, w, b))
+            g_x, g_w, g_b = tape.backward(root, [x, w, b], v)
+        np.testing.assert_allclose(g_x, 2.0 * v @ w.data.T, rtol=1e-14)
+        np.testing.assert_allclose(g_w, 2.0 * x.data.T @ v, rtol=1e-14)
+        np.testing.assert_allclose(g_b, 2.0 * v.sum(axis=0), rtol=1e-14)
+
+    def test_cotangent_is_copied(self):
+        x = Tensor([1.0, 2.0])
+        v = np.array([3, 4])  # integers: the seed is a float64 copy
+        with Tape() as tape:
+            (g,) = tape.backward(ad.add(x, x), [x], v)
+        assert g.dtype == np.float64 and not np.shares_memory(g, v)
+        np.testing.assert_array_equal(g, [6.0, 8.0])
+
+    @pytest.mark.parametrize("shape", [(), (2,), (3, 2), (1, 2, 3)])
+    def test_cotangent_shape_must_match_root(self, shape):
+        x = Tensor(np.ones((2, 3)))
+        with Tape() as tape:
+            y = ad.scale(x, 2.0)
+            with pytest.raises(UsageError) as err:
+                tape.backward(y, [x], np.ones(shape))
+        assert str(err.value) == f"backward: cotangent shape {shape} does not match root shape (2, 3)"
 
 
 def _masked_rule_cases():
@@ -343,7 +476,6 @@ def _masked_rule_cases():
 
     return {
         "linear": (ad.linear, [(5, 4), (4, 3), (3,)]),
-        "mul": (ad.mul, [(5, 3), (5, 3)]),
         "gaussian_log_q": (ad.gaussian_log_q, [(5, 3), (5, 3), (5, 3)]),
         "batchnorm_train": (bn(True), [(5, 3), (3,), (3,)]),
         "batchnorm_eval": (bn(False), [(5, 3), (3,), (3,)]),
@@ -377,8 +509,9 @@ class TestMaskedRules:
 
 class TestGradCheck:
     def test_quadratic_is_nearly_exact(self):
-        params = [Tensor(np.array([1.0, -2.0, 0.5]))]
-        err = grad_check(lambda p: ad.reduce_sum(ad.mul(p[0], p[0])), params, step=1e-6)
+        # -sum(p**2)/2 minus a constant: a central difference of a quadratic is exact up to rounding
+        params, zeros = [Tensor([[1.0, -2.0, 0.5]])], Tensor(np.zeros((1, 3)))
+        err = grad_check(lambda p: ad.gaussian_log_q(zeros, p[0], zeros), params, step=1e-6)
         assert err <= 1e-9
 
     def test_sigmoid_cross_entropy_disc_loss(self):
@@ -387,22 +520,22 @@ class TestGradCheck:
         logits = Tensor(rng.normal(0, 2, (8, 8)))
         w = rng.normal(0, 1, (8, 8))
 
-        def loss(p):
-            log_s = ad.scale(ad.softplus(ad.scale(p[0], -1.0)), -1.0)
-            return ad.reduce_mean(ad.mul(log_s, ad.const(w)))
+        def log_s(p):
+            return ad.scale(ad.softplus(ad.scale(p[0], -1.0)), -1.0)
 
-        assert grad_check(loss, [logits], step=1e-6) <= 1e-5
+        # the weighted mean of log sigmoid, read out by w / 64
+        assert grad_check(log_s, [logits], step=1e-6, readout=w / w.size) <= 1e-5
 
     def test_step_bounds(self):
         with pytest.raises(UsageError):
-            grad_check(lambda p: ad.reduce_sum(p[0]), [Tensor([1.0])], step=0.5)
+            grad_check(lambda p: ad.reduce_mean(p[0]), [Tensor([1.0])], step=0.5)
 
     def test_nondeterministic_builder_rejected(self):
         state = {"n": 0}
 
         def noisy(p):
             state["n"] += 1
-            return ad.reduce_sum(ad.mul(p[0], ad.const([float(state["n"])])))
+            return ad.scale(p[0], float(state["n"]))
 
         with pytest.raises(UsageError, match="deterministic"):
             grad_check(noisy, [Tensor([1.0])])
@@ -410,10 +543,10 @@ class TestGradCheck:
     def test_params_restored_after_check(self):
         p = Tensor(np.array([1.0, 2.0]))
         before = p.data.copy()
-        grad_check(lambda ps: ad.reduce_sum(ad.mul(ps[0], ps[0])), [p])
+        grad_check(lambda ps: ad.scale(ps[0], 2.0), [p], readout=np.array([1.0, -1.0]))
         np.testing.assert_array_equal(p.data, before)
 
-    # calls 1-3 are the two determinism probes and the taped pass; 4 and 5
+    # calls 1-3 are the taped pass and the two determinism probes; 4 and 5
     # are the +step and -step passes of the first coordinate
     @pytest.mark.parametrize("failing_call", [4, 5])
     def test_coordinate_restored_when_builder_raises(self, failing_call):
@@ -424,19 +557,25 @@ class TestGradCheck:
             calls["n"] += 1
             if calls["n"] == failing_call:
                 raise DomainError("probe failed")
-            return ad.reduce_sum(ad.mul(p[0], p[0]))
+            return ad.scale(p[0], 2.0)
 
         with pytest.raises(DomainError, match="probe failed"):
-            grad_check(loss, [w])
+            grad_check(loss, [w], readout=np.ones(2))
         np.testing.assert_array_equal(w.data, [0.0, 1.0])
+
+    @pytest.mark.parametrize("readout", [np.ones(4), np.ones(6), np.ones((3, 2))])
+    def test_readout_must_have_the_output_shape(self, readout):
+        with pytest.raises(UsageError) as err:
+            grad_check(lambda p: ad.scale(p[0], 2.0), [Tensor(np.ones((2, 3)))], readout=readout)
+        assert str(err.value) == f"backward: cotangent shape {readout.shape} does not match root shape (2, 3)"
 
     @pytest.mark.parametrize("op, bad", [("relu", np.nan), ("sigmoid", np.inf)])
     def test_non_finite_analytic_gradient_fails_the_check(self, monkeypatch, op, bad):
         # a NaN error fails every comparison, so it must be counted as inf rather than dropped
         forward, _ = ad._OPS[op]
         monkeypatch.setitem(ad._OPS, op, (forward, lambda g, node, need: [g * bad]))
-        params, loss = _OP_CASES[op](np.random.default_rng(0))
-        assert grad_check(loss, params) == math.inf
+        params, builder, w = _OP_CASES[op](np.random.default_rng(0))
+        assert grad_check(builder, params, readout=w) == math.inf
 
 
 def test_forward_determinism_same_seed():

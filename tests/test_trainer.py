@@ -705,6 +705,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"^line 1: unknown key 'codes'$"):
             parse_config("codes = cat:4\n")
 
+    @pytest.mark.parametrize("key", ["checkpoint_out", "metrics_out", "mnist_images", "mnist_labels"])
+    @pytest.mark.parametrize("path", [" m.csv", "m.csv ", "\tm.csv", "a.igan\nseed = 5", "a\rb", "a\u2028b", "a\x85"])
+    def test_path_that_cannot_round_trip_is_rejected(self, key, path):
+        # the checkpoint embeds render_config's text, which parse_config strips and splits into lines
+        with pytest.raises(ConfigError, match=rf"^{key} must have no surrounding whitespace or line break, got "):
+            TrainingConfig(**{key: path})
+
+    @pytest.mark.parametrize("key", ["checkpoint_out", "metrics_out", "mnist_images", "mnist_labels"])
+    def test_path_with_inner_spaces_round_trips(self, key):
+        cfg = TrainingConfig(**{key: "run 1/out # x = 2.bin"})
+        assert parse_config(render_config(cfg)) == cfg
+
     def test_empty_config_is_valid(self):
         assert parse_config("") == TrainingConfig()
 
