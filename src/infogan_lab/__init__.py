@@ -48,7 +48,7 @@ from .latent import (
     one_hot,
     sample_latent,
 )
-from .models import ModelPair, NetConfig, disc_forward, disc_q_forward, gen_forward, init_models, q_forward
+from .models import ModelPair, NetConfig, ParamBlock, disc_forward, disc_q_forward, gen_forward, init_models, q_forward
 from .objectives import (
     LossBundle,
     discriminator_loss,

@@ -2,11 +2,13 @@
 
 The checkpoint is a little-endian binary: the 8-byte magic ``IGAN0001``, a
 u32 format version, the run-config text, then named float64 entries for
-every parameter and batchnorm running statistic. Loading reproduces every
-tensor bitwise. The config text includes the run's output and MNIST paths
-(``checkpoint_out``, ``metrics_out``, ``mnist_images``, ``mnist_labels``), so
-a rerun gives a byte-identical checkpoint only when it writes to the same
-paths.
+every parameter and batchnorm running statistic. Loading rebuilds the model
+from the config and copies each entry into place: a parameter into its view
+of the model's flat block vector, a running statistic into its array. Every
+tensor is reproduced bitwise. The config text includes the run's output and
+MNIST paths (``checkpoint_out``, ``metrics_out``, ``mnist_images``,
+``mnist_labels``), so a rerun gives a byte-identical checkpoint only when it
+writes to the same paths.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, UsageError
+from .autodiff import UsageError
 from .config import ConfigError, TrainingConfig, parse_config, render_config
 from .models import ModelPair, init_models
 
@@ -65,7 +67,7 @@ class Dataset:
         h, w = self.dims
         if self.images.ndim != 2 or self.images.shape[1] != h * w:
             raise FormatError(f"images must be (N, {h * w}), got {self.images.shape}")
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
+        if self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
             raise FormatError("pixel values must lie in [0, 1]")
         if self.labels is not None and len(self.labels) != len(self.images):
             raise FormatError(
@@ -223,7 +225,7 @@ def save_checkpoint(model: ModelPair, cfg: TrainingConfig, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[ModelPair, TrainingConfig]:
-    """Rebuild the model from the embedded config and restore every tensor bitwise."""
+    """Rebuild the model from the embedded config and copy every entry into place, bitwise."""
     with open(path, "rb") as f:
         r = _Reader(f.read(), path)
     magic = r.take(8)
@@ -249,8 +251,7 @@ def load_checkpoint(path: str) -> tuple[ModelPair, TrainingConfig]:
         count = math.prod(shape)
         if count > _INT64_MAX or max(shape, default=0) > _INT64_MAX:
             raise FormatError(f"{path}: entry '{name}' shape {shape} overflows int64")
-        arr = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape).copy()
-        loaded[name] = arr
+        loaded[name] = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape)
     r.expect_eof()
 
     gen_cfg, dq_cfg = cfg.net_configs()
@@ -264,10 +265,10 @@ def load_checkpoint(path: str) -> tuple[ModelPair, TrainingConfig]:
         if expected[name].shape != arr.shape:
             raise FormatError(f"{path}: entry '{name}' has shape {arr.shape}, expected {expected[name].shape}")
     for name, tensor in model.params.items():
-        model.params[name] = Tensor(loaded[name])
+        tensor.data[...] = loaded[name]
     for name, state in model.bn_states.items():
-        state.running_mean = loaded[f"{name}.running_mean"]
-        state.running_var = loaded[f"{name}.running_var"]
+        state.running_mean[...] = loaded[f"{name}.running_mean"]
+        state.running_var[...] = loaded[f"{name}.running_var"]
     return model, cfg
 
 
@@ -281,7 +282,7 @@ def write_image_grid(images: np.ndarray, rows: int, cols: int, dims: tuple[int, 
     images = np.asarray(images, dtype=np.float64)
     if images.shape != (rows * cols, h * w):
         raise UsageError(f"expected {rows * cols} images of {h * w} pixels, got {images.shape}")
-    if images.size and (images.min() < 0.0 or images.max() > 1.0):
+    if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
         raise UsageError("grid pixel values must lie in [0, 1]")
     grid = images.reshape(rows, cols, h, w).transpose(0, 2, 1, 3).reshape(rows * h, cols * w)
     payload = np.rint(grid * 255.0).astype(np.uint8)

@@ -347,6 +347,8 @@ def categorical_classifier_eval(
     """
     if dataset.labels is None:
         raise UsageError("classifier evaluation needs a labeled dataset")
+    if len(dataset) == 0:
+        raise UsageError("classifier evaluation needs a non-empty dataset")
     spec = model.spec
     if not 0 <= block < len(spec.blocks) or not spec.blocks[block].is_discrete:
         raise UsageError(f"block {block} is not a categorical block")

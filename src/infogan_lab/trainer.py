@@ -11,13 +11,14 @@ Gradient routing per iteration:
                  lambda=0 baseline where the generator gets no code
                  incentive.
 
-Adam keeps one state per clock block, the parameters named by one prefix
-(``gen``, ``trunk``, ``d_head``, ``q_head``): flat ``m`` and ``v`` vectors
-over the block and a single step count ``t``, updated by a dozen whole-vector
-numpy calls whose results are bitwise-equal to the per-parameter formula.
-The trunk's block is stepped by both the D and the Q update, so its t
-advances twice per iteration, while the generator, D head and Q head advance
-once.
+Each clock block (``gen``, ``trunk``, ``d_head``, ``q_head``) is one flat
+float64 vector whose parameters are views into it (``models.ParamBlock``).
+Adam keeps one state per block under the block's name, created on the
+block's first step: flat ``m`` and ``v`` vectors and a single step count
+``t``. The update is a dozen whole-vector numpy calls ending in one
+``flat -= step``, bitwise-equal to the per-parameter formula. The trunk's
+block is stepped by both the D and the Q update, so its t advances twice per
+iteration, while the generator, D head and Q head advance once.
 
 All randomness comes from one seed, split into four named PCG64 streams
 (model init, dataset synthesis, minibatch indices, latent draws), so a run
@@ -35,7 +36,7 @@ from .autodiff import Tape, Tensor
 from .config import TrainingConfig
 from .data_io import Dataset, atomic_open, load_mnist_idx, save_checkpoint, synth_templates
 from .latent import sample_latent
-from .models import ModelPair, disc_forward, disc_q_forward, gen_forward, init_models
+from .models import ModelPair, ParamBlock, disc_forward, disc_q_forward, gen_forward, init_models
 from .objectives import LossBundle, discriminator_loss, generator_loss, infogan_losses, mi_lower_bound
 
 STREAM_NAMES = ("init", "dataset", "batches", "latent")
@@ -52,84 +53,35 @@ def rng_streams(seed: int) -> dict[str, np.random.Generator]:
 
 
 class AdamState:
-    """Adam moments and step count for one clock block of parameters.
+    """Adam moments and step count for one clock block: ``m`` and ``v`` span its flat vector."""
 
-    ``AdamState(shape)`` is a fresh per-parameter state, the form callers
-    hand to ``adam_step``. The first step of a clock block folds its
-    per-parameter states into one state whose ``m`` and ``v`` are flat
-    vectors over the block's parameters (in ``names`` order, ``slices``
-    marking each one's span) and whose ``t`` is the block's single clock;
-    every name of the block then maps to that one object.
-    """
-
-    __slots__ = ("m", "v", "t", "names", "slices")
+    __slots__ = ("m", "v", "t")
 
     def __init__(self, shape):
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
-        self.names: tuple[str, ...] = ()
-        self.slices: tuple[slice, ...] = ()
 
 
-def _clock_blocks(params: dict[str, Tensor]) -> dict[str, tuple[str, ...]]:
-    """Parameter names grouped by clock block, the prefix before the first '.'."""
-    blocks: dict[str, list[str]] = {}
-    for name in params:
-        blocks.setdefault(name.partition(".")[0], []).append(name)
-    return {block: tuple(names) for block, names in blocks.items()}
-
-
-def _names_mismatch(block: str, folded: AdamState, names: tuple[str, ...]) -> TrainingError:
-    return TrainingError(f"Adam block '{block}' was folded with {list(folded.names)} but is stepped with {list(names)}")
-
-
-def _fold(block: str, names: tuple[str, ...], params: dict[str, Tensor], states: dict[str, AdamState]) -> AdamState:
-    """Replace a block's fresh per-parameter states by one flat block state."""
-    for st in states.values():
-        if st.names and st.names[0].partition(".")[0] == block:
-            raise _names_mismatch(block, st, names)
-    parts = []
-    for name in names:
-        st = states.get(name)
-        if st is None or st.names or st.t:
-            raise TrainingError(f"no fresh Adam state for parameter '{name}'")
-        if st.m.shape != params[name].shape:
-            raise TrainingError(f"Adam state for '{name}' has shape {st.m.shape}, parameter has {params[name].shape}")
-        parts.append(st)
-    folded = AdamState(0)
-    folded.m = np.concatenate([st.m for st in parts], axis=None)
-    folded.v = np.concatenate([st.v for st in parts], axis=None)
-    folded.names = names
-    slices, start = [], 0
-    for st in parts:
-        slices.append(slice(start, start + st.m.size))
-        start += st.m.size
-    folded.slices = tuple(slices)
-    for name in names:
-        states[name] = folded
-    return folded
-
-
-def _block_gradient(names: tuple[str, ...], params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> np.ndarray:
+def _block_gradient(block: ParamBlock, grads: dict[str, np.ndarray]) -> np.ndarray:
     """The block's gradients as one flat vector, checked for shape and finiteness."""
     parts = []
-    for name in names:
+    for name, p in block.params.items():
         g = grads.get(name)
         if g is None:
             raise TrainingError(f"no gradient for parameter '{name}'")
-        if g.shape != params[name].shape:
-            raise TrainingError(f"gradient for '{name}' has shape {g.shape}, parameter has {params[name].shape}")
+        if g.shape != p.shape:
+            raise TrainingError(f"gradient for '{name}' has shape {g.shape}, parameter has {p.shape}")
         parts.append(g)
     flat = np.concatenate(parts, axis=None)
     if not np.isfinite(flat).all():
-        bad = next(name for name, g in zip(names, parts) if not np.isfinite(g).all())
+        bad = next(name for name, g in zip(block.params, parts) if not np.isfinite(g).all())
         raise TrainingError(f"non-finite gradient for parameter '{bad}'")
     return flat
 
 
 def adam_step(
-    params: dict[str, Tensor],
+    blocks: list[ParamBlock],
     grads: dict[str, np.ndarray],
     states: dict[str, AdamState],
     lr: float,
@@ -139,23 +91,26 @@ def adam_step(
 ) -> None:
     """In-place Adam update: theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
 
-    Works one clock block at a time over flat vectors, with the operations
-    of the per-parameter formula in the same order, so every result is
-    bitwise-equal to it. Every block is checked before any is updated, so a
-    missing, misshapen or non-finite gradient raises ``TrainingError``
+    Works one block at a time over its flat vector, with the operations of
+    the per-parameter formula in the same order, so every result is
+    bitwise-equal to it. ``states[block.name]`` is the block's state,
+    created on its first step; other entries are never read. Every block is
+    checked before any is updated, so a missing, misshapen or non-finite
+    gradient, or a block state of the wrong shape, raises ``TrainingError``
     before any parameter or clock moves.
     """
     work = []
-    for block, names in _clock_blocks(params).items():
-        st = states.get(names[0])
-        if st is None or not st.names:
-            st = _fold(block, names, params, states)
-        elif st.names != names:
-            raise _names_mismatch(block, st, names)
-        work.append((st, _block_gradient(names, params, grads)))
-    for st, g in work:
+    for block in blocks:
+        st = states.get(block.name)
+        if st is not None and st.m.shape != block.flat.shape:
+            raise TrainingError(f"Adam state for block '{block.name}' has shape {st.m.shape}, block has {block.flat.shape}")
+        work.append((block, _block_gradient(block, grads)))
+    for block, g in work:
+        st = states.get(block.name)
+        if st is None:
+            st = states[block.name] = AdamState(g.shape)
         st.t += 1
-        m, v, tmp = st.m, st.v, np.empty_like(g)
+        m, v, flat, tmp = st.m, st.v, block.flat, np.empty_like(g)
         # m = beta1 * m + (1 - beta1) * g
         m *= beta1
         np.multiply(g, 1.0 - beta1, out=tmp)
@@ -172,9 +127,7 @@ def adam_step(
         np.sqrt(g, out=g)
         g += epsilon
         tmp /= g
-        for name, sl in zip(st.names, st.slices):
-            p = params[name].data
-            p -= tmp[sl].reshape(p.shape)
+        flat -= tmp
 
 
 @dataclass
@@ -222,11 +175,9 @@ class MetricsTrace:
         return trace
 
 
-def _param_groups(model: ModelPair) -> tuple[dict, dict, dict]:
-    d_side = {**model.trunk_params(), **model.d_head_params()}
-    gen = model.gen_params()
-    q_side = {**model.trunk_params(), **model.q_head_params()}
-    return d_side, gen, q_side
+def _block_grads(tape: Tape, root: Tensor, blocks: list[ParamBlock]) -> dict[str, np.ndarray]:
+    params = {name: t for block in blocks for name, t in block.params.items()}
+    return dict(zip(params, tape.backward(root, list(params.values()))))
 
 
 def d_step(model: ModelPair, real_images: np.ndarray, cfg: TrainingConfig, latent_rng, adam_states) -> Tensor:
@@ -234,7 +185,7 @@ def d_step(model: ModelPair, real_images: np.ndarray, cfg: TrainingConfig, laten
 
     Both trunk passes run the D head alone; the Q head is not evaluated.
     """
-    d_side, _, _ = _param_groups(model)
+    d_side = [model.blocks["trunk"], model.blocks["d_head"]]
     # fakes for the D step need no generator gradient: keep them off the tape
     lat = sample_latent(model.spec, real_images.shape[0], latent_rng)
     fake = gen_forward(model, lat, training=True)
@@ -242,7 +193,7 @@ def d_step(model: ModelPair, real_images: np.ndarray, cfg: TrainingConfig, laten
         d_real = disc_forward(model, Tensor(real_images), training=True)
         d_fake = disc_forward(model, fake, training=True)
         loss_d = discriminator_loss(d_real, d_fake)
-        d_grads = dict(zip(d_side, tape.backward(loss_d, list(d_side.values()))))
+        d_grads = _block_grads(tape, loss_d, d_side)
     adam_step(d_side, d_grads, adam_states, cfg.lr_d, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
     return loss_d
 
@@ -253,7 +204,7 @@ def gq_step(model: ModelPair, loss_d: Tensor, cfg: TrainingConfig, batch: int, l
     The generator descends loss_G - lambda*L_I (rate lr_g); the trunk and Q
     head ascend L_I itself (rate lr_d). The D head is untouched.
     """
-    _, gen, q_side = _param_groups(model)
+    gen, q_side = [model.blocks["gen"]], [model.blocks["trunk"], model.blocks["q_head"]]
     with Tape() as tape:
         lat = sample_latent(model.spec, batch, latent_rng)
         fake = gen_forward(model, lat, training=True)
@@ -261,9 +212,9 @@ def gq_step(model: ModelPair, loss_d: Tensor, cfg: TrainingConfig, batch: int, l
         loss_g = generator_loss(d_fake, cfg.gan_mode)
         li_disc, li_cont = mi_lower_bound(q_post, lat, model.spec)
         bundle = infogan_losses(loss_d, loss_g, li_disc, li_cont, cfg.lambda_disc, cfg.lambda_cont)
-        gen_grads = dict(zip(gen, tape.backward(bundle.gq_objective, list(gen.values()))))
+        gen_grads = _block_grads(tape, bundle.gq_objective, gen)
         li_total = ad.add(li_disc, li_cont)
-        q_grads = {name: -g for name, g in zip(q_side, tape.backward(li_total, list(q_side.values())))}
+        q_grads = {name: -g for name, g in _block_grads(tape, li_total, q_side).items()}
     adam_step(gen, gen_grads, adam_states, cfg.lr_g, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
     adam_step(q_side, q_grads, adam_states, cfg.lr_d, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
     return bundle
@@ -297,6 +248,8 @@ def build_dataset(cfg: TrainingConfig, rng: np.random.Generator) -> Dataset:
             f"MNIST files not found ({err}); download the IDX files and point "
             "mnist_images / mnist_labels at them"
         ) from err
+    if len(ds) < cfg.mnist_subset:
+        raise TrainingError(f"mnist_subset = {cfg.mnist_subset} but {cfg.mnist_images} holds only {len(ds)} images")
     return Dataset(
         images=ds.images[: cfg.mnist_subset],
         labels=ds.labels[: cfg.mnist_subset] if ds.labels is not None else None,
@@ -313,7 +266,7 @@ def train_run(cfg: TrainingConfig) -> tuple[ModelPair, MetricsTrace]:
         raise TrainingError(f"dataset dims {ds.dims} do not match config dims {cfg.image_dims}")
     gen_cfg, dq_cfg = cfg.net_configs()
     model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
-    adam_states = {name: AdamState(t.shape) for name, t in model.params.items()}
+    adam_states: dict[str, AdamState] = {}
 
     trace = MetricsTrace()
     for i in range(1, cfg.iterations + 1):

@@ -44,6 +44,13 @@ class TestIdxLoader:
         ds = load_mnist_idx(ip, lp)
         assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+    def test_dataset_rejects_pixels_outside_unit_interval(self, bad):
+        images = np.full((3, 4), 0.5)
+        images[1, 2] = bad
+        with pytest.raises(FormatError, match=r"pixel values must lie in \[0, 1\]"):
+            data_io.Dataset(images=images, labels=None, dims=(2, 2), provenance="x")
+
     def test_rejects_every_single_byte_magic_flip(self, idx_pair, tmp_path):
         _, _, ip, lp = idx_pair
         original = open(ip, "rb").read()
@@ -311,6 +318,12 @@ class TestImageGrid:
     def test_out_of_range_rejected(self, tmp_path):
         with pytest.raises(UsageError):
             write_image_grid(np.full((1, 4), 1.5), 1, 1, (2, 2), str(tmp_path / "x.pgm"))
+
+    def test_nan_pixel_rejected_and_nothing_written(self, tmp_path):
+        # NaN fails every comparison, so a check phrased as "min < 0 or max > 1" would let it through
+        with pytest.raises(UsageError, match=r"grid pixel values must lie in \[0, 1\]"):
+            write_image_grid(np.array([[0.5, np.nan, 0.5, 0.5]]), 1, 1, (2, 2), str(tmp_path / "x.pgm"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_identical_bytes_across_runs(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -199,6 +199,12 @@ class TestClassifierEval:
         with pytest.raises(UsageError):
             categorical_classifier_eval(model, ds, 1)  # block 1 is continuous
 
+    def test_empty_dataset_is_named(self):
+        model, cfg = toy_model(seed=10)
+        empty = Dataset(images=np.zeros((0, 64)), labels=np.zeros(0, dtype=np.int64), dims=(8, 8), provenance="x")
+        with pytest.raises(UsageError, match="non-empty dataset"):
+            categorical_classifier_eval(model, empty, 0)
+
 
 class TestAssignment:
     def _brute_force(self, counts):

@@ -71,7 +71,7 @@ class TestInit:
         model = init_models(NetConfig(widths=(spec.gen_input_dim, 4, 6)), NetConfig(widths=(6, 4), q_hidden=3), spec,
                             np.random.default_rng(0))
         assert model.q_block_names == ["q_head.cat0", "q_head.cont0", "q_head.cat1", "q_head.cont1"]
-        heads = [n for n in model.q_head_params() if not n.startswith("q_head.l0")]
+        heads = [n for n in model.blocks["q_head"].params if not n.startswith("q_head.l0")]
         assert heads == [
             "q_head.cat0.w", "q_head.cat0.b",
             "q_head.cont0.mu.w", "q_head.cont0.mu.b", "q_head.cont0.s.w", "q_head.cont0.s.b",
@@ -184,13 +184,50 @@ class TestDiscQForward:
                 forward(model, Tensor(np.zeros((4, 63))), training=False)
 
 
+def assert_block_views(model):
+    """Every parameter is a C-contiguous view of its block's flat vector, and together they tile it."""
+    for block in model.blocks.values():
+        assert block.flat.dtype == np.float64 and block.flat.ndim == 1
+        assert sum(t.data.size for t in block.params.values()) == block.flat.size
+        for t in block.params.values():
+            assert t.data.flags["C_CONTIGUOUS"] and np.shares_memory(t.data, block.flat)
+
+
 class TestParamGroups:
     def test_groups_partition_all_params(self):
         _, model = small_setup(batchnorm=True)
-        names = set(model.params)
-        grouped = (
-            set(model.gen_params()) | set(model.trunk_params())
-            | set(model.d_head_params()) | set(model.q_head_params())
+        assert list(model.blocks) == ["gen", "trunk", "d_head", "q_head"]
+        # the blocks, in order, hold exactly model.params: same names, same order, same tensors
+        assert [(n, t) for b in model.blocks.values() for n, t in b.params.items()] == list(model.params.items())
+        assert all(n.partition(".")[0] == b for b, block in model.blocks.items() for n in block.params)
+
+    def test_params_are_read_only(self):
+        _, model = small_setup()
+        rebound = Tensor(np.zeros(model.params["gen.l0.b"].shape))
+        with pytest.raises(TypeError):
+            model.params["gen.l0.b"] = rebound
+        with pytest.raises(TypeError):
+            model.blocks["gen"].params["gen.l0.b"] = rebound
+
+    def test_params_stay_block_views_through_step_and_load(self, tmp_path):
+        from infogan_lab.data_io import load_checkpoint, save_checkpoint
+        from infogan_lab.trainer import build_dataset, rng_streams, train_step
+
+        cfg = TrainingConfig(
+            batch_size=8, toy_samples=64, gen_layers=(16, 24), trunk_layers=(24, 16), q_hidden=8, noise_dim=4,
+            batchnorm=True, checkpoint_out=str(tmp_path / "ckpt.igan"), metrics_out=str(tmp_path / "m.csv"),
         )
-        assert grouped == names
-        assert not set(model.gen_params()) & set(model.trunk_params())
+        rngs = rng_streams(cfg.seed)
+        ds = build_dataset(cfg, rngs["dataset"])
+        gen_cfg, dq_cfg = cfg.net_configs()
+        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
+        assert_block_views(model)
+        before = {n: b.flat.copy() for n, b in model.blocks.items()}
+        train_step(model, ds.images[:8], cfg, rngs["latent"], {})
+        assert_block_views(model)
+        assert all(not np.array_equal(b.flat, before[n]) for n, b in model.blocks.items())
+        save_checkpoint(model, cfg, cfg.checkpoint_out)
+        loaded, _ = load_checkpoint(cfg.checkpoint_out)
+        assert_block_views(loaded)
+        for n, b in model.blocks.items():
+            assert loaded.blocks[n].flat.tobytes() == b.flat.tobytes()

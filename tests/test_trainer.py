@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from infogan_lab import autodiff
-from infogan_lab.autodiff import Tensor
 from infogan_lab.config import ConfigError, TrainingConfig, parse_config, render_config
 from infogan_lab.latent import CodeBlock
+from infogan_lab.models import ParamBlock
 from infogan_lab.trainer import (
     AdamState,
     MetricsTrace,
@@ -49,18 +49,27 @@ def reference_adam(moments):
     returned function has ``adam_step``'s signature and ignores its states.
     """
 
-    def step(params, grads, states, lr, beta1, beta2, epsilon):
-        for block in {name.partition(".")[0] for name in params}:
-            moments["t", block] += 1
-        for name, p in params.items():
-            g, t = grads[name], moments["t", name.partition(".")[0]]
-            moments["m", name] = beta1 * moments["m", name] + (1.0 - beta1) * g
-            moments["v", name] = beta2 * moments["v", name] + (1.0 - beta2) * g * g
-            m_hat = moments["m", name] / (1.0 - beta1**t)
-            v_hat = moments["v", name] / (1.0 - beta2**t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
+    def step(blocks, grads, states, lr, beta1, beta2, epsilon):
+        for block in blocks:
+            moments["t", block.name] += 1
+            t = moments["t", block.name]
+            for name, p in block.params.items():
+                g = grads[name]
+                moments["m", name] = beta1 * moments["m", name] + (1.0 - beta1) * g
+                moments["v", name] = beta2 * moments["v", name] + (1.0 - beta2) * g * g
+                m_hat = moments["m", name] / (1.0 - beta1**t)
+                v_hat = moments["v", name] / (1.0 - beta2**t)
+                p.data -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
 
     return step
+
+
+def make_block(name, values):
+    """A ParamBlock named ``name`` holding a copy of each array in ``values``, in order."""
+    block = ParamBlock.allocate(name, {n: np.shape(v) for n, v in values.items()})
+    for n, v in values.items():
+        block.params[n].data[...] = v
+    return block
 
 
 def _default_shaped_params():
@@ -73,132 +82,100 @@ def _default_shaped_params():
 
 class TestAdam:
     def test_first_step_closed_form(self):
-        p = {"w": Tensor([0.0])}
-        st = {"w": AdamState((1,))}
-        adam_step(p, {"w": np.array([0.5])}, st, lr=1e-3, beta1=0.5, beta2=0.999, epsilon=1e-8)
+        block = make_block("w", {"w": [0.0]})
+        adam_step([block], {"w": np.array([0.5])}, {}, lr=1e-3, beta1=0.5, beta2=0.999, epsilon=1e-8)
         # m_hat = g, sqrt(v_hat) = |g| on the first step
         expected = -1e-3 * 0.5 / (0.5 + 1e-8)
-        assert abs(p["w"].data[0] - expected) < 1e-18
-        assert abs(p["w"].data[0] - (-9.99999980e-4)) < 1e-12
+        assert abs(block.params["w"].data[0] - expected) < 1e-18
+        assert abs(block.params["w"].data[0] - (-9.99999980e-4)) < 1e-12
 
     def test_zero_gradient_keeps_params(self):
-        p = {"w": Tensor([1.0, -2.0])}
-        st = {"w": AdamState((2,))}
+        block = make_block("w", {"w": [1.0, -2.0]})
+        st = {}
         for _ in range(5):
-            adam_step(p, {"w": np.zeros(2)}, st, 1e-2, 0.9, 0.999, 1e-8)
-        np.testing.assert_array_equal(p["w"].data, [1.0, -2.0])
+            adam_step([block], {"w": np.zeros(2)}, st, 1e-2, 0.9, 0.999, 1e-8)
+        np.testing.assert_array_equal(block.params["w"].data, [1.0, -2.0])
 
     def test_descends_quadratic(self):
         # independent scalar reference: 100 steps on f(x)=x^2 from 1.0
-        p = {"w": Tensor([1.0])}
-        st = {"w": AdamState((1,))}
+        block = make_block("w", {"w": [1.0]})
+        st = {}
         for _ in range(100):
-            g = 2.0 * p["w"].data
-            adam_step(p, {"w": g}, st, 1e-2, 0.9, 0.999, 1e-8)
-        assert abs(p["w"].data[0]) < 0.5
+            g = 2.0 * block.params["w"].data
+            adam_step([block], {"w": g}, st, 1e-2, 0.9, 0.999, 1e-8)
+        assert abs(block.params["w"].data[0]) < 0.5
 
     def test_matches_independent_scalar_recurrence(self):
         rng = np.random.default_rng(3)
         theta, m, v = 0.3, 0.0, 0.0
-        p = {"w": Tensor([theta])}
-        st = {"w": AdamState((1,))}
+        block = make_block("w", {"w": [theta]})
+        st = {}
         lr, b1, b2, eps = 2e-3, 0.5, 0.999, 1e-8
         for t in range(1, 1001):
             g = float(rng.normal(0, 1))
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
-            adam_step(p, {"w": np.array([g])}, st, lr, b1, b2, eps)
-            assert abs(p["w"].data[0] - theta) < 1e-12
+            adam_step([block], {"w": np.array([g])}, st, lr, b1, b2, eps)
+            assert abs(block.params["w"].data[0] - theta) < 1e-12
 
     def test_nan_gradient_names_parameter(self):
-        p = {"gen.l0.w": Tensor([1.0])}
-        st = {"gen.l0.w": AdamState((1,))}
+        block = make_block("gen", {"gen.l0.w": [1.0]})
         with pytest.raises(TrainingError, match="gen.l0.w"):
-            adam_step(p, {"gen.l0.w": np.array([np.nan])}, st, 1e-3, 0.9, 0.999, 1e-8)
+            adam_step([block], {"gen.l0.w": np.array([np.nan])}, {}, 1e-3, 0.9, 0.999, 1e-8)
 
     def test_bitwise_equal_to_per_parameter_reference(self):
         # model-shaped blocks; the trunk is stepped twice per iteration, at two learning rates
-        model = _default_shaped_params()
-        fused = {n: Tensor(t.data.copy()) for n, t in model.params.items()}
-        ref = {n: Tensor(t.data.copy()) for n, t in model.params.items()}
-        states = {n: AdamState(t.shape) for n, t in fused.items()}
+        fused, ref = _default_shaped_params(), _default_shaped_params()
+        states = {}
         step_ref = reference_adam(defaultdict(float))
-        groups = [
-            ({**model.trunk_params(), **model.d_head_params()}, 2e-4),
-            (model.gen_params(), 1e-3),
-            ({**model.trunk_params(), **model.q_head_params()}, 3e-4),
-        ]
+        groups = [(("trunk", "d_head"), 2e-4), (("gen",), 1e-3), (("trunk", "q_head"), 3e-4)]
         rng = np.random.default_rng(17)
         for it in range(60):
-            for names, lr in groups:
+            for block_names, lr in groups:
+                names = [n for b in block_names for n in fused.blocks[b].params]
                 # gradients spanning several magnitudes, with exact zeros mixed in
-                grads = {n: rng.normal(0, 1, fused[n].shape) * 10.0 ** rng.integers(-6, 3) for n in names}
+                grads = {n: rng.normal(0, 1, fused.params[n].shape) * 10.0 ** rng.integers(-6, 3) for n in names}
                 if it % 7 == 0:
-                    grads[next(iter(names))][...] = 0.0
-                adam_step({n: fused[n] for n in names}, grads, states, lr, 0.5, 0.999, 1e-8)
-                step_ref({n: ref[n] for n in names}, grads, None, lr, 0.5, 0.999, 1e-8)
-            for n in fused:
-                assert fused[n].data.tobytes() == ref[n].data.tobytes(), (it, n)
-        assert {states[n].t for n in model.trunk_params()} == {120}
-        assert {states[n].t for n in model.gen_params()} == {60}
+                    grads[names[0]][...] = 0.0
+                adam_step([fused.blocks[b] for b in block_names], grads, states, lr, 0.5, 0.999, 1e-8)
+                step_ref([ref.blocks[b] for b in block_names], grads, None, lr, 0.5, 0.999, 1e-8)
+            for n in fused.params:
+                assert fused.params[n].data.tobytes() == ref.params[n].data.tobytes(), (it, n)
+        assert {b: st.t for b, st in states.items()} == {"trunk": 120, "d_head": 60, "gen": 60, "q_head": 60}
 
     def test_nan_mid_block_names_that_parameter_and_moves_nothing(self):
-        p = {name: Tensor(np.ones(3)) for name in ("gen.a", "gen.b", "gen.c")}
-        st = {name: AdamState(3) for name in p}
-        adam_step(p, {name: np.ones(3) for name in p}, st, 1e-3, 0.9, 0.999, 1e-8)
-        before = {name: t.data.copy() for name, t in p.items()}
-        grads = {name: np.ones(3) for name in p}
+        block = make_block("gen", {name: np.ones(3) for name in ("gen.a", "gen.b", "gen.c")})
+        st = {}
+        adam_step([block], {name: np.ones(3) for name in block.params}, st, 1e-3, 0.9, 0.999, 1e-8)
+        before = block.flat.copy()
+        grads = {name: np.ones(3) for name in block.params}
         grads["gen.b"][1] = np.inf
         with pytest.raises(TrainingError, match="non-finite gradient for parameter 'gen.b'"):
-            adam_step(p, grads, st, 1e-3, 0.9, 0.999, 1e-8)
-        assert all(np.array_equal(p[name].data, before[name]) for name in p)
-        assert st["gen.a"].t == 1
+            adam_step([block], grads, st, 1e-3, 0.9, 0.999, 1e-8)
+        np.testing.assert_array_equal(block.flat, before)
+        assert st["gen"].t == 1
 
-    @pytest.mark.parametrize("folded", [False, True])
-    def test_gradient_shape_mismatch_names_parameter(self, folded):
-        p = {"q_head.w": Tensor(np.zeros((2, 3))), "q_head.b": Tensor(np.zeros(3))}
-        st = {name: AdamState(t.shape) for name, t in p.items()}
-        if folded:
-            adam_step(p, {"q_head.w": np.ones((2, 3)), "q_head.b": np.ones(3)}, st, 1e-3, 0.9, 0.999, 1e-8)
+    def test_gradient_shape_mismatch_names_parameter(self):
+        block = make_block("q_head", {"q_head.w": np.zeros((2, 3)), "q_head.b": np.zeros(3)})
         # same size as the parameter, so a flat concatenation alone would not notice
         bad = {"q_head.w": np.ones((3, 2)), "q_head.b": np.ones(3)}
         with pytest.raises(TrainingError, match=r"gradient for 'q_head.w' has shape \(3, 2\), parameter has \(2, 3\)"):
-            adam_step(p, bad, st, 1e-3, 0.9, 0.999, 1e-8)
+            adam_step([block], bad, {}, 1e-3, 0.9, 0.999, 1e-8)
 
     def test_missing_gradient_names_parameter(self):
-        p = {"gen.a": Tensor([1.0]), "gen.b": Tensor([2.0])}
-        st = {name: AdamState(1) for name in p}
+        block = make_block("gen", {"gen.a": [1.0], "gen.b": [2.0]})
         with pytest.raises(TrainingError, match="no gradient for parameter 'gen.b'"):
-            adam_step(p, {"gen.a": np.array([0.5])}, st, 1e-3, 0.9, 0.999, 1e-8)
-        np.testing.assert_array_equal(p["gen.a"].data, [1.0])
+            adam_step([block], {"gen.a": np.array([0.5])}, {}, 1e-3, 0.9, 0.999, 1e-8)
+        np.testing.assert_array_equal(block.params["gen.a"].data, [1.0])
 
-    @pytest.mark.parametrize(
-        "states, message",
-        [
-            ({"gen.a": AdamState(1)}, "no fresh Adam state for parameter 'gen.b'"),
-            ({"gen.a": AdamState(1), "gen.b": AdamState(2)}, r"Adam state for 'gen.b' has shape \(2,\), parameter has \(1,\)"),
-        ],
-    )
-    def test_bad_state_names_parameter(self, states, message):
-        p = {"gen.a": Tensor([1.0]), "gen.b": Tensor([2.0])}
-        with pytest.raises(TrainingError, match=message):
-            adam_step(p, {name: np.array([0.5]) for name in p}, states, 1e-3, 0.9, 0.999, 1e-8)
-
-    def test_block_stepped_with_other_names_is_named_and_never_refolded(self):
-        p = {name: Tensor([1.0]) for name in ("trunk.a", "trunk.b", "trunk.c")}
-        st = {name: AdamState(1) for name in p}
-        pair = {name: p[name] for name in ("trunk.a", "trunk.b")}
-        adam_step(pair, {name: np.array([0.5]) for name in pair}, st, 1e-3, 0.9, 0.999, 1e-8)
-        folded, fresh = st["trunk.a"], st["trunk.c"]
-        for names in (("trunk.a",), ("trunk.a", "trunk.b", "trunk.c"), ("trunk.c",)):
-            with pytest.raises(TrainingError) as err:
-                adam_step({n: p[n] for n in names}, {n: np.array([0.5]) for n in names}, st, 1e-3, 0.9, 0.999, 1e-8)
-            assert str(err.value) == (
-                f"Adam block 'trunk' was folded with ['trunk.a', 'trunk.b'] but is stepped with {list(names)}"
-            )
-        assert st["trunk.a"] is folded and st["trunk.b"] is folded and st["trunk.c"] is fresh
-        assert folded.t == 1 and fresh.t == 0
+    def test_misshapen_block_state_names_block_and_moves_nothing(self):
+        gen, trunk = make_block("gen", {"gen.a": [1.0]}), make_block("trunk", {"trunk.a": [1.0], "trunk.b": [2.0]})
+        st = {"trunk": AdamState(3)}
+        grads = {"gen.a": np.array([0.5]), "trunk.a": np.array([0.5]), "trunk.b": np.array([0.5])}
+        with pytest.raises(TrainingError, match=r"Adam state for block 'trunk' has shape \(3,\), block has \(2,\)"):
+            adam_step([gen, trunk], grads, st, 1e-3, 0.9, 0.999, 1e-8)
+        assert list(st) == ["trunk"] and gen.params["gen.a"].data[0] == 1.0
 
 
 def _param_hashes(model, prefix):
@@ -220,7 +197,7 @@ class TestTrainStep:
         ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
         gen_cfg, dq_cfg = cfg.net_configs()
         model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
-        states = {n: AdamState(t.shape) for n, t in model.params.items()}
+        states = {}
 
         gen_before = _param_hashes(model, "gen")
         q_before = _param_hashes(model, "q_head")
@@ -245,7 +222,7 @@ class TestTrainStep:
         ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
         gen_cfg, dq_cfg = cfg.net_configs()
         model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
-        states = {n: AdamState(t.shape) for n, t in model.params.items()}
+        states = {}
         before = _param_hashes(model, "q_head")
         train_step(model, ds.images[:8], cfg, rngs["latent"], states)
         assert _param_hashes(model, "q_head") != before
@@ -259,8 +236,8 @@ class TestTrainStep:
         ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
         gen_cfg, dq_cfg = cfg.net_configs()
         model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
-        states = {n: AdamState(t.shape) for n, t in model.params.items()}
-        before = {n: t.data.copy() for n, t in model.gen_params().items()}
+        states = {}
+        before = {n: t.data.copy() for n, t in model.blocks["gen"].params.items()}
         train_step(model, ds.images[:8], cfg, rngs["latent"], states)
         moved = sum(np.any(model.params[n].data != before[n]) for n in before)
         assert moved == len(before)
@@ -275,7 +252,7 @@ class TestTrainStep:
         ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
         gen_cfg, dq_cfg = cfg.net_configs()
         model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
-        states = {n: AdamState(t.shape) for n, t in model.params.items()}
+        states = {}
         return model, ds.images[: cfg.batch_size], cfg, rngs["latent"], states
 
     def test_default_step_graph_size(self, monkeypatch):
@@ -317,11 +294,11 @@ class TestTrainStep:
         ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
         gen_cfg, dq_cfg = cfg.net_configs()
         model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
-        states = {n: AdamState(t.shape) for n, t in model.params.items()}
+        states = {}
         d_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], states)
         # a parameter points at the last tape that recorded it; these were never recorded before
         recorded = {n for n, p in model.params.items() if p._tape is not None}
-        assert recorded == set(model.trunk_params()) | set(model.d_head_params())
+        assert recorded == set(model.blocks["trunk"].params) | set(model.blocks["d_head"].params)
         q_bn = model.bn_states["q_head.bn0"]
         np.testing.assert_array_equal(q_bn.running_mean, np.zeros(cfg.q_hidden))
         np.testing.assert_array_equal(q_bn.running_var, np.ones(cfg.q_hidden))
@@ -346,7 +323,7 @@ class TestTrainStep:
             ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
             gen_cfg, dq_cfg = cfg.net_configs()
             model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
-            states = {n: AdamState(t.shape) for n, t in model.params.items()}
+            states = {}
             for i in range(3):
                 train_step(model, ds.images[8 * i : 8 * i + 8], cfg, rngs["latent"], states)
             return {n: t.data.tobytes() for n, t in model.params.items()}
@@ -359,10 +336,22 @@ class TestTrainStep:
         # the D step and the Q update both step the trunk's AdamState
         model, real, cfg, latent_rng, states = self._default_step_inputs()
         train_step(model, real, cfg, latent_rng, states)
-        assert {name: st.t for name, st in states.items()} == {
-            **{name: 1 for name in {**model.gen_params(), **model.d_head_params(), **model.q_head_params()}},
-            **{name: 2 for name in model.trunk_params()},
-        }
+        assert {name: st.t for name, st in states.items()} == {"gen": 1, "d_head": 1, "q_head": 1, "trunk": 2}
+
+    def test_per_name_states_are_ignored_beside_the_block_states(self):
+        # the benchmark hands train_step one fresh AdamState per parameter name; those entries
+        # must neither break nor change the run, and the block states land beside them
+        def run(states):
+            model, real, cfg, latent_rng, _ = self._default_step_inputs()
+            for _ in range(3):
+                train_step(model, real, cfg, latent_rng, states)
+            return {n: t.data.tobytes() for n, t in model.params.items()}
+
+        model = self._default_step_inputs()[0]
+        per_name = {name: AdamState(t.shape) for name, t in model.params.items()}
+        assert run(per_name) == run({})
+        assert set(per_name) == set(model.params) | set(model.blocks)
+        assert all(per_name[name].t == 0 for name in model.params)
 
 
 class TestTrainRun:
@@ -425,6 +414,19 @@ class TestTrainRun:
         )
         with pytest.raises(TrainingError, match="mnist_images"):
             train_run(cfg)
+
+    @pytest.mark.parametrize("n_images", [20, 0])
+    def test_idx_pair_shorter_than_mnist_subset_is_named(self, tmp_path, n_images):
+        # a short pair would otherwise train on fewer images than its provenance claims,
+        # and an empty one would fail deep inside the minibatch draw
+        from infogan_lab.data_io import write_idx_pair
+        from infogan_lab.trainer import build_dataset
+
+        ip, lp = str(tmp_path / "imgs.idx"), str(tmp_path / "lbls.idx")
+        write_idx_pair(np.zeros((n_images, 8, 8), np.uint8), np.zeros(n_images, np.uint8), ip, lp)
+        cfg = tiny_cfg(tmp_path, dataset="mnist", batchnorm=False, mnist_images=ip, mnist_labels=lp)
+        with pytest.raises(TrainingError, match=f"mnist_subset = 10000 but {re.escape(ip)} holds only {n_images} images"):
+            build_dataset(cfg, np.random.default_rng(0))
 
     def test_mnist_pipeline_on_synthesized_idx(self, tmp_path):
         # exercises the full 28x28 path (loader, subset, batchnorm nets, classifier)
