@@ -436,8 +436,11 @@ def _b_reduce_mean(g, node, need):
 
 
 def _batch_moments(x, eps):
-    mean = x.mean(axis=0)
-    var = x.var(axis=0)
+    # x.mean(axis=0) and x.var(axis=0) in numpy's own order, without its Python wrappers
+    n = x.shape[0]
+    mean = np.add.reduce(x, axis=0) / n
+    centered = x - mean
+    var = np.add.reduce(np.square(centered, out=centered), axis=0) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     return mean, var, inv_std
 

@@ -1,5 +1,13 @@
 """Datasets, checkpoint persistence, and image-grid emission.
 
+A ``Dataset`` holds its pixels either as ``uint8`` bytes (an IDX pair keeps
+the file's bytes, one per pixel) or as float64 values in [0, 1] (the toy
+templates, whose noisy values are not on a byte grid). ``float_pixels`` is
+the one conversion: ``uint8`` becomes ``pixels / 255.0`` and float64 passes
+through. It runs on each drawn batch (``Dataset.batch``), so no float64
+copy of a whole IDX dataset is ever made; the division is elementwise, so a
+converted batch has the same bits as the same rows of a converted file.
+
 The checkpoint is a little-endian binary: the 8-byte magic ``IGAN0001``, a
 u32 format version, the run-config text, then named float64 entries for
 every parameter and batchnorm running statistic. Loading rebuilds the model
@@ -24,7 +32,7 @@ import numpy as np
 
 from .autodiff import UsageError
 from .config import ConfigError, TrainingConfig, parse_config, render_config
-from .models import ModelPair, init_models
+from .models import ModelPair, _layout_models
 
 CHECKPOINT_MAGIC = b"IGAN0001"
 CHECKPOINT_VERSION = 1
@@ -56,9 +64,21 @@ def atomic_open(path: str, mode: str = "wb", **kwargs):
         raise
 
 
+def float_pixels(pixels: np.ndarray) -> np.ndarray:
+    """``uint8`` pixels as float64 ``pixels / 255.0``; any other array is returned unchanged."""
+    return pixels / 255.0 if pixels.dtype == np.uint8 else pixels
+
+
 @dataclass
 class Dataset:
-    images: np.ndarray            # (N, H*W) floats in [0, 1]
+    """Images with optional labels.
+
+    ``images`` is (N, H*W), either ``uint8`` bytes or floats in [0, 1]; any
+    other integer (or bool) dtype is rejected. Read pixels through
+    ``batch``, which always returns float64 values in [0, 1].
+    """
+
+    images: np.ndarray            # (N, H*W) uint8, or floats in [0, 1]
     labels: np.ndarray | None     # (N,) ints, optional
     dims: tuple[int, int]
     provenance: str
@@ -67,7 +87,11 @@ class Dataset:
         h, w = self.dims
         if self.images.ndim != 2 or self.images.shape[1] != h * w:
             raise FormatError(f"images must be (N, {h * w}), got {self.images.shape}")
-        if self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
+        if self.images.dtype == np.uint8:
+            pass  # every byte is a valid pixel
+        elif self.images.dtype.kind in "biu":
+            raise FormatError(f"images must be uint8 or floats in [0, 1], got dtype {self.images.dtype}")
+        elif self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
             raise FormatError("pixel values must lie in [0, 1]")
         if self.labels is not None and len(self.labels) != len(self.images):
             raise FormatError(
@@ -77,20 +101,28 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.images)
 
+    def batch(self, idx) -> np.ndarray:
+        """The rows ``images[idx]`` (an index array or a slice) as float64 pixels in [0, 1]."""
+        return float_pixels(self.images[idx])
+
 
 # ---------------------------------------------------------------------------
 # MNIST IDX
 # ---------------------------------------------------------------------------
 
 class _Reader:
-    """Cursor over bytes; every read is bounds-checked."""
+    """Cursor over bytes; every read is bounds-checked.
+
+    ``take`` returns a view into ``data``, not a copy, so an array built on
+    it with ``np.frombuffer`` shares the buffer that was read.
+    """
 
     def __init__(self, data: bytes, what: str):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.what = what
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise FormatError(f"{self.what}: truncated (wanted {n} bytes at offset {self.pos})")
         out = self.data[self.pos : self.pos + n]
@@ -100,7 +132,7 @@ class _Reader:
     def text(self, n: int) -> str:
         raw = self.take(n)
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError as err:
             raise FormatError(f"{self.what}: text at offset {self.pos - n} is not UTF-8 ({err.reason})") from None
 
@@ -119,7 +151,7 @@ class _Reader:
 
 
 def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
-    """Parse the big-endian IDX pair; pixels scaled to [0,1] by 1/255."""
+    """Parse the big-endian IDX pair; the images stay ``uint8``, viewing the bytes read."""
     with open(images_path, "rb") as f:
         r = _Reader(f.read(), images_path)
     magic = r.u32_be()
@@ -142,7 +174,7 @@ def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
 
     if n_labels != n:
         raise FormatError(f"{n} images but {n_labels} labels")
-    images = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
+    images = pixels.reshape(n, rows * cols)
     return Dataset(images=images, labels=labels.astype(np.int64), dims=(rows, cols), provenance="mnist")
 
 
@@ -224,22 +256,8 @@ def save_checkpoint(model: ModelPair, cfg: TrainingConfig, path: str) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path: str) -> tuple[ModelPair, TrainingConfig]:
-    """Rebuild the model from the embedded config and copy every entry into place, bitwise."""
-    with open(path, "rb") as f:
-        r = _Reader(f.read(), path)
-    magic = r.take(8)
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    version = r.u32_le()
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: format version {version} not supported (expected {CHECKPOINT_VERSION})")
-    config_text = r.text(r.u64_le())
-    try:
-        cfg = parse_config(config_text)
-    except ConfigError as err:
-        raise ConfigError(f"{path}: embedded config: {err}") from None
-
+def _read_entries(r: _Reader, path: str) -> dict[str, np.ndarray]:
+    """The named float64 entries at the reader's cursor, each a read-only view of its buffer."""
     loaded: dict[str, np.ndarray] = {}
     n_entries = r.u64_le()
     for _ in range(n_entries):
@@ -252,10 +270,30 @@ def load_checkpoint(path: str) -> tuple[ModelPair, TrainingConfig]:
         if count > _INT64_MAX or max(shape, default=0) > _INT64_MAX:
             raise FormatError(f"{path}: entry '{name}' shape {shape} overflows int64")
         loaded[name] = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape)
+    return loaded
+
+
+def load_checkpoint(path: str) -> tuple[ModelPair, TrainingConfig]:
+    """Rebuild the model from the embedded config and copy every entry into place, bitwise."""
+    with open(path, "rb") as f:
+        r = _Reader(f.read(), path)
+    magic = bytes(r.take(8))
+    if magic != CHECKPOINT_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+    version = r.u32_le()
+    if version != CHECKPOINT_VERSION:
+        raise FormatError(f"{path}: format version {version} not supported (expected {CHECKPOINT_VERSION})")
+    config_text = r.text(r.u64_le())
+    try:
+        cfg = parse_config(config_text)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: embedded config: {err}") from None
+
+    loaded = _read_entries(r, path)
     r.expect_eof()
 
     gen_cfg, dq_cfg = cfg.net_configs()
-    model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), np.random.default_rng(0))
+    model = _layout_models(gen_cfg, dq_cfg, cfg.latent_spec())
     expected = dict(_checkpoint_entries(model))
     if set(expected) != set(loaded):
         missing = sorted(set(expected) - set(loaded))

@@ -360,7 +360,7 @@ def categorical_classifier_eval(
     preds = np.empty(len(dataset), dtype=np.int64)
     for start in range(0, len(dataset), chunk):
         stop = min(start + chunk, len(dataset))
-        q_post = q_forward(model, Tensor(dataset.images[start:stop]), training=False)
+        q_post = q_forward(model, Tensor(dataset.batch(slice(start, stop))), training=False)
         preds[start:stop] = np.argmax(q_post.blocks[block].data, axis=1)
 
     counts = np.zeros((k, n_classes))

@@ -21,6 +21,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,12 +80,22 @@ class ParamBlock:
         return ParamBlock(name, flat, MappingProxyType(params))
 
 
+class Dense(NamedTuple):
+    """One dense layer's tensors: weight, bias and, if it normalizes, its ``(gamma, beta, state)``."""
+
+    w: Tensor
+    b: Tensor
+    bn: tuple[Tensor, Tensor, BatchNormState] | None
+
+
 @dataclass
 class ModelPair:
     """G plus the shared trunk and its two heads, held as four parameter blocks.
 
     ``params`` is a read-only view of every block's parameters in block
     order, so no tensor can be rebound away from the vector Adam updates.
+    The forward passes read each layer's tensors from the ``Dense`` records
+    resolved once here, not by name.
     """
 
     spec: LatentSpec
@@ -93,12 +104,31 @@ class ModelPair:
     blocks: Mapping[str, ParamBlock]
     bn_states: dict[str, BatchNormState]
     params: Mapping[str, Tensor] = field(init=False)
-    q_block_names: list[str] = field(init=False)  # per-spec constant, read by every Q head pass
+    q_block_names: list[str] = field(init=False)  # checkpoint names of the Q head's per-code layers
+    gen_layers: tuple[Dense, ...] = field(init=False)
+    trunk_layers: tuple[Dense, ...] = field(init=False)
+    d_out: Dense = field(init=False)
+    q_l0: Dense = field(init=False)
+    q_outs: tuple[Dense | tuple[Dense, Dense], ...] = field(init=False)  # per code block: logits, or (mu, log sigma)
 
     def __post_init__(self):
         self.blocks = MappingProxyType(dict(self.blocks))
         self.params = MappingProxyType({n: t for b in self.blocks.values() for n, t in b.params.items()})
         self.q_block_names = _q_block_names(self.spec)
+
+        def dense(name: str, bn_name: str = "") -> Dense:
+            state = self.bn_states.get(bn_name)
+            bn = None if state is None else (self.params[f"{bn_name}.gamma"], self.params[f"{bn_name}.beta"], state)
+            return Dense(self.params[f"{name}.w"], self.params[f"{name}.b"], bn)
+
+        self.gen_layers = tuple(dense(f"gen.l{i}", f"gen.bn{i}") for i in range(len(self.gen_cfg.widths) - 1))
+        self.trunk_layers = tuple(dense(f"trunk.l{i}", f"trunk.bn{i}") for i in range(len(self.dq_cfg.widths) - 1))
+        self.d_out = dense("d_head.out")
+        self.q_l0 = dense("q_head.l0", "q_head.bn0")
+        self.q_outs = tuple(
+            dense(name) if block.is_discrete else (dense(f"{name}.mu"), dense(f"{name}.s"))
+            for block, name in zip(self.spec.blocks, self.q_block_names)
+        )
 
     @property
     def image_dim(self) -> int:
@@ -111,12 +141,8 @@ def _q_block_names(spec: LatentSpec) -> list[str]:
     return [f"q_head.{f}{families[:i].count(f)}" for i, f in enumerate(families)]
 
 
-def init_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec, rng: np.random.Generator) -> ModelPair:
-    """Build a ModelPair with weights ~ N(0, 0.02), zero biases and unit batchnorm scales.
-
-    Parameter creation order is fixed, so a fixed seed reproduces every
-    tensor bitwise.
-    """
+def _layout_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec) -> ModelPair:
+    """Check the configs and lay out a ModelPair: every block zero, fresh batchnorm states, nothing drawn."""
     if gen_cfg.widths[0] != spec.gen_input_dim:
         raise ShapeError(
             f"generator input width {gen_cfg.widths[0]} != noise+code dim {spec.gen_input_dim}"
@@ -168,7 +194,16 @@ def init_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec, rng: np
             linear(f"{name}.s", dq_cfg.q_hidden, block.dim)
 
     blocks = {b: ParamBlock.allocate(b, block_shapes) for b, block_shapes in shapes.items()}
-    model = ModelPair(spec, gen_cfg, dq_cfg, blocks, bn_states)
+    return ModelPair(spec, gen_cfg, dq_cfg, blocks, bn_states)
+
+
+def init_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec, rng: np.random.Generator) -> ModelPair:
+    """Build a ModelPair with weights ~ N(0, 0.02), zero biases and unit batchnorm scales.
+
+    Parameter creation order is fixed, so a fixed seed reproduces every
+    tensor bitwise.
+    """
+    model = _layout_models(gen_cfg, dq_cfg, spec)
     # Every block is laid out before the first draw, and each weight is drawn in creation order
     # straight into its view: the draws and products of rng.normal(0, WEIGHT_STD), without the
     # per-layer temporary that measurably raised the MNIST-shaped run's peak RSS.
@@ -181,15 +216,9 @@ def init_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec, rng: np
     return model
 
 
-def _linear(model: ModelPair, name: str, x: Tensor) -> Tensor:
-    return ad.linear(x, model.params[f"{name}.w"], model.params[f"{name}.b"])
-
-
-def _maybe_bn(model: ModelPair, name: str, x: Tensor, training: bool) -> Tensor:
-    state = model.bn_states.get(name)
-    if state is None:
-        return x
-    return ad.batchnorm(x, model.params[f"{name}.gamma"], model.params[f"{name}.beta"], state, training)
+def _dense(layer: Dense, x: Tensor, training: bool) -> Tensor:
+    h = ad.linear(x, layer.w, layer.b)
+    return h if layer.bn is None else ad.batchnorm(h, *layer.bn, training)
 
 
 def gen_forward(model: ModelPair, batch: LatentBatch, training: bool = True) -> Tensor:
@@ -199,44 +228,38 @@ def gen_forward(model: ModelPair, batch: LatentBatch, training: bool = True) -> 
             f"latent batch input dim {batch.spec.gen_input_dim} != generator input {model.gen_cfg.widths[0]}"
         )
     h = batch.g_input
-    n_layers = len(model.gen_cfg.widths) - 1
-    for i in range(n_layers - 1):
-        h = _linear(model, f"gen.l{i}", h)
-        h = _maybe_bn(model, f"gen.bn{i}", h, training)
-        h = ad.relu(h)
-    return ad.sigmoid(_linear(model, f"gen.l{n_layers - 1}", h))
+    *hidden, out = model.gen_layers
+    for layer in hidden:
+        h = ad.relu(_dense(layer, h, training))
+    return ad.sigmoid(_dense(out, h, training))
 
 
 def _trunk(model: ModelPair, x: Tensor, training: bool) -> Tensor:
     if x.shape[1] != model.dq_cfg.widths[0]:
         raise ShapeError(f"input dim {x.shape[1]} != trunk input {model.dq_cfg.widths[0]}")
     h = x
-    for i in range(len(model.dq_cfg.widths) - 1):
-        h = _linear(model, f"trunk.l{i}", h)
-        h = _maybe_bn(model, f"trunk.bn{i}", h, training)
-        h = ad.lrelu(h, LRELU_RATE)
+    for layer in model.trunk_layers:
+        h = ad.lrelu(_dense(layer, h, training), LRELU_RATE)
     return h
 
 
 def _q_head(model: ModelPair, h: Tensor, training: bool) -> QPosteriorParams:
-    hq = _linear(model, "q_head.l0", h)
-    hq = _maybe_bn(model, "q_head.bn0", hq, training)
-    hq = ad.lrelu(hq, LRELU_RATE)
-
+    hq = ad.lrelu(_dense(model.q_l0, h, training), LRELU_RATE)
     q = QPosteriorParams(spec=model.spec)
-    for block, name in zip(model.spec.blocks, model.q_block_names):
+    for block, out in zip(model.spec.blocks, model.q_outs):
         if block.is_discrete:
-            q.blocks.append(_linear(model, name, hq))
+            q.blocks.append(_dense(out, hq, training))
         else:
-            mu = _linear(model, f"{name}.mu", hq)
-            s_raw = _linear(model, f"{name}.s", hq)
+            mu_layer, s_layer = out
+            mu = _dense(mu_layer, hq, training)
+            s_raw = _dense(s_layer, hq, training)
             q.blocks.append((mu, ad.clip(s_raw, -LOG_SIGMA_BOUND, LOG_SIGMA_BOUND)))
     return q
 
 
 def disc_forward(model: ModelPair, x: Tensor, training: bool = True) -> Tensor:
     """The (B,1) discriminator logit alone: the trunk and the D head, no Q head."""
-    return _linear(model, "d_head.out", _trunk(model, x, training))
+    return _dense(model.d_out, _trunk(model, x, training), training)
 
 
 def q_forward(model: ModelPair, x: Tensor, training: bool = True) -> QPosteriorParams:
@@ -251,4 +274,4 @@ def disc_q_forward(model: ModelPair, x: Tensor, training: bool = True) -> tuple[
     parameters; log sigma is clamped to +/-7 before any exponentiation.
     """
     h = _trunk(model, x, training)
-    return _linear(model, "d_head.out", h), _q_head(model, h, training)
+    return _dense(model.d_out, h, training), _q_head(model, h, training)

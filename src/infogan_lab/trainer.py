@@ -34,7 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .config import TrainingConfig
-from .data_io import Dataset, atomic_open, load_mnist_idx, save_checkpoint, synth_templates
+from .data_io import Dataset, atomic_open, float_pixels, load_mnist_idx, save_checkpoint, synth_templates
 from .latent import sample_latent
 from .models import ModelPair, ParamBlock, disc_forward, disc_q_forward, gen_forward, init_models
 from .objectives import LossBundle, discriminator_loss, generator_loss, infogan_losses, mi_lower_bound
@@ -228,7 +228,15 @@ def train_step(
     adam_states: dict[str, AdamState],
     iteration: int | None = None,
 ) -> LossBundle:
-    """One D update then one G/Q update; returns the losses measured at step time."""
+    """One D update then one G/Q update; returns the losses measured at step time.
+
+    ``real_images`` is a batch of float pixels in [0, 1] or of ``uint8``
+    bytes, which are scaled by 1/255 first (``data_io.float_pixels``); any
+    other integer or bool dtype raises ``TrainingError``.
+    """
+    if real_images.dtype.kind in "biu" and real_images.dtype != np.uint8:
+        raise TrainingError(f"real images must be uint8 or floats in [0, 1], got dtype {real_images.dtype}")
+    real_images = float_pixels(real_images)
     loss_d = d_step(model, real_images, cfg, latent_rng, adam_states)
     bundle = gq_step(model, loss_d, cfg, real_images.shape[0], latent_rng, adam_states)
     values = bundle.as_floats()
@@ -250,8 +258,9 @@ def build_dataset(cfg: TrainingConfig, rng: np.random.Generator) -> Dataset:
         ) from err
     if len(ds) < cfg.mnist_subset:
         raise TrainingError(f"mnist_subset = {cfg.mnist_subset} but {cfg.mnist_images} holds only {len(ds)} images")
+    # a copy of the kept rows, so the whole file's buffer is freed
     return Dataset(
-        images=ds.images[: cfg.mnist_subset],
+        images=ds.images[: cfg.mnist_subset].copy(),
         labels=ds.labels[: cfg.mnist_subset] if ds.labels is not None else None,
         dims=ds.dims,
         provenance=ds.provenance + f"[:{cfg.mnist_subset}]",
@@ -271,7 +280,7 @@ def train_run(cfg: TrainingConfig) -> tuple[ModelPair, MetricsTrace]:
     trace = MetricsTrace()
     for i in range(1, cfg.iterations + 1):
         idx = rngs["batches"].integers(0, len(ds), size=cfg.batch_size)
-        bundle = train_step(model, ds.images[idx], cfg, rngs["latent"], adam_states, iteration=i)
+        bundle = train_step(model, ds.batch(idx), cfg, rngs["latent"], adam_states, iteration=i)
         if i % cfg.log_every == 0 or i == cfg.iterations:
             v = bundle.as_floats()
             trace.append(i, v["loss_d"], v["loss_g"], v["li_disc"], v["li_cont"])

@@ -289,7 +289,7 @@ class TestCriterion9Formats:
         ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
         write_idx_pair(images, labels, ip, lp)
         ds = load_mnist_idx(ip, lp)
-        round_trip = np.array_equal(np.rint(ds.images * 255).astype(np.uint8), images.reshape(5, 12))
+        round_trip = np.array_equal(np.rint(ds.batch(slice(None)) * 255).astype(np.uint8), images.reshape(5, 12))
         corrupted = bytearray(open(ip, "rb").read())
         corrupted[2] ^= 0xFF
         bad = tmp_path / "bad.idx"

@@ -302,6 +302,20 @@ class TestBatchnorm:
         np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.data.var(axis=0), 1.0, atol=1e-6)
 
+    def test_batch_moments_bitwise_equal_numpy_mean_and_var(self):
+        from infogan_lab.autodiff import _batch_moments
+
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            b, f = rng.integers(1, 300), rng.integers(1, 40)
+            x = rng.normal(rng.normal(0.0, 5.0), rng.uniform(1e-3, 10.0), (b, f))
+            before = x.tobytes()
+            for arr in (x, np.asfortranarray(x)):
+                mean, var, _ = _batch_moments(arr, 1e-5)
+                assert mean.tobytes() == arr.mean(axis=0).tobytes()
+                assert var.tobytes() == arr.var(axis=0).tobytes()
+            assert x.tobytes() == before  # the input is left as it was
+
     def test_running_stats_momentum(self):
         state = BatchNormState(2, momentum=0.9)
         x = np.array([[1.0, 2.0], [3.0, 6.0]])

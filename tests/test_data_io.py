@@ -36,13 +36,35 @@ class TestIdxLoader:
         images, labels, ip, lp = idx_pair
         ds = load_mnist_idx(ip, lp)
         assert len(ds) == 7 and ds.dims == (5, 4)
-        np.testing.assert_allclose(ds.images, images.reshape(7, 20) / 255.0)
+        np.testing.assert_array_equal(ds.batch(slice(None)), images.reshape(7, 20) / 255.0)
         np.testing.assert_array_equal(ds.labels, labels)
 
     def test_pixels_in_unit_interval(self, idx_pair):
         _, _, ip, lp = idx_pair
         ds = load_mnist_idx(ip, lp)
-        assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
+        pixels = ds.batch(slice(None))
+        assert pixels.min() >= 0.0 and pixels.max() <= 1.0
+
+    def test_images_stay_uint8_until_a_batch_is_drawn(self, idx_pair):
+        images, _, ip, lp = idx_pair
+        ds = load_mnist_idx(ip, lp)
+        assert ds.images.dtype == np.uint8 and ds.images.shape == (7, 20)
+        np.testing.assert_array_equal(ds.images, images.reshape(7, 20))
+        idx = np.array([3, 0, 3, 6])
+        batch = ds.batch(idx)
+        assert batch.dtype == np.float64
+        assert batch.tobytes() == (images.reshape(7, 20).astype(np.float64) / 255.0)[idx].tobytes()
+
+    def test_float_pixels_scales_bytes_and_passes_floats_through(self):
+        floats = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        assert data_io.float_pixels(floats) is floats
+        assert data_io.float_pixels(np.array([0, 51, 255], np.uint8)).tolist() == [0.0, 0.2, 1.0]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint16, np.bool_])
+    def test_dataset_rejects_other_integer_dtypes_naming_them(self, dtype):
+        images = np.zeros((3, 4), dtype=dtype)
+        with pytest.raises(FormatError, match=f"got dtype {np.dtype(dtype)}"):
+            data_io.Dataset(images=images, labels=None, dims=(2, 2), provenance="x")
 
     @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
     def test_dataset_rejects_pixels_outside_unit_interval(self, bad):
@@ -217,6 +239,48 @@ class TestCheckpoint:
         wrong_version.write_bytes(bytes(tampered))
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(str(wrong_version))
+
+    def test_bad_magic_is_shown_as_bytes(self, tmp_path):
+        model, cfg = small_model()
+        path = tmp_path / "m.igan"
+        save_checkpoint(model, cfg, str(path))
+        blob = bytearray(path.read_bytes())
+        blob[0] = ord("X")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=r"bad magic b'XGAN0001', expected b'IGAN0001'"):
+            load_checkpoint(str(path))
+
+    def test_entries_view_the_read_buffer(self, tmp_path):
+        # loading makes no second copy of the file: every entry array is a view of the bytes read
+        model, cfg = small_model(batchnorm=True)
+        path = str(tmp_path / "m.igan")
+        save_checkpoint(model, cfg, path)
+        data = open(path, "rb").read()
+        r = data_io._Reader(data, path)
+        r.take(8 + 4)  # magic and version
+        r.text(r.u64_le())  # config text
+        entries = data_io._read_entries(r, path)
+        r.expect_eof()
+        buffer = np.frombuffer(data, dtype=np.uint8)
+        assert list(entries) == [name for name, _ in data_io._checkpoint_entries(model)]
+        for name, arr in entries.items():
+            assert np.shares_memory(arr, buffer), name
+            np.testing.assert_array_equal(arr, dict(data_io._checkpoint_entries(model))[name])
+
+    def test_load_lays_out_without_drawing(self, tmp_path, monkeypatch):
+        # the loaded model is built by the layout step alone: no generator is made to draw weights
+        model, cfg = small_model(seed=5, batchnorm=True)
+        path = str(tmp_path / "m.igan")
+        save_checkpoint(model, cfg, path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        monkeypatch.setattr(np.random, "Generator", no_rng)
+        loaded, _ = load_checkpoint(path)
+        for name, block in model.blocks.items():
+            assert loaded.blocks[name].flat.tobytes() == block.flat.tobytes()
 
     @pytest.mark.parametrize("field", ["config text", "entry name"])
     def test_non_utf8_text_is_format_error(self, tmp_path, field):

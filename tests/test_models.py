@@ -201,6 +201,28 @@ class TestParamGroups:
         assert [(n, t) for b in model.blocks.values() for n, t in b.params.items()] == list(model.params.items())
         assert all(n.partition(".")[0] == b for b, block in model.blocks.items() for n in block.params)
 
+    def test_layer_records_hold_the_named_tensors(self):
+        # the forward passes read these records, so each must be the very tensor its name maps to
+        spec = LatentSpec(blocks=(CodeBlock.categorical(3), CodeBlock.uniform(-1, 1)), noise_dim=4)
+        model = init_models(NetConfig(widths=(spec.gen_input_dim, 8, 12, 16), batchnorm=True),
+                            NetConfig(widths=(16, 12, 8), batchnorm=True, q_hidden=6), spec, np.random.default_rng(0))
+        p, bn = model.params, model.bn_states
+
+        def named(layer, name, bn_name=None):
+            if bn_name is None:
+                same_bn = layer.bn is None
+            else:
+                norm = (p[f"{bn_name}.gamma"], p[f"{bn_name}.beta"], bn[bn_name])
+                same_bn = all(a is b for a, b in zip(layer.bn, norm, strict=True))
+            return layer.w is p[f"{name}.w"] and layer.b is p[f"{name}.b"] and same_bn
+
+        assert [named(layer, f"gen.l{i}", f"gen.bn{i}" if i < 2 else None) for i, layer in enumerate(model.gen_layers)] == [True] * 3
+        assert [named(layer, f"trunk.l{i}", f"trunk.bn{i}" if i > 0 else None)
+                for i, layer in enumerate(model.trunk_layers)] == [True] * 2
+        assert named(model.d_out, "d_head.out") and named(model.q_l0, "q_head.l0", "q_head.bn0")
+        cat, (mu, s) = model.q_outs
+        assert named(cat, "q_head.cat0") and named(mu, "q_head.cont0.mu") and named(s, "q_head.cont0.s")
+
     def test_params_are_read_only(self):
         _, model = small_setup()
         rebound = Tensor(np.zeros(model.params["gen.l0.b"].shape))

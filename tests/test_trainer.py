@@ -457,6 +457,83 @@ class TestTrainRun:
         assert 0.0 <= err <= 1.0 and len(assignment) == 10
 
 
+def _idx_cfg(tmp_path, n_images, **kw):
+    """A tiny MNIST-protocol config on an IDX pair of ``n_images`` random 28x28 bytes written under ``tmp_path``."""
+    from infogan_lab.data_io import write_idx_pair
+
+    rng = np.random.default_rng(n_images)
+    ip, lp = str(tmp_path / "imgs.idx"), str(tmp_path / "lbls.idx")
+    write_idx_pair(rng.integers(0, 256, (n_images, 28, 28), dtype=np.uint8),
+                   rng.integers(0, 10, n_images).astype(np.uint8), ip, lp)
+    return tiny_cfg(
+        tmp_path, dataset="mnist", noise_dim=8, mnist_images=ip, mnist_labels=lp, mnist_subset=n_images,
+        codes=(CodeBlock.categorical(10), CodeBlock.uniform(-1, 1), CodeBlock.uniform(-1, 1)), **kw,
+    )
+
+
+def _model_bytes(model):
+    parts = [b.flat.tobytes() for b in model.blocks.values()]
+    parts += [s.running_mean.tobytes() + s.running_var.tobytes() for s in model.bn_states.values()]
+    return b"".join(parts)
+
+
+class TestPixelBatches:
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.bool_])
+    def test_raw_integer_batch_is_rejected_naming_its_dtype(self, tmp_path, dtype):
+        from infogan_lab.models import init_models
+
+        cfg = tiny_cfg(tmp_path)
+        gen_cfg, dq_cfg = cfg.net_configs()
+        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), np.random.default_rng(0))
+        before = _model_bytes(model)
+        batch = np.full((8, 64), 200).astype(dtype)
+        with pytest.raises(TrainingError, match=f"got dtype {np.dtype(dtype)}"):
+            train_step(model, batch, cfg, np.random.default_rng(1), {})
+        assert _model_bytes(model) == before
+
+    def test_uint8_batches_train_like_their_float_batches(self, tmp_path):
+        # the benchmark feeds train_step ds.images[idx] itself: bytes must be scaled exactly as ds.batch scales them
+        from infogan_lab.models import init_models
+        from infogan_lab.trainer import build_dataset
+
+        cfg = _idx_cfg(tmp_path, 96)
+        ds = build_dataset(cfg, np.random.default_rng(0))
+        assert ds.images.dtype == np.uint8
+        runs = []
+        for draw in (lambda idx: ds.images[idx], ds.batch):
+            rngs = rng_streams(cfg.seed)
+            gen_cfg, dq_cfg = cfg.net_configs()
+            model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
+            states = {}
+            for i in range(3):
+                idx = rngs["batches"].integers(0, len(ds), size=cfg.batch_size)
+                train_step(model, draw(idx), cfg, rngs["latent"], states, iteration=i + 1)
+            runs.append(_model_bytes(model))
+        assert runs[0] == runs[1]
+
+    def test_no_float64_copy_of_the_whole_dataset(self, tmp_path):
+        import tracemalloc
+
+        from infogan_lab.evaluate import categorical_classifier_eval
+        from infogan_lab.models import init_models
+        from infogan_lab.trainer import build_dataset
+
+        n = 10000
+        cfg = _idx_cfg(tmp_path, n)
+        gen_cfg, dq_cfg = cfg.net_configs()
+        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            ds = build_dataset(cfg, np.random.default_rng(0))
+            categorical_classifier_eval(model, ds, 0)
+            idx = np.random.default_rng(1).integers(0, n, size=cfg.batch_size)
+            train_step(model, ds.images[idx], cfg, np.random.default_rng(2), {})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 28 * 28 * 8, f"traced peak {peak} B reaches one float64 copy of the dataset"
+
+
 class TestMetricsTrace:
     def test_csv_round_trip_full_precision(self, tmp_path):
         trace = MetricsTrace()
