@@ -117,13 +117,16 @@ def _cmd_channel_check(args) -> int:
     max_neg_gap = 0.0
     max_kl_mismatch = 0.0
     max_posterior_gap = 0.0
+    # A non-finite gap passes only as gap == E[KL] == inf; np.maximum keeps
+    # a NaN (so ok=0), where max() would drop it.
     for _ in range(args.trials):
         res = channel_bound_check(random_channel(rng))
         if np.isfinite(res.gap):
             max_neg_gap = max(max_neg_gap, -res.gap if res.gap < 0 else 0.0)
-            max_kl_mismatch = max(max_kl_mismatch, abs(res.gap - res.expected_kl))
+        if not res.gap == res.expected_kl == np.inf:
+            max_kl_mismatch = np.maximum(max_kl_mismatch, abs(res.gap - res.expected_kl))
         res_post = channel_bound_check(random_channel(rng, q_mode="posterior"))
-        max_posterior_gap = max(max_posterior_gap, abs(res_post.gap))
+        max_posterior_gap = np.maximum(max_posterior_gap, abs(res_post.gap))
     bsc = channel_bound_check(
         ChannelSpec(
             prior=np.array([0.5, 0.5]),

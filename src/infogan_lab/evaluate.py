@@ -3,6 +3,9 @@
 The finite-channel and finite-joint oracles materialize every distribution
 by enumeration, so the information quantities here are exact up to float
 rounding; they are the reference the learned estimates are checked against.
+The classifier score maps categories to classes by an exact Hungarian
+assignment written in numpy (``max_matching_assignment``); among tied
+optimal maps it returns one, the same one on every call.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .autodiff import Tensor, UsageError
 from .data_io import Dataset, write_image_grid
@@ -330,8 +332,64 @@ def traversal_grid(
 # ---------------------------------------------------------------------------
 
 def max_matching_assignment(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exact max-weight category-to-class assignment on a count matrix."""
-    rows, cols = linear_sum_assignment(counts, maximize=True)
+    """Exact max-weight category-to-class assignment on a count matrix.
+
+    The Hungarian method with row and column potentials (Kuhn 1955): the
+    rows of the smaller side are added one at a time, each by a shortest
+    augmenting path whose steps are vectorized over the columns. Returns
+    ``(rows, cols, matched)``: ``min(k, n)`` pairs with rows ascending, each
+    row and each column used at most once, and the matched total. Integer
+    counts keep the potentials on integers, so the total is exact.
+
+    Where several assignments reach the optimum, one of them is returned,
+    always the same one for the same input (each step takes the
+    lowest-index column among tied ones); it need not be the one another
+    solver picks. ``counts`` must be 2-D and finite (``ValueError``
+    otherwise); a side of length 0 gives two empty index arrays and 0.0.
+    """
+    counts = np.asarray(counts)
+    if counts.ndim != 2:
+        raise ValueError(f"counts must be a 2-D matrix, got shape {counts.shape}")
+    bad = ~np.isfinite(counts)
+    if bad.any():
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"counts{list(at)} is {counts[at]}; entries must be finite")
+    transposed = counts.shape[0] > counts.shape[1]
+    wide = counts.T if transposed else counts
+    n, m = wide.shape
+    # 1-based as in the textbook form: column 0 is a virtual start, p[j] is
+    # the row (1..n) on column j and 0 a free column; costs are -counts.
+    cost = np.zeros((n + 1, m + 1))
+    cost[1:, 1:] -= wide
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    p = np.zeros(m + 1, dtype=np.intp)
+    way = np.zeros(m + 1, dtype=np.intp)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
+        while p[j0] != 0:
+            used[j0] = True
+            i0 = p[j0]
+            reduced = cost[i0] - u[i0] - v
+            closer = ~used & (reduced < minv)
+            minv[closer] = reduced[closer]
+            way[closer] = j0
+            j0 = int(np.argmin(np.where(used, np.inf, minv)))
+            delta = minv[j0]
+            u[p[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+        while j0:
+            p[j0] = p[way[j0]]
+            j0 = way[j0]
+    on = np.flatnonzero(p[1:])
+    by = p[1:][on] - 1
+    rows, cols = (on, by) if transposed else (by, on)
+    order = np.argsort(rows)
+    rows, cols = rows[order], cols[order]
     return rows, cols, float(counts[rows, cols].sum())
 
 

@@ -15,10 +15,11 @@ Each clock block (``gen``, ``trunk``, ``d_head``, ``q_head``) is one flat
 float64 vector whose parameters are views into it (``models.ParamBlock``).
 Adam keeps one state per block under the block's name, created on the
 block's first step: flat ``m`` and ``v`` vectors and a single step count
-``t``. The update is a dozen whole-vector numpy calls ending in one
-``flat -= step``, bitwise-equal to the per-parameter formula. The trunk's
-block is stepped by both the D and the Q update, so its t advances twice per
-iteration, while the generator, D head and Q head advance once.
+``t``. The update is fourteen elementwise numpy calls ending in one
+``flat -= step``, run over slices of at most ``ADAM_SLICE`` elements and
+bitwise-equal to the per-parameter formula. The trunk's block is stepped by
+both the D and the Q update, so its t advances twice per iteration, while
+the generator, D head and Q head advance once.
 
 All randomness comes from one seed, split into four named PCG64 streams
 (model init, dataset synthesis, minibatch indices, latent draws), so a run
@@ -40,6 +41,11 @@ from .models import ModelPair, ParamBlock, disc_forward, disc_q_forward, gen_for
 from .objectives import LossBundle, discriminator_loss, generator_loss, infogan_losses, mi_lower_bound
 
 STREAM_NAMES = ("init", "dataset", "batches", "latent")
+
+# Adam sweeps each flat block in slices of at most this many elements
+# (512 KiB per float64 array), so the update's operands stay in cache on
+# wide models; every element sees the same operations, so no bit moves.
+ADAM_SLICE = 65536
 
 
 class TrainingError(RuntimeError):
@@ -91,10 +97,11 @@ def adam_step(
 ) -> None:
     """In-place Adam update: theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
 
-    Works one block at a time over its flat vector, with the operations of
-    the per-parameter formula in the same order, so every result is
-    bitwise-equal to it. ``states[block.name]`` is the block's state,
-    created on its first step; other entries are never read. Every block is
+    Works one block at a time over its flat vector, in slices of at most
+    ``ADAM_SLICE`` elements, with the operations of the per-parameter
+    formula in the same order, so every result is bitwise-equal to it.
+    ``states[block.name]`` is the block's state, created on its first step;
+    other entries are never read. Every block is
     checked before any is updated, so a missing, misshapen or non-finite
     gradient, or a block state of the wrong shape, raises ``TrainingError``
     before any parameter or clock moves.
@@ -110,24 +117,28 @@ def adam_step(
         if st is None:
             st = states[block.name] = AdamState(g.shape)
         st.t += 1
-        m, v, flat, tmp = st.m, st.v, block.flat, np.empty_like(g)
-        # m = beta1 * m + (1 - beta1) * g
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=tmp)
-        m += tmp
-        # v = beta2 * v + (1 - beta2) * g * g; g is dead afterwards and holds v_hat below
-        v *= beta2
-        np.multiply(g, 1.0 - beta2, out=tmp)
-        np.multiply(tmp, g, out=g)
-        v += g
-        # step = lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(m, 1.0 - beta1**st.t, out=tmp)
-        tmp *= lr
-        np.divide(v, 1.0 - beta2**st.t, out=g)
-        np.sqrt(g, out=g)
-        g += epsilon
-        tmp /= g
-        flat -= tmp
+        scratch = np.empty(min(g.size, ADAM_SLICE))
+        for lo in range(0, g.size, ADAM_SLICE):
+            part = slice(lo, lo + ADAM_SLICE)
+            m, v, flat, gs = st.m[part], st.v[part], block.flat[part], g[part]
+            tmp = scratch[: gs.size]
+            # m = beta1 * m + (1 - beta1) * g
+            m *= beta1
+            np.multiply(gs, 1.0 - beta1, out=tmp)
+            m += tmp
+            # v = beta2 * v + (1 - beta2) * g * g; gs is dead afterwards and holds v_hat below
+            v *= beta2
+            np.multiply(gs, 1.0 - beta2, out=tmp)
+            np.multiply(tmp, gs, out=gs)
+            v += gs
+            # step = lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, 1.0 - beta1**st.t, out=tmp)
+            tmp *= lr
+            np.divide(v, 1.0 - beta2**st.t, out=gs)
+            np.sqrt(gs, out=gs)
+            gs += epsilon
+            tmp /= gs
+            flat -= tmp
 
 
 @dataclass

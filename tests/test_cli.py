@@ -1,8 +1,11 @@
 """Command-line wiring: outputs, exit codes, file artifacts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from infogan_lab import cli
 from infogan_lab.cli import main
 from infogan_lab.config import TrainingConfig
 from infogan_lab.data_io import save_checkpoint
@@ -105,6 +108,47 @@ class TestEvalCommands:
 
     def test_eval_mi_missing_checkpoint_exits_1(self, capsys):
         assert main(["eval-mi", "--checkpoint", "nope.igan", "--samples", "200"]) == 1
+
+
+class TestChannelCheckRule:
+    """A trial's gap is judged as the benchmark judges it: a finite gap is
+    >= -1e-12 and within 1e-12 of E[KL], a non-finite one needs
+    gap == E[KL] == inf, and a posterior gap passes only if |gap| <= 1e-12."""
+
+    def _run_with(self, monkeypatch, capsys, call, **fields):
+        real = cli.channel_bound_check
+        calls = []
+
+        def edited(chan):
+            calls.append(chan)
+            res = real(chan)
+            return dataclasses.replace(res, **fields) if len(calls) == call else res
+
+        monkeypatch.setattr(cli, "channel_bound_check", edited)
+        code = main(["channel-check", "--trials", "3", "--seed", "3"])
+        return code, _parse_kv(capsys.readouterr().out)
+
+    def test_infinite_gap_with_finite_expected_kl_fails(self, monkeypatch, capsys):
+        code, out = self._run_with(monkeypatch, capsys, 1, gap=np.inf, expected_kl=0.25)  # first random-Q trial
+        assert code == 1
+        assert out["ok"] == "0"
+        assert out["max_kl_mismatch"] == "inf"
+
+    def test_nan_gap_fails(self, monkeypatch, capsys):
+        code, out = self._run_with(monkeypatch, capsys, 1, gap=np.nan)
+        assert code == 1
+        assert out["ok"] == "0"
+
+    def test_nan_posterior_gap_fails(self, monkeypatch, capsys):
+        code, out = self._run_with(monkeypatch, capsys, 2, gap=np.nan)  # first posterior-Q trial
+        assert code == 1
+        assert out["ok"] == "0"
+        assert out["max_posterior_gap"] == "nan"
+
+    def test_infinite_gap_equal_to_expected_kl_passes(self, monkeypatch, capsys):
+        code, out = self._run_with(monkeypatch, capsys, 1, gap=np.inf, expected_kl=np.inf)
+        assert code == 0
+        assert out["ok"] == "1"
 
 
 class TestTraverseCommand:

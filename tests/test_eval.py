@@ -1,6 +1,12 @@
 """Oracles: sampling-identity lemma, channel bound, estimates, classifier, traversals."""
 
 import itertools
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +258,103 @@ class TestAssignment:
             best = max(best, counts[np.arange(10)[None, :], arr].sum(axis=1).max())
         assert matched == best
         assert matched >= self._greedy(counts)
+
+
+class TestAssignmentSolver:
+    """The numpy Hungarian solver against scipy's, which is a test-only oracle."""
+
+    def _check_pairs(self, counts, rows, cols):
+        assert rows.dtype.kind == cols.dtype.kind == "i"
+        assert len(rows) == len(cols) == min(counts.shape)
+        assert np.all(np.diff(rows) > 0)  # ascending, so each row at most once
+        assert len(np.unique(cols)) == len(cols)
+        assert np.all((0 <= rows) & (rows < counts.shape[0]))
+        assert np.all((0 <= cols) & (cols < counts.shape[1]))
+
+    def test_optimal_total_equals_scipy_on_counts_with_ties(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(14)
+        for trial in range(2400):
+            k, n = (int(d) for d in rng.integers(1, 13, 2))
+            counts = rng.integers(0, (2, 5, 50, 1000)[trial % 4], (k, n)).astype(float)
+            rows, cols, matched = max_matching_assignment(counts)
+            self._check_pairs(counts, rows, cols)
+            ref_rows, ref_cols = linear_sum_assignment(counts, maximize=True)
+            assert matched == counts[rows, cols].sum() == counts[ref_rows, ref_cols].sum()
+
+    def test_pairs_equal_scipy_on_distinct_entries(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            k, n = (int(d) for d in rng.integers(1, 13, 2))
+            counts = rng.random((k, n)) * 100.0
+            rows, cols, _ = max_matching_assignment(counts)
+            ref_rows, ref_cols = linear_sum_assignment(counts, maximize=True)
+            np.testing.assert_array_equal(rows, ref_rows)
+            np.testing.assert_array_equal(cols, ref_cols)
+
+    def test_ties_resolve_the_same_way_every_call(self):
+        counts = np.ones((5, 7))
+        first = max_matching_assignment(counts)
+        again = max_matching_assignment(counts.copy())
+        assert first[2] == again[2] == 5.0
+        for a, b in zip(first[:2], again[:2]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_integer_counts_are_accepted(self):
+        rows, cols, matched = max_matching_assignment(np.array([[1, 2], [3, 0]], dtype=np.uint8))
+        assert (rows.tolist(), cols.tolist(), matched) == ([0, 1], [1, 0], 5.0)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_side_gives_empty_pairs(self, shape):
+        rows, cols, matched = max_matching_assignment(np.zeros(shape))
+        assert rows.shape == cols.shape == (0,)
+        assert rows.dtype.kind == cols.dtype.kind == "i"
+        assert matched == 0.0
+
+    @pytest.mark.parametrize("counts", [np.zeros(4), np.zeros((2, 2, 2)), np.float64(3.0)])
+    def test_non_matrix_is_rejected_naming_its_shape(self, counts):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(counts)}")):
+            max_matching_assignment(counts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_rejected_naming_the_first(self, bad):
+        counts = np.zeros((3, 4))
+        counts[1, 2] = bad
+        counts[2, 0] = bad
+        with pytest.raises(ValueError, match=rf"counts\[1, 2\] is {bad}"):
+            max_matching_assignment(counts)
+
+
+class TestImportFootprint:
+    def test_package_and_classifier_eval_leave_scipy_optimize_unloaded(self):
+        # a fresh process: pytest itself (or another test) may have imported scipy.optimize
+        root = Path(__file__).resolve().parent.parent
+        code = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            import infogan_lab, infogan_lab.cli
+            from infogan_lab.config import TrainingConfig
+            from infogan_lab.data_io import synth_templates
+            from infogan_lab.evaluate import categorical_classifier_eval
+            from infogan_lab.latent import CodeBlock
+            from infogan_lab.models import init_models
+
+            cfg = TrainingConfig(codes=(CodeBlock.categorical(4),), noise_dim=4, gen_layers=(8, 8),
+                                 trunk_layers=(8, 8), q_hidden=4, batchnorm=False)
+            model = init_models(*cfg.net_configs(), cfg.latent_spec(), np.random.default_rng(0))
+            err, _ = categorical_classifier_eval(model, synth_templates(4, 64, 0.05, np.random.default_rng(1)), 0)
+            assert 0.0 <= err <= 1.0, err
+            print(" ".join(m for m in ("scipy.optimize", "scipy.sparse", "scipy.linalg") if m in sys.modules))
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "", f"imported: {out.stdout.strip()}"
 
 
 class TestTraversalGrid:

@@ -9,7 +9,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from infogan_lab import autodiff
+from infogan_lab import autodiff, trainer
 from infogan_lab.config import ConfigError, TrainingConfig, parse_config, render_config
 from infogan_lab.latent import CodeBlock
 from infogan_lab.models import ParamBlock
@@ -143,6 +143,22 @@ class TestAdam:
             for n in fused.params:
                 assert fused.params[n].data.tobytes() == ref.params[n].data.tobytes(), (it, n)
         assert {b: st.t for b, st in states.items()} == {"trunk": 120, "d_head": 60, "gen": 60, "q_head": 60}
+
+    @pytest.mark.parametrize("slice_len, size", [(trainer.ADAM_SLICE, 2 * trainer.ADAM_SLICE + 1237), (1000, 3000), (1, 40)])
+    def test_sliced_sweep_is_bitwise_equal_to_reference(self, monkeypatch, slice_len, size):
+        # a block spanning several slices, the last one ragged, at the real slice length and two shorter ones
+        monkeypatch.setattr(trainer, "ADAM_SLICE", slice_len)
+        rng = np.random.default_rng(18)
+        values = {"gen.w": rng.normal(0, 1, size), "gen.b": rng.normal(0, 1, 3)}
+        fused, ref = make_block("gen", values), make_block("gen", values)
+        states = {}
+        step_ref = reference_adam(defaultdict(float))
+        for _ in range(4):
+            grads = {n: rng.normal(0, 1, v.shape) * 10.0 ** rng.integers(-6, 3) for n, v in values.items()}
+            adam_step([fused], grads, states, 1e-3, 0.5, 0.999, 1e-8)
+            step_ref([ref], grads, None, 1e-3, 0.5, 0.999, 1e-8)
+        assert fused.flat.tobytes() == ref.flat.tobytes()
+        assert states["gen"].t == 4
 
     def test_nan_mid_block_names_that_parameter_and_moves_nothing(self):
         block = make_block("gen", {name: np.ones(3) for name in ("gen.a", "gen.b", "gen.c")})
