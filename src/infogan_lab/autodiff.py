@@ -8,9 +8,12 @@ its category indices as an attribute) rather than assembled from elementwise
 pieces. Each op is one ``_OPS`` entry pairing a forward rule with a
 closure-free backward rule, so every rule can be audited and
 gradient-checked on its own, and adding or removing an op is a single edit.
-A backward rule is ``backward(g, node, need)``: ``need`` holds one bool per
-input, true where a ``wrt`` tensor of the sweep feeds that input, and the
-rule computes only those input gradients (``None`` for the rest).
+A forward rule returns ``(out, saved)``, and the tape keeps ``saved``, the
+residuals its backward rule reads, in place of the op's inputs. A backward
+rule is ``backward(g, node, need)`` and reads only ``node.saved`` and
+``node.attrs``; ``need`` holds one bool per input, true where a ``wrt``
+tensor of the sweep feeds that input, and the rule computes only those
+input gradients (``None`` for the rest).
 
 Usage:
 
@@ -29,9 +32,9 @@ against finite differences of that weighted sum, read outside the tape.
 Outside a ``Tape`` context the same functions run as plain numpy and record
 nothing, which is the fast path used for evaluation and finite differences:
 an op call there costs its numpy work plus one rule lookup. Every forward
-rule returns a fresh C-contiguous float64 array, so ``forward_op`` wraps it
-as returned instead of re-validating it, and shape-check messages are only
-formatted when a check fails.
+rule's output is a fresh C-contiguous float64 array, so ``forward_op`` wraps
+it as returned instead of re-validating it, and shape-check messages are
+only formatted when a check fails.
 """
 
 from __future__ import annotations
@@ -143,13 +146,14 @@ class BatchNormState:
 
 
 class TapeNode:
-    __slots__ = ("op", "input_ids", "input_values", "value", "attrs")
+    """One recorded op: its input node ids, the residuals its forward saved, and its attributes."""
 
-    def __init__(self, op, input_ids, input_values, value, attrs):
+    __slots__ = ("op", "input_ids", "saved", "attrs")
+
+    def __init__(self, op, input_ids, saved, attrs):
         self.op = op
         self.input_ids = input_ids
-        self.input_values = input_values
-        self.value = value
+        self.saved = saved
         self.attrs = attrs
 
 
@@ -192,15 +196,15 @@ class Tape:
         if tensor._tape is self and tensor.node is not None:
             return tensor.node
         nid = len(self.nodes)
-        self.nodes.append(TapeNode("leaf", (), (), tensor.data, None))
+        self.nodes.append(TapeNode("leaf", (), None, None))
         tensor.node = nid
         tensor._tape = self
         return nid
 
-    def record(self, op: str, inputs: list[Tensor], arrs: list[np.ndarray], attrs, out: Tensor) -> None:
+    def record(self, op: str, inputs: list[Tensor], saved, attrs, out: Tensor) -> None:
         input_ids = tuple(self._register(t) for t in inputs)
         nid = len(self.nodes)
-        self.nodes.append(TapeNode(op, input_ids, arrs, out.data, attrs))
+        self.nodes.append(TapeNode(op, input_ids, saved, attrs))
         out.node = nid
         out._tape = self
 
@@ -260,10 +264,12 @@ class Tape:
 
 
 # ---------------------------------------------------------------------------
-# op rules: forward(arrays, attrs) -> a fresh C-contiguous float64 array
-# (forward_op wraps it as returned); backward(g, node, need) -> input
-# grads, where need holds one bool per input (is that input live in the sweep)
-# and a multi-input rule returns None for every input it is not asked for.
+# op rules: forward(arrays, attrs) -> (out, saved), where out is a fresh
+# C-contiguous float64 array (forward_op wraps it as returned) and saved
+# holds the residuals the backward rule reads; backward(g, node, need) ->
+# input grads from node.saved and node.attrs alone, where need holds one
+# bool per input (is that input live in the sweep) and a multi-input rule
+# returns None for every input it is not asked for.
 # add returns g itself for both inputs and ignores need; a single-input
 # rule only runs when its input is live.
 # ---------------------------------------------------------------------------
@@ -276,11 +282,11 @@ def _f_linear(arrs, attrs):
     x, w, b = arrs
     if not (x.ndim == 2 and w.ndim == 2 and x.shape[1] == w.shape[0] and b.shape == (w.shape[1],)):
         raise ShapeError(f"linear: needs (B,I) @ (I,O) + (O,), got {x.shape} @ {w.shape} + {b.shape}")
-    return x @ w + b
+    return x @ w + b, (x, w)
 
 
 def _b_linear(g, node, need):
-    x, w, _ = node.input_values
+    x, w = node.saved
     return [
         g @ w.T if need[0] else None,
         x.T @ g if need[1] else None,
@@ -292,7 +298,7 @@ def _f_add(arrs, attrs):
     a, b = arrs
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes must match, got {a.shape} + {b.shape}")
-    return a + b
+    return a + b, None
 
 
 def _b_add(g, node, need):
@@ -300,7 +306,7 @@ def _b_add(g, node, need):
 
 
 def _f_scale(arrs, attrs):
-    return arrs[0] * attrs["c"]
+    return arrs[0] * attrs["c"], None
 
 
 def _b_scale(g, node, need):
@@ -308,11 +314,11 @@ def _b_scale(g, node, need):
 
 
 def _f_relu(arrs, attrs):
-    return np.maximum(arrs[0], 0.0)
+    return np.maximum(arrs[0], 0.0), arrs[0]
 
 
 def _b_relu(g, node, need):
-    return [g * (node.input_values[0] > 0.0)]
+    return [g * (node.saved > 0.0)]
 
 
 # For 0 < rate < 1 both lrelu rules are bitwise-equal to the np.where forms
@@ -323,44 +329,39 @@ def _f_lrelu(arrs, attrs):
     rate = attrs["rate"]
     if not 0.0 < rate < 1.0:
         raise DomainError(f"lrelu: rate must lie in (0, 1), got {rate!r}")
-    return np.maximum(x, rate * x)
+    return np.maximum(x, rate * x), x
 
 
 def _b_lrelu(g, node, need):
-    return [g * np.maximum(node.input_values[0] > 0.0, node.attrs["rate"])]
+    return [g * np.maximum(node.saved > 0.0, node.attrs["rate"])]
 
 
 def _f_clip(arrs, attrs):
-    return np.clip(arrs[0], attrs["lo"], attrs["hi"])
+    return np.clip(arrs[0], attrs["lo"], attrs["hi"]), arrs[0]
 
 
 def _b_clip(g, node, need):
-    x = node.input_values[0]
+    x = node.saved
     return [g * ((x > node.attrs["lo"]) & (x < node.attrs["hi"]))]
 
 
 def _f_sigmoid(arrs, attrs):
-    return expit(arrs[0])
+    y = expit(arrs[0])
+    return y, y
 
 
 def _b_sigmoid(g, node, need):
-    y = node.value
+    y = node.saved
     return [g * y * (1.0 - y)]
 
 
 def _f_softplus(arrs, attrs):
     # log(1 + exp(x)) without overflow: finite for logits of either sign
-    return np.logaddexp(0.0, arrs[0])
+    return np.logaddexp(0.0, arrs[0]), arrs[0]
 
 
 def _b_softplus(g, node, need):
-    return [g * expit(node.input_values[0])]
-
-
-def _shifted_logsumexp(x):
-    # max-shifted rows and their log-sum-exp: never -inf for sane logits
-    shifted = x - x.max(axis=1, keepdims=True)
-    return shifted, np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return [g * expit(node.saved)]
 
 
 def _f_categorical_log_q(arrs, attrs):
@@ -374,16 +375,17 @@ def _f_categorical_log_q(arrs, attrs):
     # a negative index wraps to a huge unsigned value, so one max checks both ends
     if index.size and _max_reduce(index.astype(np.uint64, copy=False)) >= logits.shape[1]:
         raise DomainError(f"categorical_log_q: index outside [0, {logits.shape[1]}) (min {index.min()}, max {index.max()})")
-    shifted, lse = _shifted_logsumexp(logits)
-    return shifted[np.arange(len(index)), index][:, None] - lse
+    # max-shifted rows and their log-sum-exp: never -inf for sane logits
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted[np.arange(len(index)), index][:, None] - lse, (shifted, lse)
 
 
 def _b_categorical_log_q(g, node, need):
-    logits = node.input_values[0]
+    shifted, lse = node.saved
     index = node.attrs["index"]
-    shifted, lse = _shifted_logsumexp(logits)
     # d log p[index] / d logits = onehot(index) - softmax(logits), per row
-    picked = np.zeros_like(logits)
+    picked = np.zeros_like(shifted)
     picked[np.arange(len(index)), index] = g[:, 0]
     return [picked - np.exp(shifted - lse) * g]
 
@@ -408,14 +410,14 @@ def _f_gaussian_log_q(arrs, attrs):
             f"gaussian_log_q: c, mu and log_sigma must share one (B,D) shape, got {c.shape}, {mu.shape} and {log_sigma.shape}"
         )
     diff = c - mu
-    elem = -0.5 * _LN_2PI - log_sigma - 0.5 * (diff * diff) * _gaussian_inv_var(log_sigma)
-    return elem.sum(axis=1, keepdims=True)
+    inv_var = _gaussian_inv_var(log_sigma)
+    elem = -0.5 * _LN_2PI - log_sigma - 0.5 * (diff * diff) * inv_var
+    return elem.sum(axis=1, keepdims=True), (diff, inv_var)
 
 
 def _b_gaussian_log_q(g, node, need):
-    c, mu, log_sigma = node.input_values
-    diff = c - mu
-    scaled = diff * _gaussian_inv_var(log_sigma)
+    diff, inv_var = node.saved
+    scaled = diff * inv_var
     return [
         -g * scaled if need[0] else None,
         g * scaled if need[1] else None,
@@ -427,12 +429,11 @@ def _b_gaussian_log_q(g, node, need):
 # these are bitwise-equal to them without the methods' Python wrappers.
 def _f_reduce_mean(arrs, attrs):
     x = arrs[0]
-    return np.asarray(np.add.reduce(x, axis=None) / x.size)
+    return np.asarray(np.add.reduce(x, axis=None) / x.size), x.shape
 
 
 def _b_reduce_mean(g, node, need):
-    x = node.input_values[0]
-    return [np.full(x.shape, float(g) / x.size)]
+    return [np.full(node.saved, float(g) / math.prod(node.saved))]
 
 
 def _batch_moments(x, eps):
@@ -448,33 +449,25 @@ def _batch_moments(x, eps):
 def _f_batchnorm(arrs, attrs):
     x, gamma, beta = arrs
     state: BatchNormState = attrs["state"]
-    training: bool = attrs["training"]
     if x.ndim != 2:
         raise ShapeError(f"batchnorm: needs (B,F) input, got {x.shape}")
     if not (gamma.shape == (x.shape[1],) and beta.shape == (x.shape[1],)):
         raise ShapeError(f"batchnorm: scale/shift must be ({x.shape[1]},), got {gamma.shape} and {beta.shape}")
-    if training:
+    if attrs["training"]:
         mean, var, inv_std = _batch_moments(x, state.eps)
         state.update(mean, var)
     else:
         mean = state.running_mean
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-    return gamma * ((x - mean) * inv_std) + beta
+    centered = x - mean
+    return gamma * (centered * inv_std) + beta, (centered, inv_std, gamma)
 
 
 def _b_batchnorm(g, node, need):
-    x, gamma, _ = node.input_values
-    state: BatchNormState = node.attrs["state"]
-    training: bool = node.attrs["training"]
-    if training:
-        mean, _, inv_std = _batch_moments(x, state.eps)
-    else:
-        mean = state.running_mean
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-    centered = x - mean
+    centered, inv_std, gamma = node.saved
     dx = None
-    if need[0] and training:
-        n = x.shape[0]
+    if need[0] and node.attrs["training"]:
+        n = centered.shape[0]
         dxhat = g * gamma
         dvar = (dxhat * centered).sum(axis=0) * (-0.5) * inv_std**3
         dmean = -(dxhat.sum(axis=0)) * inv_std + dvar * (-2.0) * centered.sum(axis=0) / n
@@ -517,14 +510,13 @@ def forward_op(name: str, inputs: list[Tensor], attrs: dict | None = None) -> Te
         raise UsageError(f"unknown op '{name}' (catalogue: {', '.join(OP_CATALOGUE)})")
     if attrs is None:
         attrs = _NO_ATTRS
-    arrs = [t.data for t in inputs]
     # the rule's output is already a fresh C-contiguous float64 array: wrap it unchecked
     out = _new_tensor(Tensor)
-    out.data = rules[0](arrs, attrs)
+    out.data, saved = rules[0]([t.data for t in inputs], attrs)
     out.node = None
     out._tape = None
     if _ACTIVE_TAPE is not None:
-        _ACTIVE_TAPE.record(name, inputs, arrs, attrs, out)
+        _ACTIVE_TAPE.record(name, inputs, saved, attrs, out)
     return out
 
 

@@ -113,6 +113,8 @@ def _cmd_verify_lemma(args) -> int:
 
 
 def _cmd_channel_check(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     max_neg_gap = 0.0
     max_kl_mismatch = 0.0

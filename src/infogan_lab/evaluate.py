@@ -118,6 +118,8 @@ def verify_lemma(joint_spec: LemmaJointSpec, n_mc: int, rng: np.random.Generator
     Bayes conditional P(x'|y)); Monte-Carlo sides by ancestral sampling.
     Zero-probability y values are skipped in the enumeration.
     """
+    if n_mc < 2:
+        raise UsageError(f"n_mc must be >= 2 for a Monte-Carlo standard error, got {n_mc}")
     p = joint_spec.joint
     f = joint_spec.payoff
     nx, ny = p.shape

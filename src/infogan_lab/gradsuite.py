@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, Tensor, grad_check
+from .autodiff import BatchNormState, Tensor, UsageError, grad_check
 from .latent import CodeBlock, LatentSpec, sample_latent
 from .models import NetConfig, disc_forward, disc_q_forward, gen_forward, init_models
 from .objectives import discriminator_loss, generator_loss, infogan_losses, mi_lower_bound
@@ -116,6 +116,8 @@ _OP_CASES = {
 
 def op_grad_checks(n_seeds: int = 100, step: float = DEFAULT_STEP, base_seed: int = 1234) -> dict[str, float]:
     """Worst relative gradient error per op case over ``n_seeds`` random draws."""
+    if n_seeds < 1:
+        raise UsageError(f"n_seeds must be >= 1, got {n_seeds}")
     worst: dict[str, float] = {}
     for name, case in _OP_CASES.items():
         errs = []
@@ -130,6 +132,8 @@ def op_grad_checks(n_seeds: int = 100, step: float = DEFAULT_STEP, base_seed: in
 def full_loss_graph_check(n_seeds: int = 100, step: float = DEFAULT_STEP, base_seed: int = 99) -> float:
     """grad_check over every parameter of a 2-unit model through the whole
     objective (D loss plus generator objective with both information terms)."""
+    if n_seeds < 1:  # no draw would pass as error 0.0
+        raise UsageError(f"n_seeds must be >= 1, got {n_seeds}")
     worst = 0.0
     for s in range(n_seeds):
         rng = np.random.default_rng(base_seed + s)

@@ -13,13 +13,15 @@ Gradient routing per iteration:
 
 Each clock block (``gen``, ``trunk``, ``d_head``, ``q_head``) is one flat
 float64 vector whose parameters are views into it (``models.ParamBlock``).
-Adam keeps one state per block under the block's name, created on the
-block's first step: flat ``m`` and ``v`` vectors and a single step count
-``t``. The update is fourteen elementwise numpy calls ending in one
-``flat -= step``, run over slices of at most ``ADAM_SLICE`` elements and
-bitwise-equal to the per-parameter formula. The trunk's block is stepped by
-both the D and the Q update, so its t advances twice per iteration, while
-the generator, D head and Q head advance once.
+One reverse sweep per loss yields each block's gradient as one flat vector
+in the block's layout, and Adam takes those vectors in block order. Adam
+keeps one state per block under the block's name, created on the block's
+first step: flat ``m`` and ``v`` vectors and a single step count ``t``. The
+update is fourteen elementwise numpy calls ending in one ``flat -= step``,
+run over slices of at most ``ADAM_SLICE`` elements and bitwise-equal to the
+per-parameter formula. The trunk's block is stepped by both the D and the
+Q update, so its t advances twice per iteration, while the generator, D
+head and Q head advance once.
 
 All randomness comes from one seed, split into four named PCG64 streams
 (model init, dataset synthesis, minibatch indices, latent draws), so a run
@@ -69,26 +71,9 @@ class AdamState:
         self.t = 0
 
 
-def _block_gradient(block: ParamBlock, grads: dict[str, np.ndarray]) -> np.ndarray:
-    """The block's gradients as one flat vector, checked for shape and finiteness."""
-    parts = []
-    for name, p in block.params.items():
-        g = grads.get(name)
-        if g is None:
-            raise TrainingError(f"no gradient for parameter '{name}'")
-        if g.shape != p.shape:
-            raise TrainingError(f"gradient for '{name}' has shape {g.shape}, parameter has {p.shape}")
-        parts.append(g)
-    flat = np.concatenate(parts, axis=None)
-    if not np.isfinite(flat).all():
-        bad = next(name for name, g in zip(block.params, parts) if not np.isfinite(g).all())
-        raise TrainingError(f"non-finite gradient for parameter '{bad}'")
-    return flat
-
-
 def adam_step(
     blocks: list[ParamBlock],
-    grads: dict[str, np.ndarray],
+    grads: list[np.ndarray],
     states: dict[str, AdamState],
     lr: float,
     beta1: float,
@@ -97,47 +82,57 @@ def adam_step(
 ) -> None:
     """In-place Adam update: theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
 
-    Works one block at a time over its flat vector, in slices of at most
-    ``ADAM_SLICE`` elements, with the operations of the per-parameter
-    formula in the same order, so every result is bitwise-equal to it.
-    ``states[block.name]`` is the block's state, created on its first step;
-    other entries are never read. Every block is
-    checked before any is updated, so a missing, misshapen or non-finite
-    gradient, or a block state of the wrong shape, raises ``TrainingError``
-    before any parameter or clock moves.
+    ``grads`` holds one flat gradient per block, in block order and in the
+    block's layout; they are only read. Works one block at a time, in slices
+    of at most ``ADAM_SLICE`` elements, with the operations of the
+    per-parameter formula in the same order, so every result is
+    bitwise-equal to it. ``states[block.name]`` is the block's state,
+    created on its first step; other entries are never read. Every block is
+    checked before any is updated, so a gradient count or shape that does
+    not match the blocks, a non-finite entry (named by the parameter whose
+    view holds the first) or a block state of the wrong shape raises
+    ``TrainingError`` before any parameter or clock moves.
     """
-    work = []
-    for block in blocks:
+    if len(grads) != len(blocks):
+        raise TrainingError(f"adam_step: {len(grads)} gradients for {len(blocks)} blocks")
+    for block, g in zip(blocks, grads):
         st = states.get(block.name)
         if st is not None and st.m.shape != block.flat.shape:
             raise TrainingError(f"Adam state for block '{block.name}' has shape {st.m.shape}, block has {block.flat.shape}")
-        work.append((block, _block_gradient(block, grads)))
-    for block, g in work:
+        if g.shape != block.flat.shape:
+            raise TrainingError(f"gradient for block '{block.name}' has shape {g.shape}, block has {block.flat.shape}")
+        if not np.isfinite(g).all():
+            # the parameter whose view holds the first bad entry
+            ends = np.cumsum([p.data.size for p in block.params.values()])
+            bad = list(block.params)[np.searchsorted(ends, np.flatnonzero(~np.isfinite(g))[0], side="right")]
+            raise TrainingError(f"non-finite gradient for parameter '{bad}'")
+    for block, g in zip(blocks, grads):
         st = states.get(block.name)
         if st is None:
             st = states[block.name] = AdamState(g.shape)
         st.t += 1
-        scratch = np.empty(min(g.size, ADAM_SLICE))
+        # two scratch rows, so the caller's gradient is left as it was
+        scratch = np.empty((2, min(g.size, ADAM_SLICE)))
         for lo in range(0, g.size, ADAM_SLICE):
             part = slice(lo, lo + ADAM_SLICE)
             m, v, flat, gs = st.m[part], st.v[part], block.flat[part], g[part]
-            tmp = scratch[: gs.size]
+            tmp, tmp2 = scratch[:, : gs.size]
             # m = beta1 * m + (1 - beta1) * g
             m *= beta1
             np.multiply(gs, 1.0 - beta1, out=tmp)
             m += tmp
-            # v = beta2 * v + (1 - beta2) * g * g; gs is dead afterwards and holds v_hat below
+            # v = beta2 * v + (1 - beta2) * g * g
             v *= beta2
             np.multiply(gs, 1.0 - beta2, out=tmp)
-            np.multiply(tmp, gs, out=gs)
-            v += gs
+            np.multiply(tmp, gs, out=tmp2)
+            v += tmp2
             # step = lr * m_hat / (sqrt(v_hat) + eps)
             np.divide(m, 1.0 - beta1**st.t, out=tmp)
             tmp *= lr
-            np.divide(v, 1.0 - beta2**st.t, out=gs)
-            np.sqrt(gs, out=gs)
-            gs += epsilon
-            tmp /= gs
+            np.divide(v, 1.0 - beta2**st.t, out=tmp2)
+            np.sqrt(tmp2, out=tmp2)
+            tmp2 += epsilon
+            tmp /= tmp2
             flat -= tmp
 
 
@@ -186,9 +181,10 @@ class MetricsTrace:
         return trace
 
 
-def _block_grads(tape: Tape, root: Tensor, blocks: list[ParamBlock]) -> dict[str, np.ndarray]:
-    params = {name: t for block in blocks for name, t in block.params.items()}
-    return dict(zip(params, tape.backward(root, list(params.values()))))
+def _block_grads(tape: Tape, root: Tensor, blocks: list[ParamBlock]) -> list[np.ndarray]:
+    """One sweep over every block's parameters; one flat gradient per block, in the block's layout."""
+    grads = iter(tape.backward(root, [t for block in blocks for t in block.params.values()]))
+    return [np.concatenate([next(grads) for _ in block.params], axis=None) for block in blocks]
 
 
 def d_step(model: ModelPair, real_images: np.ndarray, cfg: TrainingConfig, latent_rng, adam_states) -> Tensor:
@@ -225,7 +221,7 @@ def gq_step(model: ModelPair, loss_d: Tensor, cfg: TrainingConfig, batch: int, l
         bundle = infogan_losses(loss_d, loss_g, li_disc, li_cont, cfg.lambda_disc, cfg.lambda_cont)
         gen_grads = _block_grads(tape, bundle.gq_objective, gen)
         li_total = ad.add(li_disc, li_cont)
-        q_grads = {name: -g for name, g in _block_grads(tape, li_total, q_side).items()}
+        q_grads = [-g for g in _block_grads(tape, li_total, q_side)]
     adam_step(gen, gen_grads, adam_states, cfg.lr_g, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
     adam_step(q_side, q_grads, adam_states, cfg.lr_d, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
     return bundle

@@ -1,6 +1,7 @@
 """Command-line wiring: outputs, exit codes, file artifacts."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,30 @@ class TestEvalCommands:
 
     def test_eval_mi_missing_checkpoint_exits_1(self, capsys):
         assert main(["eval-mi", "--checkpoint", "nope.igan", "--samples", "200"]) == 1
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_channel_check_without_a_trial_exits_1(self, capsys, trials):
+        # zero trials would check nothing and still print ok=1
+        assert main(["channel-check", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--trials must be >= 1, got {trials}" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["gradcheck", "--seeds", "0"], "n_seeds"),
+            (["verify-lemma", "--seed", "1", "--n-mc", "1"], "n_mc"),
+            (["verify-lemma", "--seed", "1", "--n-mc", "0"], "n_mc"),
+        ],
+    )
+    def test_degenerate_count_exits_1_naming_it(self, capsys, argv, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert name in captured.err
 
 
 class TestChannelCheckRule:

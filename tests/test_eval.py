@@ -83,6 +83,18 @@ class TestVerifyLemma:
         with pytest.raises(UsageError):
             LemmaJointSpec(joint=np.array([[0.5, 0.6]]), payoff=np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("n_mc", [1, 0, -3])
+    def test_fewer_than_two_draws_rejected_naming_n_mc(self, n_mc):
+        # one draw has no standard error (NaN) and none has no mean either
+        joint = LemmaJointSpec(joint=np.full((2, 2), 0.25), payoff=np.ones((2, 2)))
+        with pytest.raises(UsageError, match=f"n_mc must be >= 2 .*, got {n_mc}"):
+            verify_lemma(joint, n_mc, np.random.default_rng(0))
+
+    def test_two_draws_give_finite_sides(self):
+        joint = LemmaJointSpec(joint=np.array([[0.4, 0.1], [0.1, 0.4]]), payoff=np.array([[2.0, -1.0], [0.5, 3.0]]))
+        res = verify_lemma(joint, 2, np.random.default_rng(5))
+        assert all(np.isfinite([res.lhs_mc, res.rhs_mc, res.lhs_se, res.rhs_se]))
+
 
 class TestChannelBound:
     def test_bsc_point_nine_exact(self):

@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 from infogan_lab import autodiff
-from infogan_lab.autodiff import OP_CATALOGUE
+from infogan_lab.autodiff import OP_CATALOGUE, UsageError
 from infogan_lab.gradsuite import _OP_CASES, full_loss_graph_check, op_grad_checks
 
 
@@ -28,6 +28,14 @@ def test_op_checks_pass_on_a_few_seeds():
 
 def test_full_graph_passes_on_a_few_seeds():
     assert full_loss_graph_check(n_seeds=3) <= 1e-5
+
+
+@pytest.mark.parametrize("check", [op_grad_checks, full_loss_graph_check])
+@pytest.mark.parametrize("n_seeds", [0, -1])
+def test_no_seed_is_rejected_naming_n_seeds(check, n_seeds):
+    # no draw checks nothing, so it must fail by name rather than crash or pass as error 0.0
+    with pytest.raises(UsageError, match=f"n_seeds must be >= 1, got {n_seeds}"):
+        check(n_seeds=n_seeds)
 
 
 @pytest.mark.parametrize("case", sorted(_OP_CASES))

@@ -4,7 +4,7 @@ import dataclasses
 import hashlib
 import math
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -50,11 +50,13 @@ def reference_adam(moments):
     """
 
     def step(blocks, grads, states, lr, beta1, beta2, epsilon):
-        for block in blocks:
+        for block, flat_g in zip(blocks, grads):
             moments["t", block.name] += 1
             t = moments["t", block.name]
+            start = 0
             for name, p in block.params.items():
-                g = grads[name]
+                g = flat_g[start : start + p.data.size].reshape(p.shape)
+                start += p.data.size
                 moments["m", name] = beta1 * moments["m", name] + (1.0 - beta1) * g
                 moments["v", name] = beta2 * moments["v", name] + (1.0 - beta2) * g * g
                 m_hat = moments["m", name] / (1.0 - beta1**t)
@@ -62,6 +64,11 @@ def reference_adam(moments):
                 p.data -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
 
     return step
+
+
+def flat_grads(blocks, grads):
+    """Per-name gradients gathered into one flat vector per block, in each block's layout."""
+    return [np.concatenate([grads[n] for n in block.params], axis=None) for block in blocks]
 
 
 def make_block(name, values):
@@ -83,7 +90,7 @@ def _default_shaped_params():
 class TestAdam:
     def test_first_step_closed_form(self):
         block = make_block("w", {"w": [0.0]})
-        adam_step([block], {"w": np.array([0.5])}, {}, lr=1e-3, beta1=0.5, beta2=0.999, epsilon=1e-8)
+        adam_step([block], [np.array([0.5])], {}, lr=1e-3, beta1=0.5, beta2=0.999, epsilon=1e-8)
         # m_hat = g, sqrt(v_hat) = |g| on the first step
         expected = -1e-3 * 0.5 / (0.5 + 1e-8)
         assert abs(block.params["w"].data[0] - expected) < 1e-18
@@ -93,7 +100,7 @@ class TestAdam:
         block = make_block("w", {"w": [1.0, -2.0]})
         st = {}
         for _ in range(5):
-            adam_step([block], {"w": np.zeros(2)}, st, 1e-2, 0.9, 0.999, 1e-8)
+            adam_step([block], [np.zeros(2)], st, 1e-2, 0.9, 0.999, 1e-8)
         np.testing.assert_array_equal(block.params["w"].data, [1.0, -2.0])
 
     def test_descends_quadratic(self):
@@ -102,7 +109,7 @@ class TestAdam:
         st = {}
         for _ in range(100):
             g = 2.0 * block.params["w"].data
-            adam_step([block], {"w": g}, st, 1e-2, 0.9, 0.999, 1e-8)
+            adam_step([block], [g], st, 1e-2, 0.9, 0.999, 1e-8)
         assert abs(block.params["w"].data[0]) < 0.5
 
     def test_matches_independent_scalar_recurrence(self):
@@ -116,13 +123,19 @@ class TestAdam:
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
-            adam_step([block], {"w": np.array([g])}, st, lr, b1, b2, eps)
+            adam_step([block], [np.array([g])], st, lr, b1, b2, eps)
             assert abs(block.params["w"].data[0] - theta) < 1e-12
+
+    def test_gradients_are_left_as_they_were(self):
+        block = make_block("gen", {"gen.a": [1.0, 2.0], "gen.b": [3.0]})
+        g = np.array([0.5, -0.25, 2.0])
+        adam_step([block], [g], {}, 1e-3, 0.9, 0.999, 1e-8)
+        np.testing.assert_array_equal(g, [0.5, -0.25, 2.0])
 
     def test_nan_gradient_names_parameter(self):
         block = make_block("gen", {"gen.l0.w": [1.0]})
         with pytest.raises(TrainingError, match="gen.l0.w"):
-            adam_step([block], {"gen.l0.w": np.array([np.nan])}, {}, 1e-3, 0.9, 0.999, 1e-8)
+            adam_step([block], [np.array([np.nan])], {}, 1e-3, 0.9, 0.999, 1e-8)
 
     def test_bitwise_equal_to_per_parameter_reference(self):
         # model-shaped blocks; the trunk is stepped twice per iteration, at two learning rates
@@ -138,8 +151,9 @@ class TestAdam:
                 grads = {n: rng.normal(0, 1, fused.params[n].shape) * 10.0 ** rng.integers(-6, 3) for n in names}
                 if it % 7 == 0:
                     grads[names[0]][...] = 0.0
-                adam_step([fused.blocks[b] for b in block_names], grads, states, lr, 0.5, 0.999, 1e-8)
-                step_ref([ref.blocks[b] for b in block_names], grads, None, lr, 0.5, 0.999, 1e-8)
+                flat = flat_grads([fused.blocks[b] for b in block_names], grads)
+                adam_step([fused.blocks[b] for b in block_names], flat, states, lr, 0.5, 0.999, 1e-8)
+                step_ref([ref.blocks[b] for b in block_names], flat, None, lr, 0.5, 0.999, 1e-8)
             for n in fused.params:
                 assert fused.params[n].data.tobytes() == ref.params[n].data.tobytes(), (it, n)
         assert {b: st.t for b, st in states.items()} == {"trunk": 120, "d_head": 60, "gen": 60, "q_head": 60}
@@ -155,40 +169,56 @@ class TestAdam:
         step_ref = reference_adam(defaultdict(float))
         for _ in range(4):
             grads = {n: rng.normal(0, 1, v.shape) * 10.0 ** rng.integers(-6, 3) for n, v in values.items()}
-            adam_step([fused], grads, states, 1e-3, 0.5, 0.999, 1e-8)
-            step_ref([ref], grads, None, 1e-3, 0.5, 0.999, 1e-8)
+            adam_step([fused], flat_grads([fused], grads), states, 1e-3, 0.5, 0.999, 1e-8)
+            step_ref([ref], flat_grads([ref], grads), None, 1e-3, 0.5, 0.999, 1e-8)
         assert fused.flat.tobytes() == ref.flat.tobytes()
         assert states["gen"].t == 4
 
     def test_nan_mid_block_names_that_parameter_and_moves_nothing(self):
         block = make_block("gen", {name: np.ones(3) for name in ("gen.a", "gen.b", "gen.c")})
         st = {}
-        adam_step([block], {name: np.ones(3) for name in block.params}, st, 1e-3, 0.9, 0.999, 1e-8)
+        adam_step([block], [np.ones(9)], st, 1e-3, 0.9, 0.999, 1e-8)
         before = block.flat.copy()
-        grads = {name: np.ones(3) for name in block.params}
-        grads["gen.b"][1] = np.inf
+        grads = flat_grads([block], {name: np.ones(3) for name in block.params})
+        grads[0][4] = np.inf
         with pytest.raises(TrainingError, match="non-finite gradient for parameter 'gen.b'"):
             adam_step([block], grads, st, 1e-3, 0.9, 0.999, 1e-8)
         np.testing.assert_array_equal(block.flat, before)
         assert st["gen"].t == 1
 
-    def test_gradient_shape_mismatch_names_parameter(self):
-        block = make_block("q_head", {"q_head.w": np.zeros((2, 3)), "q_head.b": np.zeros(3)})
-        # same size as the parameter, so a flat concatenation alone would not notice
-        bad = {"q_head.w": np.ones((3, 2)), "q_head.b": np.ones(3)}
-        with pytest.raises(TrainingError, match=r"gradient for 'q_head.w' has shape \(3, 2\), parameter has \(2, 3\)"):
-            adam_step([block], bad, {}, 1e-3, 0.9, 0.999, 1e-8)
+    @pytest.mark.parametrize("bad_at, name", [(0, "gen.a"), (2, "gen.a"), (3, "gen.b"), (5, "gen.b"), (6, "gen.c"), (8, "gen.c")])
+    def test_non_finite_entry_names_the_parameter_whose_view_holds_it(self, bad_at, name):
+        # the first bad entry decides, also at each view's first and last element
+        block = make_block("gen", {n: np.ones(3) for n in ("gen.a", "gen.b", "gen.c")})
+        g = np.ones(9)
+        g[bad_at] = np.nan
+        g[8] = np.inf
+        with pytest.raises(TrainingError, match=f"non-finite gradient for parameter '{name}'"):
+            adam_step([block], [g], {}, 1e-3, 0.9, 0.999, 1e-8)
+        np.testing.assert_array_equal(block.flat, np.ones(9))
 
-    def test_missing_gradient_names_parameter(self):
-        block = make_block("gen", {"gen.a": [1.0], "gen.b": [2.0]})
-        with pytest.raises(TrainingError, match="no gradient for parameter 'gen.b'"):
-            adam_step([block], {"gen.a": np.array([0.5])}, {}, 1e-3, 0.9, 0.999, 1e-8)
-        np.testing.assert_array_equal(block.params["gen.a"].data, [1.0])
+    @pytest.mark.parametrize("shape", [(8,), (10,), (3, 3), (9, 1)])
+    def test_gradient_not_of_block_shape_names_block_and_moves_nothing(self, shape):
+        # (3, 3) and (9, 1) have the block's size, so a ravel alone would not notice
+        gen = make_block("gen", {"gen.a": [1.0]})
+        block = make_block("q_head", {"q_head.w": np.zeros((2, 3)), "q_head.b": np.zeros(3)})
+        st = {}
+        with pytest.raises(TrainingError, match=rf"gradient for block 'q_head' has shape \({shape[0]},"):
+            adam_step([gen, block], [np.array([0.5]), np.ones(shape)], st, 1e-3, 0.9, 0.999, 1e-8)
+        assert st == {} and gen.params["gen.a"].data[0] == 1.0
+
+    @pytest.mark.parametrize("n_grads", [0, 1, 3])
+    def test_gradient_count_must_match_block_count(self, n_grads):
+        gen, trunk = make_block("gen", {"gen.a": [1.0]}), make_block("trunk", {"trunk.a": [1.0]})
+        st = {}
+        with pytest.raises(TrainingError, match=f"adam_step: {n_grads} gradients for 2 blocks"):
+            adam_step([gen, trunk], [np.array([0.5])] * n_grads, st, 1e-3, 0.9, 0.999, 1e-8)
+        assert st == {} and gen.flat[0] == 1.0 and trunk.flat[0] == 1.0
 
     def test_misshapen_block_state_names_block_and_moves_nothing(self):
         gen, trunk = make_block("gen", {"gen.a": [1.0]}), make_block("trunk", {"trunk.a": [1.0], "trunk.b": [2.0]})
         st = {"trunk": AdamState(3)}
-        grads = {"gen.a": np.array([0.5]), "trunk.a": np.array([0.5]), "trunk.b": np.array([0.5])}
+        grads = [np.array([0.5]), np.array([0.5, 0.5])]
         with pytest.raises(TrainingError, match=r"Adam state for block 'trunk' has shape \(3,\), block has \(2,\)"):
             adam_step([gen, trunk], grads, st, 1e-3, 0.9, 0.999, 1e-8)
         assert list(st) == ["trunk"] and gen.params["gen.a"].data[0] == 1.0
@@ -347,6 +377,44 @@ class TestTrainStep:
         fused = run(adam_step)
         assert any(".bn" in n for n in fused)
         assert fused == run(reference_adam(defaultdict(float)))
+
+    def test_batchnorm_gaussian_step_works_out_moments_and_inv_var_once(self, tmp_path, monkeypatch):
+        # the tape keeps each forward's residuals: one batchnorm forward works out its batch moments
+        # once and one gaussian_log_q its inverse variance once, and no backward rule calls either
+        # helper again (8 batchnorm forwards and 1 gaussian_log_q forward per step)
+        from infogan_lab.data_io import synth_templates
+        from infogan_lab.models import init_models
+
+        calls, in_backward = [], [False]
+
+        def counted(name):
+            helper = getattr(autodiff, name)
+
+            def run(*args):
+                calls.append((name, in_backward[0]))
+                return helper(*args)
+            return run
+
+        def flagged(rule):
+            def run(g, node, need):
+                in_backward[0] = True
+                try:
+                    return rule(g, node, need)
+                finally:
+                    in_backward[0] = False
+            return run
+
+        for name in ("_batch_moments", "_gaussian_inv_var"):
+            monkeypatch.setattr(autodiff, name, counted(name))
+        monkeypatch.setattr(autodiff, "_OPS", {op: (f, flagged(b)) for op, (f, b) in autodiff._OPS.items()})
+        cfg = tiny_cfg(tmp_path, batchnorm=True, codes=(CodeBlock.categorical(4), CodeBlock.gaussian(0.0, 1.0)))
+        rngs = rng_streams(cfg.seed)
+        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
+        gen_cfg, dq_cfg = cfg.net_configs()
+        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
+        train_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], {})
+        assert Counter(name for name, _ in calls) == {"_batch_moments": 8, "_gaussian_inv_var": 1}
+        assert [call for call in calls if call[1]] == []
 
     def test_shared_trunk_adam_clock_ticks_twice(self):
         # the D step and the Q update both step the trunk's AdamState
