@@ -125,22 +125,23 @@ def const(values) -> Tensor:
     return Tensor(values)
 
 
+BN_MOMENTUM = 0.9  # running-average momentum of every batchnorm layer
+BN_EPS = 1e-5  # added to every batchnorm variance before the square root
+
+
 class BatchNormState:
     """Running moments for one batchnorm layer (eval mode reads these).
 
     Train mode normalizes with batch statistics and folds them into the
-    running averages with the given momentum: r <- m*r + (1-m)*batch.
+    running averages: r <- m*r + (1-m)*batch, with m = ``BN_MOMENTUM``.
     """
 
-    def __init__(self, num_features: int, momentum: float = 0.9, eps: float = 1e-5):
-        self.num_features = int(num_features)
-        self.momentum = float(momentum)
-        self.eps = float(eps)
-        self.running_mean = np.zeros(self.num_features)
-        self.running_var = np.ones(self.num_features)
+    def __init__(self, num_features: int):
+        self.running_mean = np.zeros(num_features)
+        self.running_var = np.ones(num_features)
 
     def update(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
-        m = self.momentum
+        m = BN_MOMENTUM
         self.running_mean = m * self.running_mean + (1.0 - m) * batch_mean
         self.running_var = m * self.running_var + (1.0 - m) * batch_var
 
@@ -436,14 +437,15 @@ def _b_reduce_mean(g, node, need):
     return [np.full(node.saved, float(g) / math.prod(node.saved))]
 
 
-def _batch_moments(x, eps):
-    # x.mean(axis=0) and x.var(axis=0) in numpy's own order, without its Python wrappers
+def _batch_moments(x):
+    # x.mean(axis=0) and x.var(axis=0) in numpy's own order, without its Python wrappers;
+    # the centered batch is returned too, so train mode subtracts the mean once
     n = x.shape[0]
     mean = np.add.reduce(x, axis=0) / n
     centered = x - mean
-    var = np.add.reduce(np.square(centered, out=centered), axis=0) / n
-    inv_std = 1.0 / np.sqrt(var + eps)
-    return mean, var, inv_std
+    var = np.add.reduce(np.square(centered), axis=0) / n
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    return mean, var, inv_std, centered
 
 
 def _f_batchnorm(arrs, attrs):
@@ -454,12 +456,11 @@ def _f_batchnorm(arrs, attrs):
     if not (gamma.shape == (x.shape[1],) and beta.shape == (x.shape[1],)):
         raise ShapeError(f"batchnorm: scale/shift must be ({x.shape[1]},), got {gamma.shape} and {beta.shape}")
     if attrs["training"]:
-        mean, var, inv_std = _batch_moments(x, state.eps)
+        mean, var, inv_std, centered = _batch_moments(x)
         state.update(mean, var)
     else:
-        mean = state.running_mean
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-    centered = x - mean
+        inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
+        centered = x - state.running_mean
     return gamma * (centered * inv_std) + beta, (centered, inv_std, gamma)
 
 

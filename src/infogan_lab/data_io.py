@@ -302,11 +302,7 @@ def load_checkpoint(path: str) -> tuple[ModelPair, TrainingConfig]:
     for name, arr in loaded.items():
         if expected[name].shape != arr.shape:
             raise FormatError(f"{path}: entry '{name}' has shape {arr.shape}, expected {expected[name].shape}")
-    for name, tensor in model.params.items():
-        tensor.data[...] = loaded[name]
-    for name, state in model.bn_states.items():
-        state.running_mean[...] = loaded[f"{name}.running_mean"]
-        state.running_var[...] = loaded[f"{name}.running_var"]
+        expected[name][...] = arr  # a parameter's view of its block, or a running statistic's array
     return model, cfg
 
 

@@ -19,6 +19,10 @@ from .data_io import Dataset, write_image_grid
 from .latent import LatentBatch, LatentSpec, entropy, log_q, one_hot, sample_latent
 from .models import ModelPair, gen_forward, q_forward
 
+MI_CHUNK = 512  # latent draws per generator and Q pass in estimate_mi_bound
+CLASSIFIER_CHUNK = 1024  # images per Q pass in categorical_classifier_eval
+JOINT_MAX_SIZE = 6  # largest |X| and |Y| random_joint draws
+
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo bound estimation on a trained model
@@ -42,7 +46,6 @@ def estimate_mi_bound(
     spec: LatentSpec,
     n_samples: int,
     rng: np.random.Generator,
-    chunk: int = 512,
 ) -> MiEstimate:
     if n_samples < 100:
         raise UsageError(f"need at least 100 samples for a stable SE, got {n_samples}")
@@ -51,7 +54,7 @@ def estimate_mi_bound(
     cont_samples: list[np.ndarray] = []
     remaining = n_samples
     while remaining > 0:
-        b = min(chunk, remaining)
+        b = min(MI_CHUNK, remaining)
         lat = sample_latent(spec, b, rng)
         x = gen_forward(model, lat, training=False)
         q_post = q_forward(model, x, training=False)
@@ -127,20 +130,16 @@ def verify_lemma(joint_spec: LemmaJointSpec, n_mc: int, rng: np.random.Generator
     lhs_exact = float((p * f).sum())
 
     py = p.sum(axis=0)
-    inner = np.zeros(ny)
-    for y in range(ny):
-        if py[y] > 0.0:
-            inner[y] = float((p[:, y] / py[y]) @ f[:, y])
-    rhs_exact = float((p.sum(axis=0) * inner).sum())
+    cond = np.zeros((ny, nx))  # row y is P(x|y); rows with P(y) = 0 stay zero
+    pos = py > 0.0
+    cond[pos] = p.T[pos] / py[pos, None]
+    rhs_exact = float((py * (cond * f.T).sum(axis=1)).sum())
 
     flat = p.ravel()
     draws = rng.choice(nx * ny, size=n_mc, p=flat)
     xi, yi = np.unravel_index(draws, p.shape)
     lhs_samples = f[xi, yi]
 
-    cond = np.zeros((ny, nx))
-    pos = py > 0.0
-    cond[pos] = (p.T[pos]) / py[pos, None]
     cdf = np.cumsum(cond, axis=1)
     u = rng.random(n_mc)
     xprime = np.minimum((u[:, None] > cdf[yi]).sum(axis=1), nx - 1)
@@ -156,10 +155,10 @@ def verify_lemma(joint_spec: LemmaJointSpec, n_mc: int, rng: np.random.Generator
     )
 
 
-def random_joint(rng: np.random.Generator, max_size: int = 6) -> LemmaJointSpec:
-    """Random finite joint (sizes 2..max_size), sometimes with zero entries."""
-    nx = int(rng.integers(2, max_size + 1))
-    ny = int(rng.integers(2, max_size + 1))
+def random_joint(rng: np.random.Generator) -> LemmaJointSpec:
+    """Random finite joint (sizes 2..JOINT_MAX_SIZE), sometimes with zero entries."""
+    nx = int(rng.integers(2, JOINT_MAX_SIZE + 1))
+    ny = int(rng.integers(2, JOINT_MAX_SIZE + 1))
     w = rng.random((nx, ny))
     if rng.random() < 0.3:
         w[rng.random((nx, ny)) < 0.3] = 0.0
@@ -399,7 +398,6 @@ def categorical_classifier_eval(
     model: ModelPair,
     dataset: Dataset,
     block: int,
-    chunk: int = 1024,
 ) -> tuple[float, dict[int, int]]:
     """Error rate of argmax-Q predictions under the best category-to-class map.
 
@@ -418,8 +416,8 @@ def categorical_classifier_eval(
         raise UsageError(f"block has {k} categories but dataset has {n_classes} classes")
 
     preds = np.empty(len(dataset), dtype=np.int64)
-    for start in range(0, len(dataset), chunk):
-        stop = min(start + chunk, len(dataset))
+    for start in range(0, len(dataset), CLASSIFIER_CHUNK):
+        stop = min(start + CLASSIFIER_CHUNK, len(dataset))
         q_post = q_forward(model, Tensor(dataset.batch(slice(start, stop))), training=False)
         preds[start:stop] = np.argmax(q_post.blocks[block].data, axis=1)
 

@@ -18,7 +18,7 @@ from .latent import CodeBlock, LatentSpec, sample_latent
 from .models import NetConfig, disc_forward, disc_q_forward, gen_forward, init_models
 from .objectives import discriminator_loss, generator_loss, infogan_losses, mi_lower_bound
 
-DEFAULT_STEP = 1e-6
+GRAD_STEP = 1e-6  # central finite-difference step of every check here
 
 
 def _case_linear(rng):
@@ -114,7 +114,7 @@ _OP_CASES = {
 }
 
 
-def op_grad_checks(n_seeds: int = 100, step: float = DEFAULT_STEP, base_seed: int = 1234) -> dict[str, float]:
+def op_grad_checks(n_seeds: int = 100, base_seed: int = 1234) -> dict[str, float]:
     """Worst relative gradient error per op case over ``n_seeds`` random draws."""
     if n_seeds < 1:
         raise UsageError(f"n_seeds must be >= 1, got {n_seeds}")
@@ -124,12 +124,12 @@ def op_grad_checks(n_seeds: int = 100, step: float = DEFAULT_STEP, base_seed: in
         for s in range(n_seeds):
             rng = np.random.default_rng(base_seed + s)
             params, builder, w = case(rng)
-            errs.append(grad_check(builder, params, step, w))
+            errs.append(grad_check(builder, params, GRAD_STEP, w))
         worst[name] = max(errs)
     return worst
 
 
-def full_loss_graph_check(n_seeds: int = 100, step: float = DEFAULT_STEP, base_seed: int = 99) -> float:
+def full_loss_graph_check(n_seeds: int = 100, base_seed: int = 99) -> float:
     """grad_check over every parameter of a 2-unit model through the whole
     objective (D loss plus generator objective with both information terms)."""
     if n_seeds < 1:  # no draw would pass as error 0.0
@@ -159,5 +159,5 @@ def full_loss_graph_check(n_seeds: int = 100, step: float = DEFAULT_STEP, base_s
             return ad.add(bundle.loss_d, bundle.gq_objective)
 
         params = list(model.params.values())
-        worst = max(worst, grad_check(loss, params, step))
+        worst = max(worst, grad_check(loss, params, GRAD_STEP))
     return worst

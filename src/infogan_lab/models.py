@@ -17,6 +17,7 @@ pass reads, and loading copies into the views rather than rebinding them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -94,8 +95,10 @@ class ModelPair:
 
     ``params`` is a read-only view of every block's parameters in block
     order, so no tensor can be rebound away from the vector Adam updates.
-    The forward passes read each layer's tensors from the ``Dense`` records
-    resolved once here, not by name.
+    The forward passes read each layer's tensors from its ``Dense`` record,
+    which ``_layout_models`` resolves once from the layer's declared names;
+    ``q_outs`` holds one entry per code block, the logits layer of a
+    categorical code or the ``(mu, log sigma)`` pair of a continuous one.
     """
 
     spec: LatentSpec
@@ -103,46 +106,29 @@ class ModelPair:
     dq_cfg: NetConfig
     blocks: Mapping[str, ParamBlock]
     bn_states: dict[str, BatchNormState]
+    gen_layers: tuple[Dense, ...]
+    trunk_layers: tuple[Dense, ...]
+    d_out: Dense
+    q_l0: Dense
+    q_outs: tuple[Dense | tuple[Dense, Dense], ...]
     params: Mapping[str, Tensor] = field(init=False)
-    q_block_names: list[str] = field(init=False)  # checkpoint names of the Q head's per-code layers
-    gen_layers: tuple[Dense, ...] = field(init=False)
-    trunk_layers: tuple[Dense, ...] = field(init=False)
-    d_out: Dense = field(init=False)
-    q_l0: Dense = field(init=False)
-    q_outs: tuple[Dense | tuple[Dense, Dense], ...] = field(init=False)  # per code block: logits, or (mu, log sigma)
 
     def __post_init__(self):
         self.blocks = MappingProxyType(dict(self.blocks))
         self.params = MappingProxyType({n: t for b in self.blocks.values() for n, t in b.params.items()})
-        self.q_block_names = _q_block_names(self.spec)
-
-        def dense(name: str, bn_name: str = "") -> Dense:
-            state = self.bn_states.get(bn_name)
-            bn = None if state is None else (self.params[f"{bn_name}.gamma"], self.params[f"{bn_name}.beta"], state)
-            return Dense(self.params[f"{name}.w"], self.params[f"{name}.b"], bn)
-
-        self.gen_layers = tuple(dense(f"gen.l{i}", f"gen.bn{i}") for i in range(len(self.gen_cfg.widths) - 1))
-        self.trunk_layers = tuple(dense(f"trunk.l{i}", f"trunk.bn{i}") for i in range(len(self.dq_cfg.widths) - 1))
-        self.d_out = dense("d_head.out")
-        self.q_l0 = dense("q_head.l0", "q_head.bn0")
-        self.q_outs = tuple(
-            dense(name) if block.is_discrete else (dense(f"{name}.mu"), dense(f"{name}.s"))
-            for block, name in zip(self.spec.blocks, self.q_block_names)
-        )
-
-    @property
-    def image_dim(self) -> int:
-        return self.gen_cfg.widths[-1]
-
-
-def _q_block_names(spec: LatentSpec) -> list[str]:
-    """Q-head layer name per code block: ``q_head.cat{i}`` / ``q_head.cont{i}``, counted per family."""
-    families = ["cat" if b.is_discrete else "cont" for b in spec.blocks]
-    return [f"q_head.{f}{families[:i].count(f)}" for i, f in enumerate(families)]
 
 
 def _layout_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec) -> ModelPair:
-    """Check the configs and lay out a ModelPair: every block zero, fresh batchnorm states, nothing drawn."""
+    """Check the configs and lay out a ModelPair: every block zero, fresh batchnorm states, nothing drawn.
+
+    Each dense layer is declared once, by name, with its batchnorm if it has
+    one. The name's prefix (``gen``, ``trunk``, ``d_head``, ``q_head``) picks
+    the block, and declaration order is parameter order: ``{name}.w``,
+    ``{name}.b``, then ``{bn}.gamma`` and ``{bn}.beta``. The Q head's per-code
+    layers are ``q_head.cat{i}`` / ``q_head.cont{i}``, counted per family in
+    spec order, a continuous one split into ``.mu`` and ``.s``. Once every
+    block is allocated, each declared name resolves to its ``Dense`` record.
+    """
     if gen_cfg.widths[0] != spec.gen_input_dim:
         raise ShapeError(
             f"generator input width {gen_cfg.widths[0]} != noise+code dim {spec.gen_input_dim}"
@@ -158,43 +144,51 @@ def _layout_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec) -> M
 
     shapes: dict[str, dict[str, tuple[int, ...]]] = {}  # block -> parameter -> shape, in creation order
     bn_states: dict[str, BatchNormState] = {}
+    bn_of: dict[str, str] = {}  # layer name -> the name of its batchnorm
 
-    def linear(name: str, fan_in: int, fan_out: int) -> None:
+    def dense(name: str, fan_in: int, fan_out: int, bn_name: str | None = None) -> str:
         block = shapes.setdefault(name.partition(".")[0], {})
         block[f"{name}.w"], block[f"{name}.b"] = (fan_in, fan_out), (fan_out,)
+        if bn_name is not None:
+            block[f"{bn_name}.gamma"], block[f"{bn_name}.beta"] = (fan_out,), (fan_out,)
+            bn_states[bn_name] = BatchNormState(fan_out)
+            bn_of[name] = bn_name
+        return name
 
-    def batchnorm(name: str, width: int) -> None:
-        block = shapes.setdefault(name.partition(".")[0], {})
-        block[f"{name}.gamma"], block[f"{name}.beta"] = (width,), (width,)
-        bn_states[name] = BatchNormState(width)
-
-    for i in range(len(gen_cfg.widths) - 1):
-        linear(f"gen.l{i}", gen_cfg.widths[i], gen_cfg.widths[i + 1])
-        is_hidden = i < len(gen_cfg.widths) - 2
-        if gen_cfg.batchnorm and is_hidden:
-            batchnorm(f"gen.bn{i}", gen_cfg.widths[i + 1])
-
-    for i in range(len(dq_cfg.widths) - 1):
-        linear(f"trunk.l{i}", dq_cfg.widths[i], dq_cfg.widths[i + 1])
-        # mirror the usual stack: no normalization right after the input layer
-        if dq_cfg.batchnorm and i > 0:
-            batchnorm(f"trunk.bn{i}", dq_cfg.widths[i + 1])
-
-    feat = dq_cfg.widths[-1]
-    linear("d_head.out", feat, 1)
-
-    linear("q_head.l0", feat, dq_cfg.q_hidden)
-    if dq_cfg.batchnorm:
-        batchnorm("q_head.bn0", dq_cfg.q_hidden)
-    for block, name in zip(spec.blocks, _q_block_names(spec)):
+    gw, tw = gen_cfg.widths, dq_cfg.widths
+    # batchnorm on every hidden generator layer, none on the image layer
+    gen = [dense(f"gen.l{i}", gw[i], gw[i + 1], f"gen.bn{i}" if gen_cfg.batchnorm and i < len(gw) - 2 else None)
+           for i in range(len(gw) - 1)]
+    # mirror the usual stack: no normalization right after the input layer
+    trunk = [dense(f"trunk.l{i}", tw[i], tw[i + 1], f"trunk.bn{i}" if dq_cfg.batchnorm and i > 0 else None)
+             for i in range(len(tw) - 1)]
+    d_out = dense("d_head.out", tw[-1], 1)
+    hq = dq_cfg.q_hidden
+    q_l0 = dense("q_head.l0", tw[-1], hq, "q_head.bn0" if dq_cfg.batchnorm else None)
+    counters = {"cat": itertools.count(), "cont": itertools.count()}
+    q_outs = []
+    for block in spec.blocks:
         if block.is_discrete:
-            linear(name, dq_cfg.q_hidden, block.k)
+            q_outs.append(dense(f"q_head.cat{next(counters['cat'])}", hq, block.k))
         else:
-            linear(f"{name}.mu", dq_cfg.q_hidden, block.dim)
-            linear(f"{name}.s", dq_cfg.q_hidden, block.dim)
+            name = f"q_head.cont{next(counters['cont'])}"
+            q_outs.append((dense(f"{name}.mu", hq, block.dim), dense(f"{name}.s", hq, block.dim)))
 
     blocks = {b: ParamBlock.allocate(b, block_shapes) for b, block_shapes in shapes.items()}
-    return ModelPair(spec, gen_cfg, dq_cfg, blocks, bn_states)
+
+    def param(name: str) -> Tensor:
+        return blocks[name.partition(".")[0]].params[name]
+
+    def resolve(decl):
+        """The ``Dense`` record of a declared layer name, or a tuple of them for a tuple of names."""
+        if not isinstance(decl, str):
+            return tuple(map(resolve, decl))
+        bn_name = bn_of.get(decl)
+        bn = None if bn_name is None else (param(f"{bn_name}.gamma"), param(f"{bn_name}.beta"), bn_states[bn_name])
+        return Dense(param(f"{decl}.w"), param(f"{decl}.b"), bn)
+
+    return ModelPair(spec, gen_cfg, dq_cfg, blocks, bn_states, gen_layers=resolve(gen), trunk_layers=resolve(trunk),
+                     d_out=resolve(d_out), q_l0=resolve(q_l0), q_outs=resolve(q_outs))
 
 
 def init_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec, rng: np.random.Generator) -> ModelPair:

@@ -31,7 +31,7 @@ from infogan_lab.evaluate import (
     random_joint,
     verify_lemma,
 )
-from infogan_lab.gradsuite import full_loss_graph_check, op_grad_checks
+from infogan_lab.gradsuite import GRAD_STEP, full_loss_graph_check, op_grad_checks
 from infogan_lab.latent import CodeBlock, LatentSpec, entropy
 from infogan_lab.models import init_models
 from infogan_lab.trainer import rng_streams, train_run
@@ -237,7 +237,8 @@ class TestCriterion5Lemma:
 
 class TestCriterion6Gradients:
     def test_catalogue_ops_100_seeds(self):
-        worst = op_grad_checks(n_seeds=100, step=1e-6)
+        assert GRAD_STEP == 1e-6  # the protocol's finite-difference step
+        worst = op_grad_checks(n_seeds=100)
         bad = {k: v for k, v in worst.items() if v > 1e-5}
         report(
             "criterion 6 (op gradients)",
@@ -246,7 +247,8 @@ class TestCriterion6Gradients:
         )
 
     def test_full_loss_graph_100_seeds(self):
-        worst = full_loss_graph_check(n_seeds=100, step=1e-6)
+        assert GRAD_STEP == 1e-6  # the protocol's finite-difference step
+        worst = full_loss_graph_check(n_seeds=100)
         report("criterion 6 (full loss graph)", worst <= 1e-5, f"max relative error {worst:.2e} over 100 seeds")
 
 

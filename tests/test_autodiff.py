@@ -12,6 +12,7 @@ from scipy.stats import norm
 
 from infogan_lab import autodiff as ad
 from infogan_lab.autodiff import (
+    BN_EPS,
     OP_CATALOGUE,
     BatchNormState,
     DomainError,
@@ -311,13 +312,14 @@ class TestBatchnorm:
             x = rng.normal(rng.normal(0.0, 5.0), rng.uniform(1e-3, 10.0), (b, f))
             before = x.tobytes()
             for arr in (x, np.asfortranarray(x)):
-                mean, var, _ = _batch_moments(arr, 1e-5)
+                mean, var, _, centered = _batch_moments(arr)
                 assert mean.tobytes() == arr.mean(axis=0).tobytes()
                 assert var.tobytes() == arr.var(axis=0).tobytes()
+                assert centered.tobytes() == (arr - arr.mean(axis=0)).tobytes()
             assert x.tobytes() == before  # the input is left as it was
 
     def test_running_stats_momentum(self):
-        state = BatchNormState(2, momentum=0.9)
+        state = BatchNormState(2)
         x = np.array([[1.0, 2.0], [3.0, 6.0]])
         ad.batchnorm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), state, True)
         np.testing.assert_allclose(state.running_mean, 0.9 * 0.0 + 0.1 * x.mean(axis=0))
@@ -328,7 +330,7 @@ class TestBatchnorm:
         state.running_mean = np.array([2.0])
         state.running_var = np.array([4.0])
         out = ad.batchnorm(Tensor([[4.0]]), Tensor(np.ones(1)), Tensor(np.zeros(1)), state, False)
-        np.testing.assert_allclose(out.data, (4.0 - 2.0) / np.sqrt(4.0 + state.eps))
+        np.testing.assert_allclose(out.data, (4.0 - 2.0) / np.sqrt(4.0 + BN_EPS))
 
 
 class TestBackward:

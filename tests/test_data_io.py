@@ -1,5 +1,6 @@
 """IDX parsing, synthetic templates, checkpoints, and PGM grids."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -157,6 +158,9 @@ class TestSynthTemplates:
         vbars = ds.images[ds.labels == 1]
         col_signatures = {tuple(np.nonzero(img.reshape(8, 8).sum(axis=0))[0]) for img in vbars}
         assert len(col_signatures) == 5  # dx in {-2..2}
+
+
+CHECKPOINT_GOLDEN_SHA256 = "b6e0b26ba5f8081dc814b0a3f98e346267567a7387799ac08aeaf5f81c67e4b6"
 
 
 def small_model(seed=0, batchnorm=False):
@@ -342,6 +346,35 @@ class TestCheckpoint:
             save_checkpoint(model, cfg, str(path))
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.igan"]
+
+    def test_golden_bytes_survive_load_and_resave(self, tmp_path):
+        # every layer kind (batchnorm in G, the trunk past its input layer and the Q head; Q outputs
+        # for both code families, counted per family) pins its entry names, order and init draws
+        cfg = TrainingConfig(
+            seed=5,
+            batchnorm=True,
+            noise_dim=3,
+            gen_layers=(7, 9),
+            trunk_layers=(10, 6),
+            q_hidden=5,
+            codes=(
+                CodeBlock.categorical(3),
+                CodeBlock.uniform(-1, 1),
+                CodeBlock.categorical(2),
+                CodeBlock.gaussian(0.0, 1.0, 2),
+            ),
+        )
+        gen_cfg, dq_cfg = cfg.net_configs()
+        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), np.random.default_rng(cfg.seed))
+        for i, state in enumerate(model.bn_states.values()):  # running statistics away from their initial values
+            state.running_mean[:] = 0.25 * (i + 1)
+            state.running_var[:] = 1.5 + i
+        p1, p2 = tmp_path / "a.igan", tmp_path / "b.igan"
+        save_checkpoint(model, cfg, str(p1))
+        assert hashlib.sha256(p1.read_bytes()).hexdigest() == CHECKPOINT_GOLDEN_SHA256
+        loaded, cfg2 = load_checkpoint(str(p1))
+        save_checkpoint(loaded, cfg2, str(p2))
+        assert p2.read_bytes() == p1.read_bytes()
 
     def test_random_models_round_trip(self, tmp_path):
         for seed in range(10):

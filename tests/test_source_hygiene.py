@@ -1,0 +1,75 @@
+"""Static checks on the package source: no unused import, no orphaned private name.
+
+Both rules read the syntax tree only (stdlib ``ast``), so they catch what a
+deletion leaves behind: an import whose last use went, or a module-level
+``_helper`` that nothing calls any more.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "infogan_lab"
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names the module's imports bind that no other line of it reads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level ``_names`` the module defines: functions, classes and assigned names, not dunders."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Every name the module reads, looks up as an attribute, or imports from another module."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+# the package's __init__ imports in order to re-export, so its names are read by its users
+@pytest.mark.parametrize("module", [name for name in TREES if name != "__init__.py"])
+def test_no_module_imports_a_name_it_never_uses(module):
+    assert unused_imports(TREES[module]) == []
+
+
+def test_every_module_level_private_name_is_referenced_in_the_package():
+    referenced = set().union(*map(references, TREES.values()))
+    orphans = [f"{module}:{name}" for module, tree in TREES.items()
+               for name in private_definitions(tree) if name not in referenced]
+    assert orphans == []
+
+
+def test_both_rules_catch_what_a_deletion_leaves_behind():
+    tree = ast.parse(
+        "import math\nimport numpy as np\nfrom .models import Dense, _layout\n"
+        "_LIMIT = 3\n_cache: dict = {}\n"
+        "def _kept():\n    return np.zeros(_LIMIT)\n"
+        "def _orphan():\n    return _kept()\n"
+    )
+    assert unused_imports(tree) == ["math", "Dense", "_layout"]
+    assert [n for n in private_definitions(tree) if n not in references(tree)] == ["_cache", "_orphan"]
