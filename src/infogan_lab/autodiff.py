@@ -141,9 +141,12 @@ class BatchNormState:
         self.running_var = np.ones(num_features)
 
     def update(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
+        # in place, so an array taken from this state (a checkpoint entry) stays live
         m = BN_MOMENTUM
-        self.running_mean = m * self.running_mean + (1.0 - m) * batch_mean
-        self.running_var = m * self.running_var + (1.0 - m) * batch_var
+        self.running_mean *= m
+        self.running_mean += (1.0 - m) * batch_mean
+        self.running_var *= m
+        self.running_var += (1.0 - m) * batch_var
 
 
 class TapeNode:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import secrets
 import struct
 from dataclasses import dataclass
 
@@ -53,7 +52,7 @@ def atomic_open(path: str, mode: str = "wb", **kwargs):
     before is left untouched, so no reader ever sees a half-written file.
     """
     head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, mode.replace("w", "x"), **kwargs) as f:
             yield f

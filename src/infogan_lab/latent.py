@@ -54,6 +54,9 @@ class CodeBlock:
             raise SpecError(f"unknown block kind '{self.kind}'")
         if self.dim < 1:
             raise SpecError(f"block dim must be positive, got {self.dim}")
+        # a sigma whose square under- or overflows, or a range wider than a float, gives no finite H(c)
+        if not np.isfinite(self.entropy()):
+            raise SpecError(f"{self.kind} block entropy must be finite, got {self.entropy()} nats")
 
     @staticmethod
     def categorical(k: int, probs=None) -> "CodeBlock":
@@ -90,7 +93,8 @@ class CodeBlock:
             return float(-(nz * np.log(nz)).sum())
         if self.kind == "uniform":
             return self.dim * float(np.log(self.hi - self.lo))
-        return self.dim * 0.5 * float(np.log(2.0 * np.pi * np.e * self.sigma**2))
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            return self.dim * 0.5 * float(np.log(2.0 * np.pi * np.e * np.float64(self.sigma) ** 2))
 
     def to_token(self) -> str:
         """Config-file token; inverse of :func:`parse_block_token`."""
@@ -126,9 +130,9 @@ def parse_block_token(token: str) -> CodeBlock:
         elif kind == "gauss" and len(parts) in (3, 4):
             dim = int(parts[3]) if len(parts) == 4 else 1
             return CodeBlock.gaussian(float(parts[1]), float(parts[2]), dim)
+    except SpecError as err:
+        raise SpecError(f"'{token}': {err}") from None
     except (ValueError, IndexError) as err:
-        if isinstance(err, SpecError):
-            raise
         raise SpecError(f"malformed code token '{token}'") from err
     raise SpecError(f"malformed code token '{token}'")
 

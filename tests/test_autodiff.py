@@ -325,6 +325,16 @@ class TestBatchnorm:
         np.testing.assert_allclose(state.running_mean, 0.9 * 0.0 + 0.1 * x.mean(axis=0))
         np.testing.assert_allclose(state.running_var, 0.9 * 1.0 + 0.1 * x.var(axis=0))
 
+    def test_train_mode_updates_the_running_arrays_in_place(self):
+        # an array taken from the state before a step (a checkpoint entry) stays the state's array
+        state = BatchNormState(2)
+        mean_before, var_before = state.running_mean, state.running_var
+        x = np.array([[1.0, 2.0], [3.0, 6.0]])
+        ad.batchnorm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), state, True)
+        assert state.running_mean is mean_before and state.running_var is var_before
+        np.testing.assert_array_equal(mean_before, 0.9 * np.zeros(2) + (1.0 - 0.9) * x.mean(axis=0))
+        np.testing.assert_array_equal(var_before, 0.9 * np.ones(2) + (1.0 - 0.9) * x.var(axis=0))
+
     def test_eval_uses_running_stats(self):
         state = BatchNormState(1)
         state.running_mean = np.array([2.0])

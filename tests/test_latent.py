@@ -57,6 +57,18 @@ class TestCodeBlocks:
             with pytest.raises(SpecError):
                 parse_block_token(token)
 
+    def test_block_without_finite_entropy_rejected_without_warning(self):
+        # sigma**2 underflows to 0 (H = -inf) or overflows (H = +inf); a range wider than a float gives H = +inf
+        with np.errstate(all="raise"):
+            for make in (lambda: CodeBlock.gaussian(0.0, 1e-300), lambda: CodeBlock.gaussian(0.0, 1e200),
+                         lambda: CodeBlock.gaussian(0.0, math.inf), lambda: CodeBlock.uniform(-1e308, 1e308)):
+                with pytest.raises(SpecError, match="entropy must be finite"):
+                    make()
+            with pytest.raises(SpecError, match=r"'gauss:0:1e-300': gaussian block entropy must be finite, got -inf"):
+                parse_block_token("gauss:0:1e-300")
+            # a tiny uniform range still has a finite (very negative) entropy
+            assert parse_block_token("unif:0:1e-300").entropy() == pytest.approx(-690.7755278982137)
+
 
 class TestEntropy:
     def test_cat10_closed_form(self):

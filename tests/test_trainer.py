@@ -824,6 +824,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"line 3: bad value for code: "):
             parse_config(f"seed = 3\n# codes\ncode = {token}\n")
 
+    def test_code_without_finite_entropy_names_its_line_and_token(self, recwarn):
+        with pytest.raises(ConfigError, match=r"line 3: bad value for code: 'gauss:0:1e-300': .*entropy must be finite"):
+            parse_config("seed = 3\n# codes\ncode = gauss:0:1e-300\n")
+        cfg = parse_config("seed = 3\n# codes\ncode = unif:0:1e-300\n")
+        assert math.isfinite(cfg.latent_spec().blocks[0].entropy())
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
     @pytest.mark.parametrize("line", [
         "q_hidden = 0",
         "toy_noise_sigma = -1",
