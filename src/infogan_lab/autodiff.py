@@ -43,7 +43,6 @@ import math
 from types import MappingProxyType
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "Tensor",
@@ -349,8 +348,15 @@ def _b_clip(g, node, need):
     return [g * ((x > node.attrs["lo"]) & (x < node.attrs["hi"]))]
 
 
+def _sigmoid(x):
+    # the logistic function in one pinned form, shared by sigmoid and softplus's backward:
+    # exactly 0 for x <= -710 (exp overflows to inf, silently) and exactly 1 for large x
+    with np.errstate(over="ignore", under="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _f_sigmoid(arrs, attrs):
-    y = expit(arrs[0])
+    y = _sigmoid(arrs[0])
     return y, y
 
 
@@ -365,7 +371,7 @@ def _f_softplus(arrs, attrs):
 
 
 def _b_softplus(g, node, need):
-    return [g * expit(node.saved)]
+    return [g * _sigmoid(node.saved)]
 
 
 def _f_categorical_log_q(arrs, attrs):

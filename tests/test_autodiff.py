@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 from scipy.special import log_softmax as scipy_log_softmax
 from scipy.stats import norm
 
@@ -149,6 +150,35 @@ def _outcome(call):
 
 # the largest log sigma whose exp(-2*log_sigma) overflows; the next double up is finite
 _FIRST_OVERFLOW = -354.89135644669204
+
+
+class TestSigmoidAgainstExpit:
+    """The numpy sigmoid of ``sigmoid`` and of ``softplus``'s backward against scipy's expit, a test-only oracle."""
+
+    @staticmethod
+    def _sigmoid_and_softplus_grad(x):
+        # softplus's forward (logaddexp) is not under test here: only the two sigmoid uses run under "raise"
+        t = Tensor(x)
+        with Tape() as tape:
+            y = ad.softplus(t)
+            with np.errstate(all="raise"):
+                (grad,) = tape.backward(y, [t], np.ones_like(x))
+                return ad.sigmoid(t).data, grad
+
+    def test_within_rounding_of_expit_on_seeded_draws(self):
+        # away from the subnormal results below x = -708.4, where a relative bound means nothing
+        rng = np.random.default_rng(17)
+        x = np.concatenate([rng.normal(0.0, 4.0, 50_000), rng.uniform(-700.0, 700.0, 50_000)]).reshape(100, 1000)
+        sig, grad = self._sigmoid_and_softplus_grad(x)
+        np.testing.assert_allclose(sig, expit(x), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(grad, expit(x), rtol=1e-15, atol=0)
+
+    def test_extremes_raise_nothing_and_equal_expit(self):
+        x = np.array([[-800.0, -710.0, -709.0, 709.0, 710.0, 800.0]])
+        sig, grad = self._sigmoid_and_softplus_grad(x)
+        np.testing.assert_array_equal(sig, expit(x))
+        np.testing.assert_array_equal(grad, expit(x))
+        assert sig[0, :2].tolist() == [0.0, 0.0] and sig[0, 3:].tolist() == [1.0, 1.0, 1.0]
 
 
 class TestDomainCheckFastForms:

@@ -341,32 +341,39 @@ class TestAssignmentSolver:
 
 
 class TestImportFootprint:
-    def test_package_and_classifier_eval_leave_scipy_optimize_unloaded(self):
-        # a fresh process: pytest itself (or another test) may have imported scipy.optimize
+    def test_package_imports_no_hashlib_and_a_step_and_eval_load_no_scipy(self):
+        # a fresh process: pytest itself (or another test) may have imported scipy or hashlib
         root = Path(__file__).resolve().parent.parent
         code = textwrap.dedent(
             """
             import sys
             import numpy as np
             import infogan_lab, infogan_lab.cli
+            # numpy.random imports secrets, and with it _hashlib, once a generator is made; the package does not
+            print(" ".join(m for m in ("secrets", "hashlib", "_hashlib") if m in sys.modules))
             from infogan_lab.config import TrainingConfig
             from infogan_lab.data_io import synth_templates
             from infogan_lab.evaluate import categorical_classifier_eval
             from infogan_lab.latent import CodeBlock
             from infogan_lab.models import init_models
+            from infogan_lab.trainer import train_step
 
             cfg = TrainingConfig(codes=(CodeBlock.categorical(4),), noise_dim=4, gen_layers=(8, 8),
                                  trunk_layers=(8, 8), q_hidden=4, batchnorm=False)
             model = init_models(*cfg.net_configs(), cfg.latent_spec(), np.random.default_rng(0))
-            err, _ = categorical_classifier_eval(model, synth_templates(4, 64, 0.05, np.random.default_rng(1)), 0)
+            data = synth_templates(4, 64, 0.05, np.random.default_rng(1))
+            train_step(model, data.batch(np.arange(cfg.batch_size)), cfg, np.random.default_rng(2), {})
+            err, _ = categorical_classifier_eval(model, data, 0)
             assert 0.0 <= err <= 1.0, err
             print(" ".join(m for m in ("scipy.optimize", "scipy.sparse", "scipy.linalg") if m in sys.modules))
+            print(" ".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
             """
         )
         env = {**os.environ, "PYTHONPATH": str(root / "src")}
         out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "", f"imported: {out.stdout.strip()}"
+        assert out.stdout == "\n\n\n", out.stdout  # all three lines were printed: the step and the eval ran
 
 
 class TestTraversalGrid:

@@ -459,7 +459,7 @@ class TestTrainRun:
         )
         train_run(cfg)
         digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
-        assert digest == "b846089c566c0d9ecc203fb0e7b1b78cd5ab706db942e5d4d2daecb847aa4ae1"
+        assert digest == "88249bbb68b1b8172228b3e4a10ba0e789bc5794da70e3e726a4c9179684d664"
 
     def test_short_batchnorm_run_fingerprint(self, tmp_path):
         # the same for a 100-iteration batchnorm run (default categorical and uniform codes), plus
@@ -473,7 +473,7 @@ class TestTrainRun:
         )
         model, _ = train_run(cfg)
         digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
-        assert digest == "f5065bd8afbc23d99e4395791f410fcce4e58f01f004b966e31e625174e3926e"
+        assert digest == "df6300850241f17958a9b27eef0a1688a5fa96326e8124d36401918c303a2c97"
         state = hashlib.sha256()
         for name in sorted(model.params):
             state.update(model.params[name].data.tobytes())
@@ -481,7 +481,7 @@ class TestTrainRun:
             state.update(model.bn_states[name].running_mean.tobytes())
             state.update(model.bn_states[name].running_var.tobytes())
         assert sorted(model.bn_states) == ["gen.bn0", "gen.bn1", "q_head.bn0", "trunk.bn1"]
-        assert state.hexdigest() == "78f9106afbbf62acd478567bdc87213c242ad78a2d228ee18f8c606ebad63e5e"
+        assert state.hexdigest() == "ce719cc0d3e356ef2fe5bcafa18eb5a18bffff85024b77b677079cc15f0e73d0"
 
     def test_logs_at_requested_cadence(self, tmp_path):
         cfg = tiny_cfg(tmp_path, iterations=7, log_every=3)
