@@ -55,8 +55,9 @@ class CodeBlock:
         if self.dim < 1:
             raise SpecError(f"block dim must be positive, got {self.dim}")
         # a sigma whose square under- or overflows, or a range wider than a float, gives no finite H(c)
-        if not np.isfinite(self.entropy()):
-            raise SpecError(f"{self.kind} block entropy must be finite, got {self.entropy()} nats")
+        h = self.entropy()
+        if not np.isfinite(h):
+            raise SpecError(f"{self.kind} block entropy must be finite, got {h} nats")
 
     @staticmethod
     def categorical(k: int, probs=None) -> "CodeBlock":
