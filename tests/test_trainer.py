@@ -11,7 +11,7 @@ import pytest
 
 from infogan_lab import autodiff, trainer
 from infogan_lab.config import ConfigError, TrainingConfig, parse_config, render_config
-from infogan_lab.latent import CodeBlock
+from infogan_lab.latent import CodeBlock, parse_block_token
 from infogan_lab.models import ParamBlock
 from infogan_lab.trainer import (
     AdamState,
@@ -482,6 +482,30 @@ class TestTrainRun:
             state.update(model.bn_states[name].running_var.tobytes())
         assert sorted(model.bn_states) == ["gen.bn0", "gen.bn1", "q_head.bn0", "trunk.bn1"]
         assert state.hexdigest() == "ce719cc0d3e356ef2fe5bcafa18eb5a18bffff85024b77b677079cc15f0e73d0"
+
+    def test_short_minimax_multi_block_run_fingerprint(self, tmp_path):
+        # the paths the default pins miss: the minimax generator loss, a sum over two categorical
+        # blocks in log Q, and the Gaussian log Q of a two-dimensional gauss code
+        cfg = TrainingConfig(
+            iterations=100,
+            log_every=1,
+            gan_mode="minimax",
+            codes=tuple(parse_block_token(t) for t in ("cat:3", "cat:2", "gauss:0:1:2", "unif:-1:1")),
+            noise_dim=8,
+            gen_layers=(32, 48),
+            trunk_layers=(48, 32),
+            q_hidden=16,
+            toy_samples=512,
+            checkpoint_out=str(tmp_path / "ckpt.igan"),
+            metrics_out=str(tmp_path / "metrics.csv"),
+        )
+        model, _ = train_run(cfg)
+        digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+        state = hashlib.sha256()
+        for name in sorted(model.params):
+            state.update(model.params[name].data.tobytes())
+        assert digest == "5159467863817515dc61691b158992b0035e9f20f1cdcc743ffb60c5e85d676e"
+        assert state.hexdigest() == "b618662b12caf48b425b688c660c2c3d1c8202be2859599469e3eb6aadd67b83"
 
     def test_logs_at_requested_cadence(self, tmp_path):
         cfg = tiny_cfg(tmp_path, iterations=7, log_every=3)
