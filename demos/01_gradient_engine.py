@@ -30,7 +30,7 @@ def network(params):
 def nll(params):
     # mean Gaussian negative log-likelihood of the targets, unit variance:
     # half the squared error plus log(2 pi) / 2
-    return ad.scale(ad.reduce_mean(ad.gaussian_log_q(target, network(params), zero_log_sigma)), -1.0)
+    return ad.weighted_sum([ad.reduce_mean(ad.gaussian_log_q(target, network(params), zero_log_sigma))], (-1.0,))
 
 
 params = [w1, b1, w2, b2]

@@ -1,11 +1,12 @@
 """Tape-based reverse-mode automatic differentiation over dense float64 arrays.
 
-The operation catalogue is fixed and small: 12 ops, each run by training or
+The operation catalogue is fixed and small: 11 ops, each run by training or
 evaluation. A dense layer is one ``linear`` op (``x @ w + b``), and
-loss terms are fused into single ops (``softplus``, ``clip``, ``scale`` with
-its constant as an attribute, ``gaussian_log_q``, ``categorical_log_q`` with
-its category indices as an attribute) rather than assembled from elementwise
-pieces. Each op is one ``_OPS`` entry pairing a forward rule with a
+loss terms are fused into single ops (``sigmoid_cross_entropy`` and
+``weighted_sum`` with their label and weights as attributes, ``clip``,
+``gaussian_log_q``, ``categorical_log_q`` with its category indices as an
+attribute) rather than assembled from elementwise pieces. Each op is one
+``_OPS`` entry pairing a forward rule with a
 closure-free backward rule, so every rule can be audited and
 gradient-checked on its own, and adding or removing an op is a single edit.
 A forward rule returns ``(out, saved)``, and the tape keeps ``saved``, the
@@ -18,7 +19,7 @@ input gradients (``None`` for the rest).
 Usage:
 
     with Tape() as tape:
-        y = reduce_mean(scale(w, 2.0))
+        y = weighted_sum([reduce_mean(w)], (2.0,))
         (g,) = tape.backward(y, [w])   # dy/dw as an ndarray
         h = linear(x, w, b)
         (gw,) = tape.backward(h, [w], v)   # vector-Jacobian product v^T dh/dw
@@ -56,13 +57,12 @@ __all__ = [
     "OP_CATALOGUE",
     "const",
     "linear",
-    "add",
-    "scale",
+    "weighted_sum",
     "relu",
     "lrelu",
     "clip",
     "sigmoid",
-    "softplus",
+    "sigmoid_cross_entropy",
     "categorical_log_q",
     "gaussian_log_q",
     "reduce_mean",
@@ -78,7 +78,8 @@ class DomainError(ValueError):
     """An op was evaluated outside its numeric domain.
 
     gaussian_log_q's exp(-2*log_sigma) overflows, an lrelu rate lies outside
-    (0, 1), or a categorical_log_q index lies outside [0, K).
+    (0, 1), a sigmoid_cross_entropy label is not 0 or 1, or a
+    categorical_log_q index lies outside [0, K).
     """
 
 
@@ -273,8 +274,7 @@ class Tape:
 # input grads from node.saved and node.attrs alone, where need holds one
 # bool per input (is that input live in the sweep) and a multi-input rule
 # returns None for every input it is not asked for.
-# add returns g itself for both inputs and ignores need; a single-input
-# rule only runs when its input is live.
+# A single-input rule only runs when its input is live.
 # ---------------------------------------------------------------------------
 
 _LN_2PI = float(np.log(2.0 * np.pi))
@@ -297,23 +297,19 @@ def _b_linear(g, node, need):
     ]
 
 
-def _f_add(arrs, attrs):
-    a, b = arrs
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes must match, got {a.shape} + {b.shape}")
-    return a + b, None
+def _f_weighted_sum(arrs, attrs):
+    weights = attrs["weights"]
+    if not arrs or len(weights) != len(arrs) or any(x.shape != arrs[0].shape for x in arrs):
+        shapes = ", ".join(str(x.shape) for x in arrs)
+        raise ShapeError(f"weighted_sum: needs one weight per input and equal shapes, got {len(weights)} weights for shapes {shapes}")
+    out = arrs[0] * weights[0]  # then folded left to right
+    for x, w in zip(arrs[1:], weights[1:]):
+        out = out + x * w
+    return out, None
 
 
-def _b_add(g, node, need):
-    return [g, g]
-
-
-def _f_scale(arrs, attrs):
-    return arrs[0] * attrs["c"], None
-
-
-def _b_scale(g, node, need):
-    return [g * node.attrs["c"]]
+def _b_weighted_sum(g, node, need):
+    return [g * w if needed else None for w, needed in zip(node.attrs["weights"], need)]
 
 
 def _f_relu(arrs, attrs):
@@ -349,7 +345,7 @@ def _b_clip(g, node, need):
 
 
 def _sigmoid(x):
-    # the logistic function in one pinned form, shared by sigmoid and softplus's backward:
+    # the logistic function in one pinned form, shared by sigmoid and sigmoid_cross_entropy's backward:
     # exactly 0 for x <= -710 (exp overflows to inf, silently) and exactly 1 for large x
     with np.errstate(over="ignore", under="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
@@ -365,13 +361,20 @@ def _b_sigmoid(g, node, need):
     return [g * y * (1.0 - y)]
 
 
-def _f_softplus(arrs, attrs):
-    # log(1 + exp(x)) without overflow: finite for logits of either sign
-    return np.logaddexp(0.0, arrs[0]), arrs[0]
+# -log sigmoid(x) = softplus(-x) (label 1), -log(1 - sigmoid(x)) = softplus(x) (label 0), with softplus
+# as logaddexp(0, .), finite for logits of either sign; the mean is reduce_mean's, bit for bit.
+def _f_sigmoid_cross_entropy(arrs, attrs):
+    label = attrs["label"]
+    if label not in (0, 1):
+        raise DomainError(f"sigmoid_cross_entropy: label must be 0 or 1, got {label!r}")
+    sx = arrs[0] * -1.0 if label == 1 else arrs[0]
+    return np.asarray(np.add.reduce(np.logaddexp(0.0, sx), axis=None) / sx.size), sx
 
 
-def _b_softplus(g, node, need):
-    return [g * _sigmoid(node.saved)]
+def _b_sigmoid_cross_entropy(g, node, need):
+    sx = node.saved
+    dx = np.full(sx.shape, float(g) / sx.size) * _sigmoid(sx)
+    return [dx * -1.0 if node.attrs["label"] == 1 else dx]
 
 
 def _f_categorical_log_q(arrs, attrs):
@@ -493,13 +496,12 @@ def _b_batchnorm(g, node, need):
 
 _OPS = {
     "linear": (_f_linear, _b_linear),
-    "add": (_f_add, _b_add),
-    "scale": (_f_scale, _b_scale),
+    "weighted_sum": (_f_weighted_sum, _b_weighted_sum),
     "relu": (_f_relu, _b_relu),
     "lrelu": (_f_lrelu, _b_lrelu),
     "clip": (_f_clip, _b_clip),
     "sigmoid": (_f_sigmoid, _b_sigmoid),
-    "softplus": (_f_softplus, _b_softplus),
+    "sigmoid_cross_entropy": (_f_sigmoid_cross_entropy, _b_sigmoid_cross_entropy),
     "categorical_log_q": (_f_categorical_log_q, _b_categorical_log_q),
     "gaussian_log_q": (_f_gaussian_log_q, _b_gaussian_log_q),
     "reduce_mean": (_f_reduce_mean, _b_reduce_mean),
@@ -537,13 +539,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return forward_op("linear", [x, w, b])
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return forward_op("add", [a, b])
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    """x * c for a constant c held as an attribute (no constant tensor on the tape)."""
-    return forward_op("scale", [x], {"c": float(c)})
+def weighted_sum(xs: list[Tensor], weights) -> Tensor:
+    """sum of w_i * x_i over equal-shaped inputs, the constant weights held as an attribute."""
+    return forward_op("weighted_sum", list(xs), {"weights": tuple(float(w) for w in weights)})
 
 
 def relu(x: Tensor) -> Tensor:
@@ -564,8 +562,9 @@ def sigmoid(x: Tensor) -> Tensor:
     return forward_op("sigmoid", [x])
 
 
-def softplus(x: Tensor) -> Tensor:
-    return forward_op("softplus", [x])
+def sigmoid_cross_entropy(logits: Tensor, label: int) -> Tensor:
+    """Mean over all entries of -log sigmoid(logits) for label 1, or -log(1 - sigmoid(logits)) for label 0."""
+    return forward_op("sigmoid_cross_entropy", [logits], {"label": label})
 
 
 def categorical_log_q(logits: Tensor, index) -> Tensor:

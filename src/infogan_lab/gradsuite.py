@@ -30,11 +30,12 @@ def _case_linear(rng):
     return [x, w, b], lambda p: ad.linear(p[0], p[1], p[2]), weights
 
 
-def _case_add(rng):
+def _case_weighted_sum(rng):
+    """Each input's gradient carries its own weight, of either sign."""
     a = Tensor(rng.normal(0, 1, (3, 4)))
     b = Tensor(rng.normal(0, 1, (3, 4)))
     w = rng.normal(0, 1, (3, 4))
-    return [a, b], lambda p: ad.add(p[0], p[1]), w
+    return [a, b], lambda p: ad.weighted_sum([p[0], p[1]], (-2.5, 0.75)), w
 
 
 def _weighted_case(fn, x: np.ndarray, rng):
@@ -47,10 +48,10 @@ def _elementwise_case(fn, rng):
     return _weighted_case(fn, rng.normal(0, 1, (3, 4)), rng)
 
 
-def _case_softplus(rng):
-    # logits of both signs in every draw, large enough to reach both tails
-    signs = np.array([1.0, -1.0, 1.0, -1.0])
-    return _weighted_case(ad.softplus, signs * np.abs(rng.normal(0, 5, (3, 4))), rng)
+def _case_sigmoid_cross_entropy(rng, label):
+    # logits of both signs in every draw, large enough to reach both tails; the output is a scalar
+    x = Tensor(np.array([1.0, -1.0, 1.0, -1.0]) * np.abs(rng.normal(0, 5, (3, 4))))
+    return [x], lambda p: ad.sigmoid_cross_entropy(p[0], label), None
 
 
 def _case_clip(rng):
@@ -95,17 +96,17 @@ def _case_batchnorm(rng, training):
     return [x, gamma, beta], lambda p: ad.batchnorm(p[0], p[1], p[2], state, training), w
 
 
-# keyed by catalogue op; an op whose modes have separate rules gets one
-# case per mode, suffixed _train / _eval
+# keyed by catalogue op; an op with modes gets one case per mode, suffixed
+# _train / _eval (batchnorm) or _label0 / _label1 (sigmoid_cross_entropy)
 _OP_CASES = {
     "linear": _case_linear,
-    "add": _case_add,
-    "scale": lambda rng: _elementwise_case(lambda x: ad.scale(x, -2.5), rng),
+    "weighted_sum": _case_weighted_sum,
     "relu": lambda rng: _elementwise_case(ad.relu, rng),
     "lrelu": lambda rng: _elementwise_case(lambda x: ad.lrelu(x, 0.1), rng),
     "clip": _case_clip,
     "sigmoid": lambda rng: _elementwise_case(ad.sigmoid, rng),
-    "softplus": _case_softplus,
+    "sigmoid_cross_entropy_label0": lambda rng: _case_sigmoid_cross_entropy(rng, 0),
+    "sigmoid_cross_entropy_label1": lambda rng: _case_sigmoid_cross_entropy(rng, 1),
     "categorical_log_q": _case_categorical_log_q,
     "gaussian_log_q": _case_gaussian_log_q,
     "reduce_mean": _case_reduce_mean,
@@ -156,7 +157,7 @@ def full_loss_graph_check(n_seeds: int = 100, base_seed: int = 99) -> float:
             loss_g = generator_loss(d_fake, "nonsaturating")
             li_disc, li_cont = mi_lower_bound(q_post, lat, spec)
             bundle = infogan_losses(loss_d, loss_g, li_disc, li_cont, 1.0, 0.1)
-            return ad.add(bundle.loss_d, bundle.gq_objective)
+            return ad.weighted_sum([bundle.loss_d, bundle.gq_objective], (1.0, 1.0))
 
         params = list(model.params.values())
         worst = max(worst, grad_check(loss, params, GRAD_STEP))

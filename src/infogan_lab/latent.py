@@ -264,22 +264,22 @@ def log_q(params: QPosteriorParams, batch: LatentBatch) -> tuple[Tensor | None, 
     """Per-sample log Q(c|x), split into (discrete, continuous) columns of shape (B,1).
 
     Discrete part: the fused ``categorical_log_q`` op, the log-softmax of
-    the block logits at the sampled category, summed over categorical
-    blocks. Continuous part: the fused
+    the block logits at the sampled category; continuous part: the fused
     ``gaussian_log_q`` op, the diagonal Gaussian log-density
-    sum(-0.5*ln(2pi) - s - (c-mu)^2 / (2*exp(2s))) over dims.
+    sum(-0.5*ln(2pi) - s - (c-mu)^2 / (2*exp(2s))) over dims. One
+    ``weighted_sum`` adds up a family's blocks; a family with none is None.
     Differentiable w.r.t. logits, mu and log_sigma (and through them x).
     """
     params.check_against(batch.spec)
     b = batch.batch_size
-    disc: Tensor | None = None
-    cont: Tensor | None = None
+    disc, cont = [], []
     for block, out, raw in zip(batch.spec.blocks, params.blocks, batch.c_raw, strict=True):
         if block.is_discrete:
-            per_sample = ad.categorical_log_q(out, raw)
-            disc = per_sample if disc is None else ad.add(disc, per_sample)
+            disc.append(ad.categorical_log_q(out, raw))
         else:
             c = ad.const(np.asarray(raw, dtype=np.float64).reshape(b, block.dim))
-            per_sample = ad.gaussian_log_q(c, *out)
-            cont = per_sample if cont is None else ad.add(cont, per_sample)
-    return disc, cont
+            cont.append(ad.gaussian_log_q(c, *out))
+    return tuple(
+        (parts[0] if len(parts) == 1 else ad.weighted_sum(parts, (1.0,) * len(parts))) if parts else None
+        for parts in (disc, cont)
+    )

@@ -1,9 +1,10 @@
 """Adversarial losses and the variational mutual-information lower bound.
 
-The sigmoid-cross-entropy terms use the identities -log sigmoid(x) =
-softplus(-x) and -log(1 - sigmoid(x)) = softplus(x), with softplus one
-fused, overflow-free op, so log(1 - sigmoid(.)) is never evaluated
-literally and logits of either sign stay stable.
+Each term is one op, so the code reads like the paper's objective: each
+cross-entropy term of V(D, G) is one overflow-free ``sigmoid_cross_entropy``
+(mean -log sigmoid(x) for label 1, mean -log(1 - sigmoid(x)) for label 0),
+and each sum of terms, L_I = E[log Q(c|x)] + H(c) and the generator
+objective loss_G - lambda*L_I among them, is one ``weighted_sum``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ GAN_MODES = ("minimax", "nonsaturating")
 
 def discriminator_loss(d_real_logits: Tensor, d_fake_logits: Tensor) -> Tensor:
     """loss_D = -mean log sigmoid(real) - mean log(1 - sigmoid(fake))."""
-    return ad.add(
-        ad.reduce_mean(ad.softplus(ad.scale(d_real_logits, -1.0))),
-        ad.reduce_mean(ad.softplus(d_fake_logits)),
-    )
+    xent = ad.sigmoid_cross_entropy
+    return ad.weighted_sum([xent(d_real_logits, 1), xent(d_fake_logits, 0)], (1.0, 1.0))
 
 
 def generator_loss(d_fake_logits: Tensor, mode: str = "nonsaturating") -> Tensor:
@@ -34,8 +33,8 @@ def generator_loss(d_fake_logits: Tensor, mode: str = "nonsaturating") -> Tensor
     if mode not in GAN_MODES:
         raise UsageError(f"gan mode must be one of {GAN_MODES}, got '{mode}'")
     if mode == "minimax":
-        return ad.scale(ad.reduce_mean(ad.softplus(d_fake_logits)), -1.0)
-    return ad.reduce_mean(ad.softplus(ad.scale(d_fake_logits, -1.0)))
+        return ad.weighted_sum([ad.sigmoid_cross_entropy(d_fake_logits, 0)], (-1.0,))
+    return ad.sigmoid_cross_entropy(d_fake_logits, 1)
 
 
 def mi_lower_bound(q_params: QPosteriorParams, batch: LatentBatch, spec: LatentSpec) -> tuple[Tensor, Tensor]:
@@ -44,11 +43,11 @@ def mi_lower_bound(q_params: QPosteriorParams, batch: LatentBatch, spec: LatentS
     Per family: batch mean of log Q(c|x) plus that family's analytic
     entropy. Families without blocks report exactly zero.
     """
-    lq_disc, lq_cont = log_q(q_params, batch)
     ent = entropy(spec)
-    li_disc = ad.const(0.0) if lq_disc is None else ad.add(ad.reduce_mean(lq_disc), ad.const(ent.discrete))
-    li_cont = ad.const(0.0) if lq_cont is None else ad.add(ad.reduce_mean(lq_cont), ad.const(ent.continuous))
-    return li_disc, li_cont
+    return tuple(
+        ad.const(0.0) if lq is None else ad.weighted_sum([ad.reduce_mean(lq), ad.const(h)], (1.0, 1.0))
+        for lq, h in zip(log_q(q_params, batch), (ent.discrete, ent.continuous))
+    )
 
 
 @dataclass
@@ -85,6 +84,6 @@ def infogan_losses(
     """Combine plain GAN losses with the information terms (lambda >= 0)."""
     if lambda_disc < 0.0 or lambda_cont < 0.0:
         raise UsageError(f"lambda must be >= 0, got disc={lambda_disc}, cont={lambda_cont}")
-    gq = ad.add(ad.add(loss_g, ad.scale(li_disc, -lambda_disc)), ad.scale(li_cont, -lambda_cont))
+    gq = ad.weighted_sum([loss_g, li_disc, li_cont], (1.0, -lambda_disc, -lambda_cont))
     return LossBundle(loss_d=loss_d, loss_g=loss_g, li_disc=li_disc, li_cont=li_cont, gq_objective=gq)
 

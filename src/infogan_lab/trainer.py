@@ -220,8 +220,8 @@ def gq_step(model: ModelPair, loss_d: Tensor, cfg: TrainingConfig, batch: int, l
         li_disc, li_cont = mi_lower_bound(q_post, lat, model.spec)
         bundle = infogan_losses(loss_d, loss_g, li_disc, li_cont, cfg.lambda_disc, cfg.lambda_cont)
         gen_grads = _block_grads(tape, bundle.gq_objective, gen)
-        li_total = ad.add(li_disc, li_cont)
-        q_grads = [-g for g in _block_grads(tape, li_total, q_side)]
+        # the Q side ascends L_I: descend -(L_I_disc + L_I_cont)
+        q_grads = _block_grads(tape, ad.weighted_sum([li_disc, li_cont], (-1.0, -1.0)), q_side)
     adam_step(gen, gen_grads, adam_states, cfg.lr_g, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
     adam_step(q_side, q_grads, adam_states, cfg.lr_d, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
     return bundle

@@ -38,8 +38,14 @@ _SHAPE_ERRORS = [
      "linear: needs (B,I) @ (I,O) + (O,), got (2, 3) @ (3, 2) + (3,)"),
     (lambda: ad.linear(_ones(3), _ones(3, 2), _ones(2)),
      "linear: needs (B,I) @ (I,O) + (O,), got (3,) @ (3, 2) + (2,)"),
-    (lambda: ad.add(_ones(2, 3), _ones(3, 2)), "add: shapes must match, got (2, 3) + (3, 2)"),
-    (lambda: ad.add(_ones(3, 2), _ones(2)), "add: shapes must match, got (3, 2) + (2,)"),
+    (lambda: ad.weighted_sum([_ones(2, 3), _ones(3, 2)], (1.0, 1.0)),
+     "weighted_sum: needs one weight per input and equal shapes, got 2 weights for shapes (2, 3), (3, 2)"),
+    (lambda: ad.weighted_sum([_ones(3, 2), _ones(2)], (1.0, 1.0)),
+     "weighted_sum: needs one weight per input and equal shapes, got 2 weights for shapes (3, 2), (2,)"),
+    (lambda: ad.weighted_sum([_ones(3, 2), _ones(3, 2)], (1.0,)),
+     "weighted_sum: needs one weight per input and equal shapes, got 1 weights for shapes (3, 2), (3, 2)"),
+    (lambda: ad.weighted_sum([], ()),
+     "weighted_sum: needs one weight per input and equal shapes, got 0 weights for shapes "),
     (lambda: ad.categorical_log_q(_ones(2, 3), np.zeros(3, dtype=np.int64)),
      "categorical_log_q: needs (B,K) logits and B integer indices, got (2, 3) and int64 (3,)"),
     (lambda: ad.categorical_log_q(_ones(2, 3), np.zeros(2)),
@@ -81,20 +87,31 @@ class TestForwardValues:
         out = ad.linear(a, Tensor(np.eye(2)), Tensor([10.0, 20.0]))
         np.testing.assert_array_equal(out.data, [[11.0, 22.0], [13.0, 24.0], [15.0, 26.0]])
 
-    def test_scale_is_exact_product(self):
-        x = np.random.default_rng(0).normal(0, 1, (4, 3))
-        np.testing.assert_array_equal(ad.scale(Tensor(x), -0.1).data, x * -0.1)
+    def test_weighted_sum_is_the_left_fold_of_exact_products(self):
+        x, y, z = np.random.default_rng(0).normal(0, 1, (3, 4, 3))
+        out = ad.weighted_sum([Tensor(x), Tensor(y), Tensor(z)], (-0.1, 3, 0.7)).data
+        assert out.tobytes() == ((x * -0.1 + y * 3.0) + z * 0.7).tobytes()
+        assert ad.weighted_sum([Tensor(x)], (-0.1,)).data.tobytes() == (x * -0.1).tobytes()
 
     def test_clip_example(self):
         out = ad.clip(Tensor([[-9.0, -7.0, 0.5, 7.0, 50.0]]), -7.0, 7.0)
         np.testing.assert_array_equal(out.data, [[-7.0, -7.0, 0.5, 7.0, 7.0]])
 
-    def test_softplus_matches_logaddexp_and_stays_finite(self):
+    def test_sigmoid_cross_entropy_is_the_mean_softplus_and_stays_finite(self):
+        # label 1 is mean softplus(-x) = -mean log sigmoid(x); label 0 is mean softplus(x)
         x = np.concatenate([np.random.default_rng(1).normal(0, 10, 50), [-1000.0, 1000.0]])[None, :]
-        out = ad.softplus(Tensor(x)).data
-        np.testing.assert_allclose(out, np.logaddexp(0.0, x), rtol=1e-15, atol=0)
-        assert np.all(np.isfinite(out))
-        assert out[0, -1] == 1000.0 and 0.0 <= out[0, -2] < 1e-300
+        for label, sx in ((1, -x), (0, x)):
+            out = ad.sigmoid_cross_entropy(Tensor(x), label).data
+            assert out.shape == () and np.isfinite(out)
+            assert out.tobytes() == np.logaddexp(0.0, sx).mean().tobytes()
+        for label, sign in ((1, -1.0), (0, 1.0)):
+            assert float(ad.sigmoid_cross_entropy(Tensor([[sign * 1000.0]]), label)) == 1000.0
+            assert 0.0 <= float(ad.sigmoid_cross_entropy(Tensor([[sign * -1000.0]]), label)) < 1e-300
+
+    @pytest.mark.parametrize("label", [2, -1, 0.5, float("nan"), None])
+    def test_sigmoid_cross_entropy_label_must_be_0_or_1(self, label):
+        with pytest.raises(DomainError, match=r"sigmoid_cross_entropy: label must be 0 or 1, got"):
+            ad.sigmoid_cross_entropy(Tensor(np.zeros((2, 2))), label)
 
     def test_gaussian_log_q_matches_norm_logpdf_row_sums(self):
         rng = np.random.default_rng(2)
@@ -153,29 +170,31 @@ _FIRST_OVERFLOW = -354.89135644669204
 
 
 class TestSigmoidAgainstExpit:
-    """The numpy sigmoid of ``sigmoid`` and of ``softplus``'s backward against scipy's expit, a test-only oracle."""
+    """The numpy sigmoid of ``sigmoid`` and of ``sigmoid_cross_entropy``'s backward against scipy's expit,
+    a test-only oracle."""
 
     @staticmethod
-    def _sigmoid_and_softplus_grad(x):
-        # softplus's forward (logaddexp) is not under test here: only the two sigmoid uses run under "raise"
+    def _sigmoid_and_cross_entropy_grad(x):
+        # the forward (logaddexp) is not under test here: only the two sigmoid uses run under "raise";
+        # label 0 and a cotangent of x.size make the gradient of the mean sigmoid(x) itself
         t = Tensor(x)
         with Tape() as tape:
-            y = ad.softplus(t)
+            y = ad.sigmoid_cross_entropy(t, 0)
             with np.errstate(all="raise"):
-                (grad,) = tape.backward(y, [t], np.ones_like(x))
+                (grad,) = tape.backward(y, [t], np.array(float(x.size)))
                 return ad.sigmoid(t).data, grad
 
     def test_within_rounding_of_expit_on_seeded_draws(self):
         # away from the subnormal results below x = -708.4, where a relative bound means nothing
         rng = np.random.default_rng(17)
         x = np.concatenate([rng.normal(0.0, 4.0, 50_000), rng.uniform(-700.0, 700.0, 50_000)]).reshape(100, 1000)
-        sig, grad = self._sigmoid_and_softplus_grad(x)
+        sig, grad = self._sigmoid_and_cross_entropy_grad(x)
         np.testing.assert_allclose(sig, expit(x), rtol=1e-15, atol=0)
         np.testing.assert_allclose(grad, expit(x), rtol=1e-15, atol=0)
 
     def test_extremes_raise_nothing_and_equal_expit(self):
         x = np.array([[-800.0, -710.0, -709.0, 709.0, 710.0, 800.0]])
-        sig, grad = self._sigmoid_and_softplus_grad(x)
+        sig, grad = self._sigmoid_and_cross_entropy_grad(x)
         np.testing.assert_array_equal(sig, expit(x))
         np.testing.assert_array_equal(grad, expit(x))
         assert sig[0, :2].tolist() == [0.0, 0.0] and sig[0, 3:].tolist() == [1.0, 1.0, 1.0]
@@ -390,7 +409,7 @@ class TestBackward:
     def test_fanout_accumulates(self):
         x = Tensor([2.0])
         with Tape() as tape:
-            y = ad.add(ad.scale(x, 3.0), ad.scale(x, 5.0))
+            y = ad.weighted_sum([x, x], (3.0, 5.0))
             (g,) = tape.backward(y, [x])
         np.testing.assert_array_equal(g, [8.0])
 
@@ -412,8 +431,8 @@ class TestBackward:
         rng = np.random.default_rng(5)
         a, b, c = Tensor(rng.normal(0, 1, (4, 3))), Tensor(rng.normal(0, 1, (3, 2))), Tensor(rng.normal(0, 1, 2))
         with Tape() as tape:
-            h = ad.softplus(ad.linear(ad.sigmoid(a), b, c))
-            root = ad.add(h, ad.linear(a, b, c))
+            h = ad.lrelu(ad.linear(ad.sigmoid(a), b, c), 0.1)
+            root = ad.weighted_sum([h, ad.linear(a, b, c)], (1.0, 1.0))
             v = rng.normal(0, 1, root.shape)
             (only_a,) = tape.backward(root, [a], v)
             both = tape.backward(root, [a, b], v)
@@ -441,7 +460,7 @@ class TestBackward:
     def test_non_scalar_root_rejected(self):
         x = Tensor(np.ones((2, 2)))
         with Tape() as tape:
-            y = ad.add(x, x)
+            y = ad.weighted_sum([x, x], (1.0, 1.0))
             with pytest.raises(UsageError, match=r"root must be scalar, got shape \(2, 2\)"):
                 tape.backward(y, [x])
 
@@ -454,22 +473,22 @@ class TestBackward:
     def test_multiple_backward_roots_on_one_tape(self):
         x = Tensor([3.0])
         with Tape() as tape:
-            a = ad.scale(x, 2.0)
-            b = ad.add(a, x)
+            a = ad.weighted_sum([x], (2.0,))
+            b = ad.weighted_sum([a, x], (1.0, 1.0))
             np.testing.assert_array_equal(tape.backward(a, [x])[0], [2.0])
             np.testing.assert_array_equal(tape.backward(b, [x])[0], [3.0])
 
     def test_exit_drops_nodes(self):
         w = Tensor([1.0, 2.0])
         with Tape() as tape:
-            ad.reduce_mean(ad.scale(w, 2.0))
+            ad.reduce_mean(ad.weighted_sum([w], (2.0,)))
             assert len(tape.nodes) == 3
         assert w._tape is tape and tape.nodes is None
 
     def test_backward_after_exit_raises(self):
         w = Tensor([1.0, 2.0])
         with Tape() as tape:
-            y = ad.reduce_mean(ad.scale(w, 2.0))
+            y = ad.reduce_mean(ad.weighted_sum([w], (2.0,)))
         with pytest.raises(UsageError, match="tape is closed"):
             tape.backward(y, [w])
 
@@ -481,14 +500,14 @@ class TestBackward:
                 pass
 
     def test_no_recording_without_tape(self):
-        out = ad.add(Tensor([1.0]), Tensor([2.0]))
+        out = ad.weighted_sum([Tensor([1.0]), Tensor([2.0])], (1.0, 1.0))
         assert out.node is None
 
     def test_cotangent_ones_on_scalar_root_matches_default(self):
         rng = np.random.default_rng(6)
         x, w, b = Tensor(rng.normal(0, 1, (4, 3))), Tensor(rng.normal(0, 1, (3, 2))), Tensor(rng.normal(0, 1, 2))
         with Tape() as tape:
-            root = ad.reduce_mean(ad.softplus(ad.linear(x, w, b)))
+            root = ad.sigmoid_cross_entropy(ad.linear(x, w, b), 0)
             default = tape.backward(root, [x, w, b])
             seeded = tape.backward(root, [x, w, b], np.ones(()))
         assert [g.tobytes() for g in seeded] == [g.tobytes() for g in default]
@@ -498,7 +517,7 @@ class TestBackward:
         x, w, b = Tensor(rng.normal(0, 1, (4, 3))), Tensor(rng.normal(0, 1, (3, 2))), Tensor(rng.normal(0, 1, 2))
         v = rng.normal(0, 1, (4, 2))
         with Tape() as tape:
-            root = ad.add(ad.linear(x, w, b), ad.linear(x, w, b))
+            root = ad.weighted_sum([ad.linear(x, w, b), ad.linear(x, w, b)], (1.0, 1.0))
             g_x, g_w, g_b = tape.backward(root, [x, w, b], v)
         np.testing.assert_allclose(g_x, 2.0 * v @ w.data.T, rtol=1e-14)
         np.testing.assert_allclose(g_w, 2.0 * x.data.T @ v, rtol=1e-14)
@@ -508,7 +527,7 @@ class TestBackward:
         x = Tensor([1.0, 2.0])
         v = np.array([3, 4])  # integers: the seed is a float64 copy
         with Tape() as tape:
-            (g,) = tape.backward(ad.add(x, x), [x], v)
+            (g,) = tape.backward(ad.weighted_sum([x, x], (1.0, 1.0)), [x], v)
         assert g.dtype == np.float64 and not np.shares_memory(g, v)
         np.testing.assert_array_equal(g, [6.0, 8.0])
 
@@ -516,7 +535,7 @@ class TestBackward:
     def test_cotangent_shape_must_match_root(self, shape):
         x = Tensor(np.ones((2, 3)))
         with Tape() as tape:
-            y = ad.scale(x, 2.0)
+            y = ad.weighted_sum([x], (2.0,))
             with pytest.raises(UsageError) as err:
                 tape.backward(y, [x], np.ones(shape))
         assert str(err.value) == f"backward: cotangent shape {shape} does not match root shape (2, 3)"
@@ -532,6 +551,7 @@ def _masked_rule_cases():
 
     return {
         "linear": (ad.linear, [(5, 4), (4, 3), (3,)]),
+        "weighted_sum": (lambda *xs: ad.weighted_sum(xs, (0.5, -1.0, 2.0)), [(5, 3), (5, 3), (5, 3)]),
         "gaussian_log_q": (ad.gaussian_log_q, [(5, 3), (5, 3), (5, 3)]),
         "batchnorm_train": (bn(True), [(5, 3), (3,), (3,)]),
         "batchnorm_eval": (bn(False), [(5, 3), (3,), (3,)]),
@@ -570,17 +590,15 @@ class TestGradCheck:
         err = grad_check(lambda p: ad.gaussian_log_q(zeros, p[0], zeros), params, step=1e-6)
         assert err <= 1e-9
 
-    def test_sigmoid_cross_entropy_disc_loss(self):
-        # log sigmoid(x) = -softplus(-x)
-        rng = np.random.default_rng(7)
-        logits = Tensor(rng.normal(0, 2, (8, 8)))
-        w = rng.normal(0, 1, (8, 8))
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_sigmoid_cross_entropy_disc_loss(self, label):
+        # mean log sigmoid(x) = -(label-1 cross-entropy), mean log(1 - sigmoid(x)) = -(label-0 cross-entropy)
+        logits = Tensor(np.random.default_rng(7).normal(0, 2, (8, 8)))
 
-        def log_s(p):
-            return ad.scale(ad.softplus(ad.scale(p[0], -1.0)), -1.0)
+        def mean_log_s(p):
+            return ad.weighted_sum([ad.sigmoid_cross_entropy(p[0], label)], (-1.0,))
 
-        # the weighted mean of log sigmoid, read out by w / 64
-        assert grad_check(log_s, [logits], step=1e-6, readout=w / w.size) <= 1e-5
+        assert grad_check(mean_log_s, [logits], step=1e-6) <= 1e-5
 
     def test_step_bounds(self):
         with pytest.raises(UsageError):
@@ -591,7 +609,7 @@ class TestGradCheck:
 
         def noisy(p):
             state["n"] += 1
-            return ad.scale(p[0], float(state["n"]))
+            return ad.weighted_sum([p[0]], (float(state["n"]),))
 
         with pytest.raises(UsageError, match="deterministic"):
             grad_check(noisy, [Tensor([1.0])])
@@ -599,7 +617,7 @@ class TestGradCheck:
     def test_params_restored_after_check(self):
         p = Tensor(np.array([1.0, 2.0]))
         before = p.data.copy()
-        grad_check(lambda ps: ad.scale(ps[0], 2.0), [p], readout=np.array([1.0, -1.0]))
+        grad_check(lambda ps: ad.weighted_sum([ps[0]], (2.0,)), [p], readout=np.array([1.0, -1.0]))
         np.testing.assert_array_equal(p.data, before)
 
     # calls 1-3 are the taped pass and the two determinism probes; 4 and 5
@@ -613,7 +631,7 @@ class TestGradCheck:
             calls["n"] += 1
             if calls["n"] == failing_call:
                 raise DomainError("probe failed")
-            return ad.scale(p[0], 2.0)
+            return ad.weighted_sum([p[0]], (2.0,))
 
         with pytest.raises(DomainError, match="probe failed"):
             grad_check(loss, [w], readout=np.ones(2))
@@ -622,7 +640,7 @@ class TestGradCheck:
     @pytest.mark.parametrize("readout", [np.ones(4), np.ones(6), np.ones((3, 2))])
     def test_readout_must_have_the_output_shape(self, readout):
         with pytest.raises(UsageError) as err:
-            grad_check(lambda p: ad.scale(p[0], 2.0), [Tensor(np.ones((2, 3)))], readout=readout)
+            grad_check(lambda p: ad.weighted_sum([p[0]], (2.0,)), [Tensor(np.ones((2, 3)))], readout=readout)
         assert str(err.value) == f"backward: cotangent shape {readout.shape} does not match root shape (2, 3)"
 
     @pytest.mark.parametrize("op, bad", [("relu", np.nan), ("sigmoid", np.inf)])
@@ -638,7 +656,7 @@ def test_forward_determinism_same_seed():
     def run():
         rng = np.random.default_rng(123)
         x = Tensor(rng.normal(0, 1, (5, 5)))
-        h = ad.clip(ad.softplus(x), 0.0, 1.5)
+        h = ad.clip(ad.lrelu(x, 0.1), 0.0, 1.5)
         logits = ad.linear(ad.sigmoid(h), Tensor(rng.normal(0, 1, (5, 5))), Tensor(rng.normal(0, 1, 5)))
         y = ad.categorical_log_q(logits, rng.integers(0, 5, 5))
         return y.data

@@ -10,13 +10,15 @@ from infogan_lab.gradsuite import _OP_CASES, full_loss_graph_check, op_grad_chec
 
 
 def _op_of(case: str) -> str:
-    return case.removesuffix("_train").removesuffix("_eval")
+    for suffix in ("_train", "_eval", "_label0", "_label1"):
+        case = case.removesuffix(suffix)
+    return case
 
 
 def test_every_catalogue_op_has_a_case():
     cases = set(_OP_CASES)
     for op in OP_CATALOGUE:
-        assert op in cases or f"{op}_train" in cases, f"no gradient case for '{op}'"
+        assert op in {_op_of(case) for case in cases}, f"no gradient case for '{op}'"
     for case in cases:
         assert _op_of(case) in OP_CATALOGUE, f"gradient case '{case}' names no catalogue op"
 
@@ -49,7 +51,7 @@ def test_a_rule_off_by_one_percent_fails_its_case(monkeypatch, case):
 
     monkeypatch.setitem(autodiff._OPS, op, (forward, scaled))
     worst = op_grad_checks(n_seeds=1)
-    # batchnorm_train and batchnorm_eval share one rule, so both fail together
+    # the cases of one op's modes share its rule, so they fail together
     assert {name for name, err in worst.items() if err > 1e-5} == {name for name in worst if _op_of(name) == op}
     assert worst[case] > 1e-5
 

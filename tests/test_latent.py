@@ -255,7 +255,7 @@ class TestLogQ:
             log_sigma = Tensor(rng.normal(0, 0.3, (8, 1)))
             q = QPosteriorParams(spec=spec, blocks=[logits, (mu, log_sigma)])
             disc, cont = log_q(q, batch)
-            total = ad.add(ad.reduce_mean(disc), ad.reduce_mean(cont))
+            total = ad.weighted_sum([ad.reduce_mean(disc), ad.reduce_mean(cont)], (1.0, 1.0))
             grads = tape.backward(total, [logits, mu, log_sigma])
             for g in grads:
                 assert np.linalg.norm(g) > 0.0

@@ -328,7 +328,7 @@ class TestTrainStep:
         monkeypatch.setattr(autodiff.Tape, "__exit__", counting_exit)
         monkeypatch.setattr(autodiff, "_OPS", {op: (f, counting_rule(b)) for op, (f, b) in autodiff._OPS.items()})
         train_step(*self._default_step_inputs())
-        assert counts == {"ops": 53, "nodes": 79, "rules": 63, "skipped g @ w.T": 4, "skipped x.T @ g": 7}
+        assert counts == {"ops": 45, "nodes": 71, "rules": 55, "skipped g @ w.T": 4, "skipped x.T @ g": 7}
 
     def test_d_step_records_no_q_head_parameter(self, tmp_path):
         from infogan_lab.data_io import synth_templates
