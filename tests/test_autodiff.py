@@ -614,6 +614,23 @@ class TestGradCheck:
         with pytest.raises(UsageError, match="deterministic"):
             grad_check(noisy, [Tensor([1.0])])
 
+    def test_deterministic_nan_builder_reports_inf(self):
+        # NaN != NaN, so the determinism probe must not take a builder that is NaN every time for a noisy one
+        def nan_loss(p):
+            return ad.reduce_mean(ad.weighted_sum([p[0]], (math.nan,)))
+
+        assert grad_check(nan_loss, [Tensor([1.0, 2.0])]) == math.inf
+
+    def test_builder_nan_only_sometimes_is_not_deterministic(self):
+        state = {"n": 0}
+
+        def flaky(p):
+            state["n"] += 1
+            return ad.reduce_mean(ad.weighted_sum([p[0]], (math.nan if state["n"] % 2 else 1.0,)))
+
+        with pytest.raises(UsageError, match="deterministic"):
+            grad_check(flaky, [Tensor([1.0])])
+
     def test_params_restored_after_check(self):
         p = Tensor(np.array([1.0, 2.0]))
         before = p.data.copy()
