@@ -74,11 +74,12 @@ class Dataset:
 
     ``images`` is (N, H*W), either ``uint8`` bytes or floats in [0, 1]; any
     other integer (or bool) dtype is rejected. Read pixels through
-    ``batch``, which always returns float64 values in [0, 1].
+    ``batch``, which always returns float64 values in [0, 1]. ``labels``,
+    when given, is a 1-D integer array of class indices, each >= 0.
     """
 
     images: np.ndarray            # (N, H*W) uint8, or floats in [0, 1]
-    labels: np.ndarray | None     # (N,) ints, optional
+    labels: np.ndarray | None     # (N,) ints >= 0, optional
     dims: tuple[int, int]
     provenance: str
 
@@ -92,10 +93,15 @@ class Dataset:
             raise FormatError(f"images must be uint8 or floats in [0, 1], got dtype {self.images.dtype}")
         elif self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
             raise FormatError("pixel values must lie in [0, 1]")
-        if self.labels is not None and len(self.labels) != len(self.images):
-            raise FormatError(
-                f"{len(self.images)} images but {len(self.labels)} labels"
-            )
+        labels = self.labels
+        if labels is not None:
+            if labels.ndim != 1 or labels.dtype.kind not in "iu":
+                raise FormatError(f"labels must be a 1-D integer array, got dtype {labels.dtype} with shape {labels.shape}")
+            if len(labels) != len(self.images):
+                raise FormatError(f"{len(self.images)} images but {len(labels)} labels")
+            bad = np.flatnonzero(labels < 0)
+            if bad.size:
+                raise FormatError(f"labels must be >= 0, got {labels[bad[0]]} at index {bad[0]}")
 
     def __len__(self) -> int:
         return len(self.images)

@@ -40,7 +40,8 @@ class CodeBlock:
             if self.probs is None or len(self.probs) < 2:
                 raise SpecError("categorical block needs >= 2 probabilities")
             p = np.asarray(self.probs, dtype=np.float64)
-            if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-12:
+            # written as "not (valid)" so that a NaN, which fails every comparison, is caught
+            if not (np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12):
                 raise SpecError(f"categorical probs must be >= 0 and sum to 1, got {self.probs}")
             if self.dim != 1:
                 raise SpecError("categorical blocks carry one value (dim must be 1)")
@@ -50,6 +51,8 @@ class CodeBlock:
         elif self.kind == "gaussian":
             if not self.sigma > 0.0:
                 raise SpecError(f"gaussian block needs sigma > 0, got {self.sigma}")
+            if not np.isfinite(self.mean):
+                raise SpecError(f"gaussian block needs a finite mean, got {self.mean}")
         else:
             raise SpecError(f"unknown block kind '{self.kind}'")
         if self.dim < 1:

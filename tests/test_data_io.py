@@ -74,6 +74,24 @@ class TestIdxLoader:
         with pytest.raises(FormatError, match=r"pixel values must lie in \[0, 1\]"):
             data_io.Dataset(images=images, labels=None, dims=(2, 2), provenance="x")
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (np.array([0.0, 1.0, 2.0]), r"labels must be a 1-D integer array, got dtype float64 with shape \(3,\)"),
+            (np.array([True, False, True]), r"labels must be a 1-D integer array, got dtype bool"),
+            (np.zeros((3, 1), dtype=np.int64), r"labels must be a 1-D integer array, got dtype int64 with shape \(3, 1\)"),
+            (np.array([0, -1, -2]), r"labels must be >= 0, got -1 at index 1"),
+        ],
+    )
+    def test_dataset_rejects_bad_labels_naming_them(self, labels, message):
+        with pytest.raises(FormatError, match=message):
+            data_io.Dataset(images=np.zeros((3, 4)), labels=labels, dims=(2, 2), provenance="x")
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+    def test_dataset_accepts_non_negative_integer_labels(self, dtype):
+        ds = data_io.Dataset(images=np.zeros((3, 4)), labels=np.array([0, 2, 1], dtype=dtype), dims=(2, 2), provenance="x")
+        assert ds.labels.tolist() == [0, 2, 1]
+
     def test_rejects_every_single_byte_magic_flip(self, idx_pair, tmp_path):
         _, _, ip, lp = idx_pair
         original = open(ip, "rb").read()

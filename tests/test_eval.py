@@ -13,7 +13,7 @@ import pytest
 
 from infogan_lab.autodiff import UsageError
 from infogan_lab.config import TrainingConfig
-from infogan_lab.data_io import Dataset, synth_templates
+from infogan_lab.data_io import Dataset, FormatError, synth_templates
 from infogan_lab.evaluate import (
     ChannelSpec,
     LemmaJointSpec,
@@ -207,6 +207,12 @@ class TestClassifierEval:
         ds2 = self._dataset_from_preds(ds.images, perm[ds.labels])
         err2, _ = categorical_classifier_eval(model, ds2, 0)
         assert abs(err1 - err2) < 1e-12
+
+    def test_negative_label_is_rejected_before_it_can_count_as_the_last_class(self):
+        ds = synth_templates(4, 64, 0.05, np.random.default_rng(11))
+        labels = np.where(ds.labels == 2, -1, ds.labels)
+        with pytest.raises(FormatError, match="labels must be >= 0, got -1 at index"):
+            self._dataset_from_preds(ds.images, labels)
 
     def test_needs_labels_and_categorical_block(self):
         model, cfg = toy_model(seed=10)

@@ -34,12 +34,18 @@ class TestCodeBlocks:
             CodeBlock.categorical(3, [0.5, 0.4, 0.2])
         with pytest.raises(SpecError):
             CodeBlock.categorical(2, [1.1, -0.1])
+        for token in ("cat:2:nan,1.0", "cat:2:0.5,nan"):
+            with pytest.raises(SpecError, match=f"'{token}': categorical probs must be >= 0 and sum to 1"):
+                parse_block_token(token)
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(SpecError):
             CodeBlock.uniform(1.0, -1.0)
         with pytest.raises(SpecError):
             CodeBlock.gaussian(0.0, 0.0)
+        for token in ("gauss:nan:1", "gauss:inf:1"):
+            with pytest.raises(SpecError, match=f"'{token}': gaussian block needs a finite mean"):
+                parse_block_token(token)
 
     def test_token_round_trip(self):
         blocks = [

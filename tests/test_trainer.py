@@ -843,7 +843,9 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 parse_config(text)
 
-    @pytest.mark.parametrize("token", ["cat:x", "cat:1", "unif:1:-1", "beta:2"])
+    @pytest.mark.parametrize(
+        "token", ["cat:x", "cat:1", "unif:1:-1", "beta:2", "cat:2:nan,1.0", "cat:2:0.5,nan", "gauss:nan:1", "gauss:inf:1"]
+    )
     def test_bad_code_token_names_its_line(self, token):
         with pytest.raises(ConfigError, match=r"line 3: bad value for code: "):
             parse_config(f"seed = 3\n# codes\ncode = {token}\n")
