@@ -2,15 +2,20 @@
 
 Both rules read the syntax tree only (stdlib ``ast``), so they catch what a
 deletion leaves behind: an import whose last use went, or a module-level
-``_helper`` that nothing calls any more.
+``_helper`` that nothing calls any more. A last check keeps the op count
+that the docs state equal to the catalogue's.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "infogan_lab"
+from infogan_lab import autodiff
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "infogan_lab"
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
@@ -73,3 +78,11 @@ def test_both_rules_catch_what_a_deletion_leaves_behind():
     )
     assert unused_imports(tree) == ["math", "Dense", "_layout"]
     assert [n for n in private_definitions(tree) if n not in references(tree)] == ["_cache", "_orphan"]
+
+
+def test_docs_state_the_catalogue_size():
+    # README's "catalogue of N ops" and every "N ops" of the autodiff docstring
+    readme = re.findall(r"catalogue\s+of\s+(\d+)\s+ops", (ROOT / "README.md").read_text())
+    docstring = re.findall(r"(\d+)\s+ops\b", autodiff.__doc__)
+    assert readme and docstring
+    assert {int(n) for n in readme + docstring} == {len(autodiff.OP_CATALOGUE)}
