@@ -6,9 +6,9 @@ loss terms are fused into single ops (``sigmoid_cross_entropy`` and
 ``weighted_sum`` with their label and weights as attributes, ``clip``,
 ``gaussian_log_q``, ``categorical_log_q`` with its category indices as an
 attribute) rather than assembled from elementwise pieces. Each op is one
-``_OPS`` entry pairing a forward rule with a
-closure-free backward rule, so every rule can be audited and
-gradient-checked on its own, and adding or removing an op is a single edit.
+``_OPS`` entry pairing a forward rule with a closure-free backward rule, so
+every rule can be audited and gradient-checked on its own, and adding or
+removing an op is a single edit.
 A forward rule returns ``(out, saved)``, and the tape keeps ``saved``, the
 residuals its backward rule reads, in place of the op's inputs. A backward
 rule is ``backward(g, node, need)`` and reads only ``node.saved`` and
@@ -299,13 +299,16 @@ def _b_linear(g, node, need):
 
 def _f_weighted_sum(arrs, attrs):
     weights = attrs["weights"]
-    if not arrs or len(weights) != len(arrs) or any(x.shape != arrs[0].shape for x in arrs):
+    if len(weights) != len(arrs) or len({x.shape for x in arrs}) != 1:
         shapes = ", ".join(str(x.shape) for x in arrs)
         raise ShapeError(f"weighted_sum: needs one weight per input and equal shapes, got {len(weights)} weights for shapes {shapes}")
-    out = arrs[0] * weights[0]  # then folded left to right
-    for x, w in zip(arrs[1:], weights[1:]):
-        out = out + x * w
-    return out, None
+    # scalar loss terms fold as Python floats: the same IEEE products and sums, without
+    # numpy's per-call cost; the fold runs left to right, the order the fingerprints pin
+    xs = [x.item() for x in arrs] if arrs[0].ndim == 0 else arrs
+    out = xs[0] * weights[0]
+    for i in range(1, len(xs)):
+        out = out + xs[i] * weights[i]
+    return np.asarray(out), None
 
 
 def _b_weighted_sum(g, node, need):
@@ -541,7 +544,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def weighted_sum(xs: list[Tensor], weights) -> Tensor:
     """sum of w_i * x_i over equal-shaped inputs, the constant weights held as an attribute."""
-    return forward_op("weighted_sum", list(xs), {"weights": tuple(float(w) for w in weights)})
+    return forward_op("weighted_sum", xs, {"weights": tuple(map(float, weights))})
 
 
 def relu(x: Tensor) -> Tensor:

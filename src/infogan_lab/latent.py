@@ -282,7 +282,10 @@ def log_q(params: QPosteriorParams, batch: LatentBatch) -> tuple[Tensor | None, 
         else:
             c = ad.const(np.asarray(raw, dtype=np.float64).reshape(b, block.dim))
             cont.append(ad.gaussian_log_q(c, *out))
-    return tuple(
-        (parts[0] if len(parts) == 1 else ad.weighted_sum(parts, (1.0,) * len(parts))) if parts else None
-        for parts in (disc, cont)
-    )
+    return _family_sum(disc), _family_sum(cont)
+
+
+def _family_sum(parts: list[Tensor]) -> Tensor | None:
+    if len(parts) < 2:
+        return parts[0] if parts else None
+    return ad.weighted_sum(parts, (1.0,) * len(parts))

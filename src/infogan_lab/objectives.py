@@ -43,11 +43,13 @@ def mi_lower_bound(q_params: QPosteriorParams, batch: LatentBatch, spec: LatentS
     Per family: batch mean of log Q(c|x) plus that family's analytic
     entropy. Families without blocks report exactly zero.
     """
+    lq_disc, lq_cont = log_q(q_params, batch)
     ent = entropy(spec)
-    return tuple(
-        ad.const(0.0) if lq is None else ad.weighted_sum([ad.reduce_mean(lq), ad.const(h)], (1.0, 1.0))
-        for lq, h in zip(log_q(q_params, batch), (ent.discrete, ent.continuous))
-    )
+    return _bound(lq_disc, ent.discrete), _bound(lq_cont, ent.continuous)
+
+
+def _bound(lq: Tensor | None, h: float) -> Tensor:
+    return ad.const(0.0) if lq is None else ad.weighted_sum([ad.reduce_mean(lq), ad.const(h)], (1.0, 1.0))
 
 
 @dataclass

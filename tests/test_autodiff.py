@@ -92,6 +92,9 @@ class TestForwardValues:
         out = ad.weighted_sum([Tensor(x), Tensor(y), Tensor(z)], (-0.1, 3, 0.7)).data
         assert out.tobytes() == ((x * -0.1 + y * 3.0) + z * 0.7).tobytes()
         assert ad.weighted_sum([Tensor(x)], (-0.1,)).data.tobytes() == (x * -0.1).tobytes()
+        # scalar loss terms in, a 0-d array out, as from every other forward rule
+        scalar = ad.weighted_sum([ad.const(1.5), ad.const(2.0)], (1.0, -1.0)).data
+        assert type(scalar) is np.ndarray and scalar.shape == () and scalar.item() == -0.5
 
     def test_clip_example(self):
         out = ad.clip(Tensor([[-9.0, -7.0, 0.5, 7.0, 50.0]]), -7.0, 7.0)
