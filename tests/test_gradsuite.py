@@ -2,12 +2,10 @@
 
 import inspect
 
+import numpy as np
 import pytest
 
-import numpy as np
-
 from infogan_lab import autodiff
-from infogan_lab import autodiff as ad
 from infogan_lab.autodiff import OP_CATALOGUE, Tensor, UsageError, grad_check
 from infogan_lab.gradsuite import _OP_CASES, GRAD_STEP, full_loss_graph_check, op_grad_checks
 from infogan_lab.latent import CodeBlock, LatentSpec, sample_latent
@@ -66,7 +64,7 @@ def test_whole_loss_graph_across_the_config_space(gan_mode, batchnorm):
             loss_d = discriminator_loss(disc_forward(model, real, training=True), d_fake)
             li_disc, li_cont = mi_lower_bound(q_post, lat, spec)
             bundle = infogan_losses(loss_d, generator_loss(d_fake, gan_mode), li_disc, li_cont, 1.0, 0.1)
-            return ad.weighted_sum([bundle.loss_d, bundle.gq_objective], (1.0, 1.0))
+            return autodiff.weighted_sum([bundle.loss_d, bundle.gq_objective], (1.0, 1.0))
 
         worst = max(worst, grad_check(loss, list(model.params.values()), GRAD_STEP))
     assert worst <= 1e-5
