@@ -213,7 +213,13 @@ def _make_templates() -> np.ndarray:
 
 def synth_templates(k: int, n: int, noise_sigma: float, rng: np.random.Generator) -> Dataset:
     """8x8 template dataset: k bar/diagonal shapes, cyclic horizontal shift
-    dx ~ uniform{-2..2}, gaussian pixel noise, clamped to [0,1]."""
+    dx ~ uniform{-2..2}, gaussian pixel noise, clamped to [0,1].
+
+    The images are built in the returned array: each row is gathered from a
+    table of every template under every shift, then the noise is added and
+    the clamp applied in place, so the noise draw is the only other
+    dataset-sized array held.
+    """
     if k not in (2, 3, 4):
         raise UsageError(f"template count must be 2, 3 or 4, got {k}")
     if n < k:
@@ -221,12 +227,15 @@ def synth_templates(k: int, n: int, noise_sigma: float, rng: np.random.Generator
     templates = _make_templates()[:k]
     idx = rng.integers(0, k, size=n)
     dx = rng.integers(-2, 3, size=n)
-    noise = rng.normal(0.0, noise_sigma, size=(n, 64)) if noise_sigma > 0 else np.zeros((n, 64))
 
-    base = templates[idx]  # (n, 8, 8)
-    col = (np.arange(8)[None, :] - dx[:, None]) % 8
-    shifted = base[np.arange(n)[:, None, None], np.arange(8)[None, :, None], col[:, None, :]]
-    images = np.clip(shifted.reshape(n, 64) + noise, 0.0, 1.0)
+    # table[t, s] is template t shifted s - 2 columns to the right, cyclically
+    table = np.stack([np.roll(templates, s, axis=2) for s in range(-2, 3)], axis=1).reshape(k, 5, 64)
+    images = table[idx, dx + 2]
+    if noise_sigma > 0:
+        # one whole draw, not chunks: freeing a block this large raises glibc's mmap threshold,
+        # so a training step's arrays are then reused from the heap instead of faulted in afresh
+        images += rng.normal(0.0, noise_sigma, size=(n, 64))
+    np.clip(images, 0.0, 1.0, out=images)
     return Dataset(images=images, labels=idx.astype(np.int64), dims=(8, 8), provenance=f"toy(k={k},sigma={noise_sigma})")
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor, UsageError, grad_check
 from .latent import CodeBlock, LatentSpec, sample_latent
-from .models import NetConfig, disc_forward, disc_q_forward, gen_forward, init_models
+from .models import ModelPair, NetConfig, disc_forward, disc_q_forward, gen_forward, init_models
 from .objectives import discriminator_loss, generator_loss, infogan_losses, mi_lower_bound
 
 GRAD_STEP = 1e-6  # central finite-difference step of every check here
@@ -130,6 +130,18 @@ def op_grad_checks(n_seeds: int = 100, base_seed: int = 1234) -> dict[str, float
     return worst
 
 
+def redraw_biases(model: ModelPair, rng: np.random.Generator) -> None:
+    """Draw every bias and batchnorm beta from N(0, 0.5), in parameter order.
+
+    A fresh model's zero biases leave relu and lrelu inputs within a probe
+    step of their kink, where a central difference is no derivative; shifts
+    of order one move them clear.
+    """
+    for name, t in model.params.items():
+        if name.endswith((".b", ".beta")):
+            t.data[...] = rng.normal(0.0, 0.5, t.shape)
+
+
 def full_loss_graph_check(n_seeds: int = 100, base_seed: int = 99) -> float:
     """grad_check over every parameter of a 2-unit model through the whole
     objective (D loss plus generator objective with both information terms)."""
@@ -146,6 +158,7 @@ def full_loss_graph_check(n_seeds: int = 100, base_seed: int = 99) -> float:
         gen_cfg = NetConfig(widths=(spec.gen_input_dim, 2, image_dim))
         dq_cfg = NetConfig(widths=(image_dim, 2), q_hidden=2)
         model = init_models(gen_cfg, dq_cfg, spec, rng)
+        redraw_biases(model, rng)
         lat = sample_latent(spec, 3, rng)
         real = rng.uniform(0.0, 1.0, (3, image_dim))
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,32 @@ class TestSynthTemplates:
         vbars = ds.images[ds.labels == 1]
         col_signatures = {tuple(np.nonzero(img.reshape(8, 8).sum(axis=0))[0]) for img in vbars}
         assert len(col_signatures) == 5  # dx in {-2..2}
+
+    @pytest.mark.parametrize(
+        "k, n, sigma, seed, digest",
+        [
+            (4, 8192, 0.05, 0, "006a4830d2c59f6cfbf7b02869ffe72419f30872c0b1684823e8f11798f2676b"),
+            (3, 500, 0.05, 9, "76ddf6218db7c3b9b60861413af2f64ec8ab5a0fc977cc5151cfa3e7463bf9a3"),
+            (2, 400, 0.0, 1, "1a56adf9e9c6e771d231bc891db1b54d706efa31f929903519fd1e225f059b01"),
+        ],
+    )
+    def test_golden_bytes(self, k, n, sigma, seed, digest):
+        # the draw order (template, shift, then one noise draw) and the arithmetic fix every byte
+        ds = synth_templates(k, n, sigma, np.random.default_rng(seed))
+        assert ds.images.dtype == np.float64 and ds.images.shape == (n, 64) and ds.images.flags.c_contiguous
+        assert hashlib.sha256(ds.images.tobytes() + ds.labels.tobytes()).hexdigest() == digest
+
+    def test_peak_memory_stays_near_the_images(self):
+        # the images are built in the returned array: beyond it, only the noise draw is held at once
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            ds = synth_templates(4, 8192, 0.05, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = peak / ds.images.nbytes
+        assert ratio <= 2.25, f"traced peak {ratio:.2f}x the images"
 
 
 CHECKPOINT_GOLDEN_SHA256 = "b6e0b26ba5f8081dc814b0a3f98e346267567a7387799ac08aeaf5f81c67e4b6"

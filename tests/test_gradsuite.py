@@ -5,9 +5,9 @@ import inspect
 import numpy as np
 import pytest
 
-from infogan_lab import autodiff
+from infogan_lab import autodiff, gradsuite
 from infogan_lab.autodiff import OP_CATALOGUE, Tensor, UsageError, grad_check
-from infogan_lab.gradsuite import _OP_CASES, GRAD_STEP, full_loss_graph_check, op_grad_checks
+from infogan_lab.gradsuite import _OP_CASES, GRAD_STEP, full_loss_graph_check, op_grad_checks, redraw_biases
 from infogan_lab.latent import CodeBlock, LatentSpec, sample_latent
 from infogan_lab.models import NetConfig, disc_forward, disc_q_forward, gen_forward, init_models
 from infogan_lab.objectives import GAN_MODES, discriminator_loss, generator_loss, infogan_losses, mi_lower_bound
@@ -36,6 +36,20 @@ def test_full_graph_passes_on_a_few_seeds():
     assert full_loss_graph_check(n_seeds=3) <= 1e-5
 
 
+def test_full_graph_probes_no_zero_parameter(monkeypatch):
+    # a zero bias puts relu and lrelu inputs within a probe step of their kink, so every
+    # parameter the check probes, biases included, must be drawn away from zero
+    probed = []
+
+    def record(loss_builder, params, step):
+        probed.extend(p.data.copy() for p in params)
+        return 0.0
+
+    monkeypatch.setattr(gradsuite, "grad_check", record)
+    full_loss_graph_check(n_seeds=3)
+    assert probed and all(np.all(p != 0.0) for p in probed)
+
+
 @pytest.mark.parametrize("batchnorm", [False, True])
 @pytest.mark.parametrize("gan_mode", GAN_MODES)
 def test_whole_loss_graph_across_the_config_space(gan_mode, batchnorm):
@@ -49,12 +63,7 @@ def test_whole_loss_graph_across_the_config_space(gan_mode, batchnorm):
     for seed in range(10):
         rng = np.random.default_rng(700 + seed)
         model = init_models(gen_cfg, dq_cfg, spec, rng)
-        # the zero biases and betas of a fresh model leave relu and lrelu inputs within a probe
-        # step of their kink, where a central difference is no derivative; shifts of order one move
-        # them clear (at seed 702 without batchnorm, zero biases gave 5.5e-3 on q_head.l0.b)
-        for name, t in model.params.items():
-            if name.endswith((".b", ".beta")):
-                t.data[...] = rng.normal(0.0, 0.5, t.shape)
+        redraw_biases(model, rng)  # at seed 702 without batchnorm, zero biases gave 5.5e-3 on q_head.l0.b
         lat = sample_latent(spec, 3, rng)
         real = Tensor(rng.uniform(0.0, 1.0, (3, image_dim)))
 
