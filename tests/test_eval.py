@@ -1,5 +1,6 @@
 """Oracles: sampling-identity lemma, channel bound, estimates, classifier, traversals."""
 
+import hashlib
 import itertools
 import os
 import re
@@ -29,6 +30,7 @@ from infogan_lab.evaluate import (
 )
 from infogan_lab.latent import CodeBlock
 from infogan_lab.models import init_models
+from infogan_lab.trainer import train_step
 
 
 def toy_model(seed=0, k=4, image_dim=64, cont_blocks=1):
@@ -419,3 +421,52 @@ class TestTraversalGrid:
             traversal_grid(model, 9, [0], 1, np.random.default_rng(0), (8, 8), str(tmp_path / "x.pgm"))
         with pytest.raises(UsageError):
             traversal_grid(model, 0, [7], 1, np.random.default_rng(0), (8, 8), str(tmp_path / "y.pgm"))
+
+
+class TestGoldenEvaluation:
+    """Pins what the evaluation suite reads from a fixed-seed toy model after 40 steps.
+
+    The traversal grids, the bound estimate and the classifier's predictions
+    run G and Q end to end, so a refactor of the latent/model/objective data
+    path that claims to keep every bit must leave these values exactly as
+    they are.
+    """
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        model, cfg = toy_model(seed=30, cont_blocks=2)
+        ds = synth_templates(4, 512, 0.05, np.random.default_rng(31))
+        rng, adam_states = np.random.default_rng(32), {}
+        for _ in range(40):
+            train_step(model, ds.batch(rng.integers(0, len(ds), 16)), cfg, rng, adam_states)
+        return model, ds
+
+    @pytest.mark.parametrize("block, values, digest", [
+        (0, [0, 1, 2, 3], "c9b2facba04541e853c1c3bc337f6c913b25715bccdb335f35cab983bcee377c"),
+        (1, [-2.0, -1.0, 0.0, 1.0, 2.0], "52acaffce08634b4752c7befdda3f6432f30af30bd11d788d53726b1f779b606"),
+    ])
+    def test_traversal_grid_bytes(self, trained, tmp_path, block, values, digest):
+        path = tmp_path / "grid.pgm"
+        traversal_grid(trained[0], block, values, 3, np.random.default_rng(33 + block), (8, 8), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_mi_estimate_floats(self, trained):
+        model, _ = trained
+        est = estimate_mi_bound(model, model.spec, 1000, np.random.default_rng(35))
+        assert vars(est) == {
+            "li_disc": -0.0015651052303045088, "se_disc": 0.0018729568656293983,
+            "li_cont": -0.6687044075245037, "se_cont": 0.00823078222771231,
+            "h_disc": 1.3862943611198906, "h_cont": 1.3862943611198906, "n_samples": 1000,
+        }
+
+    def test_classifier_predictions(self, trained):
+        model, ds = trained
+        # a one-image dataset labeled 0 maps the image's predicted category to class 0
+        preds = []
+        for i in range(len(ds)):
+            one = Dataset(images=ds.images[i : i + 1], labels=np.zeros(1, dtype=np.int64), dims=ds.dims, provenance="x")
+            (category,) = categorical_classifier_eval(model, one, 0)[1]
+            preds.append(category)
+        digest = hashlib.sha256(np.asarray(preds, dtype=np.int64).tobytes()).hexdigest()
+        assert digest == "46184a5ea15dfb0e927b8cfba0bcc467b5b5f7b905ab8006eceb4c0b2b553e11"
+        assert categorical_classifier_eval(model, ds, 0) == (0.673828125, {0: 3, 1: 0, 2: 2, 3: 1})
