@@ -41,9 +41,7 @@ from .latent import (
     CodeBlock,
     LatentBatch,
     LatentSpec,
-    QPosteriorParams,
     SpecError,
-    entropy,
     log_q,
     one_hot,
     sample_latent,

@@ -144,7 +144,8 @@ def _parse_bool(value: str) -> bool:
 
 
 def _parse_int_list(value: str) -> tuple[int, ...]:
-    return tuple(int(p.strip()) for p in value.split(",") if p.strip())
+    # an empty entry ("128,,256", ",128") fails int(""); an empty value is the empty list, which the field rejects
+    return tuple(int(p) for p in value.split(",")) if value else ()
 
 
 # annotated field type -> (parse the value text, render the field value); a parse raises ValueError

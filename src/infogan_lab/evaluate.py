@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import Tensor, UsageError
 from .data_io import Dataset, write_image_grid
-from .latent import LatentBatch, LatentSpec, entropy, log_q, one_hot, sample_latent
+from .latent import LatentSpec, log_q, one_hot, sample_latent
 from .models import ModelPair, gen_forward, q_forward
 
 MI_CHUNK = 512  # latent draws per generator and Q pass in estimate_mi_bound
@@ -49,16 +49,14 @@ def estimate_mi_bound(
 ) -> MiEstimate:
     if n_samples < 100:
         raise UsageError(f"need at least 100 samples for a stable SE, got {n_samples}")
-    ent = entropy(spec)
     disc_samples: list[np.ndarray] = []
     cont_samples: list[np.ndarray] = []
     remaining = n_samples
     while remaining > 0:
         b = min(MI_CHUNK, remaining)
         lat = sample_latent(spec, b, rng)
-        x = gen_forward(model, lat, training=False)
-        q_post = q_forward(model, x, training=False)
-        lq_disc, lq_cont = log_q(q_post, lat)
+        x = gen_forward(model, lat.g_input, training=False)
+        lq_disc, lq_cont = log_q(q_forward(model, x, training=False), lat)
         if lq_disc is not None:
             disc_samples.append(lq_disc.data.ravel())
         if lq_cont is not None:
@@ -71,17 +69,9 @@ def estimate_mi_bound(
         v = np.concatenate(parts)
         return float(v.mean() + h), float(v.std(ddof=1) / np.sqrt(len(v)))
 
-    li_disc, se_disc = _summary(disc_samples, ent.discrete)
-    li_cont, se_cont = _summary(cont_samples, ent.continuous)
-    return MiEstimate(
-        li_disc=li_disc,
-        se_disc=se_disc,
-        li_cont=li_cont,
-        se_cont=se_cont,
-        h_disc=ent.discrete,
-        h_cont=ent.continuous,
-        n_samples=n_samples,
-    )
+    # li_disc, se_disc, li_cont, se_cont
+    return MiEstimate(*_summary(disc_samples, spec.h_disc), *_summary(cont_samples, spec.h_cont),
+                      h_disc=spec.h_disc, h_cont=spec.h_cont, n_samples=n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +313,7 @@ def traversal_grid(
     s = len(values)
     g_input = np.repeat(base.g_input.data, s, axis=0)
     g_input[:, spec.noise_dim :][:, sl] = np.tile(sweep, (rows, 1))  # codes follow the noise columns
-    batch = LatentBatch(spec=spec, c_raw=[], g_input=Tensor(g_input))
-    images = gen_forward(model, batch, training=False).data
+    images = gen_forward(model, Tensor(g_input), training=False).data
     write_image_grid(images, rows, s, dims, path)
 
 
@@ -418,8 +407,8 @@ def categorical_classifier_eval(
     preds = np.empty(len(dataset), dtype=np.int64)
     for start in range(0, len(dataset), CLASSIFIER_CHUNK):
         stop = min(start + CLASSIFIER_CHUNK, len(dataset))
-        q_post = q_forward(model, Tensor(dataset.batch(slice(start, stop))), training=False)
-        preds[start:stop] = np.argmax(q_post.blocks[block].data, axis=1)
+        logits = q_forward(model, Tensor(dataset.batch(slice(start, stop))), training=False)[block]
+        preds[start:stop] = np.argmax(logits.data, axis=1)
 
     counts = np.zeros((k, n_classes))
     np.add.at(counts, (preds, dataset.labels), 1.0)

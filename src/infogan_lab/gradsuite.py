@@ -163,12 +163,12 @@ def full_loss_graph_check(n_seeds: int = 100, base_seed: int = 99) -> float:
         real = rng.uniform(0.0, 1.0, (3, image_dim))
 
         def loss(_params):
-            fake = gen_forward(model, lat, training=True)
-            d_fake, q_post = disc_q_forward(model, fake, training=True)
+            fake = gen_forward(model, lat.g_input, training=True)
+            d_fake, q = disc_q_forward(model, fake, training=True)
             d_real = disc_forward(model, Tensor(real), training=True)
             loss_d = discriminator_loss(d_real, d_fake)
             loss_g = generator_loss(d_fake, "nonsaturating")
-            li_disc, li_cont = mi_lower_bound(q_post, lat, spec)
+            li_disc, li_cont = mi_lower_bound(q, lat)
             bundle = infogan_losses(loss_d, loss_g, li_disc, li_cont, 1.0, 0.1)
             return ad.weighted_sum([bundle.loss_d, bundle.gq_objective], (1.0, 1.0))
 

@@ -1,14 +1,15 @@
 """Latent specification: structured codes c plus incompressible noise z.
 
 A spec is an ordered list of code blocks (categorical / uniform / gaussian)
-with a factored prior, so the total code entropy is the sum of per-block
-closed forms. Sampling, one-hot encoding, analytic entropies and the
-recognition-model log-likelihood log Q(c|x) all live here.
+with a factored prior, so each code family's entropy is a sum of per-block
+closed forms. Sampling, one-hot encoding, analytic entropies and log Q(c|x)
+live here; ``log_q`` takes Q's outputs as a plain tuple, one entry per
+block, and checks each entry's kind and width against its block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,6 +65,8 @@ class CodeBlock:
 
     @staticmethod
     def categorical(k: int, probs=None) -> "CodeBlock":
+        if k < 2:
+            raise SpecError(f"categorical block needs >= 2 categories, got {k}")
         if probs is None:
             probs = [1.0 / k] * k
         return CodeBlock(kind="categorical", probs=tuple(float(p) for p in probs))
@@ -142,20 +145,12 @@ def parse_block_token(token: str) -> CodeBlock:
 
 
 @dataclass(frozen=True)
-class EntropyBreakdown:
-    per_block: tuple[float, ...]
-    discrete: float
-    continuous: float
-    total: float
-
-
-@dataclass(frozen=True)
 class LatentSpec:
     """Ordered code blocks plus the unstructured noise dimension.
 
-    The constants every forward pass reads (``gen_input_dim``,
-    ``signature()`` and the :func:`entropy` breakdown) are computed once,
-    when the spec is built.
+    The constants every forward pass reads are computed once, when the spec
+    is built: ``gen_input_dim``, and ``h_disc`` and ``h_cont``, the
+    closed-form H(c) of the categorical and of the continuous blocks (nats).
     """
 
     blocks: tuple[CodeBlock, ...]
@@ -168,16 +163,11 @@ class LatentSpec:
         if self.noise_kind not in ("normal", "uniform"):
             raise SpecError(f"noise_kind must be 'normal' or 'uniform', got '{self.noise_kind}'")
         blocks = tuple(self.blocks)
-        per_block = tuple(b.entropy() for b in blocks)
-        disc = sum(h for b, h in zip(blocks, per_block) if b.is_discrete)
-        cont = sum(h for b, h in zip(blocks, per_block) if not b.is_discrete)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "encoded_dim", sum(b.encoded_dim for b in blocks))
         object.__setattr__(self, "gen_input_dim", self.noise_dim + self.encoded_dim)
-        object.__setattr__(self, "_signature", tuple((b.kind, b.encoded_dim) for b in blocks))
-        object.__setattr__(
-            self, "_entropy", EntropyBreakdown(per_block=per_block, discrete=disc, continuous=cont, total=disc + cont)
-        )
+        object.__setattr__(self, "h_disc", sum(b.entropy() for b in blocks if b.is_discrete))
+        object.__setattr__(self, "h_cont", sum(b.entropy() for b in blocks if not b.is_discrete))
 
     def encoded_slices(self) -> list[slice]:
         """Column ranges of each block inside the encoded code matrix."""
@@ -186,15 +176,6 @@ class LatentSpec:
             out.append(slice(start, start + b.encoded_dim))
             start += b.encoded_dim
         return out
-
-    def signature(self) -> tuple:
-        """(kind, encoded width) per block: the structure Q's outputs must match."""
-        return self._signature
-
-
-def entropy(spec: LatentSpec) -> EntropyBreakdown:
-    """Closed-form H(c) per block plus family and grand totals (nats), as computed when ``spec`` was built."""
-    return spec._entropy
 
 
 def one_hot(indices: np.ndarray, k: int) -> np.ndarray:
@@ -215,10 +196,6 @@ class LatentBatch:
     c_raw: list[np.ndarray]   # per block: (B,) int indices or (B, dim) floats
     g_input: Tensor           # (B, noise_dim + encoded_dim)
 
-    @property
-    def batch_size(self) -> int:
-        return self.g_input.shape[0]
-
 
 def sample_latent(spec: LatentSpec, batch: int, rng: np.random.Generator) -> LatentBatch:
     """Draw z and every code block i.i.d. from its prior (deterministic given rng state)."""
@@ -232,39 +209,22 @@ def sample_latent(spec: LatentSpec, batch: int, rng: np.random.Generator) -> Lat
     encoded: list[np.ndarray] = []
     for block in spec.blocks:
         if block.kind == "categorical":
-            idx = rng.choice(block.k, size=batch, p=np.asarray(block.probs))
-            raw.append(idx)
-            encoded.append(one_hot(idx, block.k))
+            v = rng.choice(block.k, size=batch, p=np.asarray(block.probs))
         elif block.kind == "uniform":
             v = rng.uniform(block.lo, block.hi, (batch, block.dim))
-            raw.append(v)
-            encoded.append(v)
         else:
             v = block.mean + block.sigma * rng.standard_normal((batch, block.dim))
-            raw.append(v)
-            encoded.append(v)
+        raw.append(v)
+        encoded.append(one_hot(v, block.k) if block.is_discrete else v)
     return LatentBatch(spec=spec, c_raw=raw, g_input=Tensor(np.concatenate([z, *encoded], axis=1)))
 
 
-@dataclass
-class QPosteriorParams:
-    """Recognition-head outputs, one entry of ``blocks`` per code block in spec order.
-
-    A categorical block's entry is its (B,K) logits; a continuous block's
-    entry is a diagonal Gaussian's (mu, log_sigma), each (B,dim). Sigma is
-    always exp(log_sigma), hence strictly positive.
-    """
-
-    spec: LatentSpec
-    blocks: list[Tensor | tuple[Tensor, Tensor]] = field(default_factory=list)
-
-    def check_against(self, spec: LatentSpec) -> None:
-        if self.spec.signature() != spec.signature() or len(self.blocks) != len(spec.blocks):
-            raise UsageError("QPosteriorParams does not match the latent spec structure")
-
-
-def log_q(params: QPosteriorParams, batch: LatentBatch) -> tuple[Tensor | None, Tensor | None]:
+def log_q(q: tuple, batch: LatentBatch) -> tuple[Tensor | None, Tensor | None]:
     """Per-sample log Q(c|x), split into (discrete, continuous) columns of shape (B,1).
+
+    ``q`` holds Q's output per code block, in spec order: (B,K) logits, or
+    a ``(mu, log_sigma)`` pair of (B,dim). A wrong or missing entry raises
+    ``UsageError`` naming the block.
 
     Discrete part: the fused ``categorical_log_q`` op, the log-softmax of
     the block logits at the sampled category; continuous part: the fused
@@ -273,16 +233,30 @@ def log_q(params: QPosteriorParams, batch: LatentBatch) -> tuple[Tensor | None, 
     ``weighted_sum`` adds up a family's blocks; a family with none is None.
     Differentiable w.r.t. logits, mu and log_sigma (and through them x).
     """
-    params.check_against(batch.spec)
-    b = batch.batch_size
+    blocks = batch.spec.blocks
+    if len(q) > len(blocks):
+        raise UsageError(f"Q gives {len(q)} outputs for {len(blocks)} code blocks")
+    b = batch.g_input.shape[0]
     disc, cont = [], []
-    for block, out, raw in zip(batch.spec.blocks, params.blocks, batch.c_raw, strict=True):
+    for i, (block, raw) in enumerate(zip(blocks, batch.c_raw, strict=True)):
+        want = (b, block.k) if block.is_discrete else ((b, block.dim),) * 2
+        got = _shapes(q[i]) if i < len(q) else "nothing"
+        if got != want:
+            what = "logits" if block.is_discrete else "a (mu, log_sigma) pair"
+            raise UsageError(f"Q output for block {i} ('{block.to_token()}') must be {what} of shape {want}, got {got}")
         if block.is_discrete:
-            disc.append(ad.categorical_log_q(out, raw))
+            disc.append(ad.categorical_log_q(q[i], raw))
         else:
             c = ad.const(np.asarray(raw, dtype=np.float64).reshape(b, block.dim))
-            cont.append(ad.gaussian_log_q(c, *out))
+            cont.append(ad.gaussian_log_q(c, *q[i]))
     return _family_sum(disc), _family_sum(cont)
+
+
+def _shapes(out) -> tuple | str:
+    """The shapes an entry of Q's outputs holds, nested as given: (B, K), or ((B, dim), (B, dim)) for a pair."""
+    if isinstance(out, tuple):
+        return tuple(map(_shapes, out))
+    return out.shape if isinstance(out, Tensor) else type(out).__name__
 
 
 def _family_sum(parts: list[Tensor]) -> Tensor | None:

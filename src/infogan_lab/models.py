@@ -5,7 +5,9 @@ Everything is a fully connected stack at desk scale; each layer is one
 trunk. ``disc_q_forward`` runs the trunk once and feeds both heads, so the
 recognition model adds only its own head's cost; ``disc_forward`` and
 ``q_forward`` run the trunk and one head, for callers that read only the D
-logit (the discriminator step) or only Q (evaluation).
+logit (the discriminator step) or only Q (evaluation). Q's outputs are a
+tuple in spec order: (B,K) logits per categorical code, a (mu, log sigma)
+pair of (B,dim) tensors per continuous one.
 
 Parameters live in four clock blocks (``gen``, ``trunk``, ``d_head``,
 ``q_head``), the units Adam steps. Each block is one flat float64 vector,
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, ShapeError, Tensor
-from .latent import LatentBatch, LatentSpec, QPosteriorParams
+from .latent import LatentSpec
 
 LOG_SIGMA_BOUND = 7.0  # |log sigma| cap before exponentiation
 LRELU_RATE = 0.1  # leak of the trunk's and the Q head's lrelu; the generator uses relu
@@ -215,13 +217,11 @@ def _dense(layer: Dense, x: Tensor, training: bool) -> Tensor:
     return h if layer.bn is None else ad.batchnorm(h, *layer.bn, training)
 
 
-def gen_forward(model: ModelPair, batch: LatentBatch, training: bool = True) -> Tensor:
-    """G(z, c): the batch's ``g_input`` matrix through the stack, sigmoid pixels in (0,1)."""
-    if batch.spec.gen_input_dim != model.gen_cfg.widths[0]:
-        raise ShapeError(
-            f"latent batch input dim {batch.spec.gen_input_dim} != generator input {model.gen_cfg.widths[0]}"
-        )
-    h = batch.g_input
+def gen_forward(model: ModelPair, g_input: Tensor, training: bool = True) -> Tensor:
+    """G(z, c): the (B, noise_dim + encoded_dim) input matrix through the stack, sigmoid pixels in (0,1)."""
+    if g_input.shape[1] != model.gen_cfg.widths[0]:
+        raise ShapeError(f"latent input width {g_input.shape[1]} != generator input {model.gen_cfg.widths[0]}")
+    h = g_input
     *hidden, out = model.gen_layers
     for layer in hidden:
         h = ad.relu(_dense(layer, h, training))
@@ -237,18 +237,16 @@ def _trunk(model: ModelPair, x: Tensor, training: bool) -> Tensor:
     return h
 
 
-def _q_head(model: ModelPair, h: Tensor, training: bool) -> QPosteriorParams:
+def _q_head(model: ModelPair, h: Tensor, training: bool) -> tuple:
     hq = ad.lrelu(_dense(model.q_l0, h, training), LRELU_RATE)
-    q = QPosteriorParams(spec=model.spec)
+    q = []
     for block, out in zip(model.spec.blocks, model.q_outs):
         if block.is_discrete:
-            q.blocks.append(_dense(out, hq, training))
+            q.append(_dense(out, hq, training))
         else:
-            mu_layer, s_layer = out
-            mu = _dense(mu_layer, hq, training)
-            s_raw = _dense(s_layer, hq, training)
-            q.blocks.append((mu, ad.clip(s_raw, -LOG_SIGMA_BOUND, LOG_SIGMA_BOUND)))
-    return q
+            mu, s_raw = (_dense(layer, hq, training) for layer in out)
+            q.append((mu, ad.clip(s_raw, -LOG_SIGMA_BOUND, LOG_SIGMA_BOUND)))
+    return tuple(q)
 
 
 def disc_forward(model: ModelPair, x: Tensor, training: bool = True) -> Tensor:
@@ -256,16 +254,16 @@ def disc_forward(model: ModelPair, x: Tensor, training: bool = True) -> Tensor:
     return _dense(model.d_out, _trunk(model, x, training), training)
 
 
-def q_forward(model: ModelPair, x: Tensor, training: bool = True) -> QPosteriorParams:
-    """The recognition posterior parameters alone: the trunk and the Q head, no D head."""
+def q_forward(model: ModelPair, x: Tensor, training: bool = True) -> tuple:
+    """Q's outputs alone, one entry per code block: the trunk and the Q head, no D head."""
     return _q_head(model, _trunk(model, x, training), training)
 
 
-def disc_q_forward(model: ModelPair, x: Tensor, training: bool = True) -> tuple[Tensor, QPosteriorParams]:
+def disc_q_forward(model: ModelPair, x: Tensor, training: bool = True) -> tuple[Tensor, tuple]:
     """One shared trunk pass, then the D head (one logit) and the Q head.
 
-    Returns the (B,1) discriminator logit and the recognition posterior
-    parameters; log sigma is clamped to +/-7 before any exponentiation.
+    Returns the (B,1) discriminator logit and Q's outputs, one entry per
+    code block; log sigma is clamped to +/-7 before any exponentiation.
     """
     h = _trunk(model, x, training)
     return _dense(model.d_out, h, training), _q_head(model, h, training)

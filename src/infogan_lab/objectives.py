@@ -4,7 +4,8 @@ Each term is one op, so the code reads like the paper's objective: each
 cross-entropy term of V(D, G) is one overflow-free ``sigmoid_cross_entropy``
 (mean -log sigmoid(x) for label 1, mean -log(1 - sigmoid(x)) for label 0),
 and each sum of terms, L_I = E[log Q(c|x)] + H(c) and the generator
-objective loss_G - lambda*L_I among them, is one ``weighted_sum``.
+objective loss_G - lambda*L_I among them, is one ``weighted_sum``. H(c)
+per family is the spec's closed-form ``h_disc`` or ``h_cont``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from . import autodiff as ad
 from .autodiff import Tensor, UsageError
-from .latent import LatentBatch, LatentSpec, QPosteriorParams, entropy, log_q
+from .latent import LatentBatch, log_q
 
 GAN_MODES = ("minimax", "nonsaturating")
 
@@ -37,15 +38,14 @@ def generator_loss(d_fake_logits: Tensor, mode: str = "nonsaturating") -> Tensor
     return ad.sigmoid_cross_entropy(d_fake_logits, 1)
 
 
-def mi_lower_bound(q_params: QPosteriorParams, batch: LatentBatch, spec: LatentSpec) -> tuple[Tensor, Tensor]:
+def mi_lower_bound(q: tuple, batch: LatentBatch) -> tuple[Tensor, Tensor]:
     """Single-sample Monte-Carlo estimate of the bound, split by code family.
 
-    Per family: batch mean of log Q(c|x) plus that family's analytic
-    entropy. Families without blocks report exactly zero.
+    Per family: batch mean of log Q(c|x) (``q`` as ``log_q`` takes it) plus
+    that family's analytic entropy. Families without blocks report exactly zero.
     """
-    lq_disc, lq_cont = log_q(q_params, batch)
-    ent = entropy(spec)
-    return _bound(lq_disc, ent.discrete), _bound(lq_cont, ent.continuous)
+    lq_disc, lq_cont = log_q(q, batch)
+    return _bound(lq_disc, batch.spec.h_disc), _bound(lq_cont, batch.spec.h_cont)
 
 
 def _bound(lq: Tensor | None, h: float) -> Tensor:

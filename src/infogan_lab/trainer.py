@@ -195,7 +195,7 @@ def d_step(model: ModelPair, real_images: np.ndarray, cfg: TrainingConfig, laten
     d_side = [model.blocks["trunk"], model.blocks["d_head"]]
     # fakes for the D step need no generator gradient: keep them off the tape
     lat = sample_latent(model.spec, real_images.shape[0], latent_rng)
-    fake = gen_forward(model, lat, training=True)
+    fake = gen_forward(model, lat.g_input, training=True)
     with Tape() as tape:
         d_real = disc_forward(model, Tensor(real_images), training=True)
         d_fake = disc_forward(model, fake, training=True)
@@ -214,10 +214,10 @@ def gq_step(model: ModelPair, loss_d: Tensor, cfg: TrainingConfig, batch: int, l
     gen, q_side = [model.blocks["gen"]], [model.blocks["trunk"], model.blocks["q_head"]]
     with Tape() as tape:
         lat = sample_latent(model.spec, batch, latent_rng)
-        fake = gen_forward(model, lat, training=True)
-        d_fake, q_post = disc_q_forward(model, fake, training=True)
+        fake = gen_forward(model, lat.g_input, training=True)
+        d_fake, q = disc_q_forward(model, fake, training=True)
         loss_g = generator_loss(d_fake, cfg.gan_mode)
-        li_disc, li_cont = mi_lower_bound(q_post, lat, model.spec)
+        li_disc, li_cont = mi_lower_bound(q, lat)
         bundle = infogan_losses(loss_d, loss_g, li_disc, li_cont, cfg.lambda_disc, cfg.lambda_cont)
         gen_grads = _block_grads(tape, bundle.gq_objective, gen)
         # the Q side ascends L_I: descend -(L_I_disc + L_I_cont)
@@ -239,16 +239,20 @@ def train_step(
 
     ``real_images`` is a batch of float pixels in [0, 1] or of ``uint8``
     bytes, which are scaled by 1/255 first (``data_io.float_pixels``); any
-    other integer or bool dtype raises ``TrainingError``.
+    other integer or bool dtype raises ``TrainingError``. So does a loss
+    that is not finite, and an op evaluated outside its domain.
     """
     if real_images.dtype.kind in "biu" and real_images.dtype != np.uint8:
         raise TrainingError(f"real images must be uint8 or floats in [0, 1], got dtype {real_images.dtype}")
     real_images = float_pixels(real_images)
-    loss_d = d_step(model, real_images, cfg, latent_rng, adam_states)
-    bundle = gq_step(model, loss_d, cfg, real_images.shape[0], latent_rng, adam_states)
+    where = f" at iteration {iteration}" if iteration is not None else ""
+    try:
+        loss_d = d_step(model, real_images, cfg, latent_rng, adam_states)
+        bundle = gq_step(model, loss_d, cfg, real_images.shape[0], latent_rng, adam_states)
+    except ad.DomainError as err:  # a value outside an op's domain, such as a NaN log sigma from diverged weights
+        raise TrainingError(f"{err}{where}") from err
     values = bundle.as_floats()
     if not all(np.isfinite(v) for v in values.values()):
-        where = f" at iteration {iteration}" if iteration is not None else ""
         raise TrainingError(f"non-finite loss{where}: {values}")
     return bundle
 

@@ -32,7 +32,7 @@ from infogan_lab.evaluate import (
     verify_lemma,
 )
 from infogan_lab.gradsuite import GRAD_STEP, full_loss_graph_check, op_grad_checks
-from infogan_lab.latent import CodeBlock, LatentSpec, entropy
+from infogan_lab.latent import CodeBlock, LatentSpec
 from infogan_lab.models import init_models
 from infogan_lab.trainer import rng_streams, train_run
 
@@ -335,5 +335,4 @@ class TestCriterion9Formats:
 
 def test_entropy_totals_are_consistent():
     spec = LatentSpec(blocks=(CodeBlock.categorical(10), CodeBlock.uniform(-1, 1)), noise_dim=4)
-    ent = entropy(spec)
-    assert abs(ent.total - (2.302585093 + 0.693147181)) < 1e-8
+    assert abs(spec.h_disc + spec.h_cont - (2.302585093 + 0.693147181)) < 1e-8

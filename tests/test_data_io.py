@@ -256,8 +256,8 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         batch = sample_latent(cfg.latent_spec(), 6, np.random.default_rng(8))
         np.testing.assert_array_equal(
-            gen_forward(model, batch, training=False).data,
-            gen_forward(loaded, batch, training=False).data,
+            gen_forward(model, batch.g_input, training=False).data,
+            gen_forward(loaded, batch.g_input, training=False).data,
         )
 
     def test_truncation_at_every_offset_is_format_error(self, tmp_path):

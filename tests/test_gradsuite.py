@@ -68,10 +68,10 @@ def test_whole_loss_graph_across_the_config_space(gan_mode, batchnorm):
         real = Tensor(rng.uniform(0.0, 1.0, (3, image_dim)))
 
         def loss(_params):
-            fake = gen_forward(model, lat, training=True)
-            d_fake, q_post = disc_q_forward(model, fake, training=True)
+            fake = gen_forward(model, lat.g_input, training=True)
+            d_fake, q = disc_q_forward(model, fake, training=True)
             loss_d = discriminator_loss(disc_forward(model, real, training=True), d_fake)
-            li_disc, li_cont = mi_lower_bound(q_post, lat, spec)
+            li_disc, li_cont = mi_lower_bound(q, lat)
             bundle = infogan_losses(loss_d, generator_loss(d_fake, gan_mode), li_disc, li_cont, 1.0, 0.1)
             return autodiff.weighted_sum([bundle.loss_d, bundle.gq_objective], (1.0, 1.0))
 

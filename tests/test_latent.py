@@ -1,6 +1,7 @@
 """Latent spec: sampling, entropies, one-hot coding, and log Q evaluation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +13,7 @@ from infogan_lab.autodiff import Tensor, UsageError
 from infogan_lab.latent import (
     CodeBlock,
     LatentSpec,
-    QPosteriorParams,
     SpecError,
-    entropy,
     log_q,
     one_hot,
     parse_block_token,
@@ -102,13 +101,11 @@ class TestEntropy:
 
     def test_totals_split_by_family(self):
         spec = spec_cat_unif()
-        ent = entropy(spec)
-        assert abs(ent.discrete - math.log(4)) < 1e-12
-        assert abs(ent.continuous - LN2) < 1e-12
-        assert abs(ent.total - ent.discrete - ent.continuous) < 1e-15
+        assert abs(spec.h_disc - math.log(4)) < 1e-12
+        assert abs(spec.h_cont - LN2) < 1e-12
 
     def test_spec_constants_match_a_fresh_computation(self):
-        # gen_input_dim, signature() and the entropy breakdown are computed once per spec
+        # gen_input_dim and the family entropies are computed once per spec, summed in block order
         blocks = (
             CodeBlock.categorical(3, [0.5, 0.25, 0.25]),
             CodeBlock.uniform(-2.0, 1.0, dim=2),
@@ -120,13 +117,8 @@ class TestEntropy:
         assert spec.blocks == blocks
         assert spec.encoded_dim == 3 + 2 + 3 + 10
         assert spec.gen_input_dim == 5 + 3 + 2 + 3 + 10
-        assert spec.signature() == (("categorical", 3), ("uniform", 2), ("gaussian", 3), ("categorical", 10))
-        ent = entropy(spec)
-        assert ent.per_block == per_block
-        assert ent.discrete == per_block[0] + per_block[3]
-        assert ent.continuous == per_block[1] + per_block[2]
-        assert ent.total == ent.discrete + ent.continuous
-        assert entropy(spec) is ent
+        assert spec.h_disc == per_block[0] + per_block[3]
+        assert spec.h_cont == per_block[1] + per_block[2]
 
 
 class TestSampling:
@@ -179,16 +171,16 @@ class TestOneHot:
 
 
 def _q_params_for(spec, logits=None, mu=None, s=None, batch=1):
-    q = QPosteriorParams(spec=spec)
+    q = []
     for block in spec.blocks:
         if block.is_discrete:
-            q.blocks.append(Tensor(logits if logits is not None else np.zeros((batch, block.k))))
+            q.append(Tensor(logits if logits is not None else np.zeros((batch, block.k))))
         else:
-            q.blocks.append((
+            q.append((
                 Tensor(mu if mu is not None else np.zeros((batch, block.dim))),
                 Tensor(s if s is not None else np.zeros((batch, block.dim))),
             ))
-    return q
+    return tuple(q)
 
 
 class TestLogQ:
@@ -223,20 +215,23 @@ class TestLogQ:
         disc, _ = log_q(q, batch)
         assert np.all(disc.data <= 0.0)
 
-    def test_structure_mismatch_rejected(self):
-        spec_a = LatentSpec(blocks=(CodeBlock.categorical(4),), noise_dim=0)
-        spec_b = LatentSpec(blocks=(CodeBlock.categorical(5),), noise_dim=0)
-        batch = sample_latent(spec_a, 2, np.random.default_rng(0))
-        q = _q_params_for(spec_b, batch=2)
-        with pytest.raises(UsageError):
-            log_q(q, batch)
-
-    def test_missing_block_rejected(self):
-        spec = spec_cat_unif(noise_dim=0)
+    @pytest.mark.parametrize("tokens, q, message", [
+        # (B, 5) logits for cat:4 once scored log(1/5): the content, not a copy of the spec, is checked
+        (["cat:4"], (Tensor(np.zeros((2, 5))),), "Q output for block 0 ('cat:4') must be logits of shape (2, 4), got (2, 5)"),
+        (["cat:4"], ((Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4)))),),
+         "Q output for block 0 ('cat:4') must be logits of shape (2, 4), got ((2, 4), (2, 4))"),
+        (["cat:3", "unif:-1:1"], (Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 1)))),
+         "Q output for block 1 ('unif:-1.0:1.0') must be a (mu, log_sigma) pair of shape ((2, 1), (2, 1)), got (2, 1)"),
+        (["gauss:0:1:2"], ((Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 1)))),),
+         "Q output for block 0 ('gauss:0.0:1.0:2') must be a (mu, log_sigma) pair of shape ((2, 2), (2, 2)), got ((2, 1), (2, 1))"),
+        (["cat:3", "unif:-1:1"], (Tensor(np.zeros((2, 3))),),
+         "Q output for block 1 ('unif:-1.0:1.0') must be a (mu, log_sigma) pair of shape ((2, 1), (2, 1)), got nothing"),
+        (["cat:3"], (Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))), "Q gives 2 outputs for 1 code blocks"),
+    ])
+    def test_output_that_does_not_fit_its_block_is_named(self, tokens, q, message):
+        spec = LatentSpec(blocks=tuple(map(parse_block_token, tokens)), noise_dim=0)
         batch = sample_latent(spec, 2, np.random.default_rng(0))
-        q = _q_params_for(spec, batch=2)
-        q.blocks.pop()
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             log_q(q, batch)
 
     def test_mc_neg_log_q_at_prior_estimates_entropy(self):
@@ -259,8 +254,7 @@ class TestLogQ:
             logits = Tensor(rng.normal(0, 1, (8, 4)))
             mu = Tensor(rng.normal(0, 1, (8, 1)))
             log_sigma = Tensor(rng.normal(0, 0.3, (8, 1)))
-            q = QPosteriorParams(spec=spec, blocks=[logits, (mu, log_sigma)])
-            disc, cont = log_q(q, batch)
+            disc, cont = log_q((logits, (mu, log_sigma)), batch)
             total = ad.weighted_sum([ad.reduce_mean(disc), ad.reduce_mean(cont)], (1.0, 1.0))
             grads = tape.backward(total, [logits, mu, log_sigma])
             for g in grads:

@@ -78,7 +78,7 @@ class TestInit:
             "q_head.cont1.mu.w", "q_head.cont1.mu.b", "q_head.cont1.s.w", "q_head.cont1.s.b",
         ]
         q = q_forward(model, Tensor(np.random.default_rng(1).uniform(0, 1, (5, 6))), training=False)
-        shapes = [b.shape if isinstance(b, Tensor) else tuple(t.shape for t in b) for b in q.blocks]
+        shapes = [b.shape if isinstance(b, Tensor) else tuple(t.shape for t in b) for b in q]
         assert shapes == [(5, 3), ((5, 1), (5, 1)), (5, 2), ((5, 2), (5, 2))]
 
     def test_biases_zero_weights_spread(self):
@@ -91,15 +91,15 @@ class TestGenForward:
     def test_outputs_strictly_inside_unit_interval(self):
         spec, model = small_setup()
         batch = sample_latent(spec, 32, np.random.default_rng(1))
-        out = gen_forward(model, batch, training=False)
+        out = gen_forward(model, batch.g_input, training=False)
         assert out.shape == (32, 64)
         assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
     def test_eval_mode_is_deterministic(self):
         spec, model = small_setup(batchnorm=True)
         batch = sample_latent(spec, 8, np.random.default_rng(2))
-        a = gen_forward(model, batch, training=False).data
-        b = gen_forward(model, batch, training=False).data
+        a = gen_forward(model, batch.g_input, training=False).data
+        b = gen_forward(model, batch.g_input, training=False).data
         np.testing.assert_array_equal(a, b)
 
     def test_gradient_through_continuous_code(self):
@@ -108,10 +108,16 @@ class TestGenForward:
         w = np.random.default_rng(4).normal(0, 1, (4, 64))
 
         def images(params):
-            return gen_forward(model, batch, training=False)
+            return gen_forward(model, batch.g_input, training=False)
 
         # every generator input column: the noise z and the encoded codes c
         assert grad_check(images, [batch.g_input], step=1e-6, readout=w) <= 1e-5
+
+    def test_wrong_input_width_names_both_widths(self):
+        spec, model = small_setup()
+        width = spec.gen_input_dim
+        with pytest.raises(ShapeError, match=rf"^latent input width {width + 1} != generator input {width}$"):
+            gen_forward(model, Tensor(np.zeros((3, width + 1))), training=False)
 
 
 class TestDiscQForward:
@@ -132,7 +138,7 @@ class TestDiscQForward:
         d_logit, q = disc_q_forward(model, x, training=False)
         assert disc_forward(model, x, training=False).data.tobytes() == d_logit.data.tobytes()
         q_only = q_forward(model, x, training=False)
-        (logits, (mu, s)), (logits_only, (mu_only, s_only)) = q.blocks, q_only.blocks
+        (logits, (mu, s)), (logits_only, (mu_only, s_only)) = q, q_only
         for a, b in ((logits, logits_only), (mu, mu_only), (s, s_only)):
             assert a.data.tobytes() == b.data.tobytes()
 
@@ -149,7 +155,7 @@ class TestDiscQForward:
         spec, model = small_setup()
         x = Tensor(np.random.default_rng(6).uniform(0, 1, (16, 64)))
         _, q = disc_q_forward(model, x, training=False)
-        _, log_sigma = q.blocks[1]
+        _, log_sigma = q[1]
         sigma = np.exp(log_sigma.data)
         assert np.all(sigma > 0.0)
         assert np.all(np.abs(log_sigma.data) <= 7.0)
@@ -159,7 +165,7 @@ class TestDiscQForward:
         model.params["q_head.cont0.s.b"].data[:] = 50.0  # force raw output past the cap
         x = Tensor(np.random.default_rng(7).uniform(0, 1, (4, 64)))
         _, q = disc_q_forward(model, x, training=False)
-        np.testing.assert_allclose(q.blocks[1][1].data, 7.0)
+        np.testing.assert_allclose(q[1][1].data, 7.0)
 
     def test_d_logit_finite_over_random_inputs(self):
         spec, model = small_setup()
@@ -173,8 +179,8 @@ class TestDiscQForward:
         x = np.random.default_rng(9).uniform(0, 1, (8, 64))
         _, qa = disc_q_forward(model, Tensor(x), training=False)
         _, qb = disc_q_forward(model, Tensor(x.copy()), training=False)
-        np.testing.assert_array_equal(qa.blocks[0].data, qb.blocks[0].data)
-        np.testing.assert_array_equal(qa.blocks[1][0].data, qb.blocks[1][0].data)
+        np.testing.assert_array_equal(qa[0].data, qb[0].data)
+        np.testing.assert_array_equal(qa[1][0].data, qb[1][0].data)
 
     def test_wrong_image_dim_rejected(self):
         spec, model = small_setup()

@@ -8,7 +8,7 @@ import pytest
 
 from infogan_lab import autodiff as ad
 from infogan_lab.autodiff import Tensor, UsageError, grad_check
-from infogan_lab.latent import CodeBlock, LatentSpec, QPosteriorParams, sample_latent
+from infogan_lab.latent import CodeBlock, LatentSpec, sample_latent
 from infogan_lab.objectives import (
     discriminator_loss,
     generator_loss,
@@ -71,42 +71,33 @@ class TestGanLossValues:
 
 class TestMiLowerBound:
     def _setup(self, k=10, batch=32, seed=0):
-        spec = LatentSpec(blocks=(CodeBlock.categorical(k),), noise_dim=0)
-        lat = sample_latent(spec, batch, np.random.default_rng(seed))
-        return spec, lat
+        return sample_latent(LatentSpec(blocks=(CodeBlock.categorical(k),), noise_dim=0), batch, np.random.default_rng(seed))
 
     def test_uniform_q_gives_zero(self):
-        spec, lat = self._setup()
-        q = QPosteriorParams(spec=spec, blocks=[Tensor(np.zeros((32, 10)))])
-        li_disc, li_cont = mi_lower_bound(q, lat, spec)
+        lat = self._setup()
+        li_disc, li_cont = mi_lower_bound((Tensor(np.zeros((32, 10))),), lat)
         assert abs(float(li_disc)) < 1e-12
         assert float(li_cont) == 0.0
 
     def test_sharp_correct_q_approaches_log_k(self):
-        spec, lat = self._setup()
+        lat = self._setup()
         onehot = np.zeros((32, 10))
         onehot[np.arange(32), lat.c_raw[0]] = 1.0
         # logits so large the softmax puts ~1-1e-9 on the sampled category
-        q = QPosteriorParams(spec=spec, blocks=[Tensor(onehot * 60.0)])
-        li_disc, _ = mi_lower_bound(q, lat, spec)
+        li_disc, _ = mi_lower_bound((Tensor(onehot * 60.0),), lat)
         assert abs(float(li_disc) - math.log(10)) < 1e-9
 
     def test_discrete_bound_never_exceeds_entropy(self):
-        spec, lat = self._setup(k=4, batch=128, seed=5)
+        lat = self._setup(k=4, batch=128, seed=5)
         rng = np.random.default_rng(6)
         for _ in range(25):
-            q = QPosteriorParams(spec=spec, blocks=[Tensor(rng.normal(0, 5, (128, 4)))])
-            li_disc, _ = mi_lower_bound(q, lat, spec)
+            li_disc, _ = mi_lower_bound((Tensor(rng.normal(0, 5, (128, 4))),), lat)
             assert float(li_disc) <= math.log(4) + 1e-9
 
     def test_continuous_closed_form_composition(self):
         spec = LatentSpec(blocks=(CodeBlock.uniform(-1, 1),), noise_dim=0)
         lat = sample_latent(spec, 16, np.random.default_rng(2))
-        q = QPosteriorParams(
-            spec=spec,
-            blocks=[(Tensor(np.asarray(lat.c_raw[0])), Tensor(np.zeros((16, 1))))],
-        )
-        _, li_cont = mi_lower_bound(q, lat, spec)
+        _, li_cont = mi_lower_bound(((Tensor(np.asarray(lat.c_raw[0])), Tensor(np.zeros((16, 1)))),), lat)
         assert abs(float(li_cont) - (-0.918939 + LN2)) < 1e-5
 
 

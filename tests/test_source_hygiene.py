@@ -1,9 +1,10 @@
-"""Static checks on the package source: no unused import, no orphaned private name.
+"""Static checks on the package source: no unused import, no orphaned private or dead public name.
 
-Both rules read the syntax tree only (stdlib ``ast``), so they catch what a
-deletion leaves behind: an import whose last use went, or a module-level
-``_helper`` that nothing calls any more. A last check keeps the op count
-that the docs state equal to the catalogue's.
+The rules read the syntax tree only (stdlib ``ast``), so they catch what a
+deletion leaves behind: an import whose last use went, a module-level
+``_helper`` that nothing calls any more, or a public name that nothing
+reads but the package's re-exports. A last check keeps the op count that
+the docs state equal to the catalogue's.
 """
 
 import ast
@@ -17,6 +18,9 @@ from infogan_lab import autodiff
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "infogan_lab"
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+# where a public name may be read; the package's __init__ only re-exports, so it is not among them
+READERS = [path for d in ("src/infogan_lab", "tests", "demos", "perfbench") for path in sorted((ROOT / d).glob("*.py"))
+           if path != SRC / "__init__.py"]
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -31,8 +35,8 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [name for name in bound if name not in read]
 
 
-def private_definitions(tree: ast.Module) -> list[str]:
-    """Module-level ``_names`` the module defines: functions, classes and assigned names, not dunders."""
+def definitions(tree: ast.Module) -> list[str]:
+    """Module-level names the module defines: functions, classes and assigned names."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -40,7 +44,17 @@ def private_definitions(tree: ast.Module) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+    return names
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level ``_names`` the module defines, not dunders."""
+    return [n for n in definitions(tree) if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """Module-level names the module defines without a leading underscore."""
+    return [n for n in definitions(tree) if not n.startswith("_")]
 
 
 def references(tree: ast.Module) -> set[str]:
@@ -69,15 +83,26 @@ def test_every_module_level_private_name_is_referenced_in_the_package():
     assert orphans == []
 
 
+def test_every_module_level_public_name_is_read_beyond_the_package_exports():
+    read = set().union(*(references(ast.parse(path.read_text(), filename=str(path))) for path in READERS))
+    dead = [f"{module}:{name}" for module, tree in TREES.items() if module != "__init__.py"
+            for name in public_definitions(tree) if name not in read]
+    assert dead == []
+
+
 def test_both_rules_catch_what_a_deletion_leaves_behind():
     tree = ast.parse(
         "import math\nimport numpy as np\nfrom .models import Dense, _layout\n"
         "_LIMIT = 3\n_cache: dict = {}\n"
         "def _kept():\n    return np.zeros(_LIMIT)\n"
         "def _orphan():\n    return _kept()\n"
+        "class Breakdown:\n    total: float\n"
+        "def entropy(spec):\n    return spec.total\n"
+        "def totals(spec):\n    return Breakdown(entropy(spec))\n"
     )
     assert unused_imports(tree) == ["math", "Dense", "_layout"]
     assert [n for n in private_definitions(tree) if n not in references(tree)] == ["_cache", "_orphan"]
+    assert [n for n in public_definitions(tree) if n not in references(tree)] == ["totals"]
 
 
 def test_docs_state_the_catalogue_size():

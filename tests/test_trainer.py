@@ -8,15 +8,18 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from infogan_lab import autodiff, trainer
+from infogan_lab import autodiff, config, trainer
 from infogan_lab.config import ConfigError, TrainingConfig, parse_config, render_config
-from infogan_lab.latent import CodeBlock, parse_block_token
+from infogan_lab.latent import CodeBlock, SpecError, parse_block_token
 from infogan_lab.models import ParamBlock
 from infogan_lab.trainer import (
     AdamState,
@@ -292,6 +295,19 @@ class TestTrainStep:
         train_step(model, ds.images[:8], cfg, rngs["latent"], states)
         moved = sum(np.any(model.params[n].data != before[n]) for n in before)
         assert moved == len(before)
+
+    def test_op_outside_its_domain_is_a_training_error_naming_the_iteration(self, tmp_path):
+        from infogan_lab.data_io import synth_templates
+        from infogan_lab.models import init_models
+
+        cfg = tiny_cfg(tmp_path)
+        rngs = rng_streams(cfg.seed)
+        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
+        model = init_models(*cfg.net_configs(), cfg.latent_spec(), rngs["init"])
+        model.params["q_head.cont0.s.b"].data[:] = np.nan  # as weights that diverged would leave it
+        message = r"^gaussian_log_q: exp\(-2\*log_sigma\) overflow \(min log_sigma nan\) at iteration 7$"
+        with pytest.raises(TrainingError, match=message):
+            train_step(model, ds.images[:8], cfg, rngs["latent"], {}, iteration=7)
 
     @staticmethod
     def _default_step_inputs():
@@ -898,6 +914,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^line 2: bad value for {key}: '{re.escape(value)}'$"):
             parse_config(f"iterations = 3\n{line}\n")
 
+    @pytest.mark.parametrize("widths", ["128,,256", "128,", ",128"])
+    @pytest.mark.parametrize("key", ["gen_layers", "trunk_layers"])
+    def test_empty_width_entry_names_its_line_and_key(self, key, widths):
+        with pytest.raises(ConfigError, match=rf"^line 2: bad value for {key}: '{widths}'$"):
+            parse_config(f"iterations = 3\n{key} = {widths}\n")
+
     def test_key_given_twice_names_both_lines(self):
         with pytest.raises(ConfigError, match=r"^line 4: key 'seed' repeats line 1$"):
             parse_config("seed = 1\ncode = cat:4\ncode = cat:2\nseed = 2\n")
@@ -920,6 +942,60 @@ class TestConfig:
 
     def test_empty_config_is_valid(self):
         assert parse_config("") == TrainingConfig()
+
+
+# Values drawn per config format (``config._FORMATS``), kept small enough for a 3-step run:
+# widths <= 32, batch_size <= 16 and toy_samples <= 256. Floats run from the ordinary to the extreme.
+_FLOATS = st.one_of(st.floats(1e-8, 0.999), st.sampled_from([0.0, -1.0, 1e3, 1e300, 1e-300, math.inf, math.nan]))
+_VALUES = {
+    "int": st.integers(-1, 16),
+    "float": _FLOATS,
+    "tuple[int, ...]": st.lists(st.integers(0, 32), max_size=3).map(tuple),
+    "bool | None": st.booleans(),
+}
+# keys whose values need a range of their own
+_PER_KEY = {
+    "toy_samples": st.integers(-1, 256),
+    "q_hidden": st.integers(0, 32),
+    # each str key's words, and one that none of them takes
+    "dataset": st.sampled_from(["toy", "mnist", "other"]),
+    "gan_mode": st.sampled_from(["minimax", "nonsaturating", "other"]),
+    "noise_kind": st.sampled_from(["normal", "uniform", "other"]),
+}
+# the run length and every path are fixed by the test: 3 steps, and no MNIST file to find
+_FIXED = ("iterations", "checkpoint_out", "metrics_out", "mnist_images", "mnist_labels")
+_KEY_LINES = {
+    f.name: (_PER_KEY[f.name] if f.name in _PER_KEY else _VALUES[f.type]).map(
+        lambda v, f=f: f"{f.name} = {config._FORMATS[f.type][1](v)}")
+    for f in dataclasses.fields(TrainingConfig) if f.name != "codes" and f.name not in _FIXED
+}
+# a few keys per config, so that about a third of the configs parse and train
+_CONFIG_LINES = st.lists(st.sampled_from(sorted(_KEY_LINES)), max_size=6, unique=True).flatmap(
+    lambda keys: st.tuples(*(_KEY_LINES[key] for key in keys)))
+# code tokens: cat:K[:p,...], unif:lo:hi[:dim], gauss:mean:sigma[:dim]
+_DIM = st.sampled_from(["", ":0", ":1", ":2", ":3"])
+_PROBS = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4).filter(lambda w: sum(w) > 0).map(
+    lambda w: [x / sum(w) for x in w])
+_CODE_TOKENS = st.one_of(
+    st.integers(0, 5).map(lambda k: f"cat:{k}"),
+    _PROBS.map(lambda p: f"cat:{len(p)}:" + ",".join(map(repr, p))),
+    st.tuples(_FLOATS, _FLOATS, _DIM).map(lambda t: f"unif:{min(t[:2])!r}:{max(t[:2])!r}{t[2]}"),
+    st.tuples(_FLOATS, _FLOATS, _DIM).map(lambda t: f"gauss:{t[0]!r}:{t[1]!r}{t[2]}"),
+)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=_CONFIG_LINES, codes=st.lists(_CODE_TOKENS, max_size=3))
+def test_every_config_that_parses_trains_three_steps_or_names_its_fault(lines, codes):
+    with tempfile.TemporaryDirectory() as tmp:
+        fixed = ["iterations = 3", *(f"{key} = {os.path.join(tmp, key)}" for key in _FIXED[1:])]
+        text = "\n".join([*lines, *(f"code = {token}" for token in codes), *fixed]) + "\n"
+        try:
+            cfg = parse_config(text)
+            _, trace = train_run(cfg)
+        except (ConfigError, SpecError, TrainingError):
+            return
+    assert trace.rows and np.all(np.isfinite([row[1:] for row in trace.rows])), text
 
 
 def test_rng_streams_are_independent_and_stable():
