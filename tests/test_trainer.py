@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infogan_lab import autodiff, config, trainer
@@ -984,7 +984,7 @@ _CODE_TOKENS = st.one_of(
 )
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=30, deadline=None)
 @given(lines=_CONFIG_LINES, codes=st.lists(_CODE_TOKENS, max_size=3))
 def test_every_config_that_parses_trains_three_steps_or_names_its_fault(lines, codes):
     with tempfile.TemporaryDirectory() as tmp:
