@@ -67,6 +67,7 @@ __all__ = [
     "gaussian_log_q",
     "reduce_mean",
     "batchnorm",
+    "platform_key",
 ]
 
 
@@ -643,3 +644,30 @@ def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6, readout=N
             if err > max_err:
                 max_err = err
     return max_err
+
+
+def platform_key() -> str:
+    """The arithmetic a bit-level pin holds on, e.g. ``numpy 2.4.6 / X86_V4 / SkylakeX``.
+
+    It names numpy's version, the highest ``X86_V*`` level its loops
+    dispatch to, and the OpenBLAS core its matmuls run. numpy's
+    transcendental loops and BLAS kernels round differently across these,
+    so a fingerprint taken under one key need not hold under another. A
+    part that cannot be read is ``unknown``.
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    built = {*getattr(umath, "__cpu_baseline__", ()), *getattr(umath, "__cpu_dispatch__", ())}
+    features = getattr(umath, "__cpu_features__", {})
+    levels = [v for v in ("X86_V2", "X86_V3", "X86_V4") if v in built and features.get(v)]
+    try:
+        corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    except (OSError, AttributeError, UnicodeDecodeError):
+        core = "unknown"
+    return f"numpy {np.__version__} / {levels[-1] if levels else 'unknown'} / {core}"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -682,3 +683,19 @@ def test_forward_determinism_same_seed():
         return y.data
 
     np.testing.assert_array_equal(run(), run())
+
+
+def test_platform_key_names_numpy_its_dispatch_level_and_blas_core():
+    key = ad.platform_key()
+    assert re.fullmatch(rf"numpy {re.escape(np.__version__)} / (X86_V[234]|unknown) / \S+", key), key
+
+
+def test_platform_key_reads_an_unknown_blas_core_as_unknown(monkeypatch):
+    # a numpy whose BLAS exports no core name (or none at all) must still give a key
+    import ctypes
+
+    def no_library(path):
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert ad.platform_key().endswith(" / unknown")

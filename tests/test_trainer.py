@@ -470,7 +470,7 @@ class TestTrainRun:
         b_csv = open(tmp_path / "b.csv", "rb").read()
         assert a_csv == b_csv
 
-    def test_short_run_fingerprint(self, tmp_path):
+    def test_short_run_fingerprint(self, tmp_path, pinned_on):
         # sha256 of the metrics CSV of a 200-iteration default run: pins the exact arithmetic of the hot path
         cfg = TrainingConfig(
             iterations=200,
@@ -480,9 +480,9 @@ class TestTrainRun:
         )
         train_run(cfg)
         digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
-        assert digest == "88249bbb68b1b8172228b3e4a10ba0e789bc5794da70e3e726a4c9179684d664"
+        assert digest == "88249bbb68b1b8172228b3e4a10ba0e789bc5794da70e3e726a4c9179684d664", pinned_on
 
-    def test_short_batchnorm_run_fingerprint(self, tmp_path):
+    def test_short_batchnorm_run_fingerprint(self, tmp_path, pinned_on):
         # the same for a 100-iteration batchnorm run (default categorical and uniform codes), plus
         # the final parameters and running statistics: pins the batchnorm backward rule's arithmetic
         cfg = TrainingConfig(
@@ -494,7 +494,7 @@ class TestTrainRun:
         )
         model, _ = train_run(cfg)
         digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
-        assert digest == "df6300850241f17958a9b27eef0a1688a5fa96326e8124d36401918c303a2c97"
+        assert digest == "df6300850241f17958a9b27eef0a1688a5fa96326e8124d36401918c303a2c97", pinned_on
         state = hashlib.sha256()
         for name in sorted(model.params):
             state.update(model.params[name].data.tobytes())
@@ -502,9 +502,9 @@ class TestTrainRun:
             state.update(model.bn_states[name].running_mean.tobytes())
             state.update(model.bn_states[name].running_var.tobytes())
         assert sorted(model.bn_states) == ["gen.bn0", "gen.bn1", "q_head.bn0", "trunk.bn1"]
-        assert state.hexdigest() == "ce719cc0d3e356ef2fe5bcafa18eb5a18bffff85024b77b677079cc15f0e73d0"
+        assert state.hexdigest() == "ce719cc0d3e356ef2fe5bcafa18eb5a18bffff85024b77b677079cc15f0e73d0", pinned_on
 
-    def test_short_minimax_multi_block_run_fingerprint(self, tmp_path):
+    def test_short_minimax_multi_block_run_fingerprint(self, tmp_path, pinned_on):
         # the paths the default pins miss: the minimax generator loss, a sum over two categorical
         # blocks in log Q, and the Gaussian log Q of a two-dimensional gauss code
         cfg = TrainingConfig(
@@ -525,8 +525,8 @@ class TestTrainRun:
         state = hashlib.sha256()
         for name in sorted(model.params):
             state.update(model.params[name].data.tobytes())
-        assert digest == "5159467863817515dc61691b158992b0035e9f20f1cdcc743ffb60c5e85d676e"
-        assert state.hexdigest() == "b618662b12caf48b425b688c660c2c3d1c8202be2859599469e3eb6aadd67b83"
+        assert digest == "5159467863817515dc61691b158992b0035e9f20f1cdcc743ffb60c5e85d676e", pinned_on
+        assert state.hexdigest() == "b618662b12caf48b425b688c660c2c3d1c8202be2859599469e3eb6aadd67b83", pinned_on
 
     def test_logs_at_requested_cadence(self, tmp_path):
         cfg = tiny_cfg(tmp_path, iterations=7, log_every=3)
