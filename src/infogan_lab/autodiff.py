@@ -36,6 +36,16 @@ an op call there costs its numpy work plus one rule lookup. Every forward
 rule's output is a fresh C-contiguous float64 array, so ``forward_op`` wraps
 it as returned instead of re-validating it, and shape-check messages are
 only formatted when a check fails.
+
+Every forward rule also takes one optional leading probe axis, which
+``grad_check`` uses to run all probes of a parameter as one pass: K probes
+of a scalar come as (K,), of a (B,F) batch as (K,B,F), and of a 1-D
+parameter as (K,1,F). Rules broadcast over that axis and reductions keep
+it, so slice k of a stacked output is the unstacked output at probe k, bit
+for bit; stacked and unstacked inputs mix where they differ only by the
+axis. A rank-3 input is a probe stack. Stacked calls are never taped, and
+every rule tests the unstacked shapes first, so a training step pays
+nothing for the axis.
 """
 
 from __future__ import annotations
@@ -276,16 +286,59 @@ class Tape:
 # bool per input (is that input live in the sweep) and a multi-input rule
 # returns None for every input it is not asked for.
 # A single-input rule only runs when its input is live.
+# A forward rule also takes the probe axis of the module docstring; a
+# backward rule only ever sees unstacked arrays.
 # ---------------------------------------------------------------------------
 
 _LN_2PI = float(np.log(2.0 * np.pi))
 _min_reduce, _max_reduce = np.minimum.reduce, np.maximum.reduce  # skip ndarray.min/max's Python wrappers
 
 
+def _stacked_shape(shape: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The shape of ``k`` probes of a ``shape`` array on a leading probe axis; a 1-D array stacks as (k, 1, F)."""
+    return (k, 1, *shape) if len(shape) == 1 else (k, *shape)
+
+
+def _probe_cores(arrs, ranks) -> list[tuple[int, ...]] | None:
+    """Each input's shape with its probe axis taken off, or None if the inputs form no probe stack.
+
+    An input of core rank r comes as is, or stacked as ``_stacked_shape``
+    gives; every stacked input must carry the same probe count.
+    """
+    cores, counts = [], set()
+    for a, r in zip(arrs, ranks):
+        core = a.shape[a.ndim - r:]
+        if a.ndim > r and a.shape == _stacked_shape(core, a.shape[0]):
+            counts.add(a.shape[0])
+        elif a.ndim != r:
+            return None
+        cores.append(core)
+    return cores if len(counts) <= 1 else None
+
+
+def _is_probe_pair(shapes: set) -> bool:
+    """Whether ``shapes`` holds exactly one shape and its probe stack."""
+    if len(shapes) != 2:
+        return False
+    core, stacked = sorted(shapes, key=len)
+    return stacked == _stacked_shape(core, stacked[0])
+
+
+def _mean(x):
+    # np.add.reduce is what ndarray.mean runs for float64, without its Python wrapper; a rank-3
+    # input is a probe stack, and each probe's entries are reduced as one contiguous row
+    if x.ndim != 3:
+        return np.asarray(np.add.reduce(x, axis=None) / x.size)
+    rows = x.reshape(x.shape[0], -1)
+    return np.add.reduce(rows, axis=1) / rows.shape[1]
+
+
 def _f_linear(arrs, attrs):
     x, w, b = arrs
     if not (x.ndim == 2 and w.ndim == 2 and x.shape[1] == w.shape[0] and b.shape == (w.shape[1],)):
-        raise ShapeError(f"linear: needs (B,I) @ (I,O) + (O,), got {x.shape} @ {w.shape} + {b.shape}")
+        cores = _probe_cores(arrs, (2, 2, 1))
+        if cores is None or not (cores[0][1] == cores[1][0] and cores[2] == (cores[1][1],)):
+            raise ShapeError(f"linear: needs (B,I) @ (I,O) + (O,), got {x.shape} @ {w.shape} + {b.shape}")
     return x @ w + b, (x, w)
 
 
@@ -300,12 +353,13 @@ def _b_linear(g, node, need):
 
 def _f_weighted_sum(arrs, attrs):
     weights = attrs["weights"]
-    if len(weights) != len(arrs) or len({x.shape for x in arrs}) != 1:
+    shapes = {x.shape for x in arrs}
+    if len(weights) != len(arrs) or len(shapes) != 1 and not _is_probe_pair(shapes):
         shapes = ", ".join(str(x.shape) for x in arrs)
         raise ShapeError(f"weighted_sum: needs one weight per input and equal shapes, got {len(weights)} weights for shapes {shapes}")
     # scalar loss terms fold as Python floats: the same IEEE products and sums, without
     # numpy's per-call cost; the fold runs left to right, the order the fingerprints pin
-    xs = [x.item() for x in arrs] if arrs[0].ndim == 0 else arrs
+    xs = [x.item() for x in arrs] if len(shapes) == 1 and arrs[0].ndim == 0 else arrs
     out = xs[0] * weights[0]
     for i in range(1, len(xs)):
         out = out + xs[i] * weights[i]
@@ -372,7 +426,7 @@ def _f_sigmoid_cross_entropy(arrs, attrs):
     if label not in (0, 1):
         raise DomainError(f"sigmoid_cross_entropy: label must be 0 or 1, got {label!r}")
     sx = arrs[0] * -1.0 if label == 1 else arrs[0]
-    return np.asarray(np.add.reduce(np.logaddexp(0.0, sx), axis=None) / sx.size), sx
+    return _mean(np.logaddexp(0.0, sx)), sx
 
 
 def _b_sigmoid_cross_entropy(g, node, need):
@@ -385,17 +439,17 @@ def _f_categorical_log_q(arrs, attrs):
     # log-softmax of each row of logits at that row's index, shape (B,1)
     logits = arrs[0]
     index = attrs["index"]
-    if not (logits.ndim == 2 and index.shape == (logits.shape[0],) and index.dtype.kind in "iu"):
+    if not (logits.ndim in (2, 3) and index.shape == logits.shape[-2:-1] and index.dtype.kind in "iu"):
         raise ShapeError(
             f"categorical_log_q: needs (B,K) logits and B integer indices, got {logits.shape} and {index.dtype} {index.shape}"
         )
     # a negative index wraps to a huge unsigned value, so one max checks both ends
-    if index.size and _max_reduce(index.astype(np.uint64, copy=False)) >= logits.shape[1]:
-        raise DomainError(f"categorical_log_q: index outside [0, {logits.shape[1]}) (min {index.min()}, max {index.max()})")
+    if index.size and _max_reduce(index.astype(np.uint64, copy=False)) >= logits.shape[-1]:
+        raise DomainError(f"categorical_log_q: index outside [0, {logits.shape[-1]}) (min {index.min()}, max {index.max()})")
     # max-shifted rows and their log-sum-exp: never -inf for sane logits
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return shifted[np.arange(len(index)), index][:, None] - lse, (shifted, lse)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted[..., np.arange(len(index)), index][..., None] - lse, (shifted, lse)
 
 
 def _b_categorical_log_q(g, node, need):
@@ -423,13 +477,15 @@ def _f_gaussian_log_q(arrs, attrs):
     # per-row sum over dims of log N(c; mu, exp(log_sigma)^2), shape (B,1)
     c, mu, log_sigma = arrs
     if not (c.ndim == 2 and c.shape == mu.shape == log_sigma.shape):
-        raise ShapeError(
-            f"gaussian_log_q: c, mu and log_sigma must share one (B,D) shape, got {c.shape}, {mu.shape} and {log_sigma.shape}"
-        )
+        cores = _probe_cores(arrs, (2, 2, 2))
+        if cores is None or not cores[0] == cores[1] == cores[2]:
+            raise ShapeError(
+                f"gaussian_log_q: c, mu and log_sigma must share one (B,D) shape, got {c.shape}, {mu.shape} and {log_sigma.shape}"
+            )
     diff = c - mu
     inv_var = _gaussian_inv_var(log_sigma)
     elem = -0.5 * _LN_2PI - log_sigma - 0.5 * (diff * diff) * inv_var
-    return elem.sum(axis=1, keepdims=True), (diff, inv_var)
+    return elem.sum(axis=-1, keepdims=True), (diff, inv_var)
 
 
 def _b_gaussian_log_q(g, node, need):
@@ -442,11 +498,8 @@ def _b_gaussian_log_q(g, node, need):
     ]
 
 
-# np.add.reduce is what ndarray.sum and ndarray.mean run for float64, so
-# these are bitwise-equal to them without the methods' Python wrappers.
 def _f_reduce_mean(arrs, attrs):
-    x = arrs[0]
-    return np.asarray(np.add.reduce(x, axis=None) / x.size), x.shape
+    return _mean(arrs[0]), arrs[0].shape
 
 
 def _b_reduce_mean(g, node, need):
@@ -455,11 +508,12 @@ def _b_reduce_mean(g, node, need):
 
 def _batch_moments(x):
     # x.mean(axis=0) and x.var(axis=0) in numpy's own order, without its Python wrappers;
-    # the centered batch is returned too, so train mode subtracts the mean once
-    n = x.shape[0]
-    mean = np.add.reduce(x, axis=0) / n
+    # the centered batch is returned too, so train mode subtracts the mean once. A (K,B,F)
+    # probe stack gets (K,1,F) moments, each probe's from its own batch.
+    n = x.shape[-2]
+    mean = np.add.reduce(x, axis=-2, keepdims=x.ndim == 3) / n
     centered = x - mean
-    var = np.add.reduce(np.square(centered), axis=0) / n
+    var = np.add.reduce(np.square(centered), axis=-2, keepdims=x.ndim == 3) / n
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     return mean, var, inv_std, centered
 
@@ -467,13 +521,17 @@ def _batch_moments(x):
 def _f_batchnorm(arrs, attrs):
     x, gamma, beta = arrs
     state: BatchNormState = attrs["state"]
-    if x.ndim != 2:
-        raise ShapeError(f"batchnorm: needs (B,F) input, got {x.shape}")
-    if not (gamma.shape == (x.shape[1],) and beta.shape == (x.shape[1],)):
-        raise ShapeError(f"batchnorm: scale/shift must be ({x.shape[1]},), got {gamma.shape} and {beta.shape}")
+    unstacked = x.ndim == 2 and gamma.shape == (x.shape[1],) and beta.shape == (x.shape[1],)
+    if not unstacked:
+        if x.ndim not in (2, 3):
+            raise ShapeError(f"batchnorm: needs (B,F) input, got {x.shape}")
+        cores = _probe_cores(arrs, (2, 1, 1))
+        if cores is None or not cores[1] == cores[2] == (x.shape[-1],):
+            raise ShapeError(f"batchnorm: scale/shift must be ({x.shape[-1]},), got {gamma.shape} and {beta.shape}")
     if attrs["training"]:
         mean, var, inv_std, centered = _batch_moments(x)
-        state.update(mean, var)
+        if unstacked:  # a probe stack folds nothing into the running moments
+            state.update(mean, var)
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         centered = x - state.running_mean
@@ -600,41 +658,63 @@ def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6, readout=N
     analytic side is one vector-Jacobian product with cotangent ``w``; a
     random ``w`` checks every output entry's gradient at once. The error
     metric per coordinate is ``|analytic - numeric| / max(1, |analytic|,
-    |numeric|)``; a non-finite analytic or numeric value makes it inf. Every
-    probed coordinate is restored, also when ``loss_builder`` raises.
+    |numeric|)``; a non-finite analytic or numeric value makes it inf.
+
+    The builder runs once taped, twice for the determinism probe, and then
+    once per parameter tensor: all 2n probes of an n-entry tensor (each
+    coordinate at ``orig + step`` and at ``orig - step``) run as one pass,
+    stacked on a leading probe axis that every forward rule carries (see
+    ``_stacked_shape``). So the builder must read each parameter through
+    its ``Tensor``, and its output must be of the unstacked output's shape
+    (it does not depend on that parameter) or that shape's probe stack;
+    anything else is a ``UsageError``. Each probe's value is read from its
+    slice as an unstacked pass would read it, so every error is the one
+    that 2n separate passes give, bit for bit. A stacked pass is not taped,
+    and a train-mode batchnorm in it folds nothing into its running
+    moments. Every parameter is restored, also when ``loss_builder`` raises.
     """
     if not (0.0 < step <= 1e-3):
         raise UsageError(f"grad_check: step must be in (0, 1e-3], got {step}")
-    if readout is None:
-        def value() -> float:
-            return float(loss_builder(params))
-    else:
+    if readout is not None:
         readout = np.asarray(readout, dtype=np.float64)
 
-        def value() -> float:
-            return float(np.vdot(readout, loss_builder(params).data))
+    def value(out: np.ndarray) -> float:
+        return out.item() if readout is None else float(np.vdot(readout, out))
+
     # the taped pass first: backward rejects a readout not of the output's shape by name
     with Tape() as tape:
         analytic = tape.backward(loss_builder(params), params, readout)
+    out = loss_builder(params).data
+    first, second = value(out), value(loss_builder(params).data)
     # written so that NaN equals NaN: a builder that is NaN every time is deterministic (its error is inf)
-    first, second = value(), value()
     if first != second and not (math.isnan(first) and math.isnan(second)):
         raise UsageError("grad_check: loss_builder is not deterministic across forward passes")
 
     max_err = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.data.ravel()
+    for j, (p, ga) in enumerate(zip(params, analytic)):
+        orig, n = p.data, p.data.size
+        # row i is coordinate i at orig + step and row n + i at orig - step; every other entry is orig
+        probes = np.tile(orig.ravel(), (2 * n, 1))
+        diag = np.arange(n)
+        probes[diag, diag] += step
+        probes[diag + n, diag] -= step
+        p.data = probes.reshape(_stacked_shape(orig.shape, 2 * n))
+        try:
+            stacked = loss_builder(params).data
+        finally:
+            p.data = orig
+        if stacked.shape == _stacked_shape(out.shape, 2 * n):
+            f = [value(row) for row in stacked]
+        elif stacked.shape == out.shape:
+            f = [value(stacked)] * (2 * n)
+        else:
+            raise UsageError(
+                f"grad_check: the stacked pass of parameter {j} gave shape {stacked.shape}, neither the output "
+                f"shape {out.shape} nor its stack of {2 * n} probes {_stacked_shape(out.shape, 2 * n)}"
+            )
         ga_flat = ga.ravel().tolist()  # Python floats: inf - inf is NaN without a numpy warning
-        for i in range(flat.size):
-            orig = flat[i]
-            try:
-                flat[i] = orig + step
-                f_plus = value()
-                flat[i] = orig - step
-                f_minus = value()
-            finally:
-                flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
+        for i in range(n):
+            numeric = (f[i] - f[n + i]) / (2.0 * step)
             a = ga_flat[i]
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
             # NaN or inf in a or numeric leaves err NaN or inf; NaN fails every

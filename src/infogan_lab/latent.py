@@ -253,10 +253,13 @@ def log_q(q: tuple, batch: LatentBatch) -> tuple[Tensor | None, Tensor | None]:
 
 
 def _shapes(out) -> tuple | str:
-    """The shapes an entry of Q's outputs holds, nested as given: (B, K), or ((B, dim), (B, dim)) for a pair."""
+    """The shapes an entry of Q's outputs holds, nested as given: (B, K), or ((B, dim), (B, dim)) for a pair.
+
+    Only the trailing two axes count, so a probe stack of outputs (K, B, ...) checks as one output.
+    """
     if isinstance(out, tuple):
         return tuple(map(_shapes, out))
-    return out.shape if isinstance(out, Tensor) else type(out).__name__
+    return out.shape[-2:] if isinstance(out, Tensor) else type(out).__name__
 
 
 def _family_sum(parts: list[Tensor]) -> Tensor | None:

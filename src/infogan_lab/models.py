@@ -219,8 +219,8 @@ def _dense(layer: Dense, x: Tensor, training: bool) -> Tensor:
 
 def gen_forward(model: ModelPair, g_input: Tensor, training: bool = True) -> Tensor:
     """G(z, c): the (B, noise_dim + encoded_dim) input matrix through the stack, sigmoid pixels in (0,1)."""
-    if g_input.shape[1] != model.gen_cfg.widths[0]:
-        raise ShapeError(f"latent input width {g_input.shape[1]} != generator input {model.gen_cfg.widths[0]}")
+    if g_input.shape[-1] != model.gen_cfg.widths[0]:
+        raise ShapeError(f"latent input width {g_input.shape[-1]} != generator input {model.gen_cfg.widths[0]}")
     h = g_input
     *hidden, out = model.gen_layers
     for layer in hidden:
@@ -229,8 +229,8 @@ def gen_forward(model: ModelPair, g_input: Tensor, training: bool = True) -> Ten
 
 
 def _trunk(model: ModelPair, x: Tensor, training: bool) -> Tensor:
-    if x.shape[1] != model.dq_cfg.widths[0]:
-        raise ShapeError(f"input dim {x.shape[1]} != trunk input {model.dq_cfg.widths[0]}")
+    if x.shape[-1] != model.dq_cfg.widths[0]:
+        raise ShapeError(f"input dim {x.shape[-1]} != trunk input {model.dq_cfg.widths[0]}")
     h = x
     for layer in model.trunk_layers:
         h = ad.lrelu(_dense(layer, h, training), LRELU_RATE)

@@ -297,6 +297,60 @@ def test_forward_outputs_are_fresh_c_contiguous_float64(monkeypatch):
     assert seen == set(OP_CATALOGUE)
 
 
+PROBES = 7  # a probe count that equals no dimension of any op case
+
+
+@pytest.mark.parametrize("case", sorted(_OP_CASES))
+def test_each_probe_of_a_stacked_forward_is_its_unstacked_forward_bit_for_bit(case):
+    # grad_check runs all probes of a parameter as one pass, stacked on a leading axis: slice k of
+    # the stacked output must be the unstacked output at probe k, so an op that reduced over the
+    # probe axis, or broadcast a stacked input the wrong way, fails here
+    rng = np.random.default_rng(17)
+    params, builder, _ = _OP_CASES[case](rng)
+    for j, p in enumerate(params):
+        orig = p.data
+        probes = orig + rng.normal(0.0, 0.1, (PROBES, *orig.shape))
+        p.data = probes.reshape(ad._stacked_shape(orig.shape, PROBES))
+        stacked = builder(params).data
+        p.data = orig
+        assert stacked.dtype == np.float64 and stacked.flags["C_CONTIGUOUS"], (case, j)
+        for k in range(PROBES):
+            p.data = np.ascontiguousarray(probes[k])
+            single = builder(params).data
+            p.data = orig
+            assert stacked.shape == ad._stacked_shape(single.shape, PROBES), (case, j)
+            assert stacked[k].tobytes() == single.tobytes(), (case, j, k)
+
+
+_STACKED_SHAPE_ERRORS = [
+    # two stacked inputs whose probe counts differ
+    (lambda: ad.linear(_ones(7, 3, 4), _ones(5, 4, 2), _ones(2)),
+     "linear: needs (B,I) @ (I,O) + (O,), got (7, 3, 4) @ (5, 4, 2) + (2,)"),
+    # a stacked 1-D parameter is (K, 1, F), not (K, F)
+    (lambda: ad.linear(_ones(3, 4), _ones(4, 2), _ones(7, 2)),
+     "linear: needs (B,I) @ (I,O) + (O,), got (3, 4) @ (4, 2) + (7, 2)"),
+    (lambda: ad.weighted_sum([_ones(7, 3, 4), _ones(3, 5)], (1.0, 1.0)),
+     "weighted_sum: needs one weight per input and equal shapes, got 2 weights for shapes (7, 3, 4), (3, 5)"),
+    (lambda: ad.weighted_sum([_ones(7), _ones(5)], (1.0, 1.0)),
+     "weighted_sum: needs one weight per input and equal shapes, got 2 weights for shapes (7,), (5,)"),
+    (lambda: ad.categorical_log_q(_ones(7, 2, 3), np.zeros(3, dtype=np.int64)),
+     "categorical_log_q: needs (B,K) logits and B integer indices, got (7, 2, 3) and int64 (3,)"),
+    (lambda: ad.gaussian_log_q(_ones(7, 2, 3), _ones(2, 3), _ones(5, 2, 3)),
+     "gaussian_log_q: c, mu and log_sigma must share one (B,D) shape, got (7, 2, 3), (2, 3) and (5, 2, 3)"),
+    (lambda: ad.batchnorm(_ones(7, 5, 3), _ones(7, 1, 2), _ones(3), BatchNormState(3), True),
+     "batchnorm: scale/shift must be (3,), got (7, 1, 2) and (3,)"),
+    (lambda: ad.batchnorm(_ones(2, 7, 5, 3), _ones(3), _ones(3), BatchNormState(3), True),
+     "batchnorm: needs (B,F) input, got (2, 7, 5, 3)"),
+]
+
+
+def test_stacked_inputs_that_are_no_probe_stack_are_shape_errors():
+    for call, message in _STACKED_SHAPE_ERRORS:
+        with pytest.raises(ShapeError) as err:
+            call()
+        assert str(err.value) == message
+
+
 def _log_softmax_by_index(x):
     """Every column of log-softmax(x), each from one categorical_log_q call."""
     b, k = x.shape
@@ -641,22 +695,62 @@ class TestGradCheck:
         grad_check(lambda ps: ad.weighted_sum([ps[0]], (2.0,)), [p], readout=np.array([1.0, -1.0]))
         np.testing.assert_array_equal(p.data, before)
 
-    # calls 1-3 are the taped pass and the two determinism probes; 4 and 5
-    # are the +step and -step passes of the first coordinate
-    @pytest.mark.parametrize("failing_call", [4, 5])
-    def test_coordinate_restored_when_builder_raises(self, failing_call):
-        w = Tensor(np.array([0.0, 1.0]))
+    # calls 1-3 are the taped pass and the two determinism probes; call 3 + j
+    # is the stacked pass of every probe of parameter j
+    @pytest.mark.parametrize("n_params, failing_call", [(1, 4), (2, 4), (2, 5)])
+    def test_coordinate_restored_when_builder_raises(self, n_params, failing_call):
+        ws = [Tensor(np.array([0.0, 1.0]) + j) for j in range(n_params)]
+        arrays = [w.data for w in ws]
         calls = {"n": 0}
 
         def loss(p):
             calls["n"] += 1
             if calls["n"] == failing_call:
                 raise DomainError("probe failed")
-            return ad.weighted_sum([p[0]], (2.0,))
+            return ad.weighted_sum(p, (2.0,) * n_params)
 
         with pytest.raises(DomainError, match="probe failed"):
-            grad_check(loss, [w], readout=np.ones(2))
-        np.testing.assert_array_equal(w.data, [0.0, 1.0])
+            grad_check(loss, ws, readout=np.ones(2))
+        assert calls["n"] == failing_call
+        for j, w in enumerate(ws):
+            # the very array it held before: a model parameter is a view into its block's vector
+            assert w.data is arrays[j]
+            np.testing.assert_array_equal(w.data, [0.0 + j, 1.0 + j])
+
+    def test_one_pass_per_parameter_tensor_after_three_unstacked_passes(self):
+        shapes = []
+
+        def loss(p):
+            shapes.append(tuple(t.shape for t in p))
+            return ad.reduce_mean(ad.linear(p[0], p[1], p[2]))
+
+        rng = np.random.default_rng(4)
+        params = [Tensor(rng.normal(0, 1, s)) for s in ((3, 4), (4, 2), (2,))]
+        assert grad_check(loss, params) <= 1e-6
+        unstacked = ((3, 4), (4, 2), (2,))
+        assert shapes == [unstacked] * 3 + [
+            ((24, 3, 4), (4, 2), (2,)),
+            ((3, 4), (16, 4, 2), (2,)),
+            ((3, 4), (4, 2), (4, 1, 2)),
+        ]
+
+    def test_an_output_off_the_probe_stack_is_rejected_naming_both_shapes(self):
+        # the builder reshapes its parameter by hand, so the stacked pass loses the probe axis
+        def loss(p):
+            return ad.relu(Tensor(p[0].data.ravel()))
+
+        with pytest.raises(UsageError) as err:
+            grad_check(loss, [Tensor(np.ones((2, 2)))], readout=np.ones(4))
+        assert str(err.value) == (
+            "grad_check: the stacked pass of parameter 0 gave shape (32,), neither the output "
+            "shape (4,) nor its stack of 8 probes (8, 1, 4)"
+        )
+
+    def test_an_output_the_parameter_does_not_reach_reads_the_same_on_every_probe(self):
+        # the unstacked shape back from a stacked pass: every probe reads one value, so the
+        # numeric gradient is zero, as the analytic one of an unreached leaf is
+        other = Tensor(np.array([1.0, -2.0]))
+        assert grad_check(lambda p: ad.reduce_mean(p[1]), [other, Tensor(np.array([0.5]))]) <= 1e-9
 
     @pytest.mark.parametrize("readout", [np.ones(4), np.ones(6), np.ones((3, 2))])
     def test_readout_must_have_the_output_shape(self, readout):

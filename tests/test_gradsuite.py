@@ -104,9 +104,7 @@ def test_a_rule_off_by_one_percent_fails_its_case(monkeypatch, case):
     assert worst[case] > 1e-5
 
 
-def test_one_seed_of_op_checks_costs_493_forward_ops(monkeypatch):
-    # two determinism passes, one taped pass and two probes per coordinate, of the op alone:
-    # any readout op run per probe, or an extra probe, fails here
+def _count_forward_ops(monkeypatch) -> dict:
     calls = {"n": 0}
     forward_op = autodiff.forward_op
 
@@ -115,8 +113,47 @@ def test_one_seed_of_op_checks_costs_493_forward_ops(monkeypatch):
         return forward_op(name, inputs, attrs)
 
     monkeypatch.setattr(autodiff, "forward_op", counting_forward_op)
+    return calls
+
+
+def test_one_seed_of_op_checks_costs_61_forward_ops(monkeypatch):
+    # one taped pass, two determinism passes and one stacked pass per parameter tensor, of the
+    # op alone: 13 cases with 22 parameter tensors in all make 3 * 13 + 22 = 61 calls; any
+    # readout op run per probe, or an extra pass, fails here
+    calls = _count_forward_ops(monkeypatch)
     op_grad_checks(1)
-    assert calls["n"] == 493
+    assert calls["n"] == 61
+
+
+def test_one_seed_of_the_full_graph_check_costs_532_forward_ops(monkeypatch):
+    # a pass of the whole objective is 28 ops, and the 2-unit model has 16 parameter tensors:
+    # (3 + 16) * 28 = 532, where one pass per probe made (3 + 2 * 55) * 28 = 3164
+    calls = _count_forward_ops(monkeypatch)
+    full_loss_graph_check(1)
+    assert calls["n"] == 532
+
+
+def test_batchnorm_train_check_folds_only_its_three_unstacked_passes(monkeypatch):
+    # the taped pass and the two determinism passes fold their batch moments into the running
+    # ones; a stacked pass of probes folds nothing
+    states = []
+
+    class RecordedState(autodiff.BatchNormState):
+        def __init__(self, num_features):
+            super().__init__(num_features)
+            states.append(self)
+
+    monkeypatch.setattr(gradsuite, "BatchNormState", RecordedState)
+    params, builder, w = _OP_CASES["batchnorm_train"](np.random.default_rng(5))
+    ref_params, ref_builder, _ = _OP_CASES["batchnorm_train"](np.random.default_rng(5))
+    checked, reference = states
+    before = checked.running_mean.copy()
+    assert grad_check(builder, params, GRAD_STEP, w) <= 1e-5
+    for _ in range(3):
+        ref_builder(ref_params)
+    assert not np.array_equal(checked.running_mean, before)
+    assert checked.running_mean.tobytes() == reference.running_mean.tobytes()
+    assert checked.running_var.tobytes() == reference.running_var.tobytes()
 
 
 def test_signatures_the_benchmark_calls():
