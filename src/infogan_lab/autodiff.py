@@ -746,7 +746,7 @@ def platform_key() -> str:
     levels = [v for v in ("X86_V2", "X86_V3", "X86_V4") if v in built and features.get(v)]
     try:
         corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
-        corename.restype = ctypes.c_char_p
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
         core = corename().decode()
     except (OSError, AttributeError, UnicodeDecodeError):
         core = "unknown"
