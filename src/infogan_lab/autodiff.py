@@ -38,7 +38,7 @@ it as returned instead of re-validating it, and shape-check messages are
 only formatted when a check fails.
 
 Every forward rule also takes one optional leading probe axis, which
-``grad_check`` uses to run all probes of a parameter as one pass: K probes
+``grad_check`` uses to run all probes of every parameter as one pass: K probes
 of a scalar come as (K,), of a (B,F) batch as (K,B,F), and of a 1-D
 parameter as (K,1,F). Rules broadcast over that axis and reductions keep
 it, so slice k of a stacked output is the unstacked output at probe k, bit
@@ -651,30 +651,30 @@ def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6, readout=N
     """Max relative error between analytic gradients and central differences.
 
     ``loss_builder(params) -> Tensor`` must be deterministic (freeze any
-    random draws before calling); this is probed with two forward passes.
-    Without a ``readout`` its output must be scalar and is the checked
-    value. With a readout ``w`` of the output's shape, the checked value is
-    ``vdot(w, output)``, read outside the tape on every probe, and the
-    analytic side is one vector-Jacobian product with cotangent ``w``; a
-    random ``w`` checks every output entry's gradient at once. The error
-    metric per coordinate is ``|analytic - numeric| / max(1, |analytic|,
-    |numeric|)``; a non-finite analytic or numeric value makes it inf.
+    random draws before calling). Without a ``readout`` its output must be
+    scalar and is the checked value. With a readout ``w`` of the output's
+    shape, the checked value is ``vdot(w, output)``, read outside the tape
+    on every probe, and the analytic side is one vector-Jacobian product
+    with cotangent ``w``; a random ``w`` checks every output entry's
+    gradient at once. The error metric per coordinate is ``|analytic -
+    numeric| / max(1, |analytic|, |numeric|)``; a non-finite analytic or
+    numeric value makes it inf.
 
-    The builder runs once taped, twice for the determinism probe, and then
-    once per parameter tensor: all 2n probes of an n-entry tensor (each
-    coordinate at ``orig + step`` and at ``orig - step``) run as one pass,
-    stacked on a leading probe axis that every forward rule carries (see
-    ``_stacked_shape``). So the builder must read each parameter through
-    its ``Tensor``, and its output must be of the unstacked output's shape
-    (it does not depend on that parameter) or that shape's probe stack;
-    anything else is a ``UsageError``. Each probe's value is read from its
-    slice as an unstacked pass would read it, so every error is the one
-    that 2n separate passes give, bit for bit. A stacked pass is not taped,
-    and a train-mode batchnorm in it folds nothing into its running
-    moments. Every parameter is restored, also when ``loss_builder`` raises.
+    The builder runs twice: once taped, and once with 2n + 1 probes of the n
+    parameter coordinates on the module docstring's probe axis, so it must
+    read each parameter through its ``Tensor``. Probe i holds coordinate i
+    at ``orig + step``, probe n + i at ``orig - step``, and the last moves
+    nothing; it must read the taped value bit for bit, or the builder is not
+    deterministic or a stacked rule is not its unstacked one. The output
+    must have the taped shape (no parameter reaches it) or its probe stack,
+    and no tensor may be listed twice; anything else is a ``UsageError``.
+    Each probe reads as its own pass would, bit for bit. Every parameter
+    gets its own array back, also if the builder raises.
     """
     if not (0.0 < step <= 1e-3):
         raise UsageError(f"grad_check: step must be in (0, 1e-3], got {step}")
+    if len({id(p) for p in params}) != len(params):
+        raise UsageError("grad_check: a parameter tensor is listed twice")
     if readout is not None:
         readout = np.asarray(readout, dtype=np.float64)
 
@@ -683,46 +683,45 @@ def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6, readout=N
 
     # the taped pass first: backward rejects a readout not of the output's shape by name
     with Tape() as tape:
-        analytic = tape.backward(loss_builder(params), params, readout)
-    out = loss_builder(params).data
-    first, second = value(out), value(loss_builder(params).data)
-    # written so that NaN equals NaN: a builder that is NaN every time is deterministic (its error is inf)
-    if first != second and not (math.isnan(first) and math.isnan(second)):
-        raise UsageError("grad_check: loss_builder is not deterministic across forward passes")
-
-    max_err = 0.0
-    for j, (p, ga) in enumerate(zip(params, analytic)):
-        orig, n = p.data, p.data.size
-        # row i is coordinate i at orig + step and row n + i at orig - step; every other entry is orig
-        probes = np.tile(orig.ravel(), (2 * n, 1))
-        diag = np.arange(n)
-        probes[diag, diag] += step
-        probes[diag + n, diag] -= step
-        p.data = probes.reshape(_stacked_shape(orig.shape, 2 * n))
-        try:
-            stacked = loss_builder(params).data
-        finally:
+        root = loss_builder(params)
+        analytic = tape.backward(root, params, readout)
+    out, origs = root.data, [p.data for p in params]
+    n = sum(orig.size for orig in origs)
+    k, offset = 2 * n + 1, 0
+    try:
+        for p, orig in zip(params, origs):
+            # every entry at orig but coordinate i's own: orig + step in row i, orig - step in row n + i
+            rows, diag = np.tile(orig.ravel(), (k, 1)), np.arange(orig.size)
+            rows[offset + diag, diag] += step
+            rows[n + offset + diag, diag] -= step
+            p.data, offset = rows.reshape(_stacked_shape(orig.shape, k)), offset + orig.size
+        stacked = loss_builder(params).data
+    finally:
+        for p, orig in zip(params, origs):
             p.data = orig
-        if stacked.shape == _stacked_shape(out.shape, 2 * n):
-            f = [value(row) for row in stacked]
-        elif stacked.shape == out.shape:
-            f = [value(stacked)] * (2 * n)
-        else:
-            raise UsageError(
-                f"grad_check: the stacked pass of parameter {j} gave shape {stacked.shape}, neither the output "
-                f"shape {out.shape} nor its stack of {2 * n} probes {_stacked_shape(out.shape, 2 * n)}"
-            )
-        ga_flat = ga.ravel().tolist()  # Python floats: inf - inf is NaN without a numpy warning
-        for i in range(n):
-            numeric = (f[i] - f[n + i]) / (2.0 * step)
-            a = ga_flat[i]
-            err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            # NaN or inf in a or numeric leaves err NaN or inf; NaN fails every
-            # comparison, so it would be dropped below
-            if not math.isfinite(err):
-                err = math.inf
-            if err > max_err:
-                max_err = err
+    if stacked.shape == _stacked_shape(out.shape, k):
+        f = [value(row) for row in stacked]
+    elif stacked.shape == out.shape:
+        f = [value(stacked)] * k
+    else:
+        raise UsageError(
+            f"grad_check: the stacked pass gave shape {stacked.shape}, neither the output "
+            f"shape {out.shape} nor its stack of {k} probes {_stacked_shape(out.shape, k)}"
+        )
+    first = value(out)
+    # written so that NaN equals NaN: a builder that is NaN every time is deterministic (its error is inf)
+    if first != f[-1] and not (math.isnan(first) and math.isnan(f[-1])):
+        raise UsageError(
+            f"grad_check: the unmoved probe read {f[-1]!r} where the taped pass read {first!r}: loss_builder "
+            "is not deterministic, or a stacked forward is not its unstacked forward bit for bit"
+        )
+
+    max_err = 0.0  # scored in Python floats: inf - inf is NaN without a numpy warning
+    for a, up, down in zip([a for ga in analytic for a in ga.ravel().tolist()], f[:n], f[n:-1]):
+        numeric = (up - down) / (2.0 * step)
+        err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+        # NaN or inf in a or numeric leaves err NaN or inf; NaN fails every comparison, so it counts as inf
+        max_err = max(max_err, err if math.isfinite(err) else math.inf)
     return max_err
 
 

@@ -276,6 +276,8 @@ def _read_entries(r: _Reader, path: str) -> dict[str, np.ndarray]:
     n_entries = r.u64_le()
     for _ in range(n_entries):
         name = r.text(r.u32_le())
+        if name in loaded:
+            raise FormatError(f"{path}: entry '{name}' appears twice")
         ndim = r.u32_le()
         if ndim > 8:
             raise FormatError(f"{path}: implausible rank {ndim} for entry '{name}'")

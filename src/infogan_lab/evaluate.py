@@ -263,6 +263,8 @@ def channel_bound_check(chan: ChannelSpec) -> ChannelCheck:
 
 def random_channel(rng: np.random.Generator, q_mode: str = "random") -> ChannelSpec:
     """Random small channel; q_mode 'posterior' installs the Bayes-optimal Q."""
+    if q_mode not in ("random", "prior", "posterior"):
+        raise UsageError(f"q_mode must be 'random', 'prior' or 'posterior', got {q_mode!r}")
     k = int(rng.integers(2, 7))
     m = int(rng.integers(2, 7))
     prior = rng.random(k) + 0.05

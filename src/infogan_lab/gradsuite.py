@@ -7,11 +7,8 @@ the op's output (None for a scalar output).
 with cotangent ``w`` against central finite differences of ``vdot(w, out)``,
 read outside the tape, so no readout op runs per probe.
 
-Each check runs its builder once taped, twice for the determinism probe,
-and once per parameter tensor, with all 2n probes of that tensor stacked on
-a leading probe axis (see :mod:`infogan_lab.autodiff`). So one seed of
-``op_grad_checks`` costs 61 ``forward_op`` calls, and one seed of
-``full_loss_graph_check`` costs (3 + 16) passes of its 28-op objective.
+Each check runs its builder twice: once taped, and once with every probe
+stacked on a leading axis (see :func:`infogan_lab.autodiff.grad_check`).
 """
 
 from __future__ import annotations

@@ -695,29 +695,28 @@ class TestGradCheck:
         grad_check(lambda ps: ad.weighted_sum([ps[0]], (2.0,)), [p], readout=np.array([1.0, -1.0]))
         np.testing.assert_array_equal(p.data, before)
 
-    # calls 1-3 are the taped pass and the two determinism probes; call 3 + j
-    # is the stacked pass of every probe of parameter j
-    @pytest.mark.parametrize("n_params, failing_call", [(1, 4), (2, 4), (2, 5)])
-    def test_coordinate_restored_when_builder_raises(self, n_params, failing_call):
+    # call 1 is the taped pass; call 2 is the stacked pass of every probe of every parameter
+    @pytest.mark.parametrize("n_params", [1, 2])
+    def test_coordinate_restored_when_builder_raises(self, n_params):
         ws = [Tensor(np.array([0.0, 1.0]) + j) for j in range(n_params)]
         arrays = [w.data for w in ws]
         calls = {"n": 0}
 
         def loss(p):
             calls["n"] += 1
-            if calls["n"] == failing_call:
+            if calls["n"] == 2:
                 raise DomainError("probe failed")
             return ad.weighted_sum(p, (2.0,) * n_params)
 
         with pytest.raises(DomainError, match="probe failed"):
             grad_check(loss, ws, readout=np.ones(2))
-        assert calls["n"] == failing_call
+        assert calls["n"] == 2
         for j, w in enumerate(ws):
             # the very array it held before: a model parameter is a view into its block's vector
             assert w.data is arrays[j]
             np.testing.assert_array_equal(w.data, [0.0 + j, 1.0 + j])
 
-    def test_one_pass_per_parameter_tensor_after_three_unstacked_passes(self):
+    def test_one_taped_pass_then_one_stack_of_every_probe_of_every_parameter(self):
         shapes = []
 
         def loss(p):
@@ -727,12 +726,8 @@ class TestGradCheck:
         rng = np.random.default_rng(4)
         params = [Tensor(rng.normal(0, 1, s)) for s in ((3, 4), (4, 2), (2,))]
         assert grad_check(loss, params) <= 1e-6
-        unstacked = ((3, 4), (4, 2), (2,))
-        assert shapes == [unstacked] * 3 + [
-            ((24, 3, 4), (4, 2), (2,)),
-            ((3, 4), (16, 4, 2), (2,)),
-            ((3, 4), (4, 2), (4, 1, 2)),
-        ]
+        # 12 + 8 + 2 = 22 coordinates, each at orig + step and at orig - step, and one unmoved probe
+        assert shapes == [((3, 4), (4, 2), (2,)), ((45, 3, 4), (45, 4, 2), (45, 1, 2))]
 
     def test_an_output_off_the_probe_stack_is_rejected_naming_both_shapes(self):
         # the builder reshapes its parameter by hand, so the stacked pass loses the probe axis
@@ -742,15 +737,46 @@ class TestGradCheck:
         with pytest.raises(UsageError) as err:
             grad_check(loss, [Tensor(np.ones((2, 2)))], readout=np.ones(4))
         assert str(err.value) == (
-            "grad_check: the stacked pass of parameter 0 gave shape (32,), neither the output "
-            "shape (4,) nor its stack of 8 probes (8, 1, 4)"
+            "grad_check: the stacked pass gave shape (36,), neither the output "
+            "shape (4,) nor its stack of 9 probes (9, 1, 4)"
         )
 
+    def test_a_tensor_listed_twice_is_rejected(self):
+        # one stack per tensor: the second listing's probes would overwrite the first's
+        w = Tensor(np.array([1.0, 2.0]))
+        with pytest.raises(UsageError, match="listed twice"):
+            grad_check(lambda p: ad.reduce_mean(p[0]), [w, w])
+
+    def test_a_stacked_forward_one_ulp_off_its_unstacked_forward_is_rejected(self, monkeypatch):
+        # every probe moves by the same ulp, so the differences hide it; only the unmoved probe,
+        # read against the taped pass, shows that the stacked pass is not the unstacked one
+        forward, backward = ad._OPS["relu"]
+
+        def off_when_stacked(arrs, attrs):
+            out, saved = forward(arrs, attrs)
+            return (np.nextafter(out, np.inf) if out.ndim == 3 else out), saved
+
+        monkeypatch.setitem(ad._OPS, "relu", (off_when_stacked, backward))
+        params, builder, w = _OP_CASES["relu"](np.random.default_rng(0))
+        with pytest.raises(UsageError, match="unmoved probe"):
+            grad_check(builder, params, readout=w)
+
     def test_an_output_the_parameter_does_not_reach_reads_the_same_on_every_probe(self):
-        # the unstacked shape back from a stacked pass: every probe reads one value, so the
+        # the probes of a parameter the output does not depend on read the unmoved value, so the
         # numeric gradient is zero, as the analytic one of an unreached leaf is
         other = Tensor(np.array([1.0, -2.0]))
         assert grad_check(lambda p: ad.reduce_mean(p[1]), [other, Tensor(np.array([0.5]))]) <= 1e-9
+
+    def test_an_output_no_parameter_reaches_keeps_the_taped_shape(self):
+        # the stacked pass gives back the unstacked shape, and every probe reads that one value
+        fixed, shapes = Tensor(np.array([[1.0, -2.0]])), []
+
+        def loss(p):
+            shapes.append(p[0].shape)
+            return ad.relu(fixed)
+
+        assert grad_check(loss, [Tensor(np.ones(3))], readout=np.ones((1, 2))) == 0.0
+        assert shapes == [(3,), (7, 1, 3)]
 
     @pytest.mark.parametrize("readout", [np.ones(4), np.ones(6), np.ones((3, 2))])
     def test_readout_must_have_the_output_shape(self, readout):

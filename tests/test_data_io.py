@@ -186,11 +186,11 @@ class TestSynthTemplates:
             (2, 400, 0.0, 1, "1a56adf9e9c6e771d231bc891db1b54d706efa31f929903519fd1e225f059b01"),
         ],
     )
-    def test_golden_bytes(self, k, n, sigma, seed, digest):
+    def test_golden_bytes(self, k, n, sigma, seed, digest, pinned_on):
         # the draw order (template, shift, then one noise draw) and the arithmetic fix every byte
         ds = synth_templates(k, n, sigma, np.random.default_rng(seed))
         assert ds.images.dtype == np.float64 and ds.images.shape == (n, 64) and ds.images.flags.c_contiguous
-        assert hashlib.sha256(ds.images.tobytes() + ds.labels.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(ds.images.tobytes() + ds.labels.tobytes()).hexdigest() == digest, pinned_on
 
     def test_peak_memory_stays_near_the_images(self):
         # the images are built in the returned array: beyond it, only the noise draw is held at once
@@ -316,6 +316,23 @@ class TestCheckpoint:
             assert np.shares_memory(arr, buffer), name
             np.testing.assert_array_equal(arr, dict(data_io._checkpoint_entries(model))[name])
 
+    def test_an_entry_written_twice_is_format_error(self, tmp_path):
+        # a hand-built file whose entries are the model's plus a second, different copy of gen.l0.w:
+        # neither copy may win silently
+        model, cfg = small_model()
+        entries = data_io._checkpoint_entries(model)
+        entries.append(("gen.l0.w", np.ones_like(model.params["gen.l0.w"].data)))
+        config_bytes = data_io.render_config(cfg).encode()
+        blob = [data_io.CHECKPOINT_MAGIC, struct.pack("<IQ", data_io.CHECKPOINT_VERSION, len(config_bytes))]
+        blob += [config_bytes, struct.pack("<Q", len(entries))]
+        for name, arr in entries:
+            blob += [struct.pack("<I", len(name)), name.encode(), struct.pack("<I", arr.ndim)]
+            blob += [struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.astype("<f8").tobytes()]
+        path = tmp_path / "m.igan"
+        path.write_bytes(b"".join(blob))
+        with pytest.raises(FormatError, match=r"m\.igan: entry 'gen\.l0\.w' appears twice"):
+            load_checkpoint(str(path))
+
     def test_load_lays_out_without_drawing(self, tmp_path, monkeypatch):
         # the loaded model is built by the layout step alone: no generator is made to draw weights
         model, cfg = small_model(seed=5, batchnorm=True)
@@ -392,7 +409,7 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.igan"]
 
-    def test_golden_bytes_survive_load_and_resave(self, tmp_path):
+    def test_golden_bytes_survive_load_and_resave(self, tmp_path, pinned_on):
         # every layer kind (batchnorm in G, the trunk past its input layer and the Q head; Q outputs
         # for both code families, counted per family) pins its entry names, order and init draws
         cfg = TrainingConfig(
@@ -416,7 +433,7 @@ class TestCheckpoint:
             state.running_var[:] = 1.5 + i
         p1, p2 = tmp_path / "a.igan", tmp_path / "b.igan"
         save_checkpoint(model, cfg, str(p1))
-        assert hashlib.sha256(p1.read_bytes()).hexdigest() == CHECKPOINT_GOLDEN_SHA256
+        assert hashlib.sha256(p1.read_bytes()).hexdigest() == CHECKPOINT_GOLDEN_SHA256, pinned_on
         loaded, cfg2 = load_checkpoint(str(p1))
         save_checkpoint(loaded, cfg2, str(p2))
         assert p2.read_bytes() == p1.read_bytes()

@@ -138,6 +138,13 @@ class TestChannelBound:
             res = channel_bound_check(random_channel(rng, q_mode="posterior"))
             assert abs(res.gap) <= 1e-12
 
+    @pytest.mark.parametrize("q_mode", ["posteror", "Posterior", ""])
+    def test_unknown_q_mode_is_rejected_naming_the_modes(self, q_mode):
+        # a misspelt mode used to fall through to a random Q
+        with pytest.raises(UsageError) as err:
+            random_channel(np.random.default_rng(0), q_mode=q_mode)
+        assert str(err.value) == f"q_mode must be 'random', 'prior' or 'posterior', got {q_mode!r}"
+
     def test_zero_q_on_support_reported_not_raised(self):
         chan = ChannelSpec(
             prior=np.array([0.5, 0.5]),
@@ -445,21 +452,21 @@ class TestGoldenEvaluation:
         (0, [0, 1, 2, 3], "c9b2facba04541e853c1c3bc337f6c913b25715bccdb335f35cab983bcee377c"),
         (1, [-2.0, -1.0, 0.0, 1.0, 2.0], "52acaffce08634b4752c7befdda3f6432f30af30bd11d788d53726b1f779b606"),
     ])
-    def test_traversal_grid_bytes(self, trained, tmp_path, block, values, digest):
+    def test_traversal_grid_bytes(self, trained, tmp_path, block, values, digest, pinned_on):
         path = tmp_path / "grid.pgm"
         traversal_grid(trained[0], block, values, 3, np.random.default_rng(33 + block), (8, 8), str(path))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, pinned_on
 
-    def test_mi_estimate_floats(self, trained):
+    def test_mi_estimate_floats(self, trained, pinned_on):
         model, _ = trained
         est = estimate_mi_bound(model, model.spec, 1000, np.random.default_rng(35))
         assert vars(est) == {
             "li_disc": -0.0015651052303045088, "se_disc": 0.0018729568656293983,
             "li_cont": -0.6687044075245037, "se_cont": 0.00823078222771231,
             "h_disc": 1.3862943611198906, "h_cont": 1.3862943611198906, "n_samples": 1000,
-        }
+        }, pinned_on
 
-    def test_classifier_predictions(self, trained):
+    def test_classifier_predictions(self, trained, pinned_on):
         model, ds = trained
         # a one-image dataset labeled 0 maps the image's predicted category to class 0
         preds = []
@@ -468,5 +475,5 @@ class TestGoldenEvaluation:
             (category,) = categorical_classifier_eval(model, one, 0)[1]
             preds.append(category)
         digest = hashlib.sha256(np.asarray(preds, dtype=np.int64).tobytes()).hexdigest()
-        assert digest == "46184a5ea15dfb0e927b8cfba0bcc467b5b5f7b905ab8006eceb4c0b2b553e11"
-        assert categorical_classifier_eval(model, ds, 0) == (0.673828125, {0: 3, 1: 0, 2: 2, 3: 1})
+        assert digest == "46184a5ea15dfb0e927b8cfba0bcc467b5b5f7b905ab8006eceb4c0b2b553e11", pinned_on
+        assert categorical_classifier_eval(model, ds, 0) == (0.673828125, {0: 3, 1: 0, 2: 2, 3: 1}), pinned_on
