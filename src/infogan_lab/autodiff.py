@@ -316,14 +316,6 @@ def _probe_cores(arrs, ranks) -> list[tuple[int, ...]] | None:
     return cores if len(counts) <= 1 else None
 
 
-def _is_probe_pair(shapes: set) -> bool:
-    """Whether ``shapes`` holds exactly one shape and its probe stack."""
-    if len(shapes) != 2:
-        return False
-    core, stacked = sorted(shapes, key=len)
-    return stacked == _stacked_shape(core, stacked[0])
-
-
 def _mean(x):
     # np.add.reduce is what ndarray.mean runs for float64, without its Python wrapper; a rank-3
     # input is a probe stack, and each probe's entries are reduced as one contiguous row
@@ -354,7 +346,9 @@ def _b_linear(g, node, need):
 def _f_weighted_sum(arrs, attrs):
     weights = attrs["weights"]
     shapes = {x.shape for x in arrs}
-    if len(weights) != len(arrs) or len(shapes) != 1 and not _is_probe_pair(shapes):
+    # a probe stack may stand beside unstacked inputs: then every input's core must be the same
+    cores = _probe_cores(arrs, [min(x.ndim for x in arrs)] * len(arrs)) if len(shapes) > 1 else shapes
+    if len(weights) != len(arrs) or not cores or len(set(cores)) != 1:
         shapes = ", ".join(str(x.shape) for x in arrs)
         raise ShapeError(f"weighted_sum: needs one weight per input and equal shapes, got {len(weights)} weights for shapes {shapes}")
     # scalar loss terms fold as Python floats: the same IEEE products and sums, without

@@ -100,16 +100,19 @@ def _cmd_verify_lemma(args) -> int:
     rng = np.random.default_rng(args.seed)
     joint = random_joint(rng)
     res = verify_lemma(joint, args.n_mc, rng)
+    exact_diff = abs(res.lhs_exact - res.rhs_exact)
+    ok = exact_diff <= 1e-12  # False for a NaN
     _emit(
         lhs_exact=res.lhs_exact,
         rhs_exact=res.rhs_exact,
-        exact_diff=abs(res.lhs_exact - res.rhs_exact),
+        exact_diff=exact_diff,
         lhs_mc=res.lhs_mc,
         rhs_mc=res.rhs_mc,
         lhs_se=res.lhs_se,
         rhs_se=res.rhs_se,
+        ok=int(ok),
     )
-    return 0
+    return 0 if ok else 1
 
 
 def _cmd_channel_check(args) -> int:

@@ -5,8 +5,9 @@ its annotated type (``_FORMATS``), so adding a field adds its key. The one
 exception is ``codes``: each code block is a repeatable ``code = <token>``
 line, and ``codes`` itself is not a key. Unknown keys and a key given twice
 are errors. Every key has a default, so the empty string is a valid config.
-``render_config`` emits a canonical text in field order whose parse
-round-trips exactly (floats via repr); checkpoints embed that text.
+``render_config`` emits every key but the four paths (``_PATH_KEYS``) in
+field order; its parse round-trips exactly (floats via repr) with the paths
+at their defaults, and checkpoints embed it, so no path reaches their bytes.
 """
 
 from __future__ import annotations
@@ -105,11 +106,6 @@ class TrainingConfig:
             raise ConfigError(f"toy_samples must be >= toy_templates ({self.toy_templates}), got {self.toy_samples}")
         if self.mnist_subset < 1:
             raise ConfigError(f"mnist_subset must be >= 1, got {self.mnist_subset}")
-        # the embedded config strips each value and splits lines, so such a path would not read back
-        for key in ("mnist_images", "mnist_labels", "checkpoint_out", "metrics_out"):
-            path = getattr(self, key)
-            if path != path.strip() or len(path.splitlines()) > 1:
-                raise ConfigError(f"{key} must have no surrounding whitespace or line break, got {path!r}")
         try:  # noise_dim, noise_kind and q_hidden are checked where they are used; those errors name the key
             self.net_configs()
         except (SpecError, ShapeError) as err:
@@ -161,6 +157,8 @@ _FORMATS = {
 # field name -> (parse, render) in field order, built at import so that a field whose type has no
 # format fails here with a KeyError; ``codes`` maps to None, since its blocks are "code" lines
 _KEYS = {f.name: None if f.name == "codes" else _FORMATS[f.type] for f in fields(TrainingConfig)}
+# where a run reads and writes, not what it computes: parsed, never rendered
+_PATH_KEYS = ("mnist_images", "mnist_labels", "checkpoint_out", "metrics_out")
 
 
 def parse_config(text: str) -> TrainingConfig:
@@ -204,11 +202,11 @@ def load_config(path: str) -> TrainingConfig:
 
 
 def render_config(cfg: TrainingConfig) -> str:
-    """Canonical text form; parse_config(render_config(cfg)) == cfg."""
+    """Canonical text of every key but the four paths; its parse is cfg with the paths at their defaults."""
     lines = []
     for key, fmt in _KEYS.items():
         if fmt is None:
             lines += [f"code = {b.to_token()}" for b in cfg.codes]
-        else:
+        elif key not in _PATH_KEYS:
             lines.append(f"{key} = {fmt[1](getattr(cfg, key))}")
     return "\n".join(lines) + "\n"

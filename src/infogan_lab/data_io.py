@@ -13,10 +13,8 @@ u32 format version, the run-config text, then named float64 entries for
 every parameter and batchnorm running statistic. Loading rebuilds the model
 from the config and copies each entry into place: a parameter into its view
 of the model's flat block vector, a running statistic into its array. Every
-tensor is reproduced bitwise. The config text includes the run's output and
-MNIST paths (``checkpoint_out``, ``metrics_out``, ``mnist_images``,
-``mnist_labels``), so a rerun gives a byte-identical checkpoint only when it
-writes to the same paths.
+tensor is reproduced bitwise. The config text holds every key but the four
+paths, so a rerun gives a byte-identical checkpoint wherever it writes.
 """
 
 from __future__ import annotations
@@ -252,6 +250,8 @@ def _checkpoint_entries(model: ModelPair) -> list[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(model: ModelPair, cfg: TrainingConfig, path: str) -> None:
+    if cfg.latent_spec() != model.spec or cfg.net_configs() != (model.gen_cfg, model.dq_cfg):
+        raise UsageError(f"{path}: the config's latent spec or nets do not describe the model; nothing written")
     config_bytes = render_config(cfg).encode("utf-8")
     entries = _checkpoint_entries(model)
     with atomic_open(path) as f:

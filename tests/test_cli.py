@@ -86,6 +86,7 @@ class TestEvalCommands:
         assert main(["verify-lemma", "--seed", "7", "--n-mc", "2000"]) == 0
         out = _parse_kv(capsys.readouterr().out)
         assert float(out["exact_diff"]) <= 1e-12
+        assert out["ok"] == "1"
         assert {"lhs_exact", "rhs_exact", "lhs_mc", "rhs_mc"} <= set(out)
 
     def test_channel_check_line(self, capsys):
@@ -172,6 +173,27 @@ class TestChannelCheckRule:
 
     def test_infinite_gap_equal_to_expected_kl_passes(self, monkeypatch, capsys):
         code, out = self._run_with(monkeypatch, capsys, 1, gap=np.inf, expected_kl=np.inf)
+        assert code == 0
+        assert out["ok"] == "1"
+
+
+class TestVerifyLemmaRule:
+    """The exact sides pass only if |lhs - rhs| <= 1e-12; a NaN fails."""
+
+    def _run_with(self, monkeypatch, capsys, **fields):
+        real = cli.verify_lemma
+        monkeypatch.setattr(cli, "verify_lemma", lambda *a: dataclasses.replace(real(*a), **fields))
+        code = main(["verify-lemma", "--seed", "7", "--n-mc", "100"])
+        return code, _parse_kv(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("rhs", [np.nan, 0.5 + 2e-12], ids=["nan", "gap"])
+    def test_exact_sides_apart_fail(self, monkeypatch, capsys, rhs):
+        code, out = self._run_with(monkeypatch, capsys, lhs_exact=0.5, rhs_exact=rhs)
+        assert code == 1
+        assert out["ok"] == "0"
+
+    def test_exact_sides_within_tolerance_pass(self, monkeypatch, capsys):
+        code, out = self._run_with(monkeypatch, capsys, lhs_exact=0.5, rhs_exact=0.5 + 5e-13)
         assert code == 0
         assert out["ok"] == "1"
 

@@ -1,5 +1,6 @@
 """IDX parsing, synthetic templates, checkpoints, and PGM grids."""
 
+import dataclasses
 import hashlib
 import struct
 import tracemalloc
@@ -205,7 +206,7 @@ class TestSynthTemplates:
         assert ratio <= 2.25, f"traced peak {ratio:.2f}x the images"
 
 
-CHECKPOINT_GOLDEN_SHA256 = "b6e0b26ba5f8081dc814b0a3f98e346267567a7387799ac08aeaf5f81c67e4b6"
+CHECKPOINT_GOLDEN_SHA256 = "cf9be15d853c28500825eee8bb7a427b976d11263152ec4ab7f609845d345d00"
 
 
 def small_model(seed=0, batchnorm=False):
@@ -248,6 +249,34 @@ class TestCheckpoint:
         loaded, cfg2 = load_checkpoint(p1)
         save_checkpoint(loaded, cfg2, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_paths_leave_the_bytes_alone(self, tmp_path):
+        # where a run reads and writes is not part of the experiment: no path is embedded
+        model, cfg = small_model(seed=3)
+        elsewhere = dataclasses.replace(
+            cfg, checkpoint_out="a.igan\nseed = 5", metrics_out=" m.csv", mnist_images="x/i", mnist_labels="x/l"
+        )
+        p1, p2 = tmp_path / "a.igan", tmp_path / "b.igan"
+        save_checkpoint(model, cfg, str(p1))
+        save_checkpoint(model, elsewhere, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+        assert load_checkpoint(str(p2))[1] == cfg  # a loaded config carries the default paths
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"codes": (CodeBlock.categorical(3), CodeBlock.gaussian(0.0, 1.0))},
+            {"noise_kind": "uniform"},
+            {"q_hidden": 7},
+            {"batchnorm": True},
+        ],
+        ids=["codes", "noise_kind", "q_hidden", "batchnorm"],
+    )
+    def test_config_that_does_not_describe_the_model_is_refused(self, tmp_path, change):
+        model, cfg = small_model()
+        with pytest.raises(UsageError, match=r"m\.igan: the config's latent spec or nets do not describe the model"):
+            save_checkpoint(model, dataclasses.replace(cfg, **change), str(tmp_path / "m.igan"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_forward_preserved_bitwise(self, tmp_path):
         model, cfg = small_model(seed=5)
