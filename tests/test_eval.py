@@ -477,3 +477,59 @@ class TestGoldenEvaluation:
         digest = hashlib.sha256(np.asarray(preds, dtype=np.int64).tobytes()).hexdigest()
         assert digest == "46184a5ea15dfb0e927b8cfba0bcc467b5b5f7b905ab8006eceb4c0b2b553e11", pinned_on
         assert categorical_classifier_eval(model, ds, 0) == (0.673828125, {0: 3, 1: 0, 2: 2, 3: 1}), pinned_on
+
+
+def _sparse_channel(rng):
+    """A random channel with zero priors, zero P(x|c) entries, unreachable x and zeros in Q."""
+    k, m = (int(v) for v in rng.integers(2, 7, 2))
+    prior = rng.random(k) * (rng.random(k) < 0.8)
+    prior[0] += 0.1
+    cond = rng.random((k, m)) * (rng.random((k, m)) < 0.6)
+    cond[np.arange(k), rng.integers(0, m, k)] += 0.1
+    q = rng.random((m, k)) * (rng.random((m, k)) < 0.95)
+    q[np.arange(m), rng.integers(0, k, m)] += 0.1
+    return prior / prior.sum(), cond / cond.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
+
+
+class TestGoldenOracles:
+    """Pins the exact oracles' floats bit for bit over seeded random tables.
+
+    A refactor of how the oracles condition a joint table must leave every
+    pinned float as it is: I, L_I and their gap per channel, every
+    ``LemmaResult`` field and the bytes of ``bayes_posterior_q``.
+    """
+
+    @staticmethod
+    def _digest(rows):
+        return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+    @pytest.mark.parametrize("q_mode, digest", [
+        ("random", "d71f4ad4f885904f5931ff0329449b3ee436d02d81712cbe3ea8217797830771"),
+        ("prior", "4119817a7f7c3841bae2e83c15aec5245eec40955853a92f26f559bd87e976d8"),
+        ("posterior", "1011b94f86bd294febcf61ea296cd00f0a6bb0d05d4ba714ff3623e9b2b291ab"),
+    ])
+    def test_channel_floats(self, q_mode, digest, pinned_on):
+        rng = np.random.default_rng(40)
+        rows = []
+        for _ in range(200):
+            res = channel_bound_check(random_channel(rng, q_mode))
+            rows.append(repr((res.i_exact, res.l_i, res.gap)))
+        assert self._digest(rows) == digest, pinned_on
+
+    def test_sparse_channel_floats_and_posteriors(self, pinned_on):
+        # 39 of these channels have an unreachable x, and 65 read L_I = -inf
+        rng = np.random.default_rng(41)
+        rows, posteriors = [], []
+        for _ in range(200):
+            prior, cond, q = _sparse_channel(rng)
+            res = channel_bound_check(ChannelSpec(prior=prior, conditional=cond, q_table=q))
+            rows.append(repr((res.i_exact, res.l_i, res.gap)))
+            posteriors.append(bayes_posterior_q(prior, cond).tobytes().hex())
+        assert self._digest(rows) == "5216c16ac5fadd246dc6b362ac249476c7af5dfa777e45ce60b1270a5ae5ae77", pinned_on
+        assert self._digest(posteriors) == "46989c9df8fc063cf3259ac7876147d184381b419ab0734cdcca9eaaa71ac2ca", pinned_on
+
+    def test_lemma_fields(self, pinned_on):
+        # 6 of these joints have a zero-mass y
+        rng = np.random.default_rng(42)
+        rows = [repr(tuple(vars(verify_lemma(random_joint(rng), 100, rng)).values())) for _ in range(200)]
+        assert self._digest(rows) == "eb0649964807f892e233803e53a5ebae06f3c8414f222405a6f1709224b0ca8f", pinned_on
