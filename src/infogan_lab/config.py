@@ -106,6 +106,9 @@ class TrainingConfig:
             raise ConfigError(f"toy_samples must be >= toy_templates ({self.toy_templates}), got {self.toy_samples}")
         if self.mnist_subset < 1:
             raise ConfigError(f"mnist_subset must be >= 1, got {self.mnist_subset}")
+        for key in ("checkpoint_out", "metrics_out"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} must name a file, got ''")
         try:  # noise_dim, noise_kind and q_hidden are checked where they are used; those errors name the key
             self.net_configs()
         except (SpecError, ShapeError) as err:

@@ -185,14 +185,25 @@ def write_idx_pair(images_u8: np.ndarray, labels_u8: np.ndarray, images_path: st
     """Write a (N,H,W) uint8 stack and labels as a standard IDX pair (fixture helper).
 
     Both files are written atomically, and neither replaces its old version
-    unless both writes succeed.
+    unless both writes succeed. An entry that is not an integer in [0, 255]
+    is an ``OverflowError`` naming it, raised before either file is touched.
     """
-    n, h, w = images_u8.shape
+    images, labels = _byte_values("images", images_u8), _byte_values("labels", labels_u8)
+    n, h, w = images.shape
     with atomic_open(images_path) as fi, atomic_open(labels_path) as fl:
         fi.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w))
-        fi.write(np.ascontiguousarray(images_u8, dtype=np.uint8).tobytes())
+        fi.write(images.tobytes())
         fl.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
-        fl.write(np.ascontiguousarray(labels_u8, dtype=np.uint8).tobytes())
+        fl.write(labels.tobytes())
+
+
+def _byte_values(name: str, values) -> np.ndarray:
+    arr = np.asarray(values)
+    # a uint8 array is neither scanned nor copied; the rest is tested as "not (valid)" so that a NaN is caught
+    if arr.dtype != np.uint8 and not np.all(ok := (arr >= 0) & (arr <= 255) & (arr % 1 == 0)):
+        at = tuple(int(i) for i in np.argwhere(~ok)[0])
+        raise OverflowError(f"{name}{list(at)} is {arr[at]}; IDX entries must be integers in [0, 255]")
+    return np.ascontiguousarray(arr, dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------

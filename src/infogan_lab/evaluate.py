@@ -24,6 +24,21 @@ CLASSIFIER_CHUNK = 1024  # images per Q pass in categorical_classifier_eval
 JOINT_MAX_SIZE = 6  # largest |X| and |Y| random_joint draws
 
 
+def _check_rows(name: str, table: np.ndarray) -> None:
+    # written as "not (valid)" so that a NaN, which fails every comparison, is caught
+    if not (np.all(table >= 0.0) and np.all(np.abs(table.sum(axis=-1) - 1.0) <= 1e-12)):
+        raise UsageError(f"{name}: entries must be >= 0 and each row must sum to 1 within 1e-12")
+
+
+def _conditional_rows(joint: np.ndarray) -> np.ndarray:
+    """Row b of the result is P(a|b) for an (A, B) joint P(a, b); uniform where P(b) = 0."""
+    marginal = joint.sum(axis=0)
+    rows = np.full(joint.shape[::-1], 1.0 / joint.shape[0])
+    seen = marginal > 0.0
+    rows[seen] = (joint[:, seen] / marginal[seen]).T
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo bound estimation on a trained model
 # ---------------------------------------------------------------------------
@@ -47,6 +62,10 @@ def estimate_mi_bound(
     n_samples: int,
     rng: np.random.Generator,
 ) -> MiEstimate:
+    """Monte-Carlo L_I of each code family for ``model``; ``spec`` must be ``model.spec``."""
+    if spec != model.spec:
+        given, own = (" ".join(b.to_token() for b in sp.blocks) + f" + {sp.noise_kind} noise {sp.noise_dim}" for sp in (spec, model.spec))
+        raise UsageError(f"spec ({given}) is not the model's spec ({own}); nothing drawn")
     if n_samples < 100:
         raise UsageError(f"need at least 100 samples for a stable SE, got {n_samples}")
     disc_samples: list[np.ndarray] = []
@@ -90,8 +109,7 @@ class LemmaJointSpec:
         self.payoff = np.asarray(self.payoff, dtype=np.float64)
         if self.joint.shape != self.payoff.shape or self.joint.ndim != 2:
             raise UsageError(f"joint {self.joint.shape} and payoff {self.payoff.shape} must be equal 2-D shapes")
-        if np.any(self.joint < 0.0) or abs(self.joint.sum() - 1.0) > 1e-12:
-            raise UsageError("joint must be nonnegative and sum to 1 within 1e-12")
+        _check_rows("joint", self.joint.ravel())
 
 
 @dataclass
@@ -109,7 +127,8 @@ def verify_lemma(joint_spec: LemmaJointSpec, n_mc: int, rng: np.random.Generator
 
     Exact sides by full enumeration (the right side routes through the
     Bayes conditional P(x'|y)); Monte-Carlo sides by ancestral sampling.
-    Zero-probability y values are skipped in the enumeration.
+    A zero-probability y enters the enumeration with weight P(y) = 0 (its
+    conditional row is uniform) and is never drawn.
     """
     if n_mc < 2:
         raise UsageError(f"n_mc must be >= 2 for a Monte-Carlo standard error, got {n_mc}")
@@ -120,9 +139,7 @@ def verify_lemma(joint_spec: LemmaJointSpec, n_mc: int, rng: np.random.Generator
     lhs_exact = float((p * f).sum())
 
     py = p.sum(axis=0)
-    cond = np.zeros((ny, nx))  # row y is P(x|y); rows with P(y) = 0 stay zero
-    pos = py > 0.0
-    cond[pos] = p.T[pos] / py[pos, None]
+    cond = _conditional_rows(p)  # row y is P(x|y)
     rhs_exact = float((py * (cond * f.T).sum(axis=1)).sum())
 
     flat = p.ravel()
@@ -163,13 +180,6 @@ def random_joint(rng: np.random.Generator) -> LemmaJointSpec:
 # enumerable-channel bound oracle
 # ---------------------------------------------------------------------------
 
-def _check_rows(name: str, table: np.ndarray) -> None:
-    if np.any(table < 0.0):
-        raise UsageError(f"{name}: entries must be >= 0")
-    if np.any(np.abs(table.sum(axis=-1) - 1.0) > 1e-12):
-        raise UsageError(f"{name}: rows must sum to 1 within 1e-12")
-
-
 @dataclass
 class ChannelSpec:
     """Finite code channel: prior over c, P(x|c) rows, and a Q(c|x) table."""
@@ -199,66 +209,30 @@ class ChannelCheck:
     l_i: float
     gap: float
     expected_kl: float
-    h_prior: float
-    li_finite: bool
 
 
 def bayes_posterior_q(prior: np.ndarray, conditional: np.ndarray) -> np.ndarray:
     """Exact posterior P(c|x) as an (M,K) Q table; uniform on unreachable x."""
-    prior = np.asarray(prior, dtype=np.float64)
-    conditional = np.asarray(conditional, dtype=np.float64)
-    joint = prior[:, None] * conditional
-    px = joint.sum(axis=0)
-    k = len(prior)
-    post = np.full((conditional.shape[1], k), 1.0 / k)
-    pos = px > 0.0
-    post[pos] = (joint[:, pos] / px[pos]).T
-    return post
+    return _conditional_rows(np.asarray(prior, dtype=np.float64)[:, None] * np.asarray(conditional, dtype=np.float64))
 
 
 def channel_bound_check(chan: ChannelSpec) -> ChannelCheck:
-    """Exact I(c;x), the variational bound for the given Q, and their gap.
+    """Exact I(c;x), the variational bound L_I for the given Q, their gap and E_x[KL(P(c|x) || Q(c|x))].
 
-    A Q that assigns zero where the posterior has mass drives the bound to
-    -inf; that case is reported (li_finite=False), never raised.
+    Each is one sum over the support of P(c, x), so an unreachable x enters
+    with weight P(x) = 0. A Q that assigns zero where the posterior has mass
+    gives L_I = -inf and gap = E[KL] = inf; that case is reported, never raised.
     """
     joint = chan.prior[:, None] * chan.conditional  # (K, M)
-    px = joint.sum(axis=0)
-    mask = joint > 0.0
-
+    on = joint > 0.0
+    p, q = joint[on], chan.q_table.T[on]  # q: Q(c|x) aligned with joint
+    i_exact = float((p * (np.log(p) - np.log((chan.prior[:, None] * joint.sum(axis=0))[on]))).sum())
+    if np.any(q == 0.0):
+        return ChannelCheck(i_exact=i_exact, l_i=-np.inf, gap=np.inf, expected_kl=np.inf)
     prior_nz = chan.prior[chan.prior > 0.0]
-    h_prior = float(-(prior_nz * np.log(prior_nz)).sum())
-
-    outer = chan.prior[:, None] * px[None, :]
-    i_exact = float((joint[mask] * (np.log(joint[mask]) - np.log(outer[mask]))).sum())
-
-    q_at = chan.q_table.T  # (K, M): Q(c|x) aligned with joint
-    if np.any(q_at[mask] == 0.0):
-        l_i = float("-inf")
-        li_finite = False
-    else:
-        l_i = float((joint[mask] * np.log(q_at[mask])).sum() + h_prior)
-        li_finite = True
-
-    expected_kl = 0.0
-    for x in range(joint.shape[1]):
-        if px[x] <= 0.0:
-            continue
-        post = joint[:, x] / px[x]
-        nz = post > 0.0
-        if np.any(chan.q_table[x, nz] == 0.0):
-            expected_kl = float("inf")
-            break
-        expected_kl += px[x] * float((post[nz] * (np.log(post[nz]) - np.log(chan.q_table[x, nz]))).sum())
-
-    return ChannelCheck(
-        i_exact=i_exact,
-        l_i=l_i,
-        gap=i_exact - l_i,
-        expected_kl=expected_kl,
-        h_prior=h_prior,
-        li_finite=li_finite,
-    )
+    l_i = float((p * np.log(q)).sum() - (prior_nz * np.log(prior_nz)).sum())
+    expected_kl = float((p * (np.log(_conditional_rows(joint).T[on]) - np.log(q))).sum())
+    return ChannelCheck(i_exact=i_exact, l_i=l_i, gap=i_exact - l_i, expected_kl=expected_kl)
 
 
 def random_channel(rng: np.random.Generator, q_mode: str = "random") -> ChannelSpec:

@@ -30,6 +30,7 @@ is bitwise reproducible.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -280,6 +281,10 @@ def build_dataset(cfg: TrainingConfig, rng: np.random.Generator) -> Dataset:
 
 def train_run(cfg: TrainingConfig) -> tuple[ModelPair, MetricsTrace]:
     """Full training per config; writes the metrics CSV and final checkpoint."""
+    for key in ("metrics_out", "checkpoint_out"):
+        folder = os.path.dirname(getattr(cfg, key))
+        if folder and not os.path.isdir(folder):
+            raise TrainingError(f"{key} = {getattr(cfg, key)!r}: directory {folder!r} does not exist")
     rngs = rng_streams(cfg.seed)
     ds = build_dataset(cfg, rngs["dataset"])
     if ds.dims != cfg.image_dims:

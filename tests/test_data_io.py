@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -138,6 +139,39 @@ class TestIdxLoader:
         with pytest.raises(OverflowError):
             write_idx_pair(images[:2], [3, 300], ip, lp)   # 300 does not fit a uint8 label
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("images, labels, named", [
+        (np.full((2, 2, 2), 300), [1, 2], "images[0, 0, 0] is 300;"),
+        (np.full((2, 2, 2), -1), [1, 2], "images[0, 0, 0] is -1;"),
+        (np.array([[[0, 0.5]], [[1, 2]]]), [1, 2], "images[0, 0, 1] is 0.5;"),
+        (np.zeros((2, 2, 2), np.uint8), np.array([3, 260]), "labels[1] is 260;"),
+        (np.zeros((2, 2, 2), np.uint8), np.array([np.nan, 3]), "labels[0] is nan;"),
+    ], ids=["pixel-300", "pixel-minus-1", "pixel-half", "label-260", "label-nan"])
+    def test_entry_that_is_not_a_byte_is_refused_before_any_file_is_touched(self, idx_pair, tmp_path, images, labels, named):
+        # these used to be written as 44, 255, 0, 4 and 0 without an error
+        _, _, ip, lp = idx_pair
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(OverflowError, match=rf"^{re.escape(named)} IDX entries must be integers in \[0, 255\]$"):
+            write_idx_pair(images, labels, ip, lp)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_integer_entries_in_byte_range_round_trip(self, tmp_path):
+        images, labels = np.arange(8.0).reshape(2, 2, 2) * 36, [0, 255]
+        ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+        write_idx_pair(images, labels, ip, lp)
+        ds = load_mnist_idx(ip, lp)
+        assert ds.images.tolist() == images.reshape(2, 4).tolist() and ds.labels.tolist() == labels
+
+    def test_uint8_images_are_written_with_one_copy(self, tmp_path):
+        # a uint8 stack skips the byte check: beyond the bytes written out, no scan or copy is held
+        images = np.zeros((64, 128, 128), np.uint8)
+        tracemalloc.start()
+        try:
+            write_idx_pair(images, np.zeros(64, np.uint8), str(tmp_path / "i.idx"), str(tmp_path / "l.idx"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * images.nbytes, f"traced peak {peak / images.nbytes:.2f}x the images"
 
 
 class TestSynthTemplates:

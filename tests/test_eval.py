@@ -28,7 +28,7 @@ from infogan_lab.evaluate import (
     traversal_grid,
     verify_lemma,
 )
-from infogan_lab.latent import CodeBlock
+from infogan_lab.latent import CodeBlock, LatentSpec
 from infogan_lab.models import init_models
 from infogan_lab.trainer import train_step
 
@@ -152,7 +152,6 @@ class TestChannelBound:
             q_table=np.array([[0.0, 1.0], [1.0, 0.0]]),
         )
         res = channel_bound_check(chan)
-        assert not res.li_finite
         assert res.l_i == float("-inf")
         assert res.gap == float("inf") and res.expected_kl == float("inf")
 
@@ -163,6 +162,58 @@ class TestChannelBound:
                 conditional=np.eye(2),
                 q_table=np.eye(2),
             )
+
+    @pytest.mark.parametrize("q_mode", ["random", "prior", "posterior", "sparse"])
+    def test_expected_kl_matches_scipy_entropy(self, q_mode):
+        # an independent oracle: sum over reachable x of P(x) * KL(P(.|x) || Q(.|x)), one x at a time
+        from scipy.stats import entropy
+
+        rng = np.random.default_rng(8)
+        checked = 0
+        for _ in range(200):
+            if q_mode == "sparse":
+                prior, cond, q = _sparse_channel(rng)
+                chan = ChannelSpec(prior=prior, conditional=cond, q_table=q)
+            else:
+                chan = random_channel(rng, q_mode)
+            joint = chan.prior[:, None] * chan.conditional
+            px = joint.sum(axis=0)
+            want = sum(px[x] * entropy(joint[:, x] / px[x], chan.q_table[x]) for x in np.flatnonzero(px))
+            res = channel_bound_check(chan)
+            if np.isinf(want):
+                assert res.expected_kl == want
+            else:
+                assert abs(res.expected_kl - want) <= 1e-12
+                checked += 1
+        assert checked >= 100
+
+    def test_zero_q_off_the_support_stays_finite(self):
+        # Q(c|x) = 0 only where P(c, x) = 0, and x = 2 is unreachable with a one-hot Q row
+        chan = ChannelSpec(
+            prior=np.array([0.5, 0.5]),
+            conditional=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+            q_table=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
+        )
+        res = channel_bound_check(chan)
+        assert abs(res.i_exact - np.log(2.0)) <= 1e-15 and abs(res.l_i - np.log(2.0)) <= 1e-15
+        assert abs(res.gap) <= 1e-15 and res.expected_kl == 0.0
+
+    def test_result_holds_the_four_quantities(self):
+        res = channel_bound_check(random_channel(np.random.default_rng(9)))
+        assert list(vars(res)) == ["i_exact", "l_i", "gap", "expected_kl"]
+
+
+@pytest.mark.parametrize("table", ["prior", "conditional", "q_table", "joint"])
+def test_nan_in_a_probability_table_is_refused_naming_it(table):
+    # NaN fails both "< 0" and "|sum - 1| > tol", so each table is checked as "not (valid)"
+    tables = {"prior": np.array([0.5, 0.5]), "conditional": np.eye(2), "q_table": np.eye(2), "joint": np.full((2, 2), 0.25)}
+    tables[table] = tables[table].copy()
+    tables[table].flat[0] = np.nan
+    with pytest.raises(UsageError, match=f"^{table}: entries must be >= 0"):
+        if table == "joint":
+            LemmaJointSpec(joint=tables["joint"], payoff=np.ones((2, 2)))
+        else:
+            ChannelSpec(prior=tables["prior"], conditional=tables["conditional"], q_table=tables["q_table"])
 
 
 class TestEstimateMiBound:
@@ -182,6 +233,21 @@ class TestEstimateMiBound:
         model, cfg = toy_model()
         with pytest.raises(UsageError):
             estimate_mi_bound(model, cfg.latent_spec(), 50, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("codes, noise_dim", [
+        ((CodeBlock.categorical(4, (0.7, 0.1, 0.1, 0.1)), CodeBlock.uniform(-3, 3)), 8),
+        ((CodeBlock.categorical(4), CodeBlock.uniform(-1, 1)), 9),
+    ])
+    def test_spec_that_is_not_the_models_is_refused_before_any_draw(self, codes, noise_dim):
+        # a mismatched spec used to score Q against codes and entropies the model was never given
+        model, _ = toy_model()
+        spec = LatentSpec(blocks=codes, noise_dim=noise_dim)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        given = " ".join(b.to_token() for b in codes)
+        with pytest.raises(UsageError, match=rf"^spec \({re.escape(given)} \+ normal noise {noise_dim}\) is not the model's spec \(cat:4 unif:-1.0:1.0 \+ normal noise 8\)"):
+            estimate_mi_bound(model, spec, 1000, rng)
+        assert rng.bit_generator.state == before
 
 
 class TestClassifierEval:
@@ -369,7 +435,7 @@ class TestImportFootprint:
             from infogan_lab.config import TrainingConfig
             from infogan_lab.data_io import synth_templates
             from infogan_lab.evaluate import categorical_classifier_eval
-            from infogan_lab.latent import CodeBlock
+            from infogan_lab.latent import CodeBlock, LatentSpec
             from infogan_lab.models import init_models
             from infogan_lab.trainer import train_step
 

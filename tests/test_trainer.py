@@ -544,6 +544,17 @@ class TestTrainRun:
         with pytest.raises(TrainingError, match="mnist_images"):
             train_run(cfg)
 
+    @pytest.mark.parametrize("key", ["checkpoint_out", "metrics_out"])
+    def test_output_directory_that_does_not_exist_fails_before_iteration_one(self, tmp_path, monkeypatch, key):
+        # the outputs used to be opened only after every iteration had run, naming a temp file
+        steps = []
+        monkeypatch.setattr(trainer, "train_step", lambda *a, **kw: steps.append(a))
+        missing = tmp_path / "no-such-dir"
+        cfg = tiny_cfg(tmp_path, **{key: str(missing / "out")})
+        with pytest.raises(TrainingError, match=rf"^{key} = .*: directory '{re.escape(str(missing))}' does not exist$"):
+            train_run(cfg)
+        assert steps == [] and sorted(os.listdir(tmp_path)) == []
+
     @pytest.mark.parametrize("n_images", [20, 0])
     def test_idx_pair_shorter_than_mnist_subset_is_named(self, tmp_path, n_images):
         # a short pair would otherwise train on fewer images than its provenance claims,
@@ -916,6 +927,13 @@ class TestConfig:
     def test_key_given_twice_names_both_lines(self):
         with pytest.raises(ConfigError, match=r"^line 4: key 'seed' repeats line 1$"):
             parse_config("seed = 1\ncode = cat:4\ncode = cat:2\nseed = 2\n")
+
+    @pytest.mark.parametrize("key", ["checkpoint_out", "metrics_out"])
+    def test_empty_output_path_is_refused_naming_its_key(self, key):
+        with pytest.raises(ConfigError, match=rf"^{key} must name a file, got ''$"):
+            TrainingConfig(**{key: ""})
+        with pytest.raises(ConfigError, match=rf"^{key} must name a file"):
+            parse_config(f"iterations = 3\n{key} =\n")
 
     def test_codes_is_not_a_key(self):
         with pytest.raises(ConfigError, match=r"^line 1: unknown key 'codes'$"):
