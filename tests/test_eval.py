@@ -28,7 +28,7 @@ from infogan_lab.evaluate import (
     traversal_grid,
     verify_lemma,
 )
-from infogan_lab.latent import CodeBlock, LatentSpec
+from infogan_lab.latent import CodeBlock
 from infogan_lab.models import init_models
 from infogan_lab.trainer import train_step
 
@@ -240,6 +240,8 @@ class TestEstimateMiBound:
     ])
     def test_spec_that_is_not_the_models_is_refused_before_any_draw(self, codes, noise_dim):
         # a mismatched spec used to score Q against codes and entropies the model was never given
+        from infogan_lab.latent import LatentSpec
+
         model, _ = toy_model()
         spec = LatentSpec(blocks=codes, noise_dim=noise_dim)
         rng = np.random.default_rng(0)
@@ -435,7 +437,7 @@ class TestImportFootprint:
             from infogan_lab.config import TrainingConfig
             from infogan_lab.data_io import synth_templates
             from infogan_lab.evaluate import categorical_classifier_eval
-            from infogan_lab.latent import CodeBlock, LatentSpec
+            from infogan_lab.latent import CodeBlock
             from infogan_lab.models import init_models
             from infogan_lab.trainer import train_step
 

@@ -553,7 +553,7 @@ class TestTrainRun:
         cfg = tiny_cfg(tmp_path, **{key: str(missing / "out")})
         with pytest.raises(TrainingError, match=rf"^{key} = .*: directory '{re.escape(str(missing))}' does not exist$"):
             train_run(cfg)
-        assert steps == [] and sorted(os.listdir(tmp_path)) == []
+        assert steps == [] and os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("n_images", [20, 0])
     def test_idx_pair_shorter_than_mnist_subset_is_named(self, tmp_path, n_images):
