@@ -10,7 +10,9 @@ attribute) rather than assembled from elementwise pieces. Each op is one
 every rule can be audited and gradient-checked on its own, and adding or
 removing an op is a single edit.
 A forward rule returns ``(out, saved)``, and the tape keeps ``saved``, the
-residuals its backward rule reads, in place of the op's inputs. A backward
+residuals its backward rule reads, in place of the op's input arrays; only
+ops are nodes, and a node names each input by the node that produced it, or
+a leaf (a parameter, batch or constant) by the tensor itself. A backward
 rule is ``backward(g, node, need)`` and reads only ``node.saved`` and
 ``node.attrs``; ``need`` holds one bool per input, true where a ``wrt``
 tensor of the sweep feeds that input, and the rule computes only those
@@ -105,10 +107,10 @@ def _as_array(values) -> np.ndarray:
 
 
 class Tensor:
-    """Dense float64 array plus the id of its node on the recording tape.
+    """Dense float64 array plus the id of the tape node that produced it.
 
-    ``node`` is None unless the tensor has been touched by an op while a
-    tape was active.
+    ``node`` and ``_tape`` are set only on an op's output recorded on a tape;
+    a parameter, data batch or constant is a leaf and never points at a tape.
     """
 
     __slots__ = ("data", "node", "_tape")
@@ -161,13 +163,13 @@ class BatchNormState:
 
 
 class TapeNode:
-    """One recorded op: its input node ids, the residuals its forward saved, and its attributes."""
+    """One recorded op: the names of its inputs, the residuals its forward saved, and its attributes."""
 
-    __slots__ = ("op", "input_ids", "saved", "attrs")
+    __slots__ = ("op", "inputs", "saved", "attrs")
 
-    def __init__(self, op, input_ids, saved, attrs):
+    def __init__(self, op, inputs, saved, attrs):
         self.op = op
-        self.input_ids = input_ids
+        self.inputs = inputs
         self.saved = saved
         self.attrs = attrs
 
@@ -184,7 +186,7 @@ class Tape:
     on the same tape; each call returns fresh gradients and stores nothing.
 
     A tape records once: leaving its ``with`` block closes it and drops its
-    nodes, so tensors that still point at it (the model's parameters) do not
+    nodes, so tensors that still point at it (the step's loss tensors) do not
     keep the step's activations alive. ``nodes`` is None once closed.
     """
 
@@ -207,20 +209,14 @@ class Tape:
         self.nodes = None
         return False
 
-    def _register(self, tensor: Tensor) -> int:
-        if tensor._tape is self and tensor.node is not None:
-            return tensor.node
-        nid = len(self.nodes)
-        self.nodes.append(TapeNode("leaf", (), None, None))
-        tensor.node = nid
-        tensor._tape = self
-        return nid
+    def _name(self, t: Tensor) -> int | Tensor:
+        # a tensor's name on this tape: the id of the node that produced it here, or a leaf itself;
+        # Tensor must keep identity hashing (no __eq__/__hash__), so a leaf equals no other name
+        return t.node if t._tape is self else t
 
     def record(self, op: str, inputs: list[Tensor], saved, attrs, out: Tensor) -> None:
-        input_ids = tuple(self._register(t) for t in inputs)
-        nid = len(self.nodes)
-        self.nodes.append(TapeNode(op, input_ids, saved, attrs))
-        out.node = nid
+        out.node = len(self.nodes)
+        self.nodes.append(TapeNode(op, tuple(map(self._name, inputs)), saved, attrs))
         out._tape = self
 
     def backward(self, root: Tensor, wrt: list[Tensor], cotangent=None) -> list[np.ndarray]:
@@ -234,13 +230,13 @@ class Tape:
 
         Only nodes that depend on a ``wrt`` tensor are differentiated, and
         each rule is told which of its inputs do (``need``), so it computes
-        only those input gradients. A ``wrt`` tensor not recorded on this
-        tape, or on no path to the root, gets zeros of its shape. Gradients
-        accumulate over fan-out.
+        only those input gradients. The root must be an op output on this
+        tape; a ``wrt`` tensor that no op here read, or on no path to the
+        root, gets zeros of its shape. Gradients accumulate over fan-out.
         """
         if self.nodes is None:
             raise UsageError("backward: the tape is closed (its with block has exited)")
-        if root._tape is not self or root.node is None:
+        if root._tape is not self:
             raise UsageError("backward: root tensor was not recorded on this tape")
         if cotangent is None:
             if root.data.size != 1:
@@ -250,32 +246,23 @@ class Tape:
             seed = np.array(cotangent, dtype=np.float64)
             if seed.shape != root.shape:
                 raise UsageError(f"backward: cotangent shape {seed.shape} does not match root shape {root.shape}")
-        # forward pass: mark every node that a wrt tensor feeds
-        live = {t.node for t in wrt if t._tape is self}
+        # forward pass: mark every node that a wrt tensor feeds; live and grads are keyed by name
+        wrt_names = [self._name(t) for t in wrt]
+        live = set(wrt_names)
         for nid in range(root.node + 1):
-            if not live.isdisjoint(self.nodes[nid].input_ids):
+            if not live.isdisjoint(self.nodes[nid].inputs):
                 live.add(nid)
-        grads: dict[int, np.ndarray] = {}
-        if root.node in live:
-            grads[root.node] = seed
+        grads = {root.node: seed} if root.node in live else {}
         for nid in range(root.node, -1, -1):
-            g = grads.get(nid)
-            if g is None:
+            if (g := grads.get(nid)) is None:
                 continue
             node = self.nodes[nid]
-            if node.op == "leaf":
-                continue
-            need = tuple(iid in live for iid in node.input_ids)
-            input_grads = _OPS[node.op][1](g, node, need)
-            for iid, needed, gi in zip(node.input_ids, need, input_grads):
-                if not needed:
-                    continue
-                acc = grads.get(iid)
-                grads[iid] = gi if acc is None else acc + gi
-        return [
-            grads[t.node] if t._tape is self and t.node in grads else np.zeros_like(t.data)
-            for t in wrt
-        ]
+            need = tuple(name in live for name in node.inputs)
+            for name, needed, gi in zip(node.inputs, need, _OPS[node.op][1](g, node, need)):
+                if needed:
+                    acc = grads.get(name)
+                    grads[name] = gi if acc is None else acc + gi
+        return [grads[name] if name in grads else np.zeros_like(t.data) for name, t in zip(wrt_names, wrt)]
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +568,7 @@ def forward_op(name: str, inputs: list[Tensor], attrs: dict | None = None) -> Te
     # the rule's output is already a fresh C-contiguous float64 array: wrap it unchecked
     out = _new_tensor(Tensor)
     out.data, saved = rules[0]([t.data for t in inputs], attrs)
-    out.node = None
-    out._tape = None
+    out.node = out._tape = None
     if _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE.record(name, inputs, saved, attrs, out)
     return out
@@ -661,14 +647,18 @@ def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6, readout=N
     nothing; it must read the taped value bit for bit, or the builder is not
     deterministic or a stacked rule is not its unstacked one. The output
     must have the taped shape (no parameter reaches it) or its probe stack,
-    and no tensor may be listed twice; anything else is a ``UsageError``.
-    Each probe reads as its own pass would, bit for bit. Every parameter
-    gets its own array back, also if the builder raises.
+    no tensor may be listed twice and the parameters must hold at least one
+    entry; anything else is a ``UsageError``. Each probe reads as its own
+    pass would, bit for bit. Every parameter gets its own array back, also
+    if the builder raises.
     """
     if not (0.0 < step <= 1e-3):
         raise UsageError(f"grad_check: step must be in (0, 1e-3], got {step}")
     if len({id(p) for p in params}) != len(params):
         raise UsageError("grad_check: a parameter tensor is listed twice")
+    n = sum(p.data.size for p in params)
+    if n == 0:
+        raise UsageError("grad_check: the parameters hold no entries, so there is nothing to check")
     if readout is not None:
         readout = np.asarray(readout, dtype=np.float64)
 
@@ -680,7 +670,6 @@ def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6, readout=N
         root = loss_builder(params)
         analytic = tape.backward(root, params, readout)
     out, origs = root.data, [p.data for p in params]
-    n = sum(orig.size for orig in origs)
     k, offset = 2 * n + 1, 0
     try:
         for p, orig in zip(params, origs):

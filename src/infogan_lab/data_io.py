@@ -186,9 +186,13 @@ def write_idx_pair(images_u8: np.ndarray, labels_u8: np.ndarray, images_path: st
 
     Both files are written atomically, and neither replaces its old version
     unless both writes succeed. An entry that is not an integer in [0, 255]
-    is an ``OverflowError`` naming it, raised before either file is touched.
+    is an ``OverflowError`` naming it, and images that are not (N,H,W) or
+    labels that are not N values a ``UsageError``; both are raised before
+    either file is touched.
     """
     images, labels = _byte_values("images", images_u8), _byte_values("labels", labels_u8)
+    if images.ndim != 3 or labels.ndim != 1 or len(images) != len(labels):
+        raise UsageError(f"an IDX pair needs (N,H,W) images and N labels, got images {images.shape} and labels {labels.shape}")
     n, h, w = images.shape
     with atomic_open(images_path) as fi, atomic_open(labels_path) as fl:
         fi.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w))

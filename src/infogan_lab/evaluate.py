@@ -110,6 +110,9 @@ class LemmaJointSpec:
         if self.joint.shape != self.payoff.shape or self.joint.ndim != 2:
             raise UsageError(f"joint {self.joint.shape} and payoff {self.payoff.shape} must be equal 2-D shapes")
         _check_rows("joint", self.joint.ravel())
+        if not np.all(finite := np.isfinite(self.payoff)):
+            at = tuple(int(i) for i in np.argwhere(~finite)[0])
+            raise UsageError(f"payoff{list(at)} is {self.payoff[at]}; payoff entries must be finite")
 
 
 @dataclass

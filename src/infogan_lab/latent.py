@@ -67,9 +67,10 @@ class CodeBlock:
     def categorical(k: int, probs=None) -> "CodeBlock":
         if k < 2:
             raise SpecError(f"categorical block needs >= 2 categories, got {k}")
-        if probs is None:
-            probs = [1.0 / k] * k
-        return CodeBlock(kind="categorical", probs=tuple(float(p) for p in probs))
+        probs = (1.0 / k,) * k if probs is None else tuple(float(p) for p in probs)
+        if len(probs) != k:
+            raise SpecError(f"categorical block of {k} categories lists {len(probs)} probabilities")
+        return CodeBlock(kind="categorical", probs=probs)
 
     @staticmethod
     def uniform(lo: float, hi: float, dim: int = 1) -> "CodeBlock":
@@ -127,10 +128,7 @@ def parse_block_token(token: str) -> CodeBlock:
             if len(parts) == 2:
                 return CodeBlock.categorical(k)
             if len(parts) == 3:
-                probs = [float(p) for p in parts[2].split(",")]
-                if len(probs) != k:
-                    raise SpecError(f"cat:{k} token lists {len(probs)} probabilities")
-                return CodeBlock.categorical(k, probs)
+                return CodeBlock.categorical(k, [float(p) for p in parts[2].split(",")])
         elif kind == "unif" and len(parts) in (3, 4):
             dim = int(parts[3]) if len(parts) == 4 else 1
             return CodeBlock.uniform(float(parts[1]), float(parts[2]), dim)

@@ -98,7 +98,7 @@ class ModelPair:
     ``params`` is a read-only view of every block's parameters in block
     order, so no tensor can be rebound away from the vector Adam updates.
     The forward passes read each layer's tensors from its ``Dense`` record,
-    which ``_layout_models`` resolves once from the layer's declared names;
+    which ``_layout_models`` builds once from its block's views;
     ``q_outs`` holds one entry per code block, the logits layer of a
     categorical code or the ``(mu, log sigma)`` pair of a continuous one.
     """
@@ -124,12 +124,13 @@ def _layout_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec) -> M
     """Check the configs and lay out a ModelPair: every block zero, fresh batchnorm states, nothing drawn.
 
     Each dense layer is declared once, by name, with its batchnorm if it has
-    one. The name's prefix (``gen``, ``trunk``, ``d_head``, ``q_head``) picks
-    the block, and declaration order is parameter order: ``{name}.w``,
-    ``{name}.b``, then ``{bn}.gamma`` and ``{bn}.beta``. The Q head's per-code
-    layers are ``q_head.cat{i}`` / ``q_head.cont{i}``, counted per family in
-    spec order, a continuous one split into ``.mu`` and ``.s``. Once every
-    block is allocated, each declared name resolves to its ``Dense`` record.
+    one, in the list of its block (``gen``, ``trunk``, ``d_head``, ``q_head``);
+    list order is parameter order: ``{name}.w``, ``{name}.b``, then
+    ``{bn}.gamma`` and ``{bn}.beta``. The Q head's per-code layers are
+    ``q_head.cat{i}`` / ``q_head.cont{i}``, counted per family in spec order,
+    a continuous one split into ``.mu`` and ``.s``. Each block is allocated
+    from its list in one pass, which builds its ``Dense`` records from the
+    new views.
     """
     if gen_cfg.widths[0] != spec.gen_input_dim:
         raise ShapeError(
@@ -144,53 +145,44 @@ def _layout_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec) -> M
             f"trunk input width {dq_cfg.widths[0]} != image dim {gen_cfg.widths[-1]}"
         )
 
-    shapes: dict[str, dict[str, tuple[int, ...]]] = {}  # block -> parameter -> shape, in creation order
+    blocks: dict[str, ParamBlock] = {}
     bn_states: dict[str, BatchNormState] = {}
-    bn_of: dict[str, str] = {}  # layer name -> the name of its batchnorm
 
-    def dense(name: str, fan_in: int, fan_out: int, bn_name: str | None = None) -> str:
-        block = shapes.setdefault(name.partition(".")[0], {})
-        block[f"{name}.w"], block[f"{name}.b"] = (fan_in, fan_out), (fan_out,)
-        if bn_name is not None:
-            block[f"{bn_name}.gamma"], block[f"{bn_name}.beta"] = (fan_out,), (fan_out,)
-            bn_states[bn_name] = BatchNormState(fan_out)
-            bn_of[name] = bn_name
-        return name
+    def layout(block: str, layers: list[tuple[str, int, int, str | None]]) -> list[Dense]:
+        """Allocate ``block`` from its ``(layer, fan_in, fan_out, bn name or None)`` tuples; their Dense records."""
+        shapes = {}
+        for name, fan_in, fan_out, bn_name in layers:
+            shapes[f"{name}.w"], shapes[f"{name}.b"] = (fan_in, fan_out), (fan_out,)
+            if bn_name is not None:
+                shapes[f"{bn_name}.gamma"], shapes[f"{bn_name}.beta"] = (fan_out,), (fan_out,)
+                bn_states[bn_name] = BatchNormState(fan_out)
+        blocks[block] = ParamBlock.allocate(block, shapes)
+        p = blocks[block].params
+        return [Dense(p[f"{name}.w"], p[f"{name}.b"],
+                      None if bn_name is None else (p[f"{bn_name}.gamma"], p[f"{bn_name}.beta"], bn_states[bn_name]))
+                for name, _, _, bn_name in layers]
 
-    gw, tw = gen_cfg.widths, dq_cfg.widths
+    gw, tw, hq = gen_cfg.widths, dq_cfg.widths, dq_cfg.q_hidden
     # batchnorm on every hidden generator layer, none on the image layer
-    gen = [dense(f"gen.l{i}", gw[i], gw[i + 1], f"gen.bn{i}" if gen_cfg.batchnorm and i < len(gw) - 2 else None)
-           for i in range(len(gw) - 1)]
+    gen = layout("gen", [(f"gen.l{i}", gw[i], gw[i + 1], f"gen.bn{i}" if gen_cfg.batchnorm and i < len(gw) - 2 else None)
+                         for i in range(len(gw) - 1)])
     # mirror the usual stack: no normalization right after the input layer
-    trunk = [dense(f"trunk.l{i}", tw[i], tw[i + 1], f"trunk.bn{i}" if dq_cfg.batchnorm and i > 0 else None)
-             for i in range(len(tw) - 1)]
-    d_out = dense("d_head.out", tw[-1], 1)
-    hq = dq_cfg.q_hidden
-    q_l0 = dense("q_head.l0", tw[-1], hq, "q_head.bn0" if dq_cfg.batchnorm else None)
-    counters = {"cat": itertools.count(), "cont": itertools.count()}
-    q_outs = []
-    for block in spec.blocks:
-        if block.is_discrete:
-            q_outs.append(dense(f"q_head.cat{next(counters['cat'])}", hq, block.k))
+    trunk = layout("trunk", [(f"trunk.l{i}", tw[i], tw[i + 1], f"trunk.bn{i}" if dq_cfg.batchnorm and i > 0 else None)
+                             for i in range(len(tw) - 1)])
+    (d_out,) = layout("d_head", [("d_head.out", tw[-1], 1, None)])
+    q_layers = [("q_head.l0", tw[-1], hq, "q_head.bn0" if dq_cfg.batchnorm else None)]
+    n_cat, n_cont = itertools.count(), itertools.count()
+    for code in spec.blocks:
+        if code.is_discrete:
+            q_layers.append((f"q_head.cat{next(n_cat)}", hq, code.k, None))
         else:
-            name = f"q_head.cont{next(counters['cont'])}"
-            q_outs.append((dense(f"{name}.mu", hq, block.dim), dense(f"{name}.s", hq, block.dim)))
-
-    blocks = {b: ParamBlock.allocate(b, block_shapes) for b, block_shapes in shapes.items()}
-
-    def param(name: str) -> Tensor:
-        return blocks[name.partition(".")[0]].params[name]
-
-    def resolve(decl):
-        """The ``Dense`` record of a declared layer name, or a tuple of them for a tuple of names."""
-        if not isinstance(decl, str):
-            return tuple(map(resolve, decl))
-        bn_name = bn_of.get(decl)
-        bn = None if bn_name is None else (param(f"{bn_name}.gamma"), param(f"{bn_name}.beta"), bn_states[bn_name])
-        return Dense(param(f"{decl}.w"), param(f"{decl}.b"), bn)
-
-    return ModelPair(spec, gen_cfg, dq_cfg, blocks, bn_states, gen_layers=resolve(gen), trunk_layers=resolve(trunk),
-                     d_out=resolve(d_out), q_l0=resolve(q_l0), q_outs=resolve(q_outs))
+            name = f"q_head.cont{next(n_cont)}"
+            q_layers += [(f"{name}.mu", hq, code.dim, None), (f"{name}.s", hq, code.dim, None)]
+    q_l0, *q_flat = layout("q_head", q_layers)
+    q_iter = iter(q_flat)
+    q_outs = tuple(next(q_iter) if code.is_discrete else (next(q_iter), next(q_iter)) for code in spec.blocks)
+    return ModelPair(spec, gen_cfg, dq_cfg, blocks, bn_states, gen_layers=tuple(gen), trunk_layers=tuple(trunk),
+                     d_out=d_out, q_l0=q_l0, q_outs=q_outs)
 
 
 def init_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec, rng: np.random.Generator) -> ModelPair:

@@ -522,9 +522,13 @@ class TestBackward:
             with pytest.raises(UsageError, match=r"root must be scalar, got shape \(2, 2\)"):
                 tape.backward(y, [x])
 
-    def test_root_must_be_on_tape(self):
+    @pytest.mark.parametrize("read_by_an_op", [False, True], ids=["unread-leaf", "read-leaf"])
+    def test_root_must_be_on_tape(self, read_by_an_op):
+        # a leaf is never a node, also after an op on the tape has read it
         x = Tensor([1.0])
         with Tape() as tape:
+            if read_by_an_op:
+                ad.weighted_sum([x], (2.0,))
             with pytest.raises(UsageError, match="not recorded"):
                 tape.backward(x, [x])
 
@@ -540,8 +544,8 @@ class TestBackward:
         w = Tensor([1.0, 2.0])
         with Tape() as tape:
             ad.reduce_mean(ad.weighted_sum([w], (2.0,)))
-            assert len(tape.nodes) == 3
-        assert w._tape is tape and tape.nodes is None
+            assert len(tape.nodes) == 2
+        assert w._tape is None and tape.nodes is None
 
     def test_backward_after_exit_raises(self):
         w = Tensor([1.0, 2.0])
@@ -661,6 +665,12 @@ class TestGradCheck:
     def test_step_bounds(self):
         with pytest.raises(UsageError):
             grad_check(lambda p: ad.reduce_mean(p[0]), [Tensor([1.0])], step=0.5)
+
+    @pytest.mark.parametrize("params", [[], [Tensor(np.zeros((0, 3)))]], ids=["no-tensor", "size-0-tensor"])
+    def test_check_with_no_coordinates_is_refused(self, params):
+        # a check of nothing would read error 0.0: a pass that shows nothing
+        with pytest.raises(UsageError, match="^grad_check: the parameters hold no entries"):
+            grad_check(lambda p: ad.weighted_sum([Tensor(1.0)], (1.0,)), params)
 
     def test_nondeterministic_builder_rejected(self):
         state = {"n": 0}

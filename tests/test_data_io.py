@@ -155,6 +155,21 @@ class TestIdxLoader:
             write_idx_pair(images, labels, ip, lp)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("images, labels", [
+        (np.zeros((3, 2, 2), np.uint8), np.zeros(5, np.uint8)),
+        (np.zeros((3, 2, 2), np.uint8), np.zeros(2, np.uint8)),
+        (np.zeros((3, 4), np.uint8), np.zeros(3, np.uint8)),
+        (np.zeros((3, 2, 2), np.uint8), np.zeros((3, 1), np.uint8)),
+    ], ids=["more-labels", "fewer-labels", "images-2d", "labels-2d"])
+    def test_labels_that_do_not_match_the_images_are_refused_before_any_file_is_touched(self, idx_pair, tmp_path, images, labels):
+        # the label file's count is the image count, so a mismatch would write a pair that does not load
+        _, _, ip, lp = idx_pair
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        message = rf"^an IDX pair needs \(N,H,W\) images and N labels, got images {re.escape(str(images.shape))} and labels {re.escape(str(labels.shape))}$"
+        with pytest.raises(UsageError, match=message):
+            write_idx_pair(images, labels, ip, lp)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_integer_entries_in_byte_range_round_trip(self, tmp_path):
         images, labels = np.arange(8.0).reshape(2, 2, 2) * 36, [0, 255]
         ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")

@@ -85,6 +85,14 @@ class TestVerifyLemma:
         with pytest.raises(UsageError):
             LemmaJointSpec(joint=np.array([[0.5, 0.6]]), payoff=np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_payoff_that_is_not_finite_is_refused_naming_the_entry(self, bad):
+        # a non-finite payoff would make every verify_lemma field NaN or inf without naming its cause
+        payoff = np.ones((2, 3))
+        payoff[1, 2] = bad
+        with pytest.raises(UsageError, match=rf"^payoff\[1, 2\] is {bad}; payoff entries must be finite$"):
+            LemmaJointSpec(joint=np.full((2, 3), 1.0 / 6.0), payoff=payoff)
+
     @pytest.mark.parametrize("n_mc", [1, 0, -3])
     def test_fewer_than_two_draws_rejected_naming_n_mc(self, n_mc):
         # one draw has no standard error (NaN) and none has no mean either

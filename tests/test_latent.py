@@ -37,6 +37,14 @@ class TestCodeBlocks:
             with pytest.raises(SpecError, match=f"'{token}': categorical probs must be >= 0 and sum to 1"):
                 parse_block_token(token)
 
+    def test_probability_count_must_be_the_category_count(self):
+        # the probability list must not silently override k, through either entry point
+        with pytest.raises(SpecError, match=r"^categorical block of 3 categories lists 2 probabilities$"):
+            CodeBlock.categorical(3, [0.5, 0.5])
+        with pytest.raises(SpecError, match=r"^'cat:3:0.5,0.5': categorical block of 3 categories lists 2 probabilities$"):
+            parse_block_token("cat:3:0.5,0.5")
+        assert CodeBlock.categorical(2, [0.25, 0.75]).probs == (0.25, 0.75)
+
     def test_bad_ranges_rejected(self):
         with pytest.raises(SpecError):
             CodeBlock.uniform(1.0, -1.0)
