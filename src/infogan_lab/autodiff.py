@@ -1,4 +1,4 @@
-"""Tape-based reverse-mode automatic differentiation over dense float64 arrays.
+"""Tape-based reverse-mode automatic differentiation over dense float arrays.
 
 The operation catalogue is fixed and small: 11 ops, each run by training or
 evaluation. A dense layer is one ``linear`` op (``x @ w + b``), and
@@ -35,9 +35,17 @@ against finite differences of that weighted sum, read outside the tape.
 Outside a ``Tape`` context the same functions run as plain numpy and record
 nothing, which is the fast path used for evaluation and finite differences:
 an op call there costs its numpy work plus one rule lookup. Every forward
-rule's output is a fresh C-contiguous float64 array, so ``forward_op`` wraps
-it as returned instead of re-validating it, and shape-check messages are
-only formatted when a check fails.
+rule's output is a fresh C-contiguous array, so ``forward_op`` wraps it as
+returned instead of re-validating it, and shape-check messages are only
+formatted when a check fails.
+
+Every rule is dtype-generic: float32 inputs give float32 outputs and
+gradients, float64 inputs float64 ones. A ``Tensor`` keeps a float32 array
+as float32 and makes anything else float64. Training runs in
+``TRAIN_DTYPE`` (float32, as the paper's reference code did); the gradient
+checks of ``gradsuite`` and ``grad_check``'s central differences run in
+float64. A scalar that ``weighted_sum`` folds is a float64 0-d array in
+either case, since it is summed in Python floats.
 
 Every forward rule also takes one optional leading probe axis, which
 ``grad_check`` uses to run all probes of every parameter as one pass: K probes
@@ -52,6 +60,7 @@ nothing for the axis.
 
 from __future__ import annotations
 
+import functools
 import math
 from types import MappingProxyType
 
@@ -80,7 +89,12 @@ __all__ = [
     "reduce_mean",
     "batchnorm",
     "platform_key",
+    "TRAIN_DTYPE",
 ]
+
+# the dtype every training array is held in (parameters, running moments, Adam state, batches);
+# float64 stays the dtype of the gradient checks and of every exact oracle
+TRAIN_DTYPE = np.dtype(np.float32)
 
 
 class ShapeError(ValueError):
@@ -101,13 +115,15 @@ class UsageError(RuntimeError):
 
 
 def _as_array(values) -> np.ndarray:
+    # float32 stays float32 (the training dtype); anything else becomes float64.
     # note: not ascontiguousarray, which would promote 0-d scalars to 1-d
-    arr = np.asarray(values, dtype=np.float64, order="C")
+    dtype = np.float32 if getattr(values, "dtype", None) == np.float32 else np.float64
+    arr = np.asarray(values, dtype=dtype, order="C")
     return arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
 
 
 class Tensor:
-    """Dense float64 array plus the id of the tape node that produced it.
+    """Dense float32 or float64 array plus the id of the tape node that produced it.
 
     ``node`` and ``_tape`` are set only on an op's output recorded on a tape;
     a parameter, data batch or constant is a leaf and never points at a tape.
@@ -146,12 +162,13 @@ class BatchNormState:
     """Running moments for one batchnorm layer (eval mode reads these).
 
     Train mode normalizes with batch statistics and folds them into the
-    running averages: r <- m*r + (1-m)*batch, with m = ``BN_MOMENTUM``.
+    running averages: r <- m*r + (1-m)*batch, with m = ``BN_MOMENTUM``. The
+    moments are held in ``dtype``, the dtype of the layer they belong to.
     """
 
-    def __init__(self, num_features: int):
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
+    def __init__(self, num_features: int, dtype=np.float64):
+        self.running_mean = np.zeros(num_features, dtype=dtype)
+        self.running_var = np.ones(num_features, dtype=dtype)
 
     def update(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
         # in place, so an array taken from this state (a checkpoint entry) stays live
@@ -225,8 +242,9 @@ class Tape:
         Without a ``cotangent`` the root must be scalar and the result is its
         gradient. With one, the cotangent must have the root's shape, and the
         result is the vector-Jacobian product: the gradient of
-        ``sum(cotangent * root)``. The sweep starts from a float64 copy of
-        it, so the caller's array is never aliased by a returned gradient.
+        ``sum(cotangent * root)``. The sweep starts from a copy of it in the
+        root's dtype, so the caller's array is never aliased by a returned
+        gradient.
 
         Only nodes that depend on a ``wrt`` tensor are differentiated, and
         each rule is told which of its inputs do (``need``), so it computes
@@ -243,7 +261,7 @@ class Tape:
                 raise UsageError(f"backward: root must be scalar, got shape {root.shape}")
             seed = np.ones_like(root.data)
         else:
-            seed = np.array(cotangent, dtype=np.float64)
+            seed = np.array(cotangent, dtype=root.data.dtype)
             if seed.shape != root.shape:
                 raise UsageError(f"backward: cotangent shape {seed.shape} does not match root shape {root.shape}")
         # forward pass: mark every node that a wrt tensor feeds; live and grads are keyed by name
@@ -267,7 +285,7 @@ class Tape:
 
 # ---------------------------------------------------------------------------
 # op rules: forward(arrays, attrs) -> (out, saved), where out is a fresh
-# C-contiguous float64 array (forward_op wraps it as returned) and saved
+# C-contiguous array of the inputs' dtype (forward_op wraps it as returned) and saved
 # holds the residuals the backward rule reads; backward(g, node, need) ->
 # input grads from node.saved and node.attrs alone, where need holds one
 # bool per input (is that input live in the sweep) and a multi-input rule
@@ -361,7 +379,8 @@ def _b_relu(g, node, need):
 
 # For 0 < rate < 1 both lrelu rules are bitwise-equal to the np.where forms
 # (x if x > 0 else rate*x, and 1 or rate), also at +-0, +-inf and NaN; at
-# rate 0, max(inf, 0*inf) would be NaN, hence the guard.
+# rate 0, max(inf, 0*inf) would be NaN, hence the guard. The backward mask
+# takes the input's dtype: a bool mask against a Python float would be float64.
 def _f_lrelu(arrs, attrs):
     x = arrs[0]
     rate = attrs["rate"]
@@ -371,7 +390,8 @@ def _f_lrelu(arrs, attrs):
 
 
 def _b_lrelu(g, node, need):
-    return [g * np.maximum(node.saved > 0.0, node.attrs["rate"])]
+    x = node.saved
+    return [g * np.maximum(x > 0.0, node.attrs["rate"], dtype=x.dtype)]
 
 
 def _f_clip(arrs, attrs):
@@ -385,7 +405,8 @@ def _b_clip(g, node, need):
 
 def _sigmoid(x):
     # the logistic function in one pinned form, shared by sigmoid and sigmoid_cross_entropy's backward:
-    # exactly 0 for x <= -710 (exp overflows to inf, silently) and exactly 1 for large x
+    # exactly 0 where exp(-x) overflows to inf, silently (x <= -710 in float64, x <= -89 in float32),
+    # and exactly 1 for large x
     with np.errstate(over="ignore", under="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
 
@@ -412,7 +433,7 @@ def _f_sigmoid_cross_entropy(arrs, attrs):
 
 def _b_sigmoid_cross_entropy(g, node, need):
     sx = node.saved
-    dx = np.full(sx.shape, float(g) / sx.size) * _sigmoid(sx)
+    dx = np.full(sx.shape, float(g) / sx.size, dtype=sx.dtype) * _sigmoid(sx)
     return [dx * -1.0 if node.attrs["label"] == 1 else dx]
 
 
@@ -442,10 +463,16 @@ def _b_categorical_log_q(g, node, need):
     return [picked - np.exp(shifted - lse) * g]
 
 
+@functools.cache
+def _log_sigma_floor(dtype: np.dtype) -> float:
+    """The least whole x whose exp(-2*x) is finite in ``dtype``: -354 in float64, -44 in float32."""
+    return float(math.ceil(-0.5 * math.log(float(np.finfo(dtype).max))))
+
+
 def _gaussian_inv_var(log_sigma):
-    # exp(-2*x) is finite for every x >= -354 (708 < log of the largest double),
-    # so only a smaller minimum, or a NaN (which fails the comparison), can fail
-    if not _min_reduce(log_sigma, axis=None, initial=np.inf) >= -354.0:
+    # exp(-2*x) is finite for every x at or above the dtype's floor, so only a smaller
+    # minimum, or a NaN (which fails the comparison), can fail
+    if not _min_reduce(log_sigma, axis=None, initial=np.inf) >= _log_sigma_floor(log_sigma.dtype):
         with np.errstate(over="ignore"):
             inv_var = np.exp(-2.0 * log_sigma)
         if not np.all(np.isfinite(inv_var)):
@@ -480,11 +507,12 @@ def _b_gaussian_log_q(g, node, need):
 
 
 def _f_reduce_mean(arrs, attrs):
-    return _mean(arrs[0]), arrs[0].shape
+    return _mean(arrs[0]), (arrs[0].shape, arrs[0].dtype)
 
 
 def _b_reduce_mean(g, node, need):
-    return [np.full(node.saved, float(g) / math.prod(node.saved))]
+    shape, dtype = node.saved
+    return [np.full(shape, float(g) / math.prod(shape), dtype=dtype)]
 
 
 def _batch_moments(x):
@@ -565,7 +593,7 @@ def forward_op(name: str, inputs: list[Tensor], attrs: dict | None = None) -> Te
         raise UsageError(f"unknown op '{name}' (catalogue: {', '.join(OP_CATALOGUE)})")
     if attrs is None:
         attrs = _NO_ATTRS
-    # the rule's output is already a fresh C-contiguous float64 array: wrap it unchecked
+    # the rule's output is already a fresh C-contiguous array: wrap it unchecked
     out = _new_tensor(Tensor)
     out.data, saved = rules[0]([t.data for t in inputs], attrs)
     out.node = out._tape = None

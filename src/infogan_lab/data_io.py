@@ -7,14 +7,20 @@ the one conversion: ``uint8`` becomes ``pixels / 255.0`` and float64 passes
 through. It runs on each drawn batch (``Dataset.batch``), so no float64
 copy of a whole IDX dataset is ever made; the division is elementwise, so a
 converted batch has the same bits as the same rows of a converted file.
+Pixels stay float64 here; the trainer and the classifier cast each batch
+to the model's dtype (float32 for a trained model).
 
 The checkpoint is a little-endian binary: the 8-byte magic ``IGAN0001``, a
-u32 format version, the run-config text, then named float64 entries for
-every parameter and batchnorm running statistic. Loading rebuilds the model
-from the config and copies each entry into place: a parameter into its view
-of the model's flat block vector, a running statistic into its array. Every
-tensor is reproduced bitwise. The config text holds every key but the four
-paths, so a rerun gives a byte-identical checkpoint wherever it writes.
+u32 format version, the run-config text, then named float64 (``<f8``)
+entries for every parameter and batchnorm running statistic. A float32
+model's values widen to float64 exactly. Loading rebuilds the model from
+the config in the training dtype (float32) and narrows each entry into
+place: a parameter into its view of the model's flat block vector, a
+running statistic into its array. An entry that float32 cannot hold
+exactly, such as one written by float64 training, is refused, so every
+tensor is reproduced bitwise or not at all. The config text holds every key
+but the four paths, so a rerun gives a byte-identical checkpoint wherever
+it writes.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import UsageError
+from .autodiff import TRAIN_DTYPE, UsageError
 from .config import ConfigError, TrainingConfig, parse_config, render_config
 from .models import ModelPair, _layout_models
 
@@ -305,7 +311,10 @@ def _read_entries(r: _Reader, path: str) -> dict[str, np.ndarray]:
 
 
 def load_checkpoint(path: str) -> tuple[ModelPair, TrainingConfig]:
-    """Rebuild the model from the embedded config and copy every entry into place, bitwise."""
+    """Rebuild the float32 model from the embedded config and narrow every entry into place, bitwise.
+
+    An entry that float32 cannot hold exactly is a ``FormatError`` naming it.
+    """
     with open(path, "rb") as f:
         r = _Reader(f.read(), path)
     magic = bytes(r.take(8))
@@ -324,7 +333,7 @@ def load_checkpoint(path: str) -> tuple[ModelPair, TrainingConfig]:
     r.expect_eof()
 
     gen_cfg, dq_cfg = cfg.net_configs()
-    model = _layout_models(gen_cfg, dq_cfg, cfg.latent_spec())
+    model = _layout_models(gen_cfg, dq_cfg, cfg.latent_spec(), TRAIN_DTYPE)
     expected = dict(_checkpoint_entries(model))
     if set(expected) != set(loaded):
         missing = sorted(set(expected) - set(loaded))
@@ -333,7 +342,11 @@ def load_checkpoint(path: str) -> tuple[ModelPair, TrainingConfig]:
     for name, arr in loaded.items():
         if expected[name].shape != arr.shape:
             raise FormatError(f"{path}: entry '{name}' has shape {arr.shape}, expected {expected[name].shape}")
-        expected[name][...] = arr  # a parameter's view of its block, or a running statistic's array
+        target = expected[name]  # a parameter's view of its block, or a running statistic's array
+        with np.errstate(over="ignore"):  # a value beyond float32's range narrows to inf and is refused below
+            target[...] = arr
+        if not np.array_equal(target, arr, equal_nan=True):
+            raise FormatError(f"{path}: entry '{name}' holds values that {target.dtype} cannot hold exactly")
     return model, cfg
 
 

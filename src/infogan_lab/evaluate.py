@@ -2,7 +2,10 @@
 
 The finite-channel and finite-joint oracles materialize every distribution
 by enumeration, so the information quantities here are exact up to float
-rounding; they are the reference the learned estimates are checked against.
+rounding; they are the reference the learned estimates are checked against,
+and they run in float64. A trained model runs in its own dtype (float32),
+fed latent draws and pixels cast to it; the bound estimate's mean and
+standard error are summed in float64.
 The classifier score maps categories to classes by an exact Hungarian
 assignment written in numpy (``max_matching_assignment``); among tied
 optimal maps it returns one, the same one on every call.
@@ -73,7 +76,7 @@ def estimate_mi_bound(
     remaining = n_samples
     while remaining > 0:
         b = min(MI_CHUNK, remaining)
-        lat = sample_latent(spec, b, rng)
+        lat = sample_latent(spec, b, rng, model.dtype)
         x = gen_forward(model, lat.g_input, training=False)
         lq_disc, lq_cont = log_q(q_forward(model, x, training=False), lat)
         if lq_disc is not None:
@@ -85,7 +88,7 @@ def estimate_mi_bound(
     def _summary(parts: list[np.ndarray], h: float):
         if not parts:
             return None, None
-        v = np.concatenate(parts)
+        v = np.concatenate(parts, dtype=np.float64)
         return float(v.mean() + h), float(v.std(ddof=1) / np.sqrt(len(v)))
 
     # li_disc, se_disc, li_cont, se_cont
@@ -288,7 +291,7 @@ def traversal_grid(
     else:
         sweep = np.repeat(np.asarray(values, dtype=np.float64)[:, None], blk.dim, axis=1)
 
-    base = sample_latent(spec, rows, rng)
+    base = sample_latent(spec, rows, rng, model.dtype)
     s = len(values)
     g_input = np.repeat(base.g_input.data, s, axis=0)
     g_input[:, spec.noise_dim :][:, sl] = np.tile(sweep, (rows, 1))  # codes follow the noise columns
@@ -386,7 +389,8 @@ def categorical_classifier_eval(
     preds = np.empty(len(dataset), dtype=np.int64)
     for start in range(0, len(dataset), CLASSIFIER_CHUNK):
         stop = min(start + CLASSIFIER_CHUNK, len(dataset))
-        logits = q_forward(model, Tensor(dataset.batch(slice(start, stop))), training=False)[block]
+        pixels = dataset.batch(slice(start, stop)).astype(model.dtype, copy=False)
+        logits = q_forward(model, Tensor(pixels), training=False)[block]
         preds[start:stop] = np.argmax(logits.data, axis=1)
 
     counts = np.zeros((k, n_classes))

@@ -9,6 +9,11 @@ read outside the tape, so no readout op runs per probe.
 
 Each check runs its builder twice: once taped, and once with every probe
 stacked on a leading axis (see :func:`infogan_lab.autodiff.grad_check`).
+
+Every check runs in float64, also the full loss graph, whose model and
+latent batch are built in float64 rather than the float32 that training
+uses: the rules are dtype-generic, so the same rules are checked, at a
+precision where a 1e-6 central difference means something.
 """
 
 from __future__ import annotations
@@ -160,9 +165,9 @@ def full_loss_graph_check(n_seeds: int = 100, base_seed: int = 99) -> float:
         image_dim = 4
         gen_cfg = NetConfig(widths=(spec.gen_input_dim, 2, image_dim))
         dq_cfg = NetConfig(widths=(image_dim, 2), q_hidden=2)
-        model = init_models(gen_cfg, dq_cfg, spec, rng)
+        model = init_models(gen_cfg, dq_cfg, spec, rng, np.float64)
         redraw_biases(model, rng)
-        lat = sample_latent(spec, 3, rng)
+        lat = sample_latent(spec, 3, rng, np.float64)
         real = rng.uniform(0.0, 1.0, (3, image_dim))
 
         def loss(_params):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, UsageError
+from .autodiff import TRAIN_DTYPE, Tensor, UsageError
 
 class SpecError(ValueError):
     """Invalid latent specification."""
@@ -187,7 +187,8 @@ class LatentBatch:
     """One sampled batch: raw block values, and the matrix fed to G.
 
     ``g_input`` holds the noise z in its first ``noise_dim`` columns and the
-    encoded codes c after them, in block order (``encoded_slices``).
+    encoded codes c after them, in block order (``encoded_slices``), in the
+    dtype the batch was drawn for; ``c_raw`` keeps the float64 draws.
     """
 
     spec: LatentSpec
@@ -195,8 +196,12 @@ class LatentBatch:
     g_input: Tensor           # (B, noise_dim + encoded_dim)
 
 
-def sample_latent(spec: LatentSpec, batch: int, rng: np.random.Generator) -> LatentBatch:
-    """Draw z and every code block i.i.d. from its prior (deterministic given rng state)."""
+def sample_latent(spec: LatentSpec, batch: int, rng: np.random.Generator, dtype=TRAIN_DTYPE) -> LatentBatch:
+    """Draw z and every code block i.i.d. from its prior (deterministic given rng state).
+
+    The draws are float64 whatever ``dtype``, so the stream is consumed the
+    same way; ``g_input`` holds them rounded to ``dtype``, the model's.
+    """
     if batch < 1:
         raise SpecError(f"batch must be >= 1, got {batch}")
     if spec.noise_kind == "normal":
@@ -214,7 +219,7 @@ def sample_latent(spec: LatentSpec, batch: int, rng: np.random.Generator) -> Lat
             v = block.mean + block.sigma * rng.standard_normal((batch, block.dim))
         raw.append(v)
         encoded.append(one_hot(v, block.k) if block.is_discrete else v)
-    return LatentBatch(spec=spec, c_raw=raw, g_input=Tensor(np.concatenate([z, *encoded], axis=1)))
+    return LatentBatch(spec=spec, c_raw=raw, g_input=Tensor(np.concatenate([z, *encoded], axis=1, dtype=dtype)))
 
 
 def log_q(q: tuple, batch: LatentBatch) -> tuple[Tensor | None, Tensor | None]:
@@ -227,7 +232,8 @@ def log_q(q: tuple, batch: LatentBatch) -> tuple[Tensor | None, Tensor | None]:
     Discrete part: the fused ``categorical_log_q`` op, the log-softmax of
     the block logits at the sampled category; continuous part: the fused
     ``gaussian_log_q`` op, the diagonal Gaussian log-density
-    sum(-0.5*ln(2pi) - s - (c-mu)^2 / (2*exp(2s))) over dims. One
+    sum(-0.5*ln(2pi) - s - (c-mu)^2 / (2*exp(2s))) over dims, with the code
+    values c held in mu's dtype. One
     ``weighted_sum`` adds up a family's blocks; a family with none is None.
     Differentiable w.r.t. logits, mu and log_sigma (and through them x).
     """
@@ -245,7 +251,7 @@ def log_q(q: tuple, batch: LatentBatch) -> tuple[Tensor | None, Tensor | None]:
         if block.is_discrete:
             disc.append(ad.categorical_log_q(q[i], raw))
         else:
-            c = ad.const(np.asarray(raw, dtype=np.float64).reshape(b, block.dim))
+            c = ad.const(np.asarray(raw, dtype=q[i][0].data.dtype).reshape(b, block.dim))
             cont.append(ad.gaussian_log_q(c, *q[i]))
     return _family_sum(disc), _family_sum(cont)
 

@@ -10,11 +10,16 @@ tuple in spec order: (B,K) logits per categorical code, a (mu, log sigma)
 pair of (B,dim) tensors per continuous one.
 
 Parameters live in four clock blocks (``gen``, ``trunk``, ``d_head``,
-``q_head``), the units Adam steps. Each block is one flat float64 vector,
-laid out before any weight is drawn, and each parameter ``Tensor`` wraps a
+``q_head``), the units Adam steps. Each block is one flat vector, laid out
+before any weight is drawn, and each parameter ``Tensor`` wraps a
 C-contiguous reshaped view of it. ``ModelPair.params`` lists every view by
 name, read-only, so updating a block's vector updates what the forward
 pass reads, and loading copies into the views rather than rebinding them.
+
+A model holds every block and batchnorm running moment in one dtype,
+``ModelPair.dtype``: ``init_models`` defaults to float32
+(``autodiff.TRAIN_DTYPE``), which training and a loaded checkpoint use; the
+gradient suite builds its models in float64.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, ShapeError, Tensor
+from .autodiff import TRAIN_DTYPE, BatchNormState, ShapeError, Tensor
 from .latent import LatentSpec
 
 LOG_SIGMA_BOUND = 7.0  # |log sigma| cap before exponentiation
@@ -65,16 +70,16 @@ class NetConfig:
 
 @dataclass(frozen=True)
 class ParamBlock:
-    """One Adam clock block: a flat float64 vector and its parameters, each a view into it."""
+    """One Adam clock block: a flat float vector and its parameters, each a view into it."""
 
     name: str
     flat: np.ndarray
     params: Mapping[str, Tensor]
 
     @staticmethod
-    def allocate(name: str, shapes: dict[str, tuple[int, ...]]) -> "ParamBlock":
-        """A zero block laid out in ``shapes`` order, one C-contiguous reshaped view per parameter."""
-        flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+    def allocate(name: str, shapes: dict[str, tuple[int, ...]], dtype=TRAIN_DTYPE) -> "ParamBlock":
+        """A zero block of ``dtype`` laid out in ``shapes`` order, one C-contiguous reshaped view per parameter."""
+        flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()), dtype=dtype)
         params, start = {}, 0
         for pname, shape in shapes.items():
             stop = start + math.prod(shape)
@@ -119,8 +124,13 @@ class ModelPair:
         self.blocks = MappingProxyType(dict(self.blocks))
         self.params = MappingProxyType({n: t for b in self.blocks.values() for n, t in b.params.items()})
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every block and running moment, which the model's inputs are drawn or cast in."""
+        return self.blocks["gen"].flat.dtype
 
-def _layout_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec) -> ModelPair:
+
+def _layout_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec, dtype) -> ModelPair:
     """Check the configs and lay out a ModelPair: every block zero, fresh batchnorm states, nothing drawn.
 
     Each dense layer is declared once, by name, with its batchnorm if it has
@@ -130,7 +140,7 @@ def _layout_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec) -> M
     ``q_head.cat{i}`` / ``q_head.cont{i}``, counted per family in spec order,
     a continuous one split into ``.mu`` and ``.s``. Each block is allocated
     from its list in one pass, which builds its ``Dense`` records from the
-    new views.
+    new views. Blocks and running moments are held in ``dtype``.
     """
     if gen_cfg.widths[0] != spec.gen_input_dim:
         raise ShapeError(
@@ -155,8 +165,8 @@ def _layout_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec) -> M
             shapes[f"{name}.w"], shapes[f"{name}.b"] = (fan_in, fan_out), (fan_out,)
             if bn_name is not None:
                 shapes[f"{bn_name}.gamma"], shapes[f"{bn_name}.beta"] = (fan_out,), (fan_out,)
-                bn_states[bn_name] = BatchNormState(fan_out)
-        blocks[block] = ParamBlock.allocate(block, shapes)
+                bn_states[bn_name] = BatchNormState(fan_out, dtype)
+        blocks[block] = ParamBlock.allocate(block, shapes, dtype)
         p = blocks[block].params
         return [Dense(p[f"{name}.w"], p[f"{name}.b"],
                       None if bn_name is None else (p[f"{bn_name}.gamma"], p[f"{bn_name}.beta"], bn_states[bn_name]))
@@ -185,19 +195,21 @@ def _layout_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec) -> M
                      d_out=d_out, q_l0=q_l0, q_outs=q_outs)
 
 
-def init_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec, rng: np.random.Generator) -> ModelPair:
-    """Build a ModelPair with weights ~ N(0, 0.02), zero biases and unit batchnorm scales.
+def init_models(
+    gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec, rng: np.random.Generator, dtype=TRAIN_DTYPE
+) -> ModelPair:
+    """Build a ``dtype`` ModelPair with weights ~ N(0, 0.02), zero biases and unit batchnorm scales.
 
     Parameter creation order is fixed, so a fixed seed reproduces every
     tensor bitwise.
     """
-    model = _layout_models(gen_cfg, dq_cfg, spec)
+    model = _layout_models(gen_cfg, dq_cfg, spec, dtype)
     # Every block is laid out before the first draw, and each weight is drawn in creation order
-    # straight into its view: the draws and products of rng.normal(0, WEIGHT_STD), without the
-    # per-layer temporary that measurably raised the MNIST-shaped run's peak RSS.
+    # straight into its view: standard normals of the model's dtype, scaled by WEIGHT_STD in place,
+    # without the per-layer temporary that measurably raised the MNIST-shaped run's peak RSS.
     for name, t in model.params.items():
         if name.endswith(".w"):
-            rng.standard_normal(out=t.data)
+            rng.standard_normal(out=t.data, dtype=t.data.dtype)
             t.data *= WEIGHT_STD
         elif name.endswith(".gamma"):
             t.data[...] = 1.0

@@ -12,16 +12,22 @@ Gradient routing per iteration:
                  incentive.
 
 Each clock block (``gen``, ``trunk``, ``d_head``, ``q_head``) is one flat
-float64 vector whose parameters are views into it (``models.ParamBlock``).
+vector whose parameters are views into it (``models.ParamBlock``).
 One reverse sweep per loss yields each block's gradient as one flat vector
 in the block's layout, and Adam takes those vectors in block order. Adam
 keeps one state per block under the block's name, created on the block's
 first step: flat ``m`` and ``v`` vectors and a single step count ``t``. The
-update is fourteen elementwise numpy calls ending in one ``flat -= step``,
+update is Kingma and Ba's folded step (arXiv 1412.6980, Sec. 2): twelve
+elementwise numpy calls with one divide, ending in one ``flat -= step``,
 run over slices of at most ``ADAM_SLICE`` elements and bitwise-equal to the
 per-parameter formula. The trunk's block is stepped by both the D and the
 Q update, so its t advances twice per iteration, while the generator, D
 head and Q head advance once.
+
+Training arithmetic is float32 (``autodiff.TRAIN_DTYPE``): the blocks, the
+running moments, the Adam state, the latent batch and the real batch,
+which ``d_step`` casts to the model's dtype. The losses a step reports and
+the metrics CSV are Python floats.
 
 All randomness comes from one seed, split into four named PCG64 streams
 (model init, dataset synthesis, minibatch indices, latent draws), so a run
@@ -30,13 +36,14 @@ is bitwise reproducible.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import TRAIN_DTYPE, Tape, Tensor
 from .config import TrainingConfig
 from .data_io import Dataset, atomic_open, float_pixels, load_mnist_idx, save_checkpoint, synth_templates
 from .latent import sample_latent
@@ -46,7 +53,7 @@ from .objectives import LossBundle, discriminator_loss, generator_loss, infogan_
 STREAM_NAMES = ("init", "dataset", "batches", "latent")
 
 # Adam sweeps each flat block in slices of at most this many elements
-# (512 KiB per float64 array), so the update's operands stay in cache on
+# (256 KiB per float32 array), so the update's operands stay in cache on
 # wide models; every element sees the same operations, so no bit moves.
 ADAM_SLICE = 65536
 
@@ -62,13 +69,13 @@ def rng_streams(seed: int) -> dict[str, np.random.Generator]:
 
 
 class AdamState:
-    """Adam moments and step count for one clock block: ``m`` and ``v`` span its flat vector."""
+    """Adam moments and step count for one clock block: ``m`` and ``v`` span its flat vector, in its dtype."""
 
     __slots__ = ("m", "v", "t")
 
-    def __init__(self, shape):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
+    def __init__(self, shape, dtype=TRAIN_DTYPE):
+        self.m = np.zeros(shape, dtype=dtype)
+        self.v = np.zeros(shape, dtype=dtype)
         self.t = 0
 
 
@@ -81,27 +88,37 @@ def adam_step(
     beta2: float,
     epsilon: float,
 ) -> None:
-    """In-place Adam update: theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
+    """In-place Adam update in the folded form: theta <- theta - alpha_t * m / (sqrt(v) + eps_hat).
 
-    ``grads`` holds one flat gradient per block, in block order and in the
-    block's layout; they are only read. Works one block at a time, in slices
-    of at most ``ADAM_SLICE`` elements, with the operations of the
-    per-parameter formula in the same order, so every result is
+    With alpha_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and eps_hat =
+    eps * sqrt(1 - beta2^t), this is lr * m_hat / (sqrt(v_hat) + eps) with
+    the bias corrections taken out of the elementwise work; both are Python
+    floats, worked out once per block step. ``grads`` holds one flat
+    gradient per block, in block order and in the block's layout; they are
+    only read. Works one block at a time, in slices of at most
+    ``ADAM_SLICE`` elements, in the block's dtype, with the operations of
+    the per-parameter formula in the same order, so every result is
     bitwise-equal to it. ``states[block.name]`` is the block's state,
     created on its first step; other entries are never read. Every block is
     checked before any is updated, so a gradient count or shape that does
-    not match the blocks, a non-finite entry (named by the parameter whose
-    view holds the first) or a block state of the wrong shape raises
-    ``TrainingError`` before any parameter or clock moves.
+    not match the blocks, a gradient of another dtype than its block's, a
+    non-finite entry (named by the parameter whose view holds the first) or
+    a block state of the wrong shape or dtype raises ``TrainingError``
+    before any parameter or clock moves.
     """
     if len(grads) != len(blocks):
         raise TrainingError(f"adam_step: {len(grads)} gradients for {len(blocks)} blocks")
     for block, g in zip(blocks, grads):
         st = states.get(block.name)
-        if st is not None and st.m.shape != block.flat.shape:
-            raise TrainingError(f"Adam state for block '{block.name}' has shape {st.m.shape}, block has {block.flat.shape}")
+        if st is not None and (st.m.shape, st.m.dtype) != (block.flat.shape, block.flat.dtype):
+            raise TrainingError(
+                f"Adam state for block '{block.name}' has shape {st.m.shape} and dtype {st.m.dtype}, "
+                f"block has {block.flat.shape} and {block.flat.dtype}"
+            )
         if g.shape != block.flat.shape:
             raise TrainingError(f"gradient for block '{block.name}' has shape {g.shape}, block has {block.flat.shape}")
+        if g.dtype != block.flat.dtype:
+            raise TrainingError(f"gradient for block '{block.name}' has dtype {g.dtype}, block has {block.flat.dtype}")
         if not np.isfinite(g).all():
             # the parameter whose view holds the first bad entry
             ends = np.cumsum([p.data.size for p in block.params.values()])
@@ -110,10 +127,12 @@ def adam_step(
     for block, g in zip(blocks, grads):
         st = states.get(block.name)
         if st is None:
-            st = states[block.name] = AdamState(g.shape)
+            st = states[block.name] = AdamState(g.shape, block.flat.dtype)
         st.t += 1
+        root = math.sqrt(1.0 - beta2**st.t)
+        alpha_t, eps_hat = lr * root / (1.0 - beta1**st.t), epsilon * root
         # two scratch rows, so the caller's gradient is left as it was
-        scratch = np.empty((2, min(g.size, ADAM_SLICE)))
+        scratch = np.empty((2, min(g.size, ADAM_SLICE)), dtype=block.flat.dtype)
         for lo in range(0, g.size, ADAM_SLICE):
             part = slice(lo, lo + ADAM_SLICE)
             m, v, flat, gs = st.m[part], st.v[part], block.flat[part], g[part]
@@ -125,14 +144,12 @@ def adam_step(
             # v = beta2 * v + (1 - beta2) * g * g
             v *= beta2
             np.multiply(gs, 1.0 - beta2, out=tmp)
-            np.multiply(tmp, gs, out=tmp2)
-            v += tmp2
-            # step = lr * m_hat / (sqrt(v_hat) + eps)
-            np.divide(m, 1.0 - beta1**st.t, out=tmp)
-            tmp *= lr
-            np.divide(v, 1.0 - beta2**st.t, out=tmp2)
-            np.sqrt(tmp2, out=tmp2)
-            tmp2 += epsilon
+            tmp *= gs
+            v += tmp
+            # step = alpha_t * m / (sqrt(v) + eps_hat)
+            np.multiply(m, alpha_t, out=tmp)
+            np.sqrt(v, out=tmp2)
+            tmp2 += eps_hat
             tmp /= tmp2
             flat -= tmp
 
@@ -192,13 +209,14 @@ def d_step(model: ModelPair, real_images: np.ndarray, cfg: TrainingConfig, laten
     """Discriminator update: loss_D moves the trunk and D head only.
 
     Both trunk passes run the D head alone; the Q head is not evaluated.
+    The float pixels of ``real_images`` are cast to the model's dtype.
     """
     d_side = [model.blocks["trunk"], model.blocks["d_head"]]
     # fakes for the D step need no generator gradient: keep them off the tape
-    lat = sample_latent(model.spec, real_images.shape[0], latent_rng)
+    lat = sample_latent(model.spec, real_images.shape[0], latent_rng, model.dtype)
     fake = gen_forward(model, lat.g_input, training=True)
     with Tape() as tape:
-        d_real = disc_forward(model, Tensor(real_images), training=True)
+        d_real = disc_forward(model, Tensor(real_images.astype(model.dtype, copy=False)), training=True)
         d_fake = disc_forward(model, fake, training=True)
         loss_d = discriminator_loss(d_real, d_fake)
         d_grads = _block_grads(tape, loss_d, d_side)
@@ -214,7 +232,7 @@ def gq_step(model: ModelPair, loss_d: Tensor, cfg: TrainingConfig, batch: int, l
     """
     gen, q_side = [model.blocks["gen"]], [model.blocks["trunk"], model.blocks["q_head"]]
     with Tape() as tape:
-        lat = sample_latent(model.spec, batch, latent_rng)
+        lat = sample_latent(model.spec, batch, latent_rng, model.dtype)
         fake = gen_forward(model, lat.g_input, training=True)
         d_fake, q = disc_q_forward(model, fake, training=True)
         loss_g = generator_loss(d_fake, cfg.gan_mode)
@@ -239,9 +257,10 @@ def train_step(
     """One D update then one G/Q update; returns the losses measured at step time.
 
     ``real_images`` is a batch of float pixels in [0, 1] or of ``uint8``
-    bytes, which are scaled by 1/255 first (``data_io.float_pixels``); any
-    other integer or bool dtype raises ``TrainingError``. So does a loss
-    that is not finite, and an op evaluated outside its domain.
+    bytes, which are scaled by 1/255 first (``data_io.float_pixels``);
+    ``d_step`` casts either to the model's dtype. Any other integer or bool
+    dtype raises ``TrainingError``. So does a loss that is not finite, and
+    an op evaluated outside its domain.
     """
     if real_images.dtype.kind in "biu" and real_images.dtype != np.uint8:
         raise TrainingError(f"real images must be uint8 or floats in [0, 1], got dtype {real_images.dtype}")

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,8 @@ def _outcome(call):
 
 # the largest log sigma whose exp(-2*log_sigma) overflows; the next double up is finite
 _FIRST_OVERFLOW = -354.89135644669204
+# the same in float32, where exp overflows near 88.72 rather than 709.78
+_FIRST_OVERFLOW_F32 = np.float32(-44.361419677734375)
 
 
 class TestSigmoidAgainstExpit:
@@ -203,6 +206,15 @@ class TestSigmoidAgainstExpit:
         np.testing.assert_array_equal(grad, expit(x))
         assert sig[0, :2].tolist() == [0.0, 0.0] and sig[0, 3:].tolist() == [1.0, 1.0, 1.0]
 
+    def test_float32_extremes_raise_nothing(self):
+        # exp(-x) overflows float32 from x <= -89 on: the sigmoid is exactly 0 there, and 1 at the top
+        x = np.array([[-100.0, -89.0, -88.0, 0.0, 88.0, 89.0]], np.float32)
+        sig, grad = self._sigmoid_and_cross_entropy_grad(x)
+        assert sig.dtype == grad.dtype == np.float32
+        np.testing.assert_array_equal(sig, grad)
+        assert sig[0, :2].tolist() == [0.0, 0.0] and 0.0 < sig[0, 2] < 1e-38 and sig[0, 3] == 0.5
+        assert sig[0, 4:].tolist() == [1.0, 1.0]
+
 
 class TestDomainCheckFastForms:
     """The fast domain checks raise on exactly the inputs the reference forms do, with the same
@@ -212,19 +224,41 @@ class TestDomainCheckFastForms:
         with np.errstate(over="ignore"):
             assert np.isinf(np.exp(-2.0 * _FIRST_OVERFLOW))
             assert np.isfinite(np.exp(-2.0 * np.nextafter(_FIRST_OVERFLOW, 0.0)))
+            assert np.isinf(np.exp(np.float32(-2.0) * _FIRST_OVERFLOW_F32))
+            assert np.isfinite(np.exp(np.float32(-2.0) * np.nextafter(_FIRST_OVERFLOW_F32, np.float32(0.0))))
+
+    def test_guard_floor_follows_the_dtype(self):
+        # the whole number just above each dtype's first overflow
+        assert ad._log_sigma_floor(np.dtype(np.float64)) == -354.0
+        assert ad._log_sigma_floor(np.dtype(np.float32)) == -44.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_log_sigma_past_the_dtype_floor_is_a_domain_error_without_a_warning(self, dtype):
+        # in float32, exp(-2 * -50) overflows to inf although it is finite in float64
+        zeros = Tensor(np.zeros((1, 2), dtype))
+        log_sigma = Tensor(np.array([[0.0, -50.0 if dtype is np.float32 else -400.0]], dtype))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"gaussian_log_q: exp\(-2\*log_sigma\) overflow \(min log_sigma -(50|400)\)"):
+                ad.gaussian_log_q(zeros, zeros, log_sigma)
 
     @pytest.mark.parametrize(
         "edge",
         [-354.0, np.nextafter(-354.0, -np.inf), np.nextafter(_FIRST_OVERFLOW, 0.0), _FIRST_OVERFLOW,
-         -400.0, np.nan, np.inf, -np.inf, 0.0, 354.0, 1000.0],
+         -400.0, np.nan, np.inf, -np.inf, 0.0, 354.0, 1000.0]
+        + [np.float32(-44.0), np.nextafter(np.float32(-44.0), np.float32(-np.inf)),
+           np.nextafter(_FIRST_OVERFLOW_F32, np.float32(0.0)), _FIRST_OVERFLOW_F32, np.float32(-50.0)],
     )
     def test_gaussian_inv_var_matches_reference(self, edge):
+        # a float32 edge runs in float32 arrays throughout, a float64 one in float64
+        dtype = np.asarray(edge).dtype
         rng = np.random.default_rng(0)
-        for log_sigma in (np.array([[edge]]), np.array([[0.3, edge], [-1.0, 2.0]]), np.full((2, 3), edge)):
+        for log_sigma in (np.array([[edge]]), np.array([[0.3, edge], [-1.0, 2.0]], dtype), np.full((2, 3), edge)):
+            assert log_sigma.dtype == dtype
             assert _outcome(lambda: ad._gaussian_inv_var(log_sigma)) == _outcome(
                 lambda: _reference_gaussian_inv_var(log_sigma)
             )
-            c, mu = Tensor(rng.normal(0, 1, log_sigma.shape)), Tensor(rng.normal(0, 1, log_sigma.shape))
+            c, mu = (Tensor(rng.normal(0, 1, log_sigma.shape).astype(dtype)) for _ in range(2))
             diff = c.data - mu.data
 
             def reference():
@@ -241,6 +275,9 @@ class TestDomainCheckFastForms:
         assert ad._gaussian_inv_var(empty).shape == (0, 2)
         x = np.random.default_rng(1).uniform(-360.0, 360.0, (200, 3))
         for row in x:
+            assert _outcome(lambda: ad._gaussian_inv_var(row)) == _outcome(lambda: _reference_gaussian_inv_var(row))
+        x32 = np.random.default_rng(2).uniform(-46.0, 46.0, (200, 3)).astype(np.float32)
+        for row in x32:
             assert _outcome(lambda: ad._gaussian_inv_var(row)) == _outcome(lambda: _reference_gaussian_inv_var(row))
 
     @pytest.mark.parametrize(
@@ -295,6 +332,37 @@ def test_forward_outputs_are_fresh_c_contiguous_float64(monkeypatch):
             params, builder, _ = case(np.random.default_rng(seed))
             builder(params)
     assert seen == set(OP_CATALOGUE)
+
+
+@pytest.mark.parametrize("case", sorted(_OP_CASES))
+def test_every_rule_is_dtype_generic(case):
+    # the op cases again with float32 inputs (a batchnorm case gets float32 running moments, as a
+    # float32 model holds them): each output and each input gradient is float32, and within float32
+    # rounding of the float64 values
+    params, builder, w = _OP_CASES[case](np.random.default_rng(5))
+    if case.startswith("batchnorm"):
+        state = BatchNormState(4, np.float32)
+        state.running_mean[:], state.running_var[:] = 0.1, 1.3
+        builder = lambda p, training=case.endswith("train"): ad.batchnorm(p[0], p[1], p[2], state, training)  # noqa: E731
+    narrow = [Tensor(p.data.astype(np.float32)) for p in params]
+    assert all(t.data.dtype == np.float32 for t in narrow)
+    runs = []
+    for ps, cotangent in ((params, w), (narrow, None if w is None else w.astype(np.float32))):
+        with Tape() as tape:
+            out = builder(ps)
+            runs.append((out.data, tape.backward(out, ps, cotangent)))
+    (out64, grads64), (out32, grads32) = runs
+    assert out32.dtype == np.float32 and all(g.dtype == np.float32 for g in grads32)
+    np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-6)
+    for g32, g64 in zip(grads32, grads64):
+        np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-5)
+
+
+def test_tensors_keep_float32_and_widen_the_rest_to_float64():
+    assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+    assert Tensor(np.float32(1.0)).data.dtype == np.float32
+    for values in ([1.0, 2.0], np.ones(2, np.float16), np.arange(2), 3, np.ones(2)):
+        assert Tensor(values).data.dtype == np.float64
 
 
 PROBES = 7  # a probe count that equals no dimension of any op case
@@ -383,16 +451,23 @@ _LRELU_EDGES = np.array(
 
 
 class TestLreluFastForms:
-    @pytest.mark.parametrize("rate", [0.01, 0.1, 0.2, 0.3, 0.7])
-    def test_bitwise_equal_to_where_forms(self, rate):
+    @pytest.mark.parametrize(
+        "rate, dtype",
+        [pytest.param(rate, dtype, id=f"{rate}{suffix}")
+         for dtype, suffix in ((np.float64, ""), (np.float32, "-float32")) for rate in (0.01, 0.1, 0.2, 0.3, 0.7)],
+    )
+    def test_bitwise_equal_to_where_forms(self, rate, dtype):
+        # in float32 the where forms read the rate as float32 too, as a float32 array reads a Python float
         rng = np.random.default_rng(0)
-        x = np.concatenate([_LRELU_EDGES, rng.normal(0, 3, 200), rng.normal(0, 1e-300, 20)]).reshape(1, -1)
-        g = rng.normal(0, 1, x.shape)
+        x = np.concatenate([_LRELU_EDGES, rng.normal(0, 3, 200), rng.normal(0, 1e-300, 20)]).reshape(1, -1).astype(dtype)
+        g = rng.normal(0, 1, x.shape).astype(dtype)
         out = ad.lrelu(Tensor(x), rate).data
-        assert out.tobytes() == np.where(x > 0.0, x, rate * x).tobytes()
+        assert out.dtype == dtype
+        assert out.tobytes() == np.where(x > 0.0, x, dtype(rate) * x).tobytes()
         node = ad.TapeNode("lrelu", (0,), x, {"rate": rate})
         (dx,) = ad._OPS["lrelu"][1](g, node, (True,))
-        assert dx.tobytes() == (g * np.where(x > 0.0, 1.0, rate)).tobytes()
+        assert dx.dtype == dtype
+        assert dx.tobytes() == (g * np.where(x > 0.0, dtype(1.0), dtype(rate))).tobytes()
 
     @pytest.mark.parametrize("rate", [0.0, 1.0, -0.1, 1.5, float("nan")])
     def test_rate_outside_unit_interval_rejected(self, rate):

@@ -5,6 +5,7 @@ import hashlib
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ class TestSynthTemplates:
         assert ratio <= 2.25, f"traced peak {ratio:.2f}x the images"
 
 
-CHECKPOINT_GOLDEN_SHA256 = "cf9be15d853c28500825eee8bb7a427b976d11263152ec4ab7f609845d345d00"
+CHECKPOINT_GOLDEN_SHA256 = "ef52a8da839dc5f90c721d2d1b52cd7846fffd601dcb3ed3ff29c137daa2b3a4"
 
 
 def small_model(seed=0, batchnorm=False):
@@ -515,6 +516,63 @@ class TestCheckpoint:
         loaded, cfg2 = load_checkpoint(str(p1))
         save_checkpoint(loaded, cfg2, str(p2))
         assert p2.read_bytes() == p1.read_bytes()
+
+    def test_entries_are_float64_and_load_into_a_float32_model(self, tmp_path):
+        model, cfg = small_model(seed=2, batchnorm=True)
+        path = tmp_path / "m.igan"
+        save_checkpoint(model, cfg, str(path))
+        loaded, _ = load_checkpoint(str(path))
+        assert loaded.dtype == model.dtype == np.float32
+        assert all(s.running_mean.dtype == s.running_var.dtype == np.float32 for s in loaded.bn_states.values())
+        # the first entry's bytes in the file are the float32 values widened to <f8
+        first = model.params["gen.l0.w"].data
+        assert first.astype("<f8").tobytes() in path.read_bytes()
+
+    @staticmethod
+    def _widened(model, cfg):
+        """A float64 model holding the float32 model's values."""
+        wide = init_models(*cfg.net_configs(), cfg.latent_spec(), np.random.default_rng(0), np.float64)
+        for name, t in wide.params.items():
+            t.data[...] = model.params[name].data
+        for name, state in wide.bn_states.items():
+            state.running_mean[...], state.running_var[...] = model.bn_states[name].running_mean, model.bn_states[name].running_var
+        return wide
+
+    def test_float64_model_of_float32_values_loads_exactly(self, tmp_path):
+        # a float64 model holding values float32 can hold, such as a float32 model widened, narrows exactly
+        narrow, cfg = small_model(seed=4, batchnorm=True)
+        wide = self._widened(narrow, cfg)
+        p1, p2 = tmp_path / "wide.igan", tmp_path / "narrow.igan"
+        save_checkpoint(wide, cfg, str(p1))
+        save_checkpoint(narrow, cfg, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+        loaded, _ = load_checkpoint(str(p1))
+        assert all(loaded.params[n].data.tobytes() == t.data.tobytes() for n, t in narrow.params.items())
+
+    @pytest.mark.parametrize("where", ["gen.l1.b", "trunk.bn1.running_var"])
+    def test_entry_float32_cannot_hold_is_refused_naming_it(self, tmp_path, where):
+        # float64 training would leave such entries: each must be refused, never rounded in silence
+        model, cfg = small_model(seed=6, batchnorm=True)
+        wide = self._widened(model, cfg)
+        if where.endswith("running_var"):
+            wide.bn_states[where.rsplit(".", 1)[0]].running_var[1] = 1.0 + 2.0**-30
+        else:
+            wide.params[where].data[-1] = 0.1
+        path = tmp_path / "m.igan"
+        save_checkpoint(wide, cfg, str(path))
+        with pytest.raises(FormatError, match=rf"m\.igan: entry '{re.escape(where)}' holds values that float32 cannot hold exactly"):
+            load_checkpoint(str(path))
+
+    def test_entry_beyond_float32_range_is_refused_without_a_warning(self, tmp_path):
+        model, cfg = small_model(seed=7)
+        wide = self._widened(model, cfg)
+        wide.params["q_head.l0.w"].data[0, 0] = 1e300
+        path = tmp_path / "m.igan"
+        save_checkpoint(wide, cfg, str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="entry 'q_head.l0.w' holds values"):
+                load_checkpoint(str(path))
 
     def test_random_models_round_trip(self, tmp_path):
         for seed in range(10):

@@ -55,7 +55,8 @@ def test_full_graph_probes_no_zero_parameter(monkeypatch):
 @pytest.mark.parametrize("gan_mode", GAN_MODES)
 def test_whole_loss_graph_across_the_config_space(gan_mode, batchnorm):
     # the graphs full_loss_graph_check leaves out (it runs cat:2 + unif, no batchnorm, non-saturating):
-    # a Gaussian code of two dims, batchnorm in both nets and each gan mode, built through the trainer's objectives
+    # a Gaussian code of two dims, batchnorm in both nets and each gan mode, built through the trainer's
+    # objectives; like every gradient check, in float64
     spec = LatentSpec(blocks=(CodeBlock.categorical(3), CodeBlock.gaussian(0.0, 1.0, dim=2)), noise_dim=2)
     image_dim = 4
     gen_cfg = NetConfig(widths=(spec.gen_input_dim, 3, image_dim), batchnorm=batchnorm)
@@ -63,9 +64,9 @@ def test_whole_loss_graph_across_the_config_space(gan_mode, batchnorm):
     worst = 0.0
     for seed in range(10):
         rng = np.random.default_rng(700 + seed)
-        model = init_models(gen_cfg, dq_cfg, spec, rng)
+        model = init_models(gen_cfg, dq_cfg, spec, rng, np.float64)
         redraw_biases(model, rng)  # at seed 702 without batchnorm, zero biases gave 5.5e-3 on q_head.l0.b
-        lat = sample_latent(spec, 3, rng)
+        lat = sample_latent(spec, 3, rng, np.float64)
         real = Tensor(rng.uniform(0.0, 1.0, (3, image_dim)))
 
         def loss(_params):

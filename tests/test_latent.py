@@ -158,10 +158,19 @@ class TestSampling:
         spec = spec_cat_unif(noise_dim=3)
         batch = sample_latent(spec, 20, np.random.default_rng(4))
         assert batch.g_input.shape == (20, spec.gen_input_dim)
+        # the draws are float64; the generator's input holds them rounded to the training dtype
+        assert batch.g_input.data.dtype == np.float32 and batch.c_raw[1].dtype == np.float64
         codes = batch.g_input.data[:, 3:]
         cat, unif = spec.encoded_slices()
         np.testing.assert_array_equal(np.argmax(codes[:, cat], axis=1), batch.c_raw[0])
-        np.testing.assert_array_equal(codes[:, unif], batch.c_raw[1])
+        np.testing.assert_array_equal(codes[:, unif], batch.c_raw[1].astype(np.float32))
+
+    def test_dtype_rounds_the_same_draws(self):
+        spec = spec_cat_unif(noise_dim=3)
+        wide = sample_latent(spec, 20, np.random.default_rng(4), np.float64)
+        narrow = sample_latent(spec, 20, np.random.default_rng(4))
+        assert wide.g_input.data.dtype == np.float64
+        assert narrow.g_input.data.tobytes() == wide.g_input.data.astype(np.float32).tobytes()
 
     def test_uniform_noise_kind(self):
         spec = LatentSpec(blocks=(), noise_dim=8, noise_kind="uniform")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from infogan_lab.autodiff import ShapeError, Tape, Tensor, grad_check
+from infogan_lab.autodiff import TRAIN_DTYPE, ShapeError, Tape, Tensor, grad_check
 from infogan_lab.config import TrainingConfig
 from infogan_lab.latent import CodeBlock, LatentSpec, sample_latent
 from infogan_lab.models import (
@@ -16,11 +16,11 @@ from infogan_lab.models import (
 )
 
 
-def small_setup(seed=0, batchnorm=False):
+def small_setup(seed=0, batchnorm=False, dtype=TRAIN_DTYPE):
     spec = LatentSpec(blocks=(CodeBlock.categorical(4), CodeBlock.uniform(-1, 1)), noise_dim=16)
     gen_cfg = NetConfig(widths=(spec.gen_input_dim, 32, 48, 64), batchnorm=batchnorm)
     dq_cfg = NetConfig(widths=(64, 48, 32), batchnorm=batchnorm, q_hidden=16)
-    model = init_models(gen_cfg, dq_cfg, spec, np.random.default_rng(seed))
+    model = init_models(gen_cfg, dq_cfg, spec, np.random.default_rng(seed), dtype)
     return spec, model
 
 
@@ -103,8 +103,9 @@ class TestGenForward:
         np.testing.assert_array_equal(a, b)
 
     def test_gradient_through_continuous_code(self):
-        spec, model = small_setup()
-        batch = sample_latent(spec, 4, np.random.default_rng(3))
+        # a gradient check, so in float64
+        spec, model = small_setup(dtype=np.float64)
+        batch = sample_latent(spec, 4, np.random.default_rng(3), np.float64)
         w = np.random.default_rng(4).normal(0, 1, (4, 64))
 
         def images(params):
@@ -192,7 +193,7 @@ class TestDiscQForward:
 def assert_block_views(model):
     """Every parameter is a C-contiguous view of its block's flat vector, and together they tile it."""
     for block in model.blocks.values():
-        assert block.flat.dtype == np.float64 and block.flat.ndim == 1
+        assert block.flat.dtype == model.dtype and block.flat.ndim == 1
         assert sum(t.data.size for t in block.params.values()) == block.flat.size
         for t in block.params.values():
             assert t.data.flags["C_CONTIGUOUS"] and np.shares_memory(t.data, block.flat)
@@ -248,6 +249,7 @@ class TestParamGroups:
         ds = build_dataset(cfg, rngs["dataset"])
         gen_cfg, dq_cfg = cfg.net_configs()
         model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
+        assert model.dtype == TRAIN_DTYPE == np.float32
         assert_block_views(model)
         before = {n: b.flat.copy() for n, b in model.blocks.items()}
         train_step(model, ds.images[:8], cfg, rngs["latent"], {})

@@ -51,25 +51,26 @@ def tiny_cfg(tmp_path, **kw):
 
 
 def reference_adam(moments):
-    """Per-parameter Adam written out: the formula the fused update must reproduce bit for bit.
+    """Per-parameter Adam written out in the folded form: the formula the fused update must reproduce bit for bit.
 
     ``moments`` holds the reference's own m, v and per-block clocks; the
     returned function has ``adam_step``'s signature and ignores its states.
+    The step is Kingma and Ba's folded one, alpha_t * m / (sqrt(v) + eps_hat).
     """
 
     def step(blocks, grads, states, lr, beta1, beta2, epsilon):
         for block, flat_g in zip(blocks, grads):
             moments["t", block.name] += 1
             t = moments["t", block.name]
+            alpha_t = lr * math.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
+            eps_hat = epsilon * math.sqrt(1.0 - beta2**t)
             start = 0
             for name, p in block.params.items():
                 g = flat_g[start : start + p.data.size].reshape(p.shape)
                 start += p.data.size
                 moments["m", name] = beta1 * moments["m", name] + (1.0 - beta1) * g
                 moments["v", name] = beta2 * moments["v", name] + (1.0 - beta2) * g * g
-                m_hat = moments["m", name] / (1.0 - beta1**t)
-                v_hat = moments["v", name] / (1.0 - beta2**t)
-                p.data -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
+                p.data -= alpha_t * moments["m", name] / (np.sqrt(moments["v", name]) + eps_hat)
 
     return step
 
@@ -79,9 +80,9 @@ def flat_grads(blocks, grads):
     return [np.concatenate([grads[n] for n in block.params], axis=None) for block in blocks]
 
 
-def make_block(name, values):
-    """A ParamBlock named ``name`` holding a copy of each array in ``values``, in order."""
-    block = ParamBlock.allocate(name, {n: np.shape(v) for n, v in values.items()})
+def make_block(name, values, dtype=np.float64):
+    """A ``dtype`` ParamBlock named ``name`` holding a copy of each array in ``values``, in order."""
+    block = ParamBlock.allocate(name, {n: np.shape(v) for n, v in values.items()}, dtype)
     for n, v in values.items():
         block.params[n].data[...] = v
     return block
@@ -134,6 +135,27 @@ class TestAdam:
             adam_step([block], [np.array([g])], st, lr, b1, b2, eps)
             assert abs(block.params["w"].data[0] - theta) < 1e-12
 
+    def test_float32_block_matches_float32_scalar_recurrence_bit_for_bit(self):
+        # the folded step in float32 scalars: each Python-float constant rounds to float32 once,
+        # as it does against a float32 array, and every operation is one correctly rounded float32 op
+        rng = np.random.default_rng(3)
+        f32 = np.float32
+        theta, m, v = f32(0.3), f32(0.0), f32(0.0)
+        block = make_block("w", {"w": [theta]}, np.float32)
+        st = {}
+        lr, b1, b2, eps = 2e-3, 0.5, 0.999, 1e-8
+        for t in range(1, 1001):
+            g = f32(rng.normal(0, 1))
+            m = m * f32(b1) + g * f32(1 - b1)
+            v = v * f32(b2) + g * f32(1 - b2) * g
+            root = math.sqrt(1 - b2**t)
+            alpha_t, eps_hat = lr * root / (1 - b1**t), eps * root
+            theta = theta - m * f32(alpha_t) / (np.sqrt(v) + f32(eps_hat))
+            adam_step([block], [np.array([g])], st, lr, b1, b2, eps)
+            assert type(theta) is np.float32
+            assert block.params["w"].data.tobytes() == theta.tobytes(), t
+        assert st["w"].m.dtype == st["w"].v.dtype == np.float32
+
     def test_gradients_are_left_as_they_were(self):
         block = make_block("gen", {"gen.a": [1.0, 2.0], "gen.b": [3.0]})
         g = np.array([0.5, -0.25, 2.0])
@@ -157,6 +179,7 @@ class TestAdam:
                 names = [n for b in block_names for n in fused.blocks[b].params]
                 # gradients spanning several magnitudes, with exact zeros mixed in
                 grads = {n: rng.normal(0, 1, fused.params[n].shape) * 10.0 ** rng.integers(-6, 3) for n in names}
+                grads = {n: g.astype(fused.dtype) for n, g in grads.items()}
                 if it % 7 == 0:
                     grads[names[0]][...] = 0.0
                 flat = flat_grads([fused.blocks[b] for b in block_names], grads)
@@ -166,17 +189,22 @@ class TestAdam:
                 assert fused.params[n].data.tobytes() == ref.params[n].data.tobytes(), (it, n)
         assert {b: st.t for b, st in states.items()} == {"trunk": 120, "d_head": 60, "gen": 60, "q_head": 60}
 
-    @pytest.mark.parametrize("slice_len, size", [(trainer.ADAM_SLICE, 2 * trainer.ADAM_SLICE + 1237), (1000, 3000), (1, 40)])
-    def test_sliced_sweep_is_bitwise_equal_to_reference(self, monkeypatch, slice_len, size):
+    @pytest.mark.parametrize(
+        "slice_len, size, dtype",
+        [pytest.param(n, size, dtype, id=f"{n}-{size}{suffix}")
+         for dtype, suffix in ((np.float64, ""), (np.float32, "-float32"))
+         for n, size in ((trainer.ADAM_SLICE, 2 * trainer.ADAM_SLICE + 1237), (1000, 3000), (1, 40))],
+    )
+    def test_sliced_sweep_is_bitwise_equal_to_reference(self, monkeypatch, slice_len, size, dtype):
         # a block spanning several slices, the last one ragged, at the real slice length and two shorter ones
         monkeypatch.setattr(trainer, "ADAM_SLICE", slice_len)
         rng = np.random.default_rng(18)
         values = {"gen.w": rng.normal(0, 1, size), "gen.b": rng.normal(0, 1, 3)}
-        fused, ref = make_block("gen", values), make_block("gen", values)
+        fused, ref = make_block("gen", values, dtype), make_block("gen", values, dtype)
         states = {}
         step_ref = reference_adam(defaultdict(float))
         for _ in range(4):
-            grads = {n: rng.normal(0, 1, v.shape) * 10.0 ** rng.integers(-6, 3) for n, v in values.items()}
+            grads = {n: (rng.normal(0, 1, v.shape) * 10.0 ** rng.integers(-6, 3)).astype(dtype) for n, v in values.items()}
             adam_step([fused], flat_grads([fused], grads), states, 1e-3, 0.5, 0.999, 1e-8)
             step_ref([ref], flat_grads([ref], grads), None, 1e-3, 0.5, 0.999, 1e-8)
         assert fused.flat.tobytes() == ref.flat.tobytes()
@@ -225,11 +253,37 @@ class TestAdam:
 
     def test_misshapen_block_state_names_block_and_moves_nothing(self):
         gen, trunk = make_block("gen", {"gen.a": [1.0]}), make_block("trunk", {"trunk.a": [1.0], "trunk.b": [2.0]})
-        st = {"trunk": AdamState(3)}
+        st = {"trunk": AdamState(3, np.float64)}
         grads = [np.array([0.5]), np.array([0.5, 0.5])]
-        with pytest.raises(TrainingError, match=r"Adam state for block 'trunk' has shape \(3,\), block has \(2,\)"):
+        with pytest.raises(
+            TrainingError, match=r"Adam state for block 'trunk' has shape \(3,\) and dtype float64, block has \(2,\) and float64"
+        ):
             adam_step([gen, trunk], grads, st, 1e-3, 0.9, 0.999, 1e-8)
         assert list(st) == ["trunk"] and gen.params["gen.a"].data[0] == 1.0
+
+    def test_block_state_of_another_dtype_names_block_and_moves_nothing(self):
+        # a float64 state beside a float32 block would run the update in mixed precision
+        gen, trunk = make_block("gen", {"gen.a": [1.0]}, np.float32), make_block("trunk", {"trunk.a": [1.0]}, np.float32)
+        st = {"trunk": AdamState(1, np.float64)}
+        grads = [np.array([0.5], np.float32)] * 2
+        with pytest.raises(TrainingError, match=r"'trunk' has shape \(1,\) and dtype float64, block has \(1,\) and float32"):
+            adam_step([gen, trunk], grads, st, 1e-3, 0.9, 0.999, 1e-8)
+        assert list(st) == ["trunk"] and gen.flat[0] == 1.0 and st["trunk"].t == 0
+
+    def test_gradient_of_another_dtype_names_block_and_moves_nothing(self):
+        # a float64 gradient for a float32 block means a rule leaked float64 into the sweep
+        gen = make_block("gen", {"gen.a": [1.0]}, np.float32)
+        st = {}
+        with pytest.raises(TrainingError, match="gradient for block 'gen' has dtype float64, block has float32"):
+            adam_step([gen], [np.array([0.5])], st, 1e-3, 0.9, 0.999, 1e-8)
+        assert st == {} and gen.flat[0] == 1.0
+
+    def test_fresh_state_takes_the_block_dtype(self):
+        for dtype in (np.float32, np.float64):
+            st = {}
+            adam_step([make_block("gen", {"gen.a": [1.0]}, dtype)], [np.array([0.5], dtype)], st, 1e-3, 0.9, 0.999, 1e-8)
+            assert st["gen"].m.dtype == st["gen"].v.dtype == dtype
+        assert AdamState(2).m.dtype == np.float32
 
 
 def _param_hashes(model, prefix):
@@ -467,6 +521,95 @@ class TestTrainStep:
         assert all(per_name[name].t == 0 for name in model.params)
 
 
+def _dtype_oracle(monkeypatch, want):
+    """Wrap every op rule from outside; the list it returns collects each non-scalar array not of ``want``.
+
+    An entry is ``(direction, op, dtype)``: a forward output, or a gradient a
+    backward rule returned. Scalars are left out, since ``weighted_sum``
+    folds scalar terms in Python floats.
+    """
+    leaks = []
+
+    def note(direction, op, arr):
+        if arr is not None and arr.ndim and arr.dtype != want:
+            leaks.append((direction, op, str(arr.dtype)))
+
+    def wrapped(op, forward, backward):
+        def f(arrs, attrs):
+            out, saved = forward(arrs, attrs)
+            note("forward", op, out)
+            return out, saved
+
+        def b(g, node, need):
+            grads = backward(g, node, need)
+            for gi in grads:
+                note("backward", op, gi)
+            return grads
+        return f, b
+
+    monkeypatch.setattr(autodiff, "_OPS", {op: wrapped(op, f, b) for op, (f, b) in autodiff._OPS.items()})
+    return leaks
+
+
+def _b_lrelu_float64_mask(g, node, need):
+    # the rule as it once was: a bool mask against a Python float rate promotes to float64
+    return [g * np.maximum(node.saved > 0.0, node.attrs["rate"])]
+
+
+CODE_FAMILIES = {"categorical": CodeBlock.categorical(4), "uniform": CodeBlock.uniform(-1.0, 1.0), "gaussian": CodeBlock.gaussian(0.0, 1.0, 2)}
+
+
+class TestTrainingDtype:
+    @pytest.mark.parametrize("family", sorted(CODE_FAMILIES))
+    @pytest.mark.parametrize("batchnorm", [False, True])
+    @pytest.mark.parametrize("gan_mode", ["minimax", "nonsaturating"])
+    def test_every_rule_keeps_a_step_in_float32(self, tmp_path, monkeypatch, gan_mode, batchnorm, family):
+        from infogan_lab.data_io import synth_templates
+        from infogan_lab.models import init_models
+
+        cfg = tiny_cfg(tmp_path, gan_mode=gan_mode, batchnorm=batchnorm, codes=(CODE_FAMILIES[family],))
+        rngs = rng_streams(cfg.seed)
+        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
+        model = init_models(*cfg.net_configs(), cfg.latent_spec(), rngs["init"])
+        leaks = _dtype_oracle(monkeypatch, np.float32)
+        states = {}
+        train_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], states)
+        assert leaks == []
+        assert {b.flat.dtype for b in model.blocks.values()} == {np.dtype(np.float32)}
+        assert all(s.running_mean.dtype == s.running_var.dtype == np.float32 for s in model.bn_states.values())
+        assert all(st.m.dtype == st.v.dtype == np.float32 for st in states.values())
+
+    def test_the_oracle_sees_a_float64_lrelu_mask(self, tmp_path, monkeypatch):
+        from infogan_lab.data_io import synth_templates
+        from infogan_lab.models import init_models
+
+        cfg = tiny_cfg(tmp_path)
+        rngs = rng_streams(cfg.seed)
+        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
+        model = init_models(*cfg.net_configs(), cfg.latent_spec(), rngs["init"])
+        monkeypatch.setitem(autodiff._OPS, "lrelu", (autodiff._f_lrelu, _b_lrelu_float64_mask))
+        leaks = _dtype_oracle(monkeypatch, np.float32)
+        # the float64 gradient reaches Adam, which refuses it for the float32 trunk
+        with pytest.raises(TrainingError, match="gradient for block 'trunk' has dtype float64, block has float32"):
+            train_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], {})
+        assert ("backward", "lrelu", "float64") in leaks
+
+    def test_the_full_graph_check_runs_in_float64(self, monkeypatch):
+        from infogan_lab import gradsuite
+
+        seen = []
+
+        def record(loss_builder, params, step):
+            seen.append(({p.data.dtype for p in params}, loss_builder(params).data.dtype))
+            return 0.0
+
+        monkeypatch.setattr(gradsuite, "grad_check", record)
+        leaks = _dtype_oracle(monkeypatch, np.float64)
+        gradsuite.full_loss_graph_check(n_seeds=2)
+        assert seen == [({np.dtype(np.float64)}, np.float64)] * 2
+        assert leaks == []
+
+
 class TestTrainRun:
     def test_deterministic_trace_and_files(self, tmp_path):
         cfg_a = tiny_cfg(tmp_path, checkpoint_out=str(tmp_path / "a.igan"), metrics_out=str(tmp_path / "a.csv"))
@@ -488,7 +631,7 @@ class TestTrainRun:
         )
         train_run(cfg)
         digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
-        assert digest == "88249bbb68b1b8172228b3e4a10ba0e789bc5794da70e3e726a4c9179684d664", pinned_on
+        assert digest == "b7c335c9a1ec88ce17b05f5e7ef928c69b7ef751d0b63fc0df94f9d291aac459", pinned_on
 
     def test_short_batchnorm_run_fingerprint(self, tmp_path, pinned_on):
         # the same for a 100-iteration batchnorm run (default categorical and uniform codes), plus
@@ -502,7 +645,7 @@ class TestTrainRun:
         )
         model, _ = train_run(cfg)
         digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
-        assert digest == "df6300850241f17958a9b27eef0a1688a5fa96326e8124d36401918c303a2c97", pinned_on
+        assert digest == "ec384d93e00ae5566404b418e93d892a62c5c322f216688493e148d6f3f3877b", pinned_on
         state = hashlib.sha256()
         for name in sorted(model.params):
             state.update(model.params[name].data.tobytes())
@@ -510,7 +653,7 @@ class TestTrainRun:
             state.update(model.bn_states[name].running_mean.tobytes())
             state.update(model.bn_states[name].running_var.tobytes())
         assert sorted(model.bn_states) == ["gen.bn0", "gen.bn1", "q_head.bn0", "trunk.bn1"]
-        assert state.hexdigest() == "ce719cc0d3e356ef2fe5bcafa18eb5a18bffff85024b77b677079cc15f0e73d0", pinned_on
+        assert state.hexdigest() == "221e8520a6f72a148711fc96060c79a4dad3bfab92ea91c3a55b62316ce66b3f", pinned_on
 
     def test_short_minimax_multi_block_run_fingerprint(self, tmp_path, pinned_on):
         # the paths the default pins miss: the minimax generator loss, a sum over two categorical
@@ -533,8 +676,8 @@ class TestTrainRun:
         state = hashlib.sha256()
         for name in sorted(model.params):
             state.update(model.params[name].data.tobytes())
-        assert digest == "5159467863817515dc61691b158992b0035e9f20f1cdcc743ffb60c5e85d676e", pinned_on
-        assert state.hexdigest() == "b618662b12caf48b425b688c660c2c3d1c8202be2859599469e3eb6aadd67b83", pinned_on
+        assert digest == "fb33190358805105de2e45d4ac5e93a1a5cf929c6852548c5980fc6d647e2bd2", pinned_on
+        assert state.hexdigest() == "b185eee72bc93248f82ef32f89e617edfe3d5dc7a8ebc6e09dc57028b3c333b4", pinned_on
 
     def test_logs_at_requested_cadence(self, tmp_path):
         cfg = tiny_cfg(tmp_path, iterations=7, log_every=3)
@@ -1007,7 +1150,8 @@ _CODE_TOKENS = st.one_of(
 )
 
 
-@settings(max_examples=30, deadline=None)
+# derandomized: the same 30 examples on every run, so a pass says the same thing each time
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(lines=_CONFIG_LINES, codes=st.lists(_CODE_TOKENS, max_size=3))
 def test_every_config_that_parses_trains_three_steps_or_names_its_fault(lines, codes):
     with tempfile.TemporaryDirectory() as tmp:
