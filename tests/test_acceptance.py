@@ -5,6 +5,7 @@ needs the real IDX files; it skips with instructions when they are absent
 (this sandbox cannot download them).
 """
 
+import hashlib
 import math
 import os
 import time
@@ -124,6 +125,17 @@ class TestCriterion1BoundMaximization:
 
     def test_runtime_budget(self, crit1):
         report("criterion 1 (runtime)", crit1.seconds <= 300.0, f"{crit1.seconds:.0f}s for 5000 iterations, cap 300s")
+
+    def test_headline_hash(self, crit1, pinned_on):
+        # the behaviour fingerprint of the headline protocol: a change that leaves the arithmetic alone keeps both
+        with open(crit1.metrics, "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == (
+                "95a3ec20d545a02e14b9ccd6eeb0436820b6bdbdd7741df9c20ba5f8b86b05aa"
+            ), pinned_on
+        with open(crit1.checkpoint, "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == (
+                "e7e00631a9de3a3b6368a56d42671d71b52da0f60a2a3f7444a26d94a482627c"
+            ), pinned_on
 
 
 class TestCriterion2BaselineSeparation:
