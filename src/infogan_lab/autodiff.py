@@ -1,10 +1,11 @@
 """Tape-based reverse-mode automatic differentiation over dense float arrays.
 
-The operation catalogue is fixed and small: 11 ops, each run by training or
+The operation catalogue is fixed and small: 10 ops, each run by training or
 evaluation. A dense layer is one ``linear`` op (``x @ w + b``), and
 loss terms are fused into single ops (``sigmoid_cross_entropy`` and
-``weighted_sum`` with their label and weights as attributes, ``clip``,
-``gaussian_log_q``, ``categorical_log_q`` with its category indices as an
+``weighted_sum`` with their label and weights as attributes,
+``gaussian_log_q``, which reads its log sigma clamped to
++-``LOG_SIGMA_BOUND``, ``categorical_log_q`` with its category indices as an
 attribute) rather than assembled from elementwise pieces. Each op is one
 ``_OPS`` entry pairing a forward rule with a closure-free backward rule, so
 every rule can be audited and gradient-checked on its own, and adding or
@@ -60,7 +61,6 @@ nothing for the axis.
 
 from __future__ import annotations
 
-import functools
 import math
 from types import MappingProxyType
 
@@ -81,7 +81,6 @@ __all__ = [
     "weighted_sum",
     "relu",
     "lrelu",
-    "clip",
     "sigmoid",
     "sigmoid_cross_entropy",
     "categorical_log_q",
@@ -104,7 +103,7 @@ class ShapeError(ValueError):
 class DomainError(ValueError):
     """An op was evaluated outside its numeric domain.
 
-    gaussian_log_q's exp(-2*log_sigma) overflows, an lrelu rate lies outside
+    gaussian_log_q's log_sigma holds a NaN, an lrelu rate lies outside
     (0, 1), a sigmoid_cross_entropy label is not 0 or 1, or a
     categorical_log_q index lies outside [0, K).
     """
@@ -156,6 +155,7 @@ def const(values) -> Tensor:
 
 BN_MOMENTUM = 0.9  # running-average momentum of every batchnorm layer
 BN_EPS = 1e-5  # added to every batchnorm variance before the square root
+LOG_SIGMA_BOUND = 7.0  # gaussian_log_q reads |log sigma| clamped to this, before any exponentiation
 
 
 class BatchNormState:
@@ -394,15 +394,6 @@ def _b_lrelu(g, node, need):
     return [g * np.maximum(x > 0.0, node.attrs["rate"], dtype=x.dtype)]
 
 
-def _f_clip(arrs, attrs):
-    return np.clip(arrs[0], attrs["lo"], attrs["hi"]), arrs[0]
-
-
-def _b_clip(g, node, need):
-    x = node.saved
-    return [g * ((x > node.attrs["lo"]) & (x < node.attrs["hi"]))]
-
-
 def _sigmoid(x):
     # the logistic function in one pinned form, shared by sigmoid and sigmoid_cross_entropy's backward:
     # exactly 0 where exp(-x) overflows to inf, silently (x <= -710 in float64, x <= -89 in float32),
@@ -463,26 +454,9 @@ def _b_categorical_log_q(g, node, need):
     return [picked - np.exp(shifted - lse) * g]
 
 
-@functools.cache
-def _log_sigma_floor(dtype: np.dtype) -> float:
-    """The least whole x whose exp(-2*x) is finite in ``dtype``: -354 in float64, -44 in float32."""
-    return float(math.ceil(-0.5 * math.log(float(np.finfo(dtype).max))))
-
-
-def _gaussian_inv_var(log_sigma):
-    # exp(-2*x) is finite for every x at or above the dtype's floor, so only a smaller
-    # minimum, or a NaN (which fails the comparison), can fail
-    if not _min_reduce(log_sigma, axis=None, initial=np.inf) >= _log_sigma_floor(log_sigma.dtype):
-        with np.errstate(over="ignore"):
-            inv_var = np.exp(-2.0 * log_sigma)
-        if not np.all(np.isfinite(inv_var)):
-            raise DomainError(f"gaussian_log_q: exp(-2*log_sigma) overflow (min log_sigma {log_sigma.min():g})")
-        return inv_var
-    return np.exp(-2.0 * log_sigma)
-
-
 def _f_gaussian_log_q(arrs, attrs):
-    # per-row sum over dims of log N(c; mu, exp(log_sigma)^2), shape (B,1)
+    # per-row sum over dims of log N(c; mu, exp(s)^2), shape (B,1), with s = log_sigma clamped to
+    # +-LOG_SIGMA_BOUND; the raw log_sigma is saved for the backward's mask
     c, mu, log_sigma = arrs
     if not (c.ndim == 2 and c.shape == mu.shape == log_sigma.shape):
         cores = _probe_cores(arrs, (2, 2, 2))
@@ -490,19 +464,24 @@ def _f_gaussian_log_q(arrs, attrs):
             raise ShapeError(
                 f"gaussian_log_q: c, mu and log_sigma must share one (B,D) shape, got {c.shape}, {mu.shape} and {log_sigma.shape}"
             )
+    s = np.clip(log_sigma, -LOG_SIGMA_BOUND, LOG_SIGMA_BOUND)
+    # clamped, exp(-2*s) <= e**14 in either dtype: only a NaN, which fails the comparison, is out of domain
+    if not _min_reduce(s, axis=None, initial=np.inf) >= -LOG_SIGMA_BOUND:
+        raise DomainError("gaussian_log_q: log_sigma is NaN")
     diff = c - mu
-    inv_var = _gaussian_inv_var(log_sigma)
-    elem = -0.5 * _LN_2PI - log_sigma - 0.5 * (diff * diff) * inv_var
-    return elem.sum(axis=-1, keepdims=True), (diff, inv_var)
+    inv_var = np.exp(-2.0 * s)
+    elem = -0.5 * _LN_2PI - s - 0.5 * (diff * diff) * inv_var
+    return elem.sum(axis=-1, keepdims=True), (diff, inv_var, log_sigma)
 
 
 def _b_gaussian_log_q(g, node, need):
-    diff, inv_var = node.saved
+    diff, inv_var, log_sigma = node.saved
     scaled = diff * inv_var
+    # the log_sigma gradient is zero where the clamp is active: the strict mask is the last factor
     return [
         -g * scaled if need[0] else None,
         g * scaled if need[1] else None,
-        g * (diff * scaled - 1.0) if need[2] else None,
+        g * (diff * scaled - 1.0) * ((log_sigma > -LOG_SIGMA_BOUND) & (log_sigma < LOG_SIGMA_BOUND)) if need[2] else None,
     ]
 
 
@@ -570,7 +549,6 @@ _OPS = {
     "weighted_sum": (_f_weighted_sum, _b_weighted_sum),
     "relu": (_f_relu, _b_relu),
     "lrelu": (_f_lrelu, _b_lrelu),
-    "clip": (_f_clip, _b_clip),
     "sigmoid": (_f_sigmoid, _b_sigmoid),
     "sigmoid_cross_entropy": (_f_sigmoid_cross_entropy, _b_sigmoid_cross_entropy),
     "categorical_log_q": (_f_categorical_log_q, _b_categorical_log_q),
@@ -623,11 +601,6 @@ def lrelu(x: Tensor, rate: float = 0.1) -> Tensor:
     return forward_op("lrelu", [x], {"rate": float(rate)})
 
 
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """min(max(x, lo), hi); the gradient is zero where a bound is active."""
-    return forward_op("clip", [x], {"lo": float(lo), "hi": float(hi)})
-
-
 def sigmoid(x: Tensor) -> Tensor:
     return forward_op("sigmoid", [x])
 
@@ -643,7 +616,8 @@ def categorical_log_q(logits: Tensor, index) -> Tensor:
 
 
 def gaussian_log_q(c: Tensor, mu: Tensor, log_sigma: Tensor) -> Tensor:
-    """(B,1) diagonal-Gaussian log-density of each row of c under N(mu, exp(log_sigma)^2)."""
+    """(B,1) diagonal-Gaussian log-density of each row of c under N(mu, exp(s)^2), s = log_sigma clamped to
+    +-``LOG_SIGMA_BOUND`` (no gradient where the clamp is active); a NaN log_sigma is a ``DomainError``."""
     return forward_op("gaussian_log_q", [c, mu, log_sigma])
 
 

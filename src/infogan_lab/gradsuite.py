@@ -62,15 +62,6 @@ def _case_sigmoid_cross_entropy(rng, label):
     return [x], lambda p: ad.sigmoid_cross_entropy(p[0], label), None
 
 
-def _case_clip(rng):
-    # columns inside (-1, 2), below -1 and above 2, each clear of the bounds
-    x = np.concatenate(
-        [rng.uniform(-0.9, 1.9, (3, 2)), rng.uniform(-3.0, -1.1, (3, 1)), rng.uniform(2.1, 4.0, (3, 1))],
-        axis=1,
-    )
-    return _weighted_case(lambda t: ad.clip(t, -1.0, 2.0), x, rng)
-
-
 def _case_categorical_log_q(rng):
     """Every logit of a row moves the picked log-probability through the normalizer."""
     logits = Tensor(2.0 * rng.normal(0, 1, (3, 5)))
@@ -86,6 +77,19 @@ def _case_gaussian_log_q(rng):
     log_sigma = Tensor(0.3 * rng.normal(0, 1, (3, 2)))
     w = rng.normal(0, 1, (3, 1))
     return [c, mu, log_sigma], lambda p: ad.gaussian_log_q(p[0], p[1], p[2]), w
+
+
+def _case_gaussian_log_q_clamped(rng):
+    """log_sigma columns inside (-7, 7), below -7 and above 7, each clear of the clamp's bounds; mu and
+    c - mu on the clamped sigma's scale, so no difference is lost to rounding next to a sigma of e^-7."""
+    log_sigma = np.concatenate(
+        [rng.uniform(-6.9, 6.9, (2, 1)), rng.uniform(-9.0, -7.1, (2, 1)), rng.uniform(7.1, 9.0, (2, 1))], axis=1
+    )
+    sigma = np.exp(np.clip(log_sigma, -7.0, 7.0))
+    mu = sigma * rng.normal(0, 1, (2, 3))
+    c = mu + sigma * rng.normal(0, 1, (2, 3))
+    w = rng.normal(0, 1, (2, 1))
+    return [Tensor(c), Tensor(mu), Tensor(log_sigma)], lambda p: ad.gaussian_log_q(p[0], p[1], p[2]), w
 
 
 def _case_reduce_mean(rng):
@@ -104,19 +108,19 @@ def _case_batchnorm(rng, training):
     return [x, gamma, beta], lambda p: ad.batchnorm(p[0], p[1], p[2], state, training), w
 
 
-# keyed by catalogue op; an op with modes gets one case per mode, suffixed
-# _train / _eval (batchnorm) or _label0 / _label1 (sigmoid_cross_entropy)
+# keyed by catalogue op; an op with modes gets one case per mode, suffixed _train / _eval
+# (batchnorm), _label0 / _label1 (sigmoid_cross_entropy) or _clamped (gaussian_log_q past its clamp)
 _OP_CASES = {
     "linear": _case_linear,
     "weighted_sum": _case_weighted_sum,
     "relu": lambda rng: _elementwise_case(ad.relu, rng),
     "lrelu": lambda rng: _elementwise_case(lambda x: ad.lrelu(x, 0.1), rng),
-    "clip": _case_clip,
     "sigmoid": lambda rng: _elementwise_case(ad.sigmoid, rng),
     "sigmoid_cross_entropy_label0": lambda rng: _case_sigmoid_cross_entropy(rng, 0),
     "sigmoid_cross_entropy_label1": lambda rng: _case_sigmoid_cross_entropy(rng, 1),
     "categorical_log_q": _case_categorical_log_q,
     "gaussian_log_q": _case_gaussian_log_q,
+    "gaussian_log_q_clamped": _case_gaussian_log_q_clamped,
     "reduce_mean": _case_reduce_mean,
     "batchnorm_train": lambda rng: _case_batchnorm(rng, True),
     "batchnorm_eval": lambda rng: _case_batchnorm(rng, False),

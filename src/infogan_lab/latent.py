@@ -200,10 +200,13 @@ def sample_latent(spec: LatentSpec, batch: int, rng: np.random.Generator, dtype=
     """Draw z and every code block i.i.d. from its prior (deterministic given rng state).
 
     The draws are float64 whatever ``dtype``, so the stream is consumed the
-    same way; ``g_input`` holds them rounded to ``dtype``, the model's.
+    same way; ``g_input`` holds them rounded to ``dtype``, the model's. A
+    continuous draw that ``dtype`` cannot hold (``unif:-1e300:1e300`` in
+    float32) raises ``SpecError`` naming its block.
     """
     if batch < 1:
         raise SpecError(f"batch must be >= 1, got {batch}")
+    big = float(np.finfo(dtype).max)
     if spec.noise_kind == "normal":
         z = rng.standard_normal((batch, spec.noise_dim))
     else:
@@ -217,6 +220,8 @@ def sample_latent(spec: LatentSpec, batch: int, rng: np.random.Generator, dtype=
             v = rng.uniform(block.lo, block.hi, (batch, block.dim))
         else:
             v = block.mean + block.sigma * rng.standard_normal((batch, block.dim))
+        if not block.is_discrete and not (widest := np.abs(v).max()) <= big:
+            raise SpecError(f"code block '{block.to_token()}' drew {widest:g}, which {np.dtype(dtype)} cannot hold")
         raw.append(v)
         encoded.append(one_hot(v, block.k) if block.is_discrete else v)
     return LatentBatch(spec=spec, c_raw=raw, g_input=Tensor(np.concatenate([z, *encoded], axis=1, dtype=dtype)))
@@ -232,8 +237,9 @@ def log_q(q: tuple, batch: LatentBatch) -> tuple[Tensor | None, Tensor | None]:
     Discrete part: the fused ``categorical_log_q`` op, the log-softmax of
     the block logits at the sampled category; continuous part: the fused
     ``gaussian_log_q`` op, the diagonal Gaussian log-density
-    sum(-0.5*ln(2pi) - s - (c-mu)^2 / (2*exp(2s))) over dims, with the code
-    values c held in mu's dtype. One
+    sum(-0.5*ln(2pi) - s - (c-mu)^2 / (2*exp(2s))) over dims, with s the
+    log_sigma read clamped to +-``autodiff.LOG_SIGMA_BOUND`` (no gradient
+    where the clamp is active) and the code values c held in mu's dtype. One
     ``weighted_sum`` adds up a family's blocks; a family with none is None.
     Differentiable w.r.t. logits, mu and log_sigma (and through them x).
     """

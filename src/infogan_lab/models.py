@@ -7,7 +7,8 @@ recognition model adds only its own head's cost; ``disc_forward`` and
 ``q_forward`` run the trunk and one head, for callers that read only the D
 logit (the discriminator step) or only Q (evaluation). Q's outputs are a
 tuple in spec order: (B,K) logits per categorical code, a (mu, log sigma)
-pair of (B,dim) tensors per continuous one.
+pair of (B,dim) tensors per continuous one. Log sigma is Q's raw output:
+``gaussian_log_q`` reads it clamped to +-``autodiff.LOG_SIGMA_BOUND``.
 
 Parameters live in four clock blocks (``gen``, ``trunk``, ``d_head``,
 ``q_head``), the units Adam steps. Each block is one flat vector, laid out
@@ -37,7 +38,6 @@ from . import autodiff as ad
 from .autodiff import TRAIN_DTYPE, BatchNormState, ShapeError, Tensor
 from .latent import LatentSpec
 
-LOG_SIGMA_BOUND = 7.0  # |log sigma| cap before exponentiation
 LRELU_RATE = 0.1  # leak of the trunk's and the Q head's lrelu; the generator uses relu
 
 # Gaussian init with variance 0.02. At these fully connected widths this
@@ -248,8 +248,7 @@ def _q_head(model: ModelPair, h: Tensor, training: bool) -> tuple:
         if block.is_discrete:
             q.append(_dense(out, hq, training))
         else:
-            mu, s_raw = (_dense(layer, hq, training) for layer in out)
-            q.append((mu, ad.clip(s_raw, -LOG_SIGMA_BOUND, LOG_SIGMA_BOUND)))
+            q.append(tuple(_dense(layer, hq, training) for layer in out))
     return tuple(q)
 
 
@@ -267,7 +266,8 @@ def disc_q_forward(model: ModelPair, x: Tensor, training: bool = True) -> tuple[
     """One shared trunk pass, then the D head (one logit) and the Q head.
 
     Returns the (B,1) discriminator logit and Q's outputs, one entry per
-    code block; log sigma is clamped to +/-7 before any exponentiation.
+    code block. Log sigma is returned raw; ``gaussian_log_q`` clamps it to
+    +/-7 before any exponentiation.
     """
     h = _trunk(model, x, training)
     return _dense(model.d_out, h, training), _q_head(model, h, training)

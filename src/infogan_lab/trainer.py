@@ -102,14 +102,26 @@ def adam_step(
     created on its first step; other entries are never read. Every block is
     checked before any is updated, so a gradient count or shape that does
     not match the blocks, a gradient of another dtype than its block's, a
-    non-finite entry (named by the parameter whose view holds the first) or
-    a block state of the wrong shape or dtype raises ``TrainingError``
-    before any parameter or clock moves.
+    non-finite entry (named by the parameter whose view holds the first), a
+    block state of the wrong shape or dtype, or an alpha_t or eps_hat that
+    the block's dtype cannot hold raises ``TrainingError`` before any
+    parameter or clock moves.
     """
     if len(grads) != len(blocks):
         raise TrainingError(f"adam_step: {len(grads)} gradients for {len(blocks)} blocks")
+    folded = []  # each block's (alpha_t, eps_hat) at its next step
     for block, g in zip(blocks, grads):
         st = states.get(block.name)
+        t = 1 if st is None else st.t + 1
+        root = math.sqrt(1.0 - beta2**t)
+        alpha_t, eps_hat = lr * root / (1.0 - beta1**t), epsilon * root
+        big = float(np.finfo(block.flat.dtype).max)
+        if not (alpha_t <= big and eps_hat <= big):  # an inf, which a Python float product may give, fails too
+            what = f"alpha_t = {alpha_t:g}" if not alpha_t <= big else f"eps_hat = {eps_hat:g} (epsilon {epsilon!r})"
+            raise TrainingError(
+                f"Adam step for block '{block.name}' at rate {lr!r}: {what} does not fit {block.flat.dtype} (largest {big:g})"
+            )
+        folded.append((alpha_t, eps_hat))
         if st is not None and (st.m.shape, st.m.dtype) != (block.flat.shape, block.flat.dtype):
             raise TrainingError(
                 f"Adam state for block '{block.name}' has shape {st.m.shape} and dtype {st.m.dtype}, "
@@ -124,13 +136,11 @@ def adam_step(
             ends = np.cumsum([p.data.size for p in block.params.values()])
             bad = list(block.params)[np.searchsorted(ends, np.flatnonzero(~np.isfinite(g))[0], side="right")]
             raise TrainingError(f"non-finite gradient for parameter '{bad}'")
-    for block, g in zip(blocks, grads):
+    for block, g, (alpha_t, eps_hat) in zip(blocks, grads, folded):
         st = states.get(block.name)
         if st is None:
             st = states[block.name] = AdamState(g.shape, block.flat.dtype)
         st.t += 1
-        root = math.sqrt(1.0 - beta2**st.t)
-        alpha_t, eps_hat = lr * root / (1.0 - beta1**st.t), epsilon * root
         # two scratch rows, so the caller's gradient is left as it was
         scratch = np.empty((2, min(g.size, ADAM_SLICE)), dtype=block.flat.dtype)
         for lo in range(0, g.size, ADAM_SLICE):

@@ -98,10 +98,6 @@ class TestForwardValues:
         scalar = ad.weighted_sum([ad.const(1.5), ad.const(2.0)], (1.0, -1.0)).data
         assert type(scalar) is np.ndarray and scalar.shape == () and scalar.item() == -0.5
 
-    def test_clip_example(self):
-        out = ad.clip(Tensor([[-9.0, -7.0, 0.5, 7.0, 50.0]]), -7.0, 7.0)
-        np.testing.assert_array_equal(out.data, [[-7.0, -7.0, 0.5, 7.0, 7.0]])
-
     def test_sigmoid_cross_entropy_is_the_mean_softplus_and_stays_finite(self):
         # label 1 is mean softplus(-x) = -mean log sigmoid(x); label 0 is mean softplus(x)
         x = np.concatenate([np.random.default_rng(1).normal(0, 10, 50), [-1000.0, 1000.0]])[None, :]
@@ -136,25 +132,45 @@ class TestForwardValues:
 
     def test_domain_errors(self):
         zeros = Tensor(np.zeros((1, 2)))
-        with pytest.raises(DomainError, match="gaussian_log_q.*overflow"):
-            ad.gaussian_log_q(zeros, zeros, Tensor([[0.0, -400.0]]))
         with pytest.raises(DomainError, match=r"categorical_log_q: index outside \[0, 2\) \(min 2, max 2\)"):
             ad.categorical_log_q(zeros, [2])
         with pytest.raises(DomainError, match=r"categorical_log_q: index outside \[0, 2\) \(min -1"):
             ad.categorical_log_q(zeros, [-1])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("past", [8.0, 50.0, 400.0, np.inf, -8.0, -50.0, -400.0, -np.inf])
+    def test_gaussian_log_q_reads_log_sigma_past_the_bound_as_the_bound(self, dtype, past):
+        # log sigma is clamped before any exponentiation: a value past +-7 reads the bound's bits,
+        # in either dtype and without a RuntimeWarning (exp(-2 * -400) overflows float64, and
+        # exp(-2 * -50) float32), and its gradient is zero
+        rng = np.random.default_rng(3)
+        c, mu = (Tensor(rng.normal(0, 1, (1, 2)).astype(dtype)) for _ in range(2))
+        log_sigma = Tensor(np.array([[0.5, past]], dtype))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = ad.gaussian_log_q(c, mu, Tensor(np.array([[0.5, math.copysign(7.0, past)]], dtype))).data
+            with Tape() as tape:
+                out = ad.gaussian_log_q(c, mu, log_sigma)
+                (grad,) = tape.backward(out, [log_sigma], np.ones((1, 1)))
+        assert out.data.dtype == dtype and out.data.tobytes() == bound.tobytes()
+        assert grad[0, 0] != 0.0 and grad[0, 1] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gaussian_log_q_nan_log_sigma_is_a_domain_error_without_a_warning(self, dtype):
+        zeros = Tensor(np.zeros((2, 2), dtype))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for row in ([np.nan, 0.0], [np.nan, np.inf], [-np.inf, np.nan]):
+                log_sigma = Tensor(np.array([[0.3, 1.0], row], dtype))
+                with pytest.raises(DomainError, match=r"^gaussian_log_q: log_sigma is NaN$"):
+                    ad.gaussian_log_q(zeros, zeros, log_sigma)
+            # an empty batch has no NaN
+            empty = Tensor(np.zeros((0, 2), dtype))
+            assert ad.gaussian_log_q(empty, empty, empty).shape == (0, 1)
+
     def test_unknown_op(self):
         with pytest.raises(UsageError, match="unknown op"):
             forward_op("convolve", [Tensor([1.0])])
-
-
-def _reference_gaussian_inv_var(log_sigma):
-    """The inverse-variance check as first written: errstate and isfinite on every call."""
-    with np.errstate(over="ignore"):
-        inv_var = np.exp(-2.0 * log_sigma)
-    if not np.all(np.isfinite(inv_var)):
-        raise DomainError(f"gaussian_log_q: exp(-2*log_sigma) overflow (min log_sigma {log_sigma.min():g})")
-    return inv_var
 
 
 def _reference_index_check(index, k):
@@ -168,12 +184,6 @@ def _outcome(call):
         return "ok", call().tobytes()
     except DomainError as err:
         return "raise", str(err)
-
-
-# the largest log sigma whose exp(-2*log_sigma) overflows; the next double up is finite
-_FIRST_OVERFLOW = -354.89135644669204
-# the same in float32, where exp overflows near 88.72 rather than 709.78
-_FIRST_OVERFLOW_F32 = np.float32(-44.361419677734375)
 
 
 class TestSigmoidAgainstExpit:
@@ -219,66 +229,6 @@ class TestSigmoidAgainstExpit:
 class TestDomainCheckFastForms:
     """The fast domain checks raise on exactly the inputs the reference forms do, with the same
     message, and return bitwise-equal values everywhere else."""
-
-    def test_first_overflow_is_the_boundary(self):
-        with np.errstate(over="ignore"):
-            assert np.isinf(np.exp(-2.0 * _FIRST_OVERFLOW))
-            assert np.isfinite(np.exp(-2.0 * np.nextafter(_FIRST_OVERFLOW, 0.0)))
-            assert np.isinf(np.exp(np.float32(-2.0) * _FIRST_OVERFLOW_F32))
-            assert np.isfinite(np.exp(np.float32(-2.0) * np.nextafter(_FIRST_OVERFLOW_F32, np.float32(0.0))))
-
-    def test_guard_floor_follows_the_dtype(self):
-        # the whole number just above each dtype's first overflow
-        assert ad._log_sigma_floor(np.dtype(np.float64)) == -354.0
-        assert ad._log_sigma_floor(np.dtype(np.float32)) == -44.0
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_log_sigma_past_the_dtype_floor_is_a_domain_error_without_a_warning(self, dtype):
-        # in float32, exp(-2 * -50) overflows to inf although it is finite in float64
-        zeros = Tensor(np.zeros((1, 2), dtype))
-        log_sigma = Tensor(np.array([[0.0, -50.0 if dtype is np.float32 else -400.0]], dtype))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=r"gaussian_log_q: exp\(-2\*log_sigma\) overflow \(min log_sigma -(50|400)\)"):
-                ad.gaussian_log_q(zeros, zeros, log_sigma)
-
-    @pytest.mark.parametrize(
-        "edge",
-        [-354.0, np.nextafter(-354.0, -np.inf), np.nextafter(_FIRST_OVERFLOW, 0.0), _FIRST_OVERFLOW,
-         -400.0, np.nan, np.inf, -np.inf, 0.0, 354.0, 1000.0]
-        + [np.float32(-44.0), np.nextafter(np.float32(-44.0), np.float32(-np.inf)),
-           np.nextafter(_FIRST_OVERFLOW_F32, np.float32(0.0)), _FIRST_OVERFLOW_F32, np.float32(-50.0)],
-    )
-    def test_gaussian_inv_var_matches_reference(self, edge):
-        # a float32 edge runs in float32 arrays throughout, a float64 one in float64
-        dtype = np.asarray(edge).dtype
-        rng = np.random.default_rng(0)
-        for log_sigma in (np.array([[edge]]), np.array([[0.3, edge], [-1.0, 2.0]], dtype), np.full((2, 3), edge)):
-            assert log_sigma.dtype == dtype
-            assert _outcome(lambda: ad._gaussian_inv_var(log_sigma)) == _outcome(
-                lambda: _reference_gaussian_inv_var(log_sigma)
-            )
-            c, mu = (Tensor(rng.normal(0, 1, log_sigma.shape).astype(dtype)) for _ in range(2))
-            diff = c.data - mu.data
-
-            def reference():
-                # the forward rule's arithmetic around the reference check
-                elem = -0.5 * ad._LN_2PI - log_sigma - 0.5 * (diff * diff) * _reference_gaussian_inv_var(log_sigma)
-                return elem.sum(axis=1, keepdims=True)
-
-            # just inside the bound, inv_var * diff**2 may overflow to inf in both forms
-            with np.errstate(over="ignore"):
-                assert _outcome(lambda: ad.gaussian_log_q(c, mu, Tensor(log_sigma)).data) == _outcome(reference)
-
-    def test_gaussian_inv_var_empty_and_random(self):
-        empty = np.zeros((0, 2))
-        assert ad._gaussian_inv_var(empty).shape == (0, 2)
-        x = np.random.default_rng(1).uniform(-360.0, 360.0, (200, 3))
-        for row in x:
-            assert _outcome(lambda: ad._gaussian_inv_var(row)) == _outcome(lambda: _reference_gaussian_inv_var(row))
-        x32 = np.random.default_rng(2).uniform(-46.0, 46.0, (200, 3)).astype(np.float32)
-        for row in x32:
-            assert _outcome(lambda: ad._gaussian_inv_var(row)) == _outcome(lambda: _reference_gaussian_inv_var(row))
 
     @pytest.mark.parametrize(
         "dtype, index",
@@ -882,7 +832,7 @@ def test_forward_determinism_same_seed():
     def run():
         rng = np.random.default_rng(123)
         x = Tensor(rng.normal(0, 1, (5, 5)))
-        h = ad.clip(ad.lrelu(x, 0.1), 0.0, 1.5)
+        h = ad.lrelu(x, 0.1)
         logits = ad.linear(ad.sigmoid(h), Tensor(rng.normal(0, 1, (5, 5))), Tensor(rng.normal(0, 1, 5)))
         y = ad.categorical_log_q(logits, rng.integers(0, 5, 5))
         return y.data

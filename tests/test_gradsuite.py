@@ -15,7 +15,7 @@ from infogan_lab.objectives import GAN_MODES, discriminator_loss, generator_loss
 
 
 def _op_of(case: str) -> str:
-    for suffix in ("_train", "_eval", "_label0", "_label1"):
+    for suffix in ("_train", "_eval", "_label0", "_label1", "_clamped"):
         case = case.removesuffix(suffix)
     return case
 
@@ -105,6 +105,21 @@ def test_a_rule_off_by_one_percent_fails_its_case(monkeypatch, case):
     assert worst[case] > 1e-5
 
 
+def test_a_gaussian_log_q_rule_without_its_clamp_mask_fails_only_the_clamped_case(monkeypatch):
+    # past the clamp the log_sigma gradient must be zero: the rule with its mask dropped
+    # still passes the unclamped case, and fails the one that reaches past the bounds
+    forward, _ = autodiff._OPS["gaussian_log_q"]
+
+    def unmasked(g, node, need):
+        diff, inv_var, _ = node.saved
+        scaled = diff * inv_var
+        return [-g * scaled if need[0] else None, g * scaled if need[1] else None, g * (diff * scaled - 1.0) if need[2] else None]
+
+    monkeypatch.setitem(autodiff._OPS, "gaussian_log_q", (forward, unmasked))
+    worst = op_grad_checks(n_seeds=1)
+    assert {name for name, err in worst.items() if err > 1e-5} == {"gaussian_log_q_clamped"}
+
+
 def _count_forward_ops(monkeypatch) -> dict:
     calls = {"n": 0}
     forward_op = autodiff.forward_op
@@ -125,11 +140,11 @@ def test_one_seed_of_op_checks_costs_26_forward_ops(monkeypatch):
     assert calls["n"] == 26
 
 
-def test_one_seed_of_the_full_graph_check_costs_56_forward_ops(monkeypatch):
-    # a pass of the whole objective is 28 ops, and the check runs two passes: 2 * 28 = 56
+def test_one_seed_of_the_full_graph_check_costs_54_forward_ops(monkeypatch):
+    # a pass of the whole objective is 27 ops, and the check runs two passes: 2 * 27 = 54
     calls = _count_forward_ops(monkeypatch)
     full_loss_graph_check(1)
-    assert calls["n"] == 56
+    assert calls["n"] == 54
 
 
 def test_batchnorm_train_check_folds_only_its_taped_pass(monkeypatch):
@@ -170,10 +185,15 @@ def test_signatures_the_benchmark_calls():
 def test_error_floats_of_twenty_seeds_after_each_default_base_seed(pinned_on):
     # the exact worst errors, by repr, of one-seed checks at the 20 seeds after each default base seed:
     # a change to the engine or to grad_check that claims to keep every bit must leave both digests as they are
-    ops = repr([sorted(op_grad_checks(1, 1234 + i).items()) for i in range(20)])
+    rows = [sorted(op_grad_checks(1, 1234 + i).items()) for i in range(20)]
     full = repr([full_loss_graph_check(1, 99 + i) for i in range(20)])
-    assert hashlib.sha256(ops.encode()).hexdigest() == (
-        "dc49ae85d0fc84cbf66f1fb4fed2fb0ca1639b5f9c326703ce8e1d635cb2c6bb"
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "5fb5eeac0af23db45856904e12676b3c9675491b4955f6f8b362540759b8e3a2"
+    ), pinned_on
+    # the cases that predate gaussian_log_q_clamped read as they did before it was added
+    before = repr([[(case, err) for case, err in row if case != "gaussian_log_q_clamped"] for row in rows])
+    assert hashlib.sha256(before.encode()).hexdigest() == (
+        "10fa04034867d1488641999c4acae62d03648ed6e4b67e671a2192cc29e5d791"
     ), pinned_on
     assert hashlib.sha256(full.encode()).hexdigest() == (
         "b6201e8d312e0c0a3e5813283bec356577be1ff2e1fc4ed71cb6921e60312101"

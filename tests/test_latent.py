@@ -172,6 +172,15 @@ class TestSampling:
         assert wide.g_input.data.dtype == np.float64
         assert narrow.g_input.data.tobytes() == wide.g_input.data.astype(np.float32).tobytes()
 
+    def test_draw_the_dtype_cannot_hold_names_block_and_dtype(self):
+        # float32 holds no draw of these codes; float64 holds them all, and the stream is consumed the same way
+        for token in ("unif:-1e300:1e300", "gauss:1e300:1", "gauss:0:1e150:2"):
+            spec = LatentSpec(blocks=(CodeBlock.categorical(3), parse_block_token(token)), noise_dim=2)
+            with pytest.raises(SpecError, match=rf"^code block '{re.escape(spec.blocks[1].to_token())}' drew .* which float32 cannot hold$"):
+                sample_latent(spec, 8, np.random.default_rng(5))
+            wide = sample_latent(spec, 8, np.random.default_rng(5), np.float64)
+            assert np.all(np.isfinite(wide.g_input.data))
+
     def test_uniform_noise_kind(self):
         spec = LatentSpec(blocks=(), noise_dim=8, noise_kind="uniform")
         batch = sample_latent(spec, 1000, np.random.default_rng(1))
@@ -262,6 +271,32 @@ class TestLogQ:
         samples = -disc.data.ravel()
         se = samples.std(ddof=1) / math.sqrt(n)
         assert abs(samples.mean() - math.log(k)) <= 3 * max(se, 1e-12)
+
+    def test_log_sigma_is_read_clamped_to_the_bound(self):
+        # Q's raw log sigma anywhere, infinities included, scores as the log sigma clamped to +-7
+        spec = spec_cat_unif(noise_dim=0)
+        rng = np.random.default_rng(6)
+        batch = sample_latent(spec, 16, rng)
+        mu = Tensor(rng.normal(0, 1, (16, 1)).astype(np.float32))
+        raw = np.concatenate([rng.uniform(-50.0, 50.0, 14), [-np.inf, np.inf]]).astype(np.float32)[:, None]
+        logits = Tensor(np.zeros((16, 4), np.float32))
+        _, cont = log_q((logits, (mu, Tensor(raw))), batch)
+        _, clamped = log_q((logits, (mu, Tensor(np.clip(raw, -7.0, 7.0)))), batch)
+        assert np.all(np.isfinite(cont.data)) and cont.data.tobytes() == clamped.data.tobytes()
+
+    def test_log_sigma_clamp_engages(self):
+        # a log sigma forced past the cap reads as 7 and gets no gradient
+        spec = spec_cat_unif(noise_dim=0)
+        rng = np.random.default_rng(7)
+        batch = sample_latent(spec, 4, rng)
+        logits, mu = Tensor(np.zeros((4, 4), np.float32)), Tensor(rng.normal(0, 1, (4, 1)).astype(np.float32))
+        log_sigma = Tensor(np.full((4, 1), 50.0, np.float32))
+        with ad.Tape() as tape:
+            _, cont = log_q((logits, (mu, log_sigma)), batch)
+            (grad,) = tape.backward(cont, [log_sigma], np.ones((4, 1)))
+        _, at_cap = log_q((logits, (mu, Tensor(np.full((4, 1), 7.0, np.float32)))), batch)
+        assert cont.data.tobytes() == at_cap.data.tobytes()
+        assert not grad.any()
 
     def test_gradient_reaches_all_q_params(self):
         spec = spec_cat_unif(noise_dim=0)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -278,6 +279,26 @@ class TestAdam:
             adam_step([gen], [np.array([0.5])], st, 1e-3, 0.9, 0.999, 1e-8)
         assert st == {} and gen.flat[0] == 1.0
 
+    @pytest.mark.parametrize("lr, epsilon, what", [
+        # alpha_t = lr * sqrt(1 - 0.999) / (1 - 0.5) and eps_hat = epsilon * sqrt(1 - 0.999) at t = 1
+        (1e300, 1e-8, "alpha_t = 6.32456e+298"),
+        (1e-3, 1e300, "eps_hat = 3.16228e+298 (epsilon 1e+300)"),
+    ])
+    def test_step_size_the_block_dtype_cannot_hold_names_block_rate_and_dtype_and_moves_nothing(self, lr, epsilon, what):
+        gen, trunk = make_block("gen", {"gen.a": [1.0]}, np.float32), make_block("trunk", {"trunk.a": [1.0]}, np.float32)
+        st = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError) as err:
+                adam_step([trunk, gen], [np.array([0.5], np.float32)] * 2, st, lr, 0.5, 0.999, epsilon)
+        assert str(err.value) == f"Adam step for block 'trunk' at rate {lr!r}: {what} does not fit float32 (largest 3.40282e+38)"
+        assert st == {} and trunk.flat[0] == gen.flat[0] == 1.0
+        # float64 holds both
+        adam_step([make_block("gen", {"gen.a": [1.0]})], [np.array([0.5])], st, lr, 0.5, 0.999, epsilon)
+        assert st["gen"].t == 1
+        # float64 holds every one of these
+        adam_step([make_block("gen", {"gen.a": [1.0]})], [np.array([0.5])], {}, lr, 0.5, 0.999, epsilon)
+
     def test_fresh_state_takes_the_block_dtype(self):
         for dtype in (np.float32, np.float64):
             st = {}
@@ -359,24 +380,38 @@ class TestTrainStep:
         ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
         model = init_models(*cfg.net_configs(), cfg.latent_spec(), rngs["init"])
         model.params["q_head.cont0.s.b"].data[:] = np.nan  # as weights that diverged would leave it
-        message = r"^gaussian_log_q: exp\(-2\*log_sigma\) overflow \(min log_sigma nan\) at iteration 7$"
+        message = r"^gaussian_log_q: log_sigma is NaN at iteration 7$"
         with pytest.raises(TrainingError, match=message):
             train_step(model, ds.images[:8], cfg, rngs["latent"], {}, iteration=7)
 
     @staticmethod
-    def _default_step_inputs():
+    def _step_inputs(cfg):
+        # a toy config steps on a toy batch, an mnist one on random bytes of its image size
         from infogan_lab.data_io import synth_templates
         from infogan_lab.models import init_models
 
-        cfg = TrainingConfig(toy_samples=256)
         rngs = rng_streams(cfg.seed)
-        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
+        if cfg.dataset == "toy":
+            ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
+            real = ds.images[: cfg.batch_size]
+        else:
+            real = rngs["dataset"].integers(0, 256, (cfg.batch_size, cfg.image_dim), dtype=np.uint8)
         gen_cfg, dq_cfg = cfg.net_configs()
         model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
         states = {}
-        return model, ds.images[: cfg.batch_size], cfg, rngs["latent"], states
+        return model, real, cfg, rngs["latent"], states
 
-    def test_default_step_graph_size(self, monkeypatch):
+    @classmethod
+    def _default_step_inputs(cls):
+        return cls._step_inputs(TrainingConfig(toy_samples=256))
+
+    @pytest.mark.parametrize("cfg, expected", [
+        (TrainingConfig(toy_samples=256), (44, 38, 53, 4, 7)),
+        # the MNIST protocol's shape: cat:10 and two unif codes, noise 62, batchnorm in both nets
+        (TrainingConfig(dataset="mnist", noise_dim=62, codes=tuple(map(parse_block_token, ("cat:10", "unif:-1:1", "unif:-1:1")))),
+         (56, 48, 69, 4, 9)),
+    ], ids=["default", "mnist-shape"])
+    def test_default_step_graph_size(self, monkeypatch, cfg, expected):
         # pins the fused graph, the pruned sweeps and the linear products the masked rules skip:
         # any regrowth of the per-iteration work fails here
         counts = {"ops": 0, "nodes": 0, "rules": 0, "skipped g @ w.T": 0, "skipped x.T @ g": 0}
@@ -402,8 +437,8 @@ class TestTrainStep:
         monkeypatch.setattr(autodiff, "forward_op", counting_forward_op)
         monkeypatch.setattr(autodiff.Tape, "__exit__", counting_exit)
         monkeypatch.setattr(autodiff, "_OPS", {op: (f, counting_rule(b)) for op, (f, b) in autodiff._OPS.items()})
-        train_step(*self._default_step_inputs())
-        assert counts == {"ops": 45, "nodes": 39, "rules": 55, "skipped g @ w.T": 4, "skipped x.T @ g": 7}
+        train_step(*self._step_inputs(cfg))
+        assert tuple(counts.values()) == expected, counts
 
     def test_d_step_records_no_q_head_parameter(self, tmp_path, monkeypatch):
         from infogan_lab.data_io import synth_templates
@@ -463,41 +498,53 @@ class TestTrainStep:
 
     def test_batchnorm_gaussian_step_works_out_moments_and_inv_var_once(self, tmp_path, monkeypatch):
         # the tape keeps each forward's residuals: one batchnorm forward works out its batch moments
-        # once and one gaussian_log_q its inverse variance once, and no backward rule calls either
-        # helper again (8 batchnorm forwards and 1 gaussian_log_q forward per step)
+        # once and one gaussian_log_q its inverse variance (its one exp) once, and neither backward
+        # rule works either out again (8 batchnorm forwards and 1 gaussian_log_q forward per step)
         from infogan_lab.data_io import synth_templates
         from infogan_lab.models import init_models
 
-        calls, in_backward = [], [False]
+        calls, running = [], [None]
 
-        def counted(name):
-            helper = getattr(autodiff, name)
+        class CountingNumpy:
+            """autodiff's numpy, recording each exp call against the rule that made it."""
 
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(*args, **kwargs):
+                calls.append(("exp", running[0]))
+                return np.exp(*args, **kwargs)
+
+        def tagged(op, phase, rule):
             def run(*args):
-                calls.append((name, in_backward[0]))
-                return helper(*args)
-            return run
-
-        def flagged(rule):
-            def run(g, node, need):
-                in_backward[0] = True
+                running[0] = (op, phase)
                 try:
-                    return rule(g, node, need)
+                    return rule(*args)
                 finally:
-                    in_backward[0] = False
+                    running[0] = None
             return run
 
-        for name in ("_batch_moments", "_gaussian_inv_var"):
-            monkeypatch.setattr(autodiff, name, counted(name))
-        monkeypatch.setattr(autodiff, "_OPS", {op: (f, flagged(b)) for op, (f, b) in autodiff._OPS.items()})
+        batch_moments = autodiff._batch_moments
+
+        def counted_moments(*args):
+            calls.append(("_batch_moments", running[0]))
+            return batch_moments(*args)
+
+        monkeypatch.setattr(autodiff, "_batch_moments", counted_moments)
+        monkeypatch.setattr(autodiff, "np", CountingNumpy())
+        monkeypatch.setattr(autodiff, "_OPS", {op: (tagged(op, "forward", f), tagged(op, "backward", b))
+                                               for op, (f, b) in autodiff._OPS.items()})
         cfg = tiny_cfg(tmp_path, batchnorm=True, codes=(CodeBlock.categorical(4), CodeBlock.gaussian(0.0, 1.0)))
         rngs = rng_streams(cfg.seed)
         ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
         gen_cfg, dq_cfg = cfg.net_configs()
         model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
         train_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], {})
-        assert Counter(name for name, _ in calls) == {"_batch_moments": 8, "_gaussian_inv_var": 1}
-        assert [call for call in calls if call[1]] == []
+        assert [by for name, by in calls if name == "_batch_moments"] == [("batchnorm", "forward")] * 8
+        assert [call for call in calls if call[1] in (("gaussian_log_q", "forward"), ("gaussian_log_q", "backward"))] == [
+            ("exp", ("gaussian_log_q", "forward"))
+        ]
 
     def test_shared_trunk_adam_clock_ticks_twice(self):
         # the D step and the Q update both step the trunk's AdamState
@@ -611,6 +658,24 @@ class TestTrainingDtype:
 
 
 class TestTrainRun:
+    @pytest.mark.parametrize("key, block", [("lr_d", "trunk"), ("lr_g", "gen")])
+    def test_rate_float32_cannot_step_with_is_refused_before_a_parameter_moves(self, tmp_path, key, block):
+        # once, such a rate wrote inf and NaN into the parameters, and the run failed later on a gradient
+        cfg = tiny_cfg(tmp_path, iterations=3, **{key: 1e300})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match=rf"^Adam step for block '{block}' at rate 1e\+300: alpha_t = .* does not fit float32"):
+                train_run(cfg)
+
+    @pytest.mark.parametrize("token", ["unif:-1e300:1e300", "gauss:1e300:1"])
+    def test_code_float32_cannot_hold_is_a_spec_error_naming_it(self, tmp_path, token):
+        code = parse_block_token(token)
+        cfg = tiny_cfg(tmp_path, iterations=3, codes=(CodeBlock.categorical(4), code))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecError, match=rf"^code block '{re.escape(code.to_token())}' drew .* which float32 cannot hold$"):
+                train_run(cfg)
+
     def test_deterministic_trace_and_files(self, tmp_path):
         cfg_a = tiny_cfg(tmp_path, checkpoint_out=str(tmp_path / "a.igan"), metrics_out=str(tmp_path / "a.csv"))
         _, trace_a = train_run(cfg_a)
