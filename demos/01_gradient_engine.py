@@ -24,7 +24,7 @@ zero_log_sigma = Tensor(np.zeros((4, 1)))
 
 def network(params):
     w1_, b1_, w2_, b2_ = params
-    return ad.linear(ad.lrelu(ad.linear(x, w1_, b1_), rate=0.1), w2_, b2_)
+    return ad.linear(ad.linear(x, w1_, b1_, "lrelu", rate=0.1), w2_, b2_)
 
 
 def nll(params):
@@ -34,7 +34,7 @@ def nll(params):
 
 
 params = [w1, b1, w2, b2]
-# each layer is one linear op: x @ w + b, a single tape node
+# each layer is one linear op, act(x @ w + b) with its activation folded in: a single tape node
 with Tape() as tape:
     loss = nll(params)
     n_nodes = len(tape.nodes)

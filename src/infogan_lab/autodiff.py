@@ -1,8 +1,13 @@
 """Tape-based reverse-mode automatic differentiation over dense float arrays.
 
-The operation catalogue is fixed and small: 10 ops, each run by training or
-evaluation. A dense layer is one ``linear`` op (``x @ w + b``), and
-loss terms are fused into single ops (``sigmoid_cross_entropy`` and
+The operation catalogue is fixed and small: 7 ops, each run by training or
+evaluation. A dense layer is one ``linear`` op (``act(x @ w + b)``), or a
+``linear`` and a ``batchnorm`` op, with its activation folded into the last
+as an epilogue, the ``act`` attribute (None, ``relu``, ``lrelu`` with its
+``rate``, or ``sigmoid``): the backward rule multiplies the incoming gradient
+by the activation's derivative, read from the residual the epilogue saved
+(the pre-activation, or the sigmoid's output), before the op's own rule.
+Loss terms are fused into single ops (``sigmoid_cross_entropy`` and
 ``weighted_sum`` with their label and weights as attributes,
 ``gaussian_log_q``, which reads its log sigma clamped to
 +-``LOG_SIGMA_BOUND``, ``categorical_log_q`` with its category indices as an
@@ -24,7 +29,7 @@ Usage:
     with Tape() as tape:
         y = weighted_sum([reduce_mean(w)], (2.0,))
         (g,) = tape.backward(y, [w])   # dy/dw as an ndarray
-        h = linear(x, w, b)
+        h = linear(x, w, b, "lrelu", 0.1)
         (gw,) = tape.backward(h, [w], v)   # vector-Jacobian product v^T dh/dw
     # the tape is closed here: its nodes are freed and backward raises
 
@@ -79,9 +84,6 @@ __all__ = [
     "const",
     "linear",
     "weighted_sum",
-    "relu",
-    "lrelu",
-    "sigmoid",
     "sigmoid_cross_entropy",
     "categorical_log_q",
     "gaussian_log_q",
@@ -103,8 +105,8 @@ class ShapeError(ValueError):
 class DomainError(ValueError):
     """An op was evaluated outside its numeric domain.
 
-    gaussian_log_q's log_sigma holds a NaN, an lrelu rate lies outside
-    (0, 1), a sigmoid_cross_entropy label is not 0 or 1, or a
+    gaussian_log_q's log_sigma holds a NaN, an lrelu epilogue's rate lies
+    outside (0, 1), a sigmoid_cross_entropy label is not 0 or 1, or a
     categorical_log_q index lies outside [0, K).
     """
 
@@ -336,13 +338,17 @@ def _f_linear(arrs, attrs):
         cores = _probe_cores(arrs, (2, 2, 1))
         if cores is None or not (cores[0][1] == cores[1][0] and cores[2] == (cores[1][1],)):
             raise ShapeError(f"linear: needs (B,I) @ (I,O) + (O,), got {x.shape} @ {w.shape} + {b.shape}")
-    return x @ w + b, (x, w)
+    out, act_saved = _epilogue(x @ w + b, attrs)
+    return out, (x, w, act_saved)
 
 
 def _b_linear(g, node, need):
-    x, w = node.saved
+    x, w, act_saved = node.saved
+    if act_saved is not None:  # the epilogue's derivative first
+        g = _ACTS[node.attrs["act"]][1](g, act_saved, node.attrs["rate"])
+    # one output column (the D head, a 1-D Gaussian head): the K=1 product is its broadcast, bit for bit
     return [
-        g @ w.T if need[0] else None,
+        (g * w.T if w.shape[1] == 1 else g @ w.T) if need[0] else None,
         x.T @ g if need[1] else None,
         g.sum(axis=0) if need[2] else None,
     ]
@@ -369,47 +375,41 @@ def _b_weighted_sum(g, node, need):
     return [g * w if needed else None for w, needed in zip(node.attrs["weights"], need)]
 
 
-def _f_relu(arrs, attrs):
-    return np.maximum(arrs[0], 0.0), arrs[0]
-
-
-def _b_relu(g, node, need):
-    return [g * (node.saved > 0.0)]
-
-
-# For 0 < rate < 1 both lrelu rules are bitwise-equal to the np.where forms
-# (x if x > 0 else rate*x, and 1 or rate), also at +-0, +-inf and NaN; at
-# rate 0, max(inf, 0*inf) would be NaN, hence the guard. The backward mask
-# takes the input's dtype: a bool mask against a Python float would be float64.
-def _f_lrelu(arrs, attrs):
-    x = arrs[0]
-    rate = attrs["rate"]
-    if not 0.0 < rate < 1.0:
-        raise DomainError(f"lrelu: rate must lie in (0, 1), got {rate!r}")
-    return np.maximum(x, rate * x), x
-
-
-def _b_lrelu(g, node, need):
-    x = node.saved
-    return [g * np.maximum(x > 0.0, node.attrs["rate"], dtype=x.dtype)]
-
-
 def _sigmoid(x):
-    # the logistic function in one pinned form, shared by sigmoid and sigmoid_cross_entropy's backward:
-    # exactly 0 where exp(-x) overflows to inf, silently (x <= -710 in float64, x <= -89 in float32),
-    # and exactly 1 for large x
+    # the logistic function in one pinned form, shared by the sigmoid epilogue and sigmoid_cross_entropy's
+    # backward: exactly 0 where exp(-x) overflows to inf, silently (x <= -710 in float64, x <= -89 in
+    # float32), and exactly 1 for large x
     with np.errstate(over="ignore", under="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _f_sigmoid(arrs, attrs):
-    y = _sigmoid(arrs[0])
-    return y, y
+def _lrelu_grad(g, h, rate):
+    mask = (h > 0.0).astype(h.dtype)  # in h's dtype: a bool mask against a Python float would be float64
+    return g * np.maximum(mask, rate, out=mask)  # np.maximum(h > 0.0, rate, dtype=h.dtype)'s bits, in place
 
 
-def _b_sigmoid(g, node, need):
-    y = node.saved
-    return [g * y * (1.0 - y)]
+# The activation epilogue of linear and batchnorm, by the op's ``act`` attribute: forward(h, rate) ->
+# (out, residual) and backward(g, residual, rate) -> the gradient at h. For 0 < rate < 1 both lrelu
+# rules are bitwise-equal to the np.where forms (h if h > 0 else rate*h, and 1 or rate), also at +-0,
+# +-inf and NaN; at rate 0, max(inf, 0*inf) would be NaN, hence _epilogue's check.
+_ACTS = {
+    "relu": (lambda h, rate: (np.maximum(h, 0.0), h), lambda g, h, rate: g * (h > 0.0)),
+    "lrelu": (lambda h, rate: (np.maximum(h, rate * h), h), _lrelu_grad),
+    "sigmoid": (lambda h, rate: (y := _sigmoid(h), y), lambda g, y, rate: g * y * (1.0 - y)),
+}
+
+
+def _epilogue(h, attrs):
+    """act(h) for the op's ``act`` and the residual its backward reads; h and None without one."""
+    act = attrs.get("act")
+    if act is None:
+        return h, None
+    if not isinstance(act, str) or act not in _ACTS:
+        raise UsageError(f"unknown activation {act!r} (one of {', '.join(_ACTS)}, or None)")
+    rate = attrs.get("rate")
+    if act == "lrelu" and not (rate is not None and 0.0 < rate < 1.0):
+        raise DomainError(f"lrelu: rate must lie in (0, 1), got {rate!r}")
+    return _ACTS[act][0](h, rate)
 
 
 # -log sigmoid(x) = softplus(-x) (label 1), -log(1 - sigmoid(x)) = softplus(x) (label 0), with softplus
@@ -518,16 +518,19 @@ def _f_batchnorm(arrs, attrs):
             raise ShapeError(f"batchnorm: scale/shift must be ({x.shape[-1]},), got {gamma.shape} and {beta.shape}")
     if attrs["training"]:
         mean, var, inv_std, centered = _batch_moments(x)
-        if unstacked:  # a probe stack folds nothing into the running moments
-            state.update(mean, var)
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         centered = x - state.running_mean
-    return gamma * (centered * inv_std) + beta, (centered, inv_std, gamma)
+    out, act_saved = _epilogue(gamma * (centered * inv_std) + beta, attrs)
+    if attrs["training"] and unstacked:  # past the epilogue: a refused act, like a probe stack, folds nothing
+        state.update(mean, var)
+    return out, (centered, inv_std, gamma, act_saved)
 
 
 def _b_batchnorm(g, node, need):
-    centered, inv_std, gamma = node.saved
+    centered, inv_std, gamma, act_saved = node.saved
+    if act_saved is not None:  # the epilogue's derivative first
+        g = _ACTS[node.attrs["act"]][1](g, act_saved, node.attrs["rate"])
     dx = None
     if need[0] and node.attrs["training"]:
         n = centered.shape[0]
@@ -547,9 +550,6 @@ def _b_batchnorm(g, node, need):
 _OPS = {
     "linear": (_f_linear, _b_linear),
     "weighted_sum": (_f_weighted_sum, _b_weighted_sum),
-    "relu": (_f_relu, _b_relu),
-    "lrelu": (_f_lrelu, _b_lrelu),
-    "sigmoid": (_f_sigmoid, _b_sigmoid),
     "sigmoid_cross_entropy": (_f_sigmoid_cross_entropy, _b_sigmoid_cross_entropy),
     "categorical_log_q": (_f_categorical_log_q, _b_categorical_log_q),
     "gaussian_log_q": (_f_gaussian_log_q, _b_gaussian_log_q),
@@ -582,27 +582,17 @@ def forward_op(name: str, inputs: list[Tensor], attrs: dict | None = None) -> Te
 
 # thin call-site sugar over forward_op
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for a (B,I) batch, (I,O) weights and an (O,) bias: one tape node per layer."""
-    return forward_op("linear", [x, w, b])
+def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None, rate: float = 0.1) -> Tensor:
+    """act(x @ w + b) for a (B,I) batch, (I,O) weights and an (O,) bias: one tape node per layer.
+
+    ``act`` is None, ``"relu"``, ``"sigmoid"`` or ``"lrelu"``, max(h, rate*h) for a rate in (0, 1).
+    """
+    return forward_op("linear", [x, w, b], None if act is None else {"act": act, "rate": float(rate)})
 
 
 def weighted_sum(xs: list[Tensor], weights) -> Tensor:
     """sum of w_i * x_i over equal-shaped inputs, the constant weights held as an attribute."""
     return forward_op("weighted_sum", xs, {"weights": tuple(map(float, weights))})
-
-
-def relu(x: Tensor) -> Tensor:
-    return forward_op("relu", [x])
-
-
-def lrelu(x: Tensor, rate: float = 0.1) -> Tensor:
-    """max(x, rate*x) for a rate in (0, 1)."""
-    return forward_op("lrelu", [x], {"rate": float(rate)})
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return forward_op("sigmoid", [x])
 
 
 def sigmoid_cross_entropy(logits: Tensor, label: int) -> Tensor:
@@ -625,8 +615,12 @@ def reduce_mean(x: Tensor) -> Tensor:
     return forward_op("reduce_mean", [x])
 
 
-def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool) -> Tensor:
-    return forward_op("batchnorm", [x, gamma, beta], {"state": state, "training": training})
+def batchnorm(
+    x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool, act: str | None = None, rate: float = 0.1
+) -> Tensor:
+    """act(gamma * xhat + beta), xhat normalized by the batch's moments (training) or the running ones;
+    ``act`` as for ``linear``."""
+    return forward_op("batchnorm", [x, gamma, beta], {"state": state, "training": training, "act": act, "rate": float(rate)})
 
 
 def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6, readout=None) -> float:

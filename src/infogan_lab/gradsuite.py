@@ -29,13 +29,15 @@ from .objectives import discriminator_loss, generator_loss, infogan_losses, mi_l
 GRAD_STEP = 1e-6  # central finite-difference step of every check here
 
 
-def _case_linear(rng):
-    """Gradient with respect to the input batch as well as the weights and the bias."""
-    x = Tensor(rng.normal(0, 1, (3, 4)))
-    w = Tensor(rng.normal(0, 1, (4, 2)))
-    b = Tensor(rng.normal(0, 1, (2,)))
-    weights = rng.normal(0, 1, (3, 2))
-    return [x, w, b], lambda p: ad.linear(p[0], p[1], p[2]), weights
+def _case_linear(rng, act=None):
+    """Gradient with respect to the input batch as well as the weights and the bias, through the epilogue
+    ``act``; without one, the layer has one output column, as the D head and a 1-D Gaussian head do."""
+    fan_in, width = (4, 1) if act is None else (3, 2)
+    x = Tensor(rng.normal(0, 1, (3, fan_in)))
+    w = Tensor(rng.normal(0, 1, (fan_in, width)))
+    b = Tensor(rng.normal(0, 1, (width,)))
+    weights = rng.normal(0, 1, (3, width))
+    return [x, w, b], lambda p: ad.linear(p[0], p[1], p[2], act), weights
 
 
 def _case_weighted_sum(rng):
@@ -44,16 +46,6 @@ def _case_weighted_sum(rng):
     b = Tensor(rng.normal(0, 1, (3, 4)))
     w = rng.normal(0, 1, (3, 4))
     return [a, b], lambda p: ad.weighted_sum([p[0], p[1]], (-2.5, 0.75)), w
-
-
-def _weighted_case(fn, x: np.ndarray, rng):
-    """Inputs ``x`` through ``fn``, read out by a fixed random weighting."""
-    w = rng.normal(0, 1, x.shape)
-    return [Tensor(x)], lambda p: fn(p[0]), w
-
-
-def _elementwise_case(fn, rng):
-    return _weighted_case(fn, rng.normal(0, 1, (3, 4)), rng)
 
 
 def _case_sigmoid_cross_entropy(rng, label):
@@ -97,33 +89,34 @@ def _case_reduce_mean(rng):
     return [x], lambda p: ad.reduce_mean(p[0]), None
 
 
-def _case_batchnorm(rng, training):
-    x = Tensor(rng.normal(0, 1, (6, 4)))
-    gamma = Tensor(rng.uniform(0.5, 1.5, (4,)))
-    beta = Tensor(rng.normal(0, 0.3, (4,)))
-    state = BatchNormState(4)
-    state.running_mean = rng.normal(0, 0.5, 4)
-    state.running_var = rng.uniform(0.5, 1.5, 4)
-    w = rng.normal(0, 1, (6, 4))
-    return [x, gamma, beta], lambda p: ad.batchnorm(p[0], p[1], p[2], state, training), w
+def _case_batchnorm(rng, training, act):
+    x = Tensor(rng.normal(0, 1, (5, 3)))
+    gamma = Tensor(rng.uniform(0.5, 1.5, (3,)))
+    beta = Tensor(rng.normal(0, 0.3, (3,)))
+    state = BatchNormState(3)
+    state.running_mean = rng.normal(0, 0.5, 3)
+    state.running_var = rng.uniform(0.5, 1.5, 3)
+    w = rng.normal(0, 1, (5, 3))
+    return [x, gamma, beta], lambda p: ad.batchnorm(p[0], p[1], p[2], state, training, act), w
 
 
 # keyed by catalogue op; an op with modes gets one case per mode, suffixed _train / _eval
-# (batchnorm), _label0 / _label1 (sigmoid_cross_entropy) or _clamped (gaussian_log_q past its clamp)
+# (batchnorm), _label0 / _label1 (sigmoid_cross_entropy), _clamped (gaussian_log_q past its clamp) or
+# the activation epilogue it runs (linear); each batchnorm case runs the epilogue its models' layers do
 _OP_CASES = {
     "linear": _case_linear,
+    "linear_relu": lambda rng: _case_linear(rng, "relu"),
+    "linear_lrelu": lambda rng: _case_linear(rng, "lrelu"),
+    "linear_sigmoid": lambda rng: _case_linear(rng, "sigmoid"),
     "weighted_sum": _case_weighted_sum,
-    "relu": lambda rng: _elementwise_case(ad.relu, rng),
-    "lrelu": lambda rng: _elementwise_case(lambda x: ad.lrelu(x, 0.1), rng),
-    "sigmoid": lambda rng: _elementwise_case(ad.sigmoid, rng),
     "sigmoid_cross_entropy_label0": lambda rng: _case_sigmoid_cross_entropy(rng, 0),
     "sigmoid_cross_entropy_label1": lambda rng: _case_sigmoid_cross_entropy(rng, 1),
     "categorical_log_q": _case_categorical_log_q,
     "gaussian_log_q": _case_gaussian_log_q,
     "gaussian_log_q_clamped": _case_gaussian_log_q_clamped,
     "reduce_mean": _case_reduce_mean,
-    "batchnorm_train": lambda rng: _case_batchnorm(rng, True),
-    "batchnorm_eval": lambda rng: _case_batchnorm(rng, False),
+    "batchnorm_train": lambda rng: _case_batchnorm(rng, True, "relu"),
+    "batchnorm_eval": lambda rng: _case_batchnorm(rng, False, "lrelu"),
 }
 
 

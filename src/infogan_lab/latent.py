@@ -207,24 +207,31 @@ def sample_latent(spec: LatentSpec, batch: int, rng: np.random.Generator, dtype=
     if batch < 1:
         raise SpecError(f"batch must be >= 1, got {batch}")
     big = float(np.finfo(dtype).max)
+    g_input = np.zeros((batch, spec.gen_input_dim), dtype=dtype)
     if spec.noise_kind == "normal":
-        z = rng.standard_normal((batch, spec.noise_dim))
+        g_input[:, : spec.noise_dim] = rng.standard_normal((batch, spec.noise_dim))
     else:
-        z = rng.uniform(-1.0, 1.0, (batch, spec.noise_dim))
+        g_input[:, : spec.noise_dim] = rng.uniform(-1.0, 1.0, (batch, spec.noise_dim))
     raw: list[np.ndarray] = []
-    encoded: list[np.ndarray] = []
+    start = spec.noise_dim
     for block in spec.blocks:
         if block.kind == "categorical":
-            v = rng.choice(block.k, size=batch, p=np.asarray(block.probs))
-        elif block.kind == "uniform":
-            v = rng.uniform(block.lo, block.hi, (batch, block.dim))
+            # Generator.choice(k, batch, p=probs)'s own draw, bit for bit, without its argument checks
+            cdf = np.cumsum(block.probs)
+            cdf /= cdf[-1]
+            v = cdf.searchsorted(rng.random(batch), side="right")
+            g_input[np.arange(batch), start + v] = 1.0
         else:
-            v = block.mean + block.sigma * rng.standard_normal((batch, block.dim))
-        if not block.is_discrete and not (widest := np.abs(v).max()) <= big:
-            raise SpecError(f"code block '{block.to_token()}' drew {widest:g}, which {np.dtype(dtype)} cannot hold")
+            if block.kind == "uniform":
+                v = rng.uniform(block.lo, block.hi, (batch, block.dim))
+            else:
+                v = block.mean + block.sigma * rng.standard_normal((batch, block.dim))
+            if not (widest := np.abs(v).max()) <= big:
+                raise SpecError(f"code block '{block.to_token()}' drew {widest:g}, which {np.dtype(dtype)} cannot hold")
+            g_input[:, start : start + block.dim] = v
         raw.append(v)
-        encoded.append(one_hot(v, block.k) if block.is_discrete else v)
-    return LatentBatch(spec=spec, c_raw=raw, g_input=Tensor(np.concatenate([z, *encoded], axis=1, dtype=dtype)))
+        start += block.encoded_dim
+    return LatentBatch(spec=spec, c_raw=raw, g_input=Tensor(g_input))
 
 
 def log_q(q: tuple, batch: LatentBatch) -> tuple[Tensor | None, Tensor | None]:

@@ -1,8 +1,12 @@
 """Generator and shared discriminator/recognition networks.
 
-Everything is a fully connected stack at desk scale; each layer is one
-``linear`` op. The discriminator head and the recognition head share one
-trunk. ``disc_q_forward`` runs the trunk once and feeds both heads, so the
+Everything is a fully connected stack at desk scale. ``_dense`` builds
+every layer: one ``linear`` op, or a ``linear`` and a ``batchnorm`` op,
+with the layer's activation (relu in G, sigmoid on G's pixels, lrelu in the
+trunk and the Q head's hidden layer, none on the output heads) folded into
+its last op, so a layer is one tape node, two with batchnorm. The
+discriminator head and the recognition head share one trunk.
+``disc_q_forward`` runs the trunk once and feeds both heads, so the
 recognition model adds only its own head's cost; ``disc_forward`` and
 ``q_forward`` run the trunk and one head, for callers that read only the D
 logit (the discriminator step) or only Q (evaluation). Q's outputs are a
@@ -216,9 +220,11 @@ def init_models(
     return model
 
 
-def _dense(layer: Dense, x: Tensor, training: bool) -> Tensor:
-    h = ad.linear(x, layer.w, layer.b)
-    return h if layer.bn is None else ad.batchnorm(h, *layer.bn, training)
+def _dense(layer: Dense, x: Tensor, training: bool, act: str | None = None) -> Tensor:
+    """act(layer(x)), the activation folded into the layer's last op: one tape node, two with batchnorm."""
+    if layer.bn is None:
+        return ad.linear(x, layer.w, layer.b, act, LRELU_RATE)
+    return ad.batchnorm(ad.linear(x, layer.w, layer.b), *layer.bn, training, act, LRELU_RATE)
 
 
 def gen_forward(model: ModelPair, g_input: Tensor, training: bool = True) -> Tensor:
@@ -228,8 +234,8 @@ def gen_forward(model: ModelPair, g_input: Tensor, training: bool = True) -> Ten
     h = g_input
     *hidden, out = model.gen_layers
     for layer in hidden:
-        h = ad.relu(_dense(layer, h, training))
-    return ad.sigmoid(_dense(out, h, training))
+        h = _dense(layer, h, training, "relu")
+    return _dense(out, h, training, "sigmoid")
 
 
 def _trunk(model: ModelPair, x: Tensor, training: bool) -> Tensor:
@@ -237,12 +243,12 @@ def _trunk(model: ModelPair, x: Tensor, training: bool) -> Tensor:
         raise ShapeError(f"input dim {x.shape[-1]} != trunk input {model.dq_cfg.widths[0]}")
     h = x
     for layer in model.trunk_layers:
-        h = ad.lrelu(_dense(layer, h, training), LRELU_RATE)
+        h = _dense(layer, h, training, "lrelu")
     return h
 
 
 def _q_head(model: ModelPair, h: Tensor, training: bool) -> tuple:
-    hq = ad.lrelu(_dense(model.q_l0, h, training), LRELU_RATE)
+    hq = _dense(model.q_l0, h, training, "lrelu")
     q = []
     for block, out in zip(model.spec.blocks, model.q_outs):
         if block.is_discrete:

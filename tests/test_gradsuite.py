@@ -15,7 +15,7 @@ from infogan_lab.objectives import GAN_MODES, discriminator_loss, generator_loss
 
 
 def _op_of(case: str) -> str:
-    for suffix in ("_train", "_eval", "_label0", "_label1", "_clamped"):
+    for suffix in ("_train", "_eval", "_label0", "_label1", "_clamped", "_relu", "_lrelu", "_sigmoid"):
         case = case.removesuffix(suffix)
     return case
 
@@ -120,6 +120,36 @@ def test_a_gaussian_log_q_rule_without_its_clamp_mask_fails_only_the_clamped_cas
     assert {name for name, err in worst.items() if err > 1e-5} == {"gaussian_log_q_clamped"}
 
 
+# the cases that run each activation epilogue: its linear case, and the batchnorm case of the models' layers
+_EPILOGUE_CASES = {
+    "relu": {"linear_relu", "batchnorm_train"},
+    "lrelu": {"linear_lrelu", "batchnorm_eval"},
+    "sigmoid": {"linear_sigmoid"},
+}
+
+
+def test_every_epilogue_has_its_cases():
+    assert set(_EPILOGUE_CASES) == set(autodiff._ACTS)
+    assert set().union(*_EPILOGUE_CASES.values()) <= set(_OP_CASES)
+
+
+@pytest.mark.parametrize("act", sorted(_EPILOGUE_CASES))
+def test_an_epilogue_backward_without_its_mask_fails_exactly_its_cases(monkeypatch, act):
+    # the derivative factor dropped: the gradient at the pre-activation passes through as g, which is
+    # wrong wherever a relu or lrelu input is negative and everywhere for the sigmoid
+    forward, _ = autodiff._ACTS[act]
+    monkeypatch.setitem(autodiff._ACTS, act, (forward, lambda g, act_saved, rate: g))
+    worst = op_grad_checks(n_seeds=1)
+    assert {name for name, err in worst.items() if err > 1e-5} == _EPILOGUE_CASES[act]
+
+
+def test_the_cases_probe_221_coordinates_a_seed():
+    # 233 when relu, lrelu and sigmoid were ops with cases of their own: folding them into linear and
+    # batchnorm must not make the benchmark's verify round, which probes every one, any longer
+    rng = np.random.default_rng(0)
+    assert sum(p.data.size for case in _OP_CASES.values() for p in case(rng)[0]) == 221
+
+
 def _count_forward_ops(monkeypatch) -> dict:
     calls = {"n": 0}
     forward_op = autodiff.forward_op
@@ -140,11 +170,12 @@ def test_one_seed_of_op_checks_costs_26_forward_ops(monkeypatch):
     assert calls["n"] == 26
 
 
-def test_one_seed_of_the_full_graph_check_costs_54_forward_ops(monkeypatch):
-    # a pass of the whole objective is 27 ops, and the check runs two passes: 2 * 27 = 54
+def test_one_seed_of_the_full_graph_check_costs_44_forward_ops(monkeypatch):
+    # a pass of the whole objective is 22 ops (each layer one, its activation folded in), and the
+    # check runs two passes: 2 * 22 = 44
     calls = _count_forward_ops(monkeypatch)
     full_loss_graph_check(1)
-    assert calls["n"] == 54
+    assert calls["n"] == 44
 
 
 def test_batchnorm_train_check_folds_only_its_taped_pass(monkeypatch):
@@ -188,12 +219,14 @@ def test_error_floats_of_twenty_seeds_after_each_default_base_seed(pinned_on):
     rows = [sorted(op_grad_checks(1, 1234 + i).items()) for i in range(20)]
     full = repr([full_loss_graph_check(1, 99 + i) for i in range(20)])
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "5fb5eeac0af23db45856904e12676b3c9675491b4955f6f8b362540759b8e3a2"
+        "f954128ffc573f5da37214e6024f1668bb29f95f3f78e966c1e94bec274a3a21"
     ), pinned_on
-    # the cases that predate gaussian_log_q_clamped read as they did before it was added
-    before = repr([[(case, err) for case, err in row if case != "gaussian_log_q_clamped"] for row in rows])
+    # the cases of the ops that the activation epilogues left alone read as they did before the fold
+    untouched = {"weighted_sum", "sigmoid_cross_entropy_label0", "sigmoid_cross_entropy_label1", "categorical_log_q",
+                 "gaussian_log_q", "gaussian_log_q_clamped", "reduce_mean"}
+    before = repr([[(case, err) for case, err in row if case in untouched] for row in rows])
     assert hashlib.sha256(before.encode()).hexdigest() == (
-        "10fa04034867d1488641999c4acae62d03648ed6e4b67e671a2192cc29e5d791"
+        "409153ae893c89ac983bc28e658529ab1dc9b51c79f71fee37b95ec58da290eb"
     ), pinned_on
     assert hashlib.sha256(full.encode()).hexdigest() == (
         "b6201e8d312e0c0a3e5813283bec356577be1ff2e1fc4ed71cb6921e60312101"

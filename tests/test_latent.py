@@ -181,6 +181,25 @@ class TestSampling:
             wide = sample_latent(spec, 8, np.random.default_rng(5), np.float64)
             assert np.all(np.isfinite(wide.g_input.data))
 
+    @pytest.mark.parametrize("k, probs", [
+        (2, None), (4, None), (10, None), (3, (0.7, 0.2, 0.1)), (5, (0.0, 0.5, 0.0, 0.25, 0.25)), (2, (1e-12, 1.0 - 1e-12)),
+    ])
+    def test_categorical_draws_are_generator_choice(self, k, probs):
+        # sample_latent makes Generator.choice's own draw without calling it; a numpy whose choice draws
+        # differently fails here: the indices and their dtype, the one-hot columns and the stream state
+        block = CodeBlock.categorical(k, probs)
+        spec = LatentSpec(blocks=(block, CodeBlock.gaussian(0.0, 1.0, 2)), noise_dim=3)
+        ours, ref = np.random.default_rng(k), np.random.default_rng(k)
+        for batch in (1, 7, 64):
+            lat = sample_latent(spec, batch, ours)
+            ref.standard_normal((batch, 3))
+            want = ref.choice(k, size=batch, p=np.asarray(block.probs))
+            gauss = ref.standard_normal((batch, 2))
+            assert lat.c_raw[0].dtype == want.dtype and lat.c_raw[0].tobytes() == want.tobytes()
+            assert lat.g_input.data[:, 3:3 + k].tobytes() == one_hot(want, k).astype(np.float32).tobytes()
+            assert lat.c_raw[1].tobytes() == gauss.tobytes()
+            assert ours.bit_generator.state == ref.bit_generator.state
+
     def test_uniform_noise_kind(self):
         spec = LatentSpec(blocks=(), noise_dim=8, noise_kind="uniform")
         batch = sample_latent(spec, 1000, np.random.default_rng(1))

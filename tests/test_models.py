@@ -127,11 +127,12 @@ class TestDiscQForward:
         x = Tensor(np.random.default_rng(5).uniform(0, 1, (4, 64)))
         with Tape() as tape:
             disc_q_forward(model, x, training=False)
-            layers = sum(1 for n in tape.nodes if n.op == "linear")
-        # trunk layers once, plus D head, Q hidden, and per-block output layers
+            ops = [n.op for n in tape.nodes]
+        # trunk layers once, plus D head, Q hidden, and per-block output layers; each activation is
+        # folded into its layer, so every node is one linear layer
         n_trunk = len(model.dq_cfg.widths) - 1
         n_heads = 1 + 1 + 1 + 2  # d_head, q hidden, cat logits, cont mu and s
-        assert layers == n_trunk + n_heads
+        assert ops == ["linear"] * (n_trunk + n_heads)
 
     def test_single_head_passes_match_the_shared_pass_bitwise(self):
         spec, model = small_setup(batchnorm=True)
@@ -150,7 +151,7 @@ class TestDiscQForward:
         for forward, n_head in ((disc_forward, 1), (q_forward, 1 + 1 + 2)):
             with Tape() as tape:
                 forward(model, x, training=False)
-                assert sum(1 for n in tape.nodes if n.op == "linear") == n_trunk + n_head
+                assert [n.op for n in tape.nodes] == ["linear"] * (n_trunk + n_head)
 
     def test_d_logit_finite_over_random_inputs(self):
         spec, model = small_setup()

@@ -406,10 +406,10 @@ class TestTrainStep:
         return cls._step_inputs(TrainingConfig(toy_samples=256))
 
     @pytest.mark.parametrize("cfg, expected", [
-        (TrainingConfig(toy_samples=256), (44, 38, 53, 4, 7)),
+        (TrainingConfig(toy_samples=256), (31, 28, 40, 4, 7)),
         # the MNIST protocol's shape: cat:10 and two unif codes, noise 62, batchnorm in both nets
         (TrainingConfig(dataset="mnist", noise_dim=62, codes=tuple(map(parse_block_token, ("cat:10", "unif:-1:1", "unif:-1:1")))),
-         (56, 48, 69, 4, 9)),
+         (43, 38, 56, 4, 9)),
     ], ids=["default", "mnist-shape"])
     def test_default_step_graph_size(self, monkeypatch, cfg, expected):
         # pins the fused graph, the pruned sweeps and the linear products the masked rules skip:
@@ -598,9 +598,9 @@ def _dtype_oracle(monkeypatch, want):
     return leaks
 
 
-def _b_lrelu_float64_mask(g, node, need):
-    # the rule as it once was: a bool mask against a Python float rate promotes to float64
-    return [g * np.maximum(node.saved > 0.0, node.attrs["rate"])]
+def _lrelu_float64_mask(g, h, rate):
+    # the lrelu backward as it once was: a bool mask against a Python float rate promotes to float64
+    return g * np.maximum(h > 0.0, rate)
 
 
 CODE_FAMILIES = {"categorical": CodeBlock.categorical(4), "uniform": CodeBlock.uniform(-1.0, 1.0), "gaussian": CodeBlock.gaussian(0.0, 1.0, 2)}
@@ -634,12 +634,13 @@ class TestTrainingDtype:
         rngs = rng_streams(cfg.seed)
         ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
         model = init_models(*cfg.net_configs(), cfg.latent_spec(), rngs["init"])
-        monkeypatch.setitem(autodiff._OPS, "lrelu", (autodiff._f_lrelu, _b_lrelu_float64_mask))
+        monkeypatch.setitem(autodiff._ACTS, "lrelu", (autodiff._ACTS["lrelu"][0], _lrelu_float64_mask))
         leaks = _dtype_oracle(monkeypatch, np.float32)
         # the float64 gradient reaches Adam, which refuses it for the float32 trunk
         with pytest.raises(TrainingError, match="gradient for block 'trunk' has dtype float64, block has float32"):
             train_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], {})
-        assert ("backward", "lrelu", "float64") in leaks
+        # the trunk's layers are linear ops with the lrelu folded in: their rule returns the float64 gradient
+        assert ("backward", "linear", "float64") in leaks
 
     def test_the_full_graph_check_runs_in_float64(self, monkeypatch):
         from infogan_lab import gradsuite
