@@ -567,6 +567,27 @@ class TestTrainStep:
         assert set(per_name) == set(model.params) | set(model.blocks)
         assert all(per_name[name].t == 0 for name in model.params)
 
+    # the per-step tracemalloc peak after three warm-up steps, in bytes; it is the same from step to step up
+    # to a few hundred bytes. Ceilings: the measured peak plus 3%.
+    @pytest.mark.parametrize("cfg, ceiling", [
+        (TrainingConfig(toy_samples=256), 1_176_000),
+        (TrainingConfig(dataset="mnist", noise_dim=62, codes=tuple(map(parse_block_token, ("cat:10", "unif:-1:1", "unif:-1:1")))),
+         4_280_000),
+    ], ids=["default", "mnist-shape"])
+    def test_step_allocation_ceiling(self, cfg, ceiling):
+        import tracemalloc
+
+        inputs = self._step_inputs(cfg)
+        for _ in range(3):
+            train_step(*inputs)
+        tracemalloc.start()
+        try:
+            train_step(*inputs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ceiling, f"a step's traced peak is {peak} B, above its ceiling of {ceiling} B"
+
 
 def _dtype_oracle(monkeypatch, want):
     """Wrap every op rule from outside; the list it returns collects each non-scalar array not of ``want``.
