@@ -19,10 +19,16 @@ A forward rule returns ``(out, saved)``, and the tape keeps ``saved``, the
 residuals its backward rule reads, in place of the op's input arrays; only
 ops are nodes, and a node names each input by the node that produced it, or
 a leaf (a parameter, batch or constant) by the tensor itself. A backward
-rule is ``backward(g, node, need)`` and reads only ``node.saved`` and
+rule is ``backward(g, node, need, out)`` and reads only ``node.saved`` and
 ``node.attrs``; ``need`` holds one bool per input, true where a ``wrt``
 tensor of the sweep feeds that input, and the rule computes only those
-input gradients (``None`` for the rest).
+input gradients (``None`` for the rest). ``out`` holds one destination per
+input, an array the sweep owns or None: a rule may write that input's
+gradient into it and return it (``linear`` writes its weight and bias
+gradients, ``batchnorm`` its scale and shift gradients), or return a fresh
+array, which the sweep copies in. A sweep given destinations for its
+``wrt`` tensors (``Tape.backward``'s ``out``, a block's gradient buffer in
+training) so fills them without a concatenation or a per-step allocation.
 
 Usage:
 
@@ -238,7 +244,7 @@ class Tape:
         self.nodes.append(TapeNode(op, tuple(map(self._name, inputs)), saved, attrs))
         out._tape = self
 
-    def backward(self, root: Tensor, wrt: list[Tensor], cotangent=None) -> list[np.ndarray]:
+    def backward(self, root: Tensor, wrt: list[Tensor], cotangent=None, out=None) -> list[np.ndarray]:
         """Gradients of ``root`` with respect to each tensor of ``wrt``, in order.
 
         Without a ``cotangent`` the root must be scalar and the result is its
@@ -253,6 +259,14 @@ class Tape:
         only those input gradients. The root must be an op output on this
         tape; a ``wrt`` tensor that no op here read, or on no path to the
         root, gets zeros of its shape. Gradients accumulate over fan-out.
+
+        ``out``, if given, holds one destination per ``wrt`` tensor: None, or
+        an array of the tensor's shape and dtype, which then receives its
+        gradient and is returned in its place. The first rule to reach the
+        tensor writes into it (or its result is copied in), a later one on
+        fan-out is added into it in place, and a tensor no rule reached has
+        zeros written into it. The bits are those of a sweep without ``out``. A
+        gradient of another dtype than its destination is returned as is.
         """
         if self.nodes is None:
             raise UsageError("backward: the tape is closed (its with block has exited)")
@@ -268,6 +282,18 @@ class Tape:
                 raise UsageError(f"backward: cotangent shape {seed.shape} does not match root shape {root.shape}")
         # forward pass: mark every node that a wrt tensor feeds; live and grads are keyed by name
         wrt_names = [self._name(t) for t in wrt]
+        dests = {}  # name -> the destination its gradient is written into
+        if out is not None:
+            if len(out) != len(wrt):
+                raise UsageError(f"backward: {len(out)} destinations for {len(wrt)} wrt tensors")
+            for name, t, d in zip(wrt_names, wrt, out):
+                if d is not None:
+                    if (d.shape, d.dtype) != (t.shape, t.data.dtype):
+                        raise UsageError(
+                            f"backward: a destination of shape {d.shape} and dtype {d.dtype} for a wrt tensor "
+                            f"of shape {t.shape} and dtype {t.data.dtype}"
+                        )
+                    dests.setdefault(name, d)
         live = set(wrt_names)
         for nid in range(root.node + 1):
             if not live.isdisjoint(self.nodes[nid].inputs):
@@ -278,20 +304,56 @@ class Tape:
                 continue
             node = self.nodes[nid]
             need = tuple(name in live for name in node.inputs)
-            for name, needed, gi in zip(node.inputs, need, _OPS[node.op][1](g, node, need)):
+            outs = _destinations(node.inputs, dests, grads) if dests else (None,) * len(node.inputs)
+            for name, needed, gi, o in zip(node.inputs, need, _OPS[node.op][1](g, node, need, outs), outs):
                 if needed:
                     acc = grads.get(name)
-                    grads[name] = gi if acc is None else acc + gi
-        return [grads[name] if name in grads else np.zeros_like(t.data) for name, t in zip(wrt_names, wrt)]
+                    if acc is None:
+                        grads[name] = _into(o, gi)
+                    elif acc is dests.get(name) and gi.dtype == acc.dtype:  # in place: the bits of acc + gi
+                        acc += gi
+                    else:
+                        grads[name] = acc + gi
+        result = []
+        for name, t, d in zip(wrt_names, wrt, out if out is not None else [None] * len(wrt)):
+            gi = grads.get(name)
+            if gi is None and d is not None:  # no rule reached it
+                d.fill(0.0)
+                gi = d
+            result.append(np.zeros_like(t.data) if gi is None else _into(d, gi))
+        return result
+
+
+def _into(d, gi):
+    """``gi`` held in the destination ``d``: written there unless it is already there; ``gi`` itself without a
+    destination, or where its dtype is not ``d``'s (a gradient is never cast, so a rule's dtype leak shows)."""
+    if d is None or gi is d or gi.dtype != d.dtype:
+        return gi
+    np.copyto(d, gi)
+    return d
+
+
+def _destinations(inputs, dests, grads) -> tuple:
+    """Each input's destination for this rule: its wrt buffer while nothing has been written there yet, else None.
+
+    An input named twice gets its buffer at its first place only, so no rule writes one buffer twice.
+    """
+    outs, seen = [], set()
+    for name in inputs:
+        outs.append(dests.get(name) if name not in grads and name not in seen else None)
+        seen.add(name)
+    return tuple(outs)
 
 
 # ---------------------------------------------------------------------------
 # op rules: forward(arrays, attrs) -> (out, saved), where out is a fresh
 # C-contiguous array of the inputs' dtype (forward_op wraps it as returned) and saved
-# holds the residuals the backward rule reads; backward(g, node, need) ->
-# input grads from node.saved and node.attrs alone, where need holds one
+# holds the residuals the backward rule reads; backward(g, node, need, out)
+# -> input grads from node.saved and node.attrs alone, where need holds one
 # bool per input (is that input live in the sweep) and a multi-input rule
-# returns None for every input it is not asked for.
+# returns None for every input it is not asked for; out holds one
+# destination or None per input (see the module docstring), which a rule
+# writes only with a result of the destination's dtype (``_dest``).
 # A single-input rule only runs when its input is live.
 # A forward rule also takes the probe axis of the module docstring; a
 # backward rule only ever sees unstacked arrays.
@@ -323,6 +385,18 @@ def _probe_cores(arrs, ranks) -> list[tuple[int, ...]] | None:
     return cores if len(counts) <= 1 else None
 
 
+def _dest(d, *arrs):
+    """The destination ``d`` for a result computed from ``arrs``, or None where their dtypes differ from its:
+    a ufunc would cast into it silently, and a rule's dtype leak must stay visible."""
+    return d if d is not None and all(a.dtype == d.dtype for a in arrs) else None
+
+
+def _inplace(op, h, b):
+    """op(h, b) written into ``h``, which the calling rule owns, where ``b`` broadcasts into it in its dtype;
+    a fresh op(h, b) where it does not (a probe-stacked ``b`` widens an unstacked ``h``)."""
+    return op(h, b, out=h) if b.ndim <= h.ndim and b.dtype == h.dtype else op(h, b)
+
+
 def _mean(x):
     # np.add.reduce is what ndarray.mean runs for float64, without its Python wrapper; a rank-3
     # input is a probe stack, and each probe's entries are reduced as one contiguous row
@@ -338,19 +412,20 @@ def _f_linear(arrs, attrs):
         cores = _probe_cores(arrs, (2, 2, 1))
         if cores is None or not (cores[0][1] == cores[1][0] and cores[2] == (cores[1][1],)):
             raise ShapeError(f"linear: needs (B,I) @ (I,O) + (O,), got {x.shape} @ {w.shape} + {b.shape}")
-    out, act_saved = _epilogue(x @ w + b, attrs)
+    h = _inplace(np.add, x @ w, b)
+    out, act_saved = _epilogue(h, attrs, out=h)
     return out, (x, w, act_saved)
 
 
-def _b_linear(g, node, need):
+def _b_linear(g, node, need, out):
     x, w, act_saved = node.saved
     if act_saved is not None:  # the epilogue's derivative first
         g = _ACTS[node.attrs["act"]][1](g, act_saved, node.attrs["rate"])
     # one output column (the D head, a 1-D Gaussian head): the K=1 product is its broadcast, bit for bit
     return [
         (g * w.T if w.shape[1] == 1 else g @ w.T) if need[0] else None,
-        x.T @ g if need[1] else None,
-        g.sum(axis=0) if need[2] else None,
+        np.matmul(x.T, g, out=_dest(out[1], x, g)) if need[1] else None,
+        np.add.reduce(g, axis=0, out=_dest(out[2], g)) if need[2] else None,
     ]
 
 
@@ -371,36 +446,51 @@ def _f_weighted_sum(arrs, attrs):
     return np.asarray(out), None
 
 
-def _b_weighted_sum(g, node, need):
+def _b_weighted_sum(g, node, need, out):
     return [g * w if needed else None for w, needed in zip(node.attrs["weights"], need)]
 
 
-def _sigmoid(x):
-    # the logistic function in one pinned form, shared by the sigmoid epilogue and sigmoid_cross_entropy's
-    # backward: exactly 0 where exp(-x) overflows to inf, silently (x <= -710 in float64, x <= -89 in
-    # float32), and exactly 1 for large x
+def _sigmoid(x, out=None):
+    # the logistic function in one pinned form, 1.0 / (1.0 + exp(-x)), shared by the sigmoid epilogue
+    # (written into out=x) and sigmoid_cross_entropy's backward: exactly 0 where exp(-x) overflows to inf,
+    # silently (x <= -710 in float64, x <= -89 in float32), and exactly 1 for large x
     with np.errstate(over="ignore", under="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        e = np.negative(x, out=out)
+        np.exp(e, out=e)
+        e += 1.0
+        return np.divide(1.0, e, out=e)
 
 
-def _lrelu_grad(g, h, rate):
-    mask = (h > 0.0).astype(h.dtype)  # in h's dtype: a bool mask against a Python float would be float64
-    return g * np.maximum(mask, rate, out=mask)  # np.maximum(h > 0.0, rate, dtype=h.dtype)'s bits, in place
+def _lrelu(h, rate, out):
+    t = h * rate
+    return np.maximum(h, t, out=out)
 
 
-# The activation epilogue of linear and batchnorm, by the op's ``act`` attribute: forward(h, rate) ->
-# (out, residual) and backward(g, residual, rate) -> the gradient at h. For 0 < rate < 1 both lrelu
-# rules are bitwise-equal to the np.where forms (h if h > 0 else rate*h, and 1 or rate), also at +-0,
-# +-inf and NaN; at rate 0, max(inf, 0*inf) would be NaN, hence _epilogue's check.
+def _lrelu_grad(g, y, rate):
+    mask = (y > 0.0).astype(y.dtype)  # in y's dtype: a bool mask against a Python float would be float64
+    return g * np.maximum(mask, rate, out=mask)  # np.maximum(y > 0.0, rate, dtype=y.dtype)'s bits, in place
+
+
+# The activation epilogue of linear and batchnorm, by the op's ``act`` attribute: forward(h, rate, out) ->
+# (y, residual), y written into out (None: a fresh array), and backward(g, residual, rate) -> the
+# gradient at h. Every residual is the output y: for relu, and for lrelu with 0 < rate < 1, y > 0 exactly where
+# h > 0, also at +-0, +-inf and NaN, so the masks are those of h. Both lrelu rules are bitwise-equal to
+# the np.where forms (h if h > 0 else rate*h, and 1 or rate); at rate 0, max(inf, 0*inf) would be NaN,
+# hence _epilogue's check.
 _ACTS = {
-    "relu": (lambda h, rate: (np.maximum(h, 0.0), h), lambda g, h, rate: g * (h > 0.0)),
-    "lrelu": (lambda h, rate: (np.maximum(h, rate * h), h), _lrelu_grad),
-    "sigmoid": (lambda h, rate: (y := _sigmoid(h), y), lambda g, y, rate: g * y * (1.0 - y)),
+    "relu": (lambda h, rate, out: (y := np.maximum(h, 0.0, out=out), y), lambda g, y, rate: g * (y > 0.0)),
+    "lrelu": (lambda h, rate, out: (y := _lrelu(h, rate, out), y), _lrelu_grad),
+    "sigmoid": (lambda h, rate, out: (y := _sigmoid(h, out), y), lambda g, y, rate: g * y * (1.0 - y)),
 }
 
 
-def _epilogue(h, attrs):
-    """act(h) for the op's ``act`` and the residual its backward reads; h and None without one."""
+def _epilogue(h, attrs, out=None):
+    """act(h) for the op's ``act`` and the residual its backward reads; h and None without one.
+
+    act(h) is written into ``out``: the op passes its own ``h``, so no array
+    is allocated, and without one it is a fresh array, so a caller's ``h`` is
+    never written.
+    """
     act = attrs.get("act")
     if act is None:
         return h, None
@@ -409,7 +499,7 @@ def _epilogue(h, attrs):
     rate = attrs.get("rate")
     if act == "lrelu" and not (rate is not None and 0.0 < rate < 1.0):
         raise DomainError(f"lrelu: rate must lie in (0, 1), got {rate!r}")
-    return _ACTS[act][0](h, rate)
+    return _ACTS[act][0](h, rate, out)
 
 
 # -log sigmoid(x) = softplus(-x) (label 1), -log(1 - sigmoid(x)) = softplus(x) (label 0), with softplus
@@ -422,7 +512,7 @@ def _f_sigmoid_cross_entropy(arrs, attrs):
     return _mean(np.logaddexp(0.0, sx)), sx
 
 
-def _b_sigmoid_cross_entropy(g, node, need):
+def _b_sigmoid_cross_entropy(g, node, need, out):
     sx = node.saved
     dx = np.full(sx.shape, float(g) / sx.size, dtype=sx.dtype) * _sigmoid(sx)
     return [dx * -1.0 if node.attrs["label"] == 1 else dx]
@@ -445,7 +535,7 @@ def _f_categorical_log_q(arrs, attrs):
     return shifted[..., np.arange(len(index)), index][..., None] - lse, (shifted, lse)
 
 
-def _b_categorical_log_q(g, node, need):
+def _b_categorical_log_q(g, node, need, out):
     shifted, lse = node.saved
     index = node.attrs["index"]
     # d log p[index] / d logits = onehot(index) - softmax(logits), per row
@@ -474,7 +564,7 @@ def _f_gaussian_log_q(arrs, attrs):
     return elem.sum(axis=-1, keepdims=True), (diff, inv_var, log_sigma)
 
 
-def _b_gaussian_log_q(g, node, need):
+def _b_gaussian_log_q(g, node, need, out):
     diff, inv_var, log_sigma = node.saved
     scaled = diff * inv_var
     # the log_sigma gradient is zero where the clamp is active: the strict mask is the last factor
@@ -489,7 +579,7 @@ def _f_reduce_mean(arrs, attrs):
     return _mean(arrs[0]), (arrs[0].shape, arrs[0].dtype)
 
 
-def _b_reduce_mean(g, node, need):
+def _b_reduce_mean(g, node, need, out):
     shape, dtype = node.saved
     return [np.full(shape, float(g) / math.prod(shape), dtype=dtype)]
 
@@ -521,13 +611,15 @@ def _f_batchnorm(arrs, attrs):
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         centered = x - state.running_mean
-    out, act_saved = _epilogue(gamma * (centered * inv_std) + beta, attrs)
+    # gamma * (centered * inv_std) + beta, each product and sum written into the op's own array
+    h = _inplace(np.add, _inplace(np.multiply, centered * inv_std, gamma), beta)
+    out, act_saved = _epilogue(h, attrs, out=h)
     if attrs["training"] and unstacked:  # past the epilogue: a refused act, like a probe stack, folds nothing
         state.update(mean, var)
     return out, (centered, inv_std, gamma, act_saved)
 
 
-def _b_batchnorm(g, node, need):
+def _b_batchnorm(g, node, need, out):
     centered, inv_std, gamma, act_saved = node.saved
     if act_saved is not None:  # the epilogue's derivative first
         g = _ACTS[node.attrs["act"]][1](g, act_saved, node.attrs["rate"])
@@ -542,8 +634,8 @@ def _b_batchnorm(g, node, need):
         dx = g * gamma * inv_std
     return [
         dx,
-        (g * (centered * inv_std)).sum(axis=0) if need[1] else None,
-        g.sum(axis=0) if need[2] else None,
+        np.add.reduce(g * (centered * inv_std), axis=0, out=_dest(out[1], g, centered, inv_std)) if need[1] else None,
+        np.add.reduce(g, axis=0, out=_dest(out[2], g)) if need[2] else None,
     ]
 
 

@@ -74,22 +74,33 @@ class NetConfig:
 
 @dataclass(frozen=True)
 class ParamBlock:
-    """One Adam clock block: a flat float vector and its parameters, each a view into it."""
+    """One Adam clock block: a flat float vector and its parameters, each a view into it.
+
+    ``grad`` is the block's gradient buffer, a flat vector of the same layout,
+    and ``grad_views`` holds one view of it per parameter, by name: a training
+    sweep writes each parameter's gradient into its view, so a block's
+    gradient needs no concatenation, and the next sweep overwrites it.
+    """
 
     name: str
     flat: np.ndarray
     params: Mapping[str, Tensor]
+    grad: np.ndarray
+    grad_views: Mapping[str, np.ndarray]
 
     @staticmethod
     def allocate(name: str, shapes: dict[str, tuple[int, ...]], dtype=TRAIN_DTYPE) -> "ParamBlock":
-        """A zero block of ``dtype`` laid out in ``shapes`` order, one C-contiguous reshaped view per parameter."""
-        flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()), dtype=dtype)
-        params, start = {}, 0
+        """A zero block of ``dtype`` laid out in ``shapes`` order, one C-contiguous reshaped view per parameter,
+        and its zero gradient buffer, viewed the same way."""
+        size = sum(math.prod(shape) for shape in shapes.values())
+        flat, grad = np.zeros(size, dtype=dtype), np.zeros(size, dtype=dtype)
+        params, grad_views, start = {}, {}, 0
         for pname, shape in shapes.items():
             stop = start + math.prod(shape)
             params[pname] = Tensor(flat[start:stop].reshape(shape))
+            grad_views[pname] = grad[start:stop].reshape(shape)
             start = stop
-        return ParamBlock(name, flat, MappingProxyType(params))
+        return ParamBlock(name, flat, MappingProxyType(params), grad, MappingProxyType(grad_views))
 
 
 class Dense(NamedTuple):

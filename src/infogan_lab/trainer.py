@@ -131,7 +131,11 @@ def adam_step(
             raise TrainingError(f"gradient for block '{block.name}' has shape {g.shape}, block has {block.flat.shape}")
         if g.dtype != block.flat.dtype:
             raise TrainingError(f"gradient for block '{block.name}' has dtype {g.dtype}, block has {block.flat.dtype}")
-        if not np.isfinite(g).all():
+        # one read-only pass: a non-finite entry makes the sum non-finite, and only then (or where
+        # finite entries overflow it) is the block scanned entry by entry
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.reduce(g)
+        if not math.isfinite(total) and not np.isfinite(g).all():
             # the parameter whose view holds the first bad entry
             ends = np.cumsum([p.data.size for p in block.params.values()])
             bad = list(block.params)[np.searchsorted(ends, np.flatnonzero(~np.isfinite(g))[0], side="right")]
@@ -210,9 +214,18 @@ class MetricsTrace:
 
 
 def _block_grads(tape: Tape, root: Tensor, blocks: list[ParamBlock]) -> list[np.ndarray]:
-    """One sweep over every block's parameters; one flat gradient per block, in the block's layout."""
-    grads = iter(tape.backward(root, [t for block in blocks for t in block.params.values()]))
-    return [np.concatenate([next(grads) for _ in block.params], axis=None) for block in blocks]
+    """One sweep over every block's parameters, written into each block's gradient buffer; the buffers, in block order.
+
+    A buffer holds its gradient until the block's next sweep. A gradient
+    that a rule leaked into another dtype is not cast into its buffer: it
+    raises ``TrainingError``, naming the block.
+    """
+    params = [t for block in blocks for t in block.params.values()]
+    views = [v for block in blocks for v in block.grad_views.values()]
+    for gi, view, block in zip(tape.backward(root, params, out=views), views, (b for b in blocks for _ in b.params)):
+        if gi is not view:
+            raise TrainingError(f"gradient for block '{block.name}' has dtype {gi.dtype}, block has {view.dtype}")
+    return [block.grad for block in blocks]
 
 
 def d_step(model: ModelPair, real_images: np.ndarray, cfg: TrainingConfig, latent_rng, adam_states) -> Tensor:

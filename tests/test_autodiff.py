@@ -629,9 +629,9 @@ class TestBackward:
         calls = []
 
         def logged(rule):
-            def run(g, node, need):
+            def run(g, node, need, out):
                 calls.append((node.op, need))
-                return rule(g, node, need)
+                return rule(g, node, need, out)
             return run
 
         monkeypatch.setattr(ad, "_OPS", {name: (f, logged(b)) for name, (f, b) in ad._OPS.items()})
@@ -766,16 +766,97 @@ class TestMaskedRules:
             node = tape.nodes[out.node]
         rule = ad._OPS[node.op][1]
         g = rng.normal(0, 1, out.shape)
-        full = rule(g, node, (True,) * len(inputs))
+        full = rule(g, node, (True,) * len(inputs), (None,) * len(inputs))
         assert all(isinstance(gi, np.ndarray) for gi in full)
         for need in itertools.product((False, True), repeat=len(inputs)):
-            got = rule(g, node, need)
+            got = rule(g, node, need, (None,) * len(inputs))
             assert len(got) == len(inputs)
             for needed, gi, ref in zip(need, got, full):
                 if needed:
                     assert gi.tobytes() == ref.tobytes()
                 else:
                     assert gi is None
+
+
+    @pytest.mark.parametrize("case", sorted(_masked_rule_cases()))
+    def test_a_rule_given_destinations_returns_the_same_bits(self, case):
+        # a rule writes a gradient into its destination or returns a fresh one: either way the bits of
+        # the rule without destinations, and a rule never writes one it was not asked for
+        op, shapes = _masked_rule_cases()[case]
+        rng = np.random.default_rng(4)
+        inputs = [Tensor(rng.normal(0, 1, s)) for s in shapes]
+        with Tape() as tape:
+            out = op(*inputs)
+            node = tape.nodes[out.node]
+        rule = ad._OPS[node.op][1]
+        g = rng.normal(0, 1, out.shape)
+        full = rule(g, node, (True,) * len(inputs), (None,) * len(inputs))
+        for need in itertools.product((False, True), repeat=len(inputs)):
+            dests = tuple(np.full(s, np.nan) for s in shapes)
+            got = rule(g, node, need, dests)
+            for needed, gi, ref, d in zip(need, got, full, dests):
+                if needed:
+                    assert gi.tobytes() == ref.tobytes()
+                else:
+                    assert gi is None and np.isnan(d).all()
+
+
+class TestBackwardDestinations:
+    """``Tape.backward``'s ``out``: each gradient lands in its destination with the bits of a sweep without one."""
+
+    def test_fan_out_accumulates_in_the_destination_with_the_bits_of_the_plain_sweep(self):
+        rng = np.random.default_rng(6)
+        x, w, b = Tensor(rng.normal(0, 1, (5, 3))), Tensor(rng.normal(0, 1, (3, 3))), Tensor(rng.normal(0, 1, 3))
+        with Tape() as tape:
+            # w and b feed two linear ops, and the second reads the first's output
+            root = ad.reduce_mean(ad.linear(ad.linear(x, w, b, "lrelu", 0.1), w, b, "sigmoid"))
+            plain = tape.backward(root, [w, b, x])
+            dests = [np.full(w.shape, np.nan), np.full(b.shape, np.nan), None]
+            got = tape.backward(root, [w, b, x], out=dests)
+        assert got[0] is dests[0] and got[1] is dests[1]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in plain]
+
+    def test_an_input_named_twice_by_one_op_adds_into_its_destination(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]))
+        with Tape() as tape:
+            root = ad.reduce_mean(ad.weighted_sum([x, x], (2.0, 3.0)))
+            (plain,) = tape.backward(root, [x])
+            d = np.full(3, np.nan)
+            (got,) = tape.backward(root, [x], out=[d])
+        assert got is d and d.tobytes() == plain.tobytes()
+
+    def test_a_tensor_no_rule_reached_gets_zeros_written_into_its_destination(self):
+        x, other = Tensor(np.ones((2, 2))), Tensor(np.ones(3))
+        with Tape() as tape:
+            root = ad.reduce_mean(x)
+            d = np.full(3, np.nan)
+            _, got = tape.backward(root, [x, other], out=[None, d])
+        assert got is d
+        np.testing.assert_array_equal(d, np.zeros(3))
+
+    def test_a_gradient_of_another_dtype_is_returned_as_is(self, monkeypatch):
+        # a rule that leaks float64 for a float32 input is never cast into its destination
+        forward, backward = ad._OPS["reduce_mean"]
+        monkeypatch.setitem(ad._OPS, "reduce_mean", (forward, lambda g, node, need, out: [
+            gi.astype(np.float64) for gi in backward(g, node, need, out)]))
+        x = Tensor(np.ones(3, np.float32))
+        with Tape() as tape:
+            root = ad.reduce_mean(x)
+            d = np.full(3, np.nan, np.float32)
+            (got,) = tape.backward(root, [x], out=[d])
+        assert got is not d and got.dtype == np.float64 and np.isnan(d).all()
+
+    @pytest.mark.parametrize("dest, message", [
+        ([np.zeros(2)], r"a destination of shape \(2,\) and dtype float64 for a wrt tensor of shape \(3,\) and dtype float64"),
+        ([np.zeros(3, np.float32)], r"a destination of shape \(3,\) and dtype float32 for a wrt tensor of shape \(3,\) and dtype float64"),
+        ([None, None], r"2 destinations for 1 wrt tensors"),
+    ])
+    def test_a_destination_must_match_its_tensor(self, dest, message):
+        x = Tensor(np.ones(3))
+        with Tape() as tape:
+            root = ad.reduce_mean(x)
+            with pytest.raises(UsageError, match=message):
+                tape.backward(root, [x], out=dest)
 
 
 class TestGradCheck:

@@ -95,8 +95,8 @@ def test_a_rule_off_by_one_percent_fails_its_case(monkeypatch, case):
     op = _op_of(case)
     forward, backward = autodiff._OPS[op]
 
-    def scaled(g, node, need):
-        return [None if gi is None else 1.01 * gi for gi in backward(g, node, need)]
+    def scaled(g, node, need, out):
+        return [None if gi is None else 1.01 * gi for gi in backward(g, node, need, out)]
 
     monkeypatch.setitem(autodiff._OPS, op, (forward, scaled))
     worst = op_grad_checks(n_seeds=1)
@@ -110,7 +110,7 @@ def test_a_gaussian_log_q_rule_without_its_clamp_mask_fails_only_the_clamped_cas
     # still passes the unclamped case, and fails the one that reaches past the bounds
     forward, _ = autodiff._OPS["gaussian_log_q"]
 
-    def unmasked(g, node, need):
+    def unmasked(g, node, need, out):
         diff, inv_var, _ = node.saved
         scaled = diff * inv_var
         return [-g * scaled if need[0] else None, g * scaled if need[1] else None, g * (diff * scaled - 1.0) if need[2] else None]

@@ -426,12 +426,12 @@ class TestTrainStep:
             return tape_exit(tape, *exc)
 
         def counting_rule(rule):
-            def counted(g, node, need):
+            def counted(g, node, need, out):
                 counts["rules"] += 1
                 if node.op == "linear":
                     counts["skipped g @ w.T"] += not need[0]
                     counts["skipped x.T @ g"] += not need[1]
-                return rule(g, node, need)
+                return rule(g, node, need, out)
             return counted
 
         monkeypatch.setattr(autodiff, "forward_op", counting_forward_op)
@@ -589,6 +589,59 @@ class TestTrainStep:
         assert peak <= ceiling, f"a step's traced peak is {peak} B, above its ceiling of {ceiling} B"
 
 
+def _concatenated_block_grads(tape, root, blocks):
+    """The block gradients as they were gathered before the blocks owned gradient buffers: one plain sweep,
+    then one concatenation of the per-parameter gradients per block."""
+    grads = iter(tape.backward(root, [t for block in blocks for t in block.params.values()]))
+    return [np.concatenate([next(grads) for _ in block.params], axis=None) for block in blocks]
+
+
+_MNIST_SHAPE_CFG = TrainingConfig(
+    dataset="mnist", noise_dim=62, codes=tuple(map(parse_block_token, ("cat:10", "unif:-1:1", "unif:-1:1")))
+)
+
+
+class TestBlockGradBuffers:
+    """Each sweep writes its blocks' gradients into their buffers, with the bytes of the concatenated gradients."""
+
+    @pytest.mark.parametrize("cfg", [TrainingConfig(toy_samples=256), _MNIST_SHAPE_CFG], ids=["default", "mnist-shape"])
+    def test_every_sweep_of_three_steps_matches_the_concatenation(self, monkeypatch, cfg):
+        # the D sweep reads the trunk twice (real and fake batches), so its trunk gradients fan out;
+        # every buffer is poisoned before each sweep, so an entry the sweep does not write shows as NaN
+        block_grads, sweeps = trainer._block_grads, []
+
+        def checked(tape, root, blocks):
+            want = _concatenated_block_grads(tape, root, blocks)
+            for block in blocks:
+                block.grad[...] = np.nan
+            got = block_grads(tape, root, blocks)
+            assert all(g is block.grad for g, block in zip(got, blocks))
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], [block.name for block in blocks]
+            sweeps.append(tuple(block.name for block in blocks))
+            return got
+
+        monkeypatch.setattr(trainer, "_block_grads", checked)
+        inputs = TestTrainStep._step_inputs(cfg)
+        for _ in range(3):
+            train_step(*inputs)
+        assert sweeps == [("trunk", "d_head"), ("gen",), ("trunk", "q_head")] * 3
+
+    def test_a_parameter_no_op_reached_is_zeroed_on_every_sweep(self):
+        # the D loss does not reach the Q head: its slice of the buffer is zeroed each time, whatever it held
+        from infogan_lab.models import disc_forward
+
+        model, real, cfg, _, _ = TestTrainStep._step_inputs(TrainingConfig(toy_samples=256))
+        blocks = [model.blocks["trunk"], model.blocks["q_head"]]
+        for stale in (np.nan, 1.0):
+            model.blocks["q_head"].grad[...] = stale
+            with autodiff.Tape() as tape:
+                loss = autodiff.reduce_mean(disc_forward(model, autodiff.Tensor(real.astype(model.dtype))))
+                want = _concatenated_block_grads(tape, loss, blocks)
+                trunk, q_head = trainer._block_grads(tape, loss, blocks)
+            assert trunk.tobytes() == want[0].tobytes()
+            assert q_head.tobytes() == np.zeros_like(q_head).tobytes()
+
+
 def _dtype_oracle(monkeypatch, want):
     """Wrap every op rule from outside; the list it returns collects each non-scalar array not of ``want``.
 
@@ -608,8 +661,8 @@ def _dtype_oracle(monkeypatch, want):
             note("forward", op, out)
             return out, saved
 
-        def b(g, node, need):
-            grads = backward(g, node, need)
+        def b(g, node, need, out):
+            grads = backward(g, node, need, out)
             for gi in grads:
                 note("backward", op, gi)
             return grads
