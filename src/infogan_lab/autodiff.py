@@ -6,7 +6,13 @@ evaluation. A dense layer is one ``linear`` op (``act(x @ w + b)``), or a
 as an epilogue, the ``act`` attribute (None, ``relu``, ``lrelu`` with its
 ``rate``, or ``sigmoid``): the backward rule multiplies the incoming gradient
 by the activation's derivative, read from the residual the epilogue saved
-(the pre-activation, or the sigmoid's output), before the op's own rule.
+(the activation's output), before the op's own rule. The bias add and the
+epilogue are written into the op's own pre-activation array, so a layer
+allocates its output once. A ``batchnorm`` node keeps the normalized input
+x̂, and its train-mode backward is the compact
+``(gamma * inv_std / n) * (n*g - sum(g) - x̂ * sum(g * x̂))``: with the two
+parameter sums, eight (B,F) passes besides the epilogue's, where the chain
+through the batch mean and variance took fourteen.
 Loss terms are fused into single ops (``sigmoid_cross_entropy`` and
 ``weighted_sum`` with their label and weights as attributes,
 ``gaussian_log_q``, which reads its log sigma clamped to
@@ -611,32 +617,37 @@ def _f_batchnorm(arrs, attrs):
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         centered = x - state.running_mean
-    # gamma * (centered * inv_std) + beta, each product and sum written into the op's own array
-    h = _inplace(np.add, _inplace(np.multiply, centered * inv_std, gamma), beta)
+    # xhat = centered * inv_std, then gamma * xhat + beta: each written into an array the op owns
+    xhat = _inplace(np.multiply, centered, inv_std)
+    h = _inplace(np.add, np.multiply(xhat, gamma), beta)
     out, act_saved = _epilogue(h, attrs, out=h)
     if attrs["training"] and unstacked:  # past the epilogue: a refused act, like a probe stack, folds nothing
         state.update(mean, var)
-    return out, (centered, inv_std, gamma, act_saved)
+    return out, (xhat, inv_std, gamma, act_saved)
 
 
 def _b_batchnorm(g, node, need, out):
-    centered, inv_std, gamma, act_saved = node.saved
+    # with dbeta = sum(g) and dgamma = sum(g * xhat) over the batch, train mode's input gradient is
+    # (gamma * inv_std / n) * (n * g - dbeta - xhat * dgamma): the long form's chain through the batch
+    # mean and variance, whose sum(centered) term is exactly 0 and is dropped
+    xhat, inv_std, gamma, act_saved = node.saved
     if act_saved is not None:  # the epilogue's derivative first
         g = _ACTS[node.attrs["act"]][1](g, act_saved, node.attrs["rate"])
-    dx = None
-    if need[0] and node.attrs["training"]:
-        n = centered.shape[0]
-        dxhat = g * gamma
-        dvar = (dxhat * centered).sum(axis=0) * (-0.5) * inv_std**3
-        dmean = -(dxhat.sum(axis=0)) * inv_std + dvar * (-2.0) * centered.sum(axis=0) / n
-        dx = dxhat * inv_std + dvar * 2.0 * centered / n + dmean / n
+    training = node.attrs["training"]
+    dgamma = dbeta = dx = None
+    if need[1] or (need[0] and training):
+        dgamma = np.add.reduce(g * xhat, axis=0, out=_dest(out[1], g, xhat) if need[1] else None)
+    if need[2] or (need[0] and training):
+        dbeta = np.add.reduce(g, axis=0, out=_dest(out[2], g) if need[2] else None)
+    if need[0] and training:
+        n = xhat.shape[0]
+        dx = g * n
+        dx -= dbeta
+        dx -= xhat * dgamma
+        dx *= gamma * inv_std / n
     elif need[0]:
         dx = g * gamma * inv_std
-    return [
-        dx,
-        np.add.reduce(g * (centered * inv_std), axis=0, out=_dest(out[1], g, centered, inv_std)) if need[1] else None,
-        np.add.reduce(g, axis=0, out=_dest(out[2], g)) if need[2] else None,
-    ]
+    return [dx, dgamma if need[1] else None, dbeta if need[2] else None]
 
 
 _OPS = {

@@ -12,17 +12,19 @@ Gradient routing per iteration:
                  incentive.
 
 Each clock block (``gen``, ``trunk``, ``d_head``, ``q_head``) is one flat
-vector whose parameters are views into it (``models.ParamBlock``).
-One reverse sweep per loss yields each block's gradient as one flat vector
-in the block's layout, and Adam takes those vectors in block order. Adam
-keeps one state per block under the block's name, created on the block's
-first step: flat ``m`` and ``v`` vectors and a single step count ``t``. The
-update is Kingma and Ba's folded step (arXiv 1412.6980, Sec. 2): twelve
-elementwise numpy calls with one divide, ending in one ``flat -= step``,
-run over slices of at most ``ADAM_SLICE`` elements and bitwise-equal to the
-per-parameter formula. The trunk's block is stepped by both the D and the
-Q update, so its t advances twice per iteration, while the generator, D
-head and Q head advance once.
+vector whose parameters are views into it (``models.ParamBlock``), and it
+owns a gradient buffer of the same layout. One reverse sweep per loss
+writes each block's gradient into its buffer, and Adam takes the buffers
+in block order. Adam keeps one state per block under the block's name,
+created on the block's first step: flat scaled moments ``m`` and ``v``
+(m/(1-beta1) and v/(1-beta2)) and a single step count ``t``. The update is
+Kingma and Ba's folded step (arXiv 1412.6980, Sec. 2) on those moments:
+ten elementwise numpy calls with one divide before one scale, ending in
+one ``flat -= step``, run over slices of at most ``ADAM_SLICE`` elements and
+bitwise-equal to the per-parameter formula; before it, one read-only sum
+per block checks the gradient is finite. The trunk's block is stepped by
+both the D and the Q update, so its t advances twice per iteration, while
+the generator, D head and Q head advance once.
 
 Training arithmetic is float32 (``autodiff.TRAIN_DTYPE``): the blocks, the
 running moments, the Adam state, the latent batch and the real batch,
@@ -69,7 +71,12 @@ def rng_streams(seed: int) -> dict[str, np.random.Generator]:
 
 
 class AdamState:
-    """Adam moments and step count for one clock block: ``m`` and ``v`` span its flat vector, in its dtype."""
+    """Adam's scaled moments and step count for one clock block: ``m`` and ``v`` span its flat vector, in its dtype.
+
+    ``m`` holds m / (1 - beta1) and ``v`` holds v / (1 - beta2), Kingma and
+    Ba's moment estimates scaled so that each step adds the gradient and its
+    square unweighted (see ``adam_step``).
+    """
 
     __slots__ = ("m", "v", "t")
 
@@ -77,6 +84,28 @@ class AdamState:
         self.m = np.zeros(shape, dtype=dtype)
         self.v = np.zeros(shape, dtype=dtype)
         self.t = 0
+
+
+def _step_bound(alpha_p: float, eps_p: float, beta1: float, beta2: float, t: int, dtype) -> float:
+    """A bound on every entry of step t's update alpha' * m~ / (sqrt(v~) + eps') in ``dtype``, or inf.
+
+    With m~ = sum_j beta1^j g_(t-j) and v~ = sum_j beta2^j g_(t-j)^2 over
+    j < t, Cauchy-Schwarz gives |m~| <= sqrt(S_t * v~), S_t = sum_(j<t) r^j,
+    r = beta1^2 / beta2, so the ratio is at most sqrt(S_t) for any gradients
+    (beta2 > 0). Rounding margins: r is inflated by (1 + 8u) for the
+    recurrences' relative rounding (u the dtype's unit roundoff); their
+    absolute, subnormal rounding can add at most 3*t*s to v~ (s the smallest
+    subnormal), read against eps'; and a factor of 2 covers the closing
+    sqrt, add, divide and scale and the closed form for S_t.
+    """
+    finfo = np.finfo(dtype)
+    r = beta1 * beta1 / beta2 * (1.0 + 4.0 * float(finfo.eps))  # 8u, with u = eps / 2
+    try:
+        s_t = t if r == 1.0 else (1.0 - r**t) / (1.0 - r)
+    except OverflowError:  # r > 1 and r**t beyond a Python float
+        return math.inf
+    flush = 2.0 * math.sqrt(3.0 * t * float(finfo.smallest_subnormal)) / eps_p
+    return 2.0 * alpha_p * math.sqrt(s_t) * (1.0 + flush)
 
 
 def adam_step(
@@ -88,40 +117,58 @@ def adam_step(
     beta2: float,
     epsilon: float,
 ) -> None:
-    """In-place Adam update in the folded form: theta <- theta - alpha_t * m / (sqrt(v) + eps_hat).
+    """In-place Adam update on scaled moments: theta <- theta - alpha' * (m~ / (sqrt(v~) + eps')).
 
-    With alpha_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and eps_hat =
-    eps * sqrt(1 - beta2^t), this is lr * m_hat / (sqrt(v_hat) + eps) with
-    the bias corrections taken out of the elementwise work; both are Python
-    floats, worked out once per block step. ``grads`` holds one flat
-    gradient per block, in block order and in the block's layout; they are
-    only read. Works one block at a time, in slices of at most
-    ``ADAM_SLICE`` elements, in the block's dtype, with the operations of
-    the per-parameter formula in the same order, so every result is
-    bitwise-equal to it. ``states[block.name]`` is the block's state,
-    created on its first step; other entries are never read. Every block is
-    checked before any is updated, so a gradient count or shape that does
-    not match the blocks, a gradient of another dtype than its block's, a
-    non-finite entry (named by the parameter whose view holds the first), a
-    block state of the wrong shape or dtype, or an alpha_t or eps_hat that
-    the block's dtype cannot hold raises ``TrainingError`` before any
-    parameter or clock moves.
+    The state holds m~ = m / (1 - beta1) and v~ = v / (1 - beta2), updated as
+    m~ <- beta1 * m~ + g and v~ <- beta2 * v~ + g * g. With alpha_t = lr *
+    sqrt(1 - beta2^t) / (1 - beta1^t) and eps_hat = eps * sqrt(1 - beta2^t),
+    alpha' = alpha_t * (1 - beta1) / sqrt(1 - beta2) and eps' = eps_hat /
+    sqrt(1 - beta2), this equals Kingma and Ba's folded step alpha_t * m /
+    (sqrt(v) + eps_hat), and so lr * m_hat / (sqrt(v_hat) + eps), in exact
+    arithmetic; alpha' and eps' are Python floats, worked out once per block
+    step. A slice takes ten elementwise passes, the divide before the scale.
+    ``grads`` holds one flat gradient per block, in block order and in the
+    block's layout; they are only read. Works one block at a time, in slices
+    of at most ``ADAM_SLICE`` elements, in the block's dtype.
+    ``states[block.name]`` is the block's state, created on its first step;
+    other entries are never read.
+
+    Every block is checked before any is updated, so a gradient count or
+    shape that does not match the blocks, a gradient of another dtype than
+    its block's, a non-finite entry (named by the parameter whose view holds
+    the first), a block state of the wrong shape or dtype, or an eps' or a
+    step bound (``_step_bound``: no entry of the update can exceed it, for
+    any gradients) that the block's dtype cannot hold raises
+    ``TrainingError`` before any parameter or clock moves. The bound is
+    checked where beta1^2 < beta2, so that S_t converges (to at most
+    1 / (1 - r)); at beta2 = 0, or wherever beta1^2 >= beta2, S_t has no such
+    limit and would refuse any long run, so only alpha_t is checked, as it
+    was before the moments were scaled, and a step can still overflow. The
+    bound is on one step: a parameter can still leave the dtype's range
+    over many.
     """
     if len(grads) != len(blocks):
         raise TrainingError(f"adam_step: {len(grads)} gradients for {len(blocks)} blocks")
-    folded = []  # each block's (alpha_t, eps_hat) at its next step
+    folded = []  # each block's (alpha', eps') at its next step
     for block, g in zip(blocks, grads):
         st = states.get(block.name)
         t = 1 if st is None else st.t + 1
-        root = math.sqrt(1.0 - beta2**t)
+        root, scale = math.sqrt(1.0 - beta2**t), math.sqrt(1.0 - beta2)
         alpha_t, eps_hat = lr * root / (1.0 - beta1**t), epsilon * root
+        alpha_p, eps_p = alpha_t * (1.0 - beta1) / scale, eps_hat / scale
         big = float(np.finfo(block.flat.dtype).max)
-        if not (alpha_t <= big and eps_hat <= big):  # an inf, which a Python float product may give, fails too
-            what = f"alpha_t = {alpha_t:g}" if not alpha_t <= big else f"eps_hat = {eps_hat:g} (epsilon {epsilon!r})"
-            raise TrainingError(
-                f"Adam step for block '{block.name}' at rate {lr!r}: {what} does not fit {block.flat.dtype} (largest {big:g})"
-            )
-        folded.append((alpha_t, eps_hat))
+        if beta1 * beta1 < beta2:  # S_t converges
+            step = ("step bound", _step_bound(alpha_p, eps_p, beta1, beta2, t, block.flat.dtype))
+        else:
+            step = ("alpha_t", alpha_t)
+        for what, value in (("eps'", eps_p), step):
+            if not value <= big:  # an inf, which a Python float product may give, fails too
+                of = f" (epsilon {epsilon!r})" if what == "eps'" else ""
+                raise TrainingError(
+                    f"Adam step for block '{block.name}' at rate {lr!r}: {what} = {value:g}{of} "
+                    f"does not fit {block.flat.dtype} (largest {big:g})"
+                )
+        folded.append((alpha_p, eps_p))
         if st is not None and (st.m.shape, st.m.dtype) != (block.flat.shape, block.flat.dtype):
             raise TrainingError(
                 f"Adam state for block '{block.name}' has shape {st.m.shape} and dtype {st.m.dtype}, "
@@ -140,7 +187,7 @@ def adam_step(
             ends = np.cumsum([p.data.size for p in block.params.values()])
             bad = list(block.params)[np.searchsorted(ends, np.flatnonzero(~np.isfinite(g))[0], side="right")]
             raise TrainingError(f"non-finite gradient for parameter '{bad}'")
-    for block, g, (alpha_t, eps_hat) in zip(blocks, grads, folded):
+    for block, g, (alpha_p, eps_p) in zip(blocks, grads, folded):
         st = states.get(block.name)
         if st is None:
             st = states[block.name] = AdamState(g.shape, block.flat.dtype)
@@ -151,20 +198,18 @@ def adam_step(
             part = slice(lo, lo + ADAM_SLICE)
             m, v, flat, gs = st.m[part], st.v[part], block.flat[part], g[part]
             tmp, tmp2 = scratch[:, : gs.size]
-            # m = beta1 * m + (1 - beta1) * g
+            # m~ = beta1 * m~ + g
             m *= beta1
-            np.multiply(gs, 1.0 - beta1, out=tmp)
-            m += tmp
-            # v = beta2 * v + (1 - beta2) * g * g
+            m += gs
+            # v~ = beta2 * v~ + g * g
+            np.multiply(gs, gs, out=tmp)
             v *= beta2
-            np.multiply(gs, 1.0 - beta2, out=tmp)
-            tmp *= gs
             v += tmp
-            # step = alpha_t * m / (sqrt(v) + eps_hat)
-            np.multiply(m, alpha_t, out=tmp)
+            # step = alpha' * (m~ / (sqrt(v~) + eps'))
             np.sqrt(v, out=tmp2)
-            tmp2 += eps_hat
-            tmp /= tmp2
+            tmp2 += eps_p
+            np.divide(m, tmp2, out=tmp)
+            tmp *= alpha_p
             flat -= tmp
 
 

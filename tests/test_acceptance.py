@@ -130,11 +130,11 @@ class TestCriterion1BoundMaximization:
         # the behaviour fingerprint of the headline protocol: a change that leaves the arithmetic alone keeps both
         with open(crit1.metrics, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == (
-                "95a3ec20d545a02e14b9ccd6eeb0436820b6bdbdd7741df9c20ba5f8b86b05aa"
+                "d0df62134d95a5a472b3b142a30451085dcfd43ca4d0ee60ed4ddb8e13343f0b"
             ), pinned_on
         with open(crit1.checkpoint, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == (
-                "e7e00631a9de3a3b6368a56d42671d71b52da0f60a2a3f7444a26d94a482627c"
+                "49ca891aa317e010497c6495bae6975a1548726127a62354961cc97e136a0efc"
             ), pinned_on
 
 

@@ -537,8 +537,8 @@ class TestGoldenEvaluation:
         model, _ = trained
         est = estimate_mi_bound(model, model.spec, 1000, np.random.default_rng(35))
         assert vars(est) == {
-            "li_disc": -0.00036454855856860036, "se_disc": 0.000905783743961185,
-            "li_cont": -0.7725303965753076, "se_cont": 0.006962223404660958,
+            "li_disc": -0.0003645479625220549, "se_disc": 0.0009057836932935429,
+            "li_cont": -0.7725303957408423, "se_cont": 0.006962223390076921,
             "h_disc": 1.3862943611198906, "h_cont": 1.3862943611198906, "n_samples": 1000,
         }, pinned_on
 
