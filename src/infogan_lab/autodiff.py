@@ -33,8 +33,9 @@ input, an array the sweep owns or None: a rule may write that input's
 gradient into it and return it (``linear`` writes its weight and bias
 gradients, ``batchnorm`` its scale and shift gradients), or return a fresh
 array, which the sweep copies in. A sweep given destinations for its
-``wrt`` tensors (``Tape.backward``'s ``out``, a block's gradient buffer in
-training) so fills them without a concatenation or a per-step allocation.
+``wrt`` tensors (``Tape.backward``'s ``out``: in training, the views of a
+block's gradient buffer) fills them without a concatenation or a per-step
+allocation.
 
 Usage:
 
@@ -467,25 +468,20 @@ def _sigmoid(x, out=None):
         return np.divide(1.0, e, out=e)
 
 
-def _lrelu(h, rate, out):
-    t = h * rate
-    return np.maximum(h, t, out=out)
-
-
 def _lrelu_grad(g, y, rate):
     mask = (y > 0.0).astype(y.dtype)  # in y's dtype: a bool mask against a Python float would be float64
     return g * np.maximum(mask, rate, out=mask)  # np.maximum(y > 0.0, rate, dtype=y.dtype)'s bits, in place
 
 
-# The activation epilogue of linear and batchnorm, by the op's ``act`` attribute: forward(h, rate, out) ->
-# (y, residual), y written into out (None: a fresh array), and backward(g, residual, rate) -> the
-# gradient at h. Every residual is the output y: for relu, and for lrelu with 0 < rate < 1, y > 0 exactly where
-# h > 0, also at +-0, +-inf and NaN, so the masks are those of h. Both lrelu rules are bitwise-equal to
-# the np.where forms (h if h > 0 else rate*h, and 1 or rate); at rate 0, max(inf, 0*inf) would be NaN,
-# hence _epilogue's check.
+# The activation epilogue of linear and batchnorm, by the op's ``act`` attribute: forward(h, rate, out)
+# -> (y, residual), y written into out (None: a fresh array), and backward(g, residual, rate) -> the
+# gradient at h. Every residual is the output y: for relu, and for lrelu with 0 < rate < 1, y > 0
+# exactly where h > 0, also at +-0, +-inf and NaN, so the masks are those of h. Both lrelu rules are
+# bitwise-equal to the np.where forms (h if h > 0 else rate*h, and 1 or rate); at rate 0,
+# max(inf, 0*inf) would be NaN, hence _epilogue's check.
 _ACTS = {
     "relu": (lambda h, rate, out: (y := np.maximum(h, 0.0, out=out), y), lambda g, y, rate: g * (y > 0.0)),
-    "lrelu": (lambda h, rate, out: (y := _lrelu(h, rate, out), y), _lrelu_grad),
+    "lrelu": (lambda h, rate, out: (y := np.maximum(h, h * rate, out=out), y), _lrelu_grad),
     "sigmoid": (lambda h, rate, out: (y := _sigmoid(h, out), y), lambda g, y, rate: g * y * (1.0 - y)),
 }
 
