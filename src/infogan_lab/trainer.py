@@ -21,8 +21,8 @@ created on the block's first step: flat scaled moments ``m`` and ``v``
 Kingma and Ba's folded step (arXiv 1412.6980, Sec. 2) on those moments:
 ten elementwise numpy calls with one divide before one scale, ending in
 one ``flat -= step``, run over slices of at most ``ADAM_SLICE`` elements and
-bitwise-equal to the per-parameter formula; before it, one read-only sum
-per block checks the gradient is finite. The trunk's block is stepped by
+bitwise-equal to the per-parameter formula; before it, one read-only dot
+product g . g per block checks the gradient is finite. The trunk's block is stepped by
 both the D and the Q update, so its t advances twice per iteration, while
 the generator, D head and Q head advance once.
 
@@ -178,10 +178,11 @@ def adam_step(
             raise TrainingError(f"gradient for block '{block.name}' has shape {g.shape}, block has {block.flat.shape}")
         if g.dtype != block.flat.dtype:
             raise TrainingError(f"gradient for block '{block.name}' has dtype {g.dtype}, block has {block.flat.dtype}")
-        # one read-only pass: a non-finite entry makes the sum non-finite, and only then (or where
-        # finite entries overflow it) is the block scanned entry by entry
+        # one read-only pass, g . g (a BLAS dot, which reads float32 faster than np.add.reduce): a
+        # non-finite entry makes it non-finite, and only then (or where finite entries overflow it)
+        # is the block scanned entry by entry
         with np.errstate(over="ignore", invalid="ignore"):
-            total = np.add.reduce(g)
+            total = np.dot(g, g)
         if not math.isfinite(total) and not np.isfinite(g).all():
             # the parameter whose view holds the first bad entry
             ends = np.cumsum([p.data.size for p in block.params.values()])
@@ -192,12 +193,12 @@ def adam_step(
         if st is None:
             st = states[block.name] = AdamState(g.shape, block.flat.dtype)
         st.t += 1
-        # two scratch rows, so the caller's gradient is left as it was
-        scratch = np.empty((2, min(g.size, ADAM_SLICE)), dtype=block.flat.dtype)
+        # one scratch row, so the caller's gradient is left as it was
+        scratch = np.empty(min(g.size, ADAM_SLICE), dtype=block.flat.dtype)
         for lo in range(0, g.size, ADAM_SLICE):
             part = slice(lo, lo + ADAM_SLICE)
             m, v, flat, gs = st.m[part], st.v[part], block.flat[part], g[part]
-            tmp, tmp2 = scratch[:, : gs.size]
+            tmp = scratch[: gs.size]
             # m~ = beta1 * m~ + g
             m *= beta1
             m += gs
@@ -206,9 +207,9 @@ def adam_step(
             v *= beta2
             v += tmp
             # step = alpha' * (m~ / (sqrt(v~) + eps'))
-            np.sqrt(v, out=tmp2)
-            tmp2 += eps_p
-            np.divide(m, tmp2, out=tmp)
+            np.sqrt(v, out=tmp)
+            tmp += eps_p
+            np.divide(m, tmp, out=tmp)
             tmp *= alpha_p
             flat -= tmp
 
