@@ -868,13 +868,18 @@ class TestBackwardDestinations:
         assert [a.tobytes() for a in got] == [a.tobytes() for a in plain]
 
     def test_an_input_named_twice_by_one_op_adds_into_its_destination(self):
-        x = Tensor(np.array([1.0, -2.0, 3.0]))
-        with Tape() as tape:
-            root = ad.reduce_mean(ad.weighted_sum([x, x], (2.0, 3.0)))
-            (plain,) = tape.backward(root, [x])
-            d = np.full(3, np.nan)
-            (got,) = tape.backward(root, [x], out=[d])
-        assert got is d and d.tobytes() == plain.tobytes()
+        # batchnorm writes its scale and shift gradients into their destinations: one tensor as both
+        # gets its destination at the first place only, and the second gradient is added into it
+        rng = np.random.default_rng(7)
+        x, p = Tensor(rng.normal(0, 1, (5, 3))), Tensor(rng.normal(1, 0.5, 3))
+        for build in (lambda: ad.weighted_sum([p, p], (2.0, 3.0)),
+                      lambda: ad.batchnorm(x, p, p, BatchNormState(3), True, "relu")):
+            with Tape() as tape:
+                root = ad.reduce_mean(build())
+                (plain,) = tape.backward(root, [p])
+                d = np.full(3, np.nan)
+                (got,) = tape.backward(root, [p], out=[d])
+            assert got is d and d.tobytes() == plain.tobytes()
 
     def test_a_tensor_no_rule_reached_gets_zeros_written_into_its_destination(self):
         x, other = Tensor(np.ones((2, 2))), Tensor(np.ones(3))
