@@ -79,7 +79,9 @@ class ParamBlock:
     ``grad`` is the block's gradient buffer, a flat vector of the same layout,
     and ``grad_views`` holds one view of it per parameter, by name: a training
     sweep writes each parameter's gradient into its view, so a block's
-    gradient needs no concatenation, and the next sweep overwrites it.
+    gradient needs no concatenation, and the next sweep overwrites it. It is
+    left uninitialised until a sweep writes it (every entry, zeros where no
+    rule reached), so a model that never trains keeps no pages of it.
     """
 
     name: str
@@ -91,9 +93,9 @@ class ParamBlock:
     @staticmethod
     def allocate(name: str, shapes: dict[str, tuple[int, ...]], dtype=TRAIN_DTYPE) -> "ParamBlock":
         """A zero block of ``dtype`` laid out in ``shapes`` order, one C-contiguous reshaped view per parameter,
-        and its zero gradient buffer, viewed the same way."""
+        and its gradient buffer, viewed the same way."""
         size = sum(math.prod(shape) for shape in shapes.values())
-        flat, grad = np.zeros(size, dtype=dtype), np.zeros(size, dtype=dtype)
+        flat, grad = np.zeros(size, dtype=dtype), np.empty(size, dtype=dtype)
         params, grad_views, start = {}, {}, 0
         for pname, shape in shapes.items():
             stop = start + math.prod(shape)

@@ -267,10 +267,11 @@ def _block_grads(tape: Tape, root: Tensor, blocks: list[ParamBlock]) -> list[np.
     raises ``TrainingError``, naming the block.
     """
     params = [t for block in blocks for t in block.params.values()]
-    views = [v for block in blocks for v in block.grad_views.values()]
-    for gi, view, block in zip(tape.backward(root, params, out=views), views, (b for b in blocks for _ in b.params)):
-        if gi is not view:
-            raise TrainingError(f"gradient for block '{block.name}' has dtype {gi.dtype}, block has {view.dtype}")
+    grads = iter(tape.backward(root, params, out=[v for block in blocks for v in block.grad_views.values()]))
+    for block in blocks:
+        for view in block.grad_views.values():
+            if (gi := next(grads)) is not view:
+                raise TrainingError(f"gradient for block '{block.name}' has dtype {gi.dtype}, block has {view.dtype}")
     return [block.grad for block in blocks]
 
 
