@@ -996,6 +996,44 @@ class TestGradCheck:
             assert w.data is arrays[j]
             np.testing.assert_array_equal(w.data, [0.0 + j, 1.0 + j])
 
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_probe_stacks_are_tiled_rows_moved_on_their_diagonals_bit_for_bit(self, raises):
+        # every parameter's stack, as the builder sees it, against rows tiled and moved one entry at a
+        # time: row offset + i at orig + step, row n + offset + i at orig - step, the last row unmoved
+        step, rng = 1e-6, np.random.default_rng(11)
+        layout = [((1,), np.float64), ((3,), np.float32), ((2, 3), np.float64),
+                  ((2, 3), np.float32), ((1,), np.float32), ((3,), np.float64)]
+        params = [Tensor(rng.normal(0.0, 1.0, shape).astype(dtype)) for shape, dtype in layout]
+        origs = [p.data for p in params]
+        before = [o.tobytes() for o in origs]
+        seen = []
+
+        def loss(p):
+            seen.append([t.data for t in p])
+            if raises and len(seen) == 2:
+                raise DomainError("stacked pass failed")
+            return ad.reduce_mean(p[2])
+
+        if raises:
+            with pytest.raises(DomainError, match="stacked pass failed"):
+                grad_check(loss, params, step)
+        else:
+            assert grad_check(loss, params, step) <= 1e-6
+        n = sum(o.size for o in origs)
+        k, offset = 2 * n + 1, 0
+        for orig, stack in zip(origs, seen[1]):
+            want = np.tile(orig.ravel(), (k, 1))
+            for i in range(orig.size):
+                want[offset + i, i] += step
+                want[n + offset + i, i] -= step
+            offset += orig.size
+            assert stack.dtype == orig.dtype and stack.shape == ad._stacked_shape(orig.shape, k)
+            assert stack.tobytes() == want.tobytes()
+        # each parameter holds the very array it held before, unmoved
+        for p, orig, (shape, dtype) in zip(params, origs, layout):
+            assert p.data is orig and p.data.shape == shape and p.data.dtype == dtype
+        assert [p.data.tobytes() for p in params] == before
+
     def test_one_taped_pass_then_one_stack_of_every_probe_of_every_parameter(self):
         shapes = []
 

@@ -574,6 +574,26 @@ class TestCheckpoint:
             with pytest.raises(FormatError, match="entry 'q_head.l0.w' holds values"):
                 load_checkpoint(str(path))
 
+    def test_special_values_load_bit_for_bit(self, tmp_path):
+        # NaN equals nothing and -0.0 equals 0.0, so each must load through the NaN-aware comparison as
+        # the very bits saved; a float32 subnormal must narrow back exactly, not flush to zero
+        model, cfg = small_model(seed=8, batchnorm=True)
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, np.float32(1e-40), -np.float32(1e-45)], np.float32)
+        model.params["gen.l0.w"].data.flat[: special.size] = special
+        model.params["q_head.l0.b"].data[0] = np.nan
+        model.bn_states["trunk.bn1"].running_mean[0] = -0.0
+        model.bn_states["trunk.bn1"].running_var[0] = np.float32(2.0**-149)
+        path = str(tmp_path / "m.igan")
+        save_checkpoint(model, cfg, path)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.params["gen.l0.w"].data.flat[: special.size].tobytes() == special.tobytes()
+        for name, t in model.params.items():
+            assert loaded.params[name].data.tobytes() == t.data.tobytes(), name
+        for name, state in model.bn_states.items():
+            got = loaded.bn_states[name]
+            assert got.running_mean.tobytes() == state.running_mean.tobytes(), name
+            assert got.running_var.tobytes() == state.running_var.tobytes(), name
+
     def test_random_models_round_trip(self, tmp_path):
         for seed in range(10):
             model, cfg = small_model(seed=seed, batchnorm=seed % 2 == 0)

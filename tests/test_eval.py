@@ -224,6 +224,17 @@ def test_nan_in_a_probability_table_is_refused_naming_it(table):
             ChannelSpec(prior=tables["prior"], conditional=tables["conditional"], q_table=tables["q_table"])
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0)])
+def test_an_empty_table_is_refused_naming_it(shape):
+    # an empty table has no entry below 0 but sums to 0, not 1; the checks must not raise on the empty
+    # reduction before they can name the table
+    with pytest.raises(UsageError, match="^joint: entries must be >= 0"):
+        LemmaJointSpec(joint=np.zeros(shape), payoff=np.zeros(shape))
+    k, m = shape
+    with pytest.raises(UsageError, match="^prior: entries must be >= 0" if k == 0 else "^conditional: entries must"):
+        ChannelSpec(prior=np.full(k, 1.0 / max(k, 1)), conditional=np.zeros((k, m)), q_table=np.zeros((m, k)))
+
+
 class TestEstimateMiBound:
     def test_discrete_ceiling_within_three_se(self):
         model, cfg = toy_model(seed=1)
