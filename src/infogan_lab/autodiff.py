@@ -756,9 +756,14 @@ def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6, readout=N
         raise UsageError("grad_check: the parameters hold no entries, so there is nothing to check")
     if readout is not None:
         readout = np.asarray(readout, dtype=np.float64)
+        column = readout.reshape(-1, 1)
 
-    def value(out: np.ndarray) -> float:
-        return out.item() if readout is None else float(np.vdot(readout, out))
+    def values(stack: np.ndarray, m: int) -> np.ndarray:
+        """The checked values, in float64, of ``m`` outputs stacked on a leading axis."""
+        if readout is None:
+            return stack.reshape(m).astype(np.float64, copy=False)
+        # a (1, F) row times an (F, 1) column runs numpy's dot kernel, the one np.vdot runs: vdot's bits, in one call
+        return (stack.reshape(m, 1, -1) @ column).reshape(m)
 
     # the taped pass first: backward rejects a readout not of the output's shape by name
     with Tape() as tape:
@@ -768,39 +773,42 @@ def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6, readout=N
     k, offset = 2 * n + 1, 0
     try:
         for p, orig in zip(params, origs):
-            # every entry at orig but coordinate i's own: orig + step in row i, orig - step in row n + i
-            rows, diag = np.tile(orig.ravel(), (k, 1)), np.arange(orig.size)
-            rows[offset + diag, diag] += step
-            rows[n + offset + diag, diag] -= step
-            p.data, offset = rows.reshape(_stacked_shape(orig.shape, k)), offset + orig.size
+            # every entry at orig but coordinate i's own: orig + step in row offset + i, orig - step in
+            # row n + offset + i; entry (offset + i, i) of the (k, size) rows is flat entry offset*size + i*(size + 1)
+            size = orig.size
+            rows = np.empty((k, size), orig.dtype)
+            rows[...] = orig.reshape(1, size)
+            flat, diag = rows.reshape(-1), np.arange(offset * size, (offset + size) * size, size + 1)
+            flat[diag] += step
+            flat[diag + n * size] -= step
+            p.data, offset = rows.reshape(_stacked_shape(orig.shape, k)), offset + size
         stacked = loss_builder(params).data
     finally:
         for p, orig in zip(params, origs):
             p.data = orig
     if stacked.shape == _stacked_shape(out.shape, k):
-        f = [value(row) for row in stacked]
+        f = values(stacked, k)
     elif stacked.shape == out.shape:
-        f = [value(stacked)] * k
+        f = np.repeat(values(stacked, 1), k)
     else:
         raise UsageError(
             f"grad_check: the stacked pass gave shape {stacked.shape}, neither the output "
             f"shape {out.shape} nor its stack of {k} probes {_stacked_shape(out.shape, k)}"
         )
-    first = value(out)
+    first, last = float(values(out, 1)[0]), float(f[-1])
     # written so that NaN equals NaN: a builder that is NaN every time is deterministic (its error is inf)
-    if first != f[-1] and not (math.isnan(first) and math.isnan(f[-1])):
+    if first != last and not (math.isnan(first) and math.isnan(last)):
         raise UsageError(
-            f"grad_check: the unmoved probe read {f[-1]!r} where the taped pass read {first!r}: loss_builder "
+            f"grad_check: the unmoved probe read {last!r} where the taped pass read {first!r}: loss_builder "
             "is not deterministic, or a stacked forward is not its unstacked forward bit for bit"
         )
 
-    max_err = 0.0  # scored in Python floats: inf - inf is NaN without a numpy warning
-    for a, up, down in zip([a for ga in analytic for a in ga.ravel().tolist()], f[:n], f[n:-1]):
-        numeric = (up - down) / (2.0 * step)
-        err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-        # NaN or inf in a or numeric leaves err NaN or inf; NaN fails every comparison, so it counts as inf
-        max_err = max(max_err, err if math.isfinite(err) else math.inf)
-    return max_err
+    a = np.concatenate([ga.ravel() for ga in analytic], dtype=np.float64)
+    with np.errstate(all="ignore"):  # inf - inf is NaN, and an inf or NaN error counts as inf below
+        numeric = (f[:n] - f[n:-1]) / (2.0 * step)
+        err = np.abs(a - numeric) / np.maximum(np.maximum(np.abs(a), 1.0), np.abs(numeric))
+    worst = float(np.maximum.reduce(err))  # a NaN error propagates through the reduction
+    return worst if math.isfinite(worst) else math.inf
 
 
 def platform_key() -> str:

@@ -339,14 +339,15 @@ def load_checkpoint(path: str) -> tuple[ModelPair, TrainingConfig]:
         missing = sorted(set(expected) - set(loaded))
         extra = sorted(set(loaded) - set(expected))
         raise FormatError(f"{path}: entry names do not match config (missing {missing}, extra {extra})")
-    for name, arr in loaded.items():
-        if expected[name].shape != arr.shape:
-            raise FormatError(f"{path}: entry '{name}' has shape {arr.shape}, expected {expected[name].shape}")
-        target = expected[name]  # a parameter's view of its block, or a running statistic's array
-        with np.errstate(over="ignore"):  # a value beyond float32's range narrows to inf and is refused below
+    with np.errstate(over="ignore"):  # a value beyond float32's range narrows to inf and is refused below
+        for name, arr in loaded.items():
+            if expected[name].shape != arr.shape:
+                raise FormatError(f"{path}: entry '{name}' has shape {arr.shape}, expected {expected[name].shape}")
+            target = expected[name]  # a parameter's view of its block, or a running statistic's array
             target[...] = arr
-        if not np.array_equal(target, arr, equal_nan=True):
-            raise FormatError(f"{path}: entry '{name}' holds values that {target.dtype} cannot hold exactly")
+            # plain equality first; only a NaN, or a value to refuse, takes the NaN-aware comparison
+            if not (target == arr).all() and not np.array_equal(target, arr, equal_nan=True):
+                raise FormatError(f"{path}: entry '{name}' holds values that {target.dtype} cannot hold exactly")
     return model, cfg
 
 

@@ -28,8 +28,10 @@ JOINT_MAX_SIZE = 6  # largest |X| and |Y| random_joint draws
 
 
 def _check_rows(name: str, table: np.ndarray) -> None:
-    # written as "not (valid)" so that a NaN, which fails every comparison, is caught
-    if not (np.all(table >= 0.0) and np.all(np.abs(table.sum(axis=-1) - 1.0) <= 1e-12)):
+    # written as "not (valid)" so that a NaN, which both reductions propagate and which fails every
+    # comparison, is caught; the initial values keep an empty table's reductions defined, and its rows sum to 0
+    if not (np.minimum.reduce(table, axis=None, initial=0.0) >= 0.0
+            and np.maximum.reduce(np.abs(table.sum(axis=-1) - 1.0), axis=None, initial=0.0) <= 1e-12):
         raise UsageError(f"{name}: entries must be >= 0 and each row must sum to 1 within 1e-12")
 
 
@@ -113,7 +115,7 @@ class LemmaJointSpec:
         if self.joint.shape != self.payoff.shape or self.joint.ndim != 2:
             raise UsageError(f"joint {self.joint.shape} and payoff {self.payoff.shape} must be equal 2-D shapes")
         _check_rows("joint", self.joint.ravel())
-        if not np.all(finite := np.isfinite(self.payoff)):
+        if not (finite := np.isfinite(self.payoff)).all():
             at = tuple(int(i) for i in np.argwhere(~finite)[0])
             raise UsageError(f"payoff{list(at)} is {self.payoff[at]}; payoff entries must be finite")
 
@@ -233,7 +235,7 @@ def channel_bound_check(chan: ChannelSpec) -> ChannelCheck:
     on = joint > 0.0
     p, q = joint[on], chan.q_table.T[on]  # q: Q(c|x) aligned with joint
     i_exact = float((p * (np.log(p) - np.log((chan.prior[:, None] * joint.sum(axis=0))[on]))).sum())
-    if np.any(q == 0.0):
+    if np.minimum.reduce(q, initial=np.inf) == 0.0:  # q >= 0, checked by ChannelSpec
         return ChannelCheck(i_exact=i_exact, l_i=-np.inf, gap=np.inf, expected_kl=np.inf)
     prior_nz = chan.prior[chan.prior > 0.0]
     l_i = float((p * np.log(q)).sum() - (prior_nz * np.log(prior_nz)).sum())

@@ -152,16 +152,13 @@ def full_loss_graph_check(n_seeds: int = 100, base_seed: int = 99) -> float:
     objective (D loss plus generator objective with both information terms)."""
     if n_seeds < 1:  # no draw would pass as error 0.0
         raise UsageError(f"n_seeds must be >= 1, got {n_seeds}")
+    spec = LatentSpec(blocks=(CodeBlock.categorical(2), CodeBlock.uniform(-1.0, 1.0)), noise_dim=2)
+    image_dim = 4
+    gen_cfg = NetConfig(widths=(spec.gen_input_dim, 2, image_dim))
+    dq_cfg = NetConfig(widths=(image_dim, 2), q_hidden=2)
     worst = 0.0
     for s in range(n_seeds):
         rng = np.random.default_rng(base_seed + s)
-        spec = LatentSpec(
-            blocks=(CodeBlock.categorical(2), CodeBlock.uniform(-1.0, 1.0)),
-            noise_dim=2,
-        )
-        image_dim = 4
-        gen_cfg = NetConfig(widths=(spec.gen_input_dim, 2, image_dim))
-        dq_cfg = NetConfig(widths=(image_dim, 2), q_hidden=2)
         model = init_models(gen_cfg, dq_cfg, spec, rng, np.float64)
         redraw_biases(model, rng)
         lat = sample_latent(spec, 3, rng, np.float64)

@@ -1034,6 +1034,28 @@ class TestGradCheck:
             assert p.data is orig and p.data.shape == shape and p.data.dtype == dtype
         assert [p.data.tobytes() for p in params] == before
 
+    @pytest.mark.parametrize("name", sorted(_OP_CASES))
+    def test_error_is_a_per_probe_vdot_reference_bit_for_bit(self, name):
+        # grad_check reads all probes in one call and scores them as arrays; a reference reads each probe
+        # with its own np.vdot (or .item()) and scores each coordinate in Python floats
+        for seed in range(3):
+            params, builder, w = _OP_CASES[name](np.random.default_rng(seed))
+            outs = []
+
+            def recording(p):
+                outs.append(builder(p))
+                return outs[-1]
+
+            got = grad_check(recording, params, 1e-6, w)
+            with Tape() as tape:
+                analytic = tape.backward(builder(params), params, w)
+            f = [row.item() if w is None else float(np.vdot(w, row)) for row in outs[1].data]
+            n, want = sum(p.data.size for p in params), 0.0
+            for a, up, down in zip([a for g in analytic for a in g.ravel().tolist()], f[:n], f[n:-1]):
+                numeric = (up - down) / 2e-6
+                want = max(want, abs(a - numeric) / max(1.0, abs(a), abs(numeric)))
+            assert got.hex() == want.hex()
+
     def test_one_taped_pass_then_one_stack_of_every_probe_of_every_parameter(self):
         shapes = []
 
