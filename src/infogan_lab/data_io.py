@@ -4,11 +4,11 @@ A ``Dataset`` holds its pixels either as ``uint8`` bytes (an IDX pair keeps
 the file's bytes, one per pixel) or as float64 values in [0, 1] (the toy
 templates, whose noisy values are not on a byte grid). ``float_pixels`` is
 the one conversion: ``uint8`` becomes ``pixels / 255.0`` and float64 passes
-through. It runs on each drawn batch (``Dataset.batch``), so no float64
-copy of a whole IDX dataset is ever made; the division is elementwise, so a
-converted batch has the same bits as the same rows of a converted file.
-Pixels stay float64 here; the trainer and the classifier cast each batch
-to the model's dtype (float32 for a trained model).
+through. It runs on each drawn batch, so no float64 copy of a whole IDX
+dataset is ever made; the division is elementwise, so a converted batch has
+the same bits as the same rows of a converted file. ``Dataset.batch`` gives
+float64 pixels; the trainer converts a byte batch straight into the model's
+dtype (float32 for a trained model), and the classifier casts each batch.
 
 The checkpoint is a little-endian binary: the 8-byte magic ``IGAN0001``, a
 u32 format version, the run-config text, then named float64 (``<f8``)
@@ -67,9 +67,13 @@ def atomic_open(path: str, mode: str = "wb", **kwargs):
         raise
 
 
-def float_pixels(pixels: np.ndarray) -> np.ndarray:
-    """``uint8`` pixels as float64 ``pixels / 255.0``; any other array is returned unchanged."""
-    return pixels / 255.0 if pixels.dtype == np.uint8 else pixels
+def float_pixels(pixels: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """``uint8`` pixels as ``pixels / 255.0`` divided in ``dtype``; any other array is returned unchanged.
+
+    In float32 the quotient is rounded once, with no float64 array between;
+    for every byte value it has the bits of ``(pixels / 255.0).astype(np.float32)``.
+    """
+    return np.divide(pixels, 255.0, dtype=dtype) if pixels.dtype == np.uint8 else pixels
 
 
 @dataclass

@@ -327,14 +327,14 @@ def train_step(
     """One D update then one G/Q update; returns the losses measured at step time.
 
     ``real_images`` is a batch of float pixels in [0, 1] or of ``uint8``
-    bytes, which are scaled by 1/255 first (``data_io.float_pixels``);
-    ``d_step`` casts either to the model's dtype. Any other integer or bool
+    bytes, which are scaled by 1/255 in the model's dtype
+    (``data_io.float_pixels``); ``d_step`` casts float pixels to that dtype. Any other integer or bool
     dtype raises ``TrainingError``. So does a loss that is not finite, and
     an op evaluated outside its domain.
     """
     if real_images.dtype.kind in "biu" and real_images.dtype != np.uint8:
         raise TrainingError(f"real images must be uint8 or floats in [0, 1], got dtype {real_images.dtype}")
-    real_images = float_pixels(real_images)
+    real_images = float_pixels(real_images, model.dtype)
     where = f" at iteration {iteration}" if iteration is not None else ""
     try:
         loss_d = d_step(model, real_images, cfg, latent_rng, adam_states)
@@ -385,7 +385,8 @@ def train_run(cfg: TrainingConfig) -> tuple[ModelPair, MetricsTrace]:
     trace = MetricsTrace()
     for i in range(1, cfg.iterations + 1):
         idx = rngs["batches"].integers(0, len(ds), size=cfg.batch_size)
-        bundle = train_step(model, ds.batch(idx), cfg, rngs["latent"], adam_states, iteration=i)
+        # the stored rows: train_step scales a byte batch into the model's dtype, with no float64 copy
+        bundle = train_step(model, ds.images[idx], cfg, rngs["latent"], adam_states, iteration=i)
         if i % cfg.log_every == 0 or i == cfg.iterations:
             v = bundle.as_floats()
             trace.append(i, v["loss_d"], v["loss_g"], v["li_disc"], v["li_cont"])

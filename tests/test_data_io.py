@@ -65,6 +65,18 @@ class TestIdxLoader:
         assert data_io.float_pixels(floats) is floats
         assert data_io.float_pixels(np.array([0, 51, 255], np.uint8)).tolist() == [0.0, 0.2, 1.0]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_pixels_in_a_dtype_are_the_float64_quotients_rounded_once(self, dtype):
+        # a quotient rounded once to float32 must equal the float64 quotient rounded again, for every byte
+        every = np.arange(256, dtype=np.uint8)
+        batch = np.random.default_rng(3).integers(0, 256, (64, 784)).astype(np.uint8)
+        for pixels in (every, batch):
+            got = data_io.float_pixels(pixels, dtype)
+            assert got.dtype == dtype and got.shape == pixels.shape
+            assert got.tobytes() == (pixels / 255.0).astype(dtype).tobytes()
+        floats = np.linspace(0.0, 1.0, 12)
+        assert data_io.float_pixels(floats, dtype) is floats
+
     @pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint16, np.bool_])
     def test_dataset_rejects_other_integer_dtypes_naming_them(self, dtype):
         images = np.zeros((3, 4), dtype=dtype)
