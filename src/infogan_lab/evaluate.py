@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Tensor, UsageError
 from .data_io import Dataset, write_image_grid
-from .latent import LatentSpec, log_q, one_hot, sample_latent
+from .latent import LatentSpec, draw_categories, log_q, one_hot, sample_latent
 from .models import ModelPair, gen_forward, q_forward
 
 MI_CHUNK = 512  # latent draws per generator and Q pass in estimate_mi_bound
@@ -142,7 +142,7 @@ def verify_lemma(joint_spec: LemmaJointSpec, n_mc: int, rng: np.random.Generator
         raise UsageError(f"n_mc must be >= 2 for a Monte-Carlo standard error, got {n_mc}")
     p = joint_spec.joint
     f = joint_spec.payoff
-    nx, ny = p.shape
+    nx = p.shape[0]
 
     lhs_exact = float((p * f).sum())
 
@@ -150,9 +150,7 @@ def verify_lemma(joint_spec: LemmaJointSpec, n_mc: int, rng: np.random.Generator
     cond = _conditional_rows(p)  # row y is P(x|y)
     rhs_exact = float((py * (cond * f.T).sum(axis=1)).sum())
 
-    flat = p.ravel()
-    draws = rng.choice(nx * ny, size=n_mc, p=flat)
-    xi, yi = np.unravel_index(draws, p.shape)
+    xi, yi = np.unravel_index(draw_categories(p.ravel(), n_mc, rng), p.shape)
     lhs_samples = f[xi, yi]
 
     cdf = np.cumsum(cond, axis=1)

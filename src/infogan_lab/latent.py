@@ -196,6 +196,14 @@ class LatentBatch:
     g_input: Tensor           # (B, noise_dim + encoded_dim)
 
 
+def draw_categories(probs, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` category indices drawn from ``probs``: ``rng.choice(len(probs), n, p=probs)``'s own draw, bit for
+    bit and from the same stream, without its argument checks."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(n), side="right")
+
+
 def sample_latent(spec: LatentSpec, batch: int, rng: np.random.Generator, dtype=TRAIN_DTYPE) -> LatentBatch:
     """Draw z and every code block i.i.d. from its prior (deterministic given rng state).
 
@@ -216,10 +224,7 @@ def sample_latent(spec: LatentSpec, batch: int, rng: np.random.Generator, dtype=
     start = spec.noise_dim
     for block in spec.blocks:
         if block.kind == "categorical":
-            # Generator.choice(k, batch, p=probs)'s own draw, bit for bit, without its argument checks
-            cdf = np.cumsum(block.probs)
-            cdf /= cdf[-1]
-            v = cdf.searchsorted(rng.random(batch), side="right")
+            v = draw_categories(block.probs, batch, rng)
             g_input[np.arange(batch), start + v] = 1.0
         else:
             if block.kind == "uniform":

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infogan_lab import autodiff as ad
+from infogan_lab import evaluate
 from infogan_lab.autodiff import Tensor, UsageError
 from infogan_lab.latent import (
     CodeBlock,
     LatentSpec,
     SpecError,
+    draw_categories,
     log_q,
     one_hot,
     parse_block_token,
@@ -199,6 +201,17 @@ class TestSampling:
             assert lat.g_input.data[:, 3:3 + k].tobytes() == one_hot(want, k).astype(np.float32).tobytes()
             assert lat.c_raw[1].tobytes() == gauss.tobytes()
             assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_one_categorical_draw_serves_the_lemma_joint_as_generator_choice(self):
+        # verify_lemma draws its flattened joint through the same helper: zero cells are never drawn
+        joint = evaluate.random_joint(np.random.default_rng(3)).joint.ravel()
+        joint[[0, 5]] = 0.0
+        joint /= joint.sum()
+        ours, ref = np.random.default_rng(9), np.random.default_rng(9)
+        got, want = draw_categories(joint, 1000, ours), ref.choice(joint.size, size=1000, p=joint)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert not np.isin(got, [0, 5]).any()
 
     def test_uniform_noise_kind(self):
         spec = LatentSpec(blocks=(), noise_dim=8, noise_kind="uniform")
