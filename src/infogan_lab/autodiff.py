@@ -746,6 +746,15 @@ def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6, readout=N
     entry; anything else is a ``UsageError``. Each probe reads as its own
     pass would, bit for bit. Every parameter gets its own array back, also
     if the builder raises.
+
+    A parameter's probes are built in place: its (2n + 1, size) rows are
+    filled with ``orig``, then ``+step`` and ``-step`` are added along the
+    two diagonals that its coordinates occupy, each through one strided
+    flat index. All probes are read in one call: a scalar output's stack is
+    reshaped to a vector, and with a readout each (1, F) probe row is
+    multiplied by the (F, 1) readout column in a batched matmul, which runs
+    numpy's dot kernel, the one ``np.vdot`` runs, so every value has the bits
+    of ``vdot(w, probe)``. The errors are scored as float64 arrays.
     """
     if not (0.0 < step <= 1e-3):
         raise UsageError(f"grad_check: step must be in (0, 1e-3], got {step}")

@@ -328,9 +328,9 @@ def train_step(
 
     ``real_images`` is a batch of float pixels in [0, 1] or of ``uint8``
     bytes, which are scaled by 1/255 in the model's dtype
-    (``data_io.float_pixels``); ``d_step`` casts float pixels to that dtype. Any other integer or bool
-    dtype raises ``TrainingError``. So does a loss that is not finite, and
-    an op evaluated outside its domain.
+    (``data_io.float_pixels``); ``d_step`` casts float pixels to that
+    dtype. Any other integer or bool dtype raises ``TrainingError``. So
+    does a loss that is not finite, and an op evaluated outside its domain.
     """
     if real_images.dtype.kind in "biu" and real_images.dtype != np.uint8:
         raise TrainingError(f"real images must be uint8 or floats in [0, 1], got dtype {real_images.dtype}")
