@@ -7,8 +7,9 @@ the one conversion: ``uint8`` becomes ``pixels / 255.0`` and float64 passes
 through. It runs on each drawn batch, so no float64 copy of a whole IDX
 dataset is ever made; the division is elementwise, so a converted batch has
 the same bits as the same rows of a converted file. ``Dataset.batch`` gives
-float64 pixels; the trainer converts a byte batch straight into the model's
-dtype (float32 for a trained model), and the classifier casts each batch.
+float64 pixels; the trainer and the classifier convert a byte batch
+straight into the model's dtype (float32 for a trained model) and cast a
+float batch to it.
 
 The checkpoint is a little-endian binary: the 8-byte magic ``IGAN0001``, a
 u32 format version, the run-config text, then named float64 (``<f8``)

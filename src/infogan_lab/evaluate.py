@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, UsageError
-from .data_io import Dataset, write_image_grid
+from .data_io import Dataset, float_pixels, write_image_grid
 from .latent import LatentSpec, draw_categories, log_q, one_hot, sample_latent
 from .models import ModelPair, gen_forward, q_forward
 
@@ -389,7 +389,7 @@ def categorical_classifier_eval(
     preds = np.empty(len(dataset), dtype=np.int64)
     for start in range(0, len(dataset), CLASSIFIER_CHUNK):
         stop = min(start + CLASSIFIER_CHUNK, len(dataset))
-        pixels = dataset.batch(slice(start, stop)).astype(model.dtype, copy=False)
+        pixels = float_pixels(dataset.images[start:stop], model.dtype).astype(model.dtype, copy=False)
         logits = q_forward(model, Tensor(pixels), training=False)[block]
         preds[start:stop] = np.argmax(logits.data, axis=1)
 

@@ -989,6 +989,19 @@ class TestPixelBatches:
             runs.append(_model_bytes(model))
         assert runs[0] == runs[1]
 
+    def test_classifier_scores_bytes_as_their_float_pixels(self, tmp_path):
+        # the classifier scales each byte chunk straight into the model's dtype: the same score as float pixels
+        from infogan_lab.data_io import Dataset
+        from infogan_lab.evaluate import categorical_classifier_eval
+        from infogan_lab.models import init_models
+        from infogan_lab.trainer import build_dataset
+
+        cfg = _idx_cfg(tmp_path, 96)
+        ds = build_dataset(cfg, np.random.default_rng(0))
+        floats = Dataset(images=ds.batch(slice(None)), labels=ds.labels, dims=ds.dims, provenance=ds.provenance)
+        model = init_models(*cfg.net_configs(), cfg.latent_spec(), np.random.default_rng(3))
+        assert categorical_classifier_eval(model, ds, 0) == categorical_classifier_eval(model, floats, 0)
+
     def test_no_float64_copy_of_the_whole_dataset(self, tmp_path):
         import tracemalloc
 
