@@ -65,6 +65,18 @@ class TestIdxLoader:
         assert data_io.float_pixels(floats) is floats
         assert data_io.float_pixels(np.array([0, 51, 255], np.uint8)).tolist() == [0.0, 0.2, 1.0]
 
+    def test_float_pixels_are_of_the_dtype_asked_for_so_a_float32_dataset_batches_as_float64(self):
+        # float pixels are cast as astype casts them, and not copied where they are in the dtype already
+        images = np.random.default_rng(4).random((5, 6), dtype=np.float32)
+        ds = data_io.Dataset(images=images, labels=None, dims=(2, 3), provenance="x")
+        batch = ds.batch(np.array([4, 0, 4]))
+        assert batch.dtype == np.float64
+        assert batch.tobytes() == images[[4, 0, 4]].astype(np.float64).tobytes()
+        f64 = np.random.default_rng(5).random((3, 4))
+        got = data_io.float_pixels(f64, np.float32)
+        assert got.dtype == np.float32 and got.tobytes() == f64.astype(np.float32).tobytes()
+        assert data_io.float_pixels(f64, np.float64) is f64
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_float_pixels_in_a_dtype_are_the_float64_quotients_rounded_once(self, dtype):
         # a quotient rounded once to float32 must equal the float64 quotient rounded again, for every byte
