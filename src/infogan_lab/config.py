@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 from .autodiff import ShapeError
 from .latent import CodeBlock, LatentSpec, SpecError, parse_block_token
 from .models import NetConfig
+from .objectives import GAN_MODES
 
 TOY_DIMS = (8, 8)
 MNIST_DIMS = (28, 28)
@@ -72,7 +73,7 @@ class TrainingConfig:
     def __post_init__(self):
         if self.dataset not in ("toy", "mnist"):
             raise ConfigError(f"dataset must be toy or mnist, got '{self.dataset}'")
-        if self.gan_mode not in ("minimax", "nonsaturating"):
+        if self.gan_mode not in GAN_MODES:
             raise ConfigError(f"gan_mode must be minimax or nonsaturating, got '{self.gan_mode}'")
         # written as "not (finite and in range)" so that NaN, which fails every comparison, is caught
         for key in ("lr_d", "lr_g", "adam_epsilon"):
