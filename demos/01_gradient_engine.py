@@ -24,7 +24,7 @@ zero_log_sigma = Tensor(np.zeros((4, 1)))
 
 def network(params):
     w1_, b1_, w2_, b2_ = params
-    return ad.linear(ad.linear(x, w1_, b1_, "lrelu", rate=0.1), w2_, b2_)
+    return ad.linear(ad.linear(x, w1_, b1_, "lrelu"), w2_, b2_)
 
 
 def nll(params):

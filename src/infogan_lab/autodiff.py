@@ -3,10 +3,10 @@
 The operation catalogue is fixed and small: 7 ops, each run by training or
 evaluation. A dense layer is one ``linear`` op (``act(x @ w + b)``), or a
 ``linear`` and a ``batchnorm`` op, with its activation folded into the last
-as an epilogue, the ``act`` attribute (None, ``relu``, ``lrelu`` with its
-``rate``, or ``sigmoid``): the backward rule multiplies the incoming gradient
-by the activation's derivative, read from the residual the epilogue saved
-(the activation's output), before the op's own rule. The bias add and the
+as an epilogue, the ``act`` attribute (None, ``relu``, ``lrelu`` with the
+leak ``LRELU_RATE``, or ``sigmoid``): the backward rule multiplies the
+incoming gradient by the activation's derivative, read from the residual
+the epilogue saved (the activation's output), before the op's own rule. The bias add and the
 epilogue are written into the op's own pre-activation array, so a layer
 allocates its output once. A ``batchnorm`` node keeps the normalized input
 x̂, and its train-mode backward is the compact
@@ -42,7 +42,7 @@ Usage:
     with Tape() as tape:
         y = weighted_sum([reduce_mean(w)], (2.0,))
         (g,) = tape.backward(y, [w])   # dy/dw as an ndarray
-        h = linear(x, w, b, "lrelu", 0.1)
+        h = linear(x, w, b, "lrelu")
         (gw,) = tape.backward(h, [w], v)   # vector-Jacobian product v^T dh/dw
     # the tape is closed here: its nodes are freed and backward raises
 
@@ -94,7 +94,6 @@ __all__ = [
     "forward_op",
     "grad_check",
     "OP_CATALOGUE",
-    "const",
     "linear",
     "weighted_sum",
     "sigmoid_cross_entropy",
@@ -118,9 +117,8 @@ class ShapeError(ValueError):
 class DomainError(ValueError):
     """An op was evaluated outside its numeric domain.
 
-    gaussian_log_q's log_sigma holds a NaN, an lrelu epilogue's rate lies
-    outside (0, 1), a sigmoid_cross_entropy label is not 0 or 1, or a
-    categorical_log_q index lies outside [0, K).
+    gaussian_log_q's log_sigma holds a NaN, a sigmoid_cross_entropy label is
+    not 0 or 1, or a categorical_log_q index lies outside [0, K).
     """
 
 
@@ -163,14 +161,10 @@ class Tensor:
         return f"Tensor(shape={self.shape}, node={self.node})"
 
 
-def const(values) -> Tensor:
-    """Tensor from array-like; alias documenting 'this carries no gradient of interest'."""
-    return Tensor(values)
-
-
 BN_MOMENTUM = 0.9  # running-average momentum of every batchnorm layer
 BN_EPS = 1e-5  # added to every batchnorm variance before the square root
 LOG_SIGMA_BOUND = 7.0  # gaussian_log_q reads |log sigma| clamped to this, before any exponentiation
+LRELU_RATE = 0.1  # the leak of every lrelu epilogue (the trunk's and the Q head's); it must lie in (0, 1), see _ACTS
 
 
 class BatchNormState:
@@ -427,7 +421,7 @@ def _f_linear(arrs, attrs):
 def _b_linear(g, node, need, out):
     x, w, act_saved = node.saved
     if act_saved is not None:  # the epilogue's derivative first
-        g = _ACTS[node.attrs["act"]][1](g, act_saved, node.attrs["rate"])
+        g = _ACTS[node.attrs["act"]][1](g, act_saved)
     # one output column (the D head, a 1-D Gaussian head): the K=1 product is its broadcast, bit for bit
     return [
         (g * w.T if w.shape[1] == 1 else g @ w.T) if need[0] else None,
@@ -468,21 +462,21 @@ def _sigmoid(x, out=None):
         return np.divide(1.0, e, out=e)
 
 
-def _lrelu_grad(g, y, rate):
+def _lrelu_grad(g, y):
     mask = (y > 0.0).astype(y.dtype)  # in y's dtype: a bool mask against a Python float would be float64
-    return g * np.maximum(mask, rate, out=mask)  # np.maximum(y > 0.0, rate, dtype=y.dtype)'s bits, in place
+    return g * np.maximum(mask, LRELU_RATE, out=mask)  # np.maximum(y > 0.0, LRELU_RATE, dtype=y.dtype)'s bits, in place
 
 
-# The activation epilogue of linear and batchnorm, by the op's ``act`` attribute: forward(h, rate, out)
-# -> (y, residual), y written into out (None: a fresh array), and backward(g, residual, rate) -> the
-# gradient at h. Every residual is the output y: for relu, and for lrelu with 0 < rate < 1, y > 0
-# exactly where h > 0, also at +-0, +-inf and NaN, so the masks are those of h. Both lrelu rules are
-# bitwise-equal to the np.where forms (h if h > 0 else rate*h, and 1 or rate); at rate 0,
-# max(inf, 0*inf) would be NaN, hence _epilogue's check.
+# The activation epilogue of linear and batchnorm, by the op's ``act`` attribute: forward(h, out)
+# -> (y, residual), y written into out (None: a fresh array), and backward(g, residual) -> the
+# gradient at h. Every residual is the output y: for relu, and for lrelu, y > 0 exactly where h > 0,
+# also at +-0, +-inf and NaN, so the masks are those of h. That holds for lrelu because its leak
+# LRELU_RATE lies in (0, 1): at a leak of 0, max(inf, 0*inf) would be NaN. Both lrelu rules are
+# bitwise-equal to the np.where forms (h if h > 0 else LRELU_RATE*h, and 1 or LRELU_RATE).
 _ACTS = {
-    "relu": (lambda h, rate, out: (y := np.maximum(h, 0.0, out=out), y), lambda g, y, rate: g * (y > 0.0)),
-    "lrelu": (lambda h, rate, out: (y := np.maximum(h, h * rate, out=out), y), _lrelu_grad),
-    "sigmoid": (lambda h, rate, out: (y := _sigmoid(h, out), y), lambda g, y, rate: g * y * (1.0 - y)),
+    "relu": (lambda h, out: (y := np.maximum(h, 0.0, out=out), y), lambda g, y: g * (y > 0.0)),
+    "lrelu": (lambda h, out: (y := np.maximum(h, h * LRELU_RATE, out=out), y), _lrelu_grad),
+    "sigmoid": (lambda h, out: (y := _sigmoid(h, out), y), lambda g, y: g * y * (1.0 - y)),
 }
 
 
@@ -498,10 +492,7 @@ def _epilogue(h, attrs, out=None):
         return h, None
     if not isinstance(act, str) or act not in _ACTS:
         raise UsageError(f"unknown activation {act!r} (one of {', '.join(_ACTS)}, or None)")
-    rate = attrs.get("rate")
-    if act == "lrelu" and not (rate is not None and 0.0 < rate < 1.0):
-        raise DomainError(f"lrelu: rate must lie in (0, 1), got {rate!r}")
-    return _ACTS[act][0](h, rate, out)
+    return _ACTS[act][0](h, out)
 
 
 # -log sigmoid(x) = softplus(-x) (label 1), -log(1 - sigmoid(x)) = softplus(x) (label 0), with softplus
@@ -628,7 +619,7 @@ def _b_batchnorm(g, node, need, out):
     # mean and variance, whose sum(centered) term is exactly 0 and is dropped
     xhat, inv_std, gamma, act_saved = node.saved
     if act_saved is not None:  # the epilogue's derivative first
-        g = _ACTS[node.attrs["act"]][1](g, act_saved, node.attrs["rate"])
+        g = _ACTS[node.attrs["act"]][1](g, act_saved)
     training = node.attrs["training"]
     dgamma = dbeta = dx = None
     if need[1] or (need[0] and training):
@@ -681,12 +672,12 @@ def forward_op(name: str, inputs: list[Tensor], attrs: dict | None = None) -> Te
 
 # thin call-site sugar over forward_op
 
-def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None, rate: float = 0.1) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
     """act(x @ w + b) for a (B,I) batch, (I,O) weights and an (O,) bias: one tape node per layer.
 
-    ``act`` is None, ``"relu"``, ``"sigmoid"`` or ``"lrelu"``, max(h, rate*h) for a rate in (0, 1).
+    ``act`` is None, ``"relu"``, ``"sigmoid"`` or ``"lrelu"``, max(h, LRELU_RATE*h).
     """
-    return forward_op("linear", [x, w, b], None if act is None else {"act": act, "rate": float(rate)})
+    return forward_op("linear", [x, w, b], None if act is None else {"act": act})
 
 
 def weighted_sum(xs: list[Tensor], weights) -> Tensor:
@@ -715,11 +706,11 @@ def reduce_mean(x: Tensor) -> Tensor:
 
 
 def batchnorm(
-    x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool, act: str | None = None, rate: float = 0.1
+    x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool, act: str | None = None
 ) -> Tensor:
     """act(gamma * xhat + beta), xhat normalized by the batch's moments (training) or the running ones;
     ``act`` as for ``linear``."""
-    return forward_op("batchnorm", [x, gamma, beta], {"state": state, "training": training, "act": act, "rate": float(rate)})
+    return forward_op("batchnorm", [x, gamma, beta], {"state": state, "training": training, "act": act})
 
 
 def grad_check(loss_builder, params: list[Tensor], step: float = 1e-6, readout=None) -> float:

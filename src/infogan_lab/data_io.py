@@ -3,13 +3,14 @@
 A ``Dataset`` holds its pixels either as ``uint8`` bytes (an IDX pair keeps
 the file's bytes, one per pixel) or as float64 values in [0, 1] (the toy
 templates, whose noisy values are not on a byte grid). ``float_pixels`` is
-the one conversion: ``uint8`` becomes ``pixels / 255.0`` and float64 passes
-through. It runs on each drawn batch, so no float64 copy of a whole IDX
-dataset is ever made; the division is elementwise, so a converted batch has
-the same bits as the same rows of a converted file. ``Dataset.batch`` gives
-float64 pixels; the trainer and the classifier convert a byte batch
-straight into the model's dtype (float32 for a trained model) and cast a
-float batch to it.
+the one conversion, into the dtype it is given: ``uint8`` becomes
+``pixels / 255.0`` divided in that dtype, and floats are cast to it (not
+copied where they hold it already). It runs on each drawn batch, so no
+float64 copy of a whole IDX dataset is ever made; the division is
+elementwise, so a converted batch has the same bits as the same rows of a
+converted file. ``Dataset.batch`` gives float64 pixels; the trainer's
+``d_step`` and the classifier convert a batch straight into the model's
+dtype (float32 for a trained model).
 
 The checkpoint is a little-endian binary: the 8-byte magic ``IGAN0001``, a
 u32 format version, the run-config text, then named float64 (``<f8``)
@@ -69,12 +70,13 @@ def atomic_open(path: str, mode: str = "wb", **kwargs):
 
 
 def float_pixels(pixels: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """``uint8`` pixels as ``pixels / 255.0`` divided in ``dtype``; any other array is returned unchanged.
+    """``pixels`` in ``dtype``: ``uint8`` divided by 255.0 in ``dtype``, floats through ``astype(dtype, copy=False)``.
 
-    In float32 the quotient is rounded once, with no float64 array between;
-    for every byte value it has the bits of ``(pixels / 255.0).astype(np.float32)``.
+    A float array already of ``dtype`` is returned as it is. In float32 the
+    quotient is rounded once, with no float64 array between; for every byte
+    value it has the bits of ``(pixels / 255.0).astype(np.float32)``.
     """
-    return np.divide(pixels, 255.0, dtype=dtype) if pixels.dtype == np.uint8 else pixels
+    return np.divide(pixels, 255.0, dtype=dtype) if pixels.dtype == np.uint8 else pixels.astype(dtype, copy=False)
 
 
 @dataclass

@@ -389,7 +389,7 @@ def categorical_classifier_eval(
     preds = np.empty(len(dataset), dtype=np.int64)
     for start in range(0, len(dataset), CLASSIFIER_CHUNK):
         stop = min(start + CLASSIFIER_CHUNK, len(dataset))
-        pixels = float_pixels(dataset.images[start:stop], model.dtype).astype(model.dtype, copy=False)
+        pixels = float_pixels(dataset.images[start:stop], model.dtype)
         logits = q_forward(model, Tensor(pixels), training=False)[block]
         preds[start:stop] = np.argmax(logits.data, axis=1)
 

@@ -269,7 +269,7 @@ def log_q(q: tuple, batch: LatentBatch) -> tuple[Tensor | None, Tensor | None]:
         if block.is_discrete:
             disc.append(ad.categorical_log_q(q[i], raw))
         else:
-            c = ad.const(np.asarray(raw, dtype=q[i][0].data.dtype).reshape(b, block.dim))
+            c = Tensor(np.asarray(raw, dtype=q[i][0].data.dtype).reshape(b, block.dim))
             cont.append(ad.gaussian_log_q(c, *q[i]))
     return _family_sum(disc), _family_sum(cont)
 

@@ -42,8 +42,6 @@ from . import autodiff as ad
 from .autodiff import TRAIN_DTYPE, BatchNormState, ShapeError, Tensor
 from .latent import LatentSpec
 
-LRELU_RATE = 0.1  # leak of the trunk's and the Q head's lrelu; the generator uses relu
-
 # Gaussian init with variance 0.02. At these fully connected widths this
 # keeps layer gains near one; a 0.02 *standard deviation* shrinks
 # activations so hard (without batchnorm) that the categorical code race
@@ -236,8 +234,8 @@ def init_models(
 def _dense(layer: Dense, x: Tensor, training: bool, act: str | None = None) -> Tensor:
     """act(layer(x)), the activation folded into the layer's last op: one tape node, two with batchnorm."""
     if layer.bn is None:
-        return ad.linear(x, layer.w, layer.b, act, LRELU_RATE)
-    return ad.batchnorm(ad.linear(x, layer.w, layer.b), *layer.bn, training, act, LRELU_RATE)
+        return ad.linear(x, layer.w, layer.b, act)
+    return ad.batchnorm(ad.linear(x, layer.w, layer.b), *layer.bn, training, act)
 
 
 def gen_forward(model: ModelPair, g_input: Tensor, training: bool = True) -> Tensor:

@@ -49,7 +49,7 @@ def mi_lower_bound(q: tuple, batch: LatentBatch) -> tuple[Tensor, Tensor]:
 
 
 def _bound(lq: Tensor | None, h: float) -> Tensor:
-    return ad.const(0.0) if lq is None else ad.weighted_sum([ad.reduce_mean(lq), ad.const(h)], (1.0, 1.0))
+    return Tensor(0.0) if lq is None else ad.weighted_sum([ad.reduce_mean(lq), Tensor(h)], (1.0, 1.0))
 
 
 @dataclass

@@ -14,8 +14,8 @@ Gradient routing per iteration:
 Each clock block (``gen``, ``trunk``, ``d_head``, ``q_head``) is one flat
 vector whose parameters are views into it (``models.ParamBlock``), and it
 owns a gradient buffer of the same layout. One reverse sweep per loss
-writes each block's gradient into its buffer, and Adam takes the buffers
-in block order. Adam keeps one state per block under the block's name,
+writes each block's gradient into its buffer, and Adam reads each block's
+buffer itself. Adam keeps one state per block under the block's name,
 created on the block's first step: flat scaled moments ``m`` and ``v``
 (m/(1-beta1) and v/(1-beta2)) and a single step count ``t``. The update is
 Kingma and Ba's folded step (arXiv 1412.6980, Sec. 2) on those moments:
@@ -27,9 +27,11 @@ both the D and the Q update, so its t advances twice per iteration, while
 the generator, D head and Q head advance once.
 
 Training arithmetic is float32 (``autodiff.TRAIN_DTYPE``): the blocks, the
-running moments, the Adam state, the latent batch and the real batch,
-which ``d_step`` casts to the model's dtype. The losses a step reports and
-the metrics CSV are Python floats.
+running moments, the Adam state, the latent batch and the real batch.
+``d_step`` is the one place the real batch is converted:
+``data_io.float_pixels`` divides bytes by 255 in the model's dtype and casts
+float pixels to it. The losses a step reports and the metrics CSV are
+Python floats.
 
 All randomness comes from one seed, split into four named PCG64 streams
 (model init, dataset synthesis, minibatch indices, latent draws), so a run
@@ -110,7 +112,6 @@ def _step_bound(alpha_p: float, eps_p: float, beta1: float, beta2: float, t: int
 
 def adam_step(
     blocks: list[ParamBlock],
-    grads: list[np.ndarray],
     states: dict[str, AdamState],
     lr: float,
     beta1: float,
@@ -127,18 +128,18 @@ def adam_step(
     (sqrt(v) + eps_hat), and so lr * m_hat / (sqrt(v_hat) + eps), in exact
     arithmetic; alpha' and eps' are Python floats, worked out once per block
     step. A slice takes ten elementwise passes, the divide before the scale.
-    ``grads`` holds one flat gradient per block, in block order and in the
-    block's layout; they are only read. Works one block at a time, in slices
-    of at most ``ADAM_SLICE`` elements, in the block's dtype.
+    Each block's gradient is its own buffer ``block.grad`` (which
+    ``_block_grads`` writes), of the block's size and dtype; it is only read.
+    Works one block at a time, in slices of at most ``ADAM_SLICE`` elements,
+    in the block's dtype.
     ``states[block.name]`` is the block's state, created on its first step;
     other entries are never read.
 
-    Every block is checked before any is updated, so a gradient count or
-    shape that does not match the blocks, a gradient of another dtype than
-    its block's, a non-finite entry (named by the parameter whose view holds
-    the first), a block state of the wrong shape or dtype, or an eps' or a
-    step bound (``_step_bound``: no entry of the update can exceed it, for
-    any gradients) that the block's dtype cannot hold raises
+    Every block is checked before any is updated, so a non-finite gradient
+    entry (named by the parameter whose view holds the first), a block state
+    of the wrong shape or dtype, or an eps' or a step bound
+    (``_step_bound``: no entry of the update can exceed it, for any
+    gradients) that the block's dtype cannot hold raises
     ``TrainingError`` before any parameter or clock moves. The bound is
     checked where beta1^2 < beta2, so that S_t converges (to at most
     1 / (1 - r)); at beta2 = 0, or wherever beta1^2 >= beta2, S_t has no such
@@ -147,10 +148,8 @@ def adam_step(
     bound is on one step: a parameter can still leave the dtype's range
     over many.
     """
-    if len(grads) != len(blocks):
-        raise TrainingError(f"adam_step: {len(grads)} gradients for {len(blocks)} blocks")
     folded = []  # each block's (alpha', eps') at its next step
-    for block, g in zip(blocks, grads):
+    for block in blocks:
         st = states.get(block.name)
         t = 1 if st is None else st.t + 1
         root, scale = math.sqrt(1.0 - beta2**t), math.sqrt(1.0 - beta2)
@@ -174,10 +173,7 @@ def adam_step(
                 f"Adam state for block '{block.name}' has shape {st.m.shape} and dtype {st.m.dtype}, "
                 f"block has {block.flat.shape} and {block.flat.dtype}"
             )
-        if g.shape != block.flat.shape:
-            raise TrainingError(f"gradient for block '{block.name}' has shape {g.shape}, block has {block.flat.shape}")
-        if g.dtype != block.flat.dtype:
-            raise TrainingError(f"gradient for block '{block.name}' has dtype {g.dtype}, block has {block.flat.dtype}")
+        g = block.grad
         # one read-only pass, g . g (a BLAS dot, which reads float32 faster than np.add.reduce): a
         # non-finite entry makes it non-finite, and only then (or where finite entries overflow it)
         # is the block scanned entry by entry
@@ -188,12 +184,12 @@ def adam_step(
             ends = np.cumsum([p.data.size for p in block.params.values()])
             bad = list(block.params)[np.searchsorted(ends, np.flatnonzero(~np.isfinite(g))[0], side="right")]
             raise TrainingError(f"non-finite gradient for parameter '{bad}'")
-    for block, g, (alpha_p, eps_p) in zip(blocks, grads, folded):
-        st = states.get(block.name)
+    for block, (alpha_p, eps_p) in zip(blocks, folded):
+        g, st = block.grad, states.get(block.name)
         if st is None:
             st = states[block.name] = AdamState(g.shape, block.flat.dtype)
         st.t += 1
-        # one scratch row, so the caller's gradient is left as it was
+        # one scratch row, so the block's gradient is left as it was
         scratch = np.empty(min(g.size, ADAM_SLICE), dtype=block.flat.dtype)
         for lo in range(0, g.size, ADAM_SLICE):
             part = slice(lo, lo + ADAM_SLICE)
@@ -259,8 +255,8 @@ class MetricsTrace:
         return trace
 
 
-def _block_grads(tape: Tape, root: Tensor, blocks: list[ParamBlock]) -> list[np.ndarray]:
-    """One sweep over every block's parameters, written into each block's gradient buffer; the buffers, in block order.
+def _block_grads(tape: Tape, root: Tensor, blocks: list[ParamBlock]) -> None:
+    """One sweep over every block's parameters, written into each block's gradient buffer ``grad``.
 
     A buffer holds its gradient until the block's next sweep. A gradient
     that a rule leaked into another dtype is not cast into its buffer: it
@@ -272,25 +268,25 @@ def _block_grads(tape: Tape, root: Tensor, blocks: list[ParamBlock]) -> list[np.
         for view in block.grad_views.values():
             if (gi := next(grads)) is not view:
                 raise TrainingError(f"gradient for block '{block.name}' has dtype {gi.dtype}, block has {view.dtype}")
-    return [block.grad for block in blocks]
 
 
 def d_step(model: ModelPair, real_images: np.ndarray, cfg: TrainingConfig, latent_rng, adam_states) -> Tensor:
     """Discriminator update: loss_D moves the trunk and D head only.
 
     Both trunk passes run the D head alone; the Q head is not evaluated.
-    The float pixels of ``real_images`` are cast to the model's dtype.
+    ``real_images`` (``uint8`` bytes or float pixels in [0, 1]) is converted
+    to the model's dtype here, and only here (``data_io.float_pixels``).
     """
     d_side = [model.blocks["trunk"], model.blocks["d_head"]]
     # fakes for the D step need no generator gradient: keep them off the tape
     lat = sample_latent(model.spec, real_images.shape[0], latent_rng, model.dtype)
     fake = gen_forward(model, lat.g_input, training=True)
     with Tape() as tape:
-        d_real = disc_forward(model, Tensor(real_images.astype(model.dtype, copy=False)), training=True)
+        d_real = disc_forward(model, Tensor(float_pixels(real_images, model.dtype)), training=True)
         d_fake = disc_forward(model, fake, training=True)
         loss_d = discriminator_loss(d_real, d_fake)
-        d_grads = _block_grads(tape, loss_d, d_side)
-    adam_step(d_side, d_grads, adam_states, cfg.lr_d, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
+        _block_grads(tape, loss_d, d_side)
+    adam_step(d_side, adam_states, cfg.lr_d, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
     return loss_d
 
 
@@ -308,11 +304,11 @@ def gq_step(model: ModelPair, loss_d: Tensor, cfg: TrainingConfig, batch: int, l
         loss_g = generator_loss(d_fake, cfg.gan_mode)
         li_disc, li_cont = mi_lower_bound(q, lat)
         bundle = infogan_losses(loss_d, loss_g, li_disc, li_cont, cfg.lambda_disc, cfg.lambda_cont)
-        gen_grads = _block_grads(tape, bundle.gq_objective, gen)
+        _block_grads(tape, bundle.gq_objective, gen)
         # the Q side ascends L_I: descend -(L_I_disc + L_I_cont)
-        q_grads = _block_grads(tape, ad.weighted_sum([li_disc, li_cont], (-1.0, -1.0)), q_side)
-    adam_step(gen, gen_grads, adam_states, cfg.lr_g, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
-    adam_step(q_side, q_grads, adam_states, cfg.lr_d, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
+        _block_grads(tape, ad.weighted_sum([li_disc, li_cont], (-1.0, -1.0)), q_side)
+    adam_step(gen, adam_states, cfg.lr_g, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
+    adam_step(q_side, adam_states, cfg.lr_d, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
     return bundle
 
 
@@ -327,14 +323,13 @@ def train_step(
     """One D update then one G/Q update; returns the losses measured at step time.
 
     ``real_images`` is a batch of float pixels in [0, 1] or of ``uint8``
-    bytes, which are scaled by 1/255 in the model's dtype
-    (``data_io.float_pixels``); ``d_step`` casts float pixels to that
-    dtype. Any other integer or bool dtype raises ``TrainingError``. So
-    does a loss that is not finite, and an op evaluated outside its domain.
+    bytes, which ``d_step`` converts to the model's dtype
+    (``data_io.float_pixels``: bytes are scaled by 1/255 in that dtype).
+    Any other integer or bool dtype raises ``TrainingError``. So does a loss
+    that is not finite, and an op evaluated outside its domain.
     """
     if real_images.dtype.kind in "biu" and real_images.dtype != np.uint8:
         raise TrainingError(f"real images must be uint8 or floats in [0, 1], got dtype {real_images.dtype}")
-    real_images = float_pixels(real_images, model.dtype)
     where = f" at iteration {iteration}" if iteration is not None else ""
     try:
         loss_d = d_step(model, real_images, cfg, latent_rng, adam_states)

@@ -63,7 +63,7 @@ _SHAPE_ERRORS = [
 
 class TestForwardValues:
     def test_lrelu_example(self):
-        out = ad.linear(Tensor([[-1.0, 0.0, 2.0]]), Tensor(np.eye(3)), Tensor(np.zeros(3)), "lrelu", rate=0.1)
+        out = ad.linear(Tensor([[-1.0, 0.0, 2.0]]), Tensor(np.eye(3)), Tensor(np.zeros(3)), "lrelu")
         np.testing.assert_array_equal(out.data, [[-0.1, 0.0, 2.0]])
 
     def test_softmax_uniform_row(self):
@@ -95,7 +95,7 @@ class TestForwardValues:
         assert out.tobytes() == ((x * -0.1 + y * 3.0) + z * 0.7).tobytes()
         assert ad.weighted_sum([Tensor(x)], (-0.1,)).data.tobytes() == (x * -0.1).tobytes()
         # scalar loss terms in, a 0-d array out, as from every other forward rule
-        scalar = ad.weighted_sum([ad.const(1.5), ad.const(2.0)], (1.0, -1.0)).data
+        scalar = ad.weighted_sum([Tensor(1.5), Tensor(2.0)], (1.0, -1.0)).data
         assert type(scalar) is np.ndarray and scalar.shape == () and scalar.item() == -0.5
 
     def test_sigmoid_cross_entropy_is_the_mean_softplus_and_stays_finite(self):
@@ -414,11 +414,10 @@ def _edge_inputs(dtype):
     return x, rng.normal(0, 1, x.shape).astype(dtype)
 
 
-def _run_epilogue(h, g, act, rate=None):
+def _run_epilogue(h, g, act):
     """The epilogue ``act`` on pre-activation h, and its backward of g: (out, gradient at h)."""
-    attrs = {"act": act, "rate": rate}
-    out, act_saved = ad._epilogue(h, attrs)
-    return out, ad._ACTS[act][1](g, act_saved, rate)
+    out, act_saved = ad._epilogue(h, {"act": act})
+    return out, ad._ACTS[act][1](g, act_saved)
 
 
 _DTYPES = [pytest.param(np.float64, id="float64"), pytest.param(np.float32, id="float32")]
@@ -427,15 +426,12 @@ _DTYPES = [pytest.param(np.float64, id="float64"), pytest.param(np.float32, id="
 class TestEpilogueEdges:
     """Each activation epilogue at +-0, +-inf, NaN and subnormals, bitwise against its reference form."""
 
-    @pytest.mark.parametrize(
-        "rate, dtype",
-        [pytest.param(rate, dtype, id=f"{rate}{suffix}")
-         for dtype, suffix in ((np.float64, ""), (np.float32, "-float32")) for rate in (0.01, 0.1, 0.2, 0.3, 0.7)],
-    )
-    def test_lrelu_bitwise_equal_to_where_forms(self, rate, dtype):
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    def test_lrelu_bitwise_equal_to_where_forms(self, dtype):
         # in float32 the where forms read the rate as float32 too, as a float32 array reads a Python float
+        rate = ad.LRELU_RATE
         x, g = _edge_inputs(dtype)
-        out, dx = _run_epilogue(x, g, "lrelu", rate)
+        out, dx = _run_epilogue(x, g, "lrelu")
         assert out.dtype == dx.dtype == dtype
         assert out.tobytes() == np.where(x > 0.0, x, dtype(rate) * x).tobytes()
         assert dx.tobytes() == (g * np.where(x > 0.0, dtype(1.0), dtype(rate))).tobytes()
@@ -463,16 +459,6 @@ class TestEpilogueEdges:
         assert dx[0, 2] == dx[0, 3] == 0.0 and dx[0, 0] == g[0, 0] * 0.25 and np.isnan(dx[0, 4])
         assert dx.tobytes() == (g * out * (1.0 - out)).tobytes()
 
-    @pytest.mark.parametrize("rate", [0.0, 1.0, -0.1, 1.5, float("nan")])
-    def test_rate_outside_unit_interval_rejected(self, rate):
-        with pytest.raises(DomainError, match=r"lrelu: rate must lie in \(0, 1\), got"):
-            ad.linear(_ones(2, 2), _ones(2, 2), _ones(2), "lrelu", rate)
-        state = BatchNormState(2)
-        with pytest.raises(DomainError, match=r"lrelu: rate must lie in \(0, 1\), got"):
-            ad.batchnorm(_ones(2, 2), _ones(2), _ones(2), state, True, "lrelu", rate)
-        # a refused epilogue folds nothing into the running moments
-        assert state.running_mean.tolist() == [0.0, 0.0] and state.running_var.tolist() == [1.0, 1.0]
-
     @pytest.mark.parametrize("act", ["tanh", "", "Relu", 0, ["relu"]])
     def test_unknown_activation_is_a_usage_error_naming_it(self, act):
         state = BatchNormState(2)
@@ -494,7 +480,7 @@ def _fused_and_unfused(op, act, rng):
         run = lambda *a, training=op.endswith("train"): ad.batchnorm(*inputs, BatchNormState(3), training, *a)  # noqa: E731
     g = rng.normal(0, 1, (6, 3))
     with Tape() as tape:
-        out = run(act, 0.1)
+        out = run(act)
         fused = (out.data, tape.backward(out, inputs, g))
     with Tape() as tape:
         h = run()
@@ -613,7 +599,7 @@ class TestBatchnorm:
             )
             inputs = [Tensor(x), Tensor(gamma), Tensor(beta)]
             with Tape() as tape:
-                dx, dgamma, dbeta = tape.backward(ad.batchnorm(*inputs, state, training, act, 0.1), inputs, g)
+                dx, dgamma, dbeta = tape.backward(ad.batchnorm(*inputs, state, training, act), inputs, g)
             assert dgamma.tobytes() == dgamma_ref.tobytes() and dbeta.tobytes() == dbeta_ref.tobytes()
             if training:
                 assert np.max(np.abs(dx - dx_ref)) <= 1e-12 * term
@@ -668,7 +654,7 @@ class TestBackward:
         a, b, c = Tensor(rng.normal(0, 1, (4, 3))), Tensor(rng.normal(0, 1, (3, 2))), Tensor(rng.normal(0, 1, 2))
         s, t = Tensor(rng.normal(0, 1, (3, 3))), Tensor(rng.normal(0, 1, 3))
         with Tape() as tape:
-            h = ad.linear(ad.linear(a, s, t, "sigmoid"), b, c, "lrelu", 0.1)
+            h = ad.linear(ad.linear(a, s, t, "sigmoid"), b, c, "lrelu")
             root = ad.weighted_sum([h, ad.linear(a, b, c)], (1.0, 1.0))
             v = rng.normal(0, 1, root.shape)
             (only_a,) = tape.backward(root, [a], v)
@@ -860,7 +846,7 @@ class TestBackwardDestinations:
         x, w, b = Tensor(rng.normal(0, 1, (5, 3))), Tensor(rng.normal(0, 1, (3, 3))), Tensor(rng.normal(0, 1, 3))
         with Tape() as tape:
             # w and b feed two linear ops, and the second reads the first's output
-            root = ad.reduce_mean(ad.linear(ad.linear(x, w, b, "lrelu", 0.1), w, b, "sigmoid"))
+            root = ad.reduce_mean(ad.linear(ad.linear(x, w, b, "lrelu"), w, b, "sigmoid"))
             plain = tape.backward(root, [w, b, x])
             dests = [np.full(w.shape, np.nan), np.full(b.shape, np.nan), None]
             got = tape.backward(root, [w, b, x], out=dests)
@@ -1128,7 +1114,7 @@ class TestGradCheck:
     def test_non_finite_analytic_gradient_fails_the_check(self, monkeypatch, act, bad):
         # a NaN error fails every comparison, so it must be counted as inf rather than dropped
         forward, _ = ad._ACTS[act]
-        monkeypatch.setitem(ad._ACTS, act, (forward, lambda g, act_saved, rate: g * bad))
+        monkeypatch.setitem(ad._ACTS, act, (forward, lambda g, act_saved: g * bad))
         params, builder, w = _OP_CASES[f"linear_{act}"](np.random.default_rng(0))
         with np.errstate(invalid="ignore"):  # the layer's own products of an inf gradient are NaN: inf - inf
             assert grad_check(builder, params, readout=w) == math.inf
@@ -1138,7 +1124,7 @@ def test_forward_determinism_same_seed():
     def run():
         rng = np.random.default_rng(123)
         x = Tensor(rng.normal(0, 1, (5, 5)))
-        h = ad.linear(x, Tensor(rng.normal(0, 1, (5, 5))), Tensor(rng.normal(0, 1, 5)), "lrelu", 0.1)
+        h = ad.linear(x, Tensor(rng.normal(0, 1, (5, 5))), Tensor(rng.normal(0, 1, 5)), "lrelu")
         logits = ad.linear(h, Tensor(rng.normal(0, 1, (5, 5))), Tensor(rng.normal(0, 1, 5)), "sigmoid")
         y = ad.categorical_log_q(logits, rng.integers(0, 5, 5))
         return y.data

@@ -138,7 +138,7 @@ def test_an_epilogue_backward_without_its_mask_fails_exactly_its_cases(monkeypat
     # the derivative factor dropped: the gradient at the pre-activation passes through as g, which is
     # wrong wherever a relu or lrelu input is negative and everywhere for the sigmoid
     forward, _ = autodiff._ACTS[act]
-    monkeypatch.setitem(autodiff._ACTS, act, (forward, lambda g, act_saved, rate: g))
+    monkeypatch.setitem(autodiff._ACTS, act, (forward, lambda g, act_saved: g))
     worst = op_grad_checks(n_seeds=1)
     assert {name for name, err in worst.items() if err > 1e-5} == _EPILOGUE_CASES[act]
 

@@ -104,7 +104,7 @@ class TestMiLowerBound:
 class TestInfoGanLosses:
     def _bundle(self, lam_d, lam_c, li_d=0.4, li_c=-0.2):
         return infogan_losses(
-            ad.const(1.5), ad.const(0.7), ad.const(li_d), ad.const(li_c), lam_d, lam_c
+            Tensor(1.5), Tensor(0.7), Tensor(li_d), Tensor(li_c), lam_d, lam_c
         )
 
     def test_zero_lambda_reduces_to_plain_gan(self):

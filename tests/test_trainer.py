@@ -62,8 +62,9 @@ def reference_adam(moments):
     alpha_t * m / (sqrt(v) + eps_hat) in exact arithmetic.
     """
 
-    def step(blocks, grads, states, lr, beta1, beta2, epsilon):
-        for block, flat_g in zip(blocks, grads):
+    def step(blocks, states, lr, beta1, beta2, epsilon):
+        for block in blocks:
+            flat_g = block.grad
             moments["t", block.name] += 1
             t = moments["t", block.name]
             alpha_t = lr * math.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
@@ -78,6 +79,13 @@ def reference_adam(moments):
                 p.data -= alpha_p * (moments["m", name] / (np.sqrt(moments["v", name]) + eps_p))
 
     return step
+
+
+def write_grads(blocks, grads):
+    """Each flat gradient written into its block's buffer, as a training sweep writes it; the blocks."""
+    for block, g in zip(blocks, grads, strict=True):
+        block.grad[...] = g
+    return blocks
 
 
 def flat_grads(blocks, grads):
@@ -110,7 +118,7 @@ def _default_shaped_params():
 class TestAdam:
     def test_first_step_closed_form(self):
         block = make_block("w", {"w": [0.0]})
-        adam_step([block], [np.array([0.5])], {}, lr=1e-3, beta1=0.5, beta2=0.999, epsilon=1e-8)
+        adam_step(write_grads([block], [np.array([0.5])]), {}, lr=1e-3, beta1=0.5, beta2=0.999, epsilon=1e-8)
         # m_hat = g, sqrt(v_hat) = |g| on the first step
         expected = -1e-3 * 0.5 / (0.5 + 1e-8)
         assert abs(block.params["w"].data[0] - expected) < 1e-18
@@ -120,7 +128,7 @@ class TestAdam:
         block = make_block("w", {"w": [1.0, -2.0]})
         st = {}
         for _ in range(5):
-            adam_step([block], [np.zeros(2)], st, 1e-2, 0.9, 0.999, 1e-8)
+            adam_step(write_grads([block], [np.zeros(2)]), st, 1e-2, 0.9, 0.999, 1e-8)
         np.testing.assert_array_equal(block.params["w"].data, [1.0, -2.0])
 
     def test_descends_quadratic(self):
@@ -129,7 +137,7 @@ class TestAdam:
         st = {}
         for _ in range(100):
             g = 2.0 * block.params["w"].data
-            adam_step([block], [g], st, 1e-2, 0.9, 0.999, 1e-8)
+            adam_step(write_grads([block], [g]), st, 1e-2, 0.9, 0.999, 1e-8)
         assert abs(block.params["w"].data[0]) < 0.5
 
     def test_matches_independent_scalar_recurrence(self):
@@ -143,7 +151,7 @@ class TestAdam:
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
-            adam_step([block], [np.array([g])], st, lr, b1, b2, eps)
+            adam_step(write_grads([block], [np.array([g])]), st, lr, b1, b2, eps)
             assert abs(block.params["w"].data[0] - theta) < 1e-12
 
     def test_float32_block_matches_float32_scalar_recurrence_bit_for_bit(self):
@@ -162,21 +170,20 @@ class TestAdam:
             root, scale = math.sqrt(1 - b2**t), math.sqrt(1 - b2)
             alpha_p, eps_p = lr * root / (1 - b1**t) * (1 - b1) / scale, eps * root / scale
             theta = theta - m / (np.sqrt(v) + f32(eps_p)) * f32(alpha_p)
-            adam_step([block], [np.array([g])], st, lr, b1, b2, eps)
+            adam_step(write_grads([block], [np.array([g])]), st, lr, b1, b2, eps)
             assert type(theta) is np.float32
             assert block.params["w"].data.tobytes() == theta.tobytes(), t
         assert st["w"].m.dtype == st["w"].v.dtype == np.float32
 
     def test_gradients_are_left_as_they_were(self):
         block = make_block("gen", {"gen.a": [1.0, 2.0], "gen.b": [3.0]})
-        g = np.array([0.5, -0.25, 2.0])
-        adam_step([block], [g], {}, 1e-3, 0.9, 0.999, 1e-8)
-        np.testing.assert_array_equal(g, [0.5, -0.25, 2.0])
+        adam_step(write_grads([block], [[0.5, -0.25, 2.0]]), {}, 1e-3, 0.9, 0.999, 1e-8)
+        np.testing.assert_array_equal(block.grad, [0.5, -0.25, 2.0])
 
     def test_nan_gradient_names_parameter(self):
         block = make_block("gen", {"gen.l0.w": [1.0]})
         with pytest.raises(TrainingError, match="gen.l0.w"):
-            adam_step([block], [np.array([np.nan])], {}, 1e-3, 0.9, 0.999, 1e-8)
+            adam_step(write_grads([block], [np.array([np.nan])]), {}, 1e-3, 0.9, 0.999, 1e-8)
 
     def test_bitwise_equal_to_per_parameter_reference(self):
         # model-shaped blocks; the trunk is stepped twice per iteration, at two learning rates
@@ -194,8 +201,8 @@ class TestAdam:
                 if it % 7 == 0:
                     grads[names[0]][...] = 0.0
                 flat = flat_grads([fused.blocks[b] for b in block_names], grads)
-                adam_step([fused.blocks[b] for b in block_names], flat, states, lr, 0.5, 0.999, 1e-8)
-                step_ref([ref.blocks[b] for b in block_names], flat, None, lr, 0.5, 0.999, 1e-8)
+                adam_step(write_grads([fused.blocks[b] for b in block_names], flat), states, lr, 0.5, 0.999, 1e-8)
+                step_ref(write_grads([ref.blocks[b] for b in block_names], flat), None, lr, 0.5, 0.999, 1e-8)
             for n in fused.params:
                 assert fused.params[n].data.tobytes() == ref.params[n].data.tobytes(), (it, n)
         assert {b: st.t for b, st in states.items()} == {"trunk": 120, "d_head": 60, "gen": 60, "q_head": 60}
@@ -216,20 +223,20 @@ class TestAdam:
         step_ref = reference_adam(defaultdict(float))
         for _ in range(4):
             grads = {n: (rng.normal(0, 1, v.shape) * 10.0 ** rng.integers(-6, 3)).astype(dtype) for n, v in values.items()}
-            adam_step([fused], flat_grads([fused], grads), states, 1e-3, 0.5, 0.999, 1e-8)
-            step_ref([ref], flat_grads([ref], grads), None, 1e-3, 0.5, 0.999, 1e-8)
+            adam_step(write_grads([fused], flat_grads([fused], grads)), states, 1e-3, 0.5, 0.999, 1e-8)
+            step_ref(write_grads([ref], flat_grads([ref], grads)), None, 1e-3, 0.5, 0.999, 1e-8)
         assert fused.flat.tobytes() == ref.flat.tobytes()
         assert states["gen"].t == 4
 
     def test_nan_mid_block_names_that_parameter_and_moves_nothing(self):
         block = make_block("gen", {name: np.ones(3) for name in ("gen.a", "gen.b", "gen.c")})
         st = {}
-        adam_step([block], [np.ones(9)], st, 1e-3, 0.9, 0.999, 1e-8)
+        adam_step(write_grads([block], [np.ones(9)]), st, 1e-3, 0.9, 0.999, 1e-8)
         before = block.flat.copy()
         grads = flat_grads([block], {name: np.ones(3) for name in block.params})
         grads[0][4] = np.inf
         with pytest.raises(TrainingError, match="non-finite gradient for parameter 'gen.b'"):
-            adam_step([block], grads, st, 1e-3, 0.9, 0.999, 1e-8)
+            adam_step(write_grads([block], grads), st, 1e-3, 0.9, 0.999, 1e-8)
         np.testing.assert_array_equal(block.flat, before)
         assert st["gen"].t == 1
 
@@ -241,26 +248,8 @@ class TestAdam:
         g[bad_at] = np.nan
         g[8] = np.inf
         with pytest.raises(TrainingError, match=f"non-finite gradient for parameter '{name}'"):
-            adam_step([block], [g], {}, 1e-3, 0.9, 0.999, 1e-8)
+            adam_step(write_grads([block], [g]), {}, 1e-3, 0.9, 0.999, 1e-8)
         np.testing.assert_array_equal(block.flat, np.ones(9))
-
-    @pytest.mark.parametrize("shape", [(8,), (10,), (3, 3), (9, 1)])
-    def test_gradient_not_of_block_shape_names_block_and_moves_nothing(self, shape):
-        # (3, 3) and (9, 1) have the block's size, so a ravel alone would not notice
-        gen = make_block("gen", {"gen.a": [1.0]})
-        block = make_block("q_head", {"q_head.w": np.zeros((2, 3)), "q_head.b": np.zeros(3)})
-        st = {}
-        with pytest.raises(TrainingError, match=rf"gradient for block 'q_head' has shape \({shape[0]},"):
-            adam_step([gen, block], [np.array([0.5]), np.ones(shape)], st, 1e-3, 0.9, 0.999, 1e-8)
-        assert st == {} and gen.params["gen.a"].data[0] == 1.0
-
-    @pytest.mark.parametrize("n_grads", [0, 1, 3])
-    def test_gradient_count_must_match_block_count(self, n_grads):
-        gen, trunk = make_block("gen", {"gen.a": [1.0]}), make_block("trunk", {"trunk.a": [1.0]})
-        st = {}
-        with pytest.raises(TrainingError, match=f"adam_step: {n_grads} gradients for 2 blocks"):
-            adam_step([gen, trunk], [np.array([0.5])] * n_grads, st, 1e-3, 0.9, 0.999, 1e-8)
-        assert st == {} and gen.flat[0] == 1.0 and trunk.flat[0] == 1.0
 
     def test_misshapen_block_state_names_block_and_moves_nothing(self):
         gen, trunk = make_block("gen", {"gen.a": [1.0]}), make_block("trunk", {"trunk.a": [1.0], "trunk.b": [2.0]})
@@ -269,7 +258,7 @@ class TestAdam:
         with pytest.raises(
             TrainingError, match=r"Adam state for block 'trunk' has shape \(3,\) and dtype float64, block has \(2,\) and float64"
         ):
-            adam_step([gen, trunk], grads, st, 1e-3, 0.9, 0.999, 1e-8)
+            adam_step(write_grads([gen, trunk], grads), st, 1e-3, 0.9, 0.999, 1e-8)
         assert list(st) == ["trunk"] and gen.params["gen.a"].data[0] == 1.0
 
     def test_block_state_of_another_dtype_names_block_and_moves_nothing(self):
@@ -278,16 +267,8 @@ class TestAdam:
         st = {"trunk": AdamState(1, np.float64)}
         grads = [np.array([0.5], np.float32)] * 2
         with pytest.raises(TrainingError, match=r"'trunk' has shape \(1,\) and dtype float64, block has \(1,\) and float32"):
-            adam_step([gen, trunk], grads, st, 1e-3, 0.9, 0.999, 1e-8)
+            adam_step(write_grads([gen, trunk], grads), st, 1e-3, 0.9, 0.999, 1e-8)
         assert list(st) == ["trunk"] and gen.flat[0] == 1.0 and st["trunk"].t == 0
-
-    def test_gradient_of_another_dtype_names_block_and_moves_nothing(self):
-        # a float64 gradient for a float32 block means a rule leaked float64 into the sweep
-        gen = make_block("gen", {"gen.a": [1.0]}, np.float32)
-        st = {}
-        with pytest.raises(TrainingError, match="gradient for block 'gen' has dtype float64, block has float32"):
-            adam_step([gen], [np.array([0.5])], st, 1e-3, 0.9, 0.999, 1e-8)
-        assert st == {} and gen.flat[0] == 1.0
 
     @pytest.mark.parametrize("lr, epsilon, what", [
         # at t = 1, alpha' = alpha_t * (1 - 0.5) / sqrt(1 - 0.999) is lr, eps' = eps_hat / sqrt(1 - 0.999) is
@@ -301,14 +282,14 @@ class TestAdam:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingError) as err:
-                adam_step([trunk, gen], [np.array([0.5], np.float32)] * 2, st, lr, 0.5, 0.999, epsilon)
+                adam_step(write_grads([trunk, gen], [np.array([0.5], np.float32)] * 2), st, lr, 0.5, 0.999, epsilon)
         assert str(err.value) == f"Adam step for block 'trunk' at rate {lr!r}: {what} does not fit float32 (largest 3.40282e+38)"
         assert st == {} and trunk.flat[0] == gen.flat[0] == 1.0
         # float64 holds both
-        adam_step([make_block("gen", {"gen.a": [1.0]})], [np.array([0.5])], st, lr, 0.5, 0.999, epsilon)
+        adam_step(write_grads([make_block("gen", {"gen.a": [1.0]})], [np.array([0.5])]), st, lr, 0.5, 0.999, epsilon)
         assert st["gen"].t == 1
         # float64 holds every one of these
-        adam_step([make_block("gen", {"gen.a": [1.0]})], [np.array([0.5])], {}, lr, 0.5, 0.999, epsilon)
+        adam_step(write_grads([make_block("gen", {"gen.a": [1.0]})], [np.array([0.5])]), {}, lr, 0.5, 0.999, epsilon)
 
     def test_a_rate_whose_step_bound_float32_cannot_hold_is_refused_and_moves_nothing(self):
         # lr = 1e39: alpha_t fits float32, but once the ratio m~ / sqrt(v~) reached 1 the step would not
@@ -317,7 +298,7 @@ class TestAdam:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingError) as err:
-                adam_step([trunk, gen], [np.array([0.5], np.float32)] * 2, st, 1e39, 0.5, 0.999, 1e-8)
+                adam_step(write_grads([trunk, gen], [np.array([0.5], np.float32)] * 2), st, 1e39, 0.5, 0.999, 1e-8)
         assert str(err.value) == "Adam step for block 'trunk' at rate 1e+39: step bound = 2e+39 does not fit float32 (largest 3.40282e+38)"
         assert st == {} and trunk.flat[0] == gen.flat[0] == 1.0
 
@@ -338,14 +319,14 @@ class TestAdam:
             warnings.simplefilter("error")
             for t, g in enumerate([(b1 / b2) ** 2, b1 / b2, 1.0], start=1):
                 block.flat[0] = 0.0
-                adam_step([block], [np.array([g], np.float32)], st, lr, b1, b2, eps)
+                adam_step(write_grads([block], [np.array([g], np.float32)]), st, lr, b1, b2, eps)
                 assert np.isfinite(block.flat).all()
         assert -float(block.flat[0]) == pytest.approx(0.5 * bound(3, lr), rel=1e-5)
 
     def test_fresh_state_takes_the_block_dtype(self):
         for dtype in (np.float32, np.float64):
             st = {}
-            adam_step([make_block("gen", {"gen.a": [1.0]}, dtype)], [np.array([0.5], dtype)], st, 1e-3, 0.9, 0.999, 1e-8)
+            adam_step(write_grads([make_block("gen", {"gen.a": [1.0]}, dtype)], [np.array([0.5], dtype)]), st, 1e-3, 0.9, 0.999, 1e-8)
             assert st["gen"].m.dtype == st["gen"].v.dtype == dtype
         assert AdamState(2).m.dtype == np.float32
 
@@ -652,11 +633,9 @@ class TestBlockGradBuffers:
             want = _concatenated_block_grads(tape, root, blocks)
             for block in blocks:
                 block.grad[...] = np.nan
-            got = block_grads(tape, root, blocks)
-            assert all(g is block.grad for g, block in zip(got, blocks))
-            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], [block.name for block in blocks]
+            block_grads(tape, root, blocks)
+            assert [block.grad.tobytes() for block in blocks] == [w.tobytes() for w in want], [block.name for block in blocks]
             sweeps.append(tuple(block.name for block in blocks))
-            return got
 
         monkeypatch.setattr(trainer, "_block_grads", checked)
         inputs = TestTrainStep._step_inputs(cfg)
@@ -675,7 +654,8 @@ class TestBlockGradBuffers:
             with autodiff.Tape() as tape:
                 loss = autodiff.reduce_mean(disc_forward(model, autodiff.Tensor(real.astype(model.dtype))))
                 want = _concatenated_block_grads(tape, loss, blocks)
-                trunk, q_head = trainer._block_grads(tape, loss, blocks)
+                trainer._block_grads(tape, loss, blocks)
+            trunk, q_head = (block.grad for block in blocks)
             assert trunk.tobytes() == want[0].tobytes()
             assert q_head.tobytes() == np.zeros_like(q_head).tobytes()
 
@@ -710,9 +690,9 @@ def _dtype_oracle(monkeypatch, want):
     return leaks
 
 
-def _lrelu_float64_mask(g, h, rate):
+def _lrelu_float64_mask(g, h):
     # the lrelu backward as it once was: a bool mask against a Python float rate promotes to float64
-    return g * np.maximum(h > 0.0, rate)
+    return g * np.maximum(h > 0.0, autodiff.LRELU_RATE)
 
 
 CODE_FAMILIES = {"categorical": CodeBlock.categorical(4), "uniform": CodeBlock.uniform(-1.0, 1.0), "gaussian": CodeBlock.gaussian(0.0, 1.0, 2)}
