@@ -3,11 +3,15 @@
 The rules read the syntax tree only (stdlib ``ast``), so they catch what a
 deletion leaves behind: an import whose last use went, a module-level
 ``_helper`` that nothing calls any more, or a public name that nothing
-reads but the package's re-exports. A last check keeps the op count that
-the docs state equal to the catalogue's.
+reads but the package's re-exports. A check keeps the op count that the
+docs state equal to the catalogue's, and a last one pins how many
+parameters the package's public functions and classes take, so a change
+that adds an option has to move the pin and say so.
 """
 
 import ast
+import importlib
+import inspect
 import pathlib
 import re
 
@@ -111,3 +115,23 @@ def test_docs_state_the_catalogue_size():
     docstring = re.findall(r"(\d+)\s+ops\b", autodiff.__doc__)
     assert readme and docstring
     assert {int(n) for n in readme + docstring} == {len(autodiff.OP_CATALOGUE)}
+
+
+# the parameters of every public function and non-exception class each module defines, self excluded;
+# a dataclass counts its fields. Move this pin, and name the option, when a change adds or removes one.
+PUBLIC_PARAMETERS = 256
+
+
+def public_parameter_count() -> int:
+    count = 0
+    for module in (importlib.import_module(f"infogan_lab.{name[:-3]}") for name in TREES if name != "__init__.py"):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) or (inspect.isclass(obj) and not issubclass(obj, BaseException)):
+                count += sum(p != "self" for p in inspect.signature(obj).parameters)
+    return count
+
+
+def test_public_parameter_count_is_pinned():
+    assert public_parameter_count() == PUBLIC_PARAMETERS
