@@ -1,5 +1,6 @@
 """Tensor engine: forward values, backward rules, and the gradient checker."""
 
+import inspect
 import itertools
 import math
 import re
@@ -426,10 +427,15 @@ _DTYPES = [pytest.param(np.float64, id="float64"), pytest.param(np.float32, id="
 class TestEpilogueEdges:
     """Each activation epilogue at +-0, +-inf, NaN and subnormals, bitwise against its reference form."""
 
-    @pytest.mark.parametrize("dtype", _DTYPES)
-    def test_lrelu_bitwise_equal_to_where_forms(self, dtype):
-        # in float32 the where forms read the rate as float32 too, as a float32 array reads a Python float
-        rate = ad.LRELU_RATE
+    @pytest.mark.parametrize(
+        "rate, dtype",
+        [pytest.param(rate, dtype, id=f"{rate}{suffix}")
+         for dtype, suffix in ((np.float64, ""), (np.float32, "-float32")) for rate in (0.01, 0.1, 0.2, 0.3, 0.7)],
+    )
+    def test_lrelu_bitwise_equal_to_where_forms(self, monkeypatch, rate, dtype):
+        # the masks hold for any leak in (0, 1), as LRELU_RATE's comment states; 0.1 is the one in use.
+        # In float32 the where forms read the rate as float32 too, as a float32 array reads a Python float
+        monkeypatch.setattr(ad, "LRELU_RATE", rate)
         x, g = _edge_inputs(dtype)
         out, dx = _run_epilogue(x, g, "lrelu")
         assert out.dtype == dx.dtype == dtype
@@ -469,9 +475,10 @@ class TestEpilogueEdges:
         assert state.running_mean.tolist() == [0.0, 0.0]
 
 
-def _fused_and_unfused(op, act, rng):
+def _fused_and_unfused(op, act, rng, leak=0.1):
     """op's output and input gradients with the epilogue ``act`` folded in, and the same computed by
-    hand: the op without it, the epilogue's forward expression, the epilogue's backward expression."""
+    hand: the op without it, the epilogue's forward expression (an lrelu of ``leak``), the epilogue's
+    backward expression."""
     if op == "linear":
         inputs = [Tensor(rng.normal(0, 1, s)) for s in ((6, 4), (4, 3), (3,))]
         run = lambda *a: ad.linear(*inputs, *a)  # noqa: E731
@@ -484,9 +491,9 @@ def _fused_and_unfused(op, act, rng):
         fused = (out.data, tape.backward(out, inputs, g))
     with Tape() as tape:
         h = run()
-        y = {"relu": lambda: np.maximum(h.data, 0.0), "lrelu": lambda: np.maximum(h.data, 0.1 * h.data),
+        y = {"relu": lambda: np.maximum(h.data, 0.0), "lrelu": lambda: np.maximum(h.data, leak * h.data),
              "sigmoid": lambda: 1.0 / (1.0 + np.exp(-h.data))}[act]()
-        gh = {"relu": lambda: g * (h.data > 0.0), "lrelu": lambda: g * np.maximum(h.data > 0.0, 0.1),
+        gh = {"relu": lambda: g * (h.data > 0.0), "lrelu": lambda: g * np.maximum(h.data > 0.0, leak),
               "sigmoid": lambda: g * y * (1.0 - y)}[act]()
         unfused = (y, tape.backward(h, inputs, gh))
     return fused, unfused
@@ -496,6 +503,16 @@ def _fused_and_unfused(op, act, rng):
 @pytest.mark.parametrize("op", ["linear", "batchnorm_train", "batchnorm_eval"])
 def test_a_folded_epilogue_is_the_op_then_the_activation_bit_for_bit(op, act):
     (out, grads), (ref_out, ref_grads) = _fused_and_unfused(op, act, np.random.default_rng(12))
+    assert out.tobytes() == ref_out.tobytes()
+    assert [gi.tobytes() for gi in grads] == [gi.tobytes() for gi in ref_grads]
+
+
+@pytest.mark.parametrize("op", ["linear", "batchnorm_train", "batchnorm_eval"])
+def test_every_folded_lrelu_reads_the_one_leak(monkeypatch, op):
+    # no op takes a rate of its own: a folded lrelu reads LRELU_RATE, forward and backward, when it runs
+    assert "rate" not in inspect.signature(ad.linear if op == "linear" else ad.batchnorm).parameters
+    monkeypatch.setattr(ad, "LRELU_RATE", 0.3)
+    (out, grads), (ref_out, ref_grads) = _fused_and_unfused(op, "lrelu", np.random.default_rng(13), leak=0.3)
     assert out.tobytes() == ref_out.tobytes()
     assert [gi.tobytes() for gi in grads] == [gi.tobytes() for gi in ref_grads]
 

@@ -77,6 +77,15 @@ class TestIdxLoader:
         assert got.dtype == np.float32 and got.tobytes() == f64.astype(np.float32).tobytes()
         assert data_io.float_pixels(f64, np.float64) is f64
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["to-float32", "to-float64"])
+    @pytest.mark.parametrize("given", [np.float16, np.float32, np.float64], ids=["float16", "float32", "float64"])
+    def test_float_pixels_of_any_float_dtype_are_astype_in_the_dtype_asked_for(self, given, dtype):
+        # every accepted input comes out in ``dtype``; only an array already in it is returned as it is
+        pixels = np.random.default_rng(6).random((4, 5)).astype(given)
+        got = data_io.float_pixels(pixels, dtype)
+        assert got.dtype == dtype and got.tobytes() == pixels.astype(dtype).tobytes()
+        assert (got is pixels) == (given is dtype)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_float_pixels_in_a_dtype_are_the_float64_quotients_rounded_once(self, dtype):
         # a quotient rounded once to float32 must equal the float64 quotient rounded again, for every byte

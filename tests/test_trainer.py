@@ -251,6 +251,25 @@ class TestAdam:
             adam_step(write_grads([block], [g]), {}, 1e-3, 0.9, 0.999, 1e-8)
         np.testing.assert_array_equal(block.flat, np.ones(9))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("cfg", [TrainingConfig(), _MNIST_SHAPE_CFG], ids=["default", "mnist-shape"])
+    def test_each_block_gradient_buffer_has_the_block_layout_shape_and_dtype(self, cfg, dtype):
+        # adam_step reads block.grad unchecked: it must be the flat vector's shape and dtype, and each
+        # parameter's gradient view must sit where that parameter's view sits in the flat vector
+        from infogan_lab.models import init_models
+
+        gen_cfg, dq_cfg = cfg.net_configs()
+        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rng_streams(cfg.seed)["init"], dtype)
+        for block in model.blocks.values():
+            assert block.grad.shape == block.flat.shape and block.grad.dtype == block.flat.dtype == dtype
+            assert block.grad.flags["C_CONTIGUOUS"] and not np.shares_memory(block.grad, block.flat)
+            assert list(block.grad_views) == list(block.params)
+            for name, view in block.grad_views.items():
+                param = block.params[name].data
+                assert view.shape == param.shape and view.dtype == dtype and view.base is block.grad
+                offset = (view.__array_interface__["data"][0] - block.grad.__array_interface__["data"][0])
+                assert offset == param.__array_interface__["data"][0] - block.flat.__array_interface__["data"][0]
+
     def test_misshapen_block_state_names_block_and_moves_nothing(self):
         gen, trunk = make_block("gen", {"gen.a": [1.0]}), make_block("trunk", {"trunk.a": [1.0], "trunk.b": [2.0]})
         st = {"trunk": AdamState(3, np.float64)}
