@@ -32,7 +32,9 @@ input gradients (``None`` for the rest). ``out`` holds one destination per
 input, an array the sweep owns or None: a rule may write that input's
 gradient into it and return it (``linear`` writes its weight and bias
 gradients, ``batchnorm`` its scale and shift gradients), or return a fresh
-array, which the sweep copies in. A sweep given destinations for its
+array, which the sweep copies in. The sweep alone places and checks these
+gradients: one of another dtype than its destination is refused
+(``UsageError``, naming the op), never cast. A sweep given destinations for its
 ``wrt`` tensors (``Tape.backward``'s ``out``: in training, the views of a
 block's gradient buffer) fills them without a concatenation or a per-step
 allocation.
@@ -209,7 +211,8 @@ class Tape:
     Nodes are stored in execution order, so every node's inputs precede it
     and a single reverse sweep implements the chain rule. ``backward`` may
     be called several times with different roots, cotangents and ``wrt`` lists
-    on the same tape; each call returns fresh gradients and stores nothing.
+    on the same tape. A call stores nothing on the tape: it returns fresh
+    gradients, or writes them into the destinations its ``out`` names.
 
     A tape records once: leaving its ``with`` block closes it and drops its
     nodes, so tensors that still point at it (the step's loss tensors) do not
@@ -266,8 +269,11 @@ class Tape:
         gradient and is returned in its place. The first rule to reach the
         tensor writes into it (or its result is copied in), a later one on
         fan-out is added into it in place, and a tensor no rule reached has
-        zeros written into it. The bits are those of a sweep without ``out``. A
-        gradient of another dtype than its destination is returned as is.
+        zeros written into it. The bits are those of a sweep without ``out``.
+        A rule whose gradient is not of its destination's dtype raises
+        ``UsageError``, naming the op, before that destination is written, so
+        a rule's dtype leak is never cast away; so does a tensor listed twice
+        with two different destinations.
         """
         if self.nodes is None:
             raise UsageError("backward: the tape is closed (its with block has exited)")
@@ -287,14 +293,18 @@ class Tape:
         if out is not None:
             if len(out) != len(wrt):
                 raise UsageError(f"backward: {len(out)} destinations for {len(wrt)} wrt tensors")
-            for name, t, d in zip(wrt_names, wrt, out):
+            for i, (name, t, d) in enumerate(zip(wrt_names, wrt, out)):
                 if d is not None:
                     if (d.shape, d.dtype) != (t.shape, t.data.dtype):
                         raise UsageError(
                             f"backward: a destination of shape {d.shape} and dtype {d.dtype} for a wrt tensor "
                             f"of shape {t.shape} and dtype {t.data.dtype}"
                         )
-                    dests.setdefault(name, d)
+                    if dests.setdefault(name, d) is not d:
+                        raise UsageError(f"backward: wrt tensor {i} repeats an earlier one with another destination")
+        if (d := dests.get(root.node)) is not None:  # the root is a wrt tensor: its gradient is the seed
+            np.copyto(d, seed)
+            seed = d
         live = set(wrt_names)
         for nid in range(root.node + 1):
             if not live.isdisjoint(self.nodes[nid].inputs):
@@ -306,32 +316,26 @@ class Tape:
             node = self.nodes[nid]
             need = tuple(name in live for name in node.inputs)
             outs = _destinations(node.inputs, dests, grads) if dests else (None,) * len(node.inputs)
-            for name, needed, gi, o in zip(node.inputs, need, _OPS[node.op][1](g, node, need, outs), outs):
-                if needed:
-                    acc = grads.get(name)
-                    if acc is None:
-                        grads[name] = _into(o, gi)
-                    elif acc is dests.get(name) and gi.dtype == acc.dtype:  # in place: the bits of acc + gi
-                        acc += gi
-                    else:
-                        grads[name] = acc + gi
-        result = []
-        for name, t, d in zip(wrt_names, wrt, out if out is not None else [None] * len(wrt)):
-            gi = grads.get(name)
-            if gi is None and d is not None:  # no rule reached it
+            for name, needed, gi in zip(node.inputs, need, _OPS[node.op][1](g, node, need, outs)):
+                if not needed:
+                    continue
+                acc, d = grads.get(name), dests.get(name)
+                if d is not None and gi.dtype != d.dtype:
+                    raise UsageError(f"backward: the {node.op} rule gave a {gi.dtype} gradient for a {d.dtype} destination")
+                if acc is None:
+                    if d is not None and gi is not d:  # a fresh result: the destination takes its bits
+                        np.copyto(d, gi)
+                        gi = d
+                    grads[name] = gi
+                elif acc is d:  # fan-out into a destination, in place: the bits of acc + gi
+                    acc += gi
+                else:
+                    grads[name] = acc + gi
+        for name, d in dests.items():
+            if name not in grads:  # no rule reached it
                 d.fill(0.0)
-                gi = d
-            result.append(np.zeros_like(t.data) if gi is None else _into(d, gi))
-        return result
-
-
-def _into(d, gi):
-    """``gi`` held in the destination ``d``: written there unless it is already there; ``gi`` itself without a
-    destination, or where its dtype is not ``d``'s (a gradient is never cast, so a rule's dtype leak shows)."""
-    if d is None or gi is d or gi.dtype != d.dtype:
-        return gi
-    np.copyto(d, gi)
-    return d
+                grads[name] = d
+        return [grads[name] if name in grads else np.zeros_like(t.data) for name, t in zip(wrt_names, wrt)]
 
 
 def _destinations(inputs, dests, grads) -> tuple:

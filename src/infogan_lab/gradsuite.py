@@ -171,8 +171,7 @@ def full_loss_graph_check(n_seeds: int = 100, base_seed: int = 99) -> float:
             loss_d = discriminator_loss(d_real, d_fake)
             loss_g = generator_loss(d_fake, "nonsaturating")
             li_disc, li_cont = mi_lower_bound(q, lat)
-            bundle = infogan_losses(loss_d, loss_g, li_disc, li_cont, 1.0, 0.1)
-            return ad.weighted_sum([bundle.loss_d, bundle.gq_objective], (1.0, 1.0))
+            return ad.weighted_sum([loss_d, infogan_losses(loss_g, li_disc, li_cont, 1.0, 0.1)], (1.0, 1.0))
 
         params = list(model.params.values())
         worst = max(worst, grad_check(loss, params, GRAD_STEP))

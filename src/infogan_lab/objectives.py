@@ -54,17 +54,16 @@ def _bound(lq: Tensor | None, h: float) -> Tensor:
 
 @dataclass
 class LossBundle:
-    """Scalar loss terms of one step, plus the generator/recognition objective.
+    """Scalar loss terms of one step: the D loss, the G loss and the two parts of the bound L_I.
 
-    ``loss_d`` is what the discriminator step minimizes;
-    ``gq_objective`` is loss_G - lambda_disc*L_I_disc - lambda_cont*L_I_cont.
+    ``loss_d`` is what the discriminator step minimizes; the generator's
+    objective is ``infogan_losses`` of the other three.
     """
 
     loss_d: Tensor
     loss_g: Tensor
     li_disc: Tensor
     li_cont: Tensor
-    gq_objective: Tensor
 
     def as_floats(self) -> dict[str, float]:
         return {
@@ -75,17 +74,13 @@ class LossBundle:
         }
 
 
-def infogan_losses(
-    loss_d: Tensor,
-    loss_g: Tensor,
-    li_disc: Tensor,
-    li_cont: Tensor,
-    lambda_disc: float,
-    lambda_cont: float,
-) -> LossBundle:
-    """Combine plain GAN losses with the information terms (lambda >= 0)."""
+def infogan_losses(loss_g: Tensor, li_disc: Tensor, li_cont: Tensor, lambda_disc: float, lambda_cont: float) -> Tensor:
+    """The generator/recognition objective loss_G - lambda_disc*L_I_disc - lambda_cont*L_I_cont (lambda >= 0).
+
+    The paper's min_G,Q V(D, G) - lambda*L_I(G, Q) on the generator's side:
+    the D loss plays no part in it.
+    """
     if lambda_disc < 0.0 or lambda_cont < 0.0:
         raise UsageError(f"lambda must be >= 0, got disc={lambda_disc}, cont={lambda_cont}")
-    gq = ad.weighted_sum([loss_g, li_disc, li_cont], (1.0, -lambda_disc, -lambda_cont))
-    return LossBundle(loss_d=loss_d, loss_g=loss_g, li_disc=li_disc, li_cont=li_cont, gq_objective=gq)
+    return ad.weighted_sum([loss_g, li_disc, li_cont], (1.0, -lambda_disc, -lambda_cont))
 

@@ -15,10 +15,13 @@ Each clock block (``gen``, ``trunk``, ``d_head``, ``q_head``) is one flat
 vector whose parameters are views into it (``models.ParamBlock``), and it
 owns a gradient buffer of the same layout. One reverse sweep per loss
 writes each block's gradient into its buffer, and Adam reads each block's
-buffer itself. Adam keeps one state per block under the block's name,
-created on the block's first step: flat scaled moments ``m`` and ``v``
-(m/(1-beta1) and v/(1-beta2)) and a single step count ``t``. The update is
-Kingma and Ba's folded step (arXiv 1412.6980, Sec. 2) on those moments:
+buffer itself. The sweep refuses a gradient that a rule gave in another
+dtype than its buffer's (``autodiff.UsageError``, naming the rule) before
+it writes it, so no block steps on a cast gradient. Adam keeps one state
+per block under the block's name, stored on the block's first step: flat
+scaled moments ``m`` and ``v`` (m/(1-beta1) and v/(1-beta2)) and a single
+step count ``t``. The update is Kingma and Ba's folded step (arXiv
+1412.6980, Sec. 2) on those moments:
 ten elementwise numpy calls with one divide before one scale, ending in
 one ``flat -= step``, run over slices of at most ``ADAM_SLICE`` elements and
 bitwise-equal to the per-parameter formula; before it, one read-only dot
@@ -132,8 +135,8 @@ def adam_step(
     ``_block_grads`` writes), of the block's size and dtype; it is only read.
     Works one block at a time, in slices of at most ``ADAM_SLICE`` elements,
     in the block's dtype.
-    ``states[block.name]`` is the block's state, created on its first step;
-    other entries are never read.
+    ``states[block.name]`` is the block's state, stored on its first step
+    once every block has passed its checks; other entries are never read.
 
     Every block is checked before any is updated, so a non-finite gradient
     entry (named by the parameter whose view holds the first), a block state
@@ -148,10 +151,10 @@ def adam_step(
     bound is on one step: a parameter can still leave the dtype's range
     over many.
     """
-    folded = []  # each block's (alpha', eps') at its next step
+    folded = []  # each block's state and its (alpha', eps') at the state's next step
     for block in blocks:
-        st = states.get(block.name)
-        t = 1 if st is None else st.t + 1
+        st = states[block.name] if block.name in states else AdamState(block.flat.shape, block.flat.dtype)
+        t = st.t + 1
         root, scale = math.sqrt(1.0 - beta2**t), math.sqrt(1.0 - beta2)
         alpha_t, eps_hat = lr * root / (1.0 - beta1**t), epsilon * root
         alpha_p, eps_p = alpha_t * (1.0 - beta1) / scale, eps_hat / scale
@@ -167,8 +170,8 @@ def adam_step(
                     f"Adam step for block '{block.name}' at rate {lr!r}: {what} = {value:g}{of} "
                     f"does not fit {block.flat.dtype} (largest {big:g})"
                 )
-        folded.append((alpha_p, eps_p))
-        if st is not None and (st.m.shape, st.m.dtype) != (block.flat.shape, block.flat.dtype):
+        folded.append((st, alpha_p, eps_p))
+        if (st.m.shape, st.m.dtype) != (block.flat.shape, block.flat.dtype):
             raise TrainingError(
                 f"Adam state for block '{block.name}' has shape {st.m.shape} and dtype {st.m.dtype}, "
                 f"block has {block.flat.shape} and {block.flat.dtype}"
@@ -184,10 +187,8 @@ def adam_step(
             ends = np.cumsum([p.data.size for p in block.params.values()])
             bad = list(block.params)[np.searchsorted(ends, np.flatnonzero(~np.isfinite(g))[0], side="right")]
             raise TrainingError(f"non-finite gradient for parameter '{bad}'")
-    for block, (alpha_p, eps_p) in zip(blocks, folded):
-        g, st = block.grad, states.get(block.name)
-        if st is None:
-            st = states[block.name] = AdamState(g.shape, block.flat.dtype)
+    for block, (st, alpha_p, eps_p) in zip(blocks, folded):
+        g, states[block.name] = block.grad, st
         st.t += 1
         # one scratch row, so the block's gradient is left as it was
         scratch = np.empty(min(g.size, ADAM_SLICE), dtype=block.flat.dtype)
@@ -258,16 +259,11 @@ class MetricsTrace:
 def _block_grads(tape: Tape, root: Tensor, blocks: list[ParamBlock]) -> None:
     """One sweep over every block's parameters, written into each block's gradient buffer ``grad``.
 
-    A buffer holds its gradient until the block's next sweep. A gradient
-    that a rule leaked into another dtype is not cast into its buffer: it
-    raises ``TrainingError``, naming the block.
+    A buffer holds its gradient until the block's next sweep. The sweep
+    checks every gradient it writes (``Tape.backward``'s ``out``).
     """
     params = [t for block in blocks for t in block.params.values()]
-    grads = iter(tape.backward(root, params, out=[v for block in blocks for v in block.grad_views.values()]))
-    for block in blocks:
-        for view in block.grad_views.values():
-            if (gi := next(grads)) is not view:
-                raise TrainingError(f"gradient for block '{block.name}' has dtype {gi.dtype}, block has {view.dtype}")
+    tape.backward(root, params, out=[v for block in blocks for v in block.grad_views.values()])
 
 
 def d_step(model: ModelPair, real_images: np.ndarray, cfg: TrainingConfig, latent_rng, adam_states) -> Tensor:
@@ -290,8 +286,8 @@ def d_step(model: ModelPair, real_images: np.ndarray, cfg: TrainingConfig, laten
     return loss_d
 
 
-def gq_step(model: ModelPair, loss_d: Tensor, cfg: TrainingConfig, batch: int, latent_rng, adam_states) -> LossBundle:
-    """Generator/recognition update on a fresh latent sample.
+def gq_step(model: ModelPair, cfg: TrainingConfig, batch: int, latent_rng, adam_states) -> tuple[Tensor, Tensor, Tensor]:
+    """Generator/recognition update on a fresh latent sample; returns ``(loss_g, li_disc, li_cont)``.
 
     The generator descends loss_G - lambda*L_I (rate lr_g); the trunk and Q
     head ascend L_I itself (rate lr_d). The D head is untouched.
@@ -303,13 +299,12 @@ def gq_step(model: ModelPair, loss_d: Tensor, cfg: TrainingConfig, batch: int, l
         d_fake, q = disc_q_forward(model, fake, training=True)
         loss_g = generator_loss(d_fake, cfg.gan_mode)
         li_disc, li_cont = mi_lower_bound(q, lat)
-        bundle = infogan_losses(loss_d, loss_g, li_disc, li_cont, cfg.lambda_disc, cfg.lambda_cont)
-        _block_grads(tape, bundle.gq_objective, gen)
+        _block_grads(tape, infogan_losses(loss_g, li_disc, li_cont, cfg.lambda_disc, cfg.lambda_cont), gen)
         # the Q side ascends L_I: descend -(L_I_disc + L_I_cont)
         _block_grads(tape, ad.weighted_sum([li_disc, li_cont], (-1.0, -1.0)), q_side)
     adam_step(gen, adam_states, cfg.lr_g, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
     adam_step(q_side, adam_states, cfg.lr_d, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
-    return bundle
+    return loss_g, li_disc, li_cont
 
 
 def train_step(
@@ -326,14 +321,16 @@ def train_step(
     bytes, which ``d_step`` converts to the model's dtype
     (``data_io.float_pixels``: bytes are scaled by 1/255 in that dtype).
     Any other integer or bool dtype raises ``TrainingError``. So does a loss
-    that is not finite, and an op evaluated outside its domain.
+    that is not finite, and an op evaluated outside its domain. A rule that
+    gives a gradient of another dtype than its block's raises
+    ``autodiff.UsageError``, naming the rule, before that block steps.
     """
     if real_images.dtype.kind in "biu" and real_images.dtype != np.uint8:
         raise TrainingError(f"real images must be uint8 or floats in [0, 1], got dtype {real_images.dtype}")
     where = f" at iteration {iteration}" if iteration is not None else ""
     try:
         loss_d = d_step(model, real_images, cfg, latent_rng, adam_states)
-        bundle = gq_step(model, loss_d, cfg, real_images.shape[0], latent_rng, adam_states)
+        bundle = LossBundle(loss_d, *gq_step(model, cfg, real_images.shape[0], latent_rng, adam_states))
     except ad.DomainError as err:  # a value outside an op's domain, such as a NaN log sigma from diverged weights
         raise TrainingError(f"{err}{where}") from err
     values = bundle.as_floats()

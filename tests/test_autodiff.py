@@ -856,66 +856,85 @@ class TestMaskedRules:
 
 
 class TestBackwardDestinations:
-    """``Tape.backward``'s ``out``: each gradient lands in its destination with the bits of a sweep without one."""
+    """``Tape.backward``'s ``out``: each gradient lands in its destination with the bits of a sweep without one.
 
-    def test_fan_out_accumulates_in_the_destination_with_the_bits_of_the_plain_sweep(self):
+    Each runs in float64, the dtype of the gradient checks, and in float32, the dtype of the training buffers.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_fan_out_accumulates_in_the_destination_with_the_bits_of_the_plain_sweep(self, dtype):
         rng = np.random.default_rng(6)
-        x, w, b = Tensor(rng.normal(0, 1, (5, 3))), Tensor(rng.normal(0, 1, (3, 3))), Tensor(rng.normal(0, 1, 3))
+        x, w, b = (Tensor(rng.normal(0, 1, s).astype(dtype)) for s in ((5, 3), (3, 3), 3))
         with Tape() as tape:
-            # w and b feed two linear ops, and the second reads the first's output
+            # w and b feed two linear ops, and the second reads the first's output; the root's own
+            # gradient is the seed
             root = ad.reduce_mean(ad.linear(ad.linear(x, w, b, "lrelu"), w, b, "sigmoid"))
-            plain = tape.backward(root, [w, b, x])
-            dests = [np.full(w.shape, np.nan), np.full(b.shape, np.nan), None]
-            got = tape.backward(root, [w, b, x], out=dests)
-        assert got[0] is dests[0] and got[1] is dests[1]
+            plain = tape.backward(root, [w, b, x, root])
+            dests = [np.full(w.shape, np.nan, dtype), np.full(b.shape, np.nan, dtype), None, np.full((), np.nan, dtype)]
+            got = tape.backward(root, [w, b, x, root], out=dests)
+        assert got[0] is dests[0] and got[1] is dests[1] and got[3] is dests[3]
+        assert {a.dtype for a in plain} == {np.dtype(dtype)}
         assert [a.tobytes() for a in got] == [a.tobytes() for a in plain]
 
-    def test_an_input_named_twice_by_one_op_adds_into_its_destination(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_an_input_named_twice_by_one_op_adds_into_its_destination(self, dtype):
         # batchnorm writes its scale and shift gradients into their destinations: one tensor as both
         # gets its destination at the first place only, and the second gradient is added into it
         rng = np.random.default_rng(7)
-        x, p = Tensor(rng.normal(0, 1, (5, 3))), Tensor(rng.normal(1, 0.5, 3))
+        x, p = Tensor(rng.normal(0, 1, (5, 3)).astype(dtype)), Tensor(rng.normal(1, 0.5, 3).astype(dtype))
         for build in (lambda: ad.weighted_sum([p, p], (2.0, 3.0)),
-                      lambda: ad.batchnorm(x, p, p, BatchNormState(3), True, "relu")):
+                      lambda: ad.batchnorm(x, p, p, BatchNormState(3, dtype), True, "relu")):
             with Tape() as tape:
                 root = ad.reduce_mean(build())
                 (plain,) = tape.backward(root, [p])
-                d = np.full(3, np.nan)
+                d = np.full(3, np.nan, dtype)
                 (got,) = tape.backward(root, [p], out=[d])
-            assert got is d and d.tobytes() == plain.tobytes()
+            assert got is d and plain.dtype == dtype and d.tobytes() == plain.tobytes()
 
-    def test_a_tensor_no_rule_reached_gets_zeros_written_into_its_destination(self):
-        x, other = Tensor(np.ones((2, 2))), Tensor(np.ones(3))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_tensor_no_rule_reached_gets_zeros_written_into_its_destination(self, dtype):
+        x, other = Tensor(np.ones((2, 2), dtype)), Tensor(np.ones(3, dtype))
         with Tape() as tape:
             root = ad.reduce_mean(x)
-            d = np.full(3, np.nan)
+            d = np.full(3, np.nan, dtype)
             _, got = tape.backward(root, [x, other], out=[None, d])
         assert got is d
         np.testing.assert_array_equal(d, np.zeros(3))
 
-    def test_a_gradient_of_another_dtype_is_returned_as_is(self, monkeypatch):
-        # a rule that leaks float64 for a float32 input is never cast into its destination
-        forward, backward = ad._OPS["reduce_mean"]
-        monkeypatch.setitem(ad._OPS, "reduce_mean", (forward, lambda g, node, need, out: [
-            gi.astype(np.float64) for gi in backward(g, node, need, out)]))
-        x = Tensor(np.ones(3, np.float32))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("fan_out", [False, True])
+    def test_a_gradient_of_another_dtype_is_refused_naming_its_rule(self, monkeypatch, dtype, fan_out):
+        # a rule that leaks the other dtype is refused before its gradient is written, never cast: on the
+        # first reach its destination stays unwritten, and on fan-out it keeps what earlier places wrote
+        other = np.dtype(np.float64 if dtype == np.float32 else np.float32)
+        forward, backward = ad._OPS["weighted_sum"]
+        monkeypatch.setitem(ad._OPS, "weighted_sum", (forward, lambda g, node, need, out: [
+            gi if fan_out and i == 0 else gi.astype(other) for i, gi in enumerate(backward(g, node, need, out))]))
+        x = Tensor(np.ones(3, dtype))
         with Tape() as tape:
-            root = ad.reduce_mean(x)
-            d = np.full(3, np.nan, np.float32)
-            (got,) = tape.backward(root, [x], out=[d])
-        assert got is not d and got.dtype == np.float64 and np.isnan(d).all()
+            root = ad.reduce_mean(ad.weighted_sum([x, x], (2.0, 3.0)) if fan_out else ad.weighted_sum([x], (2.0,)))
+            d = np.full(3, np.nan, dtype)
+            message = f"^backward: the weighted_sum rule gave a {other} gradient for a {np.dtype(dtype)} destination$"
+            with pytest.raises(UsageError, match=message):
+                tape.backward(root, [x], out=[d])
+        if fan_out:
+            assert d.tobytes() == (np.full(3, 1 / 3, dtype) * 2.0).tobytes()
+        else:
+            assert np.isnan(d).all()
 
-    @pytest.mark.parametrize("dest, message", [
-        ([np.zeros(2)], r"a destination of shape \(2,\) and dtype float64 for a wrt tensor of shape \(3,\) and dtype float64"),
-        ([np.zeros(3, np.float32)], r"a destination of shape \(3,\) and dtype float32 for a wrt tensor of shape \(3,\) and dtype float64"),
-        ([None, None], r"2 destinations for 1 wrt tensors"),
+    @pytest.mark.parametrize("n_wrt, dest, message", [
+        (1, [np.zeros(2)], r"a destination of shape \(2,\) and dtype float64 for a wrt tensor of shape \(3,\) and dtype float64"),
+        (1, [np.zeros(3, np.float32)], r"a destination of shape \(3,\) and dtype float32 for a wrt tensor of shape \(3,\) and dtype float64"),
+        (1, [None, None], r"2 destinations for 1 wrt tensors"),
+        # one destination per tensor: a second one would be left unwritten
+        (2, [np.zeros(3), np.zeros(3)], r"wrt tensor 1 repeats an earlier one with another destination"),
     ])
-    def test_a_destination_must_match_its_tensor(self, dest, message):
+    def test_a_destination_must_match_its_tensor(self, n_wrt, dest, message):
         x = Tensor(np.ones(3))
         with Tape() as tape:
             root = ad.reduce_mean(x)
             with pytest.raises(UsageError, match=message):
-                tape.backward(root, [x], out=dest)
+                tape.backward(root, [x] * n_wrt, out=dest)
 
 
 class TestGradCheck:

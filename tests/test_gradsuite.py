@@ -2,6 +2,8 @@
 
 import hashlib
 import inspect
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -74,8 +76,8 @@ def test_whole_loss_graph_across_the_config_space(gan_mode, batchnorm):
             d_fake, q = disc_q_forward(model, fake, training=True)
             loss_d = discriminator_loss(disc_forward(model, real, training=True), d_fake)
             li_disc, li_cont = mi_lower_bound(q, lat)
-            bundle = infogan_losses(loss_d, generator_loss(d_fake, gan_mode), li_disc, li_cont, 1.0, 0.1)
-            return autodiff.weighted_sum([bundle.loss_d, bundle.gq_objective], (1.0, 1.0))
+            gq_objective = infogan_losses(generator_loss(d_fake, gan_mode), li_disc, li_cont, 1.0, 0.1)
+            return autodiff.weighted_sum([loss_d, gq_objective], (1.0, 1.0))
 
         worst = max(worst, grad_check(loss, list(model.params.values()), GRAD_STEP))
     assert worst <= 1e-5
@@ -176,6 +178,19 @@ def test_one_seed_of_the_full_graph_check_costs_44_forward_ops(monkeypatch):
     calls = _count_forward_ops(monkeypatch)
     full_loss_graph_check(1)
     assert calls["n"] == 44
+
+
+def test_readme_states_the_forward_ops_of_one_seed(monkeypatch):
+    # README's "one seed of `op_grad_checks` costs N" and "one seed of `full_loss_graph_check` costs N",
+    # read the way test_docs_state_the_catalogue_size reads the op count, against the counted calls
+    readme = " ".join((pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    stated = {check: int(n) for check, n in re.findall(r"one seed of `(\w+)` costs (\d+)", readme, re.IGNORECASE)}
+    counted = {}
+    for check in (op_grad_checks, full_loss_graph_check):
+        calls = _count_forward_ops(monkeypatch)
+        check(1)
+        counted[check.__name__] = calls["n"]
+    assert stated == counted == {"op_grad_checks": 26, "full_loss_graph_check": 44}
 
 
 def test_batchnorm_train_check_folds_only_its_taped_pass(monkeypatch):

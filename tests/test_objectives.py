@@ -102,30 +102,23 @@ class TestMiLowerBound:
 
 
 class TestInfoGanLosses:
-    def _bundle(self, lam_d, lam_c, li_d=0.4, li_c=-0.2):
-        return infogan_losses(
-            Tensor(1.5), Tensor(0.7), Tensor(li_d), Tensor(li_c), lam_d, lam_c
-        )
+    def _objective(self, lam_d, lam_c, li_d=0.4, li_c=-0.2):
+        return infogan_losses(Tensor(0.7), Tensor(li_d), Tensor(li_c), lam_d, lam_c)
 
     def test_zero_lambda_reduces_to_plain_gan(self):
-        b = self._bundle(0.0, 0.0)
-        assert float(b.gq_objective) == float(b.loss_g)
+        assert float(self._objective(0.0, 0.0)) == 0.7
 
     def test_discrete_default_lambda_one(self):
-        b = self._bundle(1.0, 0.0)
-        assert abs(float(b.gq_objective) - (0.7 - 0.4)) < 1e-15
+        assert abs(float(self._objective(1.0, 0.0)) - (0.7 - 0.4)) < 1e-15
 
     def test_split_lambdas_accepted(self):
-        b = self._bundle(1.0, 10.0)
-        assert abs(float(b.gq_objective) - (0.7 - 0.4 + 2.0)) < 1e-14
+        assert abs(float(self._objective(1.0, 10.0)) - (0.7 - 0.4 + 2.0)) < 1e-14
 
     def test_linear_in_each_term_with_slope_minus_lambda(self):
         for lam in (0.3, 2.0):
-            b1 = self._bundle(lam, 0.0, li_d=1.0)
-            b2 = self._bundle(lam, 0.0, li_d=2.0)
-            slope = float(b2.gq_objective) - float(b1.gq_objective)
+            slope = float(self._objective(lam, 0.0, li_d=2.0)) - float(self._objective(lam, 0.0, li_d=1.0))
             assert abs(slope + lam) < 1e-12
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(UsageError):
-            self._bundle(-0.1, 0.0)
+            self._objective(-0.1, 0.0)

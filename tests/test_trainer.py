@@ -373,13 +373,13 @@ class TestTrainStep:
 
         gen_before = _param_hashes(model, "gen")
         q_before = _param_hashes(model, "q_head")
-        loss_d = d_step(model, ds.images[:8], cfg, rngs["latent"], states)
+        d_step(model, ds.images[:8], cfg, rngs["latent"], states)
         # the D step never modifies gen or q_head parameters
         assert _param_hashes(model, "gen") == gen_before
         assert _param_hashes(model, "q_head") == q_before
 
         d_before = _param_hashes(model, "d_head")
-        gq_step(model, loss_d, cfg, 8, rngs["latent"], states)
+        gq_step(model, cfg, 8, rngs["latent"], states)
         # the G/Q step never modifies d_head parameters
         assert _param_hashes(model, "d_head") == d_before
         assert _param_hashes(model, "gen") != gen_before
@@ -747,9 +747,11 @@ class TestTrainingDtype:
         model = init_models(*cfg.net_configs(), cfg.latent_spec(), rngs["init"])
         monkeypatch.setitem(autodiff._ACTS, "lrelu", (autodiff._ACTS["lrelu"][0], _lrelu_float64_mask))
         leaks = _dtype_oracle(monkeypatch, np.float32)
-        # the float64 gradient reaches Adam, which refuses it for the float32 trunk
-        with pytest.raises(TrainingError, match="gradient for block 'trunk' has dtype float64, block has float32"):
-            train_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], {})
+        before, states = _param_hashes(model, ""), {}
+        # the D sweep refuses the float64 gradient for the float32 trunk before it writes it, and before any Adam step
+        with pytest.raises(autodiff.UsageError, match="^backward: the linear rule gave a float64 gradient for a float32 destination$"):
+            train_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], states)
+        assert _param_hashes(model, "") == before and states == {}
         # the trunk's layers are linear ops with the lrelu folded in: their rule returns the float64 gradient
         assert ("backward", "linear", "float64") in leaks
 
