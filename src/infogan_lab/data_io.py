@@ -1,16 +1,18 @@
 """Datasets, checkpoint persistence, and image-grid emission.
 
 A ``Dataset`` holds its pixels either as ``uint8`` bytes (an IDX pair keeps
-the file's bytes, one per pixel) or as float64 values in [0, 1] (the toy
-templates, whose noisy values are not on a byte grid). ``float_pixels`` is
-the one conversion, into the dtype it is given: ``uint8`` becomes
-``pixels / 255.0`` divided in that dtype, and floats are cast to it (not
-copied where they hold it already). It runs on each drawn batch, so no
-float64 copy of a whole IDX dataset is ever made; the division is
-elementwise, so a converted batch has the same bits as the same rows of a
-converted file. ``Dataset.batch`` gives float64 pixels; the trainer's
-``d_step`` and the classifier convert a batch straight into the model's
-dtype (float32 for a trained model).
+the file's bytes, one per pixel) or as float values in [0, 1]. The toy set
+is held in the training dtype (float32): ``synth_templates`` rounds each
+pixel once, from its float64 value, as it builds the set, so a toy batch
+needs no conversion. ``float_pixels`` is the one conversion, into the dtype
+it is given: ``uint8`` becomes ``pixels / 255.0`` divided in that dtype,
+and floats are cast to it (not copied where they hold it already, as a toy
+batch in the model's dtype is). IDX bytes are thus the one stored form it
+still scales. It runs on each drawn batch, so no float64 copy of a whole
+IDX dataset is ever made; the division is elementwise, so a converted batch
+has the same bits as the same rows of a converted file. ``Dataset.batch``
+gives float64 pixels; the trainer's ``d_step`` and the classifier convert a
+batch straight into the model's dtype (float32 for a trained model).
 
 The checkpoint is a little-endian binary: the 8-byte magic ``IGAN0001``, a
 u32 format version, the run-config text, then named float64 (``<f8``)
@@ -44,6 +46,9 @@ CHECKPOINT_VERSION = 1
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
 _INT64_MAX = 2**63 - 1  # numpy's limit on one dimension and on an array's element count
+# synth_templates builds its images this many rows at a time; beside the images it holds a
+# float64 scratch of this many rows (512 KiB) for the gathered rows and a noise draw of at most as many
+SYNTH_CHUNK_ROWS = 1024
 
 
 class FormatError(ValueError):
@@ -83,10 +88,13 @@ def float_pixels(pixels: np.ndarray, dtype=np.float64) -> np.ndarray:
 class Dataset:
     """Images with optional labels.
 
-    ``images`` is (N, H*W), either ``uint8`` bytes or floats in [0, 1]; any
-    other integer (or bool) dtype is rejected. Read pixels through
-    ``batch``, which always returns float64 values in [0, 1]. ``labels``,
-    when given, is a 1-D integer array of class indices, each >= 0.
+    ``images`` is (N, H*W), either ``uint8`` bytes (an IDX pair) or floats
+    in [0, 1] (the toy set, in the training dtype, each pixel rounded once
+    when it was built); any other integer (or bool) dtype is rejected.
+    ``batch`` returns float64 values in [0, 1]; the trainer passes the
+    stored rows to ``float_pixels`` in the model's dtype instead, which
+    returns a toy batch as it is and scales a byte batch. ``labels``, when
+    given, is a 1-D integer array of class indices, each >= 0.
     """
 
     images: np.ndarray            # (N, H*W) uint8, or floats in [0, 1]
@@ -241,10 +249,14 @@ def synth_templates(k: int, n: int, noise_sigma: float, rng: np.random.Generator
     """8x8 template dataset: k bar/diagonal shapes, cyclic horizontal shift
     dx ~ uniform{-2..2}, gaussian pixel noise, clamped to [0,1].
 
-    The images are built in the returned array: each row is gathered from a
-    table of every template under every shift, then the noise is added and
-    the clamp applied in place, so the noise draw is the only other
-    dataset-sized array held.
+    The images are held in the training dtype (``TRAIN_DTYPE``, float32), so
+    a toy batch reaches the model as it is, with no conversion. They are
+    built in the returned array ``SYNTH_CHUNK_ROWS`` rows at a time: a
+    chunk's rows are gathered in float64 from a table of every template
+    under every shift, its slice of the noise is drawn and added (one slice
+    after another, so the stream is that of one whole (n, 64) draw), and the
+    clamp writes the chunk into its float32 rows. Each pixel is rounded once,
+    here: it is the float64 value (gather, noise, clamp) cast to float32.
     """
     if k not in (2, 3, 4):
         raise UsageError(f"template count must be 2, 3 or 4, got {k}")
@@ -254,14 +266,19 @@ def synth_templates(k: int, n: int, noise_sigma: float, rng: np.random.Generator
     idx = rng.integers(0, k, size=n)
     dx = rng.integers(-2, 3, size=n)
 
-    # table[t, s] is template t shifted s - 2 columns to the right, cyclically
-    table = np.stack([np.roll(templates, s, axis=2) for s in range(-2, 3)], axis=1).reshape(k, 5, 64)
-    images = table[idx, dx + 2]
-    if noise_sigma > 0:
-        # one whole draw, not chunks: freeing a block this large raises glibc's mmap threshold,
-        # so a training step's arrays are then reused from the heap instead of faulted in afresh
-        images += rng.normal(0.0, noise_sigma, size=(n, 64))
-    np.clip(images, 0.0, 1.0, out=images)
+    # table[5 * t + s] is template t shifted s - 2 columns to the right, cyclically
+    table = np.stack([np.roll(templates, s, axis=2) for s in range(-2, 3)], axis=1).reshape(k * 5, 64)
+    images = np.empty((n, 64), dtype=TRAIN_DTYPE)
+    # a whole chunk's rows whatever n is: freeing this 512 KiB block (above glibc's initial 128 KiB
+    # mmap threshold) raises glibc's mmap and trim thresholds, so a training step's arrays are
+    # then reused from the heap instead of faulted in afresh, at every toy_samples
+    scratch = np.empty((SYNTH_CHUNK_ROWS, 64))
+    for lo in range(0, n, SYNTH_CHUNK_ROWS):
+        t, s = idx[lo : lo + SYNTH_CHUNK_ROWS], dx[lo : lo + SYNTH_CHUNK_ROWS]
+        chunk = np.take(table, 5 * t + s + 2, axis=0, out=scratch[: len(t)])
+        if noise_sigma > 0:
+            chunk += rng.normal(0.0, noise_sigma, size=chunk.shape)
+        np.clip(chunk, 0.0, 1.0, out=images[lo : lo + len(t)])
     return Dataset(images=images, labels=idx.astype(np.int64), dims=(8, 8), provenance=f"toy(k={k},sigma={noise_sigma})")
 
 
@@ -295,7 +312,7 @@ def save_checkpoint(model: ModelPair, cfg: TrainingConfig, path: str) -> None:
             f.write(struct.pack("<I", arr.ndim))
             for d in arr.shape:
                 f.write(struct.pack("<Q", d))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(arr, dtype="<f8"))  # the array's own buffer, not a tobytes() copy
 
 
 def _read_entries(r: _Reader, path: str) -> dict[str, np.ndarray]:

@@ -30,11 +30,13 @@ both the D and the Q update, so its t advances twice per iteration, while
 the generator, D head and Q head advance once.
 
 Training arithmetic is float32 (``autodiff.TRAIN_DTYPE``): the blocks, the
-running moments, the Adam state, the latent batch and the real batch.
-``d_step`` is the one place the real batch is converted:
-``data_io.float_pixels`` divides bytes by 255 in the model's dtype and casts
-float pixels to it. The losses a step reports and the metrics CSV are
-Python floats.
+running moments, the Adam state, the latent batch and the real batch. The
+toy set is held in that dtype, each pixel rounded once when the set was
+built, so a toy batch is used as it is. ``d_step`` is the one place a real
+batch is converted: ``data_io.float_pixels`` divides IDX bytes, the one
+stored form it still scales, by 255 in the model's dtype, casts float
+pixels of another dtype to it, and returns a batch already in it. The
+losses a step reports and the metrics CSV are Python floats.
 
 All randomness comes from one seed, split into four named PCG64 streams
 (model init, dataset synthesis, minibatch indices, latent draws), so a run
@@ -323,7 +325,8 @@ def train_step(
     Any other integer or bool dtype raises ``TrainingError``. So does a loss
     that is not finite, and an op evaluated outside its domain. A rule that
     gives a gradient of another dtype than its block's raises
-    ``autodiff.UsageError``, naming the rule, before that block steps.
+    ``autodiff.UsageError``, naming the rule, before that block steps. Both
+    messages end in " at iteration N" when ``iteration`` is given.
     """
     if real_images.dtype.kind in "biu" and real_images.dtype != np.uint8:
         raise TrainingError(f"real images must be uint8 or floats in [0, 1], got dtype {real_images.dtype}")
@@ -333,6 +336,8 @@ def train_step(
         bundle = LossBundle(loss_d, *gq_step(model, cfg, real_images.shape[0], latent_rng, adam_states))
     except ad.DomainError as err:  # a value outside an op's domain, such as a NaN log sigma from diverged weights
         raise TrainingError(f"{err}{where}") from err
+    except ad.UsageError as err:  # such as a rule's gradient in another dtype than its block's
+        raise ad.UsageError(f"{err}{where}") from err
     values = bundle.as_floats()
     if not all(np.isfinite(v) for v in values.values()):
         raise TrainingError(f"non-finite loss{where}: {values}")
@@ -377,7 +382,7 @@ def train_run(cfg: TrainingConfig) -> tuple[ModelPair, MetricsTrace]:
     trace = MetricsTrace()
     for i in range(1, cfg.iterations + 1):
         idx = rngs["batches"].integers(0, len(ds), size=cfg.batch_size)
-        # the stored rows: train_step scales a byte batch into the model's dtype, with no float64 copy
+        # the stored rows: a toy batch is in the model's dtype already, and train_step scales a byte batch into it
         bundle = train_step(model, ds.images[idx], cfg, rngs["latent"], adam_states, iteration=i)
         if i % cfg.log_every == 0 or i == cfg.iterations:
             v = bundle.as_floats()

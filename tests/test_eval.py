@@ -344,6 +344,16 @@ class TestAssignment:
             c[:, j] = -np.inf
         return total
 
+    def _subset_dp(self, counts):
+        # best[mask]: the best total of rows 0 .. |mask| - 1 matched one to one onto the columns in mask,
+        # so best[full] is the best over every permutation in 2^n * n steps instead of n!
+        c, n = counts.tolist(), counts.shape[0]
+        best = [0.0] * (1 << n)
+        for mask in range(1, 1 << n):
+            row = mask.bit_count() - 1
+            best[mask] = max(best[mask & ~(1 << j)] + c[row][j] for j in range(n) if mask >> j & 1)
+        return best[-1]
+
     def test_exact_matches_bruteforce_and_beats_greedy(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -353,24 +363,19 @@ class TestAssignment:
             assert matched == brute
             assert matched >= self._greedy(counts)
 
+    def test_subset_dp_matches_bruteforce(self):
+        # the same draws as above: the DP that stands in for the 10! enumeration finds every brute-force optimum
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            counts = rng.integers(0, 50, (7, 7)).astype(float)
+            assert self._subset_dp(counts) == self._brute_force(counts)
+
     def test_exact_beats_greedy_on_10x10(self):
-        # 10! enumeration in chunks; keeps the oracle honest at full size
+        # the best of all 10! permutations, found exactly by the DP over column subsets (2^10 x 10 steps)
         rng = np.random.default_rng(13)
         counts = rng.integers(0, 100, (10, 10)).astype(float)
         _, _, matched = max_matching_assignment(counts)
-        best = -1.0
-        chunk = []
-        for perm in itertools.permutations(range(10)):
-            chunk.append(perm)
-            if len(chunk) == 200000:
-                arr = np.array(chunk, dtype=np.int8)
-                vals = counts[np.arange(10)[None, :], arr].sum(axis=1)
-                best = max(best, vals.max())
-                chunk = []
-        if chunk:
-            arr = np.array(chunk, dtype=np.int8)
-            best = max(best, counts[np.arange(10)[None, :], arr].sum(axis=1).max())
-        assert matched == best
+        assert matched == self._subset_dp(counts)
         assert matched >= self._greedy(counts)
 
 

@@ -755,6 +755,22 @@ class TestTrainingDtype:
         # the trunk's layers are linear ops with the lrelu folded in: their rule returns the float64 gradient
         assert ("backward", "linear", "float64") in leaks
 
+    def test_a_dtype_leak_names_the_iteration(self, tmp_path, monkeypatch):
+        # the same stand-in, at a known iteration: the UsageError names the op and says when it was met
+        from infogan_lab.data_io import synth_templates
+        from infogan_lab.models import init_models
+
+        cfg = tiny_cfg(tmp_path)
+        rngs = rng_streams(cfg.seed)
+        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
+        model = init_models(*cfg.net_configs(), cfg.latent_spec(), rngs["init"])
+        monkeypatch.setitem(autodiff._ACTS, "lrelu", (autodiff._ACTS["lrelu"][0], _lrelu_float64_mask))
+        before, states = _param_hashes(model, ""), {}
+        message = "^backward: the linear rule gave a float64 gradient for a float32 destination at iteration 5$"
+        with pytest.raises(autodiff.UsageError, match=message):
+            train_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], states, iteration=5)
+        assert _param_hashes(model, "") == before and states == {}
+
     def test_the_full_graph_check_runs_in_float64(self, monkeypatch):
         from infogan_lab import gradsuite
 
@@ -1380,10 +1396,11 @@ def test_rng_streams_are_independent_and_stable():
     reason="glibc's malloc decides whether a step's arrays come back from the heap or fresh mmaps",
 )
 def test_default_step_reuses_heap_pages():
-    # glibc raises its mmap threshold only when a large mmapped block is freed; the whole-array
-    # noise draw in synth_templates is such a block, so the step's 128-800 KB arrays come from the
-    # heap afterwards. Without that raise (a chunked noise draw) each step faults its arrays back
-    # in, about 1000 minor faults per step; with it, about 1. A fresh process starts glibc cold.
+    # glibc raises its mmap threshold only when a large mmapped block is freed; synth_templates'
+    # float64 scratch of SYNTH_CHUNK_ROWS rows (512 KiB) is such a block, so the step's arrays come
+    # from the heap afterwards. Without that raise each step faults its arrays back in (about 150
+    # minor faults per step at 256 toy samples, whose own rows free only 128 KiB); with it, about 1.
+    # A fresh process starts glibc cold.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = textwrap.dedent(
         """
