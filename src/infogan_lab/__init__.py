@@ -57,6 +57,7 @@ from .objectives import (
 from .trainer import (
     AdamState,
     MetricsTrace,
+    Run,
     TrainingError,
     adam_step,
     rng_streams,

@@ -8,11 +8,11 @@ needs no conversion. ``float_pixels`` is the one conversion, into the dtype
 it is given: ``uint8`` becomes ``pixels / 255.0`` divided in that dtype,
 and floats are cast to it (not copied where they hold it already, as a toy
 batch in the model's dtype is). IDX bytes are thus the one stored form it
-still scales. It runs on each drawn batch, so no float64 copy of a whole
-IDX dataset is ever made; the division is elementwise, so a converted batch
-has the same bits as the same rows of a converted file. ``Dataset.batch``
-gives float64 pixels; the trainer's ``d_step`` and the classifier convert a
-batch straight into the model's dtype (float32 for a trained model).
+still scales. A batch is a selection of stored rows, which the trainer's
+``d_step`` and the classifier convert straight into the model's dtype, so no
+float64 copy of a whole IDX dataset is ever made; the division is
+elementwise, so a converted batch has the same bits as the same rows of a
+converted file.
 
 The checkpoint is a little-endian binary: the 8-byte magic ``IGAN0001``, a
 u32 format version, the run-config text, then named float64 (``<f8``)
@@ -90,11 +90,9 @@ class Dataset:
 
     ``images`` is (N, H*W), either ``uint8`` bytes (an IDX pair) or floats
     in [0, 1] (the toy set, in the training dtype, each pixel rounded once
-    when it was built); any other integer (or bool) dtype is rejected.
-    ``batch`` returns float64 values in [0, 1]; the trainer passes the
-    stored rows to ``float_pixels`` in the model's dtype instead, which
-    returns a toy batch as it is and scales a byte batch. ``labels``, when
-    given, is a 1-D integer array of class indices, each >= 0.
+    when it was built); any other integer (or bool) dtype is rejected. A
+    batch is the stored rows ``images[idx]``. ``labels``, when given, is a
+    1-D integer array of class indices, each >= 0.
     """
 
     images: np.ndarray            # (N, H*W) uint8, or floats in [0, 1]
@@ -124,10 +122,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.images)
-
-    def batch(self, idx) -> np.ndarray:
-        """The rows ``images[idx]`` (an index array or a slice) as float64 pixels in [0, 1]."""
-        return float_pixels(self.images[idx])
 
 
 # ---------------------------------------------------------------------------

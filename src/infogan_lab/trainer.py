@@ -31,16 +31,16 @@ the generator, D head and Q head advance once.
 
 Training arithmetic is float32 (``autodiff.TRAIN_DTYPE``): the blocks, the
 running moments, the Adam state, the latent batch and the real batch. The
-toy set is held in that dtype, each pixel rounded once when the set was
-built, so a toy batch is used as it is. ``d_step`` is the one place a real
-batch is converted: ``data_io.float_pixels`` divides IDX bytes, the one
-stored form it still scales, by 255 in the model's dtype, casts float
-pixels of another dtype to it, and returns a batch already in it. The
-losses a step reports and the metrics CSV are Python floats.
+toy set is held in that dtype, so a toy batch is used as it is; ``d_step``
+is the one place a real batch is converted (``data_io.float_pixels``, which
+divides IDX bytes by 255 in the model's dtype). The losses a step reports
+and the metrics CSV are Python floats.
 
-All randomness comes from one seed, split into four named PCG64 streams
-(model init, dataset synthesis, minibatch indices, latent draws), so a run
-is bitwise reproducible.
+A ``Run`` holds one run's state: its config, four named PCG64 streams split
+from one seed (model init, dataset synthesis, minibatch indices, latent
+draws), the dataset, the model, the Adam states, the metrics trace and the
+iteration; so a run is bitwise reproducible. ``train_run`` is the loop
+over ``Run.step``.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ class MetricsTrace:
         self.rows.append((iteration, *values))
 
     def column(self, name: str) -> np.ndarray:
-        i = ("iter", "loss_d", "loss_g", "li_disc", "li_cont").index(name)
+        i = self.CSV_HEADER.split(",").index(name)
         return np.array([row[i] for row in self.rows])
 
     def to_csv(self, path: str) -> None:
@@ -238,24 +238,6 @@ class MetricsTrace:
             f.write(self.CSV_HEADER + "\n")
             for it, *vals in self.rows:
                 f.write(str(it) + "," + ",".join(format(v, ".17g") for v in vals) + "\n")
-
-    @staticmethod
-    def from_csv(path: str) -> "MetricsTrace":
-        trace = MetricsTrace()
-        with open(path, "r", encoding="utf-8") as f:
-            header = f.readline().strip()
-            if header != MetricsTrace.CSV_HEADER:
-                raise TrainingError(f"{path}: unexpected metrics header '{header}'")
-            for lineno, line in enumerate(f, start=2):
-                fields = line.strip().split(",")
-                try:
-                    if len(fields) != 5:
-                        raise ValueError(f"{len(fields)} fields, expected 5")
-                    row = (int(fields[0]), *(float(v) for v in fields[1:]))
-                except ValueError as err:
-                    raise TrainingError(f"{path} line {lineno}: bad metrics row {line.strip()!r} ({err})") from None
-                trace.append(*row)
-        return trace
 
 
 def _block_grads(tape: Tape, root: Tensor, blocks: list[ParamBlock]) -> None:
@@ -365,29 +347,52 @@ def build_dataset(cfg: TrainingConfig, rng: np.random.Generator) -> Dataset:
     )
 
 
-def train_run(cfg: TrainingConfig) -> tuple[ModelPair, MetricsTrace]:
-    """Full training per config; writes the metrics CSV and final checkpoint."""
-    for key in ("metrics_out", "checkpoint_out"):
-        folder = os.path.dirname(getattr(cfg, key))
-        if folder and not os.path.isdir(folder):
-            raise TrainingError(f"{key} = {getattr(cfg, key)!r}: directory {folder!r} does not exist")
-    rngs = rng_streams(cfg.seed)
-    ds = build_dataset(cfg, rngs["dataset"])
-    if ds.dims != cfg.image_dims:
-        raise TrainingError(f"dataset dims {ds.dims} do not match config dims {cfg.image_dims}")
-    gen_cfg, dq_cfg = cfg.net_configs()
-    model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
-    adam_states: dict[str, AdamState] = {}
+class Run:
+    """One training run's state, from its config: ``step`` takes the next iteration, ``finish`` writes the outputs.
 
-    trace = MetricsTrace()
-    for i in range(1, cfg.iterations + 1):
-        idx = rngs["batches"].integers(0, len(ds), size=cfg.batch_size)
-        # the stored rows: a toy batch is in the model's dtype already, and train_step scales a byte batch into it
-        bundle = train_step(model, ds.images[idx], cfg, rngs["latent"], adam_states, iteration=i)
+    Before any stream is drawn it refuses an output path in a missing folder or naming a folder, and one file
+    named by both; then a dataset of other dims than the config's. ``iteration`` counts the steps taken.
+    """
+
+    def __init__(self, cfg: TrainingConfig):
+        for key in ("metrics_out", "checkpoint_out"):
+            path, folder = getattr(cfg, key), os.path.dirname(getattr(cfg, key))
+            if folder and not os.path.isdir(folder):
+                raise TrainingError(f"{key} = {path!r}: directory {folder!r} does not exist")
+            if os.path.isdir(path):
+                raise TrainingError(f"{key} = {path!r} is a directory, not a file")
+        if os.path.abspath(cfg.metrics_out) == os.path.abspath(cfg.checkpoint_out):
+            raise TrainingError(f"metrics_out and checkpoint_out both name {cfg.metrics_out!r}")
+        self.cfg = cfg
+        self.rngs = rng_streams(cfg.seed)
+        self.dataset = build_dataset(cfg, self.rngs["dataset"])
+        if self.dataset.dims != cfg.image_dims:
+            raise TrainingError(f"dataset dims {self.dataset.dims} do not match config dims {cfg.image_dims}")
+        self.model = init_models(*cfg.net_configs(), cfg.latent_spec(), self.rngs["init"])
+        self.adam_states: dict[str, AdamState] = {}
+        self.trace = MetricsTrace()
+        self.iteration = 0
+
+    def step(self) -> LossBundle:
+        """The next iteration: one ``train_step`` on the stored rows the ``batches`` stream draws, a trace row if it logs."""
+        cfg, i = self.cfg, self.iteration + 1
+        idx = self.rngs["batches"].integers(0, len(self.dataset), size=cfg.batch_size)
+        bundle = train_step(self.model, self.dataset.images[idx], cfg, self.rngs["latent"], self.adam_states, iteration=i)
+        self.iteration = i
         if i % cfg.log_every == 0 or i == cfg.iterations:
-            v = bundle.as_floats()
-            trace.append(i, v["loss_d"], v["loss_g"], v["li_disc"], v["li_cont"])
+            self.trace.append(i, *bundle.as_floats().values())  # in the trace's column order
+        return bundle
 
-    trace.to_csv(cfg.metrics_out)
-    save_checkpoint(model, cfg, cfg.checkpoint_out)
-    return model, trace
+    def finish(self) -> None:
+        """Write the metrics CSV and the checkpoint."""
+        self.trace.to_csv(self.cfg.metrics_out)
+        save_checkpoint(self.model, self.cfg, self.cfg.checkpoint_out)
+
+
+def train_run(cfg: TrainingConfig) -> tuple[ModelPair, MetricsTrace]:
+    """Full training per config: ``cfg.iterations`` steps of a ``Run``, then its metrics CSV and final checkpoint."""
+    run = Run(cfg)
+    for _ in range(cfg.iterations):
+        run.step()
+    run.finish()
+    return run.model, run.trace

@@ -14,12 +14,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+from infogan_lab import trainer
 from infogan_lab.config import TrainingConfig
 from infogan_lab.data_io import (
+    float_pixels,
     load_checkpoint,
     load_mnist_idx,
     save_checkpoint,
-    synth_templates,
     write_idx_pair,
     write_image_grid,
 )
@@ -34,7 +35,7 @@ from infogan_lab.evaluate import (
 from infogan_lab.gradsuite import GRAD_STEP, full_loss_graph_check, op_grad_checks
 from infogan_lab.latent import CodeBlock, LatentSpec
 from infogan_lab.models import init_models
-from infogan_lab.trainer import rng_streams, train_run
+from infogan_lab.trainer import train_run
 
 LN4 = math.log(4.0)
 
@@ -150,12 +151,7 @@ class TestCriterion2BaselineSeparation:
 
 class TestCriterion3Classification:
     def test_toy_classifier(self, crit1):
-        ds = synth_templates(
-            crit1.cfg.toy_templates,
-            crit1.cfg.toy_samples,
-            crit1.cfg.toy_noise_sigma,
-            rng_streams(crit1.cfg.seed)["dataset"],
-        )
+        ds = trainer.Run(crit1.cfg).dataset
         err, assignment = categorical_classifier_eval(crit1.model, ds, 0)
         report(
             "criterion 3a (toy classifier)",
@@ -302,7 +298,7 @@ class TestCriterion9Formats:
         ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
         write_idx_pair(images, labels, ip, lp)
         ds = load_mnist_idx(ip, lp)
-        round_trip = np.array_equal(np.rint(ds.batch(slice(None)) * 255).astype(np.uint8), images.reshape(5, 12))
+        round_trip = np.array_equal(np.rint(float_pixels(ds.images) * 255).astype(np.uint8), images.reshape(5, 12))
         corrupted = bytearray(open(ip, "rb").read())
         corrupted[2] ^= 0xFF
         bad = tmp_path / "bad.idx"

@@ -41,13 +41,13 @@ class TestIdxLoader:
         images, labels, ip, lp = idx_pair
         ds = load_mnist_idx(ip, lp)
         assert len(ds) == 7 and ds.dims == (5, 4)
-        np.testing.assert_array_equal(ds.batch(slice(None)), images.reshape(7, 20) / 255.0)
+        np.testing.assert_array_equal(data_io.float_pixels(ds.images), images.reshape(7, 20) / 255.0)
         np.testing.assert_array_equal(ds.labels, labels)
 
     def test_pixels_in_unit_interval(self, idx_pair):
         _, _, ip, lp = idx_pair
         ds = load_mnist_idx(ip, lp)
-        pixels = ds.batch(slice(None))
+        pixels = data_io.float_pixels(ds.images)
         assert pixels.min() >= 0.0 and pixels.max() <= 1.0
 
     def test_images_stay_uint8_until_a_batch_is_drawn(self, idx_pair):
@@ -56,7 +56,7 @@ class TestIdxLoader:
         assert ds.images.dtype == np.uint8 and ds.images.shape == (7, 20)
         np.testing.assert_array_equal(ds.images, images.reshape(7, 20))
         idx = np.array([3, 0, 3, 6])
-        batch = ds.batch(idx)
+        batch = data_io.float_pixels(ds.images[idx])
         assert batch.dtype == np.float64
         assert batch.tobytes() == (images.reshape(7, 20).astype(np.float64) / 255.0)[idx].tobytes()
 
@@ -69,7 +69,7 @@ class TestIdxLoader:
         # float pixels are cast as astype casts them, and not copied where they are in the dtype already
         images = np.random.default_rng(4).random((5, 6), dtype=np.float32)
         ds = data_io.Dataset(images=images, labels=None, dims=(2, 3), provenance="x")
-        batch = ds.batch(np.array([4, 0, 4]))
+        batch = data_io.float_pixels(ds.images[[4, 0, 4]])
         assert batch.dtype == np.float64
         assert batch.tobytes() == images[[4, 0, 4]].astype(np.float64).tobytes()
         f64 = np.random.default_rng(5).random((3, 4))
@@ -302,7 +302,7 @@ class TestSynthTemplates:
 
     def test_a_step_on_the_float32_rows_matches_a_step_on_the_float64_reference(self):
         # d_step rounds float64 rows once into the model's dtype, which synth_templates has already done
-        from infogan_lab.trainer import rng_streams, train_step
+        from infogan_lab.trainer import Run, train_step
 
         cfg = TrainingConfig()
         ref = _float64_reference(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, 0)[0]
@@ -310,10 +310,9 @@ class TestSynthTemplates:
         idx = np.random.default_rng(5).integers(0, cfg.toy_samples, cfg.batch_size)
         results = []
         for rows in (ds.images[idx], ref[idx]):
-            rngs = rng_streams(cfg.seed)
-            model = init_models(*cfg.net_configs(), cfg.latent_spec(), rngs["init"])
-            losses = train_step(model, rows, cfg, rngs["latent"], {}).as_floats()
-            results.append((losses, {name: b.flat.tobytes() for name, b in model.blocks.items()}))
+            run = Run(cfg)
+            losses = train_step(run.model, rows, cfg, run.rngs["latent"], run.adam_states).as_floats()
+            results.append((losses, {name: b.flat.tobytes() for name, b in run.model.blocks.items()}))
         assert results[0] == results[1]
 
     def test_peak_memory_stays_near_the_images(self):

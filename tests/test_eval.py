@@ -469,7 +469,7 @@ class TestImportFootprint:
                                  trunk_layers=(8, 8), q_hidden=4, batchnorm=False)
             model = init_models(*cfg.net_configs(), cfg.latent_spec(), np.random.default_rng(0))
             data = synth_templates(4, 64, 0.05, np.random.default_rng(1))
-            train_step(model, data.batch(np.arange(cfg.batch_size)), cfg, np.random.default_rng(2), {})
+            train_step(model, data.images[: cfg.batch_size], cfg, np.random.default_rng(2), {})
             err, _ = categorical_classifier_eval(model, data, 0)
             assert 0.0 <= err <= 1.0, err
             print(" ".join(m for m in ("scipy.optimize", "scipy.sparse", "scipy.linalg") if m in sys.modules))
@@ -537,7 +537,7 @@ class TestGoldenEvaluation:
         ds = synth_templates(4, 512, 0.05, np.random.default_rng(31))
         rng, adam_states = np.random.default_rng(32), {}
         for _ in range(40):
-            train_step(model, ds.batch(rng.integers(0, len(ds), 16)), cfg, rng, adam_states)
+            train_step(model, ds.images[rng.integers(0, len(ds), 16)], cfg, rng, adam_states)
         return model, ds
 
     @pytest.mark.parametrize("block, values, digest", [

@@ -223,24 +223,22 @@ class TestParamGroups:
             model.blocks["gen"].params["gen.l0.b"] = rebound
 
     def test_params_stay_block_views_through_step_and_load(self, tmp_path):
-        from infogan_lab.data_io import load_checkpoint, save_checkpoint
-        from infogan_lab.trainer import build_dataset, rng_streams, train_step
+        from infogan_lab.data_io import load_checkpoint
+        from infogan_lab.trainer import Run
 
         cfg = TrainingConfig(
             batch_size=8, toy_samples=64, gen_layers=(16, 24), trunk_layers=(24, 16), q_hidden=8, noise_dim=4,
             batchnorm=True, checkpoint_out=str(tmp_path / "ckpt.igan"), metrics_out=str(tmp_path / "m.csv"),
         )
-        rngs = rng_streams(cfg.seed)
-        ds = build_dataset(cfg, rngs["dataset"])
-        gen_cfg, dq_cfg = cfg.net_configs()
-        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
+        run = Run(cfg)
+        model = run.model
         assert model.dtype == TRAIN_DTYPE == np.float32
         assert_block_views(model)
         before = {n: b.flat.copy() for n, b in model.blocks.items()}
-        train_step(model, ds.images[:8], cfg, rngs["latent"], {})
+        run.step()
         assert_block_views(model)
         assert all(not np.array_equal(b.flat, before[n]) for n, b in model.blocks.items())
-        save_checkpoint(model, cfg, cfg.checkpoint_out)
+        run.finish()
         loaded, _ = load_checkpoint(cfg.checkpoint_out)
         assert_block_views(loaded)
         for n, b in model.blocks.items():

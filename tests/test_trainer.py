@@ -11,7 +11,7 @@ import sys
 import tempfile
 import textwrap
 import warnings
-from collections import Counter, defaultdict
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from infogan_lab.models import ParamBlock
 from infogan_lab.trainer import (
     AdamState,
     MetricsTrace,
+    Run,
     TrainingError,
     adam_step,
     rng_streams,
@@ -108,11 +109,7 @@ _MNIST_SHAPE_CFG = TrainingConfig(
 
 
 def _default_shaped_params():
-    from infogan_lab.models import init_models
-
-    cfg = TrainingConfig()
-    gen_cfg, dq_cfg = cfg.net_configs()
-    return init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rng_streams(cfg.seed)["init"])
+    return Run(TrainingConfig()).model
 
 
 class TestAdam:
@@ -259,7 +256,7 @@ class TestAdam:
         from infogan_lab.models import init_models
 
         gen_cfg, dq_cfg = cfg.net_configs()
-        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rng_streams(cfg.seed)["init"], dtype)
+        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), np.random.default_rng(0), dtype)
         for block in model.blocks.values():
             assert block.grad.shape == block.flat.shape and block.grad.dtype == block.flat.dtype == dtype
             assert block.grad.flags["C_CONTIGUOUS"] and not np.shares_memory(block.grad, block.flat)
@@ -360,89 +357,64 @@ def _param_hashes(model, prefix):
 
 class TestTrainStep:
     def test_step_isolation_by_hashing(self, tmp_path):
-        from infogan_lab.data_io import synth_templates
-        from infogan_lab.models import init_models
         from infogan_lab.trainer import d_step, gq_step
 
         cfg = tiny_cfg(tmp_path)
-        rngs = rng_streams(cfg.seed)
-        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
-        gen_cfg, dq_cfg = cfg.net_configs()
-        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
-        states = {}
+        run = Run(cfg)
+        model = run.model
 
         gen_before = _param_hashes(model, "gen")
         q_before = _param_hashes(model, "q_head")
-        d_step(model, ds.images[:8], cfg, rngs["latent"], states)
+        d_step(model, run.dataset.images[:8], cfg, run.rngs["latent"], run.adam_states)
         # the D step never modifies gen or q_head parameters
         assert _param_hashes(model, "gen") == gen_before
         assert _param_hashes(model, "q_head") == q_before
 
         d_before = _param_hashes(model, "d_head")
-        gq_step(model, cfg, 8, rngs["latent"], states)
+        gq_step(model, cfg, 8, run.rngs["latent"], run.adam_states)
         # the G/Q step never modifies d_head parameters
         assert _param_hashes(model, "d_head") == d_before
         assert _param_hashes(model, "gen") != gen_before
         assert _param_hashes(model, "q_head") != q_before
 
     def test_q_head_moves_with_zero_lambda(self, tmp_path):
-        from infogan_lab.data_io import synth_templates
-        from infogan_lab.models import init_models
-
-        cfg = tiny_cfg(tmp_path, lambda_disc=0.0, lambda_cont=0.0)
-        rngs = rng_streams(cfg.seed)
-        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
-        gen_cfg, dq_cfg = cfg.net_configs()
-        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
-        states = {}
-        before = _param_hashes(model, "q_head")
-        train_step(model, ds.images[:8], cfg, rngs["latent"], states)
-        assert _param_hashes(model, "q_head") != before
+        run = Run(tiny_cfg(tmp_path, lambda_disc=0.0, lambda_cont=0.0))
+        before = _param_hashes(run.model, "q_head")
+        run.step()
+        assert _param_hashes(run.model, "q_head") != before
 
     def test_gen_gradient_nonzero(self, tmp_path):
-        from infogan_lab.data_io import synth_templates
-        from infogan_lab.models import init_models
-
-        cfg = tiny_cfg(tmp_path)
-        rngs = rng_streams(cfg.seed)
-        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
-        gen_cfg, dq_cfg = cfg.net_configs()
-        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
-        states = {}
+        run = Run(tiny_cfg(tmp_path))
+        model = run.model
         before = {n: t.data.copy() for n, t in model.blocks["gen"].params.items()}
-        train_step(model, ds.images[:8], cfg, rngs["latent"], states)
+        run.step()
         moved = sum(np.any(model.params[n].data != before[n]) for n in before)
         assert moved == len(before)
 
     def test_op_outside_its_domain_is_a_training_error_naming_the_iteration(self, tmp_path):
-        from infogan_lab.data_io import synth_templates
-        from infogan_lab.models import init_models
-
-        cfg = tiny_cfg(tmp_path)
-        rngs = rng_streams(cfg.seed)
-        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
-        model = init_models(*cfg.net_configs(), cfg.latent_spec(), rngs["init"])
-        model.params["q_head.cont0.s.b"].data[:] = np.nan  # as weights that diverged would leave it
+        run = Run(tiny_cfg(tmp_path))
+        for _ in range(6):
+            run.step()
+        run.model.params["q_head.cont0.s.b"].data[:] = np.nan  # as weights that diverged would leave it
         message = r"^gaussian_log_q: log_sigma is NaN at iteration 7$"
         with pytest.raises(TrainingError, match=message):
-            train_step(model, ds.images[:8], cfg, rngs["latent"], {}, iteration=7)
+            run.step()
+        assert run.iteration == 6
 
     @staticmethod
     def _step_inputs(cfg):
-        # a toy config steps on a toy batch, an mnist one on random bytes of its image size
-        from infogan_lab.data_io import synth_templates
-        from infogan_lab.models import init_models
+        # train_step's arguments for a run's first batch_size rows: a toy config's own set, and for an
+        # mnist one an IDX pair of that many random images of its size, read before the pair is removed
+        from infogan_lab.data_io import write_idx_pair
 
-        rngs = rng_streams(cfg.seed)
-        if cfg.dataset == "toy":
-            ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
-            real = ds.images[: cfg.batch_size]
-        else:
-            real = rngs["dataset"].integers(0, 256, (cfg.batch_size, cfg.image_dim), dtype=np.uint8)
-        gen_cfg, dq_cfg = cfg.net_configs()
-        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
-        states = {}
-        return model, real, cfg, rngs["latent"], states
+        with tempfile.TemporaryDirectory() as tmp:
+            if cfg.dataset == "mnist":
+                ip, lp = os.path.join(tmp, "imgs.idx"), os.path.join(tmp, "lbls.idx")
+                images = np.random.default_rng(cfg.seed).integers(0, 256, (cfg.batch_size, *cfg.image_dims), dtype=np.uint8)
+                write_idx_pair(images, np.zeros(cfg.batch_size, np.uint8), ip, lp)
+                cfg = dataclasses.replace(cfg, mnist_images=ip, mnist_labels=lp, mnist_subset=cfg.batch_size)
+            run = Run(cfg)
+        return run.model, run.dataset.images[: cfg.batch_size], cfg, run.rngs["latent"], run.adam_states
 
     @classmethod
     def _default_step_inputs(cls):
@@ -484,16 +456,11 @@ class TestTrainStep:
         assert tuple(counts.values()) == expected, counts
 
     def test_d_step_records_no_q_head_parameter(self, tmp_path, monkeypatch):
-        from infogan_lab.data_io import synth_templates
-        from infogan_lab.models import init_models
         from infogan_lab.trainer import d_step
 
         cfg = tiny_cfg(tmp_path, batchnorm=True)
-        rngs = rng_streams(cfg.seed)
-        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
-        gen_cfg, dq_cfg = cfg.net_configs()
-        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
-        states = {}
+        run = Run(cfg)
+        model = run.model
         read, tape_exit = set(), autodiff.Tape.__exit__
 
         def reading_exit(tape, *exc):
@@ -502,7 +469,7 @@ class TestTrainStep:
             return tape_exit(tape, *exc)
 
         monkeypatch.setattr(autodiff.Tape, "__exit__", reading_exit)
-        d_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], states)
+        d_step(model, run.dataset.images[: cfg.batch_size], cfg, run.rngs["latent"], run.adam_states)
         recorded = {n for n, p in model.params.items() if p in read}
         assert recorded == set(model.blocks["trunk"].params) | set(model.blocks["d_head"].params)
         q_bn = model.bn_states["q_head.bn0"]
@@ -518,34 +485,23 @@ class TestTrainStep:
         assert all(t._tape is not None and t._tape.nodes is None for t in losses)
 
     def test_batchnorm_gaussian_steps_match_per_parameter_adam(self, tmp_path, monkeypatch):
-        from infogan_lab import trainer
-        from infogan_lab.data_io import synth_templates
-        from infogan_lab.models import init_models
-
         cfg = tiny_cfg(tmp_path, batchnorm=True, codes=(CodeBlock.categorical(4), CodeBlock.gaussian(0.0, 1.0)))
 
-        def run(step_fn):
+        def params_after_three_steps(step_fn):
             monkeypatch.setattr(trainer, "adam_step", step_fn)
-            rngs = rng_streams(cfg.seed)
-            ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
-            gen_cfg, dq_cfg = cfg.net_configs()
-            model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
-            states = {}
-            for i in range(3):
-                train_step(model, ds.images[8 * i : 8 * i + 8], cfg, rngs["latent"], states)
-            return {n: t.data.tobytes() for n, t in model.params.items()}
+            run = Run(cfg)
+            for _ in range(3):
+                run.step()
+            return {n: t.data.tobytes() for n, t in run.model.params.items()}
 
-        fused = run(adam_step)
+        fused = params_after_three_steps(adam_step)
         assert any(".bn" in n for n in fused)
-        assert fused == run(reference_adam(defaultdict(float)))
+        assert fused == params_after_three_steps(reference_adam(defaultdict(float)))
 
     def test_batchnorm_gaussian_step_works_out_moments_and_inv_var_once(self, tmp_path, monkeypatch):
         # the tape keeps each forward's residuals: one batchnorm forward works out its batch moments
         # once and one gaussian_log_q its inverse variance (its one exp) once, and neither backward
         # rule works either out again (8 batchnorm forwards and 1 gaussian_log_q forward per step)
-        from infogan_lab.data_io import synth_templates
-        from infogan_lab.models import init_models
-
         calls, running = [], [None]
 
         class CountingNumpy:
@@ -578,12 +534,7 @@ class TestTrainStep:
         monkeypatch.setattr(autodiff, "np", CountingNumpy())
         monkeypatch.setattr(autodiff, "_OPS", {op: (tagged(op, "forward", f), tagged(op, "backward", b))
                                                for op, (f, b) in autodiff._OPS.items()})
-        cfg = tiny_cfg(tmp_path, batchnorm=True, codes=(CodeBlock.categorical(4), CodeBlock.gaussian(0.0, 1.0)))
-        rngs = rng_streams(cfg.seed)
-        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
-        gen_cfg, dq_cfg = cfg.net_configs()
-        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
-        train_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], {})
+        Run(tiny_cfg(tmp_path, batchnorm=True, codes=(CodeBlock.categorical(4), CodeBlock.gaussian(0.0, 1.0)))).step()
         assert [by for name, by in calls if name == "_batch_moments"] == [("batchnorm", "forward")] * 8
         assert [call for call in calls if call[1] in (("gaussian_log_q", "forward"), ("gaussian_log_q", "backward"))] == [
             ("exp", ("gaussian_log_q", "forward"))
@@ -722,54 +673,41 @@ class TestTrainingDtype:
     @pytest.mark.parametrize("batchnorm", [False, True])
     @pytest.mark.parametrize("gan_mode", ["minimax", "nonsaturating"])
     def test_every_rule_keeps_a_step_in_float32(self, tmp_path, monkeypatch, gan_mode, batchnorm, family):
-        from infogan_lab.data_io import synth_templates
-        from infogan_lab.models import init_models
-
-        cfg = tiny_cfg(tmp_path, gan_mode=gan_mode, batchnorm=batchnorm, codes=(CODE_FAMILIES[family],))
-        rngs = rng_streams(cfg.seed)
-        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
-        model = init_models(*cfg.net_configs(), cfg.latent_spec(), rngs["init"])
+        run = Run(tiny_cfg(tmp_path, gan_mode=gan_mode, batchnorm=batchnorm, codes=(CODE_FAMILIES[family],)))
         leaks = _dtype_oracle(monkeypatch, np.float32)
-        states = {}
-        train_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], states)
+        run.step()
         assert leaks == []
-        assert {b.flat.dtype for b in model.blocks.values()} == {np.dtype(np.float32)}
-        assert all(s.running_mean.dtype == s.running_var.dtype == np.float32 for s in model.bn_states.values())
-        assert all(st.m.dtype == st.v.dtype == np.float32 for st in states.values())
+        assert {b.flat.dtype for b in run.model.blocks.values()} == {np.dtype(np.float32)}
+        assert all(s.running_mean.dtype == s.running_var.dtype == np.float32 for s in run.model.bn_states.values())
+        assert all(st.m.dtype == st.v.dtype == np.float32 for st in run.adam_states.values())
 
     def test_the_oracle_sees_a_float64_lrelu_mask(self, tmp_path, monkeypatch):
-        from infogan_lab.data_io import synth_templates
-        from infogan_lab.models import init_models
-
+        # a step called without an iteration: the message ends at the op's fault
         cfg = tiny_cfg(tmp_path)
-        rngs = rng_streams(cfg.seed)
-        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
-        model = init_models(*cfg.net_configs(), cfg.latent_spec(), rngs["init"])
+        run = Run(cfg)
+        model, states = run.model, run.adam_states
         monkeypatch.setitem(autodiff._ACTS, "lrelu", (autodiff._ACTS["lrelu"][0], _lrelu_float64_mask))
         leaks = _dtype_oracle(monkeypatch, np.float32)
-        before, states = _param_hashes(model, ""), {}
+        before = _param_hashes(model, "")
         # the D sweep refuses the float64 gradient for the float32 trunk before it writes it, and before any Adam step
         with pytest.raises(autodiff.UsageError, match="^backward: the linear rule gave a float64 gradient for a float32 destination$"):
-            train_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], states)
+            train_step(model, run.dataset.images[: cfg.batch_size], cfg, run.rngs["latent"], states)
         assert _param_hashes(model, "") == before and states == {}
         # the trunk's layers are linear ops with the lrelu folded in: their rule returns the float64 gradient
         assert ("backward", "linear", "float64") in leaks
 
     def test_a_dtype_leak_names_the_iteration(self, tmp_path, monkeypatch):
-        # the same stand-in, at a known iteration: the UsageError names the op and says when it was met
-        from infogan_lab.data_io import synth_templates
-        from infogan_lab.models import init_models
-
-        cfg = tiny_cfg(tmp_path)
-        rngs = rng_streams(cfg.seed)
-        ds = synth_templates(cfg.toy_templates, cfg.toy_samples, cfg.toy_noise_sigma, rngs["dataset"])
-        model = init_models(*cfg.net_configs(), cfg.latent_spec(), rngs["init"])
+        # the same stand-in, met by a run's fifth step: the UsageError names the op and says when it was met
+        run = Run(tiny_cfg(tmp_path))
+        for _ in range(4):
+            run.step()
         monkeypatch.setitem(autodiff._ACTS, "lrelu", (autodiff._ACTS["lrelu"][0], _lrelu_float64_mask))
-        before, states = _param_hashes(model, ""), {}
+        before, clocks = _param_hashes(run.model, ""), {name: st.t for name, st in run.adam_states.items()}
         message = "^backward: the linear rule gave a float64 gradient for a float32 destination at iteration 5$"
         with pytest.raises(autodiff.UsageError, match=message):
-            train_step(model, ds.images[: cfg.batch_size], cfg, rngs["latent"], states, iteration=5)
-        assert _param_hashes(model, "") == before and states == {}
+            run.step()
+        assert _param_hashes(run.model, "") == before and {name: st.t for name, st in run.adam_states.items()} == clocks
+        assert run.iteration == 4
 
     def test_the_full_graph_check_runs_in_float64(self, monkeypatch):
         from infogan_lab import gradsuite
@@ -910,6 +848,28 @@ class TestTrainRun:
             train_run(cfg)
         assert steps == [] and os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("key", ["checkpoint_out", "metrics_out"])
+    def test_output_path_that_is_a_directory_fails_before_iteration_one(self, tmp_path, monkeypatch, key):
+        # such a run used to train every iteration and then fail on os.replace, naming the temp file
+        steps = []
+        monkeypatch.setattr(trainer, "train_step", lambda *a, **kw: steps.append(a))
+        folder = tmp_path / "adir"
+        folder.mkdir()
+        cfg = tiny_cfg(tmp_path, **{key: str(folder)})
+        with pytest.raises(TrainingError, match=rf"^{key} = '{re.escape(str(folder))}' is a directory, not a file$"):
+            train_run(cfg)
+        assert steps == [] and os.listdir(tmp_path) == ["adir"] and os.listdir(folder) == []
+
+    def test_metrics_and_checkpoint_naming_one_file_fail_before_iteration_one(self, tmp_path, monkeypatch):
+        # such a run used to succeed, the checkpoint silently replacing the CSV; a relative path names the same file
+        steps = []
+        monkeypatch.setattr(trainer, "train_step", lambda *a, **kw: steps.append(a))
+        monkeypatch.chdir(tmp_path)
+        cfg = tiny_cfg(tmp_path, metrics_out=str(tmp_path / "out"), checkpoint_out="out")
+        with pytest.raises(TrainingError, match=rf"^metrics_out and checkpoint_out both name '{re.escape(str(tmp_path / 'out'))}'$"):
+            train_run(cfg)
+        assert steps == [] and os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("n_images", [20, 0])
     def test_idx_pair_shorter_than_mnist_subset_is_named(self, tmp_path, n_images):
         # a short pair would otherwise train on fewer images than its provenance claims,
@@ -987,35 +947,30 @@ class TestPixelBatches:
         assert _model_bytes(model) == before
 
     def test_uint8_batches_train_like_their_float_batches(self, tmp_path):
-        # the benchmark feeds train_step ds.images[idx] itself: bytes must be scaled exactly as ds.batch scales them
-        from infogan_lab.models import init_models
-        from infogan_lab.trainer import build_dataset
+        # a run steps on the stored bytes: they must train as their float64 pixels train
+        from infogan_lab.data_io import float_pixels
 
         cfg = _idx_cfg(tmp_path, 96)
-        ds = build_dataset(cfg, np.random.default_rng(0))
-        assert ds.images.dtype == np.uint8
-        runs = []
-        for draw in (lambda idx: ds.images[idx], ds.batch):
-            rngs = rng_streams(cfg.seed)
-            gen_cfg, dq_cfg = cfg.net_configs()
-            model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), rngs["init"])
-            states = {}
-            for i in range(3):
-                idx = rngs["batches"].integers(0, len(ds), size=cfg.batch_size)
-                train_step(model, draw(idx), cfg, rngs["latent"], states, iteration=i + 1)
-            runs.append(_model_bytes(model))
-        assert runs[0] == runs[1]
+        on_bytes, on_floats = Run(cfg), Run(cfg)
+        assert on_bytes.dataset.images.dtype == np.uint8
+        for i in range(3):
+            on_bytes.step()
+            idx = on_floats.rngs["batches"].integers(0, len(on_floats.dataset), size=cfg.batch_size)
+            rows = float_pixels(on_floats.dataset.images[idx])
+            assert rows.dtype == np.float64
+            train_step(on_floats.model, rows, cfg, on_floats.rngs["latent"], on_floats.adam_states, iteration=i + 1)
+        assert _model_bytes(on_bytes.model) == _model_bytes(on_floats.model)
 
     def test_classifier_scores_bytes_as_their_float_pixels(self, tmp_path):
         # the classifier scales each byte chunk straight into the model's dtype: the same score as float pixels
-        from infogan_lab.data_io import Dataset
+        from infogan_lab.data_io import Dataset, float_pixels
         from infogan_lab.evaluate import categorical_classifier_eval
         from infogan_lab.models import init_models
         from infogan_lab.trainer import build_dataset
 
         cfg = _idx_cfg(tmp_path, 96)
         ds = build_dataset(cfg, np.random.default_rng(0))
-        floats = Dataset(images=ds.batch(slice(None)), labels=ds.labels, dims=ds.dims, provenance=ds.provenance)
+        floats = Dataset(images=float_pixels(ds.images), labels=ds.labels, dims=ds.dims, provenance=ds.provenance)
         model = init_models(*cfg.net_configs(), cfg.latent_spec(), np.random.default_rng(3))
         assert categorical_classifier_eval(model, ds, 0) == categorical_classifier_eval(model, floats, 0)
 
@@ -1023,19 +978,14 @@ class TestPixelBatches:
         import tracemalloc
 
         from infogan_lab.evaluate import categorical_classifier_eval
-        from infogan_lab.models import init_models
-        from infogan_lab.trainer import build_dataset
 
         n = 10000
         cfg = _idx_cfg(tmp_path, n)
-        gen_cfg, dq_cfg = cfg.net_configs()
-        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), np.random.default_rng(0))
         tracemalloc.start()
         try:
-            ds = build_dataset(cfg, np.random.default_rng(0))
-            categorical_classifier_eval(model, ds, 0)
-            idx = np.random.default_rng(1).integers(0, n, size=cfg.batch_size)
-            train_step(model, ds.images[idx], cfg, np.random.default_rng(2), {})
+            run = Run(cfg)
+            categorical_classifier_eval(run.model, run.dataset, 0)
+            run.step()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1047,10 +997,12 @@ class TestMetricsTrace:
         trace = MetricsTrace()
         trace.append(1, 1 / 3, -2 / 7, 0.1234567890123456789, -1e-17)
         trace.append(50, 2.0, 3.0, 4.0, 5.0)
-        path = str(tmp_path / "m.csv")
-        trace.to_csv(path)
-        back = MetricsTrace.from_csv(path)
-        assert back.rows == trace.rows
+        path = tmp_path / "m.csv"
+        trace.to_csv(str(path))
+        lines = path.read_text().splitlines()
+        assert lines[0] == MetricsTrace.CSV_HEADER
+        back = [(int(it), *map(float, vals)) for it, *vals in (line.split(",") for line in lines[1:])]
+        assert back == trace.rows
 
     def test_header_format(self, tmp_path):
         trace = MetricsTrace()
@@ -1082,13 +1034,6 @@ class TestMetricsTrace:
         trace = MetricsTrace()
         with pytest.raises(TrainingError):
             trace.append(1, float("nan"), 0, 0, 0)
-
-    @pytest.mark.parametrize("row", ["2,0.5", "", "2,0.5,x,0,0", "2,0.5,0,0,0,0"])
-    def test_malformed_row_names_path_and_line(self, tmp_path, row):
-        path = tmp_path / "m.csv"
-        path.write_text(MetricsTrace.CSV_HEADER + "\n1,0,0,0,0\n" + row + "\n")
-        with pytest.raises(TrainingError, match=r"m\.csv line 3: bad metrics row"):
-            MetricsTrace.from_csv(str(path))
 
 
 DEFAULT_CONFIG_TEXT = """\
@@ -1395,40 +1340,33 @@ def test_rng_streams_are_independent_and_stable():
     sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
     reason="glibc's malloc decides whether a step's arrays come back from the heap or fresh mmaps",
 )
-def test_default_step_reuses_heap_pages():
+@pytest.mark.parametrize("toy_samples", [256, 512, 1000, 2048, 8192])
+def test_default_step_reuses_heap_pages(toy_samples):
     # glibc raises its mmap threshold only when a large mmapped block is freed; synth_templates'
     # float64 scratch of SYNTH_CHUNK_ROWS rows (512 KiB) is such a block, so the step's arrays come
     # from the heap afterwards. Without that raise each step faults its arrays back in (about 150
     # minor faults per step at 256 toy samples, whose own rows free only 128 KiB); with it, about 1.
-    # A fresh process starts glibc cold.
+    # A fresh process starts glibc cold; it steps a Run, on the rows train_run feeds, with BLAS on one thread.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = textwrap.dedent(
         """
-        import resource
+        import resource, sys
         from infogan_lab.config import TrainingConfig
-        from infogan_lab.models import init_models
-        from infogan_lab.trainer import build_dataset, rng_streams, train_step
+        from infogan_lab.trainer import Run
 
-        cfg = TrainingConfig()
-        rngs = rng_streams(cfg.seed)
-        ds = build_dataset(cfg, rngs["dataset"])
-        model = init_models(*cfg.net_configs(), cfg.latent_spec(), rngs["init"])
-        adam = {}
-
-        def step():
-            idx = rngs["batches"].integers(0, len(ds), size=cfg.batch_size)
-            train_step(model, ds.batch(idx), cfg, rngs["latent"], adam)
-
+        run = Run(TrainingConfig(toy_samples=int(sys.argv[1])))
         for _ in range(5):
-            step()
+            run.step()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(20):
-            step()
+            run.step()
         print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
         """
     )
-    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
-    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    one_thread = {key: "1" for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **one_thread, "PYTHONPATH": os.path.join(root, "src")}
+    out = subprocess.run([sys.executable, "-c", code, str(toy_samples)], cwd=root, env=env, capture_output=True,
+                         text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     faults_per_step = float(out.stdout.strip().splitlines()[-1])
-    assert faults_per_step < 100, f"{faults_per_step} minor page faults per default step"
+    assert faults_per_step < 100, f"{faults_per_step} minor page faults per step at {toy_samples} toy samples"
