@@ -14,23 +14,23 @@ from infogan_lab.gradsuite import op_grad_checks
 print("=== a two-layer network, by hand ===")
 rng = np.random.default_rng(0)
 x = Tensor(rng.normal(0, 1, (4, 3)))
-target = Tensor(rng.normal(0, 1, (4, 1)))
+target = rng.normal(0, 1, (4, 1))
 w1 = Tensor(rng.normal(0, 0.5, (3, 5)))
 b1 = Tensor(np.zeros(5))
-w2 = Tensor(rng.normal(0, 0.5, (5, 1)))
-b2 = Tensor(np.zeros(1))
-zero_log_sigma = Tensor(np.zeros((4, 1)))
+w2 = Tensor(rng.normal(0, 0.5, (5, 2)))
+b2 = Tensor(np.zeros(2))
 
 
 def network(params):
+    # two output columns, as Q's head lays out a one-dimensional continuous code: a mean, then a log sigma
     w1_, b1_, w2_, b2_ = params
     return ad.linear(ad.linear(x, w1_, b1_, "lrelu"), w2_, b2_)
 
 
 def nll(params):
-    # mean Gaussian negative log-likelihood of the targets, unit variance:
-    # half the squared error plus log(2 pi) / 2
-    return ad.weighted_sum([ad.reduce_mean(ad.gaussian_log_q(target, network(params), zero_log_sigma))], (-1.0,))
+    # mean Gaussian negative log-likelihood of the targets under the network's mean and sigma;
+    # the targets are an attribute of the op, and its gradient reaches both output columns
+    return ad.weighted_sum([ad.reduce_mean(ad.gaussian_log_q(network(params), target, slice(0, 2)))], (-1.0,))
 
 
 params = [w1, b1, w2, b2]
@@ -44,10 +44,10 @@ for name, g in zip(("w1", "b1", "w2", "b2"), grads):
     print(f"  d loss / d {name}: norm {np.linalg.norm(g):.6f}")
 
 print()
-print("=== a vector-Jacobian product from the (4, 1) output ===")
+print("=== a vector-Jacobian product from the (4, 2) output ===")
 # backward from a non-scalar root takes a cotangent v of the root's shape and
 # returns the gradient of sum(v * out): one reverse sweep, no readout op on the tape
-v = rng.normal(0, 1, (4, 1))
+v = rng.normal(0, 1, (4, 2))
 with Tape() as tape:
     out = network(params)
     vjp = tape.backward(out, params, v)

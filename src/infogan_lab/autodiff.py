@@ -14,11 +14,11 @@ x̂, and its train-mode backward is the compact
 parameter sums, eight (B,F) passes besides the epilogue's, where the chain
 through the batch mean and variance took fourteen.
 Loss terms are fused into single ops (``sigmoid_cross_entropy`` and
-``weighted_sum`` with their label and weights as attributes,
-``gaussian_log_q``, which reads its log sigma clamped to
-+-``LOG_SIGMA_BOUND``, ``categorical_log_q`` with its category indices as an
-attribute) rather than assembled from elementwise pieces. Each op is one
-``_OPS`` entry pairing a forward rule with a closure-free backward rule, so
+``weighted_sum`` with their label and weights as attributes; the log-Q ops
+read their code block's columns ``cols`` of Q's one output, with the sampled
+code as an attribute, and ``gaussian_log_q`` its log sigma clamped to
++-``LOG_SIGMA_BOUND``) rather than assembled from elementwise pieces. Each
+op is one ``_OPS`` entry pairing a forward rule with a closure-free backward rule, so
 every rule can be audited and gradient-checked on its own, and adding or
 removing an op is a single edit.
 A forward rule returns ``(out, saved)``, and the tape keeps ``saved``, the
@@ -515,42 +515,53 @@ def _b_sigmoid_cross_entropy(g, node, need, out):
     return [dx * -1.0 if node.attrs["label"] == 1 else dx]
 
 
+def _q_columns(op, q, cols) -> np.ndarray:
+    """Columns ``cols`` of a (B,F) Q output or its probe stack, a view; ``cols`` must be a step-1 slice inside F."""
+    if not (q.ndim in (2, 3) and isinstance(cols, slice) and cols.indices(q.shape[-1]) == (cols.start, cols.stop, 1)
+            and cols.start < cols.stop):
+        raise ShapeError(f"{op}: needs a (B,F) q and a column range inside F, got {q.shape} and {cols}")
+    return q[..., cols]
+
+
+def _widen(grad, cols, width) -> np.ndarray:
+    """A (B, width) gradient, of grad's dtype, holding ``grad`` in the columns ``cols`` and zeros elsewhere."""
+    out = np.zeros((grad.shape[0], width), grad.dtype)
+    out[:, cols] = grad
+    return out
+
+
 def _f_categorical_log_q(arrs, attrs):
-    # log-softmax of each row of logits at that row's index, shape (B,1)
-    logits = arrs[0]
-    index = attrs["index"]
-    if not (logits.ndim in (2, 3) and index.shape == logits.shape[-2:-1] and index.dtype.kind in "iu"):
-        raise ShapeError(
-            f"categorical_log_q: needs (B,K) logits and B integer indices, got {logits.shape} and {index.dtype} {index.shape}"
-        )
+    # log-softmax of each row of the block's logits at that row's index, shape (B,1)
+    q, index = arrs[0], attrs["index"]
+    logits = _q_columns("categorical_log_q", q, attrs["cols"])
+    if not (index.shape == q.shape[-2:-1] and index.dtype.kind in "iu"):
+        raise ShapeError(f"categorical_log_q: needs B integer indices for a (B,F) q, got {index.dtype} {index.shape} for {q.shape}")
     # a negative index wraps to a huge unsigned value, so one max checks both ends
     if index.size and _max_reduce(index.astype(np.uint64, copy=False)) >= logits.shape[-1]:
         raise DomainError(f"categorical_log_q: index outside [0, {logits.shape[-1]}) (min {index.min()}, max {index.max()})")
     # max-shifted rows and their log-sum-exp: never -inf for sane logits
     shifted = logits - logits.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return shifted[..., np.arange(len(index)), index][..., None] - lse, (shifted, lse)
+    return shifted[..., np.arange(len(index)), index][..., None] - lse, (shifted, lse, q.shape[-1])
 
 
 def _b_categorical_log_q(g, node, need, out):
-    shifted, lse = node.saved
+    shifted, lse, width = node.saved
     index = node.attrs["index"]
-    # d log p[index] / d logits = onehot(index) - softmax(logits), per row
+    # d log p[index] / d logits = onehot(index) - softmax(logits), per row; zero outside the block's columns
     picked = np.zeros_like(shifted)
     picked[np.arange(len(index)), index] = g[:, 0]
-    return [picked - np.exp(shifted - lse) * g]
+    return [_widen(picked - np.exp(shifted - lse) * g, node.attrs["cols"], width)]
 
 
 def _f_gaussian_log_q(arrs, attrs):
-    # per-row sum over dims of log N(c; mu, exp(s)^2), shape (B,1), with s = log_sigma clamped to
-    # +-LOG_SIGMA_BOUND; the raw log_sigma is saved for the backward's mask
-    c, mu, log_sigma = arrs
-    if not (c.ndim == 2 and c.shape == mu.shape == log_sigma.shape):
-        cores = _probe_cores(arrs, (2, 2, 2))
-        if cores is None or not cores[0] == cores[1] == cores[2]:
-            raise ShapeError(
-                f"gaussian_log_q: c, mu and log_sigma must share one (B,D) shape, got {c.shape}, {mu.shape} and {log_sigma.shape}"
-            )
+    # per-row sum over dims of log N(c; mu, exp(s)^2), with mu and s = log_sigma clamped to +-LOG_SIGMA_BOUND
+    # the block's two halves of columns, shape (B,1); the raw log_sigma is saved for the backward's mask
+    q, c, cols = arrs[0], attrs["c"], attrs["cols"]
+    block = _q_columns("gaussian_log_q", q, cols)
+    if not (c.ndim == 2 and c.shape[0] == q.shape[-2] and 2 * c.shape[1] == block.shape[-1]):
+        raise ShapeError(f"gaussian_log_q: needs a (B,D) code c and 2D columns of q, got {c.shape}, {q.shape} and {cols}")
+    mu, log_sigma = block[..., : c.shape[1]], block[..., c.shape[1] :]
     s = np.clip(log_sigma, -LOG_SIGMA_BOUND, LOG_SIGMA_BOUND)
     # clamped, exp(-2*s) <= e**14 in either dtype: only a NaN, which fails the comparison, is out of domain
     if not _min_reduce(s, axis=None, initial=np.inf) >= -LOG_SIGMA_BOUND:
@@ -558,18 +569,15 @@ def _f_gaussian_log_q(arrs, attrs):
     diff = c - mu
     inv_var = np.exp(-2.0 * s)
     elem = -0.5 * _LN_2PI - s - 0.5 * (diff * diff) * inv_var
-    return elem.sum(axis=-1, keepdims=True), (diff, inv_var, log_sigma)
+    return elem.sum(axis=-1, keepdims=True), (diff, inv_var, log_sigma, q.shape[-1])
 
 
 def _b_gaussian_log_q(g, node, need, out):
-    diff, inv_var, log_sigma = node.saved
+    diff, inv_var, log_sigma, width = node.saved
     scaled = diff * inv_var
-    # the log_sigma gradient is zero where the clamp is active: the strict mask is the last factor
-    return [
-        -g * scaled if need[0] else None,
-        g * scaled if need[1] else None,
-        g * (diff * scaled - 1.0) * ((log_sigma > -LOG_SIGMA_BOUND) & (log_sigma < LOG_SIGMA_BOUND)) if need[2] else None,
-    ]
+    # mu's columns, then log_sigma's, whose gradient is zero where the clamp is active: the strict mask is the last factor
+    mask = (log_sigma > -LOG_SIGMA_BOUND) & (log_sigma < LOG_SIGMA_BOUND)
+    return [_widen(np.concatenate([g * scaled, g * (diff * scaled - 1.0) * mask], axis=1), node.attrs["cols"], width)]
 
 
 def _f_reduce_mean(arrs, attrs):
@@ -694,15 +702,18 @@ def sigmoid_cross_entropy(logits: Tensor, label: int) -> Tensor:
     return forward_op("sigmoid_cross_entropy", [logits], {"label": label})
 
 
-def categorical_log_q(logits: Tensor, index) -> Tensor:
-    """(B,1) log-softmax of each row of logits at that row's category index (an attribute)."""
-    return forward_op("categorical_log_q", [logits], {"index": np.asarray(index)})
+def categorical_log_q(q: Tensor, index, cols: slice) -> Tensor:
+    """(B,1) log-softmax of each row of a block's logits, the columns ``cols`` of Q's (B,F) output ``q``, at
+    that row's category index (an attribute). Its gradient is (B,F), zero outside ``cols``."""
+    return forward_op("categorical_log_q", [q], {"index": np.asarray(index), "cols": cols})
 
 
-def gaussian_log_q(c: Tensor, mu: Tensor, log_sigma: Tensor) -> Tensor:
-    """(B,1) diagonal-Gaussian log-density of each row of c under N(mu, exp(s)^2), s = log_sigma clamped to
-    +-``LOG_SIGMA_BOUND`` (no gradient where the clamp is active); a NaN log_sigma is a ``DomainError``."""
-    return forward_op("gaussian_log_q", [c, mu, log_sigma])
+def gaussian_log_q(q: Tensor, c, cols: slice) -> Tensor:
+    """(B,1) diagonal-Gaussian log-density of each row of the (B,D) code ``c`` (an attribute, held in q's
+    dtype) under N(mu, exp(s)^2), where the columns ``cols`` of Q's (B,F) output ``q`` hold D means and then
+    D log sigmas, s = log_sigma clamped to +-``LOG_SIGMA_BOUND`` (no gradient where the clamp is active).
+    Its gradient is (B,F), zero outside ``cols``; a NaN log_sigma is a ``DomainError``."""
+    return forward_op("gaussian_log_q", [q], {"c": np.asarray(c, dtype=q.data.dtype), "cols": cols})
 
 
 def reduce_mean(x: Tensor) -> Tensor:

@@ -95,6 +95,8 @@ class TrainingConfig:
         if self.batchnorm is None:
             self.batchnorm = self.dataset == "mnist"
         self.codes = tuple(self.codes)
+        if not self.codes:  # the config text cannot list none; lambda = 0 is the run without an information term
+            raise ConfigError("codes must list at least one code block, got none")
         self.gen_layers = tuple(int(w) for w in self.gen_layers)
         self.trunk_layers = tuple(int(w) for w in self.trunk_layers)
         for key in ("gen_layers", "trunk_layers"):

@@ -381,7 +381,7 @@ def categorical_classifier_eval(
     spec = model.spec
     if not 0 <= block < len(spec.blocks) or not spec.blocks[block].is_discrete:
         raise UsageError(f"block {block} is not a categorical block")
-    k = spec.blocks[block].k
+    k, cols = spec.blocks[block].k, spec.q_slices()[block]
     n_classes = int(dataset.labels.max()) + 1
     if k < n_classes:
         raise UsageError(f"block has {k} categories but dataset has {n_classes} classes")
@@ -390,8 +390,8 @@ def categorical_classifier_eval(
     for start in range(0, len(dataset), CLASSIFIER_CHUNK):
         stop = min(start + CLASSIFIER_CHUNK, len(dataset))
         pixels = float_pixels(dataset.images[start:stop], model.dtype)
-        logits = q_forward(model, Tensor(pixels), training=False)[block]
-        preds[start:stop] = np.argmax(logits.data, axis=1)
+        logits = q_forward(model, Tensor(pixels), training=False).data[:, cols]
+        preds[start:stop] = np.argmax(logits, axis=1)
 
     counts = np.zeros((k, n_classes))
     np.add.at(counts, (preds, dataset.labels), 1.0)

@@ -54,21 +54,21 @@ def _case_sigmoid_cross_entropy(rng, label):
     return [x], lambda p: ad.sigmoid_cross_entropy(p[0], label), None
 
 
+# each log-Q case reads one block's columns of a wider q, so a gradient reaching past them fails the check
 def _case_categorical_log_q(rng):
     """Every logit of a row moves the picked log-probability through the normalizer."""
-    logits = Tensor(2.0 * rng.normal(0, 1, (3, 5)))
-    index = rng.integers(0, 5, 3)
+    q = Tensor(2.0 * rng.normal(0, 1, (3, 6)))
+    index = rng.integers(0, 4, 3)
     w = rng.normal(0, 1, (3, 1))
-    return [logits], lambda p: ad.categorical_log_q(p[0], index), w
+    return [q], lambda p: ad.categorical_log_q(p[0], index, slice(1, 5)), w
 
 
 def _case_gaussian_log_q(rng):
-    """Gradient with respect to the code sample c as well as mu and log_sigma."""
-    c = Tensor(rng.normal(0, 1, (3, 2)))
-    mu = Tensor(rng.normal(0, 1, (3, 2)))
-    log_sigma = Tensor(0.3 * rng.normal(0, 1, (3, 2)))
+    """Gradient with respect to mu and log_sigma, columns 1-2 and 3-4 of q; the code sample c is an attribute."""
+    c, mu = rng.normal(0, 1, (2, 3, 2))
+    q = Tensor(np.concatenate([rng.normal(0, 1, (3, 1)), mu, 0.3 * rng.normal(0, 1, (3, 2)), rng.normal(0, 1, (3, 1))], axis=1))
     w = rng.normal(0, 1, (3, 1))
-    return [c, mu, log_sigma], lambda p: ad.gaussian_log_q(p[0], p[1], p[2]), w
+    return [q], lambda p: ad.gaussian_log_q(p[0], c, slice(1, 5)), w
 
 
 def _case_gaussian_log_q_clamped(rng):
@@ -80,8 +80,9 @@ def _case_gaussian_log_q_clamped(rng):
     sigma = np.exp(np.clip(log_sigma, -7.0, 7.0))
     mu = sigma * rng.normal(0, 1, (2, 3))
     c = mu + sigma * rng.normal(0, 1, (2, 3))
+    q = Tensor(np.concatenate([rng.normal(0, 1, (2, 1)), mu, log_sigma], axis=1))
     w = rng.normal(0, 1, (2, 1))
-    return [Tensor(c), Tensor(mu), Tensor(log_sigma)], lambda p: ad.gaussian_log_q(p[0], p[1], p[2]), w
+    return [q], lambda p: ad.gaussian_log_q(p[0], c, slice(1, 7)), w
 
 
 def _case_reduce_mean(rng):

@@ -3,12 +3,13 @@
 A spec is an ordered list of code blocks (categorical / uniform / gaussian)
 with a factored prior, so each code family's entropy is a sum of per-block
 closed forms. Sampling, one-hot encoding, analytic entropies and log Q(c|x)
-live here; ``log_q`` takes Q's outputs as a plain tuple, one entry per
-block, and checks each entry's kind and width against its block.
+live here; ``log_q`` takes Q's output as one (B, F) tensor, each block's
+parameters in its own columns (``LatentSpec.q_slices``), and checks its width.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,11 @@ class CodeBlock:
     def is_discrete(self) -> bool:
         return self.kind == "categorical"
 
+    @property
+    def q_dim(self) -> int:
+        """Columns of Q's output this block's parameters take: K logits, or dim means and dim log sigmas."""
+        return self.k if self.kind == "categorical" else 2 * self.dim
+
     def entropy(self) -> float:
         """Analytic entropy in nats (differential for continuous kinds)."""
         if self.kind == "categorical":
@@ -147,8 +153,8 @@ class LatentSpec:
     """Ordered code blocks plus the unstructured noise dimension.
 
     The constants every forward pass reads are computed once, when the spec
-    is built: ``gen_input_dim``, and ``h_disc`` and ``h_cont``, the
-    closed-form H(c) of the categorical and of the continuous blocks (nats).
+    is built: ``gen_input_dim``, ``q_dim`` (Q's output width), and ``h_disc``
+    and ``h_cont``, the closed-form H(c) of each family's blocks (nats).
     """
 
     blocks: tuple[CodeBlock, ...]
@@ -164,16 +170,21 @@ class LatentSpec:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "encoded_dim", sum(b.encoded_dim for b in blocks))
         object.__setattr__(self, "gen_input_dim", self.noise_dim + self.encoded_dim)
+        object.__setattr__(self, "q_dim", sum(b.q_dim for b in blocks))
         object.__setattr__(self, "h_disc", sum(b.entropy() for b in blocks if b.is_discrete))
         object.__setattr__(self, "h_cont", sum(b.entropy() for b in blocks if not b.is_discrete))
 
     def encoded_slices(self) -> list[slice]:
         """Column ranges of each block inside the encoded code matrix."""
-        out, start = [], 0
-        for b in self.blocks:
-            out.append(slice(start, start + b.encoded_dim))
-            start += b.encoded_dim
-        return out
+        return _column_ranges(b.encoded_dim for b in self.blocks)
+
+    def q_slices(self) -> list[slice]:
+        """Column ranges of each block inside Q's output: K logits, or dim means then dim log sigmas."""
+        return _column_ranges(b.q_dim for b in self.blocks)
+
+
+def _column_ranges(widths) -> list[slice]:
+    return [slice(start, stop) for start, stop in itertools.pairwise(itertools.accumulate(widths, initial=0))]
 
 
 def one_hot(indices: np.ndarray, k: int) -> np.ndarray:
@@ -239,49 +250,36 @@ def sample_latent(spec: LatentSpec, batch: int, rng: np.random.Generator, dtype=
     return LatentBatch(spec=spec, c_raw=raw, g_input=Tensor(g_input))
 
 
-def log_q(q: tuple, batch: LatentBatch) -> tuple[Tensor | None, Tensor | None]:
+def log_q(q: Tensor, batch: LatentBatch) -> tuple[Tensor | None, Tensor | None]:
     """Per-sample log Q(c|x), split into (discrete, continuous) columns of shape (B,1).
 
-    ``q`` holds Q's output per code block, in spec order: (B,K) logits, or
-    a ``(mu, log_sigma)`` pair of (B,dim). A wrong or missing entry raises
-    ``UsageError`` naming the block.
+    ``q`` is Q's (B, F) output, F = ``spec.q_dim``; another shape raises
+    ``UsageError``. Each block's op reads the block's columns of ``q``
+    (``spec.q_slices()``), with the sampled code as an attribute.
 
     Discrete part: the fused ``categorical_log_q`` op, the log-softmax of
-    the block logits at the sampled category; continuous part: the fused
+    the block's logits at the sampled category; continuous part: the fused
     ``gaussian_log_q`` op, the diagonal Gaussian log-density
     sum(-0.5*ln(2pi) - s - (c-mu)^2 / (2*exp(2s))) over dims, with s the
     log_sigma read clamped to +-``autodiff.LOG_SIGMA_BOUND`` (no gradient
-    where the clamp is active) and the code values c held in mu's dtype. One
+    where the clamp is active) and the code values c held in q's dtype. One
     ``weighted_sum`` adds up a family's blocks; a family with none is None.
-    Differentiable w.r.t. logits, mu and log_sigma (and through them x).
+    Differentiable w.r.t. q (and through it x).
     """
-    blocks = batch.spec.blocks
-    if len(q) > len(blocks):
-        raise UsageError(f"Q gives {len(q)} outputs for {len(blocks)} code blocks")
-    b = batch.g_input.shape[0]
+    spec = batch.spec
+    want = (batch.g_input.shape[0], spec.q_dim)
+    # only the trailing two axes count, so a probe stack (K, B, F) checks as one output
+    got = q.shape[-2:] if isinstance(q, Tensor) else type(q).__name__
+    if got != want:
+        codes = " ".join(b.to_token() for b in spec.blocks)
+        raise UsageError(f"Q's output for codes '{codes}' must be of shape {want}, got {got}")
     disc, cont = [], []
-    for i, (block, raw) in enumerate(zip(blocks, batch.c_raw, strict=True)):
-        want = (b, block.k) if block.is_discrete else ((b, block.dim),) * 2
-        got = _shapes(q[i]) if i < len(q) else "nothing"
-        if got != want:
-            what = "logits" if block.is_discrete else "a (mu, log_sigma) pair"
-            raise UsageError(f"Q output for block {i} ('{block.to_token()}') must be {what} of shape {want}, got {got}")
+    for block, raw, cols in zip(spec.blocks, batch.c_raw, spec.q_slices(), strict=True):
         if block.is_discrete:
-            disc.append(ad.categorical_log_q(q[i], raw))
+            disc.append(ad.categorical_log_q(q, raw, cols))
         else:
-            c = Tensor(np.asarray(raw, dtype=q[i][0].data.dtype).reshape(b, block.dim))
-            cont.append(ad.gaussian_log_q(c, *q[i]))
+            cont.append(ad.gaussian_log_q(q, raw, cols))
     return _family_sum(disc), _family_sum(cont)
-
-
-def _shapes(out) -> tuple | str:
-    """The shapes an entry of Q's outputs holds, nested as given: (B, K), or ((B, dim), (B, dim)) for a pair.
-
-    Only the trailing two axes count, so a probe stack of outputs (K, B, ...) checks as one output.
-    """
-    if isinstance(out, tuple):
-        return tuple(map(_shapes, out))
-    return out.shape[-2:] if isinstance(out, Tensor) else type(out).__name__
 
 
 def _family_sum(parts: list[Tensor]) -> Tensor | None:

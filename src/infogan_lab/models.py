@@ -9,9 +9,10 @@ discriminator head and the recognition head share one trunk.
 ``disc_q_forward`` runs the trunk once and feeds both heads, so the
 recognition model adds only its own head's cost; ``disc_forward`` and
 ``q_forward`` run the trunk and one head, for callers that read only the D
-logit (the discriminator step) or only Q (evaluation). Q's outputs are a
-tuple in spec order: (B,K) logits per categorical code, a (mu, log sigma)
-pair of (B,dim) tensors per continuous one. Log sigma is Q's raw output:
+logit (the discriminator step) or only Q (evaluation). As in the paper, Q
+ends in one output layer, ``q_head.out``, whose (B, F) output holds each
+code block's parameters in the block's columns of ``spec.q_slices()``.
+Log sigma is Q's raw output:
 ``gaussian_log_q`` reads it clamped to +-``autodiff.LOG_SIGMA_BOUND``.
 
 Parameters live in four clock blocks (``gen``, ``trunk``, ``d_head``,
@@ -29,7 +30,6 @@ gradient suite builds its models in float64.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -118,9 +118,7 @@ class ModelPair:
     ``params`` is a read-only view of every block's parameters in block
     order, so no tensor can be rebound away from the vector Adam updates.
     The forward passes read each layer's tensors from its ``Dense`` record,
-    which ``_layout_models`` builds once from its block's views;
-    ``q_outs`` holds one entry per code block, the logits layer of a
-    categorical code or the ``(mu, log sigma)`` pair of a continuous one.
+    which ``_layout_models`` builds once from its block's views.
     """
 
     spec: LatentSpec
@@ -132,7 +130,7 @@ class ModelPair:
     trunk_layers: tuple[Dense, ...]
     d_out: Dense
     q_l0: Dense
-    q_outs: tuple[Dense | tuple[Dense, Dense], ...]
+    q_out: Dense
     params: Mapping[str, Tensor] = field(init=False)
 
     def __post_init__(self):
@@ -151,11 +149,11 @@ def _layout_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec, dtyp
     Each dense layer is declared once, by name, with its batchnorm if it has
     one, in the list of its block (``gen``, ``trunk``, ``d_head``, ``q_head``);
     list order is parameter order: ``{name}.w``, ``{name}.b``, then
-    ``{bn}.gamma`` and ``{bn}.beta``. The Q head's per-code layers are
-    ``q_head.cat{i}`` / ``q_head.cont{i}``, counted per family in spec order,
-    a continuous one split into ``.mu`` and ``.s``. Each block is allocated
-    from its list in one pass, which builds its ``Dense`` records from the
-    new views. Blocks and running moments are held in ``dtype``.
+    ``{bn}.gamma`` and ``{bn}.beta``. The Q head is its hidden layer
+    ``q_head.l0`` and its output layer ``q_head.out``, ``spec.q_dim`` wide.
+    Each block is allocated from its list in one pass, which builds its
+    ``Dense`` records from the new views. Blocks and running moments are
+    held in ``dtype``.
     """
     if gen_cfg.widths[0] != spec.gen_input_dim:
         raise ShapeError(
@@ -195,19 +193,10 @@ def _layout_models(gen_cfg: NetConfig, dq_cfg: NetConfig, spec: LatentSpec, dtyp
     trunk = layout("trunk", [(f"trunk.l{i}", tw[i], tw[i + 1], f"trunk.bn{i}" if dq_cfg.batchnorm and i > 0 else None)
                              for i in range(len(tw) - 1)])
     (d_out,) = layout("d_head", [("d_head.out", tw[-1], 1, None)])
-    q_layers = [("q_head.l0", tw[-1], hq, "q_head.bn0" if dq_cfg.batchnorm else None)]
-    n_cat, n_cont = itertools.count(), itertools.count()
-    for code in spec.blocks:
-        if code.is_discrete:
-            q_layers.append((f"q_head.cat{next(n_cat)}", hq, code.k, None))
-        else:
-            name = f"q_head.cont{next(n_cont)}"
-            q_layers += [(f"{name}.mu", hq, code.dim, None), (f"{name}.s", hq, code.dim, None)]
-    q_l0, *q_flat = layout("q_head", q_layers)
-    q_iter = iter(q_flat)
-    q_outs = tuple(next(q_iter) if code.is_discrete else (next(q_iter), next(q_iter)) for code in spec.blocks)
+    q_l0, q_out = layout("q_head", [("q_head.l0", tw[-1], hq, "q_head.bn0" if dq_cfg.batchnorm else None),
+                                    ("q_head.out", hq, spec.q_dim, None)])
     return ModelPair(spec, gen_cfg, dq_cfg, blocks, bn_states, gen_layers=tuple(gen), trunk_layers=tuple(trunk),
-                     d_out=d_out, q_l0=q_l0, q_outs=q_outs)
+                     d_out=d_out, q_l0=q_l0, q_out=q_out)
 
 
 def init_models(
@@ -258,15 +247,8 @@ def _trunk(model: ModelPair, x: Tensor, training: bool) -> Tensor:
     return h
 
 
-def _q_head(model: ModelPair, h: Tensor, training: bool) -> tuple:
-    hq = _dense(model.q_l0, h, training, "lrelu")
-    q = []
-    for block, out in zip(model.spec.blocks, model.q_outs):
-        if block.is_discrete:
-            q.append(_dense(out, hq, training))
-        else:
-            q.append(tuple(_dense(layer, hq, training) for layer in out))
-    return tuple(q)
+def _q_head(model: ModelPair, h: Tensor, training: bool) -> Tensor:
+    return _dense(model.q_out, _dense(model.q_l0, h, training, "lrelu"), training)
 
 
 def disc_forward(model: ModelPair, x: Tensor, training: bool = True) -> Tensor:
@@ -274,17 +256,17 @@ def disc_forward(model: ModelPair, x: Tensor, training: bool = True) -> Tensor:
     return _dense(model.d_out, _trunk(model, x, training), training)
 
 
-def q_forward(model: ModelPair, x: Tensor, training: bool = True) -> tuple:
-    """Q's outputs alone, one entry per code block: the trunk and the Q head, no D head."""
+def q_forward(model: ModelPair, x: Tensor, training: bool = True) -> Tensor:
+    """Q's (B, F) output alone: the trunk and the Q head, no D head."""
     return _q_head(model, _trunk(model, x, training), training)
 
 
-def disc_q_forward(model: ModelPair, x: Tensor, training: bool = True) -> tuple[Tensor, tuple]:
+def disc_q_forward(model: ModelPair, x: Tensor, training: bool = True) -> tuple[Tensor, Tensor]:
     """One shared trunk pass, then the D head (one logit) and the Q head.
 
-    Returns the (B,1) discriminator logit and Q's outputs, one entry per
-    code block. Log sigma is returned raw; ``gaussian_log_q`` clamps it to
-    +/-7 before any exponentiation.
+    Returns the (B,1) discriminator logit and Q's (B, F) output. Log sigma
+    is returned raw; ``gaussian_log_q`` clamps it to +/-7 before any
+    exponentiation.
     """
     h = _trunk(model, x, training)
     return _dense(model.d_out, h, training), _q_head(model, h, training)

@@ -38,7 +38,7 @@ def generator_loss(d_fake_logits: Tensor, mode: str = "nonsaturating") -> Tensor
     return ad.sigmoid_cross_entropy(d_fake_logits, 1)
 
 
-def mi_lower_bound(q: tuple, batch: LatentBatch) -> tuple[Tensor, Tensor]:
+def mi_lower_bound(q: Tensor, batch: LatentBatch) -> tuple[Tensor, Tensor]:
     """Single-sample Monte-Carlo estimate of the bound, split by code family.
 
     Per family: batch mean of log Q(c|x) (``q`` as ``log_q`` takes it) plus

@@ -131,11 +131,11 @@ class TestCriterion1BoundMaximization:
         # the behaviour fingerprint of the headline protocol: a change that leaves the arithmetic alone keeps both
         with open(crit1.metrics, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == (
-                "d0df62134d95a5a472b3b142a30451085dcfd43ca4d0ee60ed4ddb8e13343f0b"
+                "4c294e86ead13f74eba05de1ab62a2f89d6c0b151f3f1ec40681f98650ea231f"
             ), pinned_on
         with open(crit1.checkpoint, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == (
-                "49ca891aa317e010497c6495bae6975a1548726127a62354961cc97e136a0efc"
+                "14b85fc6d8d5591c82dc6f343a2702d8dd053ff284b018a9257a21b0e55bec66"
             ), pinned_on
 
 

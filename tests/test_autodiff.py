@@ -49,12 +49,24 @@ _SHAPE_ERRORS = [
      "weighted_sum: needs one weight per input and equal shapes, got 1 weights for shapes (3, 2), (3, 2)"),
     (lambda: ad.weighted_sum([], ()),
      "weighted_sum: needs one weight per input and equal shapes, got 0 weights for shapes "),
-    (lambda: ad.categorical_log_q(_ones(2, 3), np.zeros(3, dtype=np.int64)),
-     "categorical_log_q: needs (B,K) logits and B integer indices, got (2, 3) and int64 (3,)"),
-    (lambda: ad.categorical_log_q(_ones(2, 3), np.zeros(2)),
-     "categorical_log_q: needs (B,K) logits and B integer indices, got (2, 3) and float64 (2,)"),
-    (lambda: ad.gaussian_log_q(_ones(2, 3), _ones(2, 2), _ones(2, 3)),
-     "gaussian_log_q: c, mu and log_sigma must share one (B,D) shape, got (2, 3), (2, 2) and (2, 3)"),
+    (lambda: ad.categorical_log_q(_ones(2, 3), np.zeros(3, dtype=np.int64), slice(0, 3)),
+     "categorical_log_q: needs B integer indices for a (B,F) q, got int64 (3,) for (2, 3)"),
+    (lambda: ad.categorical_log_q(_ones(2, 3), np.zeros(2), slice(0, 3)),
+     "categorical_log_q: needs B integer indices for a (B,F) q, got float64 (2,) for (2, 3)"),
+    (lambda: ad.categorical_log_q(_ones(3), np.zeros(1, dtype=np.int64), slice(0, 3)),
+     "categorical_log_q: needs a (B,F) q and a column range inside F, got (3,) and slice(0, 3, None)"),
+    # a column range must be a slice of one column or more, inside F, in steps of one
+    *[(lambda cols=cols: ad.categorical_log_q(_ones(2, 4), np.zeros(2, dtype=np.int64), cols),
+       f"categorical_log_q: needs a (B,F) q and a column range inside F, got (2, 4) and {cols}")
+      for cols in (slice(2, 5), slice(None, 3), slice(-2, 4), slice(2, 2), slice(0, 4, 2), slice(3, 1), (0, 4))],
+    (lambda: ad.gaussian_log_q(_ones(2, 4), np.zeros((2, 1)), slice(0, 4)),
+     "gaussian_log_q: needs a (B,D) code c and 2D columns of q, got (2, 1), (2, 4) and slice(0, 4, None)"),
+    (lambda: ad.gaussian_log_q(_ones(2, 4), np.zeros((3, 2)), slice(0, 4)),
+     "gaussian_log_q: needs a (B,D) code c and 2D columns of q, got (3, 2), (2, 4) and slice(0, 4, None)"),
+    (lambda: ad.gaussian_log_q(_ones(2, 4), np.zeros(2), slice(0, 2)),
+     "gaussian_log_q: needs a (B,D) code c and 2D columns of q, got (2,), (2, 4) and slice(0, 2, None)"),
+    (lambda: ad.gaussian_log_q(_ones(2, 4), np.zeros((2, 1)), slice(3, 5)),
+     "gaussian_log_q: needs a (B,F) q and a column range inside F, got (2, 4) and slice(3, 5, None)"),
     (lambda: ad.batchnorm(_ones(4), _ones(4), _ones(4), BatchNormState(4), True),
      "batchnorm: needs (B,F) input, got (4,)"),
     (lambda: ad.batchnorm(_ones(5, 3), _ones(2), _ones(3), BatchNormState(3), False),
@@ -68,14 +80,16 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data, [[-0.1, 0.0, 2.0]])
 
     def test_softmax_uniform_row(self):
-        out = ad.categorical_log_q(Tensor(np.zeros((10, 10))), np.arange(10))
+        out = ad.categorical_log_q(Tensor(np.zeros((10, 10))), np.arange(10), slice(0, 10))
         np.testing.assert_allclose(np.exp(out.data), np.full((10, 1), 0.1), rtol=1e-15)
 
     def test_categorical_log_q_picks_log_softmax_at_index(self):
         rng = np.random.default_rng(4)
         logits = np.concatenate([rng.normal(0, 3, (6, 5)), [[-1000.0, 0.0, 1000.0, 3.0, -2.0]]])
         index = np.array([0, 1, 2, 3, 4, 0, 0])
-        out = ad.categorical_log_q(Tensor(logits), index)
+        # the block's logits between two columns of other blocks, which it must not read
+        q = np.concatenate([np.full((7, 1), np.nan), logits, np.full((7, 2), 1e300)], axis=1)
+        out = ad.categorical_log_q(Tensor(q), index, slice(1, 6))
         assert out.shape == (7, 1)
         expected = scipy_log_softmax(logits, axis=1)[np.arange(7), index][:, None]
         np.testing.assert_allclose(out.data, expected, atol=1e-12, rtol=0)
@@ -119,7 +133,9 @@ class TestForwardValues:
         rng = np.random.default_rng(2)
         c, mu = rng.normal(0, 1, (5, 3)), rng.normal(0, 1, (5, 3))
         log_sigma = rng.uniform(-7.0, 7.0, (5, 3))
-        out = ad.gaussian_log_q(Tensor(c), Tensor(mu), Tensor(log_sigma))
+        # mu's three columns, then log sigma's, after two columns of another block it must not read
+        q = np.concatenate([np.full((5, 2), np.nan), mu, log_sigma], axis=1)
+        out = ad.gaussian_log_q(Tensor(q), c, slice(2, 8))
         assert out.shape == (5, 1)
         expected = norm.logpdf(c, loc=mu, scale=np.exp(log_sigma)).sum(axis=1, keepdims=True)
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
@@ -132,11 +148,12 @@ class TestForwardValues:
             assert str(err.value) == message
 
     def test_domain_errors(self):
-        zeros = Tensor(np.zeros((1, 2)))
+        # K is the block's column count, not q's width
+        zeros = Tensor(np.zeros((1, 5)))
         with pytest.raises(DomainError, match=r"categorical_log_q: index outside \[0, 2\) \(min 2, max 2\)"):
-            ad.categorical_log_q(zeros, [2])
+            ad.categorical_log_q(zeros, [2], slice(1, 3))
         with pytest.raises(DomainError, match=r"categorical_log_q: index outside \[0, 2\) \(min -1"):
-            ad.categorical_log_q(zeros, [-1])
+            ad.categorical_log_q(zeros, [-1], slice(1, 3))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("past", [8.0, 50.0, 400.0, np.inf, -8.0, -50.0, -400.0, -np.inf])
@@ -145,29 +162,30 @@ class TestForwardValues:
         # in either dtype and without a RuntimeWarning (exp(-2 * -400) overflows float64, and
         # exp(-2 * -50) float32), and its gradient is zero
         rng = np.random.default_rng(3)
-        c, mu = (Tensor(rng.normal(0, 1, (1, 2)).astype(dtype)) for _ in range(2))
-        log_sigma = Tensor(np.array([[0.5, past]], dtype))
+        c, mu = (rng.normal(0, 1, (1, 2)).astype(dtype) for _ in range(2))
+        q, at_bound = (Tensor(np.concatenate([mu, np.array([[0.5, s]], dtype)], axis=1)) for s in (past, math.copysign(7.0, past)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bound = ad.gaussian_log_q(c, mu, Tensor(np.array([[0.5, math.copysign(7.0, past)]], dtype))).data
+            bound = ad.gaussian_log_q(at_bound, c, slice(0, 4)).data
             with Tape() as tape:
-                out = ad.gaussian_log_q(c, mu, log_sigma)
-                (grad,) = tape.backward(out, [log_sigma], np.ones((1, 1)))
+                out = ad.gaussian_log_q(q, c, slice(0, 4))
+                (grad,) = tape.backward(out, [q], np.ones((1, 1)))
         assert out.data.dtype == dtype and out.data.tobytes() == bound.tobytes()
-        assert grad[0, 0] != 0.0 and grad[0, 1] == 0.0
+        assert grad[0, 2] != 0.0 and grad[0, 3] == 0.0
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gaussian_log_q_nan_log_sigma_is_a_domain_error_without_a_warning(self, dtype):
-        zeros = Tensor(np.zeros((2, 2), dtype))
+        zeros = np.zeros((2, 2), dtype)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for row in ([np.nan, 0.0], [np.nan, np.inf], [-np.inf, np.nan]):
-                log_sigma = Tensor(np.array([[0.3, 1.0], row], dtype))
+                q = Tensor(np.concatenate([zeros, np.array([[0.3, 1.0], row], dtype)], axis=1))
                 with pytest.raises(DomainError, match=r"^gaussian_log_q: log_sigma is NaN$"):
-                    ad.gaussian_log_q(zeros, zeros, log_sigma)
-            # an empty batch has no NaN
-            empty = Tensor(np.zeros((0, 2), dtype))
-            assert ad.gaussian_log_q(empty, empty, empty).shape == (0, 1)
+                    ad.gaussian_log_q(q, zeros, slice(0, 4))
+            # an empty batch has no NaN, and a NaN in another block's column is not this block's
+            assert ad.gaussian_log_q(Tensor(np.zeros((0, 4), dtype)), np.zeros((0, 2)), slice(0, 4)).shape == (0, 1)
+            q = Tensor(np.concatenate([zeros, zeros, np.full((2, 1), np.nan, dtype)], axis=1))
+            assert np.isfinite(ad.gaussian_log_q(q, zeros, slice(0, 4)).data).all()
 
     def test_unknown_op(self):
         with pytest.raises(UsageError, match="unknown op"):
@@ -255,7 +273,7 @@ class TestDomainCheckFastForms:
             _reference_index_check(index, 3)
             return scipy_log_softmax(logits, axis=1)[np.arange(3), index][:, None]
 
-        fast = _outcome(lambda: ad.categorical_log_q(Tensor(logits), index).data)
+        fast = _outcome(lambda: ad.categorical_log_q(Tensor(logits), index, slice(0, 3)).data)
         ref = _outcome(reference)
         assert fast[0] == ref[0]
         if fast[0] == "raise":
@@ -264,7 +282,7 @@ class TestDomainCheckFastForms:
             np.testing.assert_allclose(np.frombuffer(fast[1]), np.frombuffer(ref[1]), atol=1e-12, rtol=0)
 
     def test_categorical_empty_index(self):
-        out = ad.categorical_log_q(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.int64))
+        out = ad.categorical_log_q(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.int64), slice(0, 3))
         assert out.shape == (0, 1)
 
 
@@ -360,10 +378,12 @@ _STACKED_SHAPE_ERRORS = [
      "weighted_sum: needs one weight per input and equal shapes, got 2 weights for shapes (7, 3, 4), (3, 5)"),
     (lambda: ad.weighted_sum([_ones(7), _ones(5)], (1.0, 1.0)),
      "weighted_sum: needs one weight per input and equal shapes, got 2 weights for shapes (7,), (5,)"),
-    (lambda: ad.categorical_log_q(_ones(7, 2, 3), np.zeros(3, dtype=np.int64)),
-     "categorical_log_q: needs (B,K) logits and B integer indices, got (7, 2, 3) and int64 (3,)"),
-    (lambda: ad.gaussian_log_q(_ones(7, 2, 3), _ones(2, 3), _ones(5, 2, 3)),
-     "gaussian_log_q: c, mu and log_sigma must share one (B,D) shape, got (7, 2, 3), (2, 3) and (5, 2, 3)"),
+    (lambda: ad.categorical_log_q(_ones(7, 2, 3), np.zeros(3, dtype=np.int64), slice(0, 3)),
+     "categorical_log_q: needs B integer indices for a (B,F) q, got int64 (3,) for (7, 2, 3)"),
+    (lambda: ad.categorical_log_q(_ones(2, 7, 2, 3), np.zeros(2, dtype=np.int64), slice(0, 3)),
+     "categorical_log_q: needs a (B,F) q and a column range inside F, got (2, 7, 2, 3) and slice(0, 3, None)"),
+    (lambda: ad.gaussian_log_q(_ones(7, 2, 4), np.zeros((7, 2)), slice(0, 4)),
+     "gaussian_log_q: needs a (B,D) code c and 2D columns of q, got (7, 2), (7, 2, 4) and slice(0, 4, None)"),
     (lambda: ad.batchnorm(_ones(7, 5, 3), _ones(7, 1, 2), _ones(3), BatchNormState(3), True),
      "batchnorm: scale/shift must be (3,), got (7, 1, 2) and (3,)"),
     (lambda: ad.batchnorm(_ones(2, 7, 5, 3), _ones(3), _ones(3), BatchNormState(3), True),
@@ -381,7 +401,7 @@ def test_stacked_inputs_that_are_no_probe_stack_are_shape_errors():
 def _log_softmax_by_index(x):
     """Every column of log-softmax(x), each from one categorical_log_q call."""
     b, k = x.shape
-    return np.concatenate([ad.categorical_log_q(Tensor(x), np.full(b, j)).data for j in range(k)], axis=1)
+    return np.concatenate([ad.categorical_log_q(Tensor(x), np.full(b, j), slice(0, k)).data for j in range(k)], axis=1)
 
 
 class TestSoftmaxInvariants:
@@ -633,11 +653,12 @@ class TestBatchnorm:
 
 class TestBackward:
     def test_square_sum(self):
-        # gaussian_log_q(0, w, 0) is -sum(w**2)/2 minus a constant, so its gradient is -w exactly
-        w, zeros = Tensor([[1.0, 2.0, 3.0]]), Tensor(np.zeros((1, 3)))
+        # with c = 0 and log sigma 0, gaussian_log_q is -sum(mu**2)/2 minus a constant, so its gradient
+        # at the mean columns is -mu exactly; at each log sigma it is mu**2 - 1
+        q = Tensor([[1.0, 2.0, 3.0, 0.0, 0.0, 0.0]])
         with Tape() as tape:
-            (g,) = tape.backward(ad.gaussian_log_q(zeros, w, zeros), [w])
-        np.testing.assert_array_equal(g, [[-1.0, -2.0, -3.0]])
+            (g,) = tape.backward(ad.gaussian_log_q(q, np.zeros((1, 3)), slice(0, 6)), [q])
+        np.testing.assert_array_equal(g, [[-1.0, -2.0, -3.0, 0.0, 3.0, 8.0]])
 
     def test_mean_spreads_evenly(self):
         x = Tensor(np.arange(4.0))
@@ -799,7 +820,6 @@ def _masked_rule_cases():
         "linear_lrelu": (lambda x, w, b: ad.linear(x, w, b, "lrelu"), [(5, 4), (4, 3), (3,)]),
         "linear_one_column": (ad.linear, [(5, 4), (4, 1), (1,)]),
         "weighted_sum": (lambda *xs: ad.weighted_sum(xs, (0.5, -1.0, 2.0)), [(5, 3), (5, 3), (5, 3)]),
-        "gaussian_log_q": (ad.gaussian_log_q, [(5, 3), (5, 3), (5, 3)]),
         "batchnorm_train": (bn(True), [(5, 3), (3,), (3,)]),
         "batchnorm_eval": (bn(False), [(5, 3), (3,), (3,)]),
         "batchnorm_train_relu": (bn(True, "relu"), [(5, 3), (3,), (3,)]),
@@ -939,9 +959,10 @@ class TestBackwardDestinations:
 
 class TestGradCheck:
     def test_quadratic_is_nearly_exact(self):
-        # -sum(p**2)/2 minus a constant: a central difference of a quadratic is exact up to rounding
-        params, zeros = [Tensor([[1.0, -2.0, 0.5]])], Tensor(np.zeros((1, 3)))
-        err = grad_check(lambda p: ad.gaussian_log_q(zeros, p[0], zeros), params, step=1e-6)
+        # -sum(mu**2)/2 minus a constant at log sigma 0: a central difference of a quadratic is exact up to
+        # rounding; each log sigma s moves it by -s - mu**2 * (exp(-2s) - 1) / 2, whose third derivative is small
+        params = [Tensor([[1.0, -2.0, 0.5, 0.0, 0.0, 0.0]])]
+        err = grad_check(lambda p: ad.gaussian_log_q(p[0], np.zeros((1, 3)), slice(0, 6)), params, step=1e-6)
         assert err <= 1e-9
 
     @pytest.mark.parametrize("label", [0, 1])
@@ -1162,7 +1183,7 @@ def test_forward_determinism_same_seed():
         x = Tensor(rng.normal(0, 1, (5, 5)))
         h = ad.linear(x, Tensor(rng.normal(0, 1, (5, 5))), Tensor(rng.normal(0, 1, 5)), "lrelu")
         logits = ad.linear(h, Tensor(rng.normal(0, 1, (5, 5))), Tensor(rng.normal(0, 1, 5)), "sigmoid")
-        y = ad.categorical_log_q(logits, rng.integers(0, 5, 5))
+        y = ad.categorical_log_q(logits, rng.integers(0, 5, 5), slice(0, 5))
         return y.data
 
     np.testing.assert_array_equal(run(), run())

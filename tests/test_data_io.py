@@ -344,7 +344,7 @@ def _float64_reference(k, n, sigma, seed):
     return images, idx.astype(np.int64)
 
 
-CHECKPOINT_GOLDEN_SHA256 = "ef52a8da839dc5f90c721d2d1b52cd7846fffd601dcb3ed3ff29c137daa2b3a4"
+CHECKPOINT_GOLDEN_SHA256 = "7b408eb69cea85ed69768da6fe1f9c98e366e5432ceb7b1d056cf155f4b0f0af"
 
 
 def small_model(seed=0, batchnorm=False):
@@ -483,22 +483,42 @@ class TestCheckpoint:
             assert np.shares_memory(arr, buffer), name
             np.testing.assert_array_equal(arr, dict(data_io._checkpoint_entries(model))[name])
 
-    def test_an_entry_written_twice_is_format_error(self, tmp_path):
-        # a hand-built file whose entries are the model's plus a second, different copy of gen.l0.w:
-        # neither copy may win silently
-        model, cfg = small_model()
-        entries = data_io._checkpoint_entries(model)
-        entries.append(("gen.l0.w", np.ones_like(model.params["gen.l0.w"].data)))
+    @staticmethod
+    def _hand_built(path, cfg, entries):
+        """Write a checkpoint of ``cfg`` holding ``entries``, (name, array) pairs in order, as save_checkpoint would."""
         config_bytes = data_io.render_config(cfg).encode()
         blob = [data_io.CHECKPOINT_MAGIC, struct.pack("<IQ", data_io.CHECKPOINT_VERSION, len(config_bytes))]
         blob += [config_bytes, struct.pack("<Q", len(entries))]
         for name, arr in entries:
             blob += [struct.pack("<I", len(name)), name.encode(), struct.pack("<I", arr.ndim)]
             blob += [struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.astype("<f8").tobytes()]
-        path = tmp_path / "m.igan"
         path.write_bytes(b"".join(blob))
+
+    def test_an_entry_written_twice_is_format_error(self, tmp_path):
+        # a hand-built file whose entries are the model's plus a second, different copy of gen.l0.w:
+        # neither copy may win silently
+        model, cfg = small_model()
+        entries = data_io._checkpoint_entries(model)
+        entries.append(("gen.l0.w", np.ones_like(model.params["gen.l0.w"].data)))
+        self._hand_built(tmp_path / "m.igan", cfg, entries)
         with pytest.raises(FormatError, match=r"m\.igan: entry 'gen\.l0\.w' appears twice"):
-            load_checkpoint(str(path))
+            load_checkpoint(str(tmp_path / "m.igan"))
+
+    def test_a_checkpoint_of_per_code_q_layers_is_refused_naming_the_entries(self, tmp_path):
+        # the layout before Q's head became one output layer: an output layer per categorical code and a
+        # mean and a log sigma layer per continuous one, each block's columns of q_head.out as its own entries
+        model, cfg = small_model()
+        w, b = (model.params[f"q_head.out.{p}"].data for p in "wb")
+        cat, cont = model.spec.q_slices()
+        old = [("q_head.cat0.w", w[:, cat]), ("q_head.cat0.b", b[cat]),
+               ("q_head.cont0.mu.w", w[:, cont.start : cont.start + 1]), ("q_head.cont0.mu.b", b[cont.start : cont.start + 1]),
+               ("q_head.cont0.s.w", w[:, cont.stop - 1 : cont.stop]), ("q_head.cont0.s.b", b[cont.stop - 1 : cont.stop])]
+        entries = [(n, a) for n, a in data_io._checkpoint_entries(model) if not n.startswith("q_head.out.")] + old
+        self._hand_built(tmp_path / "old.igan", cfg, entries)
+        message = ("old.igan: entry names do not match config (missing ['q_head.out.b', 'q_head.out.w'], extra "
+                   "['q_head.cat0.b', 'q_head.cat0.w', 'q_head.cont0.mu.b', 'q_head.cont0.mu.w', 'q_head.cont0.s.b', 'q_head.cont0.s.w'])")
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_checkpoint(str(tmp_path / "old.igan"))
 
     def test_load_lays_out_without_drawing(self, tmp_path, monkeypatch):
         # the loaded model is built by the layout step alone: no generator is made to draw weights
@@ -592,8 +612,8 @@ class TestCheckpoint:
         assert peak < 1.5 * largest, f"traced peak {peak / largest:.2f}x the largest float64 entry ({largest} B)"
 
     def test_golden_bytes_survive_load_and_resave(self, tmp_path, pinned_on):
-        # every layer kind (batchnorm in G, the trunk past its input layer and the Q head; Q outputs
-        # for both code families, counted per family) pins its entry names, order and init draws
+        # every layer kind (batchnorm in G, the trunk past its input layer and the Q head; Q's one output
+        # layer for both code families) pins its entry names, order and init draws
         cfg = TrainingConfig(
             seed=5,
             batchnorm=True,

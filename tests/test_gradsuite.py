@@ -113,13 +113,34 @@ def test_a_gaussian_log_q_rule_without_its_clamp_mask_fails_only_the_clamped_cas
     forward, _ = autodiff._OPS["gaussian_log_q"]
 
     def unmasked(g, node, need, out):
-        diff, inv_var, _ = node.saved
+        diff, inv_var, _, width = node.saved
         scaled = diff * inv_var
-        return [-g * scaled if need[0] else None, g * scaled if need[1] else None, g * (diff * scaled - 1.0) if need[2] else None]
+        return [autodiff._widen(np.concatenate([g * scaled, g * (diff * scaled - 1.0)], axis=1), node.attrs["cols"], width)]
 
     monkeypatch.setitem(autodiff._OPS, "gaussian_log_q", (forward, unmasked))
     worst = op_grad_checks(n_seeds=1)
     assert {name for name, err in worst.items() if err > 1e-5} == {"gaussian_log_q_clamped"}
+
+
+@pytest.mark.parametrize("op", ["categorical_log_q", "gaussian_log_q"])
+@pytest.mark.parametrize("leak", ["outside", "shifted"])
+def test_a_log_q_rule_that_writes_outside_its_columns_fails_its_cases(monkeypatch, op, leak):
+    # each log-Q case reads a q wider than its block, so a gradient that reaches another block's columns,
+    # or the block's own gradient written one column off, fails every case of the op and no other
+    forward, backward = autodiff._OPS[op]
+
+    def leaky(g, node, need, out):
+        (dq,) = backward(g, node, need, out)
+        if leak == "shifted":  # every case's block starts at column 1
+            return [np.roll(dq, -1, axis=1)]
+        outside = np.ones(dq.shape[1], bool)
+        outside[node.attrs["cols"]] = False
+        dq[:, outside] += g
+        return [dq]
+
+    monkeypatch.setitem(autodiff._OPS, op, (forward, leaky))
+    worst = op_grad_checks(n_seeds=1)
+    assert {name for name, err in worst.items() if err > 1e-5} == {name for name in worst if _op_of(name) == op}
 
 
 # the cases that run each activation epilogue: its linear case, and the batchnorm case of the models' layers
@@ -145,11 +166,12 @@ def test_an_epilogue_backward_without_its_mask_fails_exactly_its_cases(monkeypat
     assert {name for name, err in worst.items() if err > 1e-5} == _EPILOGUE_CASES[act]
 
 
-def test_the_cases_probe_221_coordinates_a_seed():
-    # 233 when relu, lrelu and sigmoid were ops with cases of their own: folding them into linear and
-    # batchnorm must not make the benchmark's verify round, which probes every one, any longer
+def test_the_cases_probe_220_coordinates_a_seed():
+    # 233 when relu, lrelu and sigmoid were ops with cases of their own, and 221 when the log-Q cases took
+    # their blocks' parameters as separate tensors: a change must not make the benchmark's verify round,
+    # which probes every one, any longer
     rng = np.random.default_rng(0)
-    assert sum(p.data.size for case in _OP_CASES.values() for p in case(rng)[0]) == 221
+    assert sum(p.data.size for case in _OP_CASES.values() for p in case(rng)[0]) == 220
 
 
 def _count_forward_ops(monkeypatch) -> dict:
@@ -172,12 +194,12 @@ def test_one_seed_of_op_checks_costs_26_forward_ops(monkeypatch):
     assert calls["n"] == 26
 
 
-def test_one_seed_of_the_full_graph_check_costs_44_forward_ops(monkeypatch):
-    # a pass of the whole objective is 22 ops (each layer one, its activation folded in), and the
-    # check runs two passes: 2 * 22 = 44
+def test_one_seed_of_the_full_graph_check_costs_40_forward_ops(monkeypatch):
+    # a pass of the whole objective is 20 ops (each layer one, its activation folded in, and Q's head
+    # ends in one output layer), and the check runs two passes: 2 * 20 = 40
     calls = _count_forward_ops(monkeypatch)
     full_loss_graph_check(1)
-    assert calls["n"] == 44
+    assert calls["n"] == 40
 
 
 def test_readme_states_the_forward_ops_of_one_seed(monkeypatch):
@@ -190,7 +212,7 @@ def test_readme_states_the_forward_ops_of_one_seed(monkeypatch):
         calls = _count_forward_ops(monkeypatch)
         check(1)
         counted[check.__name__] = calls["n"]
-    assert stated == counted == {"op_grad_checks": 26, "full_loss_graph_check": 44}
+    assert stated == counted == {"op_grad_checks": 26, "full_loss_graph_check": 40}
 
 
 def test_batchnorm_train_check_folds_only_its_taped_pass(monkeypatch):
@@ -234,15 +256,15 @@ def test_error_floats_of_twenty_seeds_after_each_default_base_seed(pinned_on):
     rows = [sorted(op_grad_checks(1, 1234 + i).items()) for i in range(20)]
     full = repr([full_loss_graph_check(1, 99 + i) for i in range(20)])
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "af878cd648fac37b16754649aee01a8cbd65a0cc3b8a040515e62c337ce48a04"
+        "bcd298c590675012d9a7640d5ac5c36bfd74efaf08d6b2ac751e8995d8bc8d5f"
     ), pinned_on
-    # the cases of the ops that the activation epilogues left alone read as they did before the fold
-    untouched = {"weighted_sum", "sigmoid_cross_entropy_label0", "sigmoid_cross_entropy_label1", "categorical_log_q",
-                 "gaussian_log_q", "gaussian_log_q_clamped", "reduce_mean"}
-    before = repr([[(case, err) for case, err in row if case in untouched] for row in rows])
-    assert hashlib.sha256(before.encode()).hexdigest() == (
-        "409153ae893c89ac983bc28e658529ab1dc9b51c79f71fee37b95ec58da290eb"
+    # the cases of every op but the two log-Q ops read as they did before those ops read their block's
+    # columns of one wider q (the ten rows' digest then and now)
+    untouched = [[(case, err) for case, err in row if _op_of(case) not in ("categorical_log_q", "gaussian_log_q")] for row in rows]
+    assert {len(row) for row in untouched} == {10}
+    assert hashlib.sha256(repr(untouched).encode()).hexdigest() == (
+        "3c8a7e44e5df60f54c1fc153048e26f7ed3cb19ec9c00b95cd0ad8ed6f00d1fc"
     ), pinned_on
     assert hashlib.sha256(full.encode()).hexdigest() == (
-        "b6201e8d312e0c0a3e5813283bec356577be1ff2e1fc4ed71cb6921e60312101"
+        "3778ffab4e1ab77fd35eb362cbc4bf43b78f3e39eb96caaa55ba54a0f6207c8e"
     ), pinned_on

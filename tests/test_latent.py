@@ -13,6 +13,7 @@ from infogan_lab import evaluate
 from infogan_lab.autodiff import Tensor, UsageError
 from infogan_lab.latent import (
     CodeBlock,
+    LatentBatch,
     LatentSpec,
     SpecError,
     draw_categories,
@@ -228,24 +229,37 @@ class TestOneHot:
         np.testing.assert_array_equal(np.argmax(one_hot(idx, k), axis=1), idx)
 
 
-def _q_params_for(spec, logits=None, mu=None, s=None, batch=1):
-    q = []
-    for block in spec.blocks:
+def _q_for(spec, logits=None, mu=None, s=None, batch=1):
+    """Q's (batch, q_dim) output for ``spec``: every categorical block's columns hold ``logits``, every
+    continuous block's its means ``mu`` and then its log sigmas ``s``, each zeros where none is given."""
+    q = np.zeros((batch, spec.q_dim))
+    for block, cols in zip(spec.blocks, spec.q_slices()):
         if block.is_discrete:
-            q.append(Tensor(logits if logits is not None else np.zeros((batch, block.k))))
+            q[:, cols] = 0.0 if logits is None else logits
         else:
-            q.append((
-                Tensor(mu if mu is not None else np.zeros((batch, block.dim))),
-                Tensor(s if s is not None else np.zeros((batch, block.dim))),
-            ))
-    return tuple(q)
+            q[:, cols.start : cols.start + block.dim] = 0.0 if mu is None else mu
+            q[:, cols.start + block.dim : cols.stop] = 0.0 if s is None else s
+    return Tensor(q)
+
+
+class TestQSlices:
+    def test_each_block_takes_its_parameters_in_spec_order(self):
+        # K logits; dim means then dim log sigmas: the columns of Q's one output layer
+        spec = LatentSpec(blocks=tuple(map(parse_block_token, ("cat:3", "gauss:0:1:2", "unif:-1:1", "cat:2"))), noise_dim=5)
+        assert spec.q_slices() == [slice(0, 3), slice(3, 7), slice(7, 9), slice(9, 11)]
+        assert spec.q_dim == 11 and [b.q_dim for b in spec.blocks] == [3, 4, 2, 2]
+        assert spec.encoded_slices() == [slice(0, 3), slice(3, 5), slice(5, 6), slice(6, 8)]
+
+    def test_a_spec_without_blocks_has_no_q_columns(self):
+        spec = LatentSpec(blocks=(), noise_dim=3)
+        assert spec.q_slices() == [] and spec.q_dim == 0
 
 
 class TestLogQ:
     def test_uniform_logits_give_log_tenth(self):
         spec = LatentSpec(blocks=(CodeBlock.categorical(10),), noise_dim=0)
         batch = sample_latent(spec, 6, np.random.default_rng(0))
-        q = _q_params_for(spec, batch=6)
+        q = _q_for(spec, batch=6)
         disc, cont = log_q(q, batch)
         assert cont is None
         np.testing.assert_allclose(disc.data, math.log(0.1), atol=1e-12)
@@ -253,7 +267,7 @@ class TestLogQ:
     def test_gaussian_at_mean_sigma_one(self):
         spec = LatentSpec(blocks=(CodeBlock.uniform(-1, 1),), noise_dim=0)
         batch = sample_latent(spec, 4, np.random.default_rng(0))
-        q = _q_params_for(spec, mu=np.asarray(batch.c_raw[0]), s=np.zeros((4, 1)), batch=4)
+        q = _q_for(spec, mu=np.asarray(batch.c_raw[0]), s=np.zeros((4, 1)), batch=4)
         disc, cont = log_q(q, batch)
         assert disc is None
         np.testing.assert_allclose(cont.data, -0.918939, atol=1e-6)
@@ -261,7 +275,7 @@ class TestLogQ:
     def test_gaussian_at_mean_log_sigma_one(self):
         spec = LatentSpec(blocks=(CodeBlock.uniform(-1, 1),), noise_dim=0)
         batch = sample_latent(spec, 4, np.random.default_rng(0))
-        q = _q_params_for(spec, mu=np.asarray(batch.c_raw[0]), s=np.ones((4, 1)), batch=4)
+        q = _q_for(spec, mu=np.asarray(batch.c_raw[0]), s=np.ones((4, 1)), batch=4)
         _, cont = log_q(q, batch)
         np.testing.assert_allclose(cont.data, -1.918939, atol=1e-6)
 
@@ -269,24 +283,37 @@ class TestLogQ:
         spec = LatentSpec(blocks=(CodeBlock.categorical(5),), noise_dim=0)
         rng = np.random.default_rng(11)
         batch = sample_latent(spec, 64, rng)
-        q = _q_params_for(spec, logits=rng.normal(0, 3, (64, 5)), batch=64)
+        q = _q_for(spec, logits=rng.normal(0, 3, (64, 5)), batch=64)
         disc, _ = log_q(q, batch)
         assert np.all(disc.data <= 0.0)
 
+    def test_each_block_reads_its_own_columns(self):
+        # two blocks of each family, every column distinct: each op's value is the one-block spec's on
+        # that block's columns alone
+        tokens = ("cat:3", "gauss:0:1:2", "cat:2", "unif:-1:1")
+        spec = LatentSpec(blocks=tuple(map(parse_block_token, tokens)), noise_dim=0)
+        rng = np.random.default_rng(4)
+        batch = sample_latent(spec, 5, rng)
+        q = rng.normal(0, 1, (5, spec.q_dim))
+        disc, cont = log_q(Tensor(q), batch)
+        parts = {True: [], False: []}
+        for block, raw, cols in zip(spec.blocks, batch.c_raw, spec.q_slices()):
+            alone = LatentSpec(blocks=(block,), noise_dim=0)
+            lat = LatentBatch(alone, [raw], Tensor(np.zeros((5, alone.gen_input_dim))))
+            parts[block.is_discrete].append(next(t for t in log_q(Tensor(q[:, cols]), lat) if t is not None).data)
+        assert disc.data.tobytes() == (parts[True][0] + parts[True][1]).tobytes()
+        assert cont.data.tobytes() == (parts[False][0] + parts[False][1]).tobytes()
+
     @pytest.mark.parametrize("tokens, q, message", [
-        # (B, 5) logits for cat:4 once scored log(1/5): the content, not a copy of the spec, is checked
-        (["cat:4"], (Tensor(np.zeros((2, 5))),), "Q output for block 0 ('cat:4') must be logits of shape (2, 4), got (2, 5)"),
-        (["cat:4"], ((Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4)))),),
-         "Q output for block 0 ('cat:4') must be logits of shape (2, 4), got ((2, 4), (2, 4))"),
-        (["cat:3", "unif:-1:1"], (Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 1)))),
-         "Q output for block 1 ('unif:-1.0:1.0') must be a (mu, log_sigma) pair of shape ((2, 1), (2, 1)), got (2, 1)"),
-        (["gauss:0:1:2"], ((Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 1)))),),
-         "Q output for block 0 ('gauss:0.0:1.0:2') must be a (mu, log_sigma) pair of shape ((2, 2), (2, 2)), got ((2, 1), (2, 1))"),
-        (["cat:3", "unif:-1:1"], (Tensor(np.zeros((2, 3))),),
-         "Q output for block 1 ('unif:-1.0:1.0') must be a (mu, log_sigma) pair of shape ((2, 1), (2, 1)), got nothing"),
-        (["cat:3"], (Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))), "Q gives 2 outputs for 1 code blocks"),
+        # (B, 5) logits for cat:4 once scored log(1/5): the width, not a copy of the spec, is checked
+        (["cat:4"], Tensor(np.zeros((2, 5))), "Q's output for codes 'cat:4' must be of shape (2, 4), got (2, 5)"),
+        (["cat:4"], (Tensor(np.zeros((2, 4))),), "Q's output for codes 'cat:4' must be of shape (2, 4), got tuple"),
+        (["cat:3", "unif:-1:1"], Tensor(np.zeros((2, 4))),
+         "Q's output for codes 'cat:3 unif:-1.0:1.0' must be of shape (2, 5), got (2, 4)"),
+        (["gauss:0:1:2"], Tensor(np.zeros((2, 2))), "Q's output for codes 'gauss:0.0:1.0:2' must be of shape (2, 4), got (2, 2)"),
+        (["cat:3"], Tensor(np.zeros((3, 3))), "Q's output for codes 'cat:3' must be of shape (2, 3), got (3, 3)"),
     ])
-    def test_output_that_does_not_fit_its_block_is_named(self, tokens, q, message):
+    def test_output_that_does_not_fit_the_spec_is_named(self, tokens, q, message):
         spec = LatentSpec(blocks=tuple(map(parse_block_token, tokens)), noise_dim=0)
         batch = sample_latent(spec, 2, np.random.default_rng(0))
         with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
@@ -298,7 +325,7 @@ class TestLogQ:
         spec = LatentSpec(blocks=(CodeBlock.categorical(k),), noise_dim=0)
         n = 100000
         batch = sample_latent(spec, n, np.random.default_rng(21))
-        q = _q_params_for(spec, logits=np.zeros((n, k)), batch=n)
+        q = _q_for(spec, logits=np.zeros((n, k)), batch=n)
         disc, _ = log_q(q, batch)
         samples = -disc.data.ravel()
         se = samples.std(ddof=1) / math.sqrt(n)
@@ -309,11 +336,11 @@ class TestLogQ:
         spec = spec_cat_unif(noise_dim=0)
         rng = np.random.default_rng(6)
         batch = sample_latent(spec, 16, rng)
-        mu = Tensor(rng.normal(0, 1, (16, 1)).astype(np.float32))
+        mu = rng.normal(0, 1, (16, 1))
         raw = np.concatenate([rng.uniform(-50.0, 50.0, 14), [-np.inf, np.inf]]).astype(np.float32)[:, None]
-        logits = Tensor(np.zeros((16, 4), np.float32))
-        _, cont = log_q((logits, (mu, Tensor(raw))), batch)
-        _, clamped = log_q((logits, (mu, Tensor(np.clip(raw, -7.0, 7.0)))), batch)
+        q, clamped_q = (Tensor(_q_for(spec, mu=mu, s=s, batch=16).data.astype(np.float32)) for s in (raw, np.clip(raw, -7.0, 7.0)))
+        _, cont = log_q(q, batch)
+        _, clamped = log_q(clamped_q, batch)
         assert np.all(np.isfinite(cont.data)) and cont.data.tobytes() == clamped.data.tobytes()
 
     def test_log_sigma_clamp_engages(self):
@@ -321,25 +348,21 @@ class TestLogQ:
         spec = spec_cat_unif(noise_dim=0)
         rng = np.random.default_rng(7)
         batch = sample_latent(spec, 4, rng)
-        logits, mu = Tensor(np.zeros((4, 4), np.float32)), Tensor(rng.normal(0, 1, (4, 1)).astype(np.float32))
-        log_sigma = Tensor(np.full((4, 1), 50.0, np.float32))
+        mu = rng.normal(0, 1, (4, 1))
+        q, at_cap = (Tensor(_q_for(spec, mu=mu, s=s, batch=4).data.astype(np.float32)) for s in (50.0, 7.0))
         with ad.Tape() as tape:
-            _, cont = log_q((logits, (mu, log_sigma)), batch)
-            (grad,) = tape.backward(cont, [log_sigma], np.ones((4, 1)))
-        _, at_cap = log_q((logits, (mu, Tensor(np.full((4, 1), 7.0, np.float32)))), batch)
-        assert cont.data.tobytes() == at_cap.data.tobytes()
-        assert not grad.any()
+            _, cont = log_q(q, batch)
+            (grad,) = tape.backward(cont, [q], np.ones((4, 1)))
+        assert cont.data.tobytes() == log_q(at_cap, batch)[1].data.tobytes()
+        assert not grad[:, 5].any() and grad[:, 4].all()  # cat:4 takes columns 0-3, the mean 4, log sigma 5
 
     def test_gradient_reaches_all_q_params(self):
         spec = spec_cat_unif(noise_dim=0)
         rng = np.random.default_rng(2)
         batch = sample_latent(spec, 8, rng)
+        q = _q_for(spec, logits=rng.normal(0, 1, (8, 4)), mu=rng.normal(0, 1, (8, 1)), s=rng.normal(0, 0.3, (8, 1)), batch=8)
         with ad.Tape() as tape:
-            logits = Tensor(rng.normal(0, 1, (8, 4)))
-            mu = Tensor(rng.normal(0, 1, (8, 1)))
-            log_sigma = Tensor(rng.normal(0, 0.3, (8, 1)))
-            disc, cont = log_q((logits, (mu, log_sigma)), batch)
+            disc, cont = log_q(q, batch)
             total = ad.weighted_sum([ad.reduce_mean(disc), ad.reduce_mean(cont)], (1.0, 1.0))
-            grads = tape.backward(total, [logits, mu, log_sigma])
-            for g in grads:
-                assert np.linalg.norm(g) > 0.0
+            (grad,) = tape.backward(total, [q])
+        assert np.all(np.linalg.norm(grad, axis=0) > 0.0)

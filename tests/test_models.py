@@ -62,24 +62,48 @@ class TestInit:
                 np.random.default_rng(0),
             )
 
-    def test_q_head_names_count_each_family_in_spec_order(self):
-        # checkpoint entry names: interleaved families keep their own counters
+    def test_q_head_ends_in_one_output_layer(self):
+        # checkpoint entry names: the hidden layer and one output layer holding every code's parameters
         spec = LatentSpec(
             blocks=(CodeBlock.categorical(3), CodeBlock.uniform(-1, 1), CodeBlock.categorical(2), CodeBlock.gaussian(0, 1, 2)),
             noise_dim=2,
         )
         model = init_models(NetConfig(widths=(spec.gen_input_dim, 4, 6)), NetConfig(widths=(6, 4), q_hidden=3), spec,
                             np.random.default_rng(0))
-        heads = [n for n in model.blocks["q_head"].params if not n.startswith("q_head.l0")]
-        assert heads == [
-            "q_head.cat0.w", "q_head.cat0.b",
-            "q_head.cont0.mu.w", "q_head.cont0.mu.b", "q_head.cont0.s.w", "q_head.cont0.s.b",
-            "q_head.cat1.w", "q_head.cat1.b",
-            "q_head.cont1.mu.w", "q_head.cont1.mu.b", "q_head.cont1.s.w", "q_head.cont1.s.b",
-        ]
+        assert {n: t.shape for n, t in model.blocks["q_head"].params.items()} == {
+            "q_head.l0.w": (4, 3), "q_head.l0.b": (3,), "q_head.out.w": (3, 3 + 2 + 2 + 4), "q_head.out.b": (11,),
+        }
         q = q_forward(model, Tensor(np.random.default_rng(1).uniform(0, 1, (5, 6))), training=False)
-        shapes = [b.shape if isinstance(b, Tensor) else tuple(t.shape for t in b) for b in q]
-        assert shapes == [(5, 3), ((5, 1), (5, 1)), (5, 2), ((5, 2), (5, 2))]
+        assert isinstance(q, Tensor) and q.shape == (5, spec.q_dim) == (5, 11)
+
+    @pytest.mark.parametrize("batchnorm", [False, True])
+    def test_each_blocks_columns_match_a_float64_reference(self, batchnorm):
+        # the trunk and the Q head in float64 numpy from the model's float32 parameters: each block's
+        # columns of Q's output are hidden @ W[:, cols] + b[cols], within float32 rounding
+        spec = LatentSpec(blocks=(CodeBlock.categorical(4), CodeBlock.gaussian(0, 1, 2), CodeBlock.uniform(-1, 1)),
+                          noise_dim=3)
+        model = init_models(NetConfig(widths=(spec.gen_input_dim, 8, 16)),
+                            NetConfig(widths=(16, 12, 10), batchnorm=batchnorm, q_hidden=6), spec, np.random.default_rng(3))
+        x = np.random.default_rng(4).uniform(0, 1, (7, 16)).astype(np.float32)
+        q = q_forward(model, Tensor(x), training=False).data
+        p = {n: t.data.astype(np.float64) for n, t in model.params.items()}
+        bn = model.bn_states
+
+        def lrelu(h):
+            return np.where(h > 0.0, h, 0.1 * h)
+
+        def layer(h, name, bn_name=None):
+            h = h @ p[f"{name}.w"] + p[f"{name}.b"]
+            if batchnorm and bn_name is not None:
+                h = (h - bn[bn_name].running_mean) / np.sqrt(bn[bn_name].running_var + 1e-5)
+                h = h * p[f"{bn_name}.gamma"] + p[f"{bn_name}.beta"]
+            return lrelu(h)
+
+        hidden = layer(layer(layer(x.astype(np.float64), "trunk.l0"), "trunk.l1", "trunk.bn1"), "q_head.l0", "q_head.bn0")
+        assert q.dtype == np.float32 and q.shape == (7, 4 + 4 + 2)
+        for cols in spec.q_slices():
+            want = hidden @ p["q_head.out.w"][:, cols] + p["q_head.out.b"][cols]
+            np.testing.assert_allclose(q[:, cols], want, rtol=1e-5, atol=1e-6)
 
     def test_biases_zero_weights_spread(self):
         _, model = small_setup()
@@ -128,10 +152,10 @@ class TestDiscQForward:
         with Tape() as tape:
             disc_q_forward(model, x, training=False)
             ops = [n.op for n in tape.nodes]
-        # trunk layers once, plus D head, Q hidden, and per-block output layers; each activation is
+        # trunk layers once, plus D head, Q hidden and Q's one output layer; each activation is
         # folded into its layer, so every node is one linear layer
         n_trunk = len(model.dq_cfg.widths) - 1
-        n_heads = 1 + 1 + 1 + 2  # d_head, q hidden, cat logits, cont mu and s
+        n_heads = 1 + 1 + 1  # d_head, q hidden, q out
         assert ops == ["linear"] * (n_trunk + n_heads)
 
     def test_single_head_passes_match_the_shared_pass_bitwise(self):
@@ -139,16 +163,13 @@ class TestDiscQForward:
         x = Tensor(np.random.default_rng(10).uniform(0, 1, (8, 64)))
         d_logit, q = disc_q_forward(model, x, training=False)
         assert disc_forward(model, x, training=False).data.tobytes() == d_logit.data.tobytes()
-        q_only = q_forward(model, x, training=False)
-        (logits, (mu, s)), (logits_only, (mu_only, s_only)) = q, q_only
-        for a, b in ((logits, logits_only), (mu, mu_only), (s, s_only)):
-            assert a.data.tobytes() == b.data.tobytes()
+        assert q_forward(model, x, training=False).data.tobytes() == q.data.tobytes()
 
     def test_single_head_passes_record_only_their_head(self):
         spec, model = small_setup()
         x = Tensor(np.random.default_rng(11).uniform(0, 1, (4, 64)))
         n_trunk = len(model.dq_cfg.widths) - 1
-        for forward, n_head in ((disc_forward, 1), (q_forward, 1 + 1 + 2)):
+        for forward, n_head in ((disc_forward, 1), (q_forward, 1 + 1)):
             with Tape() as tape:
                 forward(model, x, training=False)
                 assert [n.op for n in tape.nodes] == ["linear"] * (n_trunk + n_head)
@@ -165,8 +186,7 @@ class TestDiscQForward:
         x = np.random.default_rng(9).uniform(0, 1, (8, 64))
         _, qa = disc_q_forward(model, Tensor(x), training=False)
         _, qb = disc_q_forward(model, Tensor(x.copy()), training=False)
-        np.testing.assert_array_equal(qa[0].data, qb[0].data)
-        np.testing.assert_array_equal(qa[1][0].data, qb[1][0].data)
+        np.testing.assert_array_equal(qa.data, qb.data)
 
     def test_wrong_image_dim_rejected(self):
         spec, model = small_setup()
@@ -211,8 +231,7 @@ class TestParamGroups:
         assert [named(layer, f"trunk.l{i}", f"trunk.bn{i}" if i > 0 else None)
                 for i, layer in enumerate(model.trunk_layers)] == [True] * 2
         assert named(model.d_out, "d_head.out") and named(model.q_l0, "q_head.l0", "q_head.bn0")
-        cat, (mu, s) = model.q_outs
-        assert named(cat, "q_head.cat0") and named(mu, "q_head.cont0.mu") and named(s, "q_head.cont0.s")
+        assert named(model.q_out, "q_head.out")
 
     def test_params_are_read_only(self):
         _, model = small_setup()

@@ -75,7 +75,7 @@ class TestMiLowerBound:
 
     def test_uniform_q_gives_zero(self):
         lat = self._setup()
-        li_disc, li_cont = mi_lower_bound((Tensor(np.zeros((32, 10))),), lat)
+        li_disc, li_cont = mi_lower_bound(Tensor(np.zeros((32, 10))), lat)
         assert abs(float(li_disc)) < 1e-12
         assert float(li_cont) == 0.0
 
@@ -84,20 +84,21 @@ class TestMiLowerBound:
         onehot = np.zeros((32, 10))
         onehot[np.arange(32), lat.c_raw[0]] = 1.0
         # logits so large the softmax puts ~1-1e-9 on the sampled category
-        li_disc, _ = mi_lower_bound((Tensor(onehot * 60.0),), lat)
+        li_disc, _ = mi_lower_bound(Tensor(onehot * 60.0), lat)
         assert abs(float(li_disc) - math.log(10)) < 1e-9
 
     def test_discrete_bound_never_exceeds_entropy(self):
         lat = self._setup(k=4, batch=128, seed=5)
         rng = np.random.default_rng(6)
         for _ in range(25):
-            li_disc, _ = mi_lower_bound((Tensor(rng.normal(0, 5, (128, 4))),), lat)
+            li_disc, _ = mi_lower_bound(Tensor(rng.normal(0, 5, (128, 4))), lat)
             assert float(li_disc) <= math.log(4) + 1e-9
 
     def test_continuous_closed_form_composition(self):
         spec = LatentSpec(blocks=(CodeBlock.uniform(-1, 1),), noise_dim=0)
         lat = sample_latent(spec, 16, np.random.default_rng(2))
-        _, li_cont = mi_lower_bound(((Tensor(np.asarray(lat.c_raw[0])), Tensor(np.zeros((16, 1)))),), lat)
+        # Q's mean column at the sampled code and its log sigma column at 0
+        _, li_cont = mi_lower_bound(Tensor(np.concatenate([lat.c_raw[0], np.zeros((16, 1))], axis=1)), lat)
         assert abs(float(li_cont) - (-0.918939 + LN2)) < 1e-5
 
 
