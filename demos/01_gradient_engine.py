@@ -29,8 +29,9 @@ def network(params):
 
 def nll(params):
     # mean Gaussian negative log-likelihood of the targets under the network's mean and sigma;
-    # the targets are an attribute of the op, and its gradient reaches both output columns
-    return ad.weighted_sum([ad.reduce_mean(ad.gaussian_log_q(network(params), target, slice(0, 2)))], (-1.0,))
+    # the targets are an attribute of the op, and its gradient reaches both output columns; weighted_sum
+    # takes the (B,1) log-densities as their batch mean
+    return ad.weighted_sum([ad.gaussian_log_q(network(params), target, slice(0, 2))], (-1.0,))
 
 
 params = [w1, b1, w2, b2]

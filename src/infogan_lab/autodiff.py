@@ -1,6 +1,6 @@
 """Tape-based reverse-mode automatic differentiation over dense float arrays.
 
-The operation catalogue is fixed and small: 7 ops, each run by training or
+The operation catalogue is fixed and small: 6 ops, each run by training or
 evaluation. A dense layer is one ``linear`` op (``act(x @ w + b)``), or a
 ``linear`` and a ``batchnorm`` op, with its activation folded into the last
 as an epilogue, the ``act`` attribute (None, ``relu``, ``lrelu`` with the
@@ -17,7 +17,10 @@ Loss terms are fused into single ops (``sigmoid_cross_entropy`` and
 ``weighted_sum`` with their label and weights as attributes; the log-Q ops
 read their code block's columns ``cols`` of Q's one output, with the sampled
 code as an attribute, and ``gaussian_log_q`` its log sigma clamped to
-+-``LOG_SIGMA_BOUND``) rather than assembled from elementwise pieces. Each
++-``LOG_SIGMA_BOUND``) rather than assembled from elementwise pieces.
+``weighted_sum`` is the one op that reduces a loss: a scalar input is its
+own term and a (B,F) batch's term is its mean, so an expectation such as
+E[log Q(c|x)] enters a sum as its batch without a node of its own. Each
 op is one ``_OPS`` entry pairing a forward rule with a closure-free backward rule, so
 every rule can be audited and gradient-checked on its own, and adding or
 removing an op is a single edit.
@@ -42,7 +45,7 @@ allocation.
 Usage:
 
     with Tape() as tape:
-        y = weighted_sum([reduce_mean(w)], (2.0,))
+        y = weighted_sum([w], (2.0,))   # twice the mean of a (B,F) batch w
         (g,) = tape.backward(y, [w])   # dy/dw as an ndarray
         h = linear(x, w, b, "lrelu")
         (gw,) = tape.backward(h, [w], v)   # vector-Jacobian product v^T dh/dw
@@ -65,8 +68,8 @@ gradients, float64 inputs float64 ones. A ``Tensor`` keeps a float32 array
 as float32 and makes anything else float64. Training runs in
 ``TRAIN_DTYPE`` (float32, as the paper's reference code did); the gradient
 checks of ``gradsuite`` and ``grad_check``'s central differences run in
-float64. A scalar that ``weighted_sum`` folds is a float64 0-d array in
-either case, since it is summed in Python floats.
+float64. A sum that ``weighted_sum`` folds is a float64 0-d array in
+either case, since its terms are summed in Python floats.
 
 Every forward rule also takes one optional leading probe axis, which
 ``grad_check`` uses to run all probes of every parameter as one pass: K probes
@@ -101,7 +104,6 @@ __all__ = [
     "sigmoid_cross_entropy",
     "categorical_log_q",
     "gaussian_log_q",
-    "reduce_mean",
     "batchnorm",
     "platform_key",
     "TRAIN_DTYPE",
@@ -434,25 +436,37 @@ def _b_linear(g, node, need, out):
     ]
 
 
+def _term(x):
+    """A ``weighted_sum`` input's term: a scalar is itself and a (B,F) batch is its mean, as a Python float;
+    a (K,) or (K,B,F) probe stack gives its K terms as a float64 (K,) array, the same bits per probe."""
+    if x.ndim % 2:
+        return (x if x.ndim == 1 else _mean(x)).astype(np.float64, copy=False)
+    return (x if x.ndim == 0 else _mean(x)).item()
+
+
 def _f_weighted_sum(arrs, attrs):
     weights = attrs["weights"]
-    shapes = {x.shape for x in arrs}
-    # a probe stack may stand beside unstacked inputs: then every input's core must be the same
-    cores = _probe_cores(arrs, [min(x.ndim for x in arrs)] * len(arrs)) if len(shapes) > 1 else shapes
-    if len(weights) != len(arrs) or not cores or len(set(cores)) != 1:
+    # unstacked inputs first; stacked ones, scalar probes (K,) or batch probes (K,B,F), must share one K
+    unstacked = 0 < len(arrs) == len(weights) and all(x.ndim in (0, 2) for x in arrs)
+    if not unstacked and not (len(arrs) == len(weights) and all(x.ndim <= 3 for x in arrs)
+                              and len({x.shape[0] for x in arrs if x.ndim % 2}) == 1):
         shapes = ", ".join(str(x.shape) for x in arrs)
-        raise ShapeError(f"weighted_sum: needs one weight per input and equal shapes, got {len(weights)} weights for shapes {shapes}")
-    # scalar loss terms fold as Python floats: the same IEEE products and sums, without
-    # numpy's per-call cost; the fold runs left to right, the order the fingerprints pin
-    xs = [x.item() for x in arrs] if len(shapes) == 1 and arrs[0].ndim == 0 else arrs
-    out = xs[0] * weights[0]
-    for i in range(1, len(xs)):
-        out = out + xs[i] * weights[i]
-    return np.asarray(out), None
+        raise ShapeError(f"weighted_sum: needs one weight per scalar or (B,F) input, or their probe stacks of one K, "
+                         f"got {len(weights)} weights for shapes {shapes}")
+    # the terms fold as Python floats (float64 arrays for a probe stack): the same IEEE products and
+    # sums, without numpy's per-call cost; the fold runs left to right, the order the fingerprints pin
+    out = _term(arrs[0]) * weights[0]
+    for x, w in zip(arrs[1:], weights[1:]):
+        out = out + _term(x) * w
+    return np.asarray(out), tuple((x.shape, x.dtype) for x in arrs)
 
 
 def _b_weighted_sum(g, node, need, out):
-    return [g * w if needed else None for w, needed in zip(node.attrs["weights"], need)]
+    # a scalar's gradient is g * w; a batch's is g * w spread evenly over its entries, the mean's rule
+    return [
+        None if not needed else np.full(shape, float(g) * w / math.prod(shape), dtype) if shape else g * w
+        for (shape, dtype), w, needed in zip(node.saved, node.attrs["weights"], need)
+    ]
 
 
 def _sigmoid(x, out=None):
@@ -500,7 +514,7 @@ def _epilogue(h, attrs, out=None):
 
 
 # -log sigmoid(x) = softplus(-x) (label 1), -log(1 - sigmoid(x)) = softplus(x) (label 0), with softplus
-# as logaddexp(0, .), finite for logits of either sign; the mean is reduce_mean's, bit for bit.
+# as logaddexp(0, .), finite for logits of either sign; the mean is a weighted_sum batch term's, bit for bit.
 def _f_sigmoid_cross_entropy(arrs, attrs):
     label = attrs["label"]
     if label not in (0, 1):
@@ -580,15 +594,6 @@ def _b_gaussian_log_q(g, node, need, out):
     return [_widen(np.concatenate([g * scaled, g * (diff * scaled - 1.0) * mask], axis=1), node.attrs["cols"], width)]
 
 
-def _f_reduce_mean(arrs, attrs):
-    return _mean(arrs[0]), (arrs[0].shape, arrs[0].dtype)
-
-
-def _b_reduce_mean(g, node, need, out):
-    shape, dtype = node.saved
-    return [np.full(shape, float(g) / math.prod(shape), dtype=dtype)]
-
-
 def _batch_moments(x):
     # x.mean(axis=0) and x.var(axis=0) in numpy's own order, without its Python wrappers;
     # the centered batch is returned too, so train mode subtracts the mean once. A (K,B,F)
@@ -655,7 +660,6 @@ _OPS = {
     "sigmoid_cross_entropy": (_f_sigmoid_cross_entropy, _b_sigmoid_cross_entropy),
     "categorical_log_q": (_f_categorical_log_q, _b_categorical_log_q),
     "gaussian_log_q": (_f_gaussian_log_q, _b_gaussian_log_q),
-    "reduce_mean": (_f_reduce_mean, _b_reduce_mean),
     "batchnorm": (_f_batchnorm, _b_batchnorm),
 }
 
@@ -693,7 +697,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
 
 
 def weighted_sum(xs: list[Tensor], weights) -> Tensor:
-    """sum of w_i * x_i over equal-shaped inputs, the constant weights held as an attribute."""
+    """sum of w_i * t_i, the constant weights held as an attribute: a scalar input is its own term t_i and a
+    (B,F) batch's term is its mean. A batch's gradient is g * w_i / (B*F) in each entry."""
     return forward_op("weighted_sum", xs, {"weights": tuple(map(float, weights))})
 
 
@@ -714,10 +719,6 @@ def gaussian_log_q(q: Tensor, c, cols: slice) -> Tensor:
     D log sigmas, s = log_sigma clamped to +-``LOG_SIGMA_BOUND`` (no gradient where the clamp is active).
     Its gradient is (B,F), zero outside ``cols``; a NaN log_sigma is a ``DomainError``."""
     return forward_op("gaussian_log_q", [q], {"c": np.asarray(c, dtype=q.data.dtype), "cols": cols})
-
-
-def reduce_mean(x: Tensor) -> Tensor:
-    return forward_op("reduce_mean", [x])
 
 
 def batchnorm(

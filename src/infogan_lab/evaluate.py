@@ -13,6 +13,7 @@ optimal maps it returns one, the same one on every call.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,19 +74,13 @@ def estimate_mi_bound(
         raise UsageError(f"spec ({given}) is not the model's spec ({own}); nothing drawn")
     if n_samples < 100:
         raise UsageError(f"need at least 100 samples for a stable SE, got {n_samples}")
-    disc_samples: list[np.ndarray] = []
-    cont_samples: list[np.ndarray] = []
-    remaining = n_samples
-    while remaining > 0:
-        b = min(MI_CHUNK, remaining)
-        lat = sample_latent(spec, b, rng, model.dtype)
+    rows: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])  # each family's per-sample log Q, chunk by chunk
+    for start in range(0, n_samples, MI_CHUNK):
+        lat = sample_latent(spec, min(MI_CHUNK, n_samples - start), rng, model.dtype)
         x = gen_forward(model, lat.g_input, training=False)
-        lq_disc, lq_cont = log_q(q_forward(model, x, training=False), lat)
-        if lq_disc is not None:
-            disc_samples.append(lq_disc.data.ravel())
-        if lq_cont is not None:
-            cont_samples.append(lq_cont.data.ravel())
-        remaining -= b
+        for family, terms in zip(rows, log_q(q_forward(model, x, training=False), lat)):
+            if terms:
+                family.append(_family_row(terms))
 
     def _summary(parts: list[np.ndarray], h: float):
         if not parts:
@@ -94,8 +89,13 @@ def estimate_mi_bound(
         return float(v.mean() + h), float(v.std(ddof=1) / np.sqrt(len(v)))
 
     # li_disc, se_disc, li_cont, se_cont
-    return MiEstimate(*_summary(disc_samples, spec.h_disc), *_summary(cont_samples, spec.h_cont),
+    return MiEstimate(*_summary(rows[0], spec.h_disc), *_summary(rows[1], spec.h_cont),
                       h_disc=spec.h_disc, h_cont=spec.h_cont, n_samples=n_samples)
+
+
+def _family_row(terms) -> np.ndarray:
+    """A code family's per-sample log Q: its blocks' (B, 1) terms added in block order, in their dtype."""
+    return functools.reduce(np.add, [t.data for t in terms]).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -250,8 +250,8 @@ def sample_latent(spec: LatentSpec, batch: int, rng: np.random.Generator, dtype=
     return LatentBatch(spec=spec, c_raw=raw, g_input=Tensor(g_input))
 
 
-def log_q(q: Tensor, batch: LatentBatch) -> tuple[Tensor | None, Tensor | None]:
-    """Per-sample log Q(c|x), split into (discrete, continuous) columns of shape (B,1).
+def log_q(q: Tensor, batch: LatentBatch) -> tuple[list[Tensor], list[Tensor]]:
+    """Per-sample log Q(c|x) of each block, split into (discrete, continuous) lists of (B,1) terms.
 
     ``q`` is Q's (B, F) output, F = ``spec.q_dim``; another shape raises
     ``UsageError``. Each block's op reads the block's columns of ``q``
@@ -262,8 +262,9 @@ def log_q(q: Tensor, batch: LatentBatch) -> tuple[Tensor | None, Tensor | None]:
     ``gaussian_log_q`` op, the diagonal Gaussian log-density
     sum(-0.5*ln(2pi) - s - (c-mu)^2 / (2*exp(2s))) over dims, with s the
     log_sigma read clamped to +-``autodiff.LOG_SIGMA_BOUND`` (no gradient
-    where the clamp is active) and the code values c held in q's dtype. One
-    ``weighted_sum`` adds up a family's blocks; a family with none is None.
+    where the clamp is active) and the code values c held in q's dtype. Each
+    list holds its family's blocks in spec order, and is empty for a family
+    with none; ``weighted_sum`` takes each term as its batch mean.
     Differentiable w.r.t. q (and through it x).
     """
     spec = batch.spec
@@ -279,10 +280,4 @@ def log_q(q: Tensor, batch: LatentBatch) -> tuple[Tensor | None, Tensor | None]:
             disc.append(ad.categorical_log_q(q, raw, cols))
         else:
             cont.append(ad.gaussian_log_q(q, raw, cols))
-    return _family_sum(disc), _family_sum(cont)
-
-
-def _family_sum(parts: list[Tensor]) -> Tensor | None:
-    if len(parts) < 2:
-        return parts[0] if parts else None
-    return ad.weighted_sum(parts, (1.0,) * len(parts))
+    return disc, cont

@@ -4,8 +4,9 @@ Each term is one op, so the code reads like the paper's objective: each
 cross-entropy term of V(D, G) is one overflow-free ``sigmoid_cross_entropy``
 (mean -log sigmoid(x) for label 1, mean -log(1 - sigmoid(x)) for label 0),
 and each sum of terms, L_I = E[log Q(c|x)] + H(c) and the generator
-objective loss_G - lambda*L_I among them, is one ``weighted_sum``. H(c)
-per family is the spec's closed-form ``h_disc`` or ``h_cont``.
+objective loss_G - lambda*L_I among them, is one ``weighted_sum``, which
+takes each expectation as its batch of log Q and H(c) as the spec's
+closed-form ``h_disc`` or ``h_cont``.
 """
 
 from __future__ import annotations
@@ -41,15 +42,15 @@ def generator_loss(d_fake_logits: Tensor, mode: str = "nonsaturating") -> Tensor
 def mi_lower_bound(q: Tensor, batch: LatentBatch) -> tuple[Tensor, Tensor]:
     """Single-sample Monte-Carlo estimate of the bound, split by code family.
 
-    Per family: batch mean of log Q(c|x) (``q`` as ``log_q`` takes it) plus
-    that family's analytic entropy. Families without blocks report exactly zero.
+    Per family, one node: the batch mean of each block's log Q(c|x) (``q`` as
+    ``log_q`` takes it) plus that family's entropy. Families without blocks report exactly zero.
     """
     lq_disc, lq_cont = log_q(q, batch)
     return _bound(lq_disc, batch.spec.h_disc), _bound(lq_cont, batch.spec.h_cont)
 
 
-def _bound(lq: Tensor | None, h: float) -> Tensor:
-    return Tensor(0.0) if lq is None else ad.weighted_sum([ad.reduce_mean(lq), Tensor(h)], (1.0, 1.0))
+def _bound(terms: list[Tensor], h: float) -> Tensor:
+    return ad.weighted_sum([*terms, Tensor(h)], (1.0,) * (len(terms) + 1)) if terms else Tensor(0.0)
 
 
 @dataclass

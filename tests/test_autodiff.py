@@ -34,6 +34,8 @@ def _ones(*shape):
     return Tensor(np.ones(shape))
 
 
+_WS_NEEDS = "weighted_sum: needs one weight per scalar or (B,F) input, or their probe stacks of one K"
+
 _SHAPE_ERRORS = [
     (lambda: ad.linear(_ones(2, 3), _ones(2, 3), _ones(3)),
      "linear: needs (B,I) @ (I,O) + (O,), got (2, 3) @ (2, 3) + (3,)"),
@@ -41,14 +43,15 @@ _SHAPE_ERRORS = [
      "linear: needs (B,I) @ (I,O) + (O,), got (2, 3) @ (3, 2) + (3,)"),
     (lambda: ad.linear(_ones(3), _ones(3, 2), _ones(2)),
      "linear: needs (B,I) @ (I,O) + (O,), got (3,) @ (3, 2) + (2,)"),
-    (lambda: ad.weighted_sum([_ones(2, 3), _ones(3, 2)], (1.0, 1.0)),
-     "weighted_sum: needs one weight per input and equal shapes, got 2 weights for shapes (2, 3), (3, 2)"),
-    (lambda: ad.weighted_sum([_ones(3, 2), _ones(2)], (1.0, 1.0)),
-     "weighted_sum: needs one weight per input and equal shapes, got 2 weights for shapes (3, 2), (2,)"),
-    (lambda: ad.weighted_sum([_ones(3, 2), _ones(3, 2)], (1.0,)),
-     "weighted_sum: needs one weight per input and equal shapes, got 1 weights for shapes (3, 2), (3, 2)"),
+    # a weighted_sum input is a scalar or a (B,F) batch, one weight each
+    (lambda: ad.weighted_sum([_ones(2, 3, 4, 5), _ones()], (1.0, 1.0)),
+     f"{_WS_NEEDS}, got 2 weights for shapes (2, 3, 4, 5), ()"),
+    (lambda: ad.weighted_sum([_ones(3, 2), _ones(2, 3)], (1.0,)),
+     f"{_WS_NEEDS}, got 1 weights for shapes (3, 2), (2, 3)"),
+    (lambda: ad.weighted_sum([_ones()], (1.0, 2.0)),
+     f"{_WS_NEEDS}, got 2 weights for shapes ()"),
     (lambda: ad.weighted_sum([], ()),
-     "weighted_sum: needs one weight per input and equal shapes, got 0 weights for shapes "),
+     f"{_WS_NEEDS}, got 0 weights for shapes "),
     (lambda: ad.categorical_log_q(_ones(2, 3), np.zeros(3, dtype=np.int64), slice(0, 3)),
      "categorical_log_q: needs B integer indices for a (B,F) q, got int64 (3,) for (2, 3)"),
     (lambda: ad.categorical_log_q(_ones(2, 3), np.zeros(2), slice(0, 3)),
@@ -105,13 +108,31 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data, [[11.0, 22.0], [13.0, 24.0], [15.0, 26.0]])
 
     def test_weighted_sum_is_the_left_fold_of_exact_products(self):
-        x, y, z = np.random.default_rng(0).normal(0, 1, (3, 4, 3))
+        x, y, z = np.random.default_rng(0).normal(0, 1, 3).tolist()
         out = ad.weighted_sum([Tensor(x), Tensor(y), Tensor(z)], (-0.1, 3, 0.7)).data
-        assert out.tobytes() == ((x * -0.1 + y * 3.0) + z * 0.7).tobytes()
-        assert ad.weighted_sum([Tensor(x)], (-0.1,)).data.tobytes() == (x * -0.1).tobytes()
+        assert out.tobytes() == np.float64((x * -0.1 + y * 3.0) + z * 0.7).tobytes()
+        assert ad.weighted_sum([Tensor(x)], (-0.1,)).data.tobytes() == np.float64(x * -0.1).tobytes()
         # scalar loss terms in, a 0-d array out, as from every other forward rule
         scalar = ad.weighted_sum([Tensor(1.5), Tensor(2.0)], (1.0, -1.0)).data
         assert type(scalar) is np.ndarray and scalar.shape == () and scalar.item() == -0.5
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_batch_term_has_the_bits_of_its_mean_and_the_mean_rule(self, dtype):
+        # a (B,F) batch enters the fold as np.add.reduce(x, axis=None) / x.size, and its gradient is
+        # np.full(shape, float(g) * w / size, dtype): what a reduce_mean node under a weighted_sum gave
+        rng = np.random.default_rng(21)
+        a, b = rng.normal(0, 1, (7, 3)).astype(dtype), rng.normal(0, 1, (2, 5)).astype(dtype)
+        s, g, weights = rng.normal(0, 1), rng.normal(0, 1), (-0.7, 1.3, 0.9)
+        inputs = [Tensor(a), Tensor(s), Tensor(b)]
+        with Tape() as tape:
+            out = ad.weighted_sum(inputs, weights)
+            ga, gs, gb = tape.backward(out, inputs, np.array(g))
+        mean_a, mean_b = ((np.add.reduce(x, axis=None) / x.size).item() for x in (a, b))
+        assert out.data.dtype == np.float64 and out.data.shape == ()
+        assert out.data.tobytes() == np.float64((mean_a * -0.7 + s * 1.3) + mean_b * 0.9).tobytes()
+        for grad, x, w in ((ga, a, -0.7), (gb, b, 0.9)):
+            assert grad.dtype == dtype and grad.tobytes() == np.full(x.shape, float(g) * w / x.size, dtype).tobytes()
+        assert gs.tobytes() == np.float64(g * 1.3).tobytes()
 
     def test_sigmoid_cross_entropy_is_the_mean_softplus_and_stays_finite(self):
         # label 1 is mean softplus(-x) = -mean log sigmoid(x); label 0 is mean softplus(x)
@@ -329,7 +350,9 @@ def test_every_rule_is_dtype_generic(case):
             out = builder(ps)
             runs.append((out.data, tape.backward(out, ps, cotangent)))
     (out64, grads64), (out32, grads32) = runs
-    assert out32.dtype == np.float32 and all(g.dtype == np.float32 for g in grads32)
+    # weighted_sum folds its terms in Python floats: its sum, and a scalar term's gradient g * w, are float64
+    folded = np.float64 if case == "weighted_sum" else np.float32
+    assert out32.dtype == folded and all(g.dtype == (folded if g.ndim == 0 else np.float32) for g in grads32)
     np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-6)
     for g32, g64 in zip(grads32, grads64):
         np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-5)
@@ -360,7 +383,7 @@ def test_each_probe_of_a_stacked_forward_is_its_unstacked_forward_bit_for_bit(ca
         p.data = orig
         assert stacked.dtype == np.float64 and stacked.flags["C_CONTIGUOUS"], (case, j)
         for k in range(PROBES):
-            p.data = np.ascontiguousarray(probes[k])
+            p.data = np.array(probes[k])  # a 0-d probe stays 0-d
             single = builder(params).data
             p.data = orig
             assert stacked.shape == ad._stacked_shape(single.shape, PROBES), (case, j)
@@ -374,10 +397,15 @@ _STACKED_SHAPE_ERRORS = [
     # a stacked 1-D parameter is (K, 1, F), not (K, F)
     (lambda: ad.linear(_ones(3, 4), _ones(4, 2), _ones(7, 2)),
      "linear: needs (B,I) @ (I,O) + (O,), got (3, 4) @ (4, 2) + (7, 2)"),
-    (lambda: ad.weighted_sum([_ones(7, 3, 4), _ones(3, 5)], (1.0, 1.0)),
-     "weighted_sum: needs one weight per input and equal shapes, got 2 weights for shapes (7, 3, 4), (3, 5)"),
-    (lambda: ad.weighted_sum([_ones(7), _ones(5)], (1.0, 1.0)),
-     "weighted_sum: needs one weight per input and equal shapes, got 2 weights for shapes (7,), (5,)"),
+    # scalar probes (K,) and batch probes (K,B,F) of one call share K, and a stack still takes one weight
+    (lambda: ad.weighted_sum([_ones(7, 3, 4), _ones(5)], (1.0, 1.0)),
+     f"{_WS_NEEDS}, got 2 weights for shapes (7, 3, 4), (5,)"),
+    (lambda: ad.weighted_sum([_ones(7), _ones(3, 5), _ones(5, 3, 5)], (1.0, 1.0, 1.0)),
+     f"{_WS_NEEDS}, got 3 weights for shapes (7,), (3, 5), (5, 3, 5)"),
+    (lambda: ad.weighted_sum([_ones(7, 3, 4), _ones(7)], (1.0,)),
+     f"{_WS_NEEDS}, got 1 weights for shapes (7, 3, 4), (7,)"),
+    (lambda: ad.weighted_sum([_ones(2, 7, 3, 4)], (1.0,)),
+     f"{_WS_NEEDS}, got 1 weights for shapes (2, 7, 3, 4)"),
     (lambda: ad.categorical_log_q(_ones(7, 2, 3), np.zeros(3, dtype=np.int64), slice(0, 3)),
      "categorical_log_q: needs B integer indices for a (B,F) q, got int64 (3,) for (7, 2, 3)"),
     (lambda: ad.categorical_log_q(_ones(2, 7, 2, 3), np.zeros(2, dtype=np.int64), slice(0, 3)),
@@ -389,6 +417,21 @@ _STACKED_SHAPE_ERRORS = [
     (lambda: ad.batchnorm(_ones(2, 7, 5, 3), _ones(3), _ones(3), BatchNormState(3), True),
      "batchnorm: needs (B,F) input, got (2, 7, 5, 3)"),
 ]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_each_probe_of_a_stacked_weighted_sum_is_its_unstacked_call(dtype):
+    # scalar probes (K,) and batch probes (K,B,F), each batch probe reduced by its own mean, beside an
+    # unstacked batch and scalar: slice k of the sum is the call on probe k, bit for bit
+    rng = np.random.default_rng(22)
+    batches, scalars = rng.normal(0, 1, (PROBES, 4, 3)).astype(dtype), rng.normal(0, 1, PROBES).astype(dtype)
+    fixed = [Tensor(rng.normal(0, 1, (2, 5)).astype(dtype)), Tensor(rng.normal(0, 1))]
+    weights = (0.3, -1.7, 2.5, 0.9)
+    stacked = ad.weighted_sum([Tensor(batches), Tensor(scalars), *fixed], weights).data
+    assert stacked.shape == (PROBES,) and stacked.dtype == np.float64
+    for k in range(PROBES):
+        single = ad.weighted_sum([Tensor(batches[k]), Tensor(np.array(scalars[k])), *fixed], weights).data
+        assert single.shape == () and stacked[k].tobytes() == single.tobytes(), k
 
 
 def test_stacked_inputs_that_are_no_probe_stack_are_shape_errors():
@@ -661,30 +704,30 @@ class TestBackward:
         np.testing.assert_array_equal(g, [[-1.0, -2.0, -3.0, 0.0, 3.0, 8.0]])
 
     def test_mean_spreads_evenly(self):
-        x = Tensor(np.arange(4.0))
+        x = Tensor(np.arange(4.0).reshape(2, 2))
         with Tape() as tape:
-            (g,) = tape.backward(ad.reduce_mean(x), [x])
-        np.testing.assert_array_equal(g, np.full(4, 0.25))
+            (g,) = tape.backward(ad.weighted_sum([x], (1.0,)), [x])
+        np.testing.assert_array_equal(g, np.full((2, 2), 0.25))
 
     def test_fanout_accumulates(self):
-        x = Tensor([2.0])
+        x = Tensor(2.0)
         with Tape() as tape:
             y = ad.weighted_sum([x, x], (3.0, 5.0))
             (g,) = tape.backward(y, [x])
-        np.testing.assert_array_equal(g, [8.0])
+        np.testing.assert_array_equal(g, 8.0)
 
     def test_unreached_leaf_gets_zeros(self):
-        x, other = Tensor([1.0, 2.0]), Tensor(np.ones((3, 3)))
+        x, other = Tensor([[1.0, 2.0]]), Tensor(np.ones((3, 3)))
         with Tape() as tape:
-            ad.reduce_mean(other)
-            g_x, g_other = tape.backward(ad.reduce_mean(x), [x, other])
-        np.testing.assert_array_equal(g_x, [0.5, 0.5])
+            ad.weighted_sum([other], (1.0,))
+            g_x, g_other = tape.backward(ad.weighted_sum([x], (1.0,)), [x, other])
+        np.testing.assert_array_equal(g_x, [[0.5, 0.5]])
         np.testing.assert_array_equal(g_other, np.zeros((3, 3)))
 
     def test_wrt_never_recorded_gets_zeros(self):
-        x, stranger = Tensor([1.0, 2.0]), Tensor(np.ones((2, 3)))
+        x, stranger = Tensor([[1.0, 2.0]]), Tensor(np.ones((2, 3)))
         with Tape() as tape:
-            (g,) = tape.backward(ad.reduce_mean(x), [stranger])
+            (g,) = tape.backward(ad.weighted_sum([x], (1.0,)), [stranger])
         np.testing.assert_array_equal(g, np.zeros((2, 3)))
 
     def test_pruned_gradient_is_bitwise_equal(self):
@@ -713,23 +756,23 @@ class TestBackward:
         x, w, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))), Tensor(np.ones(2))
         with Tape() as tape:
             h = ad.linear(ad.linear(x, Tensor(np.eye(2)), Tensor(np.zeros(2)), "sigmoid"), Tensor(np.eye(2)), b, "relu")
-            root = ad.reduce_mean(ad.linear(h, w, b))
+            root = ad.weighted_sum([ad.linear(h, w, b)], (1.0,))
             tape.backward(root, [w])
-        # the two layers before depend on x and constants only, so only the last linear and reduce_mean run,
+        # the two layers before depend on x and constants only, so only the last linear and weighted_sum run,
         # and that linear is asked for w alone
-        assert calls == [("reduce_mean", (True,)), ("linear", (False, True, False))]
+        assert calls == [("weighted_sum", (True,)), ("linear", (False, True, False))]
 
     def test_non_scalar_root_rejected(self):
         x = Tensor(np.ones((2, 2)))
         with Tape() as tape:
-            y = ad.weighted_sum([x, x], (1.0, 1.0))
+            y = ad.linear(x, Tensor(np.eye(2)), Tensor(np.zeros(2)))
             with pytest.raises(UsageError, match=r"root must be scalar, got shape \(2, 2\)"):
                 tape.backward(y, [x])
 
     @pytest.mark.parametrize("read_by_an_op", [False, True], ids=["unread-leaf", "read-leaf"])
     def test_root_must_be_on_tape(self, read_by_an_op):
         # a leaf is never a node, also after an op on the tape has read it
-        x = Tensor([1.0])
+        x = Tensor(1.0)
         with Tape() as tape:
             if read_by_an_op:
                 ad.weighted_sum([x], (2.0,))
@@ -737,24 +780,24 @@ class TestBackward:
                 tape.backward(x, [x])
 
     def test_multiple_backward_roots_on_one_tape(self):
-        x = Tensor([3.0])
+        x = Tensor(3.0)
         with Tape() as tape:
             a = ad.weighted_sum([x], (2.0,))
             b = ad.weighted_sum([a, x], (1.0, 1.0))
-            np.testing.assert_array_equal(tape.backward(a, [x])[0], [2.0])
-            np.testing.assert_array_equal(tape.backward(b, [x])[0], [3.0])
+            np.testing.assert_array_equal(tape.backward(a, [x])[0], 2.0)
+            np.testing.assert_array_equal(tape.backward(b, [x])[0], 3.0)
 
     def test_exit_drops_nodes(self):
-        w = Tensor([1.0, 2.0])
+        w = Tensor([[1.0, 2.0]])
         with Tape() as tape:
-            ad.reduce_mean(ad.weighted_sum([w], (2.0,)))
+            ad.weighted_sum([ad.weighted_sum([w], (2.0,))], (1.0,))
             assert len(tape.nodes) == 2
         assert w._tape is None and tape.nodes is None
 
     def test_backward_after_exit_raises(self):
-        w = Tensor([1.0, 2.0])
+        w = Tensor([[1.0, 2.0]])
         with Tape() as tape:
-            y = ad.reduce_mean(ad.weighted_sum([w], (2.0,)))
+            y = ad.weighted_sum([w], (2.0,))
         with pytest.raises(UsageError, match="tape is closed"):
             tape.backward(y, [w])
 
@@ -766,7 +809,7 @@ class TestBackward:
                 pass
 
     def test_no_recording_without_tape(self):
-        out = ad.weighted_sum([Tensor([1.0]), Tensor([2.0])], (1.0, 1.0))
+        out = ad.weighted_sum([Tensor(1.0), Tensor(2.0)], (1.0, 1.0))
         assert out.node is None
 
     def test_cotangent_ones_on_scalar_root_matches_default(self):
@@ -779,29 +822,31 @@ class TestBackward:
         assert [g.tobytes() for g in seeded] == [g.tobytes() for g in default]
 
     def test_cotangent_gives_the_vector_jacobian_product(self):
+        # w and b feed both layers of a non-scalar root, so their products accumulate over the fan-out
         rng = np.random.default_rng(8)
-        x, w, b = Tensor(rng.normal(0, 1, (4, 3))), Tensor(rng.normal(0, 1, (3, 2))), Tensor(rng.normal(0, 1, 2))
-        v = rng.normal(0, 1, (4, 2))
+        x, w, b = Tensor(rng.normal(0, 1, (4, 3))), Tensor(rng.normal(0, 1, (3, 3))), Tensor(rng.normal(0, 1, 3))
+        v = rng.normal(0, 1, (4, 3))
         with Tape() as tape:
-            root = ad.weighted_sum([ad.linear(x, w, b), ad.linear(x, w, b)], (1.0, 1.0))
+            root = ad.linear(ad.linear(x, w, b), w, b)
             g_x, g_w, g_b = tape.backward(root, [x, w, b], v)
-        np.testing.assert_allclose(g_x, 2.0 * v @ w.data.T, rtol=1e-14)
-        np.testing.assert_allclose(g_w, 2.0 * x.data.T @ v, rtol=1e-14)
-        np.testing.assert_allclose(g_b, 2.0 * v.sum(axis=0), rtol=1e-14)
+        h, g_h = x.data @ w.data + b.data, v @ w.data.T
+        np.testing.assert_allclose(g_x, g_h @ w.data.T, rtol=1e-13)
+        np.testing.assert_allclose(g_w, x.data.T @ g_h + h.T @ v, rtol=1e-13)
+        np.testing.assert_allclose(g_b, g_h.sum(axis=0) + v.sum(axis=0), rtol=1e-13)
 
     def test_cotangent_is_copied(self):
-        x = Tensor([1.0, 2.0])
-        v = np.array([3, 4])  # integers: the seed is a float64 copy
+        x = Tensor([[1.0, 2.0]])
+        v = np.array([[3, 4]])  # integers: the seed is a float64 copy
         with Tape() as tape:
-            (g,) = tape.backward(ad.weighted_sum([x, x], (1.0, 1.0)), [x], v)
+            (g,) = tape.backward(ad.linear(x, Tensor(2.0 * np.eye(2)), Tensor(np.zeros(2))), [x], v)
         assert g.dtype == np.float64 and not np.shares_memory(g, v)
-        np.testing.assert_array_equal(g, [6.0, 8.0])
+        np.testing.assert_array_equal(g, [[6.0, 8.0]])
 
     @pytest.mark.parametrize("shape", [(), (2,), (3, 2), (1, 2, 3)])
     def test_cotangent_shape_must_match_root(self, shape):
         x = Tensor(np.ones((2, 3)))
         with Tape() as tape:
-            y = ad.weighted_sum([x], (2.0,))
+            y = ad.linear(x, Tensor(np.eye(3)), Tensor(np.zeros(3)))
             with pytest.raises(UsageError) as err:
                 tape.backward(y, [x], np.ones(shape))
         assert str(err.value) == f"backward: cotangent shape {shape} does not match root shape (2, 3)"
@@ -819,7 +864,7 @@ def _masked_rule_cases():
         "linear": (ad.linear, [(5, 4), (4, 3), (3,)]),
         "linear_lrelu": (lambda x, w, b: ad.linear(x, w, b, "lrelu"), [(5, 4), (4, 3), (3,)]),
         "linear_one_column": (ad.linear, [(5, 4), (4, 1), (1,)]),
-        "weighted_sum": (lambda *xs: ad.weighted_sum(xs, (0.5, -1.0, 2.0)), [(5, 3), (5, 3), (5, 3)]),
+        "weighted_sum": (lambda *xs: ad.weighted_sum(xs, (0.5, -1.0, 2.0)), [(5, 3), (2, 4), (5, 3)]),
         "batchnorm_train": (bn(True), [(5, 3), (3,), (3,)]),
         "batchnorm_eval": (bn(False), [(5, 3), (3,), (3,)]),
         "batchnorm_train_relu": (bn(True, "relu"), [(5, 3), (3,), (3,)]),
@@ -887,8 +932,8 @@ class TestBackwardDestinations:
         x, w, b = (Tensor(rng.normal(0, 1, s).astype(dtype)) for s in ((5, 3), (3, 3), 3))
         with Tape() as tape:
             # w and b feed two linear ops, and the second reads the first's output; the root's own
-            # gradient is the seed
-            root = ad.reduce_mean(ad.linear(ad.linear(x, w, b, "lrelu"), w, b, "sigmoid"))
+            # gradient is the seed, a scalar of the input dtype
+            root = ad.sigmoid_cross_entropy(ad.linear(ad.linear(x, w, b, "lrelu"), w, b, "sigmoid"), 1)
             plain = tape.backward(root, [w, b, x, root])
             dests = [np.full(w.shape, np.nan, dtype), np.full(b.shape, np.nan, dtype), None, np.full((), np.nan, dtype)]
             got = tape.backward(root, [w, b, x, root], out=dests)
@@ -902,20 +947,21 @@ class TestBackwardDestinations:
         # gets its destination at the first place only, and the second gradient is added into it
         rng = np.random.default_rng(7)
         x, p = Tensor(rng.normal(0, 1, (5, 3)).astype(dtype)), Tensor(rng.normal(1, 0.5, 3).astype(dtype))
-        for build in (lambda: ad.weighted_sum([p, p], (2.0, 3.0)),
-                      lambda: ad.batchnorm(x, p, p, BatchNormState(3, dtype), True, "relu")):
+        batch = Tensor(rng.normal(1, 0.5, (1, 3)).astype(dtype))
+        for twice, build in ((batch, lambda: ad.weighted_sum([batch, batch], (2.0, 3.0))),
+                             (p, lambda: ad.batchnorm(x, p, p, BatchNormState(3, dtype), True, "relu"))):
             with Tape() as tape:
-                root = ad.reduce_mean(build())
-                (plain,) = tape.backward(root, [p])
-                d = np.full(3, np.nan, dtype)
-                (got,) = tape.backward(root, [p], out=[d])
+                root = ad.weighted_sum([build()], (1.0,))
+                (plain,) = tape.backward(root, [twice])
+                d = np.full(twice.shape, np.nan, dtype)
+                (got,) = tape.backward(root, [twice], out=[d])
             assert got is d and plain.dtype == dtype and d.tobytes() == plain.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_a_tensor_no_rule_reached_gets_zeros_written_into_its_destination(self, dtype):
         x, other = Tensor(np.ones((2, 2), dtype)), Tensor(np.ones(3, dtype))
         with Tape() as tape:
-            root = ad.reduce_mean(x)
+            root = ad.weighted_sum([x], (1.0,))
             d = np.full(3, np.nan, dtype)
             _, got = tape.backward(root, [x, other], out=[None, d])
         assert got is d
@@ -930,29 +976,29 @@ class TestBackwardDestinations:
         forward, backward = ad._OPS["weighted_sum"]
         monkeypatch.setitem(ad._OPS, "weighted_sum", (forward, lambda g, node, need, out: [
             gi if fan_out and i == 0 else gi.astype(other) for i, gi in enumerate(backward(g, node, need, out))]))
-        x = Tensor(np.ones(3, dtype))
+        x = Tensor(np.ones((1, 3), dtype))
         with Tape() as tape:
-            root = ad.reduce_mean(ad.weighted_sum([x, x], (2.0, 3.0)) if fan_out else ad.weighted_sum([x], (2.0,)))
-            d = np.full(3, np.nan, dtype)
+            root = ad.weighted_sum([x, x], (2.0, 3.0)) if fan_out else ad.weighted_sum([x], (2.0,))
+            d = np.full((1, 3), np.nan, dtype)
             message = f"^backward: the weighted_sum rule gave a {other} gradient for a {np.dtype(dtype)} destination$"
             with pytest.raises(UsageError, match=message):
                 tape.backward(root, [x], out=[d])
         if fan_out:
-            assert d.tobytes() == (np.full(3, 1 / 3, dtype) * 2.0).tobytes()
+            assert d.tobytes() == np.full((1, 3), 2.0 / 3, dtype).tobytes()
         else:
             assert np.isnan(d).all()
 
     @pytest.mark.parametrize("n_wrt, dest, message", [
-        (1, [np.zeros(2)], r"a destination of shape \(2,\) and dtype float64 for a wrt tensor of shape \(3,\) and dtype float64"),
-        (1, [np.zeros(3, np.float32)], r"a destination of shape \(3,\) and dtype float32 for a wrt tensor of shape \(3,\) and dtype float64"),
+        (1, [np.zeros(3)], r"a destination of shape \(3,\) and dtype float64 for a wrt tensor of shape \(1, 3\) and dtype float64"),
+        (1, [np.zeros((1, 3), np.float32)], r"a destination of shape \(1, 3\) and dtype float32 for a wrt tensor of shape \(1, 3\) and dtype float64"),
         (1, [None, None], r"2 destinations for 1 wrt tensors"),
         # one destination per tensor: a second one would be left unwritten
-        (2, [np.zeros(3), np.zeros(3)], r"wrt tensor 1 repeats an earlier one with another destination"),
+        (2, [np.zeros((1, 3)), np.zeros((1, 3))], r"wrt tensor 1 repeats an earlier one with another destination"),
     ])
     def test_a_destination_must_match_its_tensor(self, n_wrt, dest, message):
-        x = Tensor(np.ones(3))
+        x = Tensor(np.ones((1, 3)))
         with Tape() as tape:
-            root = ad.reduce_mean(x)
+            root = ad.weighted_sum([x], (1.0,))
             with pytest.raises(UsageError, match=message):
                 tape.backward(root, [x] * n_wrt, out=dest)
 
@@ -977,7 +1023,7 @@ class TestGradCheck:
 
     def test_step_bounds(self):
         with pytest.raises(UsageError):
-            grad_check(lambda p: ad.reduce_mean(p[0]), [Tensor([1.0])], step=0.5)
+            grad_check(lambda p: ad.weighted_sum([p[0]], (1.0,)), [Tensor(1.0)], step=0.5)
 
     @pytest.mark.parametrize("params", [[], [Tensor(np.zeros((0, 3)))]], ids=["no-tensor", "size-0-tensor"])
     def test_check_with_no_coordinates_is_refused(self, params):
@@ -993,35 +1039,35 @@ class TestGradCheck:
             return ad.weighted_sum([p[0]], (float(state["n"]),))
 
         with pytest.raises(UsageError, match="deterministic"):
-            grad_check(noisy, [Tensor([1.0])])
+            grad_check(noisy, [Tensor(1.0)])
 
     def test_deterministic_nan_builder_reports_inf(self):
         # NaN != NaN, so the determinism probe must not take a builder that is NaN every time for a noisy one
         def nan_loss(p):
-            return ad.reduce_mean(ad.weighted_sum([p[0]], (math.nan,)))
+            return ad.weighted_sum([p[0]], (math.nan,))
 
-        assert grad_check(nan_loss, [Tensor([1.0, 2.0])]) == math.inf
+        assert grad_check(nan_loss, [Tensor([[1.0, 2.0]])]) == math.inf
 
     def test_builder_nan_only_sometimes_is_not_deterministic(self):
         state = {"n": 0}
 
         def flaky(p):
             state["n"] += 1
-            return ad.reduce_mean(ad.weighted_sum([p[0]], (math.nan if state["n"] % 2 else 1.0,)))
+            return ad.weighted_sum([p[0]], (math.nan if state["n"] % 2 else 1.0,))
 
         with pytest.raises(UsageError, match="deterministic"):
-            grad_check(flaky, [Tensor([1.0])])
+            grad_check(flaky, [Tensor(1.0)])
 
     def test_params_restored_after_check(self):
         p = Tensor(np.array([1.0, 2.0]))
         before = p.data.copy()
-        grad_check(lambda ps: ad.weighted_sum([ps[0]], (2.0,)), [p], readout=np.array([1.0, -1.0]))
+        grad_check(lambda ps: ad.linear(Tensor(np.ones((1, 2))), Tensor(np.eye(2)), ps[0]), [p], readout=np.array([[1.0, -1.0]]))
         np.testing.assert_array_equal(p.data, before)
 
     # call 1 is the taped pass; call 2 is the stacked pass of every probe of every parameter
     @pytest.mark.parametrize("n_params", [1, 2])
     def test_coordinate_restored_when_builder_raises(self, n_params):
-        ws = [Tensor(np.array([0.0, 1.0]) + j) for j in range(n_params)]
+        ws = [Tensor(np.array([[0.0, 1.0]]) + j) for j in range(n_params)]
         arrays = [w.data for w in ws]
         calls = {"n": 0}
 
@@ -1032,12 +1078,12 @@ class TestGradCheck:
             return ad.weighted_sum(p, (2.0,) * n_params)
 
         with pytest.raises(DomainError, match="probe failed"):
-            grad_check(loss, ws, readout=np.ones(2))
+            grad_check(loss, ws)
         assert calls["n"] == 2
         for j, w in enumerate(ws):
             # the very array it held before: a model parameter is a view into its block's vector
             assert w.data is arrays[j]
-            np.testing.assert_array_equal(w.data, [0.0 + j, 1.0 + j])
+            np.testing.assert_array_equal(w.data, [[0.0 + j, 1.0 + j]])
 
     @pytest.mark.parametrize("raises", [False, True])
     def test_probe_stacks_are_tiled_rows_moved_on_their_diagonals_bit_for_bit(self, raises):
@@ -1055,7 +1101,7 @@ class TestGradCheck:
             seen.append([t.data for t in p])
             if raises and len(seen) == 2:
                 raise DomainError("stacked pass failed")
-            return ad.reduce_mean(p[2])
+            return ad.weighted_sum([p[2]], (1.0,))
 
         if raises:
             with pytest.raises(DomainError, match="stacked pass failed"):
@@ -1104,7 +1150,7 @@ class TestGradCheck:
 
         def loss(p):
             shapes.append(tuple(t.shape for t in p))
-            return ad.reduce_mean(ad.linear(p[0], p[1], p[2]))
+            return ad.weighted_sum([ad.linear(p[0], p[1], p[2])], (1.0,))
 
         rng = np.random.default_rng(4)
         params = [Tensor(rng.normal(0, 1, s)) for s in ((3, 4), (4, 2), (2,))]
@@ -1115,20 +1161,20 @@ class TestGradCheck:
     def test_an_output_off_the_probe_stack_is_rejected_naming_both_shapes(self):
         # the builder reshapes its parameter by hand, so the stacked pass loses the probe axis
         def loss(p):
-            return ad.weighted_sum([Tensor(p[0].data.ravel())], (1.0,))
+            return ad.linear(Tensor(p[0].data.reshape(-1, 4)), Tensor(np.eye(4)), Tensor(np.zeros(4)))
 
         with pytest.raises(UsageError) as err:
-            grad_check(loss, [Tensor(np.ones((2, 2)))], readout=np.ones(4))
+            grad_check(loss, [Tensor(np.ones((2, 2)))], readout=np.ones((1, 4)))
         assert str(err.value) == (
-            "grad_check: the stacked pass gave shape (36,), neither the output "
-            "shape (4,) nor its stack of 9 probes (9, 1, 4)"
+            "grad_check: the stacked pass gave shape (9, 4), neither the output "
+            "shape (1, 4) nor its stack of 9 probes (9, 1, 4)"
         )
 
     def test_a_tensor_listed_twice_is_rejected(self):
         # one stack per tensor: the second listing's probes would overwrite the first's
         w = Tensor(np.array([1.0, 2.0]))
         with pytest.raises(UsageError, match="listed twice"):
-            grad_check(lambda p: ad.reduce_mean(p[0]), [w, w])
+            grad_check(lambda p: ad.weighted_sum([p[0]], (1.0,)), [w, w])
 
     def test_a_stacked_forward_one_ulp_off_its_unstacked_forward_is_rejected(self, monkeypatch):
         # every probe moves by the same ulp, so the differences hide it; only the unmoved probe,
@@ -1148,7 +1194,7 @@ class TestGradCheck:
         # the probes of a parameter the output does not depend on read the unmoved value, so the
         # numeric gradient is zero, as the analytic one of an unreached leaf is
         other = Tensor(np.array([1.0, -2.0]))
-        assert grad_check(lambda p: ad.reduce_mean(p[1]), [other, Tensor(np.array([0.5]))]) <= 1e-9
+        assert grad_check(lambda p: ad.weighted_sum([p[1]], (1.0,)), [other, Tensor(np.array([[0.5]]))]) <= 1e-9
 
     def test_an_output_no_parameter_reaches_keeps_the_taped_shape(self):
         # the stacked pass gives back the unstacked shape, and every probe reads that one value
@@ -1156,7 +1202,7 @@ class TestGradCheck:
 
         def loss(p):
             shapes.append(p[0].shape)
-            return ad.weighted_sum([fixed], (1.0,))
+            return ad.linear(fixed, Tensor(np.eye(2)), Tensor(np.zeros(2)))
 
         assert grad_check(loss, [Tensor(np.ones(3))], readout=np.ones((1, 2))) == 0.0
         assert shapes == [(3,), (7, 1, 3)]
@@ -1164,7 +1210,7 @@ class TestGradCheck:
     @pytest.mark.parametrize("readout", [np.ones(4), np.ones(6), np.ones((3, 2))])
     def test_readout_must_have_the_output_shape(self, readout):
         with pytest.raises(UsageError) as err:
-            grad_check(lambda p: ad.weighted_sum([p[0]], (2.0,)), [Tensor(np.ones((2, 3)))], readout=readout)
+            grad_check(lambda p: ad.linear(p[0], Tensor(np.eye(3)), Tensor(np.zeros(3))), [Tensor(np.ones((2, 3)))], readout=readout)
         assert str(err.value) == f"backward: cotangent shape {readout.shape} does not match root shape (2, 3)"
 
     @pytest.mark.parametrize("act, bad", [("relu", np.nan), ("sigmoid", np.inf)])

@@ -1,5 +1,6 @@
 """Oracles: sampling-identity lemma, channel bound, estimates, classifier, traversals."""
 
+import functools
 import hashlib
 import itertools
 import os
@@ -12,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from infogan_lab import evaluate
 from infogan_lab.autodiff import UsageError
-from infogan_lab.config import TrainingConfig
+from infogan_lab.config import TrainingConfig, parse_block_token
 from infogan_lab.data_io import Dataset, FormatError, synth_templates
 from infogan_lab.evaluate import (
     ChannelSpec,
@@ -570,6 +572,49 @@ class TestGoldenEvaluation:
         digest = hashlib.sha256(np.asarray(preds, dtype=np.int64).tobytes()).hexdigest()
         assert digest == "8ae9fd019c98c2e538c3fb77c8193be08e4e06568d0aa4d562aa13ffcb4c0d92", pinned_on
         assert categorical_classifier_eval(model, ds, 0) == (0.4921875, {0: 2, 1: 1, 2: 0, 3: 3}), pinned_on
+
+
+class TestTwoBlockFamilyEstimate:
+    """Pins the bound estimate of a code family with two blocks: the MNIST protocol's codes (cat:10 and two
+    unif codes) at toy widths, after 20 steps. ``estimate_mi_bound`` adds up the continuous family's two
+    block rows per sample itself, so a change to how it sums them must leave these values as they are.
+    """
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        codes = tuple(map(parse_block_token, ("cat:10", "unif:-1:1", "unif:-1:1")))
+        cfg = TrainingConfig(seed=40, codes=codes, noise_dim=8, gen_layers=(16, 24), trunk_layers=(24, 16), q_hidden=8,
+                             batchnorm=True)
+        gen_cfg, dq_cfg = cfg.net_configs()
+        model = init_models(gen_cfg, dq_cfg, cfg.latent_spec(), np.random.default_rng(40))
+        ds = synth_templates(4, 512, 0.05, np.random.default_rng(41))
+        rng, adam_states = np.random.default_rng(42), {}
+        for _ in range(20):
+            train_step(model, ds.images[rng.integers(0, len(ds), 16)], cfg, rng, adam_states)
+        return model
+
+    def test_mi_estimate_floats(self, model, pinned_on):
+        est = estimate_mi_bound(model, model.spec, 1000, np.random.default_rng(43))
+        assert (repr(est.li_disc), repr(est.se_disc), repr(est.li_cont), repr(est.se_cont)) == (
+            "-0.0002716149365196152", "0.004849259790515648", "-0.744168288463926", "0.007730440798025457",
+        ), pinned_on
+
+    def test_a_family_row_is_the_elementwise_sum_of_its_blocks_log_q_rows(self, model, monkeypatch):
+        rows, family_row = [], evaluate._family_row
+
+        def recording(terms):
+            rows.append(([t.data.copy() for t in terms], family_row(terms)))
+            return rows[-1][1]
+
+        monkeypatch.setattr(evaluate, "_family_row", recording)
+        est = estimate_mi_bound(model, model.spec, 1000, np.random.default_rng(43))
+        # one discrete and one continuous row per chunk of MI_CHUNK samples
+        assert [len(blocks) for blocks, _ in rows] == [1, 2] * -(-1000 // evaluate.MI_CHUNK)
+        for blocks, row in rows:
+            assert row.dtype == np.float32 and row.shape == (blocks[0].shape[0],)
+            assert row.tobytes() == functools.reduce(np.add, blocks).ravel().tobytes()
+        cont = np.concatenate([row for blocks, row in rows if len(blocks) == 2], dtype=np.float64)
+        assert est.li_cont == float(cont.mean() + model.spec.h_cont)
 
 
 def _sparse_channel(rng):

@@ -107,6 +107,21 @@ def test_a_rule_off_by_one_percent_fails_its_case(monkeypatch, case):
     assert worst[case] > 1e-5
 
 
+@pytest.mark.parametrize("branch", ["batch", "scalar"])
+def test_a_weighted_sum_rule_off_in_one_branch_fails_its_case(monkeypatch, branch):
+    # the case takes two batches and a scalar, so a rule 1% off in either branch alone, a batch's
+    # spread g * w / size or a scalar's g * w, fails it
+    forward, backward = autodiff._OPS["weighted_sum"]
+    scaled_ndim = 2 if branch == "batch" else 0
+
+    def scaled(g, node, need, out):
+        return [None if gi is None else 1.01 * gi if gi.ndim == scaled_ndim else gi for gi in backward(g, node, need, out)]
+
+    monkeypatch.setitem(autodiff._OPS, "weighted_sum", (forward, scaled))
+    worst = op_grad_checks(n_seeds=1)
+    assert {name for name, err in worst.items() if err > 1e-5} == {"weighted_sum"}
+
+
 def test_a_gaussian_log_q_rule_without_its_clamp_mask_fails_only_the_clamped_case(monkeypatch):
     # past the clamp the log_sigma gradient must be zero: the rule with its mask dropped
     # still passes the unclamped case, and fails the one that reaches past the bounds
@@ -166,12 +181,12 @@ def test_an_epilogue_backward_without_its_mask_fails_exactly_its_cases(monkeypat
     assert {name for name, err in worst.items() if err > 1e-5} == _EPILOGUE_CASES[act]
 
 
-def test_the_cases_probe_220_coordinates_a_seed():
-    # 233 when relu, lrelu and sigmoid were ops with cases of their own, and 221 when the log-Q cases took
-    # their blocks' parameters as separate tensors: a change must not make the benchmark's verify round,
-    # which probes every one, any longer
+def test_the_cases_probe_209_coordinates_a_seed():
+    # 233 when relu, lrelu and sigmoid were ops with cases of their own, 221 when the log-Q cases took
+    # their blocks' parameters as separate tensors, and 220 while reduce_mean was an op with its own case:
+    # a change must not make the benchmark's verify round, which probes every one, any longer
     rng = np.random.default_rng(0)
-    assert sum(p.data.size for case in _OP_CASES.values() for p in case(rng)[0]) == 220
+    assert sum(p.data.size for case in _OP_CASES.values() for p in case(rng)[0]) == 209
 
 
 def _count_forward_ops(monkeypatch) -> dict:
@@ -186,20 +201,21 @@ def _count_forward_ops(monkeypatch) -> dict:
     return calls
 
 
-def test_one_seed_of_op_checks_costs_26_forward_ops(monkeypatch):
-    # one taped pass and one stacked pass of every probe, of the op alone: 13 cases make
-    # 2 * 13 = 26 calls; any readout op run per probe, or an extra pass, fails here
+def test_one_seed_of_op_checks_costs_24_forward_ops(monkeypatch):
+    # one taped pass and one stacked pass of every probe, of the op alone: 12 cases make
+    # 2 * 12 = 24 calls; any readout op run per probe, or an extra pass, fails here
     calls = _count_forward_ops(monkeypatch)
     op_grad_checks(1)
-    assert calls["n"] == 26
+    assert calls["n"] == 24
 
 
-def test_one_seed_of_the_full_graph_check_costs_40_forward_ops(monkeypatch):
-    # a pass of the whole objective is 20 ops (each layer one, its activation folded in, and Q's head
-    # ends in one output layer), and the check runs two passes: 2 * 20 = 40
+def test_one_seed_of_the_full_graph_check_costs_36_forward_ops(monkeypatch):
+    # a pass of the whole objective is 18 ops (each layer one, its activation folded in, Q's head
+    # ends in one output layer, and each family's L_I is one weighted_sum), and the check runs two
+    # passes: 2 * 18 = 36
     calls = _count_forward_ops(monkeypatch)
     full_loss_graph_check(1)
-    assert calls["n"] == 40
+    assert calls["n"] == 36
 
 
 def test_readme_states_the_forward_ops_of_one_seed(monkeypatch):
@@ -212,7 +228,7 @@ def test_readme_states_the_forward_ops_of_one_seed(monkeypatch):
         calls = _count_forward_ops(monkeypatch)
         check(1)
         counted[check.__name__] = calls["n"]
-    assert stated == counted == {"op_grad_checks": 26, "full_loss_graph_check": 40}
+    assert stated == counted == {"op_grad_checks": 24, "full_loss_graph_check": 36}
 
 
 def test_batchnorm_train_check_folds_only_its_taped_pass(monkeypatch):
@@ -256,14 +272,14 @@ def test_error_floats_of_twenty_seeds_after_each_default_base_seed(pinned_on):
     rows = [sorted(op_grad_checks(1, 1234 + i).items()) for i in range(20)]
     full = repr([full_loss_graph_check(1, 99 + i) for i in range(20)])
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "bcd298c590675012d9a7640d5ac5c36bfd74efaf08d6b2ac751e8995d8bc8d5f"
+        "94aceb3179bbe5719ad1a6523f73cf5da130c296a882269c787067f2321f77f5"
     ), pinned_on
-    # the cases of every op but the two log-Q ops read as they did before those ops read their block's
-    # columns of one wider q (the ten rows' digest then and now)
-    untouched = [[(case, err) for case, err in row if _op_of(case) not in ("categorical_log_q", "gaussian_log_q")] for row in rows]
-    assert {len(row) for row in untouched} == {10}
+    # the cases of every op but weighted_sum read as they did before its case was rebuilt from two
+    # batches and a scalar and reduce_mean's case was deleted with its op (the eleven rows' digest then and now)
+    untouched = [[(case, err) for case, err in row if case != "weighted_sum"] for row in rows]
+    assert {len(row) for row in untouched} == {11}
     assert hashlib.sha256(repr(untouched).encode()).hexdigest() == (
-        "3c8a7e44e5df60f54c1fc153048e26f7ed3cb19ec9c00b95cd0ad8ed6f00d1fc"
+        "14ec46f067d11c7d9efc5092df138ef4ac5403491320a27bed85a549796ac916"
     ), pinned_on
     assert hashlib.sha256(full.encode()).hexdigest() == (
         "3778ffab4e1ab77fd35eb362cbc4bf43b78f3e39eb96caaa55ba54a0f6207c8e"

@@ -260,23 +260,23 @@ class TestLogQ:
         spec = LatentSpec(blocks=(CodeBlock.categorical(10),), noise_dim=0)
         batch = sample_latent(spec, 6, np.random.default_rng(0))
         q = _q_for(spec, batch=6)
-        disc, cont = log_q(q, batch)
-        assert cont is None
+        (disc,), cont = log_q(q, batch)
+        assert cont == []
         np.testing.assert_allclose(disc.data, math.log(0.1), atol=1e-12)
 
     def test_gaussian_at_mean_sigma_one(self):
         spec = LatentSpec(blocks=(CodeBlock.uniform(-1, 1),), noise_dim=0)
         batch = sample_latent(spec, 4, np.random.default_rng(0))
         q = _q_for(spec, mu=np.asarray(batch.c_raw[0]), s=np.zeros((4, 1)), batch=4)
-        disc, cont = log_q(q, batch)
-        assert disc is None
+        disc, (cont,) = log_q(q, batch)
+        assert disc == []
         np.testing.assert_allclose(cont.data, -0.918939, atol=1e-6)
 
     def test_gaussian_at_mean_log_sigma_one(self):
         spec = LatentSpec(blocks=(CodeBlock.uniform(-1, 1),), noise_dim=0)
         batch = sample_latent(spec, 4, np.random.default_rng(0))
         q = _q_for(spec, mu=np.asarray(batch.c_raw[0]), s=np.ones((4, 1)), batch=4)
-        _, cont = log_q(q, batch)
+        _, (cont,) = log_q(q, batch)
         np.testing.assert_allclose(cont.data, -1.918939, atol=1e-6)
 
     def test_discrete_log_q_never_positive(self):
@@ -284,12 +284,12 @@ class TestLogQ:
         rng = np.random.default_rng(11)
         batch = sample_latent(spec, 64, rng)
         q = _q_for(spec, logits=rng.normal(0, 3, (64, 5)), batch=64)
-        disc, _ = log_q(q, batch)
+        (disc,), _ = log_q(q, batch)
         assert np.all(disc.data <= 0.0)
 
     def test_each_block_reads_its_own_columns(self):
-        # two blocks of each family, every column distinct: each op's value is the one-block spec's on
-        # that block's columns alone
+        # two blocks of each family, every column distinct: each family lists its blocks' terms in spec
+        # order, and each term is the one-block spec's on that block's columns alone
         tokens = ("cat:3", "gauss:0:1:2", "cat:2", "unif:-1:1")
         spec = LatentSpec(blocks=tuple(map(parse_block_token, tokens)), noise_dim=0)
         rng = np.random.default_rng(4)
@@ -300,9 +300,10 @@ class TestLogQ:
         for block, raw, cols in zip(spec.blocks, batch.c_raw, spec.q_slices()):
             alone = LatentSpec(blocks=(block,), noise_dim=0)
             lat = LatentBatch(alone, [raw], Tensor(np.zeros((5, alone.gen_input_dim))))
-            parts[block.is_discrete].append(next(t for t in log_q(Tensor(q[:, cols]), lat) if t is not None).data)
-        assert disc.data.tobytes() == (parts[True][0] + parts[True][1]).tobytes()
-        assert cont.data.tobytes() == (parts[False][0] + parts[False][1]).tobytes()
+            ((term,),) = (family for family in log_q(Tensor(q[:, cols]), lat) if family)
+            parts[block.is_discrete].append(term.data.tobytes())
+        assert [t.data.tobytes() for t in disc] == parts[True] and len(disc) == 2
+        assert [t.data.tobytes() for t in cont] == parts[False] and len(cont) == 2
 
     @pytest.mark.parametrize("tokens, q, message", [
         # (B, 5) logits for cat:4 once scored log(1/5): the width, not a copy of the spec, is checked
@@ -326,7 +327,7 @@ class TestLogQ:
         n = 100000
         batch = sample_latent(spec, n, np.random.default_rng(21))
         q = _q_for(spec, logits=np.zeros((n, k)), batch=n)
-        disc, _ = log_q(q, batch)
+        (disc,), _ = log_q(q, batch)
         samples = -disc.data.ravel()
         se = samples.std(ddof=1) / math.sqrt(n)
         assert abs(samples.mean() - math.log(k)) <= 3 * max(se, 1e-12)
@@ -339,8 +340,8 @@ class TestLogQ:
         mu = rng.normal(0, 1, (16, 1))
         raw = np.concatenate([rng.uniform(-50.0, 50.0, 14), [-np.inf, np.inf]]).astype(np.float32)[:, None]
         q, clamped_q = (Tensor(_q_for(spec, mu=mu, s=s, batch=16).data.astype(np.float32)) for s in (raw, np.clip(raw, -7.0, 7.0)))
-        _, cont = log_q(q, batch)
-        _, clamped = log_q(clamped_q, batch)
+        _, (cont,) = log_q(q, batch)
+        _, (clamped,) = log_q(clamped_q, batch)
         assert np.all(np.isfinite(cont.data)) and cont.data.tobytes() == clamped.data.tobytes()
 
     def test_log_sigma_clamp_engages(self):
@@ -351,9 +352,9 @@ class TestLogQ:
         mu = rng.normal(0, 1, (4, 1))
         q, at_cap = (Tensor(_q_for(spec, mu=mu, s=s, batch=4).data.astype(np.float32)) for s in (50.0, 7.0))
         with ad.Tape() as tape:
-            _, cont = log_q(q, batch)
+            _, (cont,) = log_q(q, batch)
             (grad,) = tape.backward(cont, [q], np.ones((4, 1)))
-        assert cont.data.tobytes() == log_q(at_cap, batch)[1].data.tobytes()
+        assert cont.data.tobytes() == log_q(at_cap, batch)[1][0].data.tobytes()
         assert not grad[:, 5].any() and grad[:, 4].all()  # cat:4 takes columns 0-3, the mean 4, log sigma 5
 
     def test_gradient_reaches_all_q_params(self):
@@ -363,6 +364,6 @@ class TestLogQ:
         q = _q_for(spec, logits=rng.normal(0, 1, (8, 4)), mu=rng.normal(0, 1, (8, 1)), s=rng.normal(0, 0.3, (8, 1)), batch=8)
         with ad.Tape() as tape:
             disc, cont = log_q(q, batch)
-            total = ad.weighted_sum([ad.reduce_mean(disc), ad.reduce_mean(cont)], (1.0, 1.0))
+            total = ad.weighted_sum([*disc, *cont], (1.0, 1.0))
             (grad,) = tape.backward(total, [q])
         assert np.all(np.linalg.norm(grad, axis=0) > 0.0)

@@ -101,6 +101,21 @@ class TestMiLowerBound:
         _, li_cont = mi_lower_bound(Tensor(np.concatenate([lat.c_raw[0], np.zeros((16, 1))], axis=1)), lat)
         assert abs(float(li_cont) - (-0.918939 + LN2)) < 1e-5
 
+    def test_a_family_bound_is_one_node_of_its_block_means_and_entropy(self):
+        # two categorical blocks and no continuous one: L_I_disc is one weighted_sum node, each block's
+        # term entering as its batch mean, folded with H in Python floats; L_I_cont is a zero leaf
+        spec = LatentSpec(blocks=(CodeBlock.categorical(3), CodeBlock.categorical(2)), noise_dim=0)
+        lat = sample_latent(spec, 8, np.random.default_rng(9))
+        q = Tensor(np.random.default_rng(10).normal(0, 2, (8, 5)).astype(np.float32))
+        with ad.Tape() as tape:
+            li_disc, li_cont = mi_lower_bound(q, lat)
+            ops = [node.op for node in tape.nodes]
+        assert ops == ["categorical_log_q", "categorical_log_q", "weighted_sum"]
+        assert li_cont.node is None and float(li_cont) == 0.0
+        a, b = (ad.categorical_log_q(q, index, cols).data for index, cols in zip(lat.c_raw, spec.q_slices()))
+        mean_a, mean_b = ((np.add.reduce(x, axis=None) / x.size).item() for x in (a, b))
+        assert li_disc.data.tobytes() == np.float64((mean_a + mean_b) + spec.h_disc).tobytes()
+
 
 class TestInfoGanLosses:
     def _objective(self, lam_d, lam_c, li_d=0.4, li_c=-0.2):

@@ -119,7 +119,7 @@ def test_docs_state_the_catalogue_size():
 
 # the parameters of every public function and non-exception class each module defines, self excluded;
 # a dataclass counts its fields. Move this pin, and name the option, when a change adds or removes one.
-PUBLIC_PARAMETERS = 255
+PUBLIC_PARAMETERS = 254
 
 
 def public_parameter_count() -> int:
